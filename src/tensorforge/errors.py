@@ -90,5 +90,10 @@ class TableIncomplete(TensorforgeError):
     pass
 
 
+class CrossCheckFailed(TensorforgeError):
+    """A computed structure contradicts a theorem that must hold for it;
+    this signals a defect in the computation, not in the input."""
+
+
 class IoError(TensorforgeError):
     pass

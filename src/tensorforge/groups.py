@@ -375,8 +375,26 @@ def second_hypercenter(G):
     return Subgroup(G, [x for x in range(G.order) if proj(x) in zq])
 
 
+# Entries per block of the commutator table in ``_commutators``.
+COMMUTATOR_BLOCK = 16_384
+
+
+def _commutators(G, xs):
+    """The distinct commutators [x, y] = (x^-1 y^-1)(x y) for x in ``xs``
+    and y in G, computed in row blocks of at most COMMUTATOR_BLOCK
+    entries."""
+    t, inv = G.table, G.inverse
+    xs = np.asarray(xs, dtype=np.intp)
+    step = max(1, COMMUTATOR_BLOCK // G.order)
+    found = np.zeros(G.order, dtype=bool)
+    for start in range(0, len(xs), step):
+        b = xs[start:start + step]
+        found[t[t[inv[b][:, None], inv[None, :]], t[b]]] = True
+    return np.flatnonzero(found).tolist()
+
+
 def derived_subgroup(G):
-    comms = {G.commutator(x, y) for x in range(G.order) for y in range(G.order)}
+    comms = _commutators(G, range(G.order))
     return Subgroup(G, subgroup_generated(G, comms).members)
 
 
@@ -385,8 +403,7 @@ def lower_central_series(G):
     series = [Subgroup(G, range(G.order))]
     while True:
         cur = series[-1]
-        comms = {G.commutator(x, y) for x in cur.members for y in range(G.order)}
-        nxt = subgroup_generated(G, comms)
+        nxt = subgroup_generated(G, _commutators(G, cur.members))
         if nxt.members == cur.members:
             break
         series.append(nxt)

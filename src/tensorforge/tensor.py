@@ -18,7 +18,7 @@ import numpy as np
 
 from .abelian import abelian_invariants, abelian_tensor_invariants
 from .actions import ActionPair, conjugation_maps, is_compatible
-from .errors import IncompatibleActions, LimitExceeded
+from .errors import CrossCheckFailed, IncompatibleActions, LimitExceeded
 from .groups import FiniteGroup, GroupHom, Subgroup, nilpotency_class, \
     subgroup_generated
 from .errors import NotAHomomorphism
@@ -117,14 +117,21 @@ def compute_tensor(pair, force=False, max_cosets=None):
         # kappa always extends when both assignments are genuine actions;
         # a failure certifies the pair only satisfies the equations
         # pointwise
-        assert not pair.assignments_are_homs()
+        if pair.assignments_are_homs():
+            raise CrossCheckFailed(
+                "kappa does not extend although both assignments are "
+                "actions") from None
         kappa, kernel = None, None
     else:
-        assert set(int(v) for v in np.unique(kappa.map)) \
-            == set(derivative.members)
+        if set(int(v) for v in np.unique(kappa.map)) \
+                != set(derivative.members):
+            raise CrossCheckFailed("the image of kappa is not [G, H]")
         kernel = kappa.kernel()
         _assert_central(tensor, kernel)
-        assert tensor.order == kernel.order * derivative.order
+        if tensor.order != kernel.order * derivative.order:
+            raise CrossCheckFailed(
+                f"|G (x) H| = {tensor.order} is not |ker kappa| * |[G, H]| "
+                f"= {kernel.order} * {derivative.order}")
     invariants = abelian_invariants(tensor) if tensor.is_abelian else None
     return TensorReport(tensor=tensor, symbol_map=symbol_map, kappa=kappa,
                         derivative=derivative, kernel=kernel,
@@ -136,7 +143,7 @@ def _assert_central(tensor, kernel):
     for a in kernel.members:
         row = tensor.table[a]
         if not np.array_equal(row, tensor.table[:, a]):
-            raise AssertionError(f"kernel element {a} is not central")
+            raise CrossCheckFailed(f"kernel element {a} is not central")
 
 
 def derivative_subgroup(pair):

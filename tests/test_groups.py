@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tensorforge as tf
+from tensorforge import groups
+from tensorforge.catalog import catalog_groups_up_to
 from tensorforge.errors import NotAGroup, NotNormal
 from tensorforge.groups import (FiniteGroup, Subgroup, center,
                                 derived_subgroup, from_cayley_table,
@@ -162,6 +164,50 @@ def test_lower_central_series_heisenberg():
     G = tf.make_catalog_group("heisenberg:3")
     series = lower_central_series(G)
     assert [s.order for s in series] == [27, 3, 1]
+
+
+def reference_lower_central_series(G):
+    """The loop version: one commutator call per pair."""
+    series = [Subgroup(G, range(G.order))]
+    while True:
+        cur = series[-1]
+        comms = {G.commutator(x, y) for x in cur.members for y in range(G.order)}
+        nxt = subgroup_generated(G, comms)
+        if nxt.members == cur.members:
+            break
+        series.append(nxt)
+        if nxt.order == 1:
+            break
+    return series
+
+
+def _members(series):
+    return [s.members for s in series]
+
+
+@pytest.mark.parametrize("block", [groups.COMMUTATOR_BLOCK, 50])
+def test_lower_central_series_matches_loop_on_catalog(monkeypatch, block):
+    # a block of 50 entries splits every group of order 8 or more
+    monkeypatch.setattr(groups, "COMMUTATOR_BLOCK", block)
+    for _, G in catalog_groups_up_to(27):
+        want = reference_lower_central_series(G)
+        assert _members(lower_central_series(G)) == _members(want)
+        comms = {G.commutator(x, y) for x in G.elements()
+                 for y in G.elements()}
+        assert derived_subgroup(G).members \
+            == subgroup_generated(G, comms).members
+
+
+def test_lower_central_series_matches_loop_on_large_groups():
+    # orders 512 and 432 take several row blocks of the commutator table;
+    # the tensor square is abelian, the product has class 3
+    square = tf.tensor_square(tf.make_catalog_group("elemab:2:3")).tensor
+    product = tf.direct_product(tf.make_catalog_group("heisenberg:3"),
+                                tf.make_catalog_group("dihedral:8"))
+    for G in (square, product):
+        want = reference_lower_central_series(G)
+        assert _members(lower_central_series(G)) == _members(want)
+    assert [s.order for s in want] == [432, 12, 2, 1]
 
 
 def test_conjugation_map_is_inner_permutation():

@@ -6,7 +6,9 @@ import pytest
 import tensorforge as tf
 from tensorforge.abelian import abelian_invariants, smith_diagonal
 from tensorforge.actions import ActionPair, involution_pair
-from tensorforge.errors import IncompatibleActions, LimitExceeded
+from tensorforge import tensor
+from tensorforge.errors import (CrossCheckFailed, IncompatibleActions,
+                                LimitExceeded)
 from tensorforge.groups import make_cyclic
 from tensorforge.presentations import Presentation, coset_enumerate
 from tensorforge.tensor import (abelian_tensor, compute_tensor,
@@ -244,3 +246,13 @@ def test_tensor_square_abelian_is_plain_tensor():
     Z6 = make_cyclic(6)
     rep = tensor_square(Z6)
     assert rep.invariants == abelian_tensor([6], [6])
+
+
+def test_wrong_derivative_raises_typed_error(monkeypatch):
+    # the image of kappa must be [G, H]; a wrong derivative breaks the
+    # cross-check with an error that survives python -O
+    S3 = tf.make_catalog_group("symmetric:3")
+    monkeypatch.setattr(tensor, "derivative_subgroup",
+                        lambda pair: tf.Subgroup(pair.G, [pair.G.identity]))
+    with pytest.raises(CrossCheckFailed, match="image of kappa"):
+        tensor_square(S3)
