@@ -9,7 +9,7 @@ from .actions import (ActionPair, CompatibilityReport, HomPair, Witness,
                       normalizer_conditions, question2_scan,
                       verify_free_counterexample, z2_action_criterion)
 from .automorphisms import (AutGroup, automorphism_group, compose_maps,
-                            inner_automorphism, normalizer_contains_inn)
+                            normalizer_contains_inn)
 from .catalog import catalog_groups_up_to, catalog_keys, make_catalog_group
 from .groups import (FiniteGroup, GroupHom, Subgroup, center,
                      derived_subgroup, direct_product, from_cayley_table,

@@ -11,6 +11,7 @@ from math import gcd
 
 import numpy as np
 
+from .errors import CrossCheckFailed
 from .groups import derived_subgroup, quotient
 
 
@@ -125,7 +126,9 @@ def abelian_invariants(G):
     diag = smith_diagonal(sorted(rows), k)
     factors = [d for d in diag if d > 1]
     total = int(np.prod(factors)) if factors else 1
-    assert total == A.order, "invariant factors must multiply to |G^ab|"
+    if total != A.order:
+        raise CrossCheckFailed(f"invariant factors {factors} multiply to "
+                               f"{total}, not |G^ab| = {A.order}")
     return factors
 
 

@@ -7,9 +7,16 @@ g.  The defining compatibility equations
 
     g^(h^g1) = ((g^(g1^-1))^h)^g1      and symmetrically for H
 
-are checked exhaustively; at the automorphism level they are equivalent
-to the conjugation identities a(h^b(g1)) = g1hat^-1 a(h) g1hat, which is
-what the fast paths use.
+are, between automorphisms, alpha(h^beta(g1)) = g1hat^-1 alpha(h) g1hat.
+One kernel, ``_defect_blocks``, checks this over a stack of pairs at once
+as lab[beta(g1)(h)] == conj_g1(lab[h]), where ``lab[h]`` labels alpha(h)
+and conj_g1 conjugates a label by g1hat; the second equation is the same
+call with G and H swapped.  The label forms: whole maps, compared point by
+point for the lexicographically first witness (``is_compatible``); indices
+in Aut(G) (``compatibility_grid``); cosets of psi(y) modulo Z(G), since
+conjugations by a and b agree iff a = b mod Z(G), and g1hat^-1 zhat g1hat
+= (z^g1)hat (``hom_pair_compatibility_sweep``).  Every block holds at most
+``BLOCK_ENTRIES`` entries, so memory stays O(|G||H|) for one pair.
 """
 
 from __future__ import annotations
@@ -20,20 +27,26 @@ from typing import Optional
 
 import numpy as np
 
-from .automorphisms import automorphism_group, compose_maps
+from .automorphisms import automorphism_group
 from .catalog import catalog_groups_up_to
-from .errors import (AlphaNotInjective, BudgetExceeded, IncompatibleActions,
-                     NormalizerConditionFails, PsiNotInvolution)
-from .groups import FiniteGroup, GroupHom, second_hypercenter
-from .homs import enumerate_homs
+from .errors import (AlphaNotInjective, BudgetExceeded, CrossCheckFailed,
+                     InvalidAction, InvalidBudget, NormalizerConditionFails,
+                     PsiNotInvolution)
+from .groups import (BLOCK_ENTRIES, FiniteGroup, GroupHom, center,
+                     conjugation_maps, coset_labels, second_hypercenter)
+from .homs import enumerate_homs, generating_set
 from .presentations import invert_word, reduce_word
 
 
 def default_budget(fallback=200_000):
+    """The budget set by TENSORFORGE_BUDGET, else ``fallback``."""
     env = os.environ.get("TENSORFORGE_BUDGET")
-    if env:
-        return int(env)
-    return fallback
+    if not env:
+        return fallback
+    if not env.isdecimal() or int(env) < 1:
+        raise InvalidBudget(
+            f"TENSORFORGE_BUDGET must be a positive integer, not {env!r}")
+    return int(env)
 
 
 def _validate_action(G, H, maps, what, require_hom=False):
@@ -44,18 +57,18 @@ def _validate_action(G, H, maps, what, require_hom=False):
     automorphisms but not a homomorphism into Aut(Z3)."""
     maps = np.ascontiguousarray(np.asarray(maps, dtype=np.intp))
     if maps.shape != (H.order, G.order):
-        raise ValueError(f"{what}: expected shape {(H.order, G.order)}")
+        raise InvalidAction(f"{what}: expected shape {(H.order, G.order)}")
     ar = np.arange(G.order)
     if not np.array_equal(maps[H.identity], ar):
-        raise ValueError(f"{what}: identity must act trivially")
+        raise InvalidAction(f"{what}: identity must act trivially")
     for h in range(H.order):
         m = maps[h]
         if len(np.unique(m)) != G.order:
-            raise ValueError(f"{what}: row {h} is not a bijection")
+            raise InvalidAction(f"{what}: row {h} is not a bijection")
         if not np.array_equal(m[G.table], G.table[np.ix_(m, m)]):
-            raise ValueError(f"{what}: row {h} is not an automorphism")
+            raise InvalidAction(f"{what}: row {h} is not an automorphism")
     if require_hom and not _assignment_is_hom(H, maps):
-        raise ValueError(f"{what}: assignment is not a homomorphism")
+        raise InvalidAction(f"{what}: assignment is not a homomorphism")
     maps.setflags(write=False)
     return maps
 
@@ -108,17 +121,6 @@ class ActionPair:
         """h^g."""
         return int(self.beta_maps[g, h])
 
-    def alpha_hom(self):
-        """alpha as a GroupHom into Aut(G) (computes Aut(G) on demand)."""
-        aut = automorphism_group(self.G)
-        mapping = [aut.index_of(row) for row in self.alpha_maps]
-        return GroupHom(self.H, aut.group, mapping, validate=False)
-
-    def beta_hom(self):
-        aut = automorphism_group(self.H)
-        mapping = [aut.index_of(row) for row in self.beta_maps]
-        return GroupHom(self.G, aut.group, mapping, validate=False)
-
     def assignments_are_homs(self):
         """Whether both assignments are genuine homomorphisms into the
         automorphism groups (paper-style examples may assign per element)."""
@@ -156,75 +158,104 @@ class HomPair:
     psi: GroupHom
 
 
-def _equation_holds(G, A, B):
-    """The first defining equation, quantified over everything, checked at
-    the level of whole automorphism maps (one comparison per g1)."""
-    for g1 in range(G.order):
-        hat = G.conjugation_map(g1)
-        hatinv = G.conjugation_map(G.inv(g1))
-        lhs = A[B[g1]]               # row h: map of alpha(h^beta(g1))
-        rhs = hat[A[:, hatinv]]      # row h: g1hat^-1 alpha(h) g1hat
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
+def _map_conjugator(K, points=slice(None)):
+    """Conjugation of whole maps of K by the elements g1: row h of the
+    result at g1 is the map x -> alpha(h)(x^(g1^-1))^g1, at ``points``."""
+    conj = conjugation_maps(K)
+    at = conj[K.inverse][:, points]
+    return lambda maps, g1: conj[g1[:, None, None],
+                                 maps[:, at[g1]].transpose(1, 0, 2)]
 
 
-def _equation_witness(G, H, A, B):
-    """First failing triple of the first equation in lexicographic
-    (g, g1, h) order, or None."""
-    n, m = G.order, H.order
-    mask = np.zeros((n, n, m), dtype=bool)   # (g, g1, h)
-    for g1 in range(n):
-        hat = G.conjugation_map(g1)
-        hatinv = G.conjugation_map(G.inv(g1))
-        lhs = A[B[g1]]
-        rhs = hat[A[:, hatinv]]
-        mask[:, g1, :] = (lhs != rhs).T
-    bad = np.argwhere(mask)
-    if len(bad) == 0:
-        return None
-    g, g1, h = (int(v) for v in bad[0])
-    lhs = int(A[B[g1, h], g])
-    hat = G.conjugation_map(g1)
-    hatinv = G.conjugation_map(G.inv(g1))
-    rhs = int(hat[A[h, hatinv[g]]])
-    return g, g1, h, lhs, rhs
+def _defect_blocks(lab, B, conjugate):
+    """Defect masks of the first defining equation for a stack of pairs.
+
+    ``lab[a, h]`` labels alpha_a(h), ``B[b, g1, h]`` is h^beta_b(g1) and
+    ``conjugate(lab[a], g1)[i, h]`` labels g1[i]hat^-1 alpha_a(h) g1[i]hat.
+    Yields (a, b, s, mask) for blocks of at most BLOCK_ENTRIES entries, or
+    one g1: ``mask[i, j, h]`` is True where alpha_a(h^beta_(b+i)(s+j)) and
+    its conjugate differ (at every point, for whole maps).
+    """
+    n1 = B.shape[1]
+    per_g1 = lab[0].size
+    g1_step = max(1, min(n1, BLOCK_ENTRIES // per_g1))
+    b_step = max(1, BLOCK_ENTRIES // (g1_step * per_g1))
+    for a in range(len(lab)):
+        for s in range(0, n1, g1_step):
+            want = conjugate(lab[a], np.arange(s, min(s + g1_step, n1)))
+            for b in range(0, len(B), b_step):
+                block = B[b:b + b_step, s:s + g1_step]
+                yield a, b, s, np.take(lab[a], block, axis=0) != want
+
+
+def _equation_fails(lab, B, conj):
+    """fails[a, b]: the pair (alpha_a, beta_b) breaks the first equation,
+    where ``lab[a, h]`` is a scalar label of alpha_a(h) and ``conj[g1, l]``
+    labels g1hat^-1 l g1hat."""
+    fails = np.zeros((len(lab), len(B)), dtype=bool)
+    for a, b, _, mask in _defect_blocks(
+            lab, B, lambda lab_a, g1: conj[g1[:, None], lab_a]):
+        fails[a, b:b + len(mask)] |= mask.reshape(len(mask), -1).any(axis=1)
+    return fails
 
 
 def is_compatible(pair):
     """Exhaustive check of both defining equations; deterministic first
     witness (lexicographic triple order) on failure."""
-    G, H = pair.G, pair.H
-    A, B = pair.alpha_maps, pair.beta_maps
-    if not _equation_holds(G, A, B):
-        g, g1, h, lhs, rhs = _equation_witness(G, H, A, B)
-        return CompatibilityReport(False, Witness(
-            "first", g=g, g1=g1, h=h, lhs=lhs, rhs=rhs))
-    if not _equation_holds(H, B, A):
-        h, h1, g, lhs, rhs = _equation_witness(H, G, B, A)
-        return CompatibilityReport(False, Witness(
-            "second", h=h, h1=h1, g=g, lhs=lhs, rhs=rhs))
+    sides = (("first", pair.G, pair.alpha_maps, pair.beta_maps, "g g1 h"),
+             ("second", pair.H, pair.beta_maps, pair.alpha_maps, "h h1 g"))
+    for equation, K, X, Y, names in sides:
+        first = None
+        for _, _, s, mask in _defect_blocks(X[None], Y[None],
+                                            _map_conjugator(K)):
+            if mask.any():
+                x, j, y = np.argwhere(mask[0].transpose(2, 0, 1))[0]
+                first = min(first or (x, s + j, y), (x, s + j, y))
+        if first is not None:
+            x, x1, y = (int(v) for v in first)
+            conj = conjugation_maps(K)
+            return CompatibilityReport(False, Witness(
+                equation, lhs=int(X[Y[x1, y], x]),
+                rhs=int(conj[x1, X[y, conj[K.inverse[x1], x]]]),
+                **dict(zip(names.split(), (x, x1, y)))))
     return CompatibilityReport(True, None)
 
 
-def _inn_normalizes(G, A):
-    """Does Inn(G) normalize the image of alpha (as a set of maps)?"""
-    image = {row.tobytes() for row in A}
-    for g1 in range(G.order):
-        hat = G.conjugation_map(g1)
-        hatinv = G.conjugation_map(G.inv(g1))
-        conj = hat[A[:, hatinv]]
-        for h, row in enumerate(conj):
-            if row.tobytes() not in image:
-                return False, (g1, h)
-    return True, None
+def _conjugate_preimages(G, A):
+    """pre[g, h]: the first h' with alpha(h') = ghat^-1 alpha(h) ghat, or
+    -1 where that conjugate is outside the image of alpha.
+
+    The rows of A are automorphisms, so each is known by its images of a
+    generating set; the conjugates are labelled against A by those images,
+    in blocks of at most BLOCK_ENTRIES entries, or one g.
+    """
+    gens = generating_set(G) or [G.identity]
+    conjugate = _map_conjugator(G, gens)
+    pre = np.empty((G.order, len(A)), dtype=np.intp)
+    step = max(1, BLOCK_ENTRIES // (len(A) * len(gens)))
+    for s in range(0, G.order, step):
+        g = np.arange(s, min(s + step, G.order))
+        images = conjugate(A, g).reshape(-1, len(gens))
+        _, first, inverse = np.unique(np.concatenate([A[:, gens], images]),
+                                      axis=0, return_index=True,
+                                      return_inverse=True)
+        found = first[inverse.reshape(-1)[len(A):]]
+        pre[g] = np.where(found < len(A), found, -1).reshape(len(g), -1)
+    return pre
+
+
+def _outside_witness(pre):
+    """First (g, h), g-major, whose conjugate ghat^-1 alpha(h) ghat is not
+    in the image of alpha, or None when Inn(G) normalizes the image."""
+    outside = np.argwhere(pre < 0)
+    return tuple(int(v) for v in outside[0]) if len(outside) else None
 
 
 def normalizer_conditions(pair):
     """(Inn(G) normalizes alpha(H), Inn(H) normalizes beta(G))."""
-    ok_g, _ = _inn_normalizes(pair.G, pair.alpha_maps)
-    ok_h, _ = _inn_normalizes(pair.H, pair.beta_maps)
-    return ok_g, ok_h
+    return tuple(
+        bool((_conjugate_preimages(K, maps) >= 0).all())
+        for K, maps in ((pair.G, pair.alpha_maps), (pair.H, pair.beta_maps)))
 
 
 def induced_beta(G, H, alpha):
@@ -241,41 +272,26 @@ def induced_beta(G, H, alpha):
     else:
         A = np.asarray(alpha, dtype=np.intp)
     A = _validate_action(G, H, A, "alpha", require_hom=True)
-    row_to_h = {}
-    for h in range(H.order):
-        key = A[h].tobytes()
-        if key in row_to_h:
-            raise AlphaNotInjective(
-                f"alpha({h}) = alpha({row_to_h[key]})")
-        row_to_h[key] = h
-    ok, wit = _inn_normalizes(G, A)
-    if not ok:
-        raise NormalizerConditionFails(wit)
-    beta_maps = np.empty((G.order, H.order), dtype=np.intp)
-    for g in range(G.order):
-        hat = G.conjugation_map(g)
-        hatinv = G.conjugation_map(G.inv(g))
-        conj = hat[A[:, hatinv]]
-        beta_maps[g] = [row_to_h[row.tobytes()] for row in conj]
-    pair = ActionPair(G, H, A, beta_maps, validate=True)
+    pre = _conjugate_preimages(G, A)  # identity row: first equal alpha
+    repeats = np.flatnonzero(pre[G.identity] != np.arange(H.order))
+    if len(repeats):
+        h = int(repeats[0])
+        raise AlphaNotInjective(f"alpha({h}) = alpha({pre[G.identity, h]})")
+    witness = _outside_witness(pre)
+    if witness is not None:
+        raise NormalizerConditionFails(witness)
+    pair = ActionPair(G, H, A, pre, validate=True)
     report = is_compatible(pair)
     if not report.compatible:
-        raise AssertionError(
+        raise CrossCheckFailed(
             f"induced pair failed the exhaustive check: {report.witness}")
     return pair
 
 
-def conjugation_maps(G):
-    """Stack of all inner automorphisms: row g is conjugation by g."""
-    return np.stack([G.conjugation_map(g) for g in range(G.order)])
-
-
 def action_from_hom_pair(G, H, pair):
     """Actions x^y = psi(y)^-1 x psi(y), y^x = phi(x)^-1 y phi(x)."""
-    phi, psi = pair.phi, pair.psi
-    alpha_maps = np.stack([G.conjugation_map(psi(y)) for y in range(H.order)])
-    beta_maps = np.stack([H.conjugation_map(phi(x)) for x in range(G.order)])
-    return ActionPair(G, H, alpha_maps, beta_maps, validate=False)
+    return ActionPair(G, H, conjugation_maps(G)[pair.psi.map],
+                      conjugation_maps(H)[pair.phi.map], validate=False)
 
 
 def check_zeta2_congruence(G, H, pair):
@@ -305,7 +321,6 @@ def z2_action_criterion(G, psi):
     ar = np.arange(G.order)
     if not np.array_equal(psi[psi], ar):
         raise PsiNotInvolution("psi composed with itself is not the identity")
-    from .groups import center
     zmask = center(G).mask()
     c = G.table[G.inverse[ar], psi]
     central = zmask[c]
@@ -356,16 +371,10 @@ class ActionGrid:
         return ActionPair.from_homs(self.alphas[i], self.betas[j], autG, autH)
 
 
-def _aut_conj_table(G, aut):
+def _aut_conj_table(aut):
     """conj[g, a] = index of ghat^-1 * a * ghat in Aut(G)."""
-    t = aut.group.table
-    inv = aut.group.inverse
-    out = np.empty((G.order, aut.order), dtype=np.intp)
-    ar = np.arange(aut.order)
-    for g in range(G.order):
-        ghat = int(aut.inner_of[g])
-        out[g] = t[t[inv[ghat], ar], ghat]
-    return out
+    t, ghat = aut.group.table, aut.inner_of
+    return t[t[aut.group.inverse[ghat]], ghat[:, None]]
 
 
 def compatibility_grid(G, H, budget=None):
@@ -378,30 +387,19 @@ def compatibility_grid(G, H, budget=None):
     if len(alphas) * len(betas) > budget:
         raise BudgetExceeded(
             f"{len(alphas)}x{len(betas)} action pairs exceed budget {budget}")
-    conjA = _aut_conj_table(G, autG)
-    conjB = _aut_conj_table(H, autH)
-    amaps = np.stack([a.map for a in alphas]) if alphas else \
-        np.empty((0, H.order), dtype=np.intp)
-    bmaps = np.stack([b.map for b in betas]) if betas else \
-        np.empty((0, G.order), dtype=np.intp)
-    # actions at the element level, per hom
-    Ball = autH.elements[bmaps]          # (nb, |G|, |H|): h^beta(g)
-    Aall = autG.elements[amaps]          # (na, |H|, |G|): g^alpha(h)
-    eq1 = np.empty((len(alphas), len(betas)), dtype=bool)
-    for i, amap in enumerate(amaps):
-        want = conjA[:, amap]            # (|G|, |H|)
-        got = amap[Ball]                 # (nb, |G|, |H|)
-        eq1[i] = (got == want[None]).all(axis=(1, 2))
-    eq2 = np.empty_like(eq1)
-    for j, bmap in enumerate(bmaps):
-        want = conjB[:, bmap]            # (|H|, |G|)
-        got = bmap[Aall]                 # (na, |H|, |G|)
-        eq2[:, j] = (got == want[None]).all(axis=(1, 2))
+    conjA = _aut_conj_table(autG)
+    conjB = _aut_conj_table(autH)
+    amaps = np.stack([a.map for a in alphas])
+    bmaps = np.stack([b.map for b in betas])
+    # labels are indices in Aut; the actions at the element level
+    fails_g = _equation_fails(amaps, autH.elements[bmaps], conjA)
+    fails_h = _equation_fails(bmaps, autG.elements[amaps], conjB)
     norm_g = np.array([_image_normalized(conjA, a.map) for a in alphas],
                       dtype=bool)
     norm_h = np.array([_image_normalized(conjB, b.map) for b in betas],
                       dtype=bool)
-    return ActionGrid(G, H, alphas, betas, eq1 & eq2, norm_g, norm_h)
+    return ActionGrid(G, H, alphas, betas, ~fails_g & ~fails_h.T, norm_g,
+                      norm_h)
 
 
 def _image_normalized(conj_table, mapping):
@@ -534,6 +532,21 @@ def verify_free_counterexample():
 
 # -- fast sweep for hom-pair induced actions ------------------------------
 
+def hom_classes(maps, labels):
+    """Classes of homomorphisms that agree modulo a normal subgroup N of
+    their common target.
+
+    ``maps`` stacks the homomorphisms' maps and ``labels`` labels the target
+    by the cosets of N (``groups.coset_labels``).  Returns (first, sizes)
+    with the classes in order of their first member: ``first[c]`` is the
+    index of that member and ``sizes[c]`` the number of members.
+    """
+    _, first, sizes = np.unique(labels[maps], axis=0, return_index=True,
+                                return_counts=True)
+    order = np.argsort(first)
+    return first[order], sizes[order]
+
+
 def hom_pair_compatibility_sweep(G, H, budget=None):
     """For every (phi, psi) in Hom(G,H) x Hom(H,G): does the conjugation
     action pair satisfy the hypercenter congruence, and is it compatible?
@@ -542,19 +555,14 @@ def hom_pair_compatibility_sweep(G, H, budget=None):
     compatibility is decided once per distinct action pair; the count
     still covers every hom pair.
     """
-    from .groups import center
     phis = enumerate_homs(G, H, budget=budget)
     psis = enumerate_homs(H, G, budget=budget)
-    zg = center(G)
-    zh = center(H)
     z2g = second_hypercenter(G).mask()
     z2h = second_hypercenter(H).mask()
-    coset_g = _center_coset_ids(G, zg)
-    coset_h = _center_coset_ids(H, zh)
 
     # congruence, vectorized one phi at a time
-    P = np.stack([p.map for p in phis]) if phis else np.empty((0, G.order), dtype=np.intp)
-    S = np.stack([s.map for s in psis]) if psis else np.empty((0, H.order), dtype=np.intp)
+    P = np.stack([p.map for p in phis])
+    S = np.stack([s.map for s in psis])
     ar_g = np.arange(G.order)
     ar_h = np.arange(H.order)
     congruent = 0
@@ -571,25 +579,22 @@ def hom_pair_compatibility_sweep(G, H, budget=None):
         if first_incongruent is None and not both.all():
             first_incongruent = (i, int(np.argmin(both)))
 
-    # compatibility, deduplicated by (psi mod Z(G), phi mod Z(H))
-    classes = {}
-    for j, s in enumerate(psis):
-        classes.setdefault(coset_g[s.map].tobytes(), []).append(j)
-    classes_phi = {}
-    for i, p in enumerate(phis):
-        classes_phi.setdefault(coset_h[p.map].tobytes(), []).append(i)
-    compatible = 0
-    first_incompatible = None
-    for pkey, pidx in classes_phi.items():
-        for skey, sidx in classes.items():
-            pair = action_from_hom_pair(
-                G, H, HomPair(phis[pidx[0]], psis[sidx[0]]))
-            ok = (_equation_holds(G, pair.alpha_maps, pair.beta_maps)
-                  and _equation_holds(H, pair.beta_maps, pair.alpha_maps))
-            if ok:
-                compatible += len(pidx) * len(sidx)
-            elif first_incompatible is None:
-                first_incompatible = (pidx[0], sidx[0])
+    # compatibility, once per (phi mod Z(H), psi mod Z(G)) class; the
+    # labels are cosets of the centers
+    reps_g, lab_g = coset_labels(G, center(G))
+    reps_h, lab_h = coset_labels(H, center(H))
+    phi_first, phi_sizes = hom_classes(P, lab_h)
+    psi_first, psi_sizes = hom_classes(S, lab_g)
+    conj_g, conj_h = conjugation_maps(G), conjugation_maps(H)
+    fails_g = _equation_fails(lab_g[S[psi_first]], conj_h[P[phi_first]],
+                              lab_g[conj_g[:, reps_g]])
+    fails_h = _equation_fails(lab_h[P[phi_first]], conj_g[S[psi_first]],
+                              lab_h[conj_h[:, reps_h]])
+    ok = ~fails_g.T & ~fails_h                  # (phi class, psi class)
+    compatible = int(phi_sizes @ ok @ psi_sizes)
+    bad = np.argwhere(~ok)
+    first_incompatible = (int(phi_first[bad[0, 0]]),
+                          int(psi_first[bad[0, 1]])) if len(bad) else None
     total = len(phis) * len(psis)
     return {"n_phi": len(phis), "n_psi": len(psis), "n_pairs": total,
             "n_congruent": congruent, "n_compatible": compatible,
@@ -597,14 +602,3 @@ def hom_pair_compatibility_sweep(G, H, budget=None):
             "all_compatible": compatible == total,
             "first_incongruent": first_incongruent,
             "first_incompatible": first_incompatible}
-
-
-def _center_coset_ids(G, z):
-    rep = np.full(G.order, -1, dtype=np.intp)
-    for x in range(G.order):
-        if rep[x] < 0:
-            coset = [G.mul(x, n) for n in z.members]
-            r = min(coset)
-            for y in coset:
-                rep[y] = r
-    return rep

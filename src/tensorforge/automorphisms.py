@@ -12,19 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotASubgroup
-from .groups import FiniteGroup, GroupHom
-from .homs import all_bijective_endomaps
+from .errors import CrossCheckFailed, LimitExceeded, NotASubgroup
+from .groups import BLOCK_ENTRIES, FiniteGroup, conjugation_maps
+from .homs import all_bijective_endomaps, generating_set
 
 
 def compose_maps(first, then):
     """Product under the apply-left-factor-first convention."""
     return np.asarray(then)[np.asarray(first)]
-
-
-def inner_automorphism(G, g):
-    """The map x -> g^-1 x g as an index array."""
-    return G.conjugation_map(g)
 
 
 class AutGroup:
@@ -54,9 +49,6 @@ class AutGroup:
         """Index of an automorphism map, or None if not an automorphism."""
         return self._index.get(tuple(int(v) for v in mapping))
 
-    def identity_index(self):
-        return self.group.identity
-
     def __repr__(self):
         return f"AutGroup(|G|={self.base.order}, order={self.order})"
 
@@ -65,23 +57,34 @@ def automorphism_group(G, budget=None):
     """Enumerate Aut(G) by backtracking on generator images.
 
     Elements come out in lexicographic map order; the result is cached on
-    the group object (construction is pure, so sharing is safe).
+    the group object (construction is pure, so sharing is safe).  That is
+    also the order of the images of ``generating_set(G)``, which fix an
+    automorphism (each element before the j-th generator lies in the
+    subgroup of the earlier ones), so products are looked up by those.
     """
     if G._aut is not None:
         return G._aut
     maps = all_bijective_endomaps(G, budget=budget)
     n = len(maps)
     index = {tuple(int(v) for v in m): i for i, m in enumerate(maps)}
-    table = np.empty((n, n), dtype=np.intp)
-    for i, mi in enumerate(maps):
-        for j, mj in enumerate(maps):
-            table[i, j] = index[tuple(int(v) for v in compose_maps(mi, mj))]
-    group = FiniteGroup(table, validate=False)
-    inner_of = np.array([index[tuple(int(v) for v in inner_automorphism(G, g))]
-                         for g in range(G.order)], dtype=np.intp)
-    inner_indices = sorted(set(int(i) for i in inner_of))
-    elements = np.array(maps, dtype=np.intp)
+    elements = np.array(maps, dtype=np.intp).reshape(n, G.order)
     elements.setflags(write=False)
+    gens = generating_set(G)
+    if G.order ** len(gens) > np.iinfo(np.int64).max:
+        raise LimitExceeded(f"{len(gens)} generator images of an order-"
+                            f"{G.order} group do not fit a 64-bit key")
+    # generator-image rows as mixed-radix keys, increasing with the index
+    radix = G.order ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
+    keys = elements[:, gens] @ radix
+    table = np.empty((n, n), dtype=np.intp)
+    step = max(1, BLOCK_ENTRIES // (n * max(1, len(gens))))
+    for i in range(0, n, step):
+        # [j, i']: the key of f_i' * f_j, whose images are f_j(f_i'(s))
+        composed = elements[:, elements[i:i + step, gens]] @ radix
+        table[i:i + step] = _key_index(keys, composed.T)
+    group = FiniteGroup(table, validate=False)
+    inner_of = _key_index(keys, conjugation_maps(G)[:, gens] @ radix)
+    inner_indices = sorted(set(int(i) for i in inner_of))
     aut = AutGroup(G, elements, group, inner_indices, inner_of, index)
     G._aut = aut
     return aut
@@ -117,6 +120,10 @@ def normalizer_contains_inn(aut, image):
     return True, None
 
 
-def hom_into_aut(H, aut, mapping):
-    """Wrap a map H -> Aut(G) indices as a validated GroupHom."""
-    return GroupHom(H, aut.group, mapping, validate=True)
+def _key_index(keys, wanted):
+    """Positions of ``wanted`` in the increasing array ``keys``."""
+    pos = np.searchsorted(keys, wanted)
+    if not np.array_equal(keys[np.minimum(pos, len(keys) - 1)], wanted):
+        raise CrossCheckFailed("a composite of automorphisms is not among "
+                               "the enumerated automorphisms")
+    return pos

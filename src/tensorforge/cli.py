@@ -15,17 +15,15 @@ import time
 
 import numpy as np
 
-from .actions import (ActionPair, HomPair, action_from_hom_pair,
-                      conjugation_maps, default_budget, is_compatible,
-                      normalizer_conditions, question2_scan)
+from .actions import (ActionPair, conjugation_maps, default_budget,
+                      is_compatible, normalizer_conditions, question2_scan)
 from .catalog import catalog_keys, make_catalog_group
 from .errors import (BudgetExceeded, IncompatibleActions, IoError,
                      LimitExceeded, TensorforgeError, UnknownCatalogKey)
-from .groups import center
-from .homs import are_isomorphic, enumerate_homs
+from .homs import are_isomorphic
 from .serialize import (action_pair_from_dict, group_to_dict, resolve_group,
                         tensor_report_to_dict, witness_to_dict)
-from .tensor import compute_tensor
+from .tensor import compute_tensor, hom_pair_tensor_classes
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -151,56 +149,6 @@ def cmd_verify(args):
         (EXIT_OK if ok else EXIT_NEGATIVE)
 
 
-def _classify_heisenberg(p, budget):
-    G = make_catalog_group(f"heisenberg:{p}")
-    phis = enumerate_homs(G, G, budget=budget)
-    psis = enumerate_homs(G, G, budget=budget)
-    zc = center(G)
-    coset = np.full(G.order, -1, dtype=np.intp)
-    nxt = 0
-    for g in range(G.order):
-        key = min(G.mul(g, z) for z in zc.members)
-        if coset[key] < 0:
-            coset[key] = nxt
-            nxt += 1
-        coset[g] = coset[key]
-    # the induced actions only see the homs modulo the center
-    classes = {}
-    for i, phi in enumerate(phis):
-        for j, psi in enumerate(psis):
-            key = (coset[phi.map].tobytes(), coset[psi.map].tobytes())
-            classes.setdefault(key, []).append((i, j))
-    profiles = []
-    for members in classes.values():
-        i, j = members[0]
-        pair = action_from_hom_pair(G, G, HomPair(phis[i], psis[j]))
-        rep = compute_tensor(pair)
-        profiles.append((rep, len(members), (i, j)))
-    # deduplicate the resulting M(phi, psi) by isomorphism
-    rows = []
-    for rep, count, (i, j) in profiles:
-        for row in rows:
-            if row["order"] == rep.order and \
-                    row["abelian"] == rep.tensor.is_abelian and \
-                    row["invariants"] == rep.invariants and \
-                    are_isomorphic(row["_witness"], rep.tensor):
-                row["n_hom_pairs"] += count
-                break
-        else:
-            rows.append({"order": rep.order,
-                         "abelian": bool(rep.tensor.is_abelian),
-                         "invariants": rep.invariants,
-                         "nilpotency": rep.nilpotency,
-                         "example_phi": i, "example_psi": j,
-                         "n_hom_pairs": count,
-                         "_witness": rep.tensor})
-    for row in rows:
-        del row["_witness"]
-    rows.sort(key=lambda r: (r["order"], str(r["invariants"])))
-    return {"p": p, "n_homs": len(phis),
-            "n_hom_pairs": len(phis) * len(psis), "classes": rows}
-
-
 def cmd_explore(args):
     t0 = time.perf_counter()
     budget = args.budget if args.budget else default_budget()
@@ -210,7 +158,8 @@ def cmd_explore(args):
         return _report("explore question2",
                        {"max_order": args.max_order}, results, status,
                        t0), EXIT_OK
-    results = _classify_heisenberg(args.p, budget)
+    G = make_catalog_group(f"heisenberg:{args.p}")
+    results = {"p": args.p, **hom_pair_tensor_classes(G, budget=budget)}
     return _report("explore classify-heisenberg", {"p": args.p},
                    results, "pass", t0), EXIT_OK
 

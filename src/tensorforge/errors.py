@@ -57,6 +57,15 @@ class BudgetExceeded(TensorforgeError):
     """A search exceeded its node budget; the question remains undecided."""
 
 
+class InvalidBudget(TensorforgeError, ValueError):
+    """A budget given from outside is not a positive integer."""
+
+
+class InvalidAction(TensorforgeError, ValueError):
+    """A stack of maps is not an action: a row is not an automorphism, the
+    identity acts non-trivially, or a required homomorphism fails."""
+
+
 class AlphaNotInjective(TensorforgeError):
     pass
 

@@ -51,7 +51,7 @@ class FiniteGroup:
     """A finite group as an order x order Cayley table over element indices."""
 
     __slots__ = ("table", "order", "identity", "inverse", "names",
-                 "_abelian", "_orders", "_aut")
+                 "_abelian", "_orders", "_aut", "_conj")
 
     def __init__(self, table, names=None, validate=True):
         table = np.ascontiguousarray(np.asarray(table, dtype=np.intp))
@@ -89,6 +89,7 @@ class FiniteGroup:
         self._abelian = None
         self._orders = None
         self._aut = None
+        self._conj = None
 
     # -- basic arithmetic -------------------------------------------------
 
@@ -147,8 +148,9 @@ class FiniteGroup:
         return str(i)
 
     def conjugation_map(self, g):
-        """The inner automorphism x -> g^-1 x g as an index array."""
-        return self.table[self.table[self.inv(g), :], g]
+        """The inner automorphism x -> g^-1 x g as a read-only index array,
+        row g of ``conjugation_maps(self)``."""
+        return conjugation_maps(self)[g]
 
     def __len__(self):
         return self.order
@@ -285,10 +287,6 @@ def make_cyclic(n):
     return FiniteGroup(table, names=names, validate=False)
 
 
-def trivial_group():
-    return make_cyclic(1)
-
-
 def direct_product(a, b):
     """Direct product; element i*|b|+j is the pair (i, j)."""
     n, m = a.order, b.order
@@ -298,6 +296,17 @@ def direct_product(a, b):
     t = a.table[ai[:, None], ai[None, :]] * m + b.table[bj[:, None], bj[None, :]]
     names = [f"({a.name(i)},{b.name(j)})" for i, j in zip(ai, bj)]
     return FiniteGroup(t, names=names, validate=False)
+
+
+def conjugation_maps(G):
+    """Stack of all inner automorphisms, read-only: row g is the map
+    x -> g^-1 x g.  Built once per group and cached on it."""
+    if G._conj is None:
+        t = G.table
+        conj = t[t[G.inverse], np.arange(G.order)[:, None]]
+        conj.setflags(write=False)
+        G._conj = conj
+    return G._conj
 
 
 # -- subgroup machinery ---------------------------------------------------
@@ -317,20 +326,9 @@ def subgroup_generated(G, gens):
     return Subgroup(G, members)
 
 
-def is_subgroup_set(G, members):
-    ms = set(int(m) for m in members)
-    if G.identity not in ms:
-        return False
-    return all(G.mul(a, b) in ms for a in ms for b in ms)
-
-
 def center(G):
     commutes = G.table == G.table.T
     return Subgroup(G, np.flatnonzero(commutes.all(axis=1)))
-
-
-def centralizes(G, x, members):
-    return all(G.mul(x, m) == G.mul(m, x) for m in members)
 
 
 def quotient(G, N):
@@ -343,26 +341,23 @@ def quotient(G, N):
         for n in N.members:
             if G.conj(n, g) not in N:
                 raise NotNormal((g, n))
-    rep_of = np.full(G.order, -1, dtype=np.intp)
-    for x in range(G.order):
-        if rep_of[x] >= 0:
-            continue
-        coset = [G.mul(x, n) for n in N.members]
-        r = min(coset)
-        for y in coset:
-            rep_of[y] = r
-    reps = sorted(set(int(r) for r in rep_of))
-    index = {r: i for i, r in enumerate(reps)}
-    k = len(reps)
-    table = np.empty((k, k), dtype=np.intp)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            table[i, j] = index[int(rep_of[G.mul(a, b)])]
+    reps, labels = coset_labels(G, N)
     names = [f"[{G.name(r)}]" for r in reps]
-    Q = FiniteGroup(table, names=names, validate=False)
-    proj = GroupHom(G, Q, [index[int(rep_of[x])] for x in range(G.order)],
+    Q = FiniteGroup(labels[G.table[np.ix_(reps, reps)]], names=names,
                     validate=False)
-    return Q, proj
+    return Q, GroupHom(G, Q, labels, validate=False)
+
+
+def coset_labels(G, N):
+    """Label every element of G by its coset xN of the normal subgroup N.
+
+    Returns (reps, labels): cosets are numbered in increasing order of
+    their least element, ``reps[c]`` is the least element of coset c and
+    ``labels[x]`` the number of the coset of x.
+    """
+    reps, labels = np.unique(G.table[:, list(N.members)].min(axis=1),
+                             return_inverse=True)
+    return reps, labels
 
 
 def second_hypercenter(G):
@@ -375,17 +370,17 @@ def second_hypercenter(G):
     return Subgroup(G, [x for x in range(G.order) if proj(x) in zq])
 
 
-# Entries per block of the commutator table in ``_commutators``.
-COMMUTATOR_BLOCK = 16_384
+# Entries per block of the large temporaries built in blocks: commutators,
+# the compatibility equations and the composition table of Aut(G).
+BLOCK_ENTRIES = 16_384
 
 
 def _commutators(G, xs):
     """The distinct commutators [x, y] = (x^-1 y^-1)(x y) for x in ``xs``
-    and y in G, computed in row blocks of at most COMMUTATOR_BLOCK
-    entries."""
+    and y in G, computed in row blocks of at most BLOCK_ENTRIES entries."""
     t, inv = G.table, G.inverse
     xs = np.asarray(xs, dtype=np.intp)
-    step = max(1, COMMUTATOR_BLOCK // G.order)
+    step = max(1, BLOCK_ENTRIES // G.order)
     found = np.zeros(G.order, dtype=bool)
     for start in range(0, len(xs), step):
         b = xs[start:start + step]

@@ -17,12 +17,13 @@ from typing import Optional
 import numpy as np
 
 from .abelian import abelian_invariants, abelian_tensor_invariants
-from .actions import ActionPair, conjugation_maps, is_compatible
+from .actions import (ActionPair, HomPair, action_from_hom_pair,
+                      conjugation_maps, hom_classes, is_compatible)
 from .errors import CrossCheckFailed, IncompatibleActions, LimitExceeded
-from .groups import FiniteGroup, GroupHom, Subgroup, nilpotency_class, \
-    subgroup_generated
+from .groups import FiniteGroup, GroupHom, Subgroup, center, coset_labels, \
+    nilpotency_class, subgroup_generated
 from .errors import NotAHomomorphism
-from .homs import hom_from_images
+from .homs import are_isomorphic, enumerate_homs, hom_from_images
 from .presentations import Presentation, coset_enumerate, table_to_group
 
 MAX_SYMBOLS = 256
@@ -172,7 +173,7 @@ def module_action_on_kernel(report):
             vals = {tensor.mul(tensor.mul(tensor.inv(x), a), x)
                     for x in preimages}
             if len(vals) != 1:
-                raise AssertionError(
+                raise CrossCheckFailed(
                     f"module action ill-defined at a={a}, d={d}")
             action[(a, d)] = vals.pop()
     return action
@@ -183,3 +184,44 @@ def tensor_square(G, max_cosets=None):
     conj = conjugation_maps(G)
     pair = ActionPair(G, G, conj, conj, validate=False)
     return compute_tensor(pair, max_cosets=max_cosets)
+
+
+def hom_pair_tensor_classes(G, budget=None):
+    """The tensor squares of G under the conjugation actions induced by
+    every hom pair (phi, psi) in End(G) x End(G), up to isomorphism.
+
+    The actions, and so the tensor products, depend only on phi and psi
+    modulo Z(G), so one product is computed per pair of classes.  Returns
+    the number of homs, of hom pairs, and one row per isomorphism class of
+    products, ordered by (order, invariants), with an example pair and the
+    number of hom pairs giving it.
+    """
+    homs = enumerate_homs(G, G, budget=budget)
+    first, sizes = hom_classes(np.stack([h.map for h in homs]),
+                               coset_labels(G, center(G))[1])
+    rows = []
+    for a, i in enumerate(first.tolist()):
+        for b, j in enumerate(first.tolist()):
+            count = int(sizes[a] * sizes[b])
+            rep = compute_tensor(action_from_hom_pair(
+                G, G, HomPair(homs[i], homs[j])))
+            for row in rows:
+                if row["order"] == rep.order and \
+                        row["abelian"] == rep.tensor.is_abelian and \
+                        row["invariants"] == rep.invariants and \
+                        are_isomorphic(row["_witness"], rep.tensor):
+                    row["n_hom_pairs"] += count
+                    break
+            else:
+                rows.append({"order": rep.order,
+                             "abelian": bool(rep.tensor.is_abelian),
+                             "invariants": rep.invariants,
+                             "nilpotency": rep.nilpotency,
+                             "example_phi": i, "example_psi": j,
+                             "n_hom_pairs": count,
+                             "_witness": rep.tensor})
+    for row in rows:
+        del row["_witness"]
+    rows.sort(key=lambda r: (r["order"], str(r["invariants"])))
+    return {"n_homs": len(homs), "n_hom_pairs": len(homs) ** 2,
+            "classes": rows}

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tensorforge as tf
+from tensorforge import abelian
 from tensorforge.abelian import (abelian_invariants, abelian_tensor_invariants,
                                  invariants_to_primary, primary_to_invariants,
                                  smith_diagonal)
+from tensorforge.errors import CrossCheckFailed
 from tensorforge.groups import make_cyclic
 
 
@@ -82,6 +84,13 @@ def test_invariant_factor_chain():
         inv = abelian_invariants(G)
         assert all(b % a == 0 for a, b in zip(inv, inv[1:]))
         assert all(a >= 2 for a in inv)
+
+
+def test_invariants_product_check_raises_typed_error(monkeypatch):
+    # the factors must multiply to |G^ab|; the check survives python -O
+    monkeypatch.setattr(abelian, "smith_diagonal", lambda rows, k: [2, 2])
+    with pytest.raises(CrossCheckFailed, match="multiply to 4"):
+        abelian_invariants(make_cyclic(8))
 
 
 # -- primary decomposition round trip -------------------------------------

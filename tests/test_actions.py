@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import tensorforge as tf
-from tensorforge.actions import (ActionPair, HomPair, action_from_hom_pair,
+from tensorforge import actions
+from tensorforge.actions import (ActionPair, CompatibilityReport, HomPair,
+                                 Witness, action_from_hom_pair,
                                  check_zeta2_congruence,
                                  compatibility_grid, compatible_pair_orbits,
                                  conjugation_maps,
@@ -14,10 +16,107 @@ from tensorforge.actions import (ActionPair, HomPair, action_from_hom_pair,
                                  normalizer_conditions, question2_scan,
                                  verify_free_counterexample,
                                  z2_action_criterion)
-from tensorforge.automorphisms import automorphism_group
-from tensorforge.errors import (AlphaNotInjective, NormalizerConditionFails,
-                                PsiNotInvolution)
+from tensorforge.automorphisms import (automorphism_group,
+                                       normalizer_contains_inn)
+from tensorforge.catalog import catalog_groups_up_to
+from tensorforge.errors import (AlphaNotInjective, CrossCheckFailed,
+                                NormalizerConditionFails, PsiNotInvolution)
 from tensorforge.groups import GroupHom, make_cyclic
+
+
+# -- reference implementations --------------------------------------------
+# The first defining equation as it was checked before the stacked kernel,
+# kept verbatim as the reference for is_compatible, the sweep and
+# induced_beta.
+
+def _equation_holds(G, A, B):
+    """The first defining equation, quantified over everything, checked at
+    the level of whole automorphism maps (one comparison per g1)."""
+    for g1 in range(G.order):
+        hat = G.conjugation_map(g1)
+        hatinv = G.conjugation_map(G.inv(g1))
+        lhs = A[B[g1]]               # row h: map of alpha(h^beta(g1))
+        rhs = hat[A[:, hatinv]]      # row h: g1hat^-1 alpha(h) g1hat
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True
+
+
+def _equation_witness(G, H, A, B):
+    """First failing triple of the first equation in lexicographic
+    (g, g1, h) order, or None."""
+    n, m = G.order, H.order
+    mask = np.zeros((n, n, m), dtype=bool)   # (g, g1, h)
+    for g1 in range(n):
+        hat = G.conjugation_map(g1)
+        hatinv = G.conjugation_map(G.inv(g1))
+        lhs = A[B[g1]]
+        rhs = hat[A[:, hatinv]]
+        mask[:, g1, :] = (lhs != rhs).T
+    bad = np.argwhere(mask)
+    if len(bad) == 0:
+        return None
+    g, g1, h = (int(v) for v in bad[0])
+    lhs = int(A[B[g1, h], g])
+    hat = G.conjugation_map(g1)
+    hatinv = G.conjugation_map(G.inv(g1))
+    rhs = int(hat[A[h, hatinv[g]]])
+    return g, g1, h, lhs, rhs
+
+
+def reference_is_compatible(pair):
+    G, H = pair.G, pair.H
+    A, B = pair.alpha_maps, pair.beta_maps
+    if not _equation_holds(G, A, B):
+        g, g1, h, lhs, rhs = _equation_witness(G, H, A, B)
+        return CompatibilityReport(False, Witness(
+            "first", g=g, g1=g1, h=h, lhs=lhs, rhs=rhs))
+    if not _equation_holds(H, B, A):
+        h, h1, g, lhs, rhs = _equation_witness(H, G, B, A)
+        return CompatibilityReport(False, Witness(
+            "second", h=h, h1=h1, g=g, lhs=lhs, rhs=rhs))
+    return CompatibilityReport(True, None)
+
+
+def _inn_normalizes(G, A):
+    """Does Inn(G) normalize the image of alpha (as a set of maps)?"""
+    image = {row.tobytes() for row in A}
+    for g1 in range(G.order):
+        hat = G.conjugation_map(g1)
+        hatinv = G.conjugation_map(G.inv(g1))
+        conj = hat[A[:, hatinv]]
+        for h, row in enumerate(conj):
+            if row.tobytes() not in image:
+                return False, (g1, h)
+    return True, None
+
+
+def reference_induced_beta_maps(G, H, A):
+    """beta(g): h -> alpha^-1(ghat^-1 alpha(h) ghat), row by row."""
+    row_to_h = {A[h].tobytes(): h for h in range(H.order)}
+    beta_maps = np.empty((G.order, H.order), dtype=np.intp)
+    for g in range(G.order):
+        hat = G.conjugation_map(g)
+        hatinv = G.conjugation_map(G.inv(g))
+        conj = hat[A[:, hatinv]]
+        beta_maps[g] = [row_to_h[row.tobytes()] for row in conj]
+    return beta_maps
+
+
+def reference_sweep_compatibility(G, H):
+    """(n_compatible, first_incompatible) by a loop over every hom pair."""
+    phis = tf.enumerate_homs(G, H)
+    psis = tf.enumerate_homs(H, G)
+    compatible, first = 0, None
+    for i, phi in enumerate(phis):
+        for j, psi in enumerate(psis):
+            pair = action_from_hom_pair(G, H, HomPair(phi, psi))
+            A, B = pair.alpha_maps, pair.beta_maps
+            if _equation_holds(G, A, B) and _equation_holds(H, B, A):
+                compatible += 1
+            elif first is None:
+                first = (i, j)
+    return compatible, first
 
 
 def z3_inversion_pair(beta_nontrivial=False):
@@ -97,6 +196,93 @@ def test_incompatible_witness_is_lexicographically_first():
     assert (lhs, rhs) == (w.lhs, w.rhs)
 
 
+def test_is_compatible_matches_reference_on_small_grids():
+    groups = catalog_groups_up_to(6)
+    pairs = 0
+    for _, G in groups:
+        for _, H in groups:
+            grid = compatibility_grid(G, H)
+            for i in range(len(grid.alphas)):
+                for j in range(len(grid.betas)):
+                    pair = grid.pair(i, j)
+                    report = is_compatible(pair)
+                    assert report == reference_is_compatible(pair)
+                    assert report.compatible == bool(grid.compatible[i, j])
+                    pairs += 1
+    assert pairs == 656
+
+
+def _benchmark_maps(G, spec):
+    if spec == "conjugation":
+        return conjugation_maps(G)
+    rows = np.tile(np.arange(G.order), (G.order, 1))
+    if spec == "inversion":
+        rows[1] = G.inverse
+    return rows
+
+
+@pytest.mark.parametrize("key,alpha,beta", [
+    ("symmetric:4", "conjugation", "conjugation"),
+    ("dihedral:8", "conjugation", "conjugation"),
+    ("heisenberg:3", "conjugation", "conjugation"),
+    ("quaternion:8", "conjugation", "conjugation"),
+    ("heisenberg:3", "conjugation", "trivial"),
+    ("quaternion:8", "conjugation", "trivial"),
+    ("symmetric:4", "conjugation", "trivial"),
+    ("dihedral:8", "conjugation", "trivial"),
+    ("dihedral:8", "trivial", "conjugation"),
+    ("cyclic:3", "inversion", "inversion"),
+])
+def test_is_compatible_matches_reference_on_benchmark_pairs(key, alpha,
+                                                            beta):
+    G = tf.make_catalog_group(key)
+    pair = ActionPair(G, G, _benchmark_maps(G, alpha),
+                      _benchmark_maps(G, beta))
+    assert is_compatible(pair) == reference_is_compatible(pair)
+
+
+def test_small_blocks_keep_verdicts_and_witnesses(monkeypatch):
+    # blocks of 50 entries split every pair and grid of order 4 or more
+    groups = catalog_groups_up_to(6)
+    wide = {(gk, hk): compatibility_grid(G, H)
+            for gk, G in groups for hk, H in groups}
+    monkeypatch.setattr(actions, "BLOCK_ENTRIES", 50)
+    for gk, G in groups:
+        for hk, H in groups:
+            grid = compatibility_grid(G, H)
+            assert np.array_equal(grid.compatible, wide[gk, hk].compatible)
+            for i in range(len(grid.alphas)):
+                for j in range(len(grid.betas)):
+                    pair = grid.pair(i, j)
+                    assert is_compatible(pair) == reference_is_compatible(pair)
+                A = grid.pair(i, 0).alpha_maps
+                ok, witness = _inn_normalizes(G, A)
+                assert actions._outside_witness(
+                    actions._conjugate_preimages(G, A)) == witness
+    G, H = tf.make_catalog_group("dihedral:8"), tf.make_catalog_group(
+        "dihedral:8")
+    result = hom_pair_compatibility_sweep(G, H)
+    assert (result["n_compatible"], result["first_incompatible"]) \
+        == reference_sweep_compatibility(G, H)
+
+
+def test_compatibility_memory_stays_flat_on_large_pair():
+    # one (|G|, |H|, |G|) table of this pair would take 134 MB per array
+    import tracemalloc
+    G = make_cyclic(256)
+    pair = ActionPair.trivial(G, G)
+    conjugation_maps(G)
+    for check, want in ((is_compatible, CompatibilityReport(True, None)),
+                        (normalizer_conditions, (True, True))):
+        tracemalloc.start()
+        try:
+            assert check(pair) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, (check.__name__, peak)
+
+
 def test_swapped_pair_swaps_equations():
     pair = z3_inversion_pair(beta_nontrivial=True)
     report = is_compatible(pair.swapped())
@@ -139,6 +325,42 @@ def test_induced_beta_nonabelian():
         if not np.array_equal(pair.beta_maps, trivial_beta):
             nontrivial += 1
     assert built > 0 and nontrivial > 0
+
+
+def test_induced_beta_matches_reference_construction():
+    # every injective alpha the verify suite's induced-beta check builds:
+    # the alphas of its grids are Hom(H, Aut G)
+    groups = catalog_groups_up_to(8)
+    built = 0
+    for _, G in groups:
+        autG = automorphism_group(G)
+        for _, H in groups:
+            for alpha in tf.enumerate_homs(H, autG.group):
+                A = autG.elements[alpha.map]
+                pre = actions._conjugate_preimages(G, A)
+                ok, witness = _inn_normalizes(G, A)
+                assert actions._outside_witness(pre) == witness
+                if len(set(alpha.map.tolist())) != H.order:
+                    continue
+                if not normalizer_contains_inn(autG,
+                                               set(alpha.map.tolist()))[0]:
+                    continue
+                pair = induced_beta(G, H, alpha)
+                assert np.array_equal(pair.beta_maps,
+                                      reference_induced_beta_maps(G, H, A))
+                built += 1
+    assert built > 0
+
+
+def test_induced_beta_raises_typed_error_when_recheck_fails(monkeypatch):
+    Z4 = make_cyclic(4)
+    aut = automorphism_group(Z4)
+    alpha = GroupHom(make_cyclic(2), aut.group,
+                     [aut.group.identity, aut.index_of(Z4.inverse)])
+    monkeypatch.setattr(actions, "is_compatible", lambda pair:
+                        CompatibilityReport(False, Witness("first")))
+    with pytest.raises(CrossCheckFailed, match="exhaustive check"):
+        induced_beta(Z4, make_cyclic(2), alpha)
 
 
 def test_induced_beta_rejects_non_injective():
@@ -216,6 +438,15 @@ def test_zeta2_congruence_failure_case():
     trivial = tf.hom_from_images(S3, S3, gens, [S3.identity] * len(gens))
     ok, witness = check_zeta2_congruence(S3, S3, HomPair(trivial, trivial))
     assert not ok and witness[0] == "G"
+
+
+@pytest.mark.parametrize("g,h", [("symmetric:4", "symmetric:3"),
+                                 ("dihedral:8", "dihedral:8")])
+def test_sweep_matches_reference_loop(g, h):
+    G, H = tf.make_catalog_group(g), tf.make_catalog_group(h)
+    summary = hom_pair_compatibility_sweep(G, H)
+    assert (summary["n_compatible"], summary["first_incompatible"]) \
+        == reference_sweep_compatibility(G, H)
 
 
 def test_sweep_matches_direct_loop_on_small_group():

@@ -4,12 +4,30 @@ import numpy as np
 import pytest
 
 import tensorforge as tf
+from tensorforge import automorphisms
 from tensorforge.automorphisms import (automorphism_group, compose_maps,
-                                       inner_automorphism,
                                        is_subgroup_of_aut,
                                        normalizer_contains_inn)
-from tensorforge.errors import NotASubgroup
+from tensorforge.catalog import catalog_groups_up_to
+from tensorforge.errors import LimitExceeded, NotASubgroup
 from tensorforge.groups import center, make_cyclic
+from tensorforge.homs import all_bijective_endomaps
+
+
+def reference_aut_tables(G):
+    """The composition table, inner_of and index of Aut(G), built map by
+    map with tuple lookups, as ``automorphism_group`` once did."""
+    maps = all_bijective_endomaps(G)
+    n = len(maps)
+    index = {tuple(int(v) for v in m): i for i, m in enumerate(maps)}
+    table = np.empty((n, n), dtype=np.intp)
+    for i, mi in enumerate(maps):
+        for j, mj in enumerate(maps):
+            table[i, j] = index[tuple(int(v) for v in compose_maps(mi, mj))]
+    inner_of = np.array(
+        [index[tuple(int(v) for v in G.table[G.table[G.inv(g), :], g])]
+         for g in range(G.order)], dtype=np.intp)
+    return table, inner_of, index
 
 
 def test_compose_maps_applies_left_factor_first():
@@ -76,7 +94,7 @@ def test_inner_count_is_order_over_center():
 def test_inner_automorphism_values():
     S3 = tf.make_catalog_group("symmetric:3")
     for g in range(S3.order):
-        m = inner_automorphism(S3, g)
+        m = S3.conjugation_map(g)
         for x in range(S3.order):
             assert m[x] == S3.conj(x, g)
 
@@ -123,3 +141,33 @@ def test_is_subgroup_of_aut():
     aut = automorphism_group(make_cyclic(8))
     assert is_subgroup_of_aut(aut, range(aut.order))
     assert is_subgroup_of_aut(aut, {aut.group.identity})
+
+
+# Aut(elemab:2:4) and Aut(elemab:3:3) have 20160 and 11232 elements: their
+# composition tables would need gigabytes in either construction.
+HUGE_AUT = {"elemab:2:4", "elemab:3:3"}
+
+
+@pytest.mark.parametrize("key", [k for k, _ in catalog_groups_up_to(27)
+                                 if k not in HUGE_AUT])
+def test_aut_tables_match_reference(key):
+    # covers heisenberg:3 (|Aut| = 432) and every other catalog group up
+    # to order 27
+    G = tf.make_catalog_group(key)
+    table, inner_of, index = reference_aut_tables(G)
+    aut = automorphism_group(G)
+    assert aut.group.table.dtype == table.dtype
+    assert aut.group.table.tobytes() == table.tobytes()
+    assert aut.inner_of.dtype == inner_of.dtype
+    assert aut.inner_of.tobytes() == inner_of.tobytes()
+    assert aut.inner_indices == sorted(set(int(i) for i in inner_of))
+    for m, i in index.items():
+        assert aut.index_of(m) == i
+
+
+def test_aut_refuses_image_keys_wider_than_64_bits(monkeypatch):
+    # 27 generator images of an order-27 group need 27^27 > 2^63 keys
+    monkeypatch.setattr(automorphisms, "generating_set",
+                        lambda G: list(range(G.order)))
+    with pytest.raises(LimitExceeded, match="64-bit"):
+        automorphism_group(make_cyclic(27))

@@ -139,3 +139,23 @@ def test_inversion_action_requires_cyclic_actor(capsys):
                          "--h", "elemab:2:2", "--beta", "trivial",
                          "--alpha", "inversion")
     assert code == 2 and "cyclic" in err
+
+
+def test_compat_invalid_action_file_exits_two(capsys, tmp_path):
+    # alpha sends the identity of cyclic:2 to inversion, a non-identity
+    # automorphism of cyclic:3
+    pair = {"g": "cyclic:3", "h": "cyclic:2",
+            "alpha": {"map": [1, 0]}, "beta": {"map": [0, 0, 0]}}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    code, out, err = run(capsys, "compat", "--pair", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: alpha: identity must act trivially\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_budget_environment_exits_two(capsys, monkeypatch, value):
+    monkeypatch.setenv("TENSORFORGE_BUDGET", value)
+    code, out, err = run(capsys, "explore", "question2", "--max-order", "2")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "TENSORFORGE_BUDGET" in err

@@ -9,7 +9,8 @@ from tensorforge import groups
 from tensorforge.catalog import catalog_groups_up_to
 from tensorforge.errors import NotAGroup, NotNormal
 from tensorforge.groups import (FiniteGroup, Subgroup, center,
-                                derived_subgroup, from_cayley_table,
+                                conjugation_maps, derived_subgroup,
+                                from_cayley_table,
                                 lower_central_series, make_cyclic,
                                 nilpotency_class, quotient,
                                 second_hypercenter, subgroup_generated)
@@ -136,6 +137,39 @@ def test_quotient_s3_by_a3():
     assert proj.kernel().order == 3
 
 
+def reference_quotient(G, N):
+    """Quotient table, coset names and projection by the coset loop that
+    ``quotient`` once ran."""
+    rep_of = np.full(G.order, -1, dtype=np.intp)
+    for x in range(G.order):
+        if rep_of[x] >= 0:
+            continue
+        coset = [G.mul(x, n) for n in N.members]
+        r = min(coset)
+        for y in coset:
+            rep_of[y] = r
+    reps = sorted(set(int(r) for r in rep_of))
+    index = {r: i for i, r in enumerate(reps)}
+    k = len(reps)
+    table = np.empty((k, k), dtype=np.intp)
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
+            table[i, j] = index[int(rep_of[G.mul(a, b)])]
+    names = [f"[{G.name(r)}]" for r in reps]
+    return table, names, [index[int(rep_of[x])] for x in range(G.order)]
+
+
+def test_quotient_matches_reference_loop():
+    for key, G in catalog_groups_up_to(27):
+        for N in (center(G), derived_subgroup(G)):
+            Q, proj = quotient(G, N)
+            table, names, proj_map = reference_quotient(G, N)
+            assert Q.table.dtype == table.dtype
+            assert Q.table.tobytes() == table.tobytes(), key
+            assert Q.names == names
+            assert proj.map.tolist() == proj_map
+
+
 def test_quotient_rejects_non_normal():
     S3 = tf.make_catalog_group("symmetric:3")
     transposition = next(g for g in range(6) if S3.element_order(g) == 2)
@@ -185,10 +219,10 @@ def _members(series):
     return [s.members for s in series]
 
 
-@pytest.mark.parametrize("block", [groups.COMMUTATOR_BLOCK, 50])
+@pytest.mark.parametrize("block", [groups.BLOCK_ENTRIES, 50])
 def test_lower_central_series_matches_loop_on_catalog(monkeypatch, block):
     # a block of 50 entries splits every group of order 8 or more
-    monkeypatch.setattr(groups, "COMMUTATOR_BLOCK", block)
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
     for _, G in catalog_groups_up_to(27):
         want = reference_lower_central_series(G)
         assert _members(lower_central_series(G)) == _members(want)
@@ -216,3 +250,12 @@ def test_conjugation_map_is_inner_permutation():
         m = G.conjugation_map(g)
         assert sorted(m) == list(range(G.order))
         assert m[G.identity] == G.identity
+
+
+def test_conjugation_table_is_cached_and_read_only():
+    G = tf.make_catalog_group("dihedral:4")
+    conj = conjugation_maps(G)
+    assert conj is conjugation_maps(G) and not conj.flags.writeable
+    for g in range(G.order):
+        assert G.conjugation_map(g).tolist() == conj[g].tolist()
+        assert conj[g].tolist() == [G.conj(x, g) for x in range(G.order)]

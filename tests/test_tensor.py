@@ -11,8 +11,8 @@ from tensorforge.errors import (CrossCheckFailed, IncompatibleActions,
                                 LimitExceeded)
 from tensorforge.groups import make_cyclic
 from tensorforge.presentations import Presentation, coset_enumerate
-from tensorforge.tensor import (abelian_tensor, compute_tensor,
-                                derivative_subgroup,
+from tensorforge.tensor import (TensorReport, abelian_tensor,
+                                compute_tensor, derivative_subgroup,
                                 module_action_on_kernel,
                                 tensor_presentation, tensor_square)
 
@@ -222,6 +222,18 @@ def test_module_action_rows_are_permutations():
     for d in rep.derivative.members:
         row = [action[(a, d)] for a in kernel]
         assert sorted(row) == kernel
+
+
+def test_ill_defined_module_action_raises_typed_error():
+    # a kernel that is not central makes the action depend on the
+    # preimage; the check survives python -O
+    S3 = tf.make_catalog_group("symmetric:3")
+    trivial = tf.GroupHom(S3, make_cyclic(1), [0] * 6)
+    rep = TensorReport(tensor=S3, symbol_map={}, kappa=trivial,
+                       derivative=trivial.image(), kernel=trivial.kernel(),
+                       invariants=None, nilpotency=None)
+    with pytest.raises(CrossCheckFailed, match="ill-defined"):
+        module_action_on_kernel(rep)
 
 
 # -- tensor squares -------------------------------------------------------
