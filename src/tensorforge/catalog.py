@@ -8,14 +8,18 @@ but the two factor keys themselves must not contain a comma at top level).
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, repeat
 
 import numpy as np
 
-from .errors import UnknownCatalogKey
+from .errors import LimitExceeded, UnknownCatalogKey
 from .groups import FiniteGroup, direct_product, make_cyclic
 
 _PRIMES = {2, 3, 5}
+
+# The largest order a catalog key may name; the dense intp multiplication
+# table of a group of this order takes 128 MiB.
+MAX_CATALOG_ORDER = 4096
 
 
 def make_dihedral(n):
@@ -131,9 +135,43 @@ def _split_product_args(body):
     return depth_keys
 
 
+def _capped_order(key):
+    """The order of the group a key names, worked out from the key alone,
+    or MAX_CATALOG_ORDER + 1 for any larger order."""
+    kind, _, rest = key.partition(":")
+    if kind == "product":
+        factors = [_capped_order(k) for k in _split_product_args(rest)]
+    elif kind == "cyclic":
+        factors = [int(rest)]
+    elif kind == "dihedral":
+        factors = [2, int(rest)]
+    elif kind == "symmetric":
+        factors = range(2, int(rest) + 1)
+    elif kind == "heisenberg":
+        factors = [int(rest)] * 3
+    elif kind == "elemab":
+        p, k = rest.split(":")
+        factors = repeat(int(p), int(k))
+    else:
+        factors = []                # quaternion:8, or not a catalog kind
+    order = 1
+    for f in factors:
+        order *= f
+        if order > MAX_CATALOG_ORDER:
+            return MAX_CATALOG_ORDER + 1
+    return order
+
+
 def make_catalog_group(key):
-    """Resolve a catalog key to a FiniteGroup."""
+    """Resolve a catalog key to a FiniteGroup.
+
+    Raises LimitExceeded, before any table is built, when the group has
+    more than MAX_CATALOG_ORDER elements.
+    """
     try:
+        if _capped_order(key) > MAX_CATALOG_ORDER:
+            raise LimitExceeded(f"catalog group {key!r} has more than "
+                                f"{MAX_CATALOG_ORDER} elements")
         kind, _, rest = key.partition(":")
         if kind == "cyclic":
             n = int(rest)

@@ -51,7 +51,7 @@ class FiniteGroup:
     """A finite group as an order x order Cayley table over element indices."""
 
     __slots__ = ("table", "order", "identity", "inverse", "names",
-                 "_abelian", "_orders", "_aut", "_conj")
+                 "_abelian", "_orders", "_aut", "_conj", "_gens")
 
     def __init__(self, table, names=None, validate=True):
         table = np.ascontiguousarray(np.asarray(table, dtype=np.intp))
@@ -90,6 +90,7 @@ class FiniteGroup:
         self._orders = None
         self._aut = None
         self._conj = None
+        self._gens = None
 
     # -- basic arithmetic -------------------------------------------------
 
@@ -337,15 +338,27 @@ def quotient(G, N):
     Cosets are labelled by their minimal-index representative and ordered
     by that representative, so the output is deterministic.
     """
-    for g in range(G.order):
-        for n in N.members:
-            if G.conj(n, g) not in N:
-                raise NotNormal((g, n))
+    _check_normal(G, N)
     reps, labels = coset_labels(G, N)
     names = [f"[{G.name(r)}]" for r in reps]
     Q = FiniteGroup(labels[G.table[np.ix_(reps, reps)]], names=names,
                     validate=False)
     return Q, GroupHom(G, Q, labels, validate=False)
+
+
+def _check_normal(G, N):
+    """Raise NotNormal((g, n)) for the first g, and then the first n of
+    N, with n^g outside N; the conjugates are computed in blocks of at
+    most BLOCK_ENTRIES entries."""
+    t, inv = G.table, G.inverse
+    members = np.array(N.members, dtype=np.intp)
+    step = max(1, BLOCK_ENTRIES // len(members))
+    for start in range(0, G.order, step):
+        g = np.arange(start, min(start + step, G.order))[:, None]
+        outside = ~N._mask[t[t[inv[g], members], g]]
+        if outside.any():
+            i, j = np.argwhere(outside)[0]
+            raise NotNormal((start + int(i), int(members[j])))
 
 
 def coset_labels(G, N):

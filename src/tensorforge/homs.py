@@ -19,16 +19,19 @@ DEFAULT_BUDGET = 10 ** 6
 
 def generating_set(G):
     """Greedy minimal generating set: repeatedly add the first element that
-    enlarges the generated subgroup."""
-    gens = []
-    cur = subgroup_generated(G, gens)
-    while cur.order < G.order:
-        for x in range(G.order):
-            if x not in cur:
-                gens.append(x)
-                cur = subgroup_generated(G, gens)
-                break
-    return gens
+    enlarges the generated subgroup.  A tuple, computed once and cached on
+    the group."""
+    if G._gens is None:
+        gens = []
+        cur = subgroup_generated(G, gens)
+        while cur.order < G.order:
+            for x in range(G.order):
+                if x not in cur:
+                    gens.append(x)
+                    cur = subgroup_generated(G, gens)
+                    break
+        G._gens = tuple(gens)
+    return G._gens
 
 
 class _Level:

@@ -7,6 +7,16 @@ coset, cosets are numbered in order of first definition and dead cosets
 are compacted away with the order preserved, so identical input yields a
 bit-identical table.
 
+A ``Presentation`` stores its relators twice: as the tuple of int tuples
+that callers see, and, in the private field ``_by_length``, as one int64
+array of letters per relator length with the indices of those relators.
+The arrays are built once, when the presentation is made.  Every layer
+between the presentation and the group reads them: ``_representatives``
+keys the rotation classes, ``_scan_columns`` gives the scan tuples and
+the filter's column matrices, and ``_validate_complete`` traces every
+relator.  ``table_to_group`` reads the group back along the table's
+breadth-first ``spanning_tree``, one gather per tree layer.
+
 The working table is one flat ``array`` of row offsets: coset c owns the
 entries c*ncols .. c*ncols + ncols - 1, and an entry holds the offset
 d*ncols of the coset d it reaches.  A hole holds -ncols, which indexes
@@ -27,7 +37,7 @@ exhausted at the same scan and with the same message.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,21 +76,100 @@ def invert_word(word):
 
 @dataclass(frozen=True)
 class Presentation:
-    """Abstract generators 1..ngens plus freely reduced relator words."""
+    """Abstract generators 1..ngens plus freely reduced relator words.
+
+    ``relators`` is a sequence of words, or one 2-D integer array whose
+    rows are the words; it is stored as a tuple of int tuples.
+    """
 
     ngens: int
     relators: tuple = ()
+    # the same relators grouped by length, in order of first appearance:
+    # (ascending indices into relators, words x length int64 letters)
+    _by_length: tuple = field(default=(), init=False, compare=False,
+                              repr=False)
 
     def __post_init__(self):
-        reduced = []
-        for w in self.relators:
-            r = reduce_word(w)
-            for letter in r:
-                if not 1 <= abs(letter) <= self.ngens:
-                    raise ValueError(f"letter {letter} out of range")
-            if r:
-                reduced.append(tuple(r))
-        object.__setattr__(self, "relators", tuple(reduced))
+        relators, by_length = _reduce_relators(self.ngens, self.relators)
+        object.__setattr__(self, "relators", relators)
+        object.__setattr__(self, "_by_length", by_length)
+
+
+def _reduce_relators(ngens, words):
+    """The freely reduced non-empty words as tuples, in order, and the
+    same words grouped by length as in ``Presentation._by_length``.
+
+    Only words with a 0, a letter out of range or a cancelling pair, and
+    words that are not integer sequences, go through ``reduce_word`` and
+    the range check, in their original order; every other word is
+    already reduced and valid.  So the first invalid word raises what a
+    word-by-word loop raises.
+    """
+    blocks, odd = [], []            # (positions, letters); (position, word)
+    if isinstance(words, np.ndarray) and words.ndim == 2 \
+            and words.dtype.kind == "i":
+        count = len(words)
+        if words.shape[1]:
+            blocks.append((np.arange(count), words.astype(np.int64)))
+    else:
+        by_length = {}
+        count = 0
+        for w in words:
+            w = tuple(w)
+            pos, ws = by_length.setdefault(len(w), ([], []))
+            pos.append(count)
+            ws.append(w)
+            count += 1
+        by_length.pop(0, None)       # empty words reduce to nothing
+        for length, (pos, ws) in by_length.items():
+            letters = np.array(ws)
+            if letters.dtype.kind == "i" and letters.shape == (len(ws), length):
+                blocks.append((np.array(pos), letters.astype(np.int64)))
+            else:
+                odd.extend(zip(pos, ws))
+    for b, (pos, letters) in enumerate(blocks):
+        flagged = ((letters == 0) | (letters < -ngens)
+                   | (letters > ngens)).any(axis=1)
+        flagged |= (letters[:, 1:] == -letters[:, :-1]).any(axis=1)
+        if flagged.any():
+            odd.extend(zip(pos[flagged].tolist(),
+                           map(tuple, letters[flagged].tolist())))
+            blocks[b] = (pos[~flagged], letters[~flagged])
+    reduced = {}                    # length -> ([positions], [words])
+    for p, w in sorted(odd):
+        r = reduce_word(w)
+        for letter in r:
+            if not 1 <= abs(letter) <= ngens:
+                raise ValueError(f"letter {letter} out of range")
+        if r:
+            pos, ws = reduced.setdefault(len(r), ([], []))
+            pos.append(p)
+            ws.append(r)
+    parts = {}
+    for pos, letters in blocks + [(np.array(pos), np.array(ws, np.int64))
+                                  for pos, ws in reduced.values()]:
+        if len(pos):
+            parts.setdefault(letters.shape[1], []).append((pos, letters))
+    out = [None] * count
+    kept = np.zeros(count, dtype=bool)
+    merged = []
+    for group in parts.values():
+        pos = np.concatenate([pos for pos, _ in group])
+        order = np.argsort(pos, kind="stable")
+        pos = pos[order]
+        letters = np.concatenate([letters for _, letters in group])[order]
+        kept[pos] = True
+        for p, w in zip(pos.tolist(), zip(*letters.T.tolist())):
+            out[p] = w
+        merged.append((pos, letters))
+    index = np.cumsum(kept) - 1
+    groups = []
+    for pos, letters in sorted(merged, key=lambda g: g[0][0]):
+        idx = index[pos]
+        idx.setflags(write=False)
+        letters.setflags(write=False)
+        groups.append((idx, letters))
+    return tuple(w for w in out if w is not None), tuple(groups)
 
 
 def _col(letter):
@@ -203,32 +292,52 @@ class _Enumerator:
             self.define(f, cols[i])
 
 
-def _representatives(relators):
+def _columns(letters):
+    # generator k -> column 2(k-1); inverse -> 2(k-1)+1
+    return 2 * np.abs(letters) - 2 + (letters < 0)
+
+
+def _representatives(presentation):
     """One relator per class under rotation and inversion, in order of
     first occurrence: a relator holds from every coset iff any rotation
-    or the inverse does."""
-    seen = set()
-    reps = []
-    for r in relators:
-        variants = {tuple(w[i:] + w[:i])
-                    for w in (r, tuple(-x for x in reversed(r)))
-                    for i in range(len(w))}
-        key = min(variants)
-        if key not in seen:
-            seen.add(key)
-            reps.append(r)
-    return reps
+    or the inverse does.  Returns (indices into the relators, letters)
+    per length, as ``Presentation._by_length`` holds them.
 
-
-def _length_groups(words, min_size=1):
-    """(original indices, columns as a letters x words matrix) for each
-    word length with at least ``min_size`` words."""
-    by_length = {}
-    for i, w in enumerate(words):
-        by_length.setdefault(len(w), []).append(i)
-    return [(np.array(idx), np.array([[_col(x) for x in words[i]]
-                                      for i in idx]).T)
-            for idx in by_length.values() if len(idx) >= min_size]
+    A class is keyed by the least of its 2L rotations, each read as an
+    int64 in mixed radix 2*ngens + 1.  Lengths whose keys do not fit 64
+    bits key each class by its least rotation as a tuple.
+    """
+    ngens = presentation.ngens
+    base = 2 * ngens + 1
+    out = []
+    for idx, letters in presentation._by_length:
+        length = letters.shape[1]
+        if base ** length > 2 ** 63:
+            seen = set()
+            first = []
+            for k, r in enumerate(zip(*letters.T.tolist())):
+                variants = {tuple(w[i:] + w[:i])
+                            for w in (r, tuple(-x for x in reversed(r)))
+                            for i in range(len(w))}
+                key = min(variants)
+                if key not in seen:
+                    seen.add(key)
+                    first.append(k)
+        else:
+            top = base ** (length - 1)
+            radix = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
+            digits = letters + ngens
+            least = None
+            for d in (digits, 2 * ngens - digits[:, ::-1]):
+                key = d @ radix
+                least = key if least is None else np.minimum(least, key)
+                for j in range(length - 1):
+                    # rotate the leading letter to the end
+                    key = (key - d[:, j] * top) * base + d[:, j]
+                    np.minimum(least, key, out=least)
+            first = np.sort(np.unique(least, return_index=True)[1])
+        out.append((idx[first], letters[first]))
+    return out
 
 
 def coset_enumerate(presentation, max_cosets=None, max_deductions=None):
@@ -249,15 +358,32 @@ def coset_enumerate(presentation, max_cosets=None, max_deductions=None):
     return table
 
 
+def _scan_columns(presentation, dtype):
+    """The representatives' scan columns as tuples, in order, and for each
+    length with at least FILTER_MIN_RELATORS representatives their
+    positions and columns as a letters x relators matrix of ``dtype``."""
+    groups = _representatives(presentation)
+    if not groups:
+        return [], []
+    order = np.sort(np.concatenate([idx for idx, _ in groups]))
+    rels = [None] * len(order)
+    filtered = []
+    for idx, letters in groups:
+        pos = np.searchsorted(order, idx)
+        cols = _columns(letters)
+        for p, c in zip(pos.tolist(), zip(*cols.T.tolist())):
+            rels[p] = c
+        if len(idx) >= FILTER_MIN_RELATORS:
+            filtered.append((pos, cols.T.astype(dtype)))
+    return rels, filtered
+
+
 def _enumerate_rows(presentation, max_cosets, max_steps):
-    reps = _representatives(presentation.relators)
-    rels = [tuple(_col(x) for x in r) for r in reps]
-    nrel = len(rels)
     enum = _Enumerator(presentation.ngens, max_cosets)
     n, t, dead = enum.ncols, enum.table, enum.dead
     dtype = np.dtype(enum.typecode)
-    groups = [(idx, cols.astype(dtype))
-              for idx, cols in _length_groups(reps, FILTER_MIN_RELATORS)]
+    rels, filtered = _scan_columns(presentation, dtype)
+    nrel = len(rels)
     closed = np.zeros(nrel, dtype=bool)
     steps = 0
     alpha = 0
@@ -266,11 +392,11 @@ def _enumerate_rows(presentation, max_cosets, max_steps):
             alpha += n
             continue
         todo = range(nrel)
-        if groups:
+        if filtered:
             # a zero-copy view; it must be dropped before define() can
             # grow the array
             view = np.frombuffer(t, dtype)
-            for idx, cols in groups:
+            for idx, cols in filtered:
                 cur = view[alpha + cols[0]]
                 for c in cols[1:]:
                     cur = view[cur + c]
@@ -322,7 +448,8 @@ def _validate_complete(table, presentation):
     cb = min(n, VALIDATE_BLOCK)
     rb = max(1, VALIDATE_BLOCK // cb)
     first_bad = len(presentation.relators)
-    for idx, cols in _length_groups(presentation.relators):
+    for idx, letters in presentation._by_length:
+        cols = _columns(letters).T
         for r0 in range(0, len(idx), rb):
             block = cols[:, r0:r0 + rb, None]
             for c0 in range(0, n, cb):
@@ -338,36 +465,46 @@ def _validate_complete(table, presentation):
         raise TableIncomplete(f"relator {r} does not trace to identity")
 
 
+def spanning_tree(rows):
+    """The breadth-first spanning tree of a coset table from coset 0, one
+    layer at a time: a list of (cosets, parents, columns) in which each
+    coset is first reached as rows[parent, column], scanning the previous
+    layer's cosets in order and each coset's columns in order."""
+    n, ncols = rows.shape
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    layers = []
+    while True:
+        reached = rows[frontier].ravel()
+        unseen = np.flatnonzero(~seen[reached])
+        if not len(unseen):
+            return layers
+        cosets, first = np.unique(reached[unseen], return_index=True)
+        first = unseen[np.sort(first)]
+        cosets = reached[first]
+        seen[cosets] = True
+        layers.append((cosets, frontier[first // ncols], first % ncols))
+        frontier = cosets
+
+
 def table_to_group(table, presentation):
     """Turn a complete coset table over the trivial subgroup into a
     FiniteGroup; returns the group and the image element of each abstract
     generator.
 
-    Element i is live coset i; multiplication traces the BFS
-    representative word of the right factor from the left factor.
+    Element i is live coset i.  Column j of the multiplication table is
+    the permutation of cosets by element j, one gather from the column of
+    j's parent in the spanning tree.
     """
+    rows = table.rows
     n = table.ncosets
-    # BFS representative words from coset 0, scanning generator columns in
-    # order: deterministic and short
-    words = {0: []}
-    queue = [0]
-    while queue:
-        c = queue.pop(0)
-        for k in range(1, presentation.ngens + 1):
-            for letter in (k, -k):
-                d = int(table.rows[c, _col(letter)])
-                if d not in words:
-                    words[d] = words[c] + [letter]
-                    queue.append(d)
-    if len(words) != n:
+    layers = spanning_tree(rows)
+    if 1 + sum(len(cosets) for cosets, _, _ in layers) != n:
         raise TableIncomplete("table is not transitive on cosets")
     group_table = np.empty((n, n), dtype=np.intp)
-    for j in range(n):
-        cur = np.arange(n)
-        for letter in words[j]:
-            cur = table.rows[cur, _col(letter)]
-        group_table[:, j] = cur
+    group_table[:, 0] = np.arange(n)
+    for cosets, parents, cols in layers:
+        group_table[:, cosets] = rows[group_table[:, parents], cols]
     group = FiniteGroup(group_table, validate=False)
-    gen_images = [int(table.rows[0, _col(k)])
-                  for k in range(1, presentation.ngens + 1)]
-    return group, gen_images
+    return group, rows[0, 0::2].tolist()

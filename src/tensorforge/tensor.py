@@ -1,12 +1,14 @@
 """Non-abelian tensor products G (x) H via coset enumeration.
 
 The defining presentation has one generator per symbol (g, h) and the two
-biderivation relation families; a compatible action pair is required (the
-construction is only meaningful for one), enumeration turns the
-presentation into a concrete group, and the attached structures -- the
-derivative subgroup [G, H], the homomorphism kappa with its central
+biderivation relation families, built as one array of words by gathers
+from the group tables and the actions; a compatible action pair is
+required (the construction is only meaningful for one), enumeration turns
+the presentation into a concrete group, and the attached structures --
+the derivative subgroup [G, H], the homomorphism kappa with its central
 kernel, and the conjugation module action on the kernel -- are computed
-and cross-checked.
+and cross-checked.  Kappa is forced along the coset table's spanning
+tree and checked on every coset and generator at once.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .actions import (ActionPair, HomPair, action_from_hom_pair,
 from .errors import CrossCheckFailed, IncompatibleActions, LimitExceeded
 from .groups import FiniteGroup, GroupHom, Subgroup, center, coset_labels, \
     nilpotency_class, subgroup_generated
-from .errors import NotAHomomorphism
-from .homs import are_isomorphic, enumerate_homs, hom_from_images
-from .presentations import Presentation, coset_enumerate, table_to_group
+from .homs import are_isomorphic, enumerate_homs
+from .presentations import (Presentation, coset_enumerate, spanning_tree,
+                            table_to_group)
 
 MAX_SYMBOLS = 256
 
@@ -67,35 +69,33 @@ def tensor_presentation(pair, force=False):
         raise LimitExceeded(
             f"{n * m} symbols exceed the {MAX_SYMBOLS}-symbol cap")
 
-    def sym(g, h):
-        return g * m + h + 1        # 1-based generator index
+    symbols = {(g, h): g * m + h + 1 for g in range(n) for h in range(m)}
+    return Presentation(n * m, _biderivation_words(pair)), symbols
 
+
+def _biderivation_words(pair):
+    """The relators of ``tensor_presentation`` as one words x 3 array:
+    each family in lexicographic order, the first family before the
+    second, duplicates dropped by first occurrence."""
+    G, H = pair.G, pair.H
+    n, m = G.order, H.order
+    t, u = G.table, H.table
     A, B = pair.alpha_maps, pair.beta_maps
-    relators = []
-    seen = set()
-
-    def add(word):
-        w = tuple(word)
-        if w not in seen:
-            seen.add(w)
-            relators.append(w)
-
-    for g in range(n):
-        for g1 in range(n):
-            gg1 = G.mul(g, g1)
-            gc = G.conj(g, g1)
-            for h in range(m):
-                hc = int(B[g1, h])
-                add((-sym(gg1, h), sym(gc, hc), sym(g1, h)))
-    for g in range(n):
-        for h in range(m):
-            for h1 in range(m):
-                hh1 = H.mul(h, h1)
-                ga = int(A[h1, g])
-                hc = H.conj(h, h1)
-                add((-sym(g, hh1), sym(g, h1), sym(ga, hc)))
-    symbols = {(g, h): sym(g, h) for g in range(n) for h in range(m)}
-    return Presentation(n * m, tuple(relators)), symbols
+    # index grids over (g, g1, h), then over (g, h, h1)
+    g, g1, h = (np.arange(n)[:, None, None], np.arange(n)[:, None],
+                np.arange(m))
+    gc = t[t[G.inverse[g1], g], g1]                     # g^g1
+    first = (-(t[g, g1] * m + h + 1), gc * m + B[g1, h] + 1, g1 * m + h + 1)
+    h, h1 = np.arange(m)[:, None], np.arange(m)
+    hc = u[u[H.inverse[h1], h], h1]                     # h^h1
+    second = (-(g * m + u[h, h1] + 1), g * m + h1 + 1, A[h1, g] * m + hc + 1)
+    words = np.concatenate(
+        [np.stack(np.broadcast_arrays(*family), axis=-1).reshape(-1, 3)
+         for family in (first, second)])
+    # the first letter is negative, the other two positive
+    base = 2 * n * m + 1
+    keys = ((words[:, 0] + n * m) * base + words[:, 1]) * base + words[:, 2]
+    return words[np.sort(np.unique(keys, return_index=True)[1])]
 
 
 def compute_tensor(pair, force=False, max_cosets=None):
@@ -107,23 +107,20 @@ def compute_tensor(pair, force=False, max_cosets=None):
     m = H.order
     symbol_map = {(g, h): gen_images[g * m + h]
                   for g in range(G.order) for h in range(m)}
-    # kappa(g (x) h) = g^-1 g^h, extended over the whole tensor group
-    gens = [symbol_map[(g, h)] for g in range(G.order) for h in range(m)]
-    images = [G.mul(G.inv(g), pair.act_g(g, h))
-              for g in range(G.order) for h in range(m)]
     derivative = derivative_subgroup(pair)
-    try:
-        kappa = hom_from_images(tensor, G, gens, images)
-    except NotAHomomorphism:
+    # kappa(g (x) h) = g^-1 g^h, extended over the whole tensor group
+    kappa_map = _extend_to_hom(table.rows, G, _kappa_images(pair))
+    if kappa_map is None:
         # kappa always extends when both assignments are genuine actions;
         # a failure certifies the pair only satisfies the equations
         # pointwise
         if pair.assignments_are_homs():
             raise CrossCheckFailed(
                 "kappa does not extend although both assignments are "
-                "actions") from None
+                "actions")
         kappa, kernel = None, None
     else:
+        kappa = GroupHom(tensor, G, kappa_map, validate=False)
         if set(int(v) for v in np.unique(kappa.map)) \
                 != set(derivative.members):
             raise CrossCheckFailed("the image of kappa is not [G, H]")
@@ -140,6 +137,27 @@ def compute_tensor(pair, force=False, max_cosets=None):
                         nilpotency=nilpotency_class(tensor))
 
 
+def _extend_to_hom(rows, target, images):
+    """The homomorphism from the group of a complete coset table over the
+    trivial subgroup that sends generator k to images[k], or None.
+
+    The map is forced along the table's spanning tree, and it is a
+    homomorphism iff map(c * k) == map(c) * images[k] for every coset c
+    and generator k, which one vectorised comparison checks.
+    """
+    letters = np.empty(2 * len(images), dtype=np.intp)
+    letters[0::2] = images
+    letters[1::2] = target.inverse[images]
+    pm = np.empty(len(rows), dtype=np.intp)
+    pm[0] = target.identity
+    for cosets, parents, cols in spanning_tree(rows):
+        pm[cosets] = target.table[pm[parents], letters[cols]]
+    if not np.array_equal(pm[rows[:, 0::2]],
+                          target.table[pm[:, None], images[None, :]]):
+        return None
+    return pm
+
+
 def _assert_central(tensor, kernel):
     for a in kernel.members:
         row = tensor.table[a]
@@ -147,12 +165,15 @@ def _assert_central(tensor, kernel):
             raise CrossCheckFailed(f"kernel element {a} is not central")
 
 
+def _kappa_images(pair):
+    """g^-1 g^h for every symbol (g, h), in symbol order."""
+    G = pair.G
+    return G.table[G.inverse[:, None], pair.alpha_maps.T].ravel()
+
+
 def derivative_subgroup(pair):
     """D_H(G) = [G, H], generated by all g^-1 g^h."""
-    G = pair.G
-    gens = {G.mul(G.inv(g), pair.act_g(g, h))
-            for g in range(G.order) for h in range(pair.H.order)}
-    return subgroup_generated(G, gens)
+    return subgroup_generated(pair.G, np.unique(_kappa_images(pair)))
 
 
 def abelian_tensor(a_invariants, b_invariants):

@@ -3,7 +3,8 @@
 import pytest
 
 import tensorforge as tf
-from tensorforge.errors import UnknownCatalogKey
+from tensorforge import catalog
+from tensorforge.errors import LimitExceeded, UnknownCatalogKey
 from tensorforge.groups import center, derived_subgroup, nilpotency_class
 
 
@@ -112,3 +113,27 @@ def test_product_of_products():
     G = tf.make_catalog_group("product:cyclic:2,cyclic:2")
     E = tf.make_catalog_group("elemab:2:2")
     assert tf.are_isomorphic(G, E) is not None
+
+
+@pytest.mark.parametrize("key", ["cyclic:4097", "dihedral:2049",
+                                 "symmetric:8", "heisenberg:17",
+                                 "elemab:2:13", "elemab:2:10000000000",
+                                 "product:cyclic:64,cyclic:65",
+                                 "product:cyclic:2,cyclic:2049"])
+def test_order_cap_is_checked_before_any_table(monkeypatch, key):
+    def refuse(*args):
+        pytest.fail("a table was built")
+
+    for name in ("make_cyclic", "direct_product", "make_dihedral",
+                 "make_symmetric", "make_heisenberg",
+                 "make_elementary_abelian"):
+        monkeypatch.setattr(catalog, name, refuse)
+    with pytest.raises(LimitExceeded, match="more than 4096 elements"):
+        tf.make_catalog_group(key)
+
+
+def test_order_cap_leaves_unknown_keys_unknown():
+    for key in ["heisenberg:7", "dihedral:1", "cyclic:0", "cyclic:x",
+                "elemab:4:2", "quaternion:16", "bogus:3"]:
+        with pytest.raises(UnknownCatalogKey):
+            tf.make_catalog_group(key)

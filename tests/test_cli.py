@@ -40,6 +40,16 @@ def test_catalog_export_unknown_key(capsys):
     assert code == 2 and "bogus:9" in err
 
 
+@pytest.mark.parametrize("key", ["cyclic:100000", "symmetric:12",
+                                 "product:cyclic:5000,cyclic:5000"])
+def test_catalog_export_refuses_oversize_order(capsys, key):
+    # refused from the key alone, before any table is allocated
+    code, out, err = run(capsys, "catalog", "export", key)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and key in err and "4096" in err
+
+
 def test_compat_compatible_exit_zero(capsys):
     code, out, _ = run(capsys, "compat", "--g", "cyclic:3",
                        "--h", "cyclic:3", "--alpha", "inversion")

@@ -178,6 +178,41 @@ def test_quotient_rejects_non_normal():
         quotient(S3, H)
 
 
+def reference_normality_witness(G, N):
+    """The (g, n) witness of the loop that ``quotient`` once ran, or None
+    when N is normal."""
+    for g in range(G.order):
+        for n in N.members:
+            if G.conj(n, g) not in N:
+                return (g, n)
+    return None
+
+
+@pytest.mark.parametrize("block", [groups.BLOCK_ENTRIES, 5])
+def test_normality_witness_matches_reference_loop(monkeypatch, block):
+    # every subgroup generated by at most two elements; on symmetric:4
+    # the first failing n of the first failing g is in 18 of them not the
+    # least failing n.  A 5-entry block splits every group into many
+    # blocks.
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+    witnesses = 0
+    for key in ["symmetric:3", "symmetric:4", "dihedral:4", "dihedral:8",
+                "quaternion:8", "heisenberg:3"]:
+        G = tf.make_catalog_group(key)
+        for N in [subgroup_generated(G, [x, y]) for x in range(G.order)
+                  for y in range(x, G.order)]:
+            want = reference_normality_witness(G, N)
+            if want is None:
+                quotient(G, N)
+                continue
+            witnesses += 1
+            with pytest.raises(NotNormal) as exc:
+                quotient(G, N)
+            assert exc.value.witness == want
+            assert all(type(x) is int for x in exc.value.witness)
+    assert witnesses > 200
+
+
 def test_nilpotency_classes():
     assert nilpotency_class(make_cyclic(8)) == 1
     assert nilpotency_class(tf.make_catalog_group("dihedral:4")) == 2

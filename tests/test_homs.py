@@ -161,6 +161,20 @@ def test_generating_set_generates():
         assert tf.subgroup_generated(G, gens).order == G.order
 
 
+def test_generating_set_is_cached_and_immutable(monkeypatch):
+    G = tf.make_catalog_group("dihedral:4")
+    gens = generating_set(G)
+    assert isinstance(gens, tuple)
+    calls = []
+    monkeypatch.setattr(tf.homs, "subgroup_generated",
+                        lambda *a: calls.append(a))
+    assert generating_set(G) is gens and not calls
+    # a new group object with the same table computes its own
+    K = tf.FiniteGroup(G.table)
+    monkeypatch.undo()
+    assert generating_set(K) == gens and generating_set(K) is not gens
+
+
 def test_budget_exhaustion_raises():
     G = tf.make_catalog_group("elemab:2:4")
     with pytest.raises(BudgetExceeded):

@@ -389,3 +389,274 @@ def test_wide_table_uses_64_bit_entries():
     # (max_cosets + 1) * 2 * ngens does not fit int32
     p = Presentation(2, ((1, 1, 1, 1), (2, 2), (1, 2, 1, 2)))
     _same_outcome(p, max_cosets=2 ** 31)
+
+
+# -- reference relator layers -------------------------------------------------
+# The word-by-word relator code that the array layers replaced, verbatim
+# apart from names: Presentation.__post_init__ as a function of the words,
+# the relator loop of tensor_presentation, _representatives, _length_groups
+# and table_to_group.
+
+def reference_reduce(ngens, relators):
+    reduced = []
+    for w in relators:
+        r = reduce_word(w)
+        for letter in r:
+            if not 1 <= abs(letter) <= ngens:
+                raise ValueError(f"letter {letter} out of range")
+        if r:
+            reduced.append(tuple(r))
+    return tuple(reduced)
+
+
+def reference_tensor_relators(pair):
+    G, H = pair.G, pair.H
+    n, m = G.order, H.order
+
+    def sym(g, h):
+        return g * m + h + 1        # 1-based generator index
+
+    A, B = pair.alpha_maps, pair.beta_maps
+    relators = []
+    seen = set()
+
+    def add(word):
+        w = tuple(word)
+        if w not in seen:
+            seen.add(w)
+            relators.append(w)
+
+    for g in range(n):
+        for g1 in range(n):
+            gg1 = G.mul(g, g1)
+            gc = G.conj(g, g1)
+            for h in range(m):
+                hc = int(B[g1, h])
+                add((-sym(gg1, h), sym(gc, hc), sym(g1, h)))
+    for g in range(n):
+        for h in range(m):
+            for h1 in range(m):
+                hh1 = H.mul(h, h1)
+                ga = int(A[h1, g])
+                hc = H.conj(h, h1)
+                add((-sym(g, hh1), sym(g, h1), sym(ga, hc)))
+    return reference_reduce(n * m, tuple(relators))
+
+
+def reference_representatives(relators):
+    seen = set()
+    reps = []
+    for r in relators:
+        variants = {tuple(w[i:] + w[:i])
+                    for w in (r, tuple(-x for x in reversed(r)))
+                    for i in range(len(w))}
+        key = min(variants)
+        if key not in seen:
+            seen.add(key)
+            reps.append(r)
+    return reps
+
+
+def reference_length_groups(words, min_size=1):
+    by_length = {}
+    for i, w in enumerate(words):
+        by_length.setdefault(len(w), []).append(i)
+    return [(np.array(idx), np.array([[_col(x) for x in words[i]]
+                                      for i in idx]).T)
+            for idx in by_length.values() if len(idx) >= min_size]
+
+
+def reference_table_to_group(table, presentation):
+    n = table.ncosets
+    words = {0: []}
+    queue = [0]
+    while queue:
+        c = queue.pop(0)
+        for k in range(1, presentation.ngens + 1):
+            for letter in (k, -k):
+                d = int(table.rows[c, _col(letter)])
+                if d not in words:
+                    words[d] = words[c] + [letter]
+                    queue.append(d)
+    if len(words) != n:
+        raise presentations.TableIncomplete(
+            "table is not transitive on cosets")
+    group_table = np.empty((n, n), dtype=np.intp)
+    for j in range(n):
+        cur = np.arange(n)
+        for letter in words[j]:
+            cur = table.rows[cur, _col(letter)]
+        group_table[:, j] = cur
+    group = tf.FiniteGroup(group_table, validate=False)
+    gen_images = [int(table.rows[0, _col(k)])
+                  for k in range(1, presentation.ngens + 1)]
+    return group, gen_images
+
+
+def _same_arrays(got, want):
+    assert len(got) == len(want)
+    for (gi, gc), (wi, wc) in zip(got, want):
+        assert gi.tolist() == wi.tolist()
+        assert gc.dtype == wc.dtype and gc.tobytes() == wc.tobytes()
+
+
+def _check_relator_layers(p):
+    """The representatives, the length groups and the scan columns of a
+    presentation equal the reference's."""
+    reps = reference_representatives(p.relators)
+    idx = sorted(int(i) for i, _ in presentations._representatives(p)
+                 for i in i)
+    assert [p.relators[i] for i in idx] == reps
+    _same_arrays([(i, presentations._columns(w).T) for i, w in p._by_length],
+                 reference_length_groups(p.relators))
+    for dtype in (np.int32, np.int64):
+        rels, filtered = presentations._scan_columns(p, np.dtype(dtype))
+        assert rels == [tuple(_col(x) for x in r) for r in reps]
+        _same_arrays(filtered, [
+            (i, c.astype(dtype)) for i, c in reference_length_groups(
+                reps, presentations.FILTER_MIN_RELATORS)])
+
+
+def _tensor_pairs():
+    # every conjugation square of the catalog up to order 16 (at most 256
+    # symbols), every trivial pair up to order 8 (14 groups) and the
+    # benchmark's trivial pairs
+    groups = catalog_groups_up_to(16)
+    for key, G in groups:
+        conj = conjugation_maps(G)
+        yield f"{key}^2", ActionPair(G, G, conj, conj, validate=False)
+    small = [(k, G) for k, G in groups if G.order <= 8]
+    for g, G in small:
+        for h, H in small:
+            yield f"{g} x {h}", ActionPair.trivial(G, H)
+    for g, h in BENCHMARK_TRIVIAL_PAIRS:
+        yield f"{g} x {h}", ActionPair.trivial(tf.make_catalog_group(g),
+                                               tf.make_catalog_group(h))
+
+
+def test_tensor_relators_match_reference():
+    n = 0
+    for name, pair in _tensor_pairs():
+        p = tensor_presentation(pair)[0]
+        assert p.relators == reference_tensor_relators(pair), name
+        _check_relator_layers(p)
+        n += 1
+    assert n == 31 + 14 * 14 + 5
+
+
+def test_round_trip_relator_layers_match_reference():
+    for _, G in catalog_groups_up_to(27):
+        rels = tuple((i + 1, j + 1, -(G.mul(i, j) + 1))
+                     for i in range(G.order) for j in range(G.order))
+        p = Presentation(G.order, rels)
+        assert p.relators == reference_reduce(G.order, rels)
+        _check_relator_layers(p)
+
+
+def _same_group(table, p):
+    got, got_images = table_to_group(table, p)
+    want, want_images = reference_table_to_group(table, p)
+    assert got.table.tobytes() == want.table.tobytes()
+    assert got_images == want_images
+    assert all(type(x) is int for x in got_images)
+
+
+@pytest.mark.parametrize("key", BENCHMARK_SQUARES)
+def test_square_group_matches_reference(key):
+    p = _square_presentation(key)
+    _same_group(coset_enumerate(p), p)
+
+
+def test_trivial_pair_and_round_trip_groups_match_reference():
+    for g, h in BENCHMARK_TRIVIAL_PAIRS:
+        pair = ActionPair.trivial(tf.make_catalog_group(g),
+                                  tf.make_catalog_group(h))
+        p = tensor_presentation(pair)[0]
+        _same_group(coset_enumerate(p), p)
+    for _, G in catalog_groups_up_to(27):
+        rels = tuple((i + 1, j + 1, -(G.mul(i, j) + 1))
+                     for i in range(G.order) for j in range(G.order))
+        p = Presentation(G.order, rels)
+        _same_group(coset_enumerate(p), p)
+
+
+def test_table_to_group_refuses_intransitive_table():
+    rows = np.array([[0, 0], [1, 1]])
+    p = Presentation(1, ())
+    table = presentations.CosetTable(1, rows)
+    for convert in (table_to_group, reference_table_to_group):
+        with pytest.raises(presentations.TableIncomplete,
+                           match="not transitive"):
+            convert(table, p)
+
+
+def _reduced_outcome(reduce_, ngens, words):
+    try:
+        return ("relators", reduce_(ngens, words))
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+_letters = st.integers(-5, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ngens=st.integers(0, 4),
+       words=st.lists(st.lists(_letters, max_size=12), max_size=8),
+       long_word=st.one_of(st.none(), st.lists(_letters, min_size=1,
+                                                max_size=6)),
+       at=st.integers(0, 8))
+def test_presentation_reduces_like_reference(ngens, words, long_word, at):
+    words = [tuple(w) for w in words]
+    if long_word is not None:
+        # one word of length 1000 at a drawn position
+        words.insert(at, tuple((long_word * 1000)[:1000]))
+    want = _reduced_outcome(reference_reduce, ngens, words)
+    got = _reduced_outcome(
+        lambda n, ws: Presentation(n, ws).relators, ngens, words)
+    assert got == want
+    if want[0] == "relators":
+        _check_relator_layers(Presentation(ngens, words))
+        if words and len({len(w) for w in words}) == 1:
+            # one length: the same words given as one integer array
+            array = Presentation(ngens, np.array(words, dtype=np.int32))
+            assert array.relators == want[1]
+
+
+def test_presentation_takes_any_integer_sequence():
+    words = [[np.int64(1), np.int64(2)], (2, -2, 1), np.array([1, 1, 1])]
+    p = Presentation(2, words)
+    assert p.relators == ((1, 2), (1,), (1, 1, 1))
+    assert all(type(x) is int for r in p.relators for x in r)
+    # words that are not integer sequences take the word-by-word path
+    assert Presentation(2, [(1.0, 2.0)]).relators == ((1, 2),)
+    assert Presentation(2, [(2 ** 70, -2 ** 70, 1)]).relators == ((1,),)
+    with pytest.raises(ValueError, match="letter 3 out of range"):
+        Presentation(2, [(1, 2), (3,), (0,)])
+    with pytest.raises(ValueError, match="0 is not a valid letter"):
+        Presentation(2, [(1, 2), (0, 3), (3,)])
+
+
+def test_presentation_arrays_are_read_only_and_not_compared():
+    # the reduced third word joins the array of length 2
+    p = Presentation(2, ((1, 2, 1), (2, 2), (1, -1, 2, 2)))
+    q = Presentation(2, ((1, 2, 1), (2, 2), (2, 2)))
+    assert p == q and hash(p) == hash(q)
+    assert "_by_length" not in repr(p)
+    for idx, letters in p._by_length:
+        assert not idx.flags.writeable and not letters.flags.writeable
+    assert [idx.tolist() for idx, _ in p._by_length] == [[0], [1, 2]]
+
+
+@pytest.mark.parametrize("length", [6, 7])
+def test_representatives_at_the_64_bit_key_boundary(length):
+    # 513^6 < 2^63 < 513^7: length 7 over 256 generators keys by tuples
+    rng = np.random.default_rng(length)
+    words = [tuple(int(x) for x in w) for w in
+             rng.choice([-3, -2, -1, 1, 2, 3, 255, -256], size=(60, length))]
+    # rotations and inverses of earlier words fall into their classes
+    words += [w[2:] + w[:2] for w in words[:20]]
+    words += [tuple(-x for x in reversed(w)) for w in words[10:30]]
+    p = Presentation(256, words)
+    assert (2 * 256 + 1) ** length > 2 ** 63 or length == 6
+    _check_relator_layers(p)

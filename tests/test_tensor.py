@@ -8,9 +8,10 @@ from tensorforge.abelian import abelian_invariants, smith_diagonal
 from tensorforge.actions import ActionPair, involution_pair
 from tensorforge import tensor
 from tensorforge.errors import (CrossCheckFailed, IncompatibleActions,
-                                LimitExceeded)
+                                LimitExceeded, NotAHomomorphism)
 from tensorforge.groups import make_cyclic
-from tensorforge.presentations import Presentation, coset_enumerate
+from tensorforge.presentations import (Presentation, coset_enumerate,
+                                       table_to_group)
 from tensorforge.tensor import (TensorReport, abelian_tensor,
                                 compute_tensor, derivative_subgroup,
                                 module_action_on_kernel,
@@ -268,3 +269,45 @@ def test_wrong_derivative_raises_typed_error(monkeypatch):
                         lambda pair: tf.Subgroup(pair.G, [pair.G.identity]))
     with pytest.raises(CrossCheckFailed, match="image of kappa"):
         tensor_square(S3)
+
+
+# -- kappa along the spanning tree ----------------------------------------
+
+def _closure_hom(source, target, gens, images):
+    try:
+        return tf.hom_from_images(source, target, gens, images).map.tolist()
+    except NotAHomomorphism:
+        return None
+
+
+def test_kappa_by_spanning_tree_matches_hom_from_images():
+    # the extension compute_tensor uses must agree with the general
+    # closure of hom_from_images, on kappa's images and on images that
+    # define no homomorphism
+    pairs = REPORT_PAIRS + [z3_case(True, False), z3_case(False, True)]
+    for key in ["symmetric:3", "dihedral:4", "quaternion:8", "elemab:2:2"]:
+        G = tf.make_catalog_group(key)
+        conj = tf.actions.conjugation_maps(G)
+        pairs.append(ActionPair(G, G, conj, conj, validate=False))
+    rng = np.random.default_rng(8)
+    outcomes = set()
+    for pair in pairs:
+        p, _ = tensor_presentation(pair, force=True)
+        table = coset_enumerate(p)
+        T, gen_images = table_to_group(table, p)
+        G = pair.G
+        kappa_images = np.array([G.mul(G.inv(g), pair.act_g(g, h))
+                                 for g in range(G.order)
+                                 for h in range(pair.H.order)])
+        changed = kappa_images.copy()
+        changed[-1] = (changed[-1] + 1) % G.order
+        candidates = [kappa_images, changed,
+                      np.full(p.ngens, G.identity, dtype=np.intp)]
+        candidates += [rng.integers(0, G.order, size=p.ngens)
+                       for _ in range(3)]
+        for images in candidates:
+            got = tensor._extend_to_hom(table.rows, G, images)
+            got = None if got is None else got.tolist()
+            assert got == _closure_hom(T, G, gen_images, images.tolist())
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
