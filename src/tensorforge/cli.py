@@ -3,7 +3,8 @@
 Every command builds one RunReport dict; ``--json`` prints it verbatim,
 the default output is a plain-text rendering of the same dict.  Exit
 codes: 0 success / compatible / all-pass, 1 definite negative result,
-2 error or exhausted budget.
+2 error or exhausted budget.  Any other exception a command raises is
+reported as one ``error:`` line on stderr with exit code 2.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 from .actions import (ActionPair, conjugation_maps, default_budget,
                       is_compatible, normalizer_conditions, question2_scan)
 from .catalog import catalog_keys, make_catalog_group
-from .errors import (BudgetExceeded, IncompatibleActions, IoError,
-                     LimitExceeded, TensorforgeError, UnknownCatalogKey)
+from .errors import IncompatibleActions, IoError, TensorforgeError
 from .homs import are_isomorphic
 from .serialize import (action_pair_from_dict, group_to_dict, resolve_group,
                         tensor_report_to_dict, witness_to_dict)
@@ -275,18 +275,16 @@ def main(argv=None):
         args.budget = None
     try:
         report, code = args.func(args)
-    except (BudgetExceeded, LimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except IncompatibleActions as exc:
         print(f"error: incompatible actions ({exc}); use --force to "
               "compute the presented group anyway", file=sys.stderr)
         return EXIT_ERROR
-    except (IoError, UnknownCatalogKey) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except TensorforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:        # last resort: one line, exit code 2
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_ERROR
     if args.json:
         print(json.dumps(report))

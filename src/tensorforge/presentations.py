@@ -1,21 +1,34 @@
 """Finitely presented groups and Todd-Coxeter coset enumeration.
 
 Words are sequences of signed 1-based generator indices: +k is generator
-k, -k its inverse.  The enumerator is HLT (relator scanning with
-immediate filling) over the trivial subgroup; coset 0 is the subgroup
-coset, cosets are numbered in order of first definition and dead cosets
-are compacted away with the order preserved, so identical input yields a
-bit-identical table.
+k, -k its inverse.  ``coset_enumerate`` works in three steps:
+
+1. ``_eliminate`` applies Tietze moves by the relators of length at most
+   2.  A relator x kills x; a relator x^a y^b with x != y makes the larger
+   index a power of the smaller.  The map is substituted into the other
+   relators, which are reduced freely and cyclically, until no relator is
+   that short.  No relator gets longer.
+2. HLT (relator scanning with immediate filling) enumerates the cosets of
+   the trivial subgroup over the presentation that is left.  Coset 0 is
+   the subgroup coset, cosets are numbered in order of first definition
+   and dead cosets are compacted away with the order preserved.
+3. The table is expanded back to one column pair per original generator
+   and standardized: the cosets are renumbered in the breadth-first order
+   of ``spanning_tree``.  The labels therefore depend only on the group
+   and the images of the generators, not on the strategy, and identical
+   input yields a bit-identical table.  The table is then validated
+   against the full relator list of the original presentation.
 
 A ``Presentation`` stores its relators twice: as the tuple of int tuples
 that callers see, and, in the private field ``_by_length``, as one int64
 array of letters per relator length with the indices of those relators.
 The arrays are built once, when the presentation is made.  Every layer
-between the presentation and the group reads them: ``_representatives``
-keys the rotation classes, ``_scan_columns`` gives the scan tuples and
-the filter's column matrices, and ``_validate_complete`` traces every
-relator.  ``table_to_group`` reads the group back along the table's
-breadth-first ``spanning_tree``, one gather per tree layer.
+between the presentation and the group reads them: ``_eliminate``
+substitutes into them, ``_representatives`` keys the rotation classes,
+``_scan_columns`` gives the scan tuples and the filter's column matrices,
+and ``_validate_complete`` traces every relator.  ``table_to_group`` reads
+the group back along the table's breadth-first ``spanning_tree``, one
+gather per tree layer.
 
 The working table is one flat ``array`` of row offsets: coset c owns the
 entries c*ncols .. c*ncols + ncols - 1, and an entry holds the offset
@@ -31,7 +44,8 @@ every relator of each large length group from alpha and only the
 relators that do not end at alpha are scanned, in their original order.
 The table therefore evolves exactly as without the filter.  Skipped
 scans still count against the scan budget, so ``max_deductions`` is
-exhausted at the same scan and with the same message.
+exhausted at the same scan and with the same message.  Both limits bound
+the enumeration of the reduced presentation.
 """
 
 from __future__ import annotations
@@ -297,20 +311,19 @@ def _columns(letters):
     return 2 * np.abs(letters) - 2 + (letters < 0)
 
 
-def _representatives(presentation):
+def _representatives(ngens, by_length):
     """One relator per class under rotation and inversion, in order of
     first occurrence: a relator holds from every coset iff any rotation
-    or the inverse does.  Returns (indices into the relators, letters)
-    per length, as ``Presentation._by_length`` holds them.
+    or the inverse does.  ``by_length`` and the result hold (indices into
+    the relators, letters) per length, as ``Presentation._by_length``.
 
     A class is keyed by the least of its 2L rotations, each read as an
     int64 in mixed radix 2*ngens + 1.  Lengths whose keys do not fit 64
     bits key each class by its least rotation as a tuple.
     """
-    ngens = presentation.ngens
     base = 2 * ngens + 1
     out = []
-    for idx, letters in presentation._by_length:
+    for idx, letters in by_length:
         length = letters.shape[1]
         if base ** length > 2 ** 63:
             seen = set()
@@ -340,29 +353,202 @@ def _representatives(presentation):
     return out
 
 
+def _reduce_words(words):
+    """Freely and cyclically reduce words stored letter by letter: column
+    r of the letters x words array ``words`` is word r, 0 marks a deleted
+    letter.  Returns the reduced words in the same layout, each packed to
+    the top with 0 below it, and their lengths.
+
+    One sweep over the letter positions pushes each letter onto its
+    word's stack or pops the inverse letter on top of it."""
+    length, count = words.shape
+    # flat stacks: letter i of word r at (i + 1) * count + r, over a row
+    # that no inverse letter equals, read as the top of an empty stack
+    out = np.empty((length + 1) * count, dtype=words.dtype)
+    out[:count] = np.iinfo(words.dtype).max
+    top = np.arange(count)              # each stack's top entry
+    steps = count * (words != 0)
+    for x, minus, step in zip(words, -words, steps):
+        pop = out[top] == minus
+        out[top + count] = x
+        top += np.where(pop, -count, step)
+    out = out.reshape(length + 1, count)[1:]
+    top //= count
+    # clear what was pushed and popped again, or never written
+    out[np.arange(1, length + 1)[:, None] > top] = 0
+    return _trim(out, top)
+
+
+def _trim(words, length):
+    """Cyclically reduce freely reduced words, laid out as
+    ``_reduce_words`` returns them, by trimming inverse letters off both
+    ends; returns them in the same layout and their new lengths."""
+    r = np.arange(words.shape[1])
+    trim = np.flatnonzero((length >= 2)
+                          & (words[0] == -words[length - 1, r]))
+    if not len(trim):
+        return words, length
+    lo = np.zeros_like(length)
+    hi = length.copy()
+    while len(trim):
+        lo[trim] += 1
+        hi[trim] -= 1
+        trim = trim[(hi[trim] - lo[trim] >= 2)
+                    & (words[lo[trim], trim] == -words[hi[trim] - 1, trim])]
+    moved = np.flatnonzero(lo)
+    pos = np.arange(len(words))[:, None] + lo[moved]
+    keep = pos < hi[moved]
+    words = words.copy()
+    words[:, moved] = np.where(keep, words[np.minimum(pos, len(words) - 1),
+                                           moved], 0)
+    return words, hi - lo
+
+
+def _eliminate(presentation):
+    """Tietze moves by the relators of length at most 2; none lengthens a
+    relator.
+
+    Each round substitutes the current map, one gather per length, into
+    the relators that hold a generator whose image has changed (at first
+    into all of them) and reduces them freely and cyclically.  A relator
+    left with one letter kills its generator; one left as x^a y^b with
+    x != y makes the larger of x, y a power of the smaller.  Rounds repeat
+    until no relator is left that short.  The map is a signed union-find
+    in which 0 stands for the identity and the smallest index of a class
+    survives.  The short relators are read deduplicated and sorted, so the
+    map does not depend on the order of the relators.  A relator that the
+    map turns into y^2 (from x = y and x = y^-1) stays as an ordinary one.
+
+    Returns ``image``, the signed reduced generator that each generator
+    1..ngens equals (0 if it is killed), the number of reduced
+    generators, and the nonempty reduced relators per length, as
+    ``Presentation._by_length`` holds them, indexed by their position in
+    ``presentation.relators``.
+    """
+    n = presentation.ngens
+    base = 2 * n + 1
+    parent = list(range(n + 1))         # x = parent[x] ** sign[x]
+    sign = [1] * (n + 1)
+
+    def find(x):
+        s = 1
+        while parent[x] != x:
+            s *= sign[x]
+            x = parent[x]
+        return x, s
+
+    def short(ws, length):
+        # x as (x + n) * base + n, x y as (x + n) * base + y + n
+        b = ws[1] if len(ws) > 1 else 0
+        keep = (length == 1) | ((length == 2) & (ws[0] != b))
+        return ((ws[0] + n) * base + b + n)[keep]
+
+    # letters x relators, and each relator's length; the relators are
+    # freely reduced already
+    words, keys = [], []
+    for idx, letters in presentation._by_length:
+        ws, length = _trim(letters.T.copy(),
+                           np.full(len(idx), letters.shape[1]))
+        words.append((idx, ws, length))
+        keys.append(short(ws, length))
+    img = np.arange(n + 1)
+    while True:
+        keys = np.unique(np.concatenate(keys)) if keys else keys
+        if not len(keys):
+            break
+        # a = b^-1, or a = 1 when b is the padding 0
+        for a, b in zip((keys // base - n).tolist(),
+                        (keys % base - n).tolist()):
+            x, sx = find(abs(a))
+            y, sy = find(abs(b))
+            if x != y:
+                if x > y:
+                    x, y = y, x
+                parent[y] = x
+                sign[y] = -sx * sy if a * b > 0 else sx * sy
+        # each generator's root follows its parent's, a smaller index;
+        # every generator is then pointed at its root
+        roots = img.tolist()
+        for x in range(1, n + 1):
+            if parent[x] != x:
+                v = roots[x] = sign[x] * roots[parent[x]]
+                parent[x], sign[x] = abs(v), -1 if v < 0 else 1
+        roots = np.array(roots)
+        changed = roots != img
+        img = roots
+        subst = np.concatenate([-img[:0:-1], img])  # letter + n -> letter
+        keys = []
+        for _, ws, length in words:
+            rs = np.flatnonzero(changed[np.abs(ws)].any(axis=0))
+            if len(rs):
+                w, k = _reduce_words(subst[ws[:, rs] + n])
+                ws[:, rs], length[rs] = w, k
+                keys.append(short(w, k))
+
+    rank = np.zeros(n + 1, dtype=np.int64)
+    survivors = np.flatnonzero(img == np.arange(n + 1))[1:]
+    rank[survivors] = np.arange(1, len(survivors) + 1)
+    parts = {}
+    for idx, ws, length in words:
+        for k in np.unique(length[length > 0]).tolist():
+            keep = length == k
+            parts.setdefault(k, []).append((idx[keep], ws[:k, keep].T))
+    by_length = []
+    for group in parts.values():
+        idx = np.concatenate([i for i, _ in group])
+        order = np.argsort(idx, kind="stable")
+        letters = np.concatenate([w for _, w in group])[order]
+        by_length.append((idx[order],
+                          np.sign(letters) * rank[np.abs(letters)]))
+    by_length.sort(key=lambda g: g[0][0])
+    return np.sign(img[1:]) * rank[np.abs(img[1:])], len(survivors), \
+        by_length
+
+
+def _standardize(rows):
+    """The table with its cosets renumbered in the breadth-first order of
+    ``spanning_tree``, which is SymPy's ``CosetTable.standardize`` order:
+    the labels depend only on the group and the generators' images."""
+    order = np.concatenate([np.zeros(1, dtype=np.intp)]
+                           + [c for c, _, _ in spanning_tree(rows)])
+    label = np.empty(len(rows), dtype=np.intp)
+    label[order] = np.arange(len(order))
+    return label[rows[order]]
+
+
 def coset_enumerate(presentation, max_cosets=None, max_deductions=None):
-    """Enumerate cosets of the trivial subgroup; HLT strategy.
+    """Enumerate cosets of the trivial subgroup: HLT over the presentation
+    that ``_eliminate`` leaves, expanded back to one column pair per
+    generator and standardized.
 
     Completes iff the presented group is finite and fits in the limits;
-    the number of live cosets is then the group order.  The only failure
-    mode is LimitExceeded.
+    the number of live cosets is then the group order.  The limits bound
+    the enumeration of the reduced presentation.  The only failure mode
+    is LimitExceeded.
     """
     max_cosets = DEFAULT_MAX_COSETS if max_cosets is None else max_cosets
     max_steps = max_deductions if max_deductions is not None else 50_000_000
     if max_cosets <= 0 or max_steps <= 0:
         raise ValueError("limits must be positive")
-    rows = _enumerate_rows(presentation, max_cosets, max_steps)
-    table = CosetTable(presentation.ngens, rows)
+    image, ngens, by_length = _eliminate(presentation)
+    rows = _enumerate_rows(ngens, by_length, max_cosets, max_steps)
+    # the identity column for a killed generator, else the survivor's
+    # column pair, swapped for an inverse
+    forward = np.where(image == 0, 2 * ngens, _columns(image))
+    inverse = np.where(image == 0, 2 * ngens, forward ^ 1)
+    full = np.column_stack([rows, np.arange(len(rows))])[
+        :, np.stack([forward, inverse], axis=1).ravel()]
+    table = CosetTable(presentation.ngens, _standardize(full))
     # completion is validated against the full relator list
     _validate_complete(table, presentation)
     return table
 
 
-def _scan_columns(presentation, dtype):
+def _scan_columns(ngens, by_length, dtype):
     """The representatives' scan columns as tuples, in order, and for each
     length with at least FILTER_MIN_RELATORS representatives their
     positions and columns as a letters x relators matrix of ``dtype``."""
-    groups = _representatives(presentation)
+    groups = _representatives(ngens, by_length)
     if not groups:
         return [], []
     order = np.sort(np.concatenate([idx for idx, _ in groups]))
@@ -378,11 +564,13 @@ def _scan_columns(presentation, dtype):
     return rels, filtered
 
 
-def _enumerate_rows(presentation, max_cosets, max_steps):
-    enum = _Enumerator(presentation.ngens, max_cosets)
+def _enumerate_rows(ngens, by_length, max_cosets, max_steps):
+    if not ngens:
+        return np.zeros((1, 0), dtype=np.intp)
+    enum = _Enumerator(ngens, max_cosets)
     n, t, dead = enum.ncols, enum.table, enum.dead
     dtype = np.dtype(enum.typecode)
-    rels, filtered = _scan_columns(presentation, dtype)
+    rels, filtered = _scan_columns(ngens, by_length, dtype)
     nrel = len(rels)
     closed = np.zeros(nrel, dtype=bool)
     steps = 0

@@ -13,8 +13,8 @@ import json
 import numpy as np
 
 from .automorphisms import automorphism_group
-from .catalog import make_catalog_group
-from .errors import IoError, UnknownCatalogKey
+from .catalog import MAX_CATALOG_ORDER, make_catalog_group
+from .errors import IoError, LimitExceeded, UnknownCatalogKey
 from .groups import FiniteGroup, GroupHom, from_cayley_table
 from .presentations import Presentation
 
@@ -26,15 +26,33 @@ def group_to_dict(G):
 
 
 def group_from_dict(data):
+    """The group of a group file's dict; the shape, the entry types and an
+    order cap are checked before the table is validated as a group."""
     try:
         table = data["table"]
         names = data.get("names")
         order = data["order"]
     except (KeyError, TypeError) as exc:
         raise IoError(f"malformed group file: missing {exc}") from None
-    if len(table) != order:
+    if type(order) is not int:
+        raise IoError(f"malformed group file: order {order!r} is not an "
+                      "integer")
+    if order > MAX_CATALOG_ORDER:
+        raise LimitExceeded(f"group file of order {order} exceeds the "
+                            f"{MAX_CATALOG_ORDER}-element cap")
+    if not isinstance(table, list) or len(table) != order:
+        size = len(table) if isinstance(table, list) else type(table).__name__
         raise IoError(f"order field {order} does not match table size "
-                      f"{len(table)}")
+                      f"{size}")
+    if not all(isinstance(row, list) and len(row) == order for row in table):
+        raise IoError(f"malformed group file: table is not {order} rows of "
+                      f"{order} entries")
+    if not all(type(x) is int for row in table for x in row):
+        raise IoError("malformed group file: table entries must be integers")
+    if names is not None and not (isinstance(names, list)
+                                  and len(names) == order):
+        raise IoError(f"malformed group file: names must be a list of "
+                      f"{order} names")
     return from_cayley_table(table, names=names)
 
 

@@ -169,3 +169,54 @@ def test_bad_budget_environment_exits_two(capsys, monkeypatch, value):
     code, out, err = run(capsys, "explore", "question2", "--max-order", "2")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "TENSORFORGE_BUDGET" in err
+
+
+def _group_file(tmp_path, data):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("data, needle", [
+    ({"order": 2, "table": [[0, 1], [1]]}, "2 rows of 2 entries"),
+    ({"order": 2, "table": [[0, 1], [1, "0"]]}, "integers"),
+    ({"order": 2, "table": [[0, 1], [1, 0.0]]}, "integers"),
+    ({"order": 2, "table": [[0, 1], [1, 0]], "names": "ab"}, "names"),
+    ({"order": 2, "table": [[0, 1], [1, 0]], "names": 7}, "names"),
+    ({"order": 2, "table": 5}, "table size"),
+    ({"order": "2", "table": [[0, 1], [1, 0]]}, "not an integer"),
+    ([1, 2], "missing"),
+])
+def test_malformed_group_file_exits_two(capsys, tmp_path, data, needle):
+    path = _group_file(tmp_path, data)
+    code, out, err = run(capsys, "compat", "--g", path, "--h", "cyclic:2")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert needle in err
+
+
+def test_oversize_group_file_refused_before_validation(capsys, tmp_path,
+                                                      monkeypatch):
+    import tensorforge.serialize as sz
+
+    validated = []
+    monkeypatch.setattr(sz, "from_cayley_table",
+                        lambda *args, **kwargs: validated.append(args))
+    # the order alone is refused; the table is never looked at
+    path = _group_file(tmp_path, {"order": 4097, "table": []})
+    code, out, err = run(capsys, "compat", "--g", path, "--h", "cyclic:2")
+    assert code == 2 and out == "" and not validated
+    assert err.count("\n") == 1 and "4097" in err and "4096" in err
+
+
+def test_unexpected_exception_exits_two_with_one_line(capsys, monkeypatch):
+    import tensorforge.cli as cli
+
+    def broken(args):
+        raise RuntimeError("something broke\nin two lines")
+
+    monkeypatch.setattr(cli, "cmd_compat", broken)
+    code, out, err = run(capsys, "compat", "--g", "cyclic:2",
+                         "--h", "cyclic:2")
+    assert code == 2 and out == ""
+    assert err == "error: RuntimeError: something broke in two lines\n"

@@ -153,8 +153,9 @@ def test_limits_must_be_positive():
 
 # -- reference enumerator -----------------------------------------------------
 # The scalar HLT enumerator over a list-of-lists table, without the
-# closed-relator filter: coset_enumerate must produce the same rows and
-# the same LimitExceeded outcomes.
+# closed-relator filter and without elimination: coset_enumerate must give
+# its rows standardized, and under limits the LimitExceeded outcomes of the
+# reference run on the presentation that _eliminate leaves.
 
 def _col(letter):
     # generator k -> column 2(k-1); inverse -> 2(k-1)+1
@@ -308,12 +309,37 @@ def _outcome(enumerate_, presentation, **limits):
     return ("rows", rows.dtype.str, rows.shape, rows.tobytes())
 
 
+def _eliminated(presentation):
+    """The presentation that _eliminate leaves, relators in their order."""
+    _, ngens, by_length = presentations._eliminate(presentation)
+    words = sorted((i, tuple(w)) for idx, letters in by_length
+                   for i, w in zip(idx.tolist(), letters.tolist()))
+    return Presentation(ngens, tuple(w for _, w in words))
+
+
 def _same_outcome(presentation, **limits):
-    want = _outcome(reference_enumerate, presentation, **limits)
+    """Without limits, coset_enumerate gives the reference's rows
+    standardized.  Under limits, it fails exactly when the reference fails
+    on the eliminated presentation, with the same message; when it
+    completes, it has the reference's cosets on the eliminated
+    presentation and, if the reference completes on the full one too, its
+    rows standardized."""
     got = _outcome(lambda p, **kw: coset_enumerate(p, **kw).rows,
                    presentation, **limits)
+    want = _outcome(
+        lambda p, **kw: presentations._standardize(reference_enumerate(
+            p, **kw)), presentation, **limits)
+    if limits:
+        pinned = _outcome(reference_enumerate, _eliminated(presentation),
+                          **limits)
+        if pinned[0] == "LimitExceeded":
+            assert got == pinned, limits
+            return got
+        assert got[0] == "rows" and got[2][0] == pinned[2][0], limits
+        if want[0] == "LimitExceeded":
+            return got
     assert got == want, limits
-    return want
+    return got
 
 
 # the tensor presentations of tensorforge's benchmark workloads: squares
@@ -376,13 +402,104 @@ def test_random_presentations_match_reference(filter_min, ngens, words,
 
 
 def test_scan_budget_sweep_matches_reference():
-    # 1023 relators, so the filter is active; the full enumeration needs
-    # a budget of 29152 scans
+    # elimination leaves 17 generators and 512 relators, so the filter is
+    # active; the enumeration needs a budget of 4704 scans
     p = _square_presentation("dihedral:4")
+    q = _eliminated(p)
+    assert (q.ngens, len(q.relators)) == (17, 512)
     outcomes = {_same_outcome(p, max_deductions=k)[0]
-                for k in (1, 2, 1023, 1024, 1025, 5000, 17_000, 29_151,
-                          29_152, 29_153)}
+                for k in (1, 2, 512, 513, 514, 2000, 4703, 4704, 4705,
+                          29_152)}
     assert outcomes == {"LimitExceeded", "rows"}
+
+
+# -- elimination and standardization ----------------------------------------
+
+def _cyclically_reduced(word):
+    w = reduce_word([x for x in word if x])
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=30)))
+def test_reduce_words_matches_word_by_word(words):
+    if not words:
+        return
+    letters = np.array(words, dtype=np.int64)
+    got, lengths = presentations._reduce_words(letters.T.copy())
+    for word, length, column in zip(words, lengths.tolist(),
+                                    got.T.tolist()):
+        want = _cyclically_reduced(word)
+        assert length == len(want)
+        assert column == want + [0] * (len(word) - len(want))
+
+
+def test_eliminate_kills_and_identifies():
+    # x2 = 1, x3 = x1^-1, x4 = x3 = x1^-1; x5 appears only in x5^3
+    p = Presentation(5, ((2,), (3, 1), (4, -3), (1, 2, 1, 5, 5, 5), (5,) * 3))
+    image, ngens, by_length = presentations._eliminate(p)
+    assert image.tolist() == [1, 0, -1, -1, 2] and ngens == 2
+    assert _eliminated(p).relators == ((1, 1, 2, 2, 2), (2, 2, 2))
+    assert [idx.tolist() for idx, _ in by_length] == [[3], [4]]
+
+
+def test_eliminate_keeps_a_conflict_as_a_square():
+    # x1 = x2 and x1 = x2^-1: x1 survives and x1^2 stays a relator
+    p = Presentation(2, ((1, -2), (1, 2), (1, 1, 1)))
+    image, ngens, _ = presentations._eliminate(p)
+    assert image.tolist() == [1, 1] and ngens == 1
+    assert _eliminated(p).relators == ((1, 1), (1, 1, 1))
+    assert coset_enumerate(p).ncosets == 1
+
+
+@pytest.mark.parametrize("key", ["quaternion:8", "dihedral:4", "elemab:2:3"])
+def test_eliminate_does_not_depend_on_relator_order(key):
+    p = _square_presentation(key)
+    image, ngens, _ = presentations._eliminate(p)
+    perm = np.random.default_rng(0).permutation(len(p.relators))
+    q = Presentation(p.ngens, [p.relators[i] for i in perm.tolist()])
+    got, got_ngens, by_length = presentations._eliminate(q)
+    assert got.tolist() == image.tolist() and got_ngens == ngens
+    # no relator gets longer
+    for idx, letters in by_length:
+        assert all(len(q.relators[i]) >= letters.shape[1]
+                   for i in idx.tolist())
+
+
+@pytest.mark.parametrize("key", ["quaternion:8", "dihedral:4", "symmetric:3",
+                                 "cyclic:6"])
+def test_table_does_not_depend_on_the_strategy(key):
+    p = _square_presentation(key)
+    rows = coset_enumerate(p).rows
+    # the relators permuted
+    perm = np.random.default_rng(1).permutation(len(p.relators)).tolist()
+    shuffled = Presentation(p.ngens, [p.relators[i] for i in perm])
+    assert coset_enumerate(shuffled).rows.tobytes() == rows.tobytes()
+    # redundant length-2 relators that identify symbols the elimination
+    # leaves apart, so a different presentation is enumerated
+    image, _, _ = presentations._eliminate(p)
+    first = {}
+    extra = []
+    for k in range(1, p.ngens + 1):
+        j = first.setdefault(int(rows[0, 2 * k - 2]), k)
+        if image[j - 1] != image[k - 1]:
+            extra.append((j, -k))
+    assert extra
+    more = Presentation(p.ngens, p.relators + tuple(extra))
+    assert presentations._eliminate(more)[1] \
+        < presentations._eliminate(p)[1]
+    assert coset_enumerate(more).rows.tobytes() == rows.tobytes()
+
+
+def test_standardized_table_is_numbered_breadth_first():
+    rows = coset_enumerate(_square_presentation("quaternion:8")).rows
+    order = np.concatenate([c for c, _, _ in
+                            presentations.spanning_tree(rows)])
+    assert order.tolist() == list(range(1, len(rows)))
+    assert presentations._standardize(rows).tobytes() == rows.tobytes()
 
 
 def test_wide_table_uses_64_bit_entries():
@@ -504,13 +621,14 @@ def _check_relator_layers(p):
     """The representatives, the length groups and the scan columns of a
     presentation equal the reference's."""
     reps = reference_representatives(p.relators)
-    idx = sorted(int(i) for i, _ in presentations._representatives(p)
-                 for i in i)
+    idx = sorted(int(i) for i, _ in presentations._representatives(
+        p.ngens, p._by_length) for i in i)
     assert [p.relators[i] for i in idx] == reps
     _same_arrays([(i, presentations._columns(w).T) for i, w in p._by_length],
                  reference_length_groups(p.relators))
     for dtype in (np.int32, np.int64):
-        rels, filtered = presentations._scan_columns(p, np.dtype(dtype))
+        rels, filtered = presentations._scan_columns(p.ngens, p._by_length,
+                                                     np.dtype(dtype))
         assert rels == [tuple(_col(x) for x in r) for r in reps]
         _same_arrays(filtered, [
             (i, c.astype(dtype)) for i, c in reference_length_groups(
