@@ -4,9 +4,8 @@ tensor products."""
 from .abelian import abelian_invariants
 from .actions import (ActionPair, CompatibilityReport, HomPair, Witness,
                       action_from_hom_pair, check_zeta2_congruence,
-                      compatibility_grid, enumerate_compatible_pairs,
-                      induced_beta, involution_pair, is_compatible,
-                      normalizer_conditions, question2_scan,
+                      compatibility_grid, induced_beta, involution_pair,
+                      is_compatible, normalizer_conditions, question2_scan,
                       verify_free_counterexample, z2_action_criterion)
 from .automorphisms import (AutGroup, automorphism_group, compose_maps,
                             normalizer_contains_inn)

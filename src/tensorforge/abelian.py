@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import CrossCheckFailed
 from .groups import derived_subgroup, quotient
+from .presentations import spanning_tree
 
 
 def smith_diagonal(rows, ncols):
@@ -102,28 +103,16 @@ def abelian_invariants(G):
     from .homs import generating_set
     gens = generating_set(A)
     k = len(gens)
-    # exponent vector word[x] with prod gens^word[x] = x, built by BFS
-    word = {A.identity: tuple([0] * k)}
-    queue = [A.identity]
-    while queue:
-        x = queue.pop(0)
-        for i, s in enumerate(gens):
-            y = A.mul(x, s)
-            if y not in word:
-                w = list(word[x])
-                w[i] += 1
-                word[y] = tuple(w)
-                queue.append(y)
-    rows = set()
-    for x in range(A.order):
-        wx = word[x]
-        for i, s in enumerate(gens):
-            y = A.mul(x, s)
-            rel = tuple(wx[j] + (1 if j == i else 0) - word[y][j]
-                        for j in range(k))
-            if any(rel):
-                rows.add(rel)
-    diag = smith_diagonal(sorted(rows), k)
+    rows = A.table[:, gens]
+    eye = np.eye(k, dtype=np.int64)
+    # exponent vector word[x] with prod gens^word[x] = x, along the tree
+    word = np.zeros((A.order, k), dtype=np.int64)
+    for cosets, parents, cols in spanning_tree(rows, A.identity):
+        word[cosets] = word[parents] + eye[cols]
+    # the Schreier relation of each edge x -> x s_i, distinct and sorted;
+    # smith_diagonal drops the zero rows of the tree edges
+    rels = (word[:, None, :] + eye - word[rows]).reshape(-1, k)
+    diag = smith_diagonal(sorted(set(map(tuple, rels.tolist()))), k)
     factors = [d for d in diag if d > 1]
     total = int(np.prod(factors)) if factors else 1
     if total != A.order:

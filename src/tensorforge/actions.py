@@ -407,24 +407,6 @@ def _image_normalized(conj_table, mapping):
     return bool(np.isin(conj_table[:, image], image).all())
 
 
-def enumerate_compatible_pairs(G, H, budget=None):
-    """All (alpha, beta) action pairs with compatibility verdicts and
-    normalizer flags, in (alpha index, beta index) order."""
-    grid = compatibility_grid(G, H, budget=budget)
-    out = []
-    for i in range(len(grid.alphas)):
-        for j in range(len(grid.betas)):
-            pair = grid.pair(i, j)
-            if grid.compatible[i, j]:
-                report = CompatibilityReport(True, None)
-            else:
-                report = is_compatible(pair)
-            out.append((pair, report,
-                        (bool(grid.normalizer_g[i]),
-                         bool(grid.normalizer_h[j]))))
-    return out
-
-
 def compatible_pair_orbits(grid):
     """Orbits of the compatible (alpha, beta) pairs under the relabeling
     action of Aut(G) x Aut(H).

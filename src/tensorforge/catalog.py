@@ -13,13 +13,10 @@ from itertools import permutations, repeat
 import numpy as np
 
 from .errors import LimitExceeded, UnknownCatalogKey
-from .groups import FiniteGroup, direct_product, make_cyclic
+from .groups import MAX_CATALOG_ORDER, FiniteGroup, direct_product, \
+    make_cyclic
 
 _PRIMES = {2, 3, 5}
-
-# The largest order a catalog key may name; the dense intp multiplication
-# table of a group of this order takes 128 MiB.
-MAX_CATALOG_ORDER = 4096
 
 
 def make_dihedral(n):

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotAGroup, NotNormal
+from .errors import LimitExceeded, NotAGroup, NotNormal
+
+# The largest order of a group built from a catalog key, a group file or a
+# direct product; the dense intp multiplication table of a group of this
+# order takes 128 MiB.
+MAX_CATALOG_ORDER = 4096
 
 
 def _check_latin(table):
@@ -289,8 +294,12 @@ def make_cyclic(n):
 
 
 def direct_product(a, b):
-    """Direct product; element i*|b|+j is the pair (i, j)."""
+    """Direct product; element i*|b|+j is the pair (i, j).  Raises
+    LimitExceeded, before any table is built, above MAX_CATALOG_ORDER."""
     n, m = a.order, b.order
+    if n * m > MAX_CATALOG_ORDER:
+        raise LimitExceeded(f"direct product of order {n} * {m} exceeds "
+                            f"the {MAX_CATALOG_ORDER}-element cap")
     ai = np.repeat(np.arange(n), m)
     bj = np.tile(np.arange(m), n)
     # (i1,j1)*(i2,j2) = (i1*i2, j1*j2)

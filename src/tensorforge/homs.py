@@ -1,10 +1,20 @@
 """Homomorphism search: extension from generator images, exhaustive
 enumeration, and isomorphism testing.
 
-All searches are backtracking over images of a greedily-chosen minimal
-generating set, pruned level by level on the subgroup chain it induces.
-The node budget (default 10^6) turns runaway searches into BudgetExceeded
-rather than silent wrong answers.
+One kernel, ``_force``, does the work of all three and of kappa in
+``tensor``.  It takes the right-multiplication columns of a generator
+tuple, forces a stack of candidate generator images along their
+breadth-first ``spanning_tree`` with one gather per tree layer, and
+compares map(x*s) with map(x)*image(s) for every reached x and generator
+s: the forced map is a homomorphism exactly when every entry is equal.
+
+The search backtracks over images of a greedily-chosen minimal
+generating set.  Level j is the subgroup generated by the first j + 1
+generators, and all candidate images of generator j behind one fixed
+prefix are forced at once, in blocks of at most ``BLOCK_ENTRIES``
+entries.  Nodes are counted one candidate at a time in depth-first order,
+and the node budget (default 10^6) turns runaway searches into
+BudgetExceeded rather than silent wrong answers.
 """
 
 from __future__ import annotations
@@ -12,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BudgetExceeded, GensDoNotGenerate, NotAHomomorphism
-from .groups import GroupHom, subgroup_generated
+from .groups import BLOCK_ENTRIES, GroupHom, subgroup_generated
+from .presentations import spanning_tree
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -34,88 +45,52 @@ def generating_set(G):
     return G._gens
 
 
-class _Level:
-    """Search state for the subgroup generated by the first j generators."""
+def _force(rows, root, tree, target, images):
+    """Force each row of ``images`` along ``tree = spanning_tree(rows,
+    root)``, sending ``root`` to the identity of ``target``.
 
-    __slots__ = ("elems", "parent", "via", "prod")
-
-    def __init__(self, G, gens):
-        elems = [G.identity]
-        seen = {G.identity}
-        parent = [-1]
-        via = [-1]
-        qi = 0
-        while qi < len(elems):
-            x = elems[qi]
-            qi += 1
-            for i, s in enumerate(gens):
-                y = G.mul(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    elems.append(y)
-                    parent.append(x)
-                    via.append(i)
-        self.elems = np.array(elems, dtype=np.intp)
-        self.parent = np.array(parent, dtype=np.intp)
-        self.via = np.array(via, dtype=np.intp)
-        # right-multiplication table restricted to this level, per generator
-        self.prod = G.table[np.ix_(self.elems, np.array(gens, dtype=np.intp))]
-
-
-def _forced_map(G, level, target, images, require_injective=False):
-    """Extend generator images over one subgroup level, or return None.
-
-    The extension is forced along the BFS spanning tree; it is a
-    homomorphism iff map(x * s_i) == map(x) * t_i for every element of the
-    level and every generator, which is checked in one vectorized pass.
+    ``rows[x, s]`` is x times generator s and ``images[c, s]`` the image
+    of generator s under candidate c.  Returns (maps, ok, reached):
+    ``maps[c]`` is candidate c's forced map, -1 off the tree; ``reached``
+    lists the tree's elements in breadth-first order; and
+    ``ok[c, i, s]`` says whether map(x*s) == map(x)*image(s) at
+    x = reached[i].
     """
-    pm = np.full(G.order, -1, dtype=np.intp)
-    pm[G.identity] = target.identity
-    for idx in range(1, len(level.elems)):
-        x = level.elems[idx]
-        pm[x] = target.table[pm[level.parent[idx]], images[level.via[idx]]]
-    sub = pm[level.elems]
-    if require_injective and len(np.unique(sub)) != len(sub):
-        return None
-    lhs = pm[level.prod]
-    rhs = target.table[sub[:, None], np.asarray(images, dtype=np.intp)[None, :]]
-    if not np.array_equal(lhs, rhs):
-        return None
-    return pm
+    images = np.asarray(images, dtype=np.intp)
+    maps = np.full((len(images), len(rows)), -1, dtype=np.intp)
+    maps[:, root] = target.identity
+    for cosets, parents, cols in tree:
+        maps[:, cosets] = target.table[maps[:, parents], images[:, cols]]
+    reached = np.concatenate([[root]] + [c for c, _, _ in tree])
+    forced = maps[:, reached, None]
+    ok = maps[:, rows[reached]] == target.table[forced, images[:, None, :]]
+    return maps, ok, reached
 
 
 def hom_from_images(source, target, gens, images):
-    """The unique homomorphism extending gens -> images, if it exists."""
+    """The unique homomorphism extending gens -> images, if it exists.
+
+    Otherwise NotAHomomorphism names the first (x, s), in breadth-first
+    order of x and then generator order, where map(x*s) != map(x)*image(s).
+    """
     if len(gens) != len(images):
         raise ValueError("gens and images must have the same length")
     if subgroup_generated(source, gens).order != source.order:
         raise GensDoNotGenerate("given elements do not generate the source")
-    level = _Level(source, list(gens))
-    pm = _forced_map(source, level, target, list(images))
-    if pm is None:
-        # recover a witness pair: first (x, s_i) where forcing breaks
-        witness = None
-        tmp = np.full(source.order, -1, dtype=np.intp)
-        tmp[source.identity] = target.identity
-        for idx in range(1, len(level.elems)):
-            x = level.elems[idx]
-            tmp[x] = target.table[tmp[level.parent[idx]], images[level.via[idx]]]
-        for pos, x in enumerate(level.elems):
-            for i, s in enumerate(gens):
-                if tmp[source.mul(x, s)] != target.mul(int(tmp[x]), images[i]):
-                    witness = (int(x), int(s))
-                    break
-            if witness:
-                break
-        raise NotAHomomorphism(witness)
-    return GroupHom(source, target, pm, validate=False)
+    rows = source.table[:, np.asarray(gens, dtype=np.intp)]
+    tree = spanning_tree(rows, source.identity)
+    maps, ok, reached = _force(rows, source.identity, tree, target, [images])
+    if not ok.all():
+        x, i = divmod(int(np.argmin(ok)), len(gens))
+        raise NotAHomomorphism((int(reached[x]), int(gens[i])))
+    return GroupHom(source, target, maps[0], validate=False)
 
 
 def _candidate_images(source_gen_order, target, exact_order):
     orders = target.element_orders()
     if exact_order:
-        return [int(t) for t in np.flatnonzero(orders == source_gen_order)]
-    return [int(t) for t in np.flatnonzero(source_gen_order % orders == 0)]
+        return np.flatnonzero(orders == source_gen_order)
+    return np.flatnonzero(source_gen_order % orders == 0)
 
 
 def _search(source, target, bijective, find_all, budget):
@@ -126,31 +101,51 @@ def _search(source, target, bijective, find_all, budget):
     if k == 0:
         m = np.full(source.order, target.identity, dtype=np.intp)
         return [m] if (not bijective or target.order == 1) else []
-    levels = [_Level(source, gens[:j + 1]) for j in range(k)]
+    rows = source.table[:, gens]
+    root = source.identity
+    trees = [spanning_tree(rows[:, :j + 1], root) for j in range(k)]
     cand = [_candidate_images(source.element_order(s), target, bijective)
             for s in gens]
     found = []
     nodes = 0
 
-    def descend(j, images):
+    def descend(j, prefix):
+        """Try every candidate image of generator j behind ``prefix``;
+        True once a search that wants one map has found it."""
         nonlocal nodes
-        for t in cand[j]:
-            nodes += 1
+        images = np.empty((len(cand[j]), j + 1), dtype=np.intp)
+        images[:, :j] = prefix
+        images[:, j] = cand[j]
+        step = max(1, BLOCK_ENTRIES // (source.order * (j + 1)))
+        good = np.empty(len(images), dtype=bool)
+        leaves = []
+        for start in range(0, len(images), step):
+            maps, ok, _ = _force(rows[:, :j + 1], root, trees[j], target,
+                                 images[start:start + step])
+            passed = ok.all(axis=(1, 2))
+            if bijective:
+                # a homomorphism is injective iff its kernel is trivial
+                passed &= (maps == target.identity).sum(axis=1) == 1
+            good[start:start + step] = passed
+            if j == k - 1:
+                leaves.extend(maps[passed])
+        # one node per candidate in depth-first order; the candidates that
+        # fail are counted in bulk up to the next one that passes
+        counted = 0
+        for rank, i in enumerate(np.flatnonzero(good).tolist()):
+            nodes += i + 1 - counted
+            counted = i + 1
             if nodes > budget:
                 raise BudgetExceeded(f"hom search exceeded {budget} nodes")
-            pm = _forced_map(source, levels[j], target, images + [t],
-                             require_injective=bijective)
-            if pm is None:
-                continue
             if j == k - 1:
-                if bijective and len(np.unique(pm)) != source.order:
-                    continue
-                found.append(pm)
+                found.append(leaves[rank])
                 if not find_all:
                     return True
-            else:
-                if descend(j + 1, images + [t]):
-                    return True
+            elif descend(j + 1, images[i]):
+                return True
+        nodes += len(images) - counted
+        if nodes > budget:
+            raise BudgetExceeded(f"hom search exceeded {budget} nodes")
         return False
 
     descend(0, [])

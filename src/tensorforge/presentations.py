@@ -653,26 +653,31 @@ def _validate_complete(table, presentation):
         raise TableIncomplete(f"relator {r} does not trace to identity")
 
 
-def spanning_tree(rows):
-    """The breadth-first spanning tree of a coset table from coset 0, one
+def spanning_tree(rows, root=0):
+    """The breadth-first spanning tree of a coset table from ``root``, one
     layer at a time: a list of (cosets, parents, columns) in which each
     coset is first reached as rows[parent, column], scanning the previous
-    layer's cosets in order and each coset's columns in order."""
+    layer's cosets in order and each coset's columns in order.  Any table
+    of right multiplications works as ``rows``, such as the columns of a
+    Cayley table at a tuple of generators, rooted at the identity."""
     n, ncols = rows.shape
     seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
+    seen[root] = True
+    frontier = np.full(1, root, dtype=np.intp)
     layers = []
     while True:
         reached = rows[frontier].ravel()
-        unseen = np.flatnonzero(~seen[reached])
-        if not len(unseen):
+        first = np.flatnonzero(~seen[reached])
+        if not len(first):
             return layers
-        cosets, first = np.unique(reached[unseen], return_index=True)
-        first = unseen[np.sort(first)]
+        if len(first) > 1:
+            # the first occurrence of each coset, in scan order
+            first = first[np.sort(np.unique(reached[first],
+                                            return_index=True)[1])]
         cosets = reached[first]
         seen[cosets] = True
-        layers.append((cosets, frontier[first // ncols], first % ncols))
+        parents, cols = np.divmod(first, ncols)
+        layers.append((cosets, frontier[parents], cols))
         frontier = cosets
 
 

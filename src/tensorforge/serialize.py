@@ -1,4 +1,4 @@
-"""JSON (de)serialization for groups, homs, actions and reports.
+"""JSON (de)serialization for groups, action pairs and reports.
 
 One resolver handles every group-valued input: a string that parses as a
 catalog key yields the catalog group, anything else is treated as a path
@@ -13,10 +13,9 @@ import json
 import numpy as np
 
 from .automorphisms import automorphism_group
-from .catalog import MAX_CATALOG_ORDER, make_catalog_group
+from .catalog import make_catalog_group
 from .errors import IoError, LimitExceeded, UnknownCatalogKey
-from .groups import FiniteGroup, GroupHom, from_cayley_table
-from .presentations import Presentation
+from .groups import MAX_CATALOG_ORDER, FiniteGroup, from_cayley_table
 
 
 def group_to_dict(G):
@@ -75,41 +74,6 @@ def resolve_group(spec):
     return group_from_dict(data)
 
 
-def hom_from_dict(data):
-    try:
-        source = resolve_group(data["source"])
-        target = resolve_group(data["target"])
-        mapping = data["map"]
-    except (KeyError, TypeError) as exc:
-        raise IoError(f"malformed hom file: missing {exc}") from None
-    return GroupHom(source, target, mapping, validate=True)
-
-
-def hom_to_dict(hom, source_key, target_key):
-    return {"source": source_key, "target": target_key,
-            "map": [int(v) for v in hom.map]}
-
-
-def presentation_to_dict(presentation):
-    return {"ngens": presentation.ngens,
-            "relators": [list(r) for r in presentation.relators]}
-
-
-def presentation_from_dict(data):
-    try:
-        return Presentation(int(data["ngens"]),
-                            tuple(tuple(w) for w in data["relators"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IoError(f"malformed presentation file: {exc}") from None
-
-
-def aut_group_to_dict(aut, base_key):
-    return {"base": base_key,
-            "order": aut.order,
-            "maps": aut.elements.tolist(),
-            "inner": list(aut.inner_indices)}
-
-
 def action_pair_to_dict(pair, g_key, h_key):
     """Maps index into the lexicographically ordered AutGroup elements."""
     autG = automorphism_group(pair.G)
@@ -163,19 +127,3 @@ def witness_to_dict(witness):
     return {"equation": witness.equation, "g": witness.g, "g1": witness.g1,
             "h": witness.h, "h1": witness.h1,
             "lhs": witness.lhs, "rhs": witness.rhs}
-
-
-def evidence_lines(records):
-    """JSON lines, one per record, stable key order."""
-    return "\n".join(json.dumps(r, sort_keys=False) for r in records)
-
-
-def coset_table_to_csv(table):
-    header = ["coset"]
-    for k in range(1, table.ngens + 1):
-        header += [f"g{k}", f"g{k}^-1"]
-    lines = [",".join(header)]
-    for c in range(table.ncosets):
-        lines.append(",".join([str(c)] + [str(int(v))
-                                          for v in table.rows[c]]))
-    return "\n".join(lines)

@@ -7,8 +7,9 @@ required (the construction is only meaningful for one), enumeration turns
 the presentation into a concrete group, and the attached structures --
 the derivative subgroup [G, H], the homomorphism kappa with its central
 kernel, and the conjugation module action on the kernel -- are computed
-and cross-checked.  Kappa is forced along the coset table's spanning
-tree and checked on every coset and generator at once.
+and cross-checked.  Kappa is forced by the hom-search kernel
+``homs._force`` along the spanning tree of the coset table's forward
+columns, and checked on every coset and generator at once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .actions import (ActionPair, HomPair, action_from_hom_pair,
 from .errors import CrossCheckFailed, IncompatibleActions, LimitExceeded
 from .groups import FiniteGroup, GroupHom, Subgroup, center, coset_labels, \
     nilpotency_class, subgroup_generated
-from .homs import are_isomorphic, enumerate_homs
+from .homs import _force, are_isomorphic, enumerate_homs
 from .presentations import (Presentation, coset_enumerate, spanning_tree,
                             table_to_group)
 
@@ -108,9 +109,12 @@ def compute_tensor(pair, force=False, max_cosets=None):
     symbol_map = {(g, h): gen_images[g * m + h]
                   for g in range(G.order) for h in range(m)}
     derivative = derivative_subgroup(pair)
-    # kappa(g (x) h) = g^-1 g^h, extended over the whole tensor group
-    kappa_map = _extend_to_hom(table.rows, G, _kappa_images(pair))
-    if kappa_map is None:
+    # kappa(g (x) h) = g^-1 g^h, forced over the whole tensor group from
+    # coset 0 along the forward columns, one per symbol
+    rows = table.rows[:, 0::2]
+    maps, ok, _ = _force(rows, 0, spanning_tree(rows), G,
+                         _kappa_images(pair)[None])
+    if not ok.all():
         # kappa always extends when both assignments are genuine actions;
         # a failure certifies the pair only satisfies the equations
         # pointwise
@@ -120,7 +124,7 @@ def compute_tensor(pair, force=False, max_cosets=None):
                 "actions")
         kappa, kernel = None, None
     else:
-        kappa = GroupHom(tensor, G, kappa_map, validate=False)
+        kappa = GroupHom(tensor, G, maps[0], validate=False)
         if set(int(v) for v in np.unique(kappa.map)) \
                 != set(derivative.members):
             raise CrossCheckFailed("the image of kappa is not [G, H]")
@@ -135,27 +139,6 @@ def compute_tensor(pair, force=False, max_cosets=None):
                         derivative=derivative, kernel=kernel,
                         invariants=invariants,
                         nilpotency=nilpotency_class(tensor))
-
-
-def _extend_to_hom(rows, target, images):
-    """The homomorphism from the group of a complete coset table over the
-    trivial subgroup that sends generator k to images[k], or None.
-
-    The map is forced along the table's spanning tree, and it is a
-    homomorphism iff map(c * k) == map(c) * images[k] for every coset c
-    and generator k, which one vectorised comparison checks.
-    """
-    letters = np.empty(2 * len(images), dtype=np.intp)
-    letters[0::2] = images
-    letters[1::2] = target.inverse[images]
-    pm = np.empty(len(rows), dtype=np.intp)
-    pm[0] = target.identity
-    for cosets, parents, cols in spanning_tree(rows):
-        pm[cosets] = target.table[pm[parents], letters[cols]]
-    if not np.array_equal(pm[rows[:, 0::2]],
-                          target.table[pm[:, None], images[None, :]]):
-        return None
-    return pm
 
 
 def _assert_central(tensor, kernel):

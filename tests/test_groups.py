@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import tensorforge as tf
 from tensorforge import groups
 from tensorforge.catalog import catalog_groups_up_to
-from tensorforge.errors import NotAGroup, NotNormal
+from tensorforge.errors import (LimitExceeded, NotAGroup, NotAHomomorphism,
+                                NotNormal)
 from tensorforge.groups import (FiniteGroup, Subgroup, center,
                                 conjugation_maps, derived_subgroup,
                                 from_cayley_table,
@@ -101,6 +102,18 @@ def test_direct_product_nonabelian_factor():
     S3 = tf.make_catalog_group("symmetric:3")
     G = tf.direct_product(S3, make_cyclic(2))
     assert G.order == 12 and not G.is_abelian
+
+
+def test_direct_product_refused_above_cap(monkeypatch):
+    monkeypatch.setattr(np, "repeat",
+                        lambda *a: pytest.fail("a table was built"))
+    with pytest.raises(LimitExceeded, match="4096-element cap"):
+        tf.direct_product(make_cyclic(65), make_cyclic(64))
+
+
+def test_group_hom_rejects_non_hom():
+    with pytest.raises(NotAHomomorphism):
+        tf.GroupHom(make_cyclic(4), make_cyclic(4), [0, 1, 0, 1])
 
 
 def test_subgroup_generated_closure():

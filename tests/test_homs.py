@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import tensorforge as tf
-from tensorforge.errors import BudgetExceeded, NotAHomomorphism
+from tensorforge.errors import (BudgetExceeded, GensDoNotGenerate,
+                                NotAHomomorphism)
 from tensorforge.groups import GroupHom, make_cyclic
 from tensorforge.homs import (all_bijective_endomaps, are_isomorphic,
                               enumerate_homs, generating_set,
@@ -179,3 +180,279 @@ def test_budget_exhaustion_raises():
     G = tf.make_catalog_group("elemab:2:4")
     with pytest.raises(BudgetExceeded):
         enumerate_homs(G, G, budget=10)
+
+
+# -- the forcing kernel against the code it replaced ----------------------
+#
+# The search forced one candidate at a time along a Python BFS per
+# subgroup level, and hom_from_images found its witness by forcing again
+# element by element.  Both are kept here verbatim as the reference.
+
+class _Level:
+    """Search state for the subgroup generated by the first j generators."""
+
+    __slots__ = ("elems", "parent", "via", "prod")
+
+    def __init__(self, G, gens):
+        elems = [G.identity]
+        seen = {G.identity}
+        parent = [-1]
+        via = [-1]
+        qi = 0
+        while qi < len(elems):
+            x = elems[qi]
+            qi += 1
+            for i, s in enumerate(gens):
+                y = G.mul(x, s)
+                if y not in seen:
+                    seen.add(y)
+                    elems.append(y)
+                    parent.append(x)
+                    via.append(i)
+        self.elems = np.array(elems, dtype=np.intp)
+        self.parent = np.array(parent, dtype=np.intp)
+        self.via = np.array(via, dtype=np.intp)
+        # right-multiplication table restricted to this level, per generator
+        self.prod = G.table[np.ix_(self.elems, np.array(gens, dtype=np.intp))]
+
+
+def _forced_map(G, level, target, images, require_injective=False):
+    """Extend generator images over one subgroup level, or return None.
+
+    The extension is forced along the BFS spanning tree; it is a
+    homomorphism iff map(x * s_i) == map(x) * t_i for every element of the
+    level and every generator, which is checked in one vectorized pass.
+    """
+    pm = np.full(G.order, -1, dtype=np.intp)
+    pm[G.identity] = target.identity
+    for idx in range(1, len(level.elems)):
+        x = level.elems[idx]
+        pm[x] = target.table[pm[level.parent[idx]], images[level.via[idx]]]
+    sub = pm[level.elems]
+    if require_injective and len(np.unique(sub)) != len(sub):
+        return None
+    lhs = pm[level.prod]
+    rhs = target.table[sub[:, None], np.asarray(images, dtype=np.intp)[None, :]]
+    if not np.array_equal(lhs, rhs):
+        return None
+    return pm
+
+
+def reference_hom_from_images(source, target, gens, images):
+    """The unique homomorphism extending gens -> images, if it exists."""
+    if len(gens) != len(images):
+        raise ValueError("gens and images must have the same length")
+    if tf.subgroup_generated(source, gens).order != source.order:
+        raise GensDoNotGenerate("given elements do not generate the source")
+    level = _Level(source, list(gens))
+    pm = _forced_map(source, level, target, list(images))
+    if pm is None:
+        # recover a witness pair: first (x, s_i) where forcing breaks
+        witness = None
+        tmp = np.full(source.order, -1, dtype=np.intp)
+        tmp[source.identity] = target.identity
+        for idx in range(1, len(level.elems)):
+            x = level.elems[idx]
+            tmp[x] = target.table[tmp[level.parent[idx]], images[level.via[idx]]]
+        for pos, x in enumerate(level.elems):
+            for i, s in enumerate(gens):
+                if tmp[source.mul(x, s)] != target.mul(int(tmp[x]), images[i]):
+                    witness = (int(x), int(s))
+                    break
+            if witness:
+                break
+        raise NotAHomomorphism(witness)
+    return GroupHom(source, target, pm, validate=False)
+
+
+def _candidate_images(source_gen_order, target, exact_order):
+    orders = target.element_orders()
+    if exact_order:
+        return [int(t) for t in np.flatnonzero(orders == source_gen_order)]
+    return [int(t) for t in np.flatnonzero(source_gen_order % orders == 0)]
+
+
+def reference_search(source, target, bijective, find_all, budget):
+    """Shared backtracking core for enumerate_homs / are_isomorphic /
+    automorphism enumeration."""
+    gens = generating_set(source)
+    k = len(gens)
+    if k == 0:
+        m = np.full(source.order, target.identity, dtype=np.intp)
+        return [m] if (not bijective or target.order == 1) else []
+    levels = [_Level(source, gens[:j + 1]) for j in range(k)]
+    cand = [_candidate_images(source.element_order(s), target, bijective)
+            for s in gens]
+    found = []
+    nodes = 0
+
+    def descend(j, images):
+        nonlocal nodes
+        for t in cand[j]:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"hom search exceeded {budget} nodes")
+            pm = _forced_map(source, levels[j], target, images + [t],
+                             require_injective=bijective)
+            if pm is None:
+                continue
+            if j == k - 1:
+                if bijective and len(np.unique(pm)) != source.order:
+                    continue
+                found.append(pm)
+                if not find_all:
+                    return True
+            else:
+                if descend(j + 1, images + [t]):
+                    return True
+        return False
+
+    descend(0, [])
+    return found
+
+
+def _outcome(search, *args):
+    """The maps a search returns in order, or the error it raises."""
+    try:
+        return [m.tolist() for m in search(*args)]
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def _same_search(source, target, bijective, find_all,
+                 budget=tf.homs.DEFAULT_BUDGET):
+    args = (source, target, bijective, find_all, budget)
+    want = _outcome(reference_search, *args)
+    assert _outcome(tf.homs._search, *args) == want
+    return want
+
+
+SMALL = tf.catalog_groups_up_to(8)
+
+
+@pytest.mark.parametrize("skey,S", SMALL, ids=[k for k, _ in SMALL])
+def test_search_matches_reference_on_small_pairs(skey, S):
+    # Hom(S, T) and Hom(S, Aut T) over every catalog pair up to order 8,
+    # in the order the search finds them, so the sorted lists agree too
+    for _, T in SMALL:
+        _same_search(S, T, False, True)
+        _same_search(S, tf.automorphism_group(T).group, False, True)
+
+
+AUT_GROUPS = tf.catalog_groups_up_to(27)
+
+
+@pytest.mark.parametrize("key,G", AUT_GROUPS, ids=[k for k, _ in AUT_GROUPS])
+def test_bijective_search_matches_reference(key, G):
+    # every automorphism, and the first isomorphism the search meets
+    _same_search(G, G, True, True)
+    _same_search(G, G, True, False)
+
+
+def _relabel(G, seed):
+    """G with its elements renumbered by a random permutation that moves
+    the identity away from 0, and that permutation (old -> new)."""
+    perm = np.random.default_rng(seed).permutation(G.order)
+    if perm[G.identity] == 0:
+        perm[[G.identity, int(np.argmax(perm != 0))]] = \
+            perm[[int(np.argmax(perm != 0)), G.identity]]
+    table = np.empty_like(G.table)
+    table[np.ix_(perm, perm)] = perm[G.table]
+    return tf.FiniteGroup(table), perm
+
+
+@pytest.mark.parametrize("key", ["cyclic:6", "symmetric:3", "dihedral:4",
+                                 "quaternion:8", "elemab:2:3"])
+def test_search_on_relabelled_source(key):
+    G = tf.make_catalog_group(key)
+    R, perm = _relabel(G, 11)
+    assert R.identity != 0
+    for T in (tf.make_catalog_group("symmetric:3"), G, R):
+        homs = _same_search(R, T, False, True)
+        # the homs out of R are those out of G, read through the relabelling
+        back = sorted(np.asarray(m)[perm].tolist() for m in homs)
+        want = sorted(h.map.tolist() for h in enumerate_homs(G, T))
+        assert back == want
+    # sigma in Aut(G) is x -> sigma(x) read in the new labels
+    inverse = np.argsort(perm)
+    assert sorted(_same_search(R, R, True, True)) == sorted(
+        perm[m[inverse]].tolist() for m in all_bijective_endomaps(G))
+
+
+def _node_count(source, target, bijective, find_all):
+    """The least budget under which the reference search finishes."""
+    lo, hi = 0, tf.homs.DEFAULT_BUDGET
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            reference_search(source, target, bijective, find_all, mid)
+            hi = mid
+        except BudgetExceeded:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("skey,tkey,bijective,find_all", [
+    ("symmetric:3", "symmetric:3", False, True),
+    ("dihedral:4", "quaternion:8", False, True),
+    ("elemab:2:3", "elemab:2:3", True, True),
+    ("quaternion:8", "quaternion:8", True, False),
+    ("product:cyclic:2,cyclic:4", "product:cyclic:2,cyclic:4", True, False),
+])
+def test_budget_sweep_matches_reference(skey, tkey, bijective, find_all):
+    S, T = tf.make_catalog_group(skey), tf.make_catalog_group(tkey)
+    nodes = _node_count(S, T, bijective, find_all)
+    outcomes = set()
+    for budget in {0, 1, nodes // 2, *range(max(0, nodes - 3), nodes + 3)}:
+        outcomes.add(type(_same_search(S, T, bijective, find_all, budget)))
+    assert outcomes == {str, list}
+
+
+def test_isomorphism_matches_reference():
+    pairs = [("product:cyclic:3,cyclic:4", "cyclic:12"),
+             ("dihedral:6", "product:symmetric:3,cyclic:2"),
+             ("elemab:2:2", "product:cyclic:2,cyclic:2")]
+    pairs += [(key, key) for key, _ in tf.catalog_groups_up_to(16)]
+    for gkey, hkey in pairs:
+        G = tf.make_catalog_group(gkey)
+        H, _ = _relabel(tf.make_catalog_group(hkey), 5)
+        want = reference_search(G, H, True, False, tf.homs.DEFAULT_BUDGET)
+        assert are_isomorphic(G, H).map.tolist() == want[0].tolist()
+
+
+def _witness(fn, *args):
+    try:
+        return fn(*args).map.tolist()
+    except NotAHomomorphism as exc:
+        return exc.args
+
+
+def test_hom_from_images_witness_matches_reference():
+    rng = np.random.default_rng(12)
+    groups = [G for _, G in tf.catalog_groups_up_to(12)]
+    outcomes = set()
+    for _ in range(300):
+        S, T = (groups[i] for i in rng.integers(0, len(groups), size=2))
+        gens = list(generating_set(S))
+        if rng.random() < 0.3:
+            gens += rng.integers(0, S.order, size=2).tolist()
+        images = rng.integers(0, T.order, size=len(gens)).tolist()
+        if rng.random() < 0.3:
+            # images of a genuine hom, so that some candidates extend
+            homs = enumerate_homs(S, T)
+            images = homs[rng.integers(len(homs))].map[gens].tolist()
+        want = _witness(reference_hom_from_images, S, T, gens, images)
+        assert _witness(hom_from_images, S, T, gens, images) == want
+        outcomes.add(isinstance(want, list))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("block", [1, 7, 50])
+def test_small_blocks_change_nothing(monkeypatch, block):
+    monkeypatch.setattr(tf.homs, "BLOCK_ENTRIES", block)
+    for key in ["symmetric:3", "quaternion:8", "elemab:2:3", "dihedral:5"]:
+        G = tf.make_catalog_group(key)
+        _same_search(G, G, False, True)
+        _same_search(G, G, True, True)
+        _same_search(G, tf.automorphism_group(
+            tf.make_catalog_group("elemab:2:2")).group, False, True)

@@ -1,12 +1,20 @@
 """Guards on the library source that tests of behaviour cannot see."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "tensorforge")
-                 .glob("*.py"))
+import tensorforge
+
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "tensorforge").glob("*.py"))
+# Public names that nothing in the library or the benchmark calls yet
+# (ROADMAP item 5).  The list may only shrink: wire a name into a caller
+# or delete it, then drop it here.
+UNCALLED_BACKLOG = {"check_zeta2_congruence", "compose_maps",
+                    "module_action_on_kernel", "tensor_square"}
 
 
 def _assertion_guards(tree):
@@ -36,3 +44,34 @@ def test_no_assertion_guards(path):
 def test_lint_sees_both_forms():
     source = "assert x\nraise AssertionError\nraise AssertionError('m')\n"
     assert list(_assertion_guards(ast.parse(source))) == [1, 2, 3]
+
+
+def _referenced_names(tree):
+    """Names read as a variable or an attribute anywhere in a module,
+    except inside the top-level function or class of that same name."""
+    names = set()
+    for stmt in tree.body:
+        read = {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)}
+        names |= read - {getattr(stmt, "name", None)}
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # a public name is called from the library or from perfbench, not only
+    # from its own body, from __init__.py or from the tests
+    callers = [p for p in SOURCES if p.name != "__init__.py"]
+    callers += sorted((ROOT / "perfbench").glob("*.py"))
+    used = set()
+    for path in callers:
+        used |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    public = {name for name in tensorforge.__all__
+              if not isinstance(getattr(tensorforge, name), types.ModuleType)}
+    assert public - used == UNCALLED_BACKLOG
+
+
+def test_caller_check_ignores_a_name_inside_its_own_body():
+    source = "def f(n):\n    return f(n - 1)\n\ndef g():\n    return h.f\n"
+    assert _referenced_names(ast.parse(source)) == {"n", "h", "f"}

@@ -10,7 +10,6 @@ from tensorforge import serialize as sz
 from tensorforge.actions import ActionPair, involution_pair
 from tensorforge.errors import IoError, NotAGroup
 from tensorforge.groups import make_cyclic
-from tensorforge.presentations import Presentation, coset_enumerate
 
 
 def test_group_round_trip():
@@ -53,29 +52,6 @@ def test_resolver_rejects_bad_json(tmp_path):
         sz.resolve_group(str(path))
 
 
-def test_hom_file_round_trip(tmp_path):
-    data = {"source": "cyclic:6", "target": "cyclic:3",
-            "map": [0, 1, 2, 0, 1, 2]}
-    hom = sz.hom_from_dict(data)
-    assert hom.map.tolist() == data["map"]
-    back = sz.hom_to_dict(hom, "cyclic:6", "cyclic:3")
-    assert back == data
-
-
-def test_hom_file_rejects_non_hom():
-    from tensorforge.errors import NotAHomomorphism
-    with pytest.raises(NotAHomomorphism):
-        sz.hom_from_dict({"source": "cyclic:4", "target": "cyclic:4",
-                          "map": [0, 1, 0, 1]})
-
-
-def test_presentation_round_trip():
-    p = Presentation(2, ((1, 1), (2, 2), (1, 2, 1, 2)))
-    data = sz.presentation_to_dict(p)
-    q = sz.presentation_from_dict(data)
-    assert q.ngens == p.ngens and q.relators == p.relators
-
-
 def test_action_pair_round_trip():
     Z4 = make_cyclic(4)
     pair = involution_pair(Z4, Z4.inverse)
@@ -97,14 +73,6 @@ def test_action_pair_bad_indices():
                                   "beta": {"map": [0, 0, 0]}})
 
 
-def test_aut_group_export():
-    aut = tf.automorphism_group(make_cyclic(5))
-    data = sz.aut_group_to_dict(aut, "cyclic:5")
-    assert data["order"] == 4
-    assert data["maps"][0] == list(range(5))
-    assert data["inner"] == [aut.group.identity]
-
-
 def test_tensor_report_export():
     pair = ActionPair.trivial(make_cyclic(3), make_cyclic(3))
     rep = tf.compute_tensor(pair)
@@ -115,18 +83,3 @@ def test_tensor_report_export():
     assert len(data["symbols"]) == 9
     assert all("," in key for key in data["symbols"])
     json.dumps(data)    # must be JSON-serializable as-is
-
-
-def test_evidence_lines_are_json():
-    lines = sz.evidence_lines([{"a": 1}, {"b": [2, 3]}])
-    parsed = [json.loads(line) for line in lines.splitlines()]
-    assert parsed == [{"a": 1}, {"b": [2, 3]}]
-
-
-def test_coset_table_csv():
-    p = Presentation(1, ((1, 1, 1),))
-    table = coset_enumerate(p)
-    csv = sz.coset_table_to_csv(table)
-    lines = csv.splitlines()
-    assert lines[0] == "coset,g1,g1^-1"
-    assert len(lines) == 4

@@ -11,7 +11,7 @@ from tensorforge.errors import (CrossCheckFailed, IncompatibleActions,
                                 LimitExceeded, NotAHomomorphism)
 from tensorforge.groups import make_cyclic
 from tensorforge.presentations import (Presentation, coset_enumerate,
-                                       table_to_group)
+                                       spanning_tree, table_to_group)
 from tensorforge.tensor import (TensorReport, abelian_tensor,
                                 compute_tensor, derivative_subgroup,
                                 module_action_on_kernel,
@@ -280,10 +280,32 @@ def _closure_hom(source, target, gens, images):
         return None
 
 
+def _extend_to_hom(rows, target, images):
+    """The homomorphism from the group of a complete coset table over the
+    trivial subgroup that sends generator k to images[k], or None.
+
+    The map is forced along the table's spanning tree, and it is a
+    homomorphism iff map(c * k) == map(c) * images[k] for every coset c
+    and generator k, which one vectorised comparison checks.
+    """
+    letters = np.empty(2 * len(images), dtype=np.intp)
+    letters[0::2] = images
+    letters[1::2] = target.inverse[images]
+    pm = np.empty(len(rows), dtype=np.intp)
+    pm[0] = target.identity
+    for cosets, parents, cols in spanning_tree(rows):
+        pm[cosets] = target.table[pm[parents], letters[cols]]
+    if not np.array_equal(pm[rows[:, 0::2]],
+                          target.table[pm[:, None], images[None, :]]):
+        return None
+    return pm
+
+
 def test_kappa_by_spanning_tree_matches_hom_from_images():
-    # the extension compute_tensor uses must agree with the general
-    # closure of hom_from_images, on kappa's images and on images that
-    # define no homomorphism
+    # the forcing compute_tensor does, along the forward columns from coset
+    # 0, must agree with the general closure of hom_from_images and with
+    # forcing along the tree of all columns (the reference above), on
+    # kappa's images and on images that define no homomorphism
     pairs = REPORT_PAIRS + [z3_case(True, False), z3_case(False, True)]
     for key in ["symmetric:3", "dihedral:4", "quaternion:8", "elemab:2:2"]:
         G = tf.make_catalog_group(key)
@@ -305,9 +327,13 @@ def test_kappa_by_spanning_tree_matches_hom_from_images():
                       np.full(p.ngens, G.identity, dtype=np.intp)]
         candidates += [rng.integers(0, G.order, size=p.ngens)
                        for _ in range(3)]
+        rows = table.rows[:, 0::2]
+        tree = spanning_tree(rows)
         for images in candidates:
-            got = tensor._extend_to_hom(table.rows, G, images)
-            got = None if got is None else got.tolist()
+            maps, ok, _ = tf.homs._force(rows, 0, tree, G, images[None])
+            got = maps[0].tolist() if ok.all() else None
             assert got == _closure_hom(T, G, gen_images, images.tolist())
+            want = _extend_to_hom(table.rows, G, images)
+            assert got == (None if want is None else want.tolist())
             outcomes.add(got is None)
     assert outcomes == {True, False}
