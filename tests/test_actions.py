@@ -467,17 +467,30 @@ def test_sweep_matches_direct_loop_on_small_group():
 
 def test_grid_matches_pointwise_checks():
     G = make_cyclic(4)
-    for H in (tf.make_catalog_group("elemab:2:2"), G):
-        grid = compatibility_grid(G, H)
-        for i in range(len(grid.alphas)):
-            for j in range(len(grid.betas)):
-                pair = grid.pair(i, j)
-                assert bool(grid.compatible[i, j]) \
-                    == is_compatible(pair).compatible
-                norm_g, norm_h = normalizer_conditions(pair)
-                assert bool(grid.normalizer_g[i]) == norm_g
-                assert bool(grid.normalizer_h[j]) == norm_h
-    assert grid.compatible.shape == (2, 2)   # |Hom(Z4, Aut Z4)| = 2
+    H = tf.make_catalog_group("elemab:2:2")
+    grid = compatibility_grid(G, H)
+    for i in range(len(grid.alphas)):
+        for j in range(len(grid.betas)):
+            pair = grid.pair(i, j)
+            assert bool(grid.compatible[i, j]) \
+                == is_compatible(pair).compatible
+            norm_g, norm_h = normalizer_conditions(pair)
+            assert bool(grid.normalizer_g[i]) == norm_g
+            assert bool(grid.normalizer_h[j]) == norm_h
+
+
+def test_enumerate_compatible_pairs_consistency():
+    G = make_cyclic(4)
+    grid = compatibility_grid(G, G)
+    assert grid.compatible.shape == (2, 2)   # |Hom(Z4, Aut Z4)| = 2 per side
+    for i in range(len(grid.alphas)):
+        for j in range(len(grid.betas)):
+            pair = grid.pair(i, j)
+            assert bool(grid.compatible[i, j]) \
+                == is_compatible(pair).compatible
+            norm_g, norm_h = normalizer_conditions(pair)
+            assert bool(grid.normalizer_g[i]) == norm_g
+            assert bool(grid.normalizer_h[j]) == norm_h
 
 
 def test_orbits_partition_and_preserve_verdicts():
