@@ -1,12 +1,12 @@
 """Finite-group toolkit for compatible mutual actions and non-abelian
 tensor products."""
 
-from .abelian import abelian_invariants
+from .abelian import abelian_invariants, abelian_tensor
 from .actions import (ActionPair, CompatibilityReport, HomPair, Witness,
-                      action_from_hom_pair, check_zeta2_congruence,
-                      compatibility_grid, induced_beta, involution_pair,
-                      is_compatible, normalizer_conditions, question2_scan,
-                      verify_free_counterexample, z2_action_criterion)
+                      action_from_hom_pair, compatibility_grid, induced_beta,
+                      involution_pair, is_compatible, normalizer_conditions,
+                      question2_scan, verify_free_counterexample,
+                      z2_action_criterion)
 from .automorphisms import (AutGroup, automorphism_group, compose_maps,
                             normalizer_contains_inn)
 from .catalog import catalog_groups_up_to, catalog_keys, make_catalog_group
@@ -17,9 +17,8 @@ from .groups import (FiniteGroup, GroupHom, Subgroup, center,
 from .homs import are_isomorphic, enumerate_homs, hom_from_images
 from .presentations import (CosetTable, Presentation, coset_enumerate,
                             reduce_word, table_to_group)
-from .tensor import (TensorReport, abelian_tensor, compute_tensor,
-                     derivative_subgroup, module_action_on_kernel,
-                     tensor_presentation, tensor_square)
+from .tensor import (TensorReport, compute_tensor, derivative_subgroup,
+                     tensor_presentation)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

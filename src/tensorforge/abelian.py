@@ -158,7 +158,7 @@ def primary_to_invariants(primary):
     return list(reversed(factors))
 
 
-def abelian_tensor_invariants(a_factors, b_factors):
+def abelian_tensor(a_factors, b_factors):
     """Invariant factors of the tensor product (over Z) of two finite
     abelian groups given in invariant-factor form.
 

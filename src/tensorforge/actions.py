@@ -27,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .automorphisms import automorphism_group
+from .automorphisms import (_aut_conj_table, automorphism_group,
+                            normalizer_contains_inn)
 from .catalog import catalog_groups_up_to
 from .errors import (AlphaNotInjective, BudgetExceeded, CrossCheckFailed,
                      InvalidAction, InvalidBudget, NormalizerConditionFails,
@@ -43,10 +44,16 @@ def default_budget(fallback=200_000):
     env = os.environ.get("TENSORFORGE_BUDGET")
     if not env:
         return fallback
-    if not env.isdecimal() or int(env) < 1:
+    return positive_budget(env, "TENSORFORGE_BUDGET")
+
+
+def positive_budget(value, source):
+    """``value``, a budget given from outside, as a positive integer;
+    InvalidBudget names ``source`` when it is not one."""
+    if not str(value).isdecimal() or int(value) < 1:
         raise InvalidBudget(
-            f"TENSORFORGE_BUDGET must be a positive integer, not {env!r}")
-    return int(env)
+            f"{source} must be a positive integer, not {value!r}")
+    return int(value)
 
 
 def _validate_action(G, H, maps, what, require_hom=False):
@@ -280,7 +287,8 @@ def induced_beta(G, H, alpha):
     witness = _outside_witness(pre)
     if witness is not None:
         raise NormalizerConditionFails(witness)
-    pair = ActionPair(G, H, A, pre, validate=True)
+    pair = ActionPair(G, H, A, _validate_action(H, G, pre, "beta"),
+                      validate=False)
     report = is_compatible(pair)
     if not report.compatible:
         raise CrossCheckFailed(
@@ -292,23 +300,6 @@ def action_from_hom_pair(G, H, pair):
     """Actions x^y = psi(y)^-1 x psi(y), y^x = phi(x)^-1 y phi(x)."""
     return ActionPair(G, H, conjugation_maps(G)[pair.psi.map],
                       conjugation_maps(H)[pair.phi.map], validate=False)
-
-
-def check_zeta2_congruence(G, H, pair):
-    """x = psi(phi(x)) modulo the second hypercenter on both sides."""
-    z2g = second_hypercenter(G).mask()
-    z2h = second_hypercenter(H).mask()
-    ar_g = np.arange(G.order)
-    ar_h = np.arange(H.order)
-    defect_g = G.table[G.inverse[ar_g], pair.psi.map[pair.phi.map]]
-    if not z2g[defect_g].all():
-        x = int(np.argmin(z2g[defect_g]))
-        return False, ("G", x)
-    defect_h = H.table[H.inverse[ar_h], pair.phi.map[pair.psi.map]]
-    if not z2h[defect_h].all():
-        y = int(np.argmin(z2h[defect_h]))
-        return False, ("H", y)
-    return True, None
 
 
 def z2_action_criterion(G, psi):
@@ -371,12 +362,6 @@ class ActionGrid:
         return ActionPair.from_homs(self.alphas[i], self.betas[j], autG, autH)
 
 
-def _aut_conj_table(aut):
-    """conj[g, a] = index of ghat^-1 * a * ghat in Aut(G)."""
-    t, ghat = aut.group.table, aut.inner_of
-    return t[t[aut.group.inverse[ghat]], ghat[:, None]]
-
-
 def compatibility_grid(G, H, budget=None):
     """Vectorized verdicts for the full (alpha, beta) grid."""
     budget = default_budget() if budget is None else budget
@@ -394,17 +379,9 @@ def compatibility_grid(G, H, budget=None):
     # labels are indices in Aut; the actions at the element level
     fails_g = _equation_fails(amaps, autH.elements[bmaps], conjA)
     fails_h = _equation_fails(bmaps, autG.elements[amaps], conjB)
-    norm_g = np.array([_image_normalized(conjA, a.map) for a in alphas],
-                      dtype=bool)
-    norm_h = np.array([_image_normalized(conjB, b.map) for b in betas],
-                      dtype=bool)
-    return ActionGrid(G, H, alphas, betas, ~fails_g & ~fails_h.T, norm_g,
-                      norm_h)
-
-
-def _image_normalized(conj_table, mapping):
-    image = np.unique(mapping)
-    return bool(np.isin(conj_table[:, image], image).all())
+    return ActionGrid(G, H, alphas, betas, ~fails_g & ~fails_h.T,
+                      normalizer_contains_inn(autG, amaps),
+                      normalizer_contains_inn(autH, bmaps))
 
 
 def compatible_pair_orbits(grid):
@@ -418,7 +395,6 @@ def compatible_pair_orbits(grid):
     constant on each orbit.  Returns [(i, j, orbit size)] with the
     lexicographically least member as representative.
     """
-    from .homs import generating_set
     autG = automorphism_group(grid.G)
     autH = automorphism_group(grid.H)
     alpha_index = {a.map.tobytes(): i for i, a in enumerate(grid.alphas)}

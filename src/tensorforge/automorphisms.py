@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CrossCheckFailed, LimitExceeded, NotASubgroup
+from .errors import CrossCheckFailed, LimitExceeded
 from .groups import BLOCK_ENTRIES, FiniteGroup, conjugation_maps
 from .homs import all_bijective_endomaps, generating_set
 
@@ -27,19 +27,23 @@ class AutGroup:
 
     ``group`` is the Cayley table of composition, ``inner_indices`` the
     sorted element indices forming Inn(G), and ``inner_of[g]`` the index
-    of the inner automorphism induced by conjugation by g.
+    of the inner automorphism induced by conjugation by g.  ``_keys`` are
+    the increasing keys of the elements' generator images, and a map's key
+    is ``map @ _weights``.
     """
 
     __slots__ = ("base", "elements", "group", "inner_indices", "inner_of",
-                 "_index")
+                 "_keys", "_weights")
 
-    def __init__(self, base, elements, group, inner_indices, inner_of, index):
+    def __init__(self, base, elements, group, inner_indices, inner_of, keys,
+                 weights):
         self.base = base
         self.elements = elements
         self.group = group
         self.inner_indices = inner_indices
         self.inner_of = inner_of
-        self._index = index
+        self._keys = keys
+        self._weights = weights
 
     @property
     def order(self):
@@ -47,7 +51,13 @@ class AutGroup:
 
     def index_of(self, mapping):
         """Index of an automorphism map, or None if not an automorphism."""
-        return self._index.get(tuple(int(v) for v in mapping))
+        mapping = np.asarray(mapping, dtype=np.intp)
+        if mapping.shape != (self.base.order,):
+            return None
+        i = int(np.searchsorted(self._keys, mapping @ self._weights))
+        if i < self.order and np.array_equal(self.elements[i], mapping):
+            return i
+        return None
 
     def __repr__(self):
         return f"AutGroup(|G|={self.base.order}, order={self.order})"
@@ -66,7 +76,6 @@ def automorphism_group(G, budget=None):
         return G._aut
     maps = all_bijective_endomaps(G, budget=budget)
     n = len(maps)
-    index = {tuple(int(v) for v in m): i for i, m in enumerate(maps)}
     elements = np.array(maps, dtype=np.intp).reshape(n, G.order)
     elements.setflags(write=False)
     gens = generating_set(G)
@@ -76,6 +85,8 @@ def automorphism_group(G, budget=None):
     # generator-image rows as mixed-radix keys, increasing with the index
     radix = G.order ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
     keys = elements[:, gens] @ radix
+    weights = np.zeros(G.order, dtype=np.int64)
+    weights[list(gens)] = radix
     table = np.empty((n, n), dtype=np.intp)
     step = max(1, BLOCK_ENTRIES // (n * max(1, len(gens))))
     for i in range(0, n, step):
@@ -85,39 +96,40 @@ def automorphism_group(G, budget=None):
     group = FiniteGroup(table, validate=False)
     inner_of = _key_index(keys, conjugation_maps(G)[:, gens] @ radix)
     inner_indices = sorted(set(int(i) for i in inner_of))
-    aut = AutGroup(G, elements, group, inner_indices, inner_of, index)
+    aut = AutGroup(G, elements, group, inner_indices, inner_of, keys,
+                   weights)
     G._aut = aut
     return aut
 
 
-def is_subgroup_of_aut(aut, indices):
-    members = set(int(i) for i in indices)
-    if aut.group.identity not in members:
-        return False
-    return all(aut.group.mul(a, b) in members for a in members for b in members)
+def _aut_conj_table(aut):
+    """conj[g, a] = index of ghat^-1 * a * ghat in Aut(G)."""
+    t, ghat = aut.group.table, aut.inner_of
+    return t[t[aut.group.inverse[ghat]], ghat[:, None]]
 
 
-def normalizer_contains_inn(aut, image):
-    """Does Inn(G) normalize the given subgroup of Aut(G)?
+def normalizer_contains_inn(aut, maps):
+    """Does Inn(G) normalize the image of each homomorphism into Aut(G)?
 
-    ``image`` is a set of element indices of ``aut.group`` and must be a
-    subgroup.  Returns (True, None) or (False, (g, member)) where
-    conjugating ``member`` by the inner automorphism of g leaves the
-    subgroup.
+    ``maps`` stacks the maps of homomorphisms into ``aut.group``, one row
+    of Aut indices each.  Returns one bool per row: whether every
+    ghat^-1 a ghat, for g in G and a in the row's image, is in that image.
+    Rows are decided in blocks of at most BLOCK_ENTRIES entries.
     """
-    members = sorted(set(int(i) for i in image))
-    if not is_subgroup_of_aut(aut, members):
-        raise NotASubgroup("image is not a subgroup of Aut(G)")
-    mset = set(members)
-    t = aut.group.table
-    inv = aut.group.inverse
-    for g in range(aut.base.order):
-        ghat = int(aut.inner_of[g])
-        for m in members:
-            conj = int(t[t[inv[ghat], m], ghat])
-            if conj not in mset:
-                return False, (g, m)
-    return True, None
+    maps = np.asarray(maps, dtype=np.intp)
+    conj = _aut_conj_table(aut)
+    normal = np.empty(len(maps), dtype=bool)
+    step = max(1, BLOCK_ENTRIES // (conj.shape[0] * maps.shape[1]
+                                    + aut.order))
+    for s in range(0, len(maps), step):
+        block = maps[s:s + step]
+        rows = np.arange(len(block))
+        member = np.zeros((len(block), aut.order), dtype=bool)
+        member[rows[:, None], block] = True
+        # [r, x, g]: is ghat^-1 block[r, x] ghat in the image of row r
+        inside = member[rows[:, None, None], conj.T[block]]
+        normal[s:s + step] = inside.all(axis=(1, 2))
+    return normal
 
 
 def _key_index(keys, wanted):

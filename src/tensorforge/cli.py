@@ -17,7 +17,8 @@ import time
 import numpy as np
 
 from .actions import (ActionPair, conjugation_maps, default_budget,
-                      is_compatible, normalizer_conditions, question2_scan)
+                      is_compatible, normalizer_conditions, positive_budget,
+                      question2_scan)
 from .catalog import catalog_keys, make_catalog_group
 from .errors import IncompatibleActions, IoError, TensorforgeError
 from .homs import are_isomorphic
@@ -151,7 +152,8 @@ def cmd_verify(args):
 
 def cmd_explore(args):
     t0 = time.perf_counter()
-    budget = args.budget if args.budget else default_budget()
+    budget = (default_budget() if args.budget is None
+              else positive_budget(args.budget, "--budget"))
     if args.question == "question2":
         results = question2_scan(args.max_order, budget=budget)
         status = "pass" if not results["counterexamples"] else "partial"
@@ -270,9 +272,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "question", None) == "question2" \
-            and not hasattr(args, "budget"):
-        args.budget = None
     try:
         report, code = args.func(args)
     except IncompatibleActions as exc:

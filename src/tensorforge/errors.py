@@ -49,10 +49,6 @@ class GensDoNotGenerate(TensorforgeError):
     pass
 
 
-class NotASubgroup(TensorforgeError):
-    pass
-
-
 class BudgetExceeded(TensorforgeError):
     """A search exceeded its node budget; the question remains undecided."""
 

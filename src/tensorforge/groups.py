@@ -153,11 +153,6 @@ class FiniteGroup:
             return self.names[i]
         return str(i)
 
-    def conjugation_map(self, g):
-        """The inner automorphism x -> g^-1 x g as a read-only index array,
-        row g of ``conjugation_maps(self)``."""
-        return conjugation_maps(self)[g]
-
     def __len__(self):
         return self.order
 
@@ -201,20 +196,6 @@ class Subgroup:
     def is_whole_group(self):
         return len(self.members) == self.parent.order
 
-    def as_group(self):
-        """The subgroup as a standalone FiniteGroup plus the index map back
-        into the parent (element i of the result is ``members[i]``)."""
-        idx = {m: i for i, m in enumerate(self.members)}
-        n = len(self.members)
-        table = np.empty((n, n), dtype=np.intp)
-        for i, a in enumerate(self.members):
-            for j, b in enumerate(self.members):
-                table[i, j] = idx[self.parent.mul(a, b)]
-        names = None
-        if self.parent.names is not None:
-            names = [self.parent.names[m] for m in self.members]
-        return FiniteGroup(table, names=names, validate=False), list(self.members)
-
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.order})"
 
@@ -255,15 +236,8 @@ class GroupHom:
         return len(np.unique(self.map)) == self.source.order
 
     @property
-    def is_surjective(self):
-        return len(np.unique(self.map)) == self.target.order
-
-    @property
     def is_bijective(self):
         return self.is_injective and self.source.order == self.target.order
-
-    def is_trivial(self):
-        return bool(np.all(self.map == self.target.identity))
 
     def then(self, other):
         """Composition: first self, then other."""

@@ -75,10 +75,10 @@ def hom_from_images(source, target, gens, images):
     """
     if len(gens) != len(images):
         raise ValueError("gens and images must have the same length")
-    if subgroup_generated(source, gens).order != source.order:
-        raise GensDoNotGenerate("given elements do not generate the source")
     rows = source.table[:, np.asarray(gens, dtype=np.intp)]
     tree = spanning_tree(rows, source.identity)
+    if 1 + sum(len(cosets) for cosets, _, _ in tree) != source.order:
+        raise GensDoNotGenerate("given elements do not generate the source")
     maps, ok, reached = _force(rows, source.identity, tree, target, [images])
     if not ok.all():
         x, i = divmod(int(np.argmin(ok)), len(gens))

@@ -5,11 +5,10 @@ biderivation relation families, built as one array of words by gathers
 from the group tables and the actions; a compatible action pair is
 required (the construction is only meaningful for one), enumeration turns
 the presentation into a concrete group, and the attached structures --
-the derivative subgroup [G, H], the homomorphism kappa with its central
-kernel, and the conjugation module action on the kernel -- are computed
-and cross-checked.  Kappa is forced by the hom-search kernel
-``homs._force`` along the spanning tree of the coset table's forward
-columns, and checked on every coset and generator at once.
+the derivative subgroup [G, H] and the homomorphism kappa with its
+central kernel -- are computed and cross-checked.  Kappa is forced by the
+hom-search kernel ``homs._force`` along the spanning tree of the coset
+table's forward columns, and checked on every coset and generator at once.
 """
 
 from __future__ import annotations
@@ -19,9 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .abelian import abelian_invariants, abelian_tensor_invariants
-from .actions import (ActionPair, HomPair, action_from_hom_pair,
-                      conjugation_maps, hom_classes, is_compatible)
+from .abelian import abelian_invariants
+from .actions import (HomPair, action_from_hom_pair, hom_classes,
+                      is_compatible)
 from .errors import CrossCheckFailed, IncompatibleActions, LimitExceeded
 from .groups import FiniteGroup, GroupHom, Subgroup, center, coset_labels, \
     nilpotency_class, subgroup_generated
@@ -157,37 +156,6 @@ def _kappa_images(pair):
 def derivative_subgroup(pair):
     """D_H(G) = [G, H], generated by all g^-1 g^h."""
     return subgroup_generated(pair.G, np.unique(_kappa_images(pair)))
-
-
-def abelian_tensor(a_invariants, b_invariants):
-    """Invariant factors of the abelian tensor product (over Z)."""
-    return abelian_tensor_invariants(list(a_invariants), list(b_invariants))
-
-
-def module_action_on_kernel(report):
-    """Conjugation action of D_H(G) on A = ker kappa: a . d = x^-1 a x for
-    any preimage x of d.  Well-definedness over the choice of preimage is
-    verified exhaustively (it restates the centrality of A)."""
-    tensor = report.tensor
-    kappa = report.kappa
-    action = {}
-    for d in report.derivative.members:
-        preimages = [x for x in range(tensor.order) if kappa(x) == d]
-        for a in report.kernel.members:
-            vals = {tensor.mul(tensor.mul(tensor.inv(x), a), x)
-                    for x in preimages}
-            if len(vals) != 1:
-                raise CrossCheckFailed(
-                    f"module action ill-defined at a={a}, d={d}")
-            action[(a, d)] = vals.pop()
-    return action
-
-
-def tensor_square(G, max_cosets=None):
-    """G (x) G with both actions by conjugation (always compatible)."""
-    conj = conjugation_maps(G)
-    pair = ActionPair(G, G, conj, conj, validate=False)
-    return compute_tensor(pair, max_cosets=max_cosets)
 
 
 def hom_pair_tensor_classes(G, budget=None):

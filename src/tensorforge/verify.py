@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .abelian import abelian_invariants
+from .abelian import abelian_invariants, abelian_tensor
 from .actions import (ActionPair, compatibility_grid, compatible_pair_orbits,
                       hom_pair_compatibility_sweep, induced_beta,
                       involution_pair, is_compatible,
@@ -21,9 +21,10 @@ from .automorphisms import automorphism_group, normalizer_contains_inn
 from .catalog import catalog_groups_up_to, make_catalog_group
 from .errors import NormalizerConditionFails
 from .groups import GroupHom, make_cyclic
-from .homs import all_bijective_endomaps, are_isomorphic, hom_from_images
+from .homs import (all_bijective_endomaps, are_isomorphic, enumerate_homs,
+                   hom_from_images)
 from .presentations import Presentation, coset_enumerate, table_to_group
-from .tensor import abelian_tensor, compute_tensor, derivative_subgroup
+from .tensor import compute_tensor, derivative_subgroup
 
 GRID_BUDGET = 10_000_000
 
@@ -178,14 +179,12 @@ def check_induced_beta_soundness():
     for gk, G in groups:
         autG = automorphism_group(G)
         for hk, H in groups:
-            for alpha in compatibility_grid(G, H,
-                                            budget=GRID_BUDGET).alphas:
-                if len(set(int(v) for v in alpha.map)) != H.order:
-                    continue        # alpha not injective
-                image = set(int(v) for v in alpha.map)
-                ok, _ = normalizer_contains_inn(autG, image)
-                if not ok:
-                    continue        # hypothesis fails; out of scope
+            alphas = enumerate_homs(H, autG.group)
+            normal = normalizer_contains_inn(
+                autG, np.stack([alpha.map for alpha in alphas]))
+            for alpha, ok in zip(alphas, normal):
+                if not (alpha.is_injective and ok):
+                    continue        # a hypothesis fails; out of scope
                 try:
                     pair = induced_beta(G, H, alpha)
                 except NormalizerConditionFails:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import tensorforge as tf
 from tensorforge import abelian
-from tensorforge.abelian import (abelian_invariants, abelian_tensor_invariants,
+from tensorforge.abelian import (abelian_invariants, abelian_tensor,
                                  invariants_to_primary, primary_to_invariants,
                                  smith_diagonal)
 from tensorforge.errors import CrossCheckFailed
@@ -127,7 +127,7 @@ def test_primary_round_trip_random(ds):
     ([2, 4], [2, 4], [2, 2, 2, 4]),
 ])
 def test_abelian_tensor_examples(a, b, want):
-    assert abelian_tensor_invariants(a, b) == want
+    assert abelian_tensor(a, b) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,11 +136,11 @@ def test_abelian_tensor_examples(a, b, want):
 def test_abelian_tensor_is_symmetric(a, b):
     a, b = sorted(a), sorted(b)
     # inputs need not be chains; the pairwise-gcd construction is symmetric
-    assert abelian_tensor_invariants(a, b) == abelian_tensor_invariants(b, a)
+    assert abelian_tensor(a, b) == abelian_tensor(b, a)
 
 
 def test_abelian_tensor_order_formula():
     # |Zm x Zn| tensor factor count: product of pairwise gcds
     a, b = [2, 4], [6]
-    got = abelian_tensor_invariants(a, b)
+    got = abelian_tensor(a, b)
     assert math.prod(got) == math.gcd(2, 6) * math.gcd(4, 6)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 import tensorforge as tf
-from tensorforge import actions
+from tensorforge import actions, automorphisms
 from tensorforge.actions import (ActionPair, CompatibilityReport, HomPair,
                                  Witness, action_from_hom_pair,
-                                 check_zeta2_congruence,
                                  compatibility_grid, compatible_pair_orbits,
                                  conjugation_maps,
                                  hom_pair_compatibility_sweep, induced_beta,
@@ -19,7 +18,8 @@ from tensorforge.automorphisms import (automorphism_group,
                                        normalizer_contains_inn)
 from tensorforge.catalog import catalog_groups_up_to
 from tensorforge.errors import (AlphaNotInjective, CrossCheckFailed,
-                                NormalizerConditionFails, PsiNotInvolution)
+                                InvalidAction, NormalizerConditionFails,
+                                PsiNotInvolution)
 from tensorforge.groups import GroupHom, make_cyclic
 
 
@@ -32,8 +32,8 @@ def _equation_holds(G, A, B):
     """The first defining equation, quantified over everything, checked at
     the level of whole automorphism maps (one comparison per g1)."""
     for g1 in range(G.order):
-        hat = G.conjugation_map(g1)
-        hatinv = G.conjugation_map(G.inv(g1))
+        hat = conjugation_maps(G)[g1]
+        hatinv = conjugation_maps(G)[G.inv(g1)]
         lhs = A[B[g1]]               # row h: map of alpha(h^beta(g1))
         rhs = hat[A[:, hatinv]]      # row h: g1hat^-1 alpha(h) g1hat
         if not np.array_equal(lhs, rhs):
@@ -47,8 +47,8 @@ def _equation_witness(G, H, A, B):
     n, m = G.order, H.order
     mask = np.zeros((n, n, m), dtype=bool)   # (g, g1, h)
     for g1 in range(n):
-        hat = G.conjugation_map(g1)
-        hatinv = G.conjugation_map(G.inv(g1))
+        hat = conjugation_maps(G)[g1]
+        hatinv = conjugation_maps(G)[G.inv(g1)]
         lhs = A[B[g1]]
         rhs = hat[A[:, hatinv]]
         mask[:, g1, :] = (lhs != rhs).T
@@ -57,8 +57,8 @@ def _equation_witness(G, H, A, B):
         return None
     g, g1, h = (int(v) for v in bad[0])
     lhs = int(A[B[g1, h], g])
-    hat = G.conjugation_map(g1)
-    hatinv = G.conjugation_map(G.inv(g1))
+    hat = conjugation_maps(G)[g1]
+    hatinv = conjugation_maps(G)[G.inv(g1)]
     rhs = int(hat[A[h, hatinv[g]]])
     return g, g1, h, lhs, rhs
 
@@ -81,8 +81,8 @@ def _inn_normalizes(G, A):
     """Does Inn(G) normalize the image of alpha (as a set of maps)?"""
     image = {row.tobytes() for row in A}
     for g1 in range(G.order):
-        hat = G.conjugation_map(g1)
-        hatinv = G.conjugation_map(G.inv(g1))
+        hat = conjugation_maps(G)[g1]
+        hatinv = conjugation_maps(G)[G.inv(g1)]
         conj = hat[A[:, hatinv]]
         for h, row in enumerate(conj):
             if row.tobytes() not in image:
@@ -90,13 +90,30 @@ def _inn_normalizes(G, A):
     return True, None
 
 
+def reference_normalizer_contains_inn(aut, image):
+    """Does Inn(G) normalize the subgroup ``image`` of Aut(G)?  A double
+    loop over G and the image, on Aut indices: the normalizer test as the
+    library ran it before the stacked mask."""
+    members = sorted(set(int(i) for i in image))
+    mset = set(members)
+    t = aut.group.table
+    inv = aut.group.inverse
+    for g in range(aut.base.order):
+        ghat = int(aut.inner_of[g])
+        for m in members:
+            conj = int(t[t[inv[ghat], m], ghat])
+            if conj not in mset:
+                return False
+    return True
+
+
 def reference_induced_beta_maps(G, H, A):
     """beta(g): h -> alpha^-1(ghat^-1 alpha(h) ghat), row by row."""
     row_to_h = {A[h].tobytes(): h for h in range(H.order)}
     beta_maps = np.empty((G.order, H.order), dtype=np.intp)
     for g in range(G.order):
-        hat = G.conjugation_map(g)
-        hatinv = G.conjugation_map(G.inv(g))
+        hat = conjugation_maps(G)[g]
+        hatinv = conjugation_maps(G)[G.inv(g)]
         conj = hat[A[:, hatinv]]
         beta_maps[g] = [row_to_h[row.tobytes()] for row in conj]
     return beta_maps
@@ -309,14 +326,11 @@ def test_induced_beta_nonabelian():
     D4 = tf.make_catalog_group("dihedral:4")
     Z4 = make_cyclic(4)
     aut = automorphism_group(D4)
-    from tensorforge.automorphisms import normalizer_contains_inn
     trivial_beta = np.tile(np.arange(4), (8, 1))
     built = nontrivial = 0
     for alpha in tf.enumerate_homs(Z4, aut.group):
-        if len(set(alpha.map.tolist())) != 4:
-            continue
-        ok, _ = normalizer_contains_inn(aut, set(alpha.map.tolist()))
-        if not ok:
+        if not alpha.is_injective \
+                or not normalizer_contains_inn(aut, [alpha.map])[0]:
             continue
         pair = induced_beta(D4, Z4, alpha)
         assert is_compatible(pair).compatible
@@ -339,10 +353,8 @@ def test_induced_beta_matches_reference_construction():
                 pre = actions._conjugate_preimages(G, A)
                 ok, witness = _inn_normalizes(G, A)
                 assert actions._outside_witness(pre) == witness
-                if len(set(alpha.map.tolist())) != H.order:
-                    continue
-                if not normalizer_contains_inn(autG,
-                                               set(alpha.map.tolist()))[0]:
+                if not alpha.is_injective \
+                        or not normalizer_contains_inn(autG, [alpha.map])[0]:
                     continue
                 pair = induced_beta(G, H, alpha)
                 assert np.array_equal(pair.beta_maps,
@@ -359,6 +371,20 @@ def test_induced_beta_raises_typed_error_when_recheck_fails(monkeypatch):
     monkeypatch.setattr(actions, "is_compatible", lambda pair:
                         CompatibilityReport(False, Witness("first")))
     with pytest.raises(CrossCheckFailed, match="exhaustive check"):
+        induced_beta(Z4, make_cyclic(2), alpha)
+
+
+def test_induced_beta_validates_the_induced_rows(monkeypatch):
+    # alpha is validated on entry; the rows built for beta are validated
+    # on their own before the pair is assembled
+    Z4 = make_cyclic(4)
+    aut = automorphism_group(Z4)
+    alpha = GroupHom(make_cyclic(2), aut.group,
+                     [aut.group.identity, aut.index_of(Z4.inverse)])
+    pre = np.tile(np.arange(2), (4, 1))
+    pre[1] = [0, 0]                 # not an automorphism of Z2
+    monkeypatch.setattr(actions, "_conjugate_preimages", lambda G, A: pre)
+    with pytest.raises(InvalidAction, match="beta: row 1"):
         induced_beta(Z4, make_cyclic(2), alpha)
 
 
@@ -409,7 +435,7 @@ def test_z2_criterion_witness_kinds():
     S3 = tf.make_catalog_group("symmetric:3")
     # conjugation by a transposition is an involution; c(g) is not central
     transposition = next(g for g in range(6) if S3.element_order(g) == 2)
-    psi = S3.conjugation_map(transposition)
+    psi = conjugation_maps(S3)[transposition]
     ok, witness = z2_action_criterion(S3, psi)
     assert not ok and witness[0] == "not-central"
 
@@ -424,19 +450,26 @@ def test_z2_criterion_rejects_non_involution():
 # -- hypercenter congruence and hom-pair sweeps ---------------------------
 
 def test_zeta2_congruence_identity_pair():
-    G = tf.make_catalog_group("heisenberg:3")
-    idh = tf.hom_from_images(G, G, list(range(G.order)), list(range(G.order)))
-    ok, witness = check_zeta2_congruence(G, G, HomPair(idh, idh))
-    assert ok and witness is None
+    # S3 has trivial zeta_2, so (phi, psi) is congruent exactly when phi
+    # and psi are mutually inverse: the pairs (f, f^-1) of Aut(S3), the
+    # identity pair among them
+    S3 = tf.make_catalog_group("symmetric:3")
+    maps = [phi.map for phi in tf.enumerate_homs(S3, S3)]
+    ident = list(range(6))
+    direct = sum(psi[phi].tolist() == ident and phi[psi].tolist() == ident
+                 for phi in maps for psi in maps)
+    summary = hom_pair_compatibility_sweep(S3, S3)
+    assert summary["n_congruent"] == direct == 6
 
 
 def test_zeta2_congruence_failure_case():
-    # S3 has trivial zeta_2, so phi = psi = trivial fails off the kernel
+    # phi = psi = trivial fails off the kernel, and it comes first
     S3 = tf.make_catalog_group("symmetric:3")
-    gens = tf.homs.generating_set(S3)
-    trivial = tf.hom_from_images(S3, S3, gens, [S3.identity] * len(gens))
-    ok, witness = check_zeta2_congruence(S3, S3, HomPair(trivial, trivial))
-    assert not ok and witness[0] == "G"
+    phis = tf.enumerate_homs(S3, S3)
+    assert phis[0].map.tolist() == [S3.identity] * 6
+    summary = hom_pair_compatibility_sweep(S3, S3)
+    assert summary["first_incongruent"] == (0, 0)
+    assert not summary["all_congruent"]
 
 
 @pytest.mark.parametrize("g,h", [("symmetric:4", "symmetric:3"),
@@ -477,6 +510,33 @@ def test_grid_matches_pointwise_checks():
             norm_g, norm_h = normalizer_conditions(pair)
             assert bool(grid.normalizer_g[i]) == norm_g
             assert bool(grid.normalizer_h[j]) == norm_h
+
+
+# the six grids of the action-sweep benchmark workload
+SWEEP_GRIDS = [("elemab:2:3", "elemab:2:3"), ("dihedral:4", "elemab:2:3"),
+               ("quaternion:8", "dihedral:4"), ("elemab:3:2", "elemab:3:2"),
+               ("dihedral:8", "cyclic:4"), ("symmetric:3", "dihedral:6")]
+
+
+def test_normalizer_mask_matches_reference_loop(monkeypatch):
+    # every hom of the grids of verify checks 06-08 (all catalog pairs up
+    # to order 8) and of the sweep grids; Hom(H, Aut G) are the alphas of
+    # the grid (G, H) and the betas of the grid (H, G)
+    keys = [k for k, _ in catalog_groups_up_to(8)]
+    sides = {(g, h) for g in keys for h in keys}
+    sides |= {side for g, h in SWEEP_GRIDS for side in ((g, h), (h, g))}
+    homs = 0
+    for g, h in sorted(sides):
+        aut = automorphism_group(tf.make_catalog_group(g))
+        maps = np.stack([alpha.map for alpha in tf.enumerate_homs(
+            tf.make_catalog_group(h), aut.group)])
+        want = [reference_normalizer_contains_inn(aut, m) for m in maps]
+        assert normalizer_contains_inn(aut, maps).tolist() == want
+        with monkeypatch.context() as m:
+            m.setattr(automorphisms, "BLOCK_ENTRIES", 50)
+            assert normalizer_contains_inn(aut, maps).tolist() == want
+        homs += len(maps)
+    assert homs == 3925         # 3828 of them in the order-8 grids
 
 
 def test_enumerate_compatible_pairs_consistency():

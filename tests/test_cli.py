@@ -171,6 +171,18 @@ def test_bad_budget_environment_exits_two(capsys, monkeypatch, value):
     assert err.count("\n") == 1 and "TENSORFORGE_BUDGET" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("question2", "--max-order", "2", "--budget", "0"),
+    ("question2", "--max-order", "2", "--budget", "-3"),
+    ("classify-heisenberg", "2", "--budget", "0"),
+])
+def test_bad_budget_option_exits_two(capsys, argv):
+    code, out, err = run(capsys, "explore", *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert "--budget must be a positive integer" in err
+
+
 def _group_file(tmp_path, data):
     path = tmp_path / "group.json"
     path.write_text(json.dumps(data))

@@ -13,8 +13,7 @@ SOURCES = sorted((ROOT / "src" / "tensorforge").glob("*.py"))
 # Public names that nothing in the library or the benchmark calls yet
 # (ROADMAP item 5).  The list may only shrink: wire a name into a caller
 # or delete it, then drop it here.
-UNCALLED_BACKLOG = {"check_zeta2_congruence", "compose_maps",
-                    "module_action_on_kernel", "tensor_square"}
+UNCALLED_BACKLOG = {"compose_maps"}
 
 
 def _assertion_guards(tree):

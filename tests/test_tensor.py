@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 
 import tensorforge as tf
-from tensorforge.abelian import abelian_invariants, smith_diagonal
-from tensorforge.actions import ActionPair, involution_pair
+from tensorforge.abelian import (abelian_invariants, abelian_tensor,
+                                 smith_diagonal)
+from tensorforge.actions import ActionPair, conjugation_maps, involution_pair
 from tensorforge import tensor
 from tensorforge.errors import (CrossCheckFailed, IncompatibleActions,
                                 LimitExceeded, NotAHomomorphism)
 from tensorforge.groups import make_cyclic
 from tensorforge.presentations import (Presentation, coset_enumerate,
                                        spanning_tree, table_to_group)
-from tensorforge.tensor import (TensorReport, abelian_tensor,
-                                compute_tensor, derivative_subgroup,
-                                module_action_on_kernel,
-                                tensor_presentation, tensor_square)
+from tensorforge.tensor import (compute_tensor, derivative_subgroup,
+                                tensor_presentation)
+
+
+def tensor_square(G):
+    """G (x) G with both actions by conjugation (always compatible)."""
+    conj = conjugation_maps(G)
+    return compute_tensor(ActionPair(G, G, conj, conj))
 
 
 def z3_case(alpha_inversion, beta_inversion):
@@ -207,34 +212,15 @@ def test_abelianization_cross_check():
         assert abelian_invariants(rep.tensor) == snf_invariants
 
 
-# -- module action --------------------------------------------------------
+# -- central kernel -------------------------------------------------------
 
-def test_module_action_trivial_on_abelian_tensor():
-    rep = compute_tensor(ActionPair.trivial(make_cyclic(4), make_cyclic(6)))
-    action = module_action_on_kernel(rep)
-    for (a, d), value in action.items():
-        assert value == a
-
-
-def test_module_action_rows_are_permutations():
-    rep = tensor_square(tf.make_catalog_group("symmetric:3"))
-    action = module_action_on_kernel(rep)
-    kernel = list(rep.kernel.members)
-    for d in rep.derivative.members:
-        row = [action[(a, d)] for a in kernel]
-        assert sorted(row) == kernel
-
-
-def test_ill_defined_module_action_raises_typed_error():
-    # a kernel that is not central makes the action depend on the
-    # preimage; the check survives python -O
+def test_non_central_kernel_raises_typed_error():
+    # the kernel of the trivial map S3 -> 1 is S3, which is not central;
+    # the check survives python -O
     S3 = tf.make_catalog_group("symmetric:3")
     trivial = tf.GroupHom(S3, make_cyclic(1), [0] * 6)
-    rep = TensorReport(tensor=S3, symbol_map={}, kappa=trivial,
-                       derivative=trivial.image(), kernel=trivial.kernel(),
-                       invariants=None, nilpotency=None)
-    with pytest.raises(CrossCheckFailed, match="ill-defined"):
-        module_action_on_kernel(rep)
+    with pytest.raises(CrossCheckFailed, match="not central"):
+        tensor._assert_central(S3, trivial.kernel())
 
 
 # -- tensor squares -------------------------------------------------------
