@@ -1,161 +1,89 @@
-"""Abelian invariants via Smith normal form of a relation matrix.
+"""Abelian invariants from element-power counts, and the abelian tensor.
 
 The invariant-factor form d1 | d2 | ... | dk (each >= 2) is the canonical
 description of a finite abelian group; the trivial group is the empty list.
+A finite abelian group is fixed by the counts N_k = #{x : x^(p^k) = 1} for
+each prime p and k >= 1: N_k / N_(k-1) = p^r_k, where N_0 = 1 and r_k is
+the number of its cyclic p-parts of order at least p^k.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
 from .errors import CrossCheckFailed
 from .groups import derived_subgroup, quotient
-from .presentations import spanning_tree
 
 
-def smith_diagonal(rows, ncols):
-    """Diagonal of the Smith normal form of an integer matrix.
+def _prime_powers(n):
+    """{p: e} for the primes p dividing n, with p^e exactly dividing n."""
+    powers = defaultdict(int)
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            powers[p] += 1
+            n //= p
+        p += 1
+    if n > 1:
+        powers[n] += 1
+    return powers
 
-    ``rows`` is a list of length-``ncols`` integer sequences.  Returns the
-    diagonal entries (non-negative, divisibility chain enforced), padded
-    conceptually with zeros -- only the first min(m, n) entries are
-    returned.
-    """
-    m = [list(map(int, r)) for r in rows if any(r)]
-    diag = []
-    col0 = 0
-    nrows = len(m)
-    while m and col0 < ncols:
-        # pick pivot of minimal absolute value
-        best = None
-        for i, row in enumerate(m):
-            for j in range(col0, ncols):
-                v = row[j]
-                if v and (best is None or abs(v) < abs(best[2])):
-                    best = (i, j, v)
-        if best is None:
-            break
-        bi, bj, _ = best
-        m[0], m[bi] = m[bi], m[0]
-        for row in m:
-            row[col0], row[bj] = row[bj], row[col0]
-        while True:
-            p = m[0][col0]
-            done = True
-            for row in m[1:]:
-                if row[col0]:
-                    q = row[col0] // p
-                    for j in range(col0, ncols):
-                        row[j] -= q * m[0][j]
-                    if row[col0]:
-                        m[0], row[:] = row[:], m[0]
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(col0 + 1, ncols):
-                if m[0][j]:
-                    q = m[0][j] // p
-                    for row in m:
-                        row[j] -= q * row[col0]
-                    if m[0][j]:
-                        for row in m:
-                            row[col0], row[j] = row[j], row[col0]
-                        done = False
-                        break
-            if done:
-                break
-        diag.append(abs(m[0][col0]))
-        m = [row for row in m[1:] if any(row[col0 + 1:])]
-        col0 += 1
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if a and b and b % a != 0:
-                g = gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
-            elif a == 0 and b:
-                diag[i], diag[i + 1] = b, 0
-                changed = True
-    return diag
+
+def _invariant_factors(exponents):
+    """Ascending invariant factors of the abelian group with one cyclic
+    part of order p^e for every prime p and every e in exponents[p]."""
+    depth = max(map(len, exponents.values()), default=0)
+    factors = [1] * depth
+    for p, es in exponents.items():
+        for i, e in enumerate(sorted(es, reverse=True)):
+            factors[depth - 1 - i] *= p ** e
+    return factors
 
 
 def abelian_invariants(G):
     """Invariant factors of G/G'.
 
-    A generating set of the abelianization is chosen greedily; the Schreier
-    relations of its Cayley graph generate the full relation lattice, whose
-    Smith normal form gives the factors.
+    For each prime p dividing |G/G'|, x -> x^p is applied to every element
+    at once (p - 1 gathers of the table) until the count of x with
+    x^(p^k) = 1 stops growing; the exact integer log_p of each ratio of
+    counts is the number of cyclic p-parts of order at least p^k.
     """
     if G.is_abelian:
         A = G
     else:
         A, _ = quotient(G, derived_subgroup(G))
-    if A.order == 1:
-        return []
-    from .homs import generating_set
-    gens = generating_set(A)
-    k = len(gens)
-    rows = A.table[:, gens]
-    eye = np.eye(k, dtype=np.int64)
-    # exponent vector word[x] with prod gens^word[x] = x, along the tree
-    word = np.zeros((A.order, k), dtype=np.int64)
-    for cosets, parents, cols in spanning_tree(rows, A.identity):
-        word[cosets] = word[parents] + eye[cols]
-    # the Schreier relation of each edge x -> x s_i, distinct and sorted;
-    # smith_diagonal drops the zero rows of the tree edges
-    rels = (word[:, None, :] + eye - word[rows]).reshape(-1, k)
-    diag = smith_diagonal(sorted(set(map(tuple, rels.tolist()))), k)
-    factors = [d for d in diag if d > 1]
-    total = int(np.prod(factors)) if factors else 1
+    exponents = {}
+    for p in _prime_powers(A.order):
+        ranks = []
+        powers = np.arange(A.order)     # x^(p^k) for every x
+        count = 1
+        while True:
+            base = powers
+            for _ in range(p - 1):
+                powers = A.table[powers, base]
+            grown = int(np.count_nonzero(powers == A.identity))
+            rank = 0
+            while count * p ** (rank + 1) <= grown:
+                rank += 1
+            if count * p ** rank != grown:
+                raise CrossCheckFailed(f"count ratio {grown}/{count} at "
+                                       f"{p}^{len(ranks) + 1} in G^ab is not "
+                                       f"a power of {p}")
+            if not rank:
+                break
+            ranks.append(rank)
+            count = grown
+        exponents[p] = [sum(r > i for r in ranks)
+                        for i in range(max(ranks, default=0))]
+    factors = _invariant_factors(exponents)
+    total = prod(factors)
     if total != A.order:
         raise CrossCheckFailed(f"invariant factors {factors} multiply to "
                                f"{total}, not |G^ab| = {A.order}")
     return factors
-
-
-def invariants_to_primary(factors):
-    """Split invariant factors into prime-power components grouped by prime."""
-    primary = defaultdict(list)
-    for d in factors:
-        n = d
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                primary[p].append(p ** e)
-            p += 1
-        if n > 1:
-            primary[n].append(n)
-    for p in primary:
-        primary[p].sort(reverse=True)
-    return dict(primary)
-
-
-def primary_to_invariants(primary):
-    """Recombine prime-power components into invariant-factor form."""
-    if not primary:
-        return []
-    depth = max(len(v) for v in primary.values())
-    factors = []
-    for i in range(depth):
-        d = 1
-        for p, comps in primary.items():
-            if i < len(comps):
-                d *= comps[i]
-        factors.append(d)
-    # factors[0] is the largest invariant; the chain is returned ascending
-    return list(reversed(factors))
 
 
 def abelian_tensor(a_factors, b_factors):
@@ -164,13 +92,9 @@ def abelian_tensor(a_factors, b_factors):
 
     Z_m (x) Z_n = Z_gcd(m,n), summed over all pairs of cyclic components.
     """
-    primary = defaultdict(list)
+    exponents = defaultdict(list)
     for m in a_factors:
         for n in b_factors:
-            g = gcd(m, n)
-            if g > 1:
-                for p, comps in invariants_to_primary([g]).items():
-                    primary[p].extend(comps)
-    for p in primary:
-        primary[p].sort(reverse=True)
-    return primary_to_invariants(dict(primary))
+            for p, e in _prime_powers(gcd(m, n)).items():
+                exponents[p].append(e)
+    return _invariant_factors(exponents)

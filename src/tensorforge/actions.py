@@ -34,7 +34,8 @@ from .errors import (AlphaNotInjective, BudgetExceeded, CrossCheckFailed,
                      InvalidAction, InvalidBudget, NormalizerConditionFails,
                      PsiNotInvolution)
 from .groups import (BLOCK_ENTRIES, FiniteGroup, GroupHom, center,
-                     conjugation_maps, coset_labels, second_hypercenter)
+                     conjugation_maps, coset_labels, make_cyclic,
+                     second_hypercenter)
 from .homs import enumerate_homs, generating_set
 from .presentations import invert_word, reduce_word
 
@@ -328,7 +329,6 @@ def z2_action_criterion(G, psi):
 def involution_pair(G, psi):
     """The action pair (alpha: Z2 -> <psi>, beta trivial) for an involutive
     automorphism psi of G."""
-    from .groups import make_cyclic
     if isinstance(psi, GroupHom):
         psi = psi.map
     psi = np.asarray(psi, dtype=np.intp)

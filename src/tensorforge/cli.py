@@ -19,10 +19,12 @@ import numpy as np
 from .actions import (ActionPair, conjugation_maps, default_budget,
                       is_compatible, normalizer_conditions, positive_budget,
                       question2_scan)
+from .automorphisms import automorphism_group
 from .catalog import catalog_keys, make_catalog_group
 from .errors import IncompatibleActions, IoError, TensorforgeError
 from .homs import are_isomorphic
-from .serialize import (action_pair_from_dict, group_to_dict, resolve_group,
+from .serialize import (action_pair_from_dict, group_to_dict,
+                        maps_from_indices, resolve_group,
                         tensor_report_to_dict, witness_to_dict)
 from .tensor import compute_tensor, hom_pair_tensor_classes
 from .verify import run_verification
@@ -65,12 +67,10 @@ def _action_maps(spec, base, actor, side):
             data = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {side} spec {spec!r}: {exc}") from None
-    from .automorphisms import automorphism_group
-    aut = automorphism_group(base)
     idx = data["map"]
     if len(idx) != actor.order:
         raise IoError(f"{side} map must have {actor.order} entries")
-    return np.array([aut.elements[int(i)] for i in idx])
+    return maps_from_indices(automorphism_group(base), idx, side)
 
 
 def _build_pair(args):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LimitExceeded, NotAGroup, NotNormal
+from .errors import LimitExceeded, NotAGroup, NotAHomomorphism, NotNormal
 
 # The largest order of a group built from a catalog key, a group file or a
 # direct product; the dense intp multiplication table of a group of this
@@ -213,7 +213,6 @@ class GroupHom:
             lhs = mapping[source.table]
             rhs = target.table[np.ix_(mapping, mapping)]
             if not np.array_equal(lhs, rhs):
-                from .errors import NotAHomomorphism
                 i, j = np.argwhere(lhs != rhs)[0]
                 raise NotAHomomorphism((int(i), int(j)))
         self.source = source
@@ -363,11 +362,12 @@ def second_hypercenter(G):
         return z1
     Q, proj = quotient(G, z1)
     zq = center(Q)
-    return Subgroup(G, [x for x in range(G.order) if proj(x) in zq])
+    return Subgroup(G, np.flatnonzero(zq.mask()[proj.map]))
 
 
 # Entries per block of the large temporaries built in blocks: commutators,
-# the compatibility equations and the composition table of Aut(G).
+# the compatibility equations, the composition table of Aut(G) and the
+# relator traces that validate a finished coset table.
 BLOCK_ENTRIES = 16_384
 
 

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .abelian import abelian_invariants
 from .errors import BudgetExceeded, GensDoNotGenerate, NotAHomomorphism
-from .groups import BLOCK_ENTRIES, GroupHom, subgroup_generated
+from .groups import BLOCK_ENTRIES, GroupHom, center, subgroup_generated
 from .presentations import spanning_tree
 
 DEFAULT_BUDGET = 10 ** 6
@@ -175,10 +176,8 @@ def are_isomorphic(G, H, budget=None):
         return None
     if G.order_histogram() != H.order_histogram():
         return None
-    from .groups import center
     if center(G).order != center(H).order:
         return None
-    from .abelian import abelian_invariants
     if abelian_invariants(G) != abelian_invariants(H):
         return None
     maps = _search(G, H, bijective=True, find_all=False, budget=budget)

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LimitExceeded, TableIncomplete
-from .groups import FiniteGroup
+from .groups import BLOCK_ENTRIES, FiniteGroup
 
 DEFAULT_MAX_COSETS = 200_000
 
@@ -66,9 +66,6 @@ DEFAULT_MAX_COSETS = 200_000
 # the filter breaks even at 57 length-3 relators and saves 12% at 91; on
 # <a | a^1000> filtering the lone relator made enumeration 14 times slower.
 FILTER_MIN_RELATORS = 64
-
-# Entries per numpy block when validating a finished table.
-VALIDATE_BLOCK = 16_384
 
 
 def reduce_word(word):
@@ -633,8 +630,8 @@ def _validate_complete(table, presentation):
         raise TableIncomplete(f"column {bad[0]} is not a permutation")
     # trace every relator from every coset over offsets into the flat rows
     offsets = (rows * ncols).ravel()
-    cb = min(n, VALIDATE_BLOCK)
-    rb = max(1, VALIDATE_BLOCK // cb)
+    cb = min(n, BLOCK_ENTRIES)
+    rb = max(1, BLOCK_ENTRIES // cb)
     first_bad = len(presentation.relators)
     for idx, letters in presentation._by_length:
         cols = _columns(letters).T

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
+from .actions import ActionPair
 from .automorphisms import automorphism_group
 from .catalog import make_catalog_group
 from .errors import IoError, LimitExceeded, UnknownCatalogKey
@@ -84,8 +83,21 @@ def action_pair_to_dict(pair, g_key, h_key):
             "alpha": {"map": alpha}, "beta": {"map": beta}}
 
 
+def maps_from_indices(aut, indices, side):
+    """The automorphism maps at Aut indices read from a file, each index
+    checked to be an integer in range; ``side`` "alpha" indexes Aut(G),
+    "beta" Aut(H)."""
+    if not isinstance(indices, list) \
+            or not all(type(i) is int for i in indices):
+        raise IoError(f"{side} map must be a list of integer indices")
+    group = "G" if side == "alpha" else "H"
+    for i in indices:
+        if not 0 <= i < aut.order:
+            raise IoError(f"{side} index {i} out of range for Aut({group})")
+    return aut.elements[indices]
+
+
 def action_pair_from_dict(data):
-    from .actions import ActionPair
     try:
         G = resolve_group(data["g"])
         H = resolve_group(data["h"])
@@ -93,18 +105,10 @@ def action_pair_from_dict(data):
         beta_idx = data["beta"]["map"]
     except (KeyError, TypeError) as exc:
         raise IoError(f"malformed action pair file: missing {exc}") from None
-    autG = automorphism_group(G)
-    autH = automorphism_group(H)
     if len(alpha_idx) != H.order or len(beta_idx) != G.order:
         raise IoError("alpha map must have |H| entries and beta map |G|")
-    for i in alpha_idx:
-        if not 0 <= int(i) < autG.order:
-            raise IoError(f"alpha index {i} out of range for Aut(G)")
-    for i in beta_idx:
-        if not 0 <= int(i) < autH.order:
-            raise IoError(f"beta index {i} out of range for Aut(H)")
-    alpha = np.array([autG.elements[int(i)] for i in alpha_idx])
-    beta = np.array([autH.elements[int(i)] for i in beta_idx])
+    alpha = maps_from_indices(automorphism_group(G), alpha_idx, "alpha")
+    beta = maps_from_indices(automorphism_group(H), beta_idx, "beta")
     return ActionPair(G, H, alpha, beta)
 
 

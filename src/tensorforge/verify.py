@@ -19,7 +19,7 @@ from .actions import (ActionPair, compatibility_grid, compatible_pair_orbits,
                       verify_free_counterexample, z2_action_criterion)
 from .automorphisms import automorphism_group, normalizer_contains_inn
 from .catalog import catalog_groups_up_to, make_catalog_group
-from .errors import NormalizerConditionFails
+from .errors import CrossCheckFailed, NormalizerConditionFails
 from .groups import GroupHom, make_cyclic
 from .homs import (all_bijective_endomaps, are_isomorphic, enumerate_homs,
                    hom_from_images)
@@ -185,13 +185,15 @@ def check_induced_beta_soundness():
             for alpha, ok in zip(alphas, normal):
                 if not (alpha.is_injective and ok):
                     continue        # a hypothesis fails; out of scope
+                # induced_beta re-checks its pair with is_compatible
                 try:
-                    pair = induced_beta(G, H, alpha)
+                    induced_beta(G, H, alpha)
                 except NormalizerConditionFails:
                     failures.append((gk, hk, "hypothesis check disagrees"))
                     continue
-                if not is_compatible(pair).compatible:
+                except CrossCheckFailed:
                     failures.append((gk, hk, "induced pair incompatible"))
+                    continue
                 built += 1
     return _record("theorem1-claim2-induced-beta", [], failures, t0,
                    detail=f"{built} induced pairs built and verified")
@@ -246,8 +248,7 @@ def check_heisenberg_aut_derivative():
     beta = np.tile(np.arange(aut.order), (G.order, 1))
     pair = ActionPair(G, aut.group, alpha, beta, validate=False)
     # the elementary automorphism x2 -> x2 x1 with x1 fixed
-    zmask = np.array([G.mul(g, x) == G.mul(x, g) for g in range(G.order)
-                      for x in range(G.order)]).reshape(G.order, G.order)
+    zmask = G.table == G.table.T
     x1 = next(g for g in range(G.order) if not zmask[g].all())
     x2 = next(h for h in range(G.order) if not zmask[x1, h])
     phi = hom_from_images(G, G, [x1, x2], [x1, G.mul(x2, x1)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tensorforge as tf
-from tensorforge import actions, automorphisms
+from tensorforge import actions, automorphisms, verify
 from tensorforge.actions import (ActionPair, CompatibilityReport, HomPair,
                                  Witness, action_from_hom_pair,
                                  compatibility_grid, compatible_pair_orbits,
@@ -372,6 +372,18 @@ def test_induced_beta_raises_typed_error_when_recheck_fails(monkeypatch):
                         CompatibilityReport(False, Witness("first")))
     with pytest.raises(CrossCheckFailed, match="exhaustive check"):
         induced_beta(Z4, make_cyclic(2), alpha)
+
+
+def test_induced_beta_check_records_a_failed_recheck(monkeypatch):
+    # verify check 08 leaves the exhaustive re-check to induced_beta and
+    # turns its CrossCheckFailed into a failing row, not an abort
+    monkeypatch.setattr(actions, "is_compatible", lambda pair:
+                        CompatibilityReport(False, Witness("first")))
+    record = verify.check_induced_beta_soundness()
+    assert not record["passed"] and record["computed"]
+    assert {reason for _, _, reason in record["computed"]} \
+        == {"induced pair incompatible"}
+    assert record["detail"] == "0 induced pairs built and verified"
 
 
 def test_induced_beta_validates_the_induced_rows(monkeypatch):

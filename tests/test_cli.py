@@ -163,6 +163,23 @@ def test_compat_invalid_action_file_exits_two(capsys, tmp_path):
     assert err == "error: alpha: identity must act trivially\n"
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([0, -1], "alpha index -1 out of range for Aut(G)"),
+    ([0, 5], "alpha index 5 out of range for Aut(G)"),
+    ("01", "alpha map must be a list of integer indices"),
+    ([0, 1.7], "alpha map must be a list of integer indices"),
+])
+def test_map_file_bad_entries_exit_two(capsys, tmp_path, entries, message):
+    # -1 must not wrap to the last automorphism of cyclic:3, and neither
+    # the string "01" nor 1.7 may pass as the indices [0, 1]
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps({"map": entries}))
+    code, out, err = run(capsys, "compat", "--g", "cyclic:3",
+                         "--h", "cyclic:2", "--alpha", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
 def test_bad_budget_environment_exits_two(capsys, monkeypatch, value):
     monkeypatch.setenv("TENSORFORGE_BUDGET", value)

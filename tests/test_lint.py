@@ -45,6 +45,30 @@ def test_lint_sees_both_forms():
     assert list(_assertion_guards(ast.parse(source))) == [1, 2, 3]
 
 
+def _function_imports(tree):
+    """Line numbers of import statements inside a function body."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    yield inner.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_level_imports(path):
+    # imports sit at the module head, so the import graph reads from the
+    # top of each module and a cycle fails at import time
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert sorted(set(_function_imports(tree))) == []
+
+
+def test_import_lint_sees_functions_and_methods():
+    source = ("from .a import b\n"
+              "def f():\n    from .c import d\n"
+              "class K:\n    def m(self):\n        import e\n")
+    assert sorted(set(_function_imports(ast.parse(source)))) == [3, 6]
+
+
 def _referenced_names(tree):
     """Names read as a variable or an attribute anywhere in a module,
     except inside the top-level function or class of that same name."""

@@ -118,6 +118,23 @@ def test_relators_trace_to_identity_from_every_coset():
             assert table.trace(c, r) == c
 
 
+@pytest.mark.parametrize("block", [presentations.BLOCK_ENTRIES, 7])
+def test_validation_names_first_failing_relator(monkeypatch, block):
+    # a = +1 and b = +4 on Z12 satisfy relators 0-3 and 7 but not 4-6;
+    # small blocks split both the cosets and the length-6 relators
+    monkeypatch.setattr(presentations, "BLOCK_ENTRIES", block)
+    p = Presentation(2, ((2, 2, 2), (1, 2, -1, -2), (1, 1, 1, 1, -2),
+                         (1, 1, 2, -1, -1, -2), (1,) * 6, (2, 2),
+                         (2, 2, 2, 2), (1,) * 12))
+    c = np.arange(12)
+    rows = np.stack([(c + 1) % 12, (c - 1) % 12, (c + 4) % 12, (c - 4) % 12],
+                    axis=1)
+    table = presentations.CosetTable(2, rows)
+    with pytest.raises(presentations.TableIncomplete,
+                       match=r"relator \(1, 1, 1, 1, 1, 1\) does not"):
+        presentations._validate_complete(table, p)
+
+
 def test_generator_columns_are_permutations():
     p = Presentation(2, ((1, 1), (2, 2), (1, 2, 1, 2, 1, 2)))
     table = coset_enumerate(p)
