@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CrossCheckFailed, LimitExceeded
-from .groups import BLOCK_ENTRIES, FiniteGroup, conjugation_maps
+from .groups import (BLOCK_ENTRIES, MAX_CATALOG_ORDER, FiniteGroup,
+                     conjugation_maps)
 from .homs import all_bijective_endomaps, generating_set
 
 
@@ -71,11 +72,16 @@ def automorphism_group(G, budget=None):
     also the order of the images of ``generating_set(G)``, which fix an
     automorphism (each element before the j-th generator lies in the
     subgroup of the earlier ones), so products are looked up by those.
+    Above MAX_CATALOG_ORDER automorphisms, LimitExceeded is raised before
+    the |Aut| x |Aut| table is allocated.
     """
     if G._aut is not None:
         return G._aut
     maps = all_bijective_endomaps(G, budget=budget)
     n = len(maps)
+    if n > MAX_CATALOG_ORDER:
+        raise LimitExceeded(f"|Aut(G)| = {n} exceeds the "
+                            f"{MAX_CATALOG_ORDER}-element cap for its table")
     elements = np.array(maps, dtype=np.intp).reshape(n, G.order)
     elements.setflags(write=False)
     gens = generating_set(G)

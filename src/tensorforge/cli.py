@@ -24,8 +24,8 @@ from .catalog import catalog_keys, make_catalog_group
 from .errors import IncompatibleActions, IoError, TensorforgeError
 from .homs import are_isomorphic
 from .serialize import (action_pair_from_dict, group_to_dict,
-                        maps_from_indices, resolve_group,
-                        tensor_report_to_dict, witness_to_dict)
+                        maps_from_indices, read_json, resolve_group,
+                        tensor_report_to_dict, witness_to_dict, write_json)
 from .tensor import compute_tensor, hom_pair_tensor_classes
 from .verify import run_verification
 
@@ -62,21 +62,16 @@ def _action_maps(spec, base, actor, side):
             raise IoError("conjugation action requires the two groups to "
                           "be the same")
         return conjugation_maps(base)
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {side} spec {spec!r}: {exc}") from None
-    idx = data["map"]
-    if len(idx) != actor.order:
+    maps = maps_from_indices(automorphism_group(base),
+                             read_json(spec, f"{side} map file", "map"), side)
+    if len(maps) != actor.order:
         raise IoError(f"{side} map must have {actor.order} entries")
-    return maps_from_indices(automorphism_group(base), idx, side)
+    return maps
 
 
 def _build_pair(args):
     if args.pair:
-        with open(args.pair, encoding="utf-8") as fh:
-            return action_pair_from_dict(json.load(fh))
+        return action_pair_from_dict(read_json(args.pair, "action pair file"))
     G = resolve_group(args.g)
     H = resolve_group(args.h)
     alpha = _action_maps(args.alpha, G, H, "alpha")
@@ -99,8 +94,7 @@ def cmd_catalog(args):
     G = make_catalog_group(args.key)
     data = group_to_dict(G)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
+        write_json(args.out, data, "group file")
         results = {"written": args.out, "order": G.order}
     else:
         results = data
@@ -126,8 +120,9 @@ def cmd_compat(args):
 def cmd_tensor(args):
     t0 = time.perf_counter()
     pair = _build_pair(args)
-    rep = compute_tensor(pair, force=args.force,
-                         max_cosets=args.max_cosets)
+    max_cosets = (None if args.max_cosets is None
+                  else positive_budget(args.max_cosets, "--max-cosets"))
+    rep = compute_tensor(pair, force=args.force, max_cosets=max_cosets)
     results = tensor_report_to_dict(rep)
     iso_notes = []
     for label, K in (("g", pair.G), ("h", pair.H)):
@@ -155,7 +150,8 @@ def cmd_explore(args):
     budget = (default_budget() if args.budget is None
               else positive_budget(args.budget, "--budget"))
     if args.question == "question2":
-        results = question2_scan(args.max_order, budget=budget)
+        max_order = positive_budget(args.max_order, "--max-order")
+        results = question2_scan(max_order, budget=budget)
         status = "pass" if not results["counterexamples"] else "partial"
         return _report("explore question2",
                        {"max_order": args.max_order}, results, status,

@@ -19,16 +19,11 @@ k, -k its inverse.  ``coset_enumerate`` works in three steps:
    input yields a bit-identical table.  The table is then validated
    against the full relator list of the original presentation.
 
-A ``Presentation`` stores its relators twice: as the tuple of int tuples
-that callers see, and, in the private field ``_by_length``, as one int64
-array of letters per relator length with the indices of those relators.
-The arrays are built once, when the presentation is made.  Every layer
-between the presentation and the group reads them: ``_eliminate``
-substitutes into them, ``_representatives`` keys the rotation classes,
-``_scan_columns`` gives the scan tuples and the filter's column matrices,
-and ``_validate_complete`` traces every relator.  ``table_to_group`` reads
-the group back along the table's breadth-first ``spanning_tree``, one
-gather per tree layer.
+A ``Presentation`` keeps its relators once, in ``_by_length``: per
+length, their indices and one read-only int64 array of their letters,
+checked and freely reduced in one vectorised pass.  Every layer up to
+``table_to_group`` reads these arrays; the tuples of ``relators`` are
+built only when that is read.
 
 The working table is one flat ``array`` of row offsets: coset c owns the
 entries c*ncols .. c*ncols + ncols - 1, and an entry holds the offset
@@ -50,8 +45,9 @@ the enumeration of the reduced presentation.
 
 from __future__ import annotations
 
+import numbers
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,6 +62,10 @@ DEFAULT_MAX_COSETS = 200_000
 # the filter breaks even at 57 length-3 relators and saves 12% at 91; on
 # <a | a^1000> filtering the lone relator made enumeration 14 times slower.
 FILTER_MIN_RELATORS = 64
+
+# Letters beyond this magnitude are refused before free reduction, whose
+# int64 sweep reads the int64 maximum as the top of an empty stack.
+MAX_LETTER = 2 ** 62
 
 
 def reduce_word(word):
@@ -85,102 +85,135 @@ def invert_word(word):
     return [-letter for letter in reversed(word)]
 
 
-@dataclass(frozen=True)
 class Presentation:
-    """Abstract generators 1..ngens plus freely reduced relator words.
+    """Abstract generators 1..ngens plus freely reduced relator words,
+    given as a sequence of words or as one 2-D integer array of them.
+    ``relators`` is a tuple of int tuples, built on first use."""
 
-    ``relators`` is a sequence of words, or one 2-D integer array whose
-    rows are the words; it is stored as a tuple of int tuples.
-    """
+    __slots__ = ("ngens", "_by_length", "_count", "_relators")
 
-    ngens: int
-    relators: tuple = ()
-    # the same relators grouped by length, in order of first appearance:
-    # (ascending indices into relators, words x length int64 letters)
-    _by_length: tuple = field(default=(), init=False, compare=False,
-                              repr=False)
+    def __init__(self, ngens, relators=()):
+        by_length, count = _relator_arrays(ngens, relators)
+        for name, value in zip(self.__slots__,
+                               (ngens, by_length, count, None)):
+            object.__setattr__(self, name, value)
 
-    def __post_init__(self):
-        relators, by_length = _reduce_relators(self.ngens, self.relators)
-        object.__setattr__(self, "relators", relators)
-        object.__setattr__(self, "_by_length", by_length)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Presentation is immutable: {name!r}")
+
+    def __reduce__(self):               # copies and pickles rebuild it
+        return Presentation, (self.ngens, self.relators)
+
+    @property
+    def relators(self):
+        if self._relators is None:
+            words = [None] * self._count
+            for idx, letters in self._by_length:
+                for i, w in zip(idx.tolist(), zip(*letters.T.tolist())):
+                    words[i] = w
+            object.__setattr__(self, "_relators", tuple(words))
+        return self._relators
+
+    def __eq__(self, other):
+        return isinstance(other, Presentation) and \
+            (self.ngens, self.relators) == (other.ngens, other.relators)
+
+    def __hash__(self):
+        return hash((self.ngens, self.relators))
+
+    def __repr__(self):
+        return (f"Presentation(ngens={self.ngens!r}, "
+                f"relators={self.relators!r})")
 
 
-def _reduce_relators(ngens, words):
-    """The freely reduced non-empty words as tuples, in order, and the
-    same words grouped by length as in ``Presentation._by_length``.
-
-    Only words with a 0, a letter out of range or a cancelling pair, and
-    words that are not integer sequences, go through ``reduce_word`` and
-    the range check, in their original order; every other word is
-    already reduced and valid.  So the first invalid word raises what a
-    word-by-word loop raises.
-    """
-    blocks, odd = [], []            # (positions, letters); (position, word)
+def _relator_arrays(ngens, words):
+    """The freely reduced non-empty words, per length in order of first
+    appearance as (ascending indices among them, words x length int64
+    letters), read-only; and their number.  The first faulty word in
+    input order raises what ``_letter_error`` gives for it."""
     if isinstance(words, np.ndarray) and words.ndim == 2 \
-            and words.dtype.kind == "i":
-        count = len(words)
-        if words.shape[1]:
-            blocks.append((np.arange(count), words.astype(np.int64)))
+            and words.dtype.kind in "iu":
+        groups = [(np.arange(len(words)), words, words)]
     else:
-        by_length = {}
-        count = 0
-        for w in words:
-            w = tuple(w)
-            pos, ws = by_length.setdefault(len(w), ([], []))
-            pos.append(count)
-            ws.append(w)
-            count += 1
-        by_length.pop(0, None)       # empty words reduce to nothing
-        for length, (pos, ws) in by_length.items():
-            letters = np.array(ws)
-            if letters.dtype.kind == "i" and letters.shape == (len(ws), length):
-                blocks.append((np.array(pos), letters.astype(np.int64)))
-            else:
-                odd.extend(zip(pos, ws))
-    for b, (pos, letters) in enumerate(blocks):
-        flagged = ((letters == 0) | (letters < -ngens)
-                   | (letters > ngens)).any(axis=1)
-        flagged |= (letters[:, 1:] == -letters[:, :-1]).any(axis=1)
-        if flagged.any():
-            odd.extend(zip(pos[flagged].tolist(),
-                           map(tuple, letters[flagged].tolist())))
-            blocks[b] = (pos[~flagged], letters[~flagged])
-    reduced = {}                    # length -> ([positions], [words])
-    for p, w in sorted(odd):
-        r = reduce_word(w)
-        for letter in r:
-            if not 1 <= abs(letter) <= ngens:
-                raise ValueError(f"letter {letter} out of range")
-        if r:
-            pos, ws = reduced.setdefault(len(r), ([], []))
+        lengths = {}                    # length -> ([positions], [words])
+        for p, w in enumerate(map(tuple, words)):
+            pos, ws = lengths.setdefault(len(w), ([], []))
             pos.append(p)
-            ws.append(r)
-    parts = {}
-    for pos, letters in blocks + [(np.array(pos), np.array(ws, np.int64))
-                                  for pos, ws in reduced.values()]:
-        if len(pos):
-            parts.setdefault(letters.shape[1], []).append((pos, letters))
-    out = [None] * count
-    kept = np.zeros(count, dtype=bool)
-    merged = []
-    for group in parts.values():
-        pos = np.concatenate([pos for pos, _ in group])
-        order = np.argsort(pos, kind="stable")
-        pos = pos[order]
-        letters = np.concatenate([letters for _, letters in group])[order]
-        kept[pos] = True
-        for p, w in zip(pos.tolist(), zip(*letters.T.tolist())):
-            out[p] = w
-        merged.append((pos, letters))
-    index = np.cumsum(kept) - 1
-    groups = []
-    for pos, letters in sorted(merged, key=lambda g: g[0][0]):
-        idx = index[pos]
+            ws.append(w)
+        groups = [(np.array(pos), ws, _integer_rows(ws, length))
+                  for length, (pos, ws) in lengths.items()]
+    blocks, faults = [], []             # faults: (position, error)
+    for pos, originals, letters in groups:
+        bad = ((letters == 0) | (letters > MAX_LETTER)
+               | (letters < -MAX_LETTER)).any(axis=1)
+        ws = letters.T.astype(np.int64, order="C")
+        ws[:, bad] = 0                  # a faulty word reduces to nothing
+        ws, length = _free_reduce(ws)
+        bad |= (np.abs(ws) > ngens).any(axis=0)
+        if bad.any():
+            r = np.flatnonzero(bad)[0]
+            faults.append((pos[r], _letter_error(
+                originals[r], ws[:, r].tolist(), ngens)))
+        blocks.append((pos, ws, length))
+    if faults:
+        raise min(faults, key=lambda f: f[0])[1]
+    by_length = _regroup(blocks)
+    if not by_length:
+        return (), 0
+    # positions in the input -> indices among the non-empty reduced words
+    kept = np.sort(np.concatenate([idx for idx, _ in by_length]))
+    for idx, letters in by_length:
+        idx[:] = np.searchsorted(kept, idx)
         idx.setflags(write=False)
         letters.setflags(write=False)
-        groups.append((idx, letters))
-    return tuple(w for w in out if w is not None), tuple(groups)
+    return tuple(by_length), len(kept)
+
+
+def _integer_rows(ws, length):
+    """Words of one length as a words x length integer array, a word for
+    which ``_letter_error`` finds a fault as 0s."""
+    try:
+        letters = np.array(ws)
+        if letters.dtype.kind in "iu" and letters.shape == (len(ws), length):
+            return letters
+    except ValueError:                  # nested sequences of mixed shapes
+        pass
+    return np.array([(0,) * length if _letter_error(w) else w for w in ws],
+                    dtype=np.int64)
+
+
+def _letter_error(word, reduced=(), ngens=0):
+    """The error for a word's first letter that is not an integer, for a
+    0, or for its first letter beyond MAX_LETTER in magnitude, else for
+    the first letter of its free reduction out of range; or None."""
+    for x in word:
+        if not isinstance(x, numbers.Integral):
+            return ValueError(f"letter {x!r} is not an integer")
+    if 0 in word:
+        return ValueError("0 is not a valid letter")
+    out = [x for x in word if abs(int(x)) > MAX_LETTER]
+    out += [x for x in reduced if abs(x) > ngens]
+    return ValueError(f"letter {out[0]} out of range") if out else None
+
+
+def _regroup(blocks):
+    """Words given per block as (indices, letters x words as
+    ``_free_reduce`` returns them, lengths), grouped by length: per
+    non-zero length, in order of the first index, (ascending indices,
+    words x length letters)."""
+    parts = {}
+    for idx, ws, length in blocks:
+        for k in (np.flatnonzero(np.bincount(length)[1:]) + 1).tolist():
+            keep = length == k
+            parts.setdefault(k, []).append((idx[keep], ws[:k, keep].T))
+    by_length = []
+    for group in parts.values():
+        idx = np.concatenate([i for i, _ in group])
+        order = np.argsort(idx, kind="stable")
+        by_length.append((idx[order],
+                          np.concatenate([w for _, w in group])[order]))
+    by_length.sort(key=lambda g: g[0][0])
+    return by_length
 
 
 def _col(letter):
@@ -350,11 +383,11 @@ def _representatives(ngens, by_length):
     return out
 
 
-def _reduce_words(words):
-    """Freely and cyclically reduce words stored letter by letter: column
-    r of the letters x words array ``words`` is word r, 0 marks a deleted
-    letter.  Returns the reduced words in the same layout, each packed to
-    the top with 0 below it, and their lengths.
+def _free_reduce(words):
+    """Freely reduce words stored letter by letter: column r of the
+    letters x words array ``words`` is word r, 0 marks a deleted letter.
+    Returns the reduced words in the same layout, each packed to the top
+    with 0 below it, and their lengths.
 
     One sweep over the letter positions pushes each letter onto its
     word's stack or pops the inverse letter on top of it."""
@@ -373,12 +406,18 @@ def _reduce_words(words):
     top //= count
     # clear what was pushed and popped again, or never written
     out[np.arange(1, length + 1)[:, None] > top] = 0
-    return _trim(out, top)
+    return out, top
+
+
+def _reduce_words(words):
+    """Freely and cyclically reduce words laid out as ``_free_reduce``
+    takes them."""
+    return _trim(*_free_reduce(words))
 
 
 def _trim(words, length):
     """Cyclically reduce freely reduced words, laid out as
-    ``_reduce_words`` returns them, by trimming inverse letters off both
+    ``_free_reduce`` returns them, by trimming inverse letters off both
     ends; returns them in the same layout and their new lengths."""
     r = np.arange(words.shape[1])
     trim = np.flatnonzero((length >= 2)
@@ -420,7 +459,7 @@ def _eliminate(presentation):
     1..ngens equals (0 if it is killed), the number of reduced
     generators, and the nonempty reduced relators per length, as
     ``Presentation._by_length`` holds them, indexed by their position in
-    ``presentation.relators``.
+    the presentation's relators.
     """
     n = presentation.ngens
     base = 2 * n + 1
@@ -485,19 +524,8 @@ def _eliminate(presentation):
     rank = np.zeros(n + 1, dtype=np.int64)
     survivors = np.flatnonzero(img == np.arange(n + 1))[1:]
     rank[survivors] = np.arange(1, len(survivors) + 1)
-    parts = {}
-    for idx, ws, length in words:
-        for k in np.unique(length[length > 0]).tolist():
-            keep = length == k
-            parts.setdefault(k, []).append((idx[keep], ws[:k, keep].T))
-    by_length = []
-    for group in parts.values():
-        idx = np.concatenate([i for i, _ in group])
-        order = np.argsort(idx, kind="stable")
-        letters = np.concatenate([w for _, w in group])[order]
-        by_length.append((idx[order],
-                          np.sign(letters) * rank[np.abs(letters)]))
-    by_length.sort(key=lambda g: g[0][0])
+    by_length = [(idx, np.sign(letters) * rank[np.abs(letters)])
+                 for idx, letters in _regroup(words)]
     return np.sign(img[1:]) * rank[np.abs(img[1:])], len(survivors), \
         by_length
 
@@ -561,6 +589,14 @@ def _scan_columns(ngens, by_length, dtype):
     return rels, filtered
 
 
+def _trace(table, start, cols):
+    """Trace from the offsets ``start`` through a flat table of offsets,
+    one gather per row of the column matrix ``cols``."""
+    for c in cols:
+        start = table[start + c]
+    return start
+
+
 def _enumerate_rows(ngens, by_length, max_cosets, max_steps):
     if not ngens:
         return np.zeros((1, 0), dtype=np.intp)
@@ -582,10 +618,7 @@ def _enumerate_rows(ngens, by_length, max_cosets, max_steps):
             # grow the array
             view = np.frombuffer(t, dtype)
             for idx, cols in filtered:
-                cur = view[alpha + cols[0]]
-                for c in cols[1:]:
-                    cur = view[cur + c]
-                closed[idx] = cur == alpha
+                closed[idx] = _trace(view, alpha, cols) == alpha
             del view
             todo = np.flatnonzero(~closed).tolist()
         done = 0
@@ -632,22 +665,20 @@ def _validate_complete(table, presentation):
     offsets = (rows * ncols).ravel()
     cb = min(n, BLOCK_ENTRIES)
     rb = max(1, BLOCK_ENTRIES // cb)
-    first_bad = len(presentation.relators)
+    first_bad, word = presentation._count, None
     for idx, letters in presentation._by_length:
         cols = _columns(letters).T
         for r0 in range(0, len(idx), rb):
             block = cols[:, r0:r0 + rb, None]
             for c0 in range(0, n, cb):
                 start = want[None, c0:c0 + cb] * ncols
-                cur = start
-                for c in block:
-                    cur = offsets[cur + c]
-                fails = np.flatnonzero((cur != start).any(axis=1))
-                if len(fails):
-                    first_bad = min(first_bad, int(idx[r0 + fails[0]]))
-    if first_bad < len(presentation.relators):
-        r = presentation.relators[first_bad]
-        raise TableIncomplete(f"relator {r} does not trace to identity")
+                fails = np.flatnonzero(
+                    (_trace(offsets, start, block) != start).any(axis=1))
+                if len(fails) and idx[r0 + fails[0]] < first_bad:
+                    r = r0 + fails[0]
+                    first_bad, word = int(idx[r]), tuple(letters[r].tolist())
+    if word is not None:
+        raise TableIncomplete(f"relator {word} does not trace to identity")
 
 
 def spanning_tree(rows, root=0):

@@ -3,7 +3,9 @@
 One resolver handles every group-valued input: a string that parses as a
 catalog key yields the catalog group, anything else is treated as a path
 to a group file.  Files are never trusted; loaded tables go through full
-validation.
+validation.  Every file is read by ``read_json`` and written by
+``write_json``, which raise one IoError naming the file for any OS, JSON
+or shape fault.
 """
 
 from __future__ import annotations
@@ -15,6 +17,32 @@ from .automorphisms import automorphism_group
 from .catalog import make_catalog_group
 from .errors import IoError, LimitExceeded, UnknownCatalogKey
 from .groups import MAX_CATALOG_ORDER, FiniteGroup, from_cayley_table
+
+
+def read_json(path, what, key=None):
+    """The JSON value in the file at ``path``, which holds ``what``, or
+    that value's entry ``key``, which must be there."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:    # ValueError: JSON or UTF-8
+        reason = getattr(exc, "strerror", None) or exc
+        raise IoError(f"cannot read {what} {path!r}: {reason}") from None
+    if key is None:
+        return data
+    if not isinstance(data, dict) or key not in data:
+        raise IoError(f"{what} {path!r} has no {key!r} entry")
+    return data[key]
+
+
+def write_json(path, data, what):
+    """Write ``data``, which is ``what``, to the file at ``path``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+    except OSError as exc:
+        raise IoError(f"cannot write {what} {path!r}: "
+                      f"{exc.strerror or exc}") from None
 
 
 def group_to_dict(G):
@@ -62,15 +90,7 @@ def resolve_group(spec):
         return make_catalog_group(spec)
     except UnknownCatalogKey:
         pass
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"{spec!r} is neither a catalog key nor a readable "
-                      f"file ({exc})") from None
-    except json.JSONDecodeError as exc:
-        raise IoError(f"{spec}: invalid JSON ({exc})") from None
-    return group_from_dict(data)
+    return group_from_dict(read_json(spec, "catalog key or group file"))
 
 
 def action_pair_to_dict(pair, g_key, h_key):
@@ -105,10 +125,10 @@ def action_pair_from_dict(data):
         beta_idx = data["beta"]["map"]
     except (KeyError, TypeError) as exc:
         raise IoError(f"malformed action pair file: missing {exc}") from None
-    if len(alpha_idx) != H.order or len(beta_idx) != G.order:
-        raise IoError("alpha map must have |H| entries and beta map |G|")
     alpha = maps_from_indices(automorphism_group(G), alpha_idx, "alpha")
     beta = maps_from_indices(automorphism_group(H), beta_idx, "beta")
+    if len(alpha) != H.order or len(beta) != G.order:
+        raise IoError("alpha map must have |H| entries and beta map |G|")
     return ActionPair(G, H, alpha, beta)
 
 

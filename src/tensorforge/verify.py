@@ -268,9 +268,10 @@ def check_enumerator_round_trip():
     failures = []
     n = 0
     for key, G in catalog_groups_up_to(27):
-        relators = tuple((i + 1, j + 1, -(G.mul(i, j) + 1))
-                         for i in range(G.order) for j in range(G.order))
-        presentation = Presentation(G.order, relators)
+        # the words i j (ij)^-1, row-major over (i, j)
+        g = np.arange(1, G.order + 1)
+        presentation = Presentation(G.order, np.stack(np.broadcast_arrays(
+            g[:, None], g, -(G.table + 1)), axis=-1).reshape(-1, 3))
         table = coset_enumerate(presentation)
         K, _ = table_to_group(table, presentation)
         if table.ncosets != G.order or are_isomorphic(G, K) is None:

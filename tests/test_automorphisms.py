@@ -1,5 +1,7 @@
 """Automorphism groups, inner automorphisms and normalizer checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,19 @@ def test_aut_tables_match_reference(key):
     assert aut.inner_indices == sorted(set(int(i) for i in inner_of))
     for m, i in index.items():
         assert aut.index_of(m) == i
+
+
+@pytest.mark.parametrize("key", sorted(HUGE_AUT))
+def test_aut_over_the_cap_is_refused_before_its_table(key):
+    G = tf.make_catalog_group(key)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceeded, match="exceeds the 4096-element"):
+            automorphism_group(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20 and G._aut is None
 
 
 def test_aut_refuses_image_keys_wider_than_64_bits(monkeypatch):

@@ -168,6 +168,7 @@ def test_compat_invalid_action_file_exits_two(capsys, tmp_path):
     ([0, 5], "alpha index 5 out of range for Aut(G)"),
     ("01", "alpha map must be a list of integer indices"),
     ([0, 1.7], "alpha map must be a list of integer indices"),
+    (5, "alpha map must be a list of integer indices"),
 ])
 def test_map_file_bad_entries_exit_two(capsys, tmp_path, entries, message):
     # -1 must not wrap to the last automorphism of cyclic:3, and neither
@@ -249,3 +250,71 @@ def test_unexpected_exception_exits_two_with_one_line(capsys, monkeypatch):
                          "--h", "cyclic:2")
     assert code == 2 and out == ""
     assert err == "error: RuntimeError: something broke in two lines\n"
+
+
+def _one_error_line(code, out, err, *needles):
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    for needle in needles:
+        assert needle in err
+    # a typed error, not the last-resort handler's exception name
+    for name in ("FileNotFoundError", "JSONDecodeError", "TypeError",
+                 "KeyError", "ValueError"):
+        assert name not in err
+
+
+def test_missing_pair_file_is_an_io_error(capsys, tmp_path):
+    path = str(tmp_path / "nonexistent.json")
+    code, out, err = run(capsys, "compat", "--pair", path)
+    _one_error_line(code, out, err, "action pair file", path)
+
+
+@pytest.mark.parametrize("option", ["--pair", "--alpha"])
+def test_truncated_json_file_is_an_io_error(capsys, tmp_path, option):
+    path = tmp_path / "cut.json"
+    path.write_text('{"map": [0,')
+    code, out, err = run(capsys, "compat", "--g", "cyclic:3", "--h",
+                         "cyclic:2", option, str(path))
+    _one_error_line(code, out, err, str(path), "Expecting value")
+
+
+@pytest.mark.parametrize("data", [[0, 1], {"mapp": [0, 1]}, 7])
+def test_map_file_without_a_map_entry_is_an_io_error(capsys, tmp_path,
+                                                     data):
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "compat", "--g", "cyclic:3",
+                         "--h", "cyclic:2", "--alpha", str(path))
+    _one_error_line(code, out, err, str(path), "no 'map' entry")
+
+
+def test_unwritable_export_path_is_an_io_error(capsys, tmp_path):
+    path = str(tmp_path / "nonexistent" / "x.json")
+    code, out, err = run(capsys, "catalog", "export", "cyclic:3",
+                         "--out", path)
+    _one_error_line(code, out, err, "cannot write group file", path)
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_max_cosets_exits_two(capsys, value):
+    code, out, err = run(capsys, "tensor", "--g", "cyclic:2", "--h",
+                         "cyclic:2", "--max-cosets", value)
+    _one_error_line(code, out, err,
+                    f"--max-cosets must be a positive integer, not {value}")
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_non_positive_max_order_exits_two(capsys, value):
+    code, out, err = run(capsys, "explore", "question2", "--max-order",
+                         value)
+    _one_error_line(code, out, err,
+                    f"--max-order must be a positive integer, not {value}")
+
+
+def test_map_file_over_a_huge_aut_exits_two(capsys, tmp_path):
+    # |Aut(elemab:2:4)| = 20160: refused before its 3.25 GB table
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps({"map": [0, 0]}))
+    code, out, err = run(capsys, "compat", "--g", "elemab:2:4",
+                         "--h", "cyclic:2", "--alpha", str(path))
+    _one_error_line(code, out, err, "20160", "4096")

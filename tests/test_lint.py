@@ -98,3 +98,25 @@ def test_every_public_name_has_a_caller():
 def test_caller_check_ignores_a_name_inside_its_own_body():
     source = "def f(n):\n    return f(n - 1)\n\ndef g():\n    return h.f\n"
     assert _referenced_names(ast.parse(source)) == {"n", "h", "f"}
+
+
+def _open_calls(tree):
+    """Line numbers of calls to the builtin ``open``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "open":
+            yield node.lineno
+
+
+def test_cli_opens_no_file():
+    # every file read or write goes through serialize, which turns OS and
+    # JSON faults into IoError lines that name the file
+    path = ROOT / "src" / "tensorforge" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert sorted(_open_calls(tree)) == []
+
+
+def test_open_lint_sees_calls():
+    source = ("with open(p) as fh:\n    pass\n"
+              "x = open(q, 'w')\nio.open(r)\nf.opener(s)\n")
+    assert sorted(_open_calls(ast.parse(source))) == [1, 3]

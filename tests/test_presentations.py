@@ -1,5 +1,9 @@
 """Word handling and Todd-Coxeter coset enumeration."""
 
+import copy
+import pickle
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -763,9 +767,12 @@ def test_presentation_takes_any_integer_sequence():
     p = Presentation(2, words)
     assert p.relators == ((1, 2), (1,), (1, 1, 1))
     assert all(type(x) is int for r in p.relators for x in r)
-    # words that are not integer sequences take the word-by-word path
-    assert Presentation(2, [(1.0, 2.0)]).relators == ((1, 2),)
-    assert Presentation(2, [(2 ** 70, -2 ** 70, 1)]).relators == ((1,),)
+    # a letter that is not an integer, or one beyond MAX_LETTER, is refused
+    # even where it would cancel
+    with pytest.raises(ValueError):
+        Presentation(2, [(1.0, 2.0)])
+    with pytest.raises(ValueError):
+        Presentation(2, [(2 ** 70, -2 ** 70, 1)])
     with pytest.raises(ValueError, match="letter 3 out of range"):
         Presentation(2, [(1, 2), (3,), (0,)])
     with pytest.raises(ValueError, match="0 is not a valid letter"):
@@ -781,6 +788,75 @@ def test_presentation_arrays_are_read_only_and_not_compared():
     for idx, letters in p._by_length:
         assert not idx.flags.writeable and not letters.flags.writeable
     assert [idx.tolist() for idx, _ in p._by_length] == [[0], [1, 2]]
+
+
+@pytest.mark.parametrize("word, message", [
+    ((1.7, 2), "letter 1.7 is not an integer"),
+    ((2.9,), "letter 2.9 is not an integer"),
+    ((1, "a"), "letter 'a' is not an integer"),
+    ((1, (1, 2)), "letter (1, 2) is not an integer"),
+    ((2 ** 70, -2 ** 70, 1), "letter 1180591620717411303424 out of range"),
+    ((2 ** 63, -1), "letter 9223372036854775808 out of range"),
+    ((-2 ** 63, 1), "letter -9223372036854775808 out of range"),
+    # this letter's inverse is the int64 maximum, the free-reduction
+    # sweep's empty-stack marker; unbounded, the word reduced to (7,)
+    ((-(2 ** 63 - 1), 5, 7), "letter -9223372036854775807 out of range"),
+    ((2 ** 62 + 1, -2 ** 62 - 1), "letter 4611686018427387905 out of range"),
+])
+def test_presentation_refuses_non_integer_and_huge_letters(word, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Presentation(8, [word])
+    # refused in any position and any container; an earlier faulty word
+    # of another kind still comes first
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Presentation(8, [(1, 2), (3, -3), list(word), (1,)])
+    with pytest.raises(ValueError, match="0 is not a valid letter"):
+        Presentation(8, [(1, 0), word])
+    with pytest.raises(ValueError, match="letter 9 out of range"):
+        Presentation(8, [(9, 1, 1), word])
+
+
+def test_cancelling_letters_below_the_bound_still_pass():
+    p = Presentation(2, [(5, -5, 1), (2 ** 62, -2 ** 62),
+                         (-2 ** 62, 2 ** 62, 2)])
+    assert p.relators == ((1,), (2,))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8])
+def test_word_arrays_of_any_integer_dtype_give_the_tuple_relators(dtype):
+    rng = np.random.default_rng(7)
+    words = rng.integers(1, 6, size=(40, 4))
+    if np.dtype(dtype).kind == "i":
+        words *= rng.choice([-1, 1], size=words.shape)
+        words[::5, 1] = -words[::5, 0]  # some words reduce
+        words[::7, 2] = -words[::7, 1]
+    words = words.astype(dtype)
+    want = Presentation(5, [tuple(int(x) for x in w) for w in words])
+    got = Presentation(5, words)
+    assert got.relators == want.relators
+    _same_arrays(got._by_length, want._by_length)
+    assert all(letters.dtype == np.int64 for _, letters in got._by_length)
+
+
+def test_relators_view_is_built_once_and_read_only():
+    p = Presentation(2, ((1, 2, 1), (2, 2), (1, -1, 2, 2)))
+    assert p._relators is None          # nothing builds it on construction
+    coset_enumerate(p)
+    assert p._relators is None
+    view = p.relators
+    assert view == ((1, 2, 1), (2, 2), (2, 2)) and p.relators is view
+    assert all(type(w) is tuple for w in view)
+    with pytest.raises(AttributeError):
+        p.relators = ()
+    with pytest.raises(AttributeError):
+        p.ngens = 3
+    assert p == Presentation(2, view) and hash(p) == hash((2, view))
+    assert p != Presentation(3, view) and p != (2, view)
+    assert repr(p) == ("Presentation(ngens=2, "
+                       "relators=((1, 2, 1), (2, 2), (2, 2)))")
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert q == p and q.relators == view
+        _same_arrays(q._by_length, p._by_length)
 
 
 @pytest.mark.parametrize("length", [6, 7])
