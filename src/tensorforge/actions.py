@@ -62,18 +62,25 @@ def _validate_action(G, H, maps, what, require_hom=False):
     trivially.  The assignment h -> maps[h] being a homomorphism is only
     enforced on request: the worked Z3-on-Z3 example assigns the inversion
     automorphism to a generator of Z3, which is a perfectly good family of
-    automorphisms but not a homomorphism into Aut(Z3)."""
+    automorphisms but not a homomorphism into Aut(Z3).
+
+    A bijection m is an automorphism iff m(x s) = m(x) m(s) for every x
+    and every generator s (m(e) = e follows), so a row costs O(|G|) per
+    generator, not the O(|G|^2) of the whole table.
+    """
     maps = np.ascontiguousarray(np.asarray(maps, dtype=np.intp))
     if maps.shape != (H.order, G.order):
         raise InvalidAction(f"{what}: expected shape {(H.order, G.order)}")
     ar = np.arange(G.order)
     if not np.array_equal(maps[H.identity], ar):
         raise InvalidAction(f"{what}: identity must act trivially")
+    gens = list(generating_set(G)) or [G.identity]
+    products = G.table[:, gens]
     for h in range(H.order):
         m = maps[h]
         if len(np.unique(m)) != G.order:
             raise InvalidAction(f"{what}: row {h} is not a bijection")
-        if not np.array_equal(m[G.table], G.table[np.ix_(m, m)]):
+        if not np.array_equal(m[products], G.table[m[:, None], m[gens]]):
             raise InvalidAction(f"{what}: row {h} is not an automorphism")
     if require_hom and not _assignment_is_hom(H, maps):
         raise InvalidAction(f"{what}: assignment is not a homomorphism")
@@ -395,49 +402,37 @@ def compatible_pair_orbits(grid):
     constant on each orbit.  Returns [(i, j, orbit size)] with the
     lexicographically least member as representative.
     """
-    autG = automorphism_group(grid.G)
-    autH = automorphism_group(grid.H)
-    alpha_index = {a.map.tobytes(): i for i, a in enumerate(grid.alphas)}
-    beta_index = {b.map.tobytes(): j for j, b in enumerate(grid.betas)}
-    tg, th = autG.group.table, autH.group.table
-    ig, ih = autG.group.inverse, autH.group.inverse
-
-    def movers():
-        for s in generating_set(autG.group):
-            conj = tg[tg[ig[s], np.arange(autG.order)], s]
-            perm = autG.elements[s]
-            yield "g", conj, perm
-        for t in generating_set(autH.group):
-            conj = th[th[ih[t], np.arange(autH.order)], t]
-            perm = autH.elements[t]
-            yield "h", conj, perm
-
-    gens = list(movers())
-    pending = {(int(i), int(j)) for i, j in np.argwhere(grid.compatible)}
+    maps = (np.stack([a.map for a in grid.alphas]),
+            np.stack([b.map for b in grid.betas]))
+    index = [{row.tobytes(): k for k, row in enumerate(m)} for m in maps]
+    # one (alpha, beta) index permutation per generator s of Aut(G) (side
+    # 0) and of Aut(H) (side 1): s conjugates the Aut indices of its own
+    # side's maps and relabels the points of the other side's maps
+    moves = []
+    for side, K in enumerate((grid.G, grid.H)):
+        aut = automorphism_group(K)
+        t, inv = aut.group.table, aut.group.inverse
+        for s in generating_set(aut.group):
+            moved = [None, None]
+            moved[side] = t[t[inv[s]], s][maps[side]]
+            moved[1 - side] = maps[1 - side][:, aut.elements[inv[s]]]
+            moves.append([[at[row.tobytes()] for row in rows]
+                          for at, rows in zip(index, moved)])
+    seen = set()
     orbits = []
-    while pending:
-        root = min(pending)
-        orbit = {root}
-        queue = [root]
-        while queue:
-            i, j = queue.pop()
-            amap = grid.alphas[i].map
-            bmap = grid.betas[j].map
-            for side, conj, perm in gens:
-                if side == "g":
-                    na = conj[amap]
-                    nb = np.empty_like(bmap)
-                    nb[perm] = bmap
-                else:
-                    na = np.empty_like(amap)
-                    na[perm] = amap
-                    nb = conj[bmap]
-                nxt = (alpha_index[na.tobytes()], beta_index[nb.tobytes()])
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    queue.append(nxt)
-        pending -= orbit
-        orbits.append((*min(orbit), len(orbit)))
+    for root in map(tuple, np.argwhere(grid.compatible).tolist()):
+        if root in seen:
+            continue
+        # the first unseen pair in lexicographic order is its orbit's least
+        seen.add(root)
+        orbit = [root]
+        for i, j in orbit:      # breadth first: reaches the pairs appended
+            for pa, pb in moves:
+                nxt = (pa[i], pb[j])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    orbit.append(nxt)
+        orbits.append((*root, len(orbit)))
     return orbits
 
 

@@ -26,22 +26,19 @@ def compose_maps(first, then):
 class AutGroup:
     """Aut(G) with its elements stored as explicit index maps.
 
-    ``group`` is the Cayley table of composition, ``inner_indices`` the
-    sorted element indices forming Inn(G), and ``inner_of[g]`` the index
-    of the inner automorphism induced by conjugation by g.  ``_keys`` are
-    the increasing keys of the elements' generator images, and a map's key
-    is ``map @ _weights``.
+    ``group`` is the Cayley table of composition and ``inner_of[g]`` the
+    index of the inner automorphism induced by conjugation by g.
+    ``_keys`` are the increasing keys of the elements' generator images,
+    and a map's key is ``map @ _weights``.
     """
 
-    __slots__ = ("base", "elements", "group", "inner_indices", "inner_of",
-                 "_keys", "_weights")
+    __slots__ = ("base", "elements", "group", "inner_of", "_keys",
+                 "_weights")
 
-    def __init__(self, base, elements, group, inner_indices, inner_of, keys,
-                 weights):
+    def __init__(self, base, elements, group, inner_of, keys, weights):
         self.base = base
         self.elements = elements
         self.group = group
-        self.inner_indices = inner_indices
         self.inner_of = inner_of
         self._keys = keys
         self._weights = weights
@@ -101,9 +98,7 @@ def automorphism_group(G, budget=None):
         table[i:i + step] = _key_index(keys, composed.T)
     group = FiniteGroup(table, validate=False)
     inner_of = _key_index(keys, conjugation_maps(G)[:, gens] @ radix)
-    inner_indices = sorted(set(int(i) for i in inner_of))
-    aut = AutGroup(G, elements, group, inner_indices, inner_of, keys,
-                   weights)
+    aut = AutGroup(G, elements, group, inner_of, keys, weights)
     G._aut = aut
     return aut
 

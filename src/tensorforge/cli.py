@@ -24,8 +24,9 @@ from .catalog import catalog_keys, make_catalog_group
 from .errors import IncompatibleActions, IoError, TensorforgeError
 from .homs import are_isomorphic
 from .serialize import (action_pair_from_dict, group_to_dict,
-                        maps_from_indices, read_json, resolve_group,
-                        tensor_report_to_dict, witness_to_dict, write_json)
+                        map_file_indices, maps_from_indices, read_json,
+                        resolve_group, tensor_report_to_dict,
+                        witness_to_dict, write_json)
 from .tensor import compute_tensor, hom_pair_tensor_classes
 from .verify import run_verification
 
@@ -63,7 +64,8 @@ def _action_maps(spec, base, actor, side):
                           "be the same")
         return conjugation_maps(base)
     maps = maps_from_indices(automorphism_group(base),
-                             read_json(spec, f"{side} map file", "map"), side)
+                             read_json(spec, f"{side} map file",
+                                       map_file_indices), side)
     if len(maps) != actor.order:
         raise IoError(f"{side} map must have {actor.order} entries")
     return maps
@@ -71,7 +73,7 @@ def _action_maps(spec, base, actor, side):
 
 def _build_pair(args):
     if args.pair:
-        return action_pair_from_dict(read_json(args.pair, "action pair file"))
+        return read_json(args.pair, "action pair file", action_pair_from_dict)
     G = resolve_group(args.g)
     H = resolve_group(args.h)
     alpha = _action_maps(args.alpha, G, H, "alpha")

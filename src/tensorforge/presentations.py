@@ -709,7 +709,7 @@ def spanning_tree(rows, root=0):
         frontier = cosets
 
 
-def table_to_group(table, presentation):
+def table_to_group(table):
     """Turn a complete coset table over the trivial subgroup into a
     FiniteGroup; returns the group and the image element of each abstract
     generator.

@@ -19,20 +19,22 @@ from .errors import IoError, LimitExceeded, UnknownCatalogKey
 from .groups import MAX_CATALOG_ORDER, FiniteGroup, from_cayley_table
 
 
-def read_json(path, what, key=None):
+def read_json(path, what, parse=None):
     """The JSON value in the file at ``path``, which holds ``what``, or
-    that value's entry ``key``, which must be there."""
+    ``parse`` of that value; an IoError that ``parse`` raises for a fault
+    in the value's shape is re-raised naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:    # ValueError: JSON or UTF-8
         reason = getattr(exc, "strerror", None) or exc
         raise IoError(f"cannot read {what} {path!r}: {reason}") from None
-    if key is None:
+    if parse is None:
         return data
-    if not isinstance(data, dict) or key not in data:
-        raise IoError(f"{what} {path!r} has no {key!r} entry")
-    return data[key]
+    try:
+        return parse(data)
+    except IoError as exc:
+        raise IoError(f"{what} {path!r}: {exc}") from None
 
 
 def write_json(path, data, what):
@@ -54,15 +56,12 @@ def group_to_dict(G):
 def group_from_dict(data):
     """The group of a group file's dict; the shape, the entry types and an
     order cap are checked before the table is validated as a group."""
-    try:
-        table = data["table"]
-        names = data.get("names")
-        order = data["order"]
-    except (KeyError, TypeError) as exc:
-        raise IoError(f"malformed group file: missing {exc}") from None
+    if not isinstance(data, dict) or not {"order", "table"} <= data.keys():
+        raise IoError("missing 'order' or 'table': expected an object with "
+                      "both entries")
+    table, names, order = data["table"], data.get("names"), data["order"]
     if type(order) is not int:
-        raise IoError(f"malformed group file: order {order!r} is not an "
-                      "integer")
+        raise IoError(f"order {order!r} is not an integer")
     if order > MAX_CATALOG_ORDER:
         raise LimitExceeded(f"group file of order {order} exceeds the "
                             f"{MAX_CATALOG_ORDER}-element cap")
@@ -71,14 +70,12 @@ def group_from_dict(data):
         raise IoError(f"order field {order} does not match table size "
                       f"{size}")
     if not all(isinstance(row, list) and len(row) == order for row in table):
-        raise IoError(f"malformed group file: table is not {order} rows of "
-                      f"{order} entries")
+        raise IoError(f"table is not {order} rows of {order} entries")
     if not all(type(x) is int for row in table for x in row):
-        raise IoError("malformed group file: table entries must be integers")
+        raise IoError("table entries must be integers")
     if names is not None and not (isinstance(names, list)
                                   and len(names) == order):
-        raise IoError(f"malformed group file: names must be a list of "
-                      f"{order} names")
+        raise IoError(f"names must be a list of {order} names")
     return from_cayley_table(table, names=names)
 
 
@@ -90,17 +87,14 @@ def resolve_group(spec):
         return make_catalog_group(spec)
     except UnknownCatalogKey:
         pass
-    return group_from_dict(read_json(spec, "catalog key or group file"))
+    return read_json(spec, "catalog key or group file", group_from_dict)
 
 
-def action_pair_to_dict(pair, g_key, h_key):
-    """Maps index into the lexicographically ordered AutGroup elements."""
-    autG = automorphism_group(pair.G)
-    autH = automorphism_group(pair.H)
-    alpha = [autG.index_of(row) for row in pair.alpha_maps]
-    beta = [autH.index_of(row) for row in pair.beta_maps]
-    return {"g": g_key, "h": h_key,
-            "alpha": {"map": alpha}, "beta": {"map": beta}}
+def map_file_indices(data):
+    """The Aut indices of a map file, its ``map`` entry."""
+    if not isinstance(data, dict) or "map" not in data:
+        raise IoError("no 'map' entry")
+    return data["map"]
 
 
 def maps_from_indices(aut, indices, side):
@@ -118,17 +112,24 @@ def maps_from_indices(aut, indices, side):
 
 
 def action_pair_from_dict(data):
+    """The pair of an action pair file's dict: the groups "g" and "h" as
+    catalog keys or group files, and the Aut indices "alpha": {"map":
+    [one per element of H]} and "beta": {"map": [one per element of G]}."""
     try:
-        G = resolve_group(data["g"])
-        H = resolve_group(data["h"])
-        alpha_idx = data["alpha"]["map"]
-        beta_idx = data["beta"]["map"]
-    except (KeyError, TypeError) as exc:
-        raise IoError(f"malformed action pair file: missing {exc}") from None
+        specs = data["g"], data["h"]
+        alpha_idx, beta_idx = data["alpha"]["map"], data["beta"]["map"]
+    except (KeyError, TypeError):
+        specs = None
+    if specs is None or not all(isinstance(spec, str) for spec in specs):
+        raise IoError("expected an object with group names 'g' and 'h' and "
+                      "'alpha' and 'beta' objects holding a 'map' list")
+    G, H = (resolve_group(spec) for spec in specs)
     alpha = maps_from_indices(automorphism_group(G), alpha_idx, "alpha")
     beta = maps_from_indices(automorphism_group(H), beta_idx, "beta")
     if len(alpha) != H.order or len(beta) != G.order:
-        raise IoError("alpha map must have |H| entries and beta map |G|")
+        raise IoError(f"alpha map has {len(alpha)} entries and beta map "
+                      f"{len(beta)}; expected |H| = {H.order} and |G| = "
+                      f"{G.order}")
     return ActionPair(G, H, alpha, beta)
 
 

@@ -60,14 +60,14 @@ def tensor_presentation(pair, force=False):
       g (x) hh1  = (g (x) h1)(g^h1 (x) h^h1)        lex in (g, h, h1)
     Duplicate relators are dropped, keeping first occurrence.
     """
-    report = is_compatible(pair)
-    if not report.compatible and not force:
-        raise IncompatibleActions(report.witness)
     G, H = pair.G, pair.H
     n, m = G.order, H.order
     if n * m > MAX_SYMBOLS:
         raise LimitExceeded(
             f"{n * m} symbols exceed the {MAX_SYMBOLS}-symbol cap")
+    report = is_compatible(pair)
+    if not report.compatible and not force:
+        raise IncompatibleActions(report.witness)
 
     symbols = {(g, h): g * m + h + 1 for g in range(n) for h in range(m)}
     return Presentation(n * m, _biderivation_words(pair)), symbols
@@ -102,7 +102,7 @@ def compute_tensor(pair, force=False, max_cosets=None):
     """Enumerate the tensor presentation and assemble the full report."""
     presentation, symbols = tensor_presentation(pair, force=force)
     table = coset_enumerate(presentation, max_cosets=max_cosets)
-    tensor, gen_images = table_to_group(table, presentation)
+    tensor, gen_images = table_to_group(table)
     G, H = pair.G, pair.H
     m = H.order
     symbol_map = {(g, h): gen_images[g * m + h]

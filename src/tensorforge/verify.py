@@ -273,7 +273,7 @@ def check_enumerator_round_trip():
         presentation = Presentation(G.order, np.stack(np.broadcast_arrays(
             g[:, None], g, -(G.table + 1)), axis=-1).reshape(-1, 3))
         table = coset_enumerate(presentation)
-        K, _ = table_to_group(table, presentation)
+        K, _ = table_to_group(table)
         if table.ncosets != G.order or are_isomorphic(G, K) is None:
             failures.append(key)
         n += 1

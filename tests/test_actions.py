@@ -21,6 +21,7 @@ from tensorforge.errors import (AlphaNotInjective, CrossCheckFailed,
                                 InvalidAction, NormalizerConditionFails,
                                 PsiNotInvolution)
 from tensorforge.groups import GroupHom, make_cyclic
+from tensorforge.homs import generating_set
 
 
 # -- reference implementations --------------------------------------------
@@ -400,6 +401,64 @@ def test_induced_beta_validates_the_induced_rows(monkeypatch):
         induced_beta(Z4, make_cyclic(2), alpha)
 
 
+def reference_validate_action(G, H, maps, what):
+    """_validate_action as it was before the generator check: each row
+    against the whole Cayley table."""
+    maps = np.ascontiguousarray(np.asarray(maps, dtype=np.intp))
+    if maps.shape != (H.order, G.order):
+        raise InvalidAction(f"{what}: expected shape {(H.order, G.order)}")
+    ar = np.arange(G.order)
+    if not np.array_equal(maps[H.identity], ar):
+        raise InvalidAction(f"{what}: identity must act trivially")
+    for h in range(H.order):
+        m = maps[h]
+        if len(np.unique(m)) != G.order:
+            raise InvalidAction(f"{what}: row {h} is not a bijection")
+        if not np.array_equal(m[G.table], G.table[np.ix_(m, m)]):
+            raise InvalidAction(f"{what}: row {h} is not an automorphism")
+    maps.setflags(write=False)
+    return maps
+
+
+def _validation(validate, G, H, maps):
+    try:
+        return "valid", validate(G, H, maps, "alpha").tolist()
+    except InvalidAction as exc:
+        return "refused", str(exc)
+
+
+def test_validate_action_matches_full_table_reference():
+    # stacks of automorphisms, then the same stacks with one or two rows
+    # spoiled: a permutation fixing the identity, a repeated entry, or a
+    # non-trivial identity row
+    rng = np.random.default_rng(2017)
+    groups = catalog_groups_up_to(8)
+    messages = set()
+    for _, G in groups:
+        aut = automorphism_group(G)
+        for _, H in groups:
+            good = aut.elements[rng.integers(aut.order, size=H.order)]
+            good[H.identity] = np.arange(G.order)
+            stacks = [good]
+            for h in rng.choice(H.order, size=min(2, H.order),
+                                replace=False):
+                shuffled = good.copy()
+                shuffled[h, 1:] = rng.permutation(good[h, 1:])
+                repeated = good.copy()
+                repeated[h, -1] = repeated[h, 0]
+                stacks += [shuffled, repeated]
+            both = stacks[1].copy()
+            both[-1, 1:] = rng.permutation(both[-1, 1:])
+            stacks.append(both)
+            for maps in stacks:
+                want = _validation(reference_validate_action, G, H, maps)
+                assert _validation(actions._validate_action, G, H,
+                                   maps) == want
+                messages.add(want[1].split(" ")[-1] if want[0] == "refused"
+                             else want[0])
+    assert messages == {"valid", "trivially", "bijection", "automorphism"}
+
+
 def test_induced_beta_rejects_non_injective():
     Z4 = make_cyclic(4)
     aut = automorphism_group(Z4)
@@ -563,6 +622,88 @@ def test_enumerate_compatible_pairs_consistency():
             norm_g, norm_h = normalizer_conditions(pair)
             assert bool(grid.normalizer_g[i]) == norm_g
             assert bool(grid.normalizer_h[j]) == norm_h
+
+
+# The orbit walk as it was before the index permutations, kept verbatim as
+# the reference for compatible_pair_orbits.
+
+def reference_compatible_pair_orbits(grid):
+    """Orbits of the compatible (alpha, beta) pairs under the relabeling
+    action of Aut(G) x Aut(H).
+
+    Relabeling g -> sigma(g), h -> tau(h) carries the pair (A, B) to
+    A'[tau h] = sigma A[h] sigma^-1, B'[sigma g] = tau B[g] tau^-1 and
+    maps the tensor presentation onto itself by renaming symbols, so any
+    presentation-level verdict (order, abelianness, invariants) is
+    constant on each orbit.  Returns [(i, j, orbit size)] with the
+    lexicographically least member as representative.
+    """
+    autG = automorphism_group(grid.G)
+    autH = automorphism_group(grid.H)
+    alpha_index = {a.map.tobytes(): i for i, a in enumerate(grid.alphas)}
+    beta_index = {b.map.tobytes(): j for j, b in enumerate(grid.betas)}
+    tg, th = autG.group.table, autH.group.table
+    ig, ih = autG.group.inverse, autH.group.inverse
+
+    def movers():
+        for s in generating_set(autG.group):
+            conj = tg[tg[ig[s], np.arange(autG.order)], s]
+            perm = autG.elements[s]
+            yield "g", conj, perm
+        for t in generating_set(autH.group):
+            conj = th[th[ih[t], np.arange(autH.order)], t]
+            perm = autH.elements[t]
+            yield "h", conj, perm
+
+    gens = list(movers())
+    pending = {(int(i), int(j)) for i, j in np.argwhere(grid.compatible)}
+    orbits = []
+    while pending:
+        root = min(pending)
+        orbit = {root}
+        queue = [root]
+        while queue:
+            i, j = queue.pop()
+            amap = grid.alphas[i].map
+            bmap = grid.betas[j].map
+            for side, conj, perm in gens:
+                if side == "g":
+                    na = conj[amap]
+                    nb = np.empty_like(bmap)
+                    nb[perm] = bmap
+                else:
+                    na = np.empty_like(amap)
+                    na[perm] = amap
+                    nb = conj[bmap]
+                nxt = (alpha_index[na.tobytes()], beta_index[nb.tobytes()])
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    queue.append(nxt)
+        pending -= orbit
+        orbits.append((*min(orbit), len(orbit)))
+    return orbits
+
+
+def test_orbits_match_reference_on_small_catalog_grids():
+    # one list of groups, so G and H are the same object on the diagonal
+    groups = catalog_groups_up_to(6)
+    for _, G in groups:
+        for _, H in groups:
+            grid = compatibility_grid(G, H)
+            assert compatible_pair_orbits(grid) \
+                == reference_compatible_pair_orbits(grid)
+
+
+@pytest.mark.parametrize("g,h", SWEEP_GRIDS)
+def test_orbits_match_reference_on_sweep_grids(g, h):
+    grid = compatibility_grid(tf.make_catalog_group(g),
+                              tf.make_catalog_group(h), budget=10_000_000)
+    orbits = compatible_pair_orbits(grid)
+    assert orbits == reference_compatible_pair_orbits(grid)
+    assert sum(size for _, _, size in orbits) == int(grid.compatible.sum())
+    grid.compatible = np.zeros_like(grid.compatible)
+    assert compatible_pair_orbits(grid) == []
+    assert reference_compatible_pair_orbits(grid) == []
 
 
 def test_orbits_partition_and_preserve_verdicts():

@@ -220,9 +220,45 @@ def _group_file(tmp_path, data):
 def test_malformed_group_file_exits_two(capsys, tmp_path, data, needle):
     path = _group_file(tmp_path, data)
     code, out, err = run(capsys, "compat", "--g", path, "--h", "cyclic:2")
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert needle in err
+    _one_error_line(code, out, err, needle, path)
+
+
+@pytest.mark.parametrize("data, needle", [
+    ({"g": "cyclic:3", "h": "cyclic:2", "alpha": [0],
+      "beta": {"map": [0, 0, 0]}}, "'alpha' and 'beta' objects"),
+    ({"g": "cyclic:3", "h": "cyclic:2"}, "'alpha' and 'beta' objects"),
+    ({"g": 3, "h": "cyclic:2", "alpha": {"map": [0, 0]},
+      "beta": {"map": [0, 0, 0]}}, "group names 'g' and 'h'"),
+    ([0], "group names 'g' and 'h'"),
+    ({"g": "cyclic:3", "h": "cyclic:2", "alpha": {"map": [0]},
+      "beta": {"map": [0, 0, 0]}}, "expected |H| = 2 and |G| = 3"),
+    ({"g": "cyclic:3", "h": "cyclic:2", "alpha": {"map": [0, 9]},
+      "beta": {"map": [0, 0, 0]}}, "alpha index 9 out of range"),
+])
+def test_malformed_pair_file_names_the_file(capsys, tmp_path, data, needle):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "compat", "--pair", str(path))
+    _one_error_line(code, out, err, needle, f"action pair file {str(path)!r}")
+
+
+def test_pair_file_names_its_malformed_group_file(capsys, tmp_path):
+    group = _group_file(tmp_path, {"order": "2", "table": [[0, 1], [1, 0]]})
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"g": group, "h": "cyclic:2",
+                                "alpha": {"map": [0, 0]},
+                                "beta": {"map": [0, 0]}}))
+    code, out, err = run(capsys, "compat", "--pair", str(path))
+    _one_error_line(code, out, err, str(path), group, "not an integer")
+
+
+def test_oversize_tensor_refused_before_compatibility(capsys):
+    # the compatibility check of this pair is cubic in 1024 and took about
+    # a minute when it ran before the symbol cap
+    code, out, err = run(capsys, "tensor", "--g", "cyclic:1024",
+                         "--h", "cyclic:1024", "--alpha", "conjugation",
+                         "--beta", "conjugation")
+    _one_error_line(code, out, err, "1048576 symbols exceed the 256-symbol")
 
 
 def test_oversize_group_file_refused_before_validation(capsys, tmp_path,

@@ -82,9 +82,17 @@ def _referenced_names(tree):
     return names
 
 
+def _public_definitions(tree):
+    """Names of a module's public top-level functions and classes."""
+    return {stmt.name for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_")}
+
+
 def test_every_public_name_has_a_caller():
-    # a public name is called from the library or from perfbench, not only
-    # from its own body, from __init__.py or from the tests
+    # a public name, exported or defined at the top of a library module,
+    # is called from the library or from perfbench, not only from its own
+    # body, from __init__.py or from the tests
     callers = [p for p in SOURCES if p.name != "__init__.py"]
     callers += sorted((ROOT / "perfbench").glob("*.py"))
     used = set()
@@ -92,7 +100,17 @@ def test_every_public_name_has_a_caller():
         used |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
     public = {name for name in tensorforge.__all__
               if not isinstance(getattr(tensorforge, name), types.ModuleType)}
+    for path in SOURCES:
+        public |= _public_definitions(
+            ast.parse(path.read_text(encoding="utf-8")))
     assert public - used == UNCALLED_BACKLOG
+
+
+def test_public_definitions_skip_private_and_nested_names():
+    source = ("def f():\n    def g():\n        pass\n"
+              "class K:\n    def m(self):\n        pass\n"
+              "def _h():\n    pass\nx = 1\n")
+    assert _public_definitions(ast.parse(source)) == {"f", "K"}
 
 
 def test_caller_check_ignores_a_name_inside_its_own_body():

@@ -55,9 +55,10 @@ def test_resolver_rejects_bad_json(tmp_path):
 def test_action_pair_round_trip():
     Z4 = make_cyclic(4)
     pair = involution_pair(Z4, Z4.inverse)
-    data = sz.action_pair_to_dict(pair, "cyclic:4", "cyclic:2")
-    assert data["alpha"]["map"] == [0, 1]       # id, inversion in lex order
-    back = sz.action_pair_from_dict(data)
+    # Aut(Z4) in lexicographic map order: 0 the identity, 1 inversion
+    back = sz.action_pair_from_dict({"g": "cyclic:4", "h": "cyclic:2",
+                                     "alpha": {"map": [0, 1]},
+                                     "beta": {"map": [0, 0, 0, 0]}})
     assert np.array_equal(back.alpha_maps, pair.alpha_maps)
     assert np.array_equal(back.beta_maps, pair.beta_maps)
 

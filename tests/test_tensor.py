@@ -65,6 +65,18 @@ def test_symbol_cap():
         tensor_square(G)        # 729 symbols exceed the cap
 
 
+def test_symbol_cap_is_checked_before_compatibility(monkeypatch):
+    # the compatibility check is cubic in the order; an oversize pair is
+    # refused without it
+    def refuse(pair):
+        raise AssertionError("is_compatible called on an oversize pair")
+
+    monkeypatch.setattr(tensor, "is_compatible", refuse)
+    pair = ActionPair.trivial(make_cyclic(17), make_cyclic(16))
+    with pytest.raises(LimitExceeded, match="272 symbols"):
+        tensor_presentation(pair)
+
+
 # -- small exact values ---------------------------------------------------
 
 def test_z2_tensor_z2_trivial():
@@ -303,7 +315,7 @@ def test_kappa_by_spanning_tree_matches_hom_from_images():
     for pair in pairs:
         p, _ = tensor_presentation(pair, force=True)
         table = coset_enumerate(p)
-        T, gen_images = table_to_group(table, p)
+        T, gen_images = table_to_group(table)
         G = pair.G
         kappa_images = np.array([G.mul(G.inv(g), pair.act_g(g, h))
                                  for g in range(G.order)
