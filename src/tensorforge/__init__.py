@@ -7,7 +7,7 @@ from .actions import (ActionPair, CompatibilityReport, HomPair, Witness,
                       involution_pair, is_compatible, normalizer_conditions,
                       question2_scan, verify_free_counterexample,
                       z2_action_criterion)
-from .automorphisms import (AutGroup, automorphism_group, compose_maps,
+from .automorphisms import (AutGroup, automorphism_group,
                             normalizer_contains_inn)
 from .catalog import catalog_groups_up_to, catalog_keys, make_catalog_group
 from .groups import (FiniteGroup, GroupHom, Subgroup, center,

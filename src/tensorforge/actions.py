@@ -17,6 +17,18 @@ in Aut(G) (``compatibility_grid``); cosets of psi(y) modulo Z(G), since
 conjugations by a and b agree iff a = b mod Z(G), and g1hat^-1 zhat g1hat
 = (z^g1)hat (``hom_pair_compatibility_sweep``).  Every block holds at most
 ``BLOCK_ENTRIES`` entries, so memory stays O(|G||H|) for one pair.
+
+The grid and the sweep feed the kernel homomorphisms alpha and beta only,
+and check them at g1 in ``generating_set(G)`` and h in
+``generating_set(H)``.  That is exact under the conventions used here:
+actions are right actions, h^(g1 g2) = (h^g1)^g2, and automorphisms
+compose left factor first (see ``automorphisms``).  For fixed g1 both
+sides are homomorphisms in h, so agreeing on generators of H is agreeing
+everywhere; and the g1 at which they agree form a subgroup, since
+alpha(h^beta(g1 g2)) = g2hat^-1 alpha(h^beta(g1)) g2hat
+= (g1 g2)hat^-1 alpha(h) (g1 g2)hat when g1 and g2 both agree.
+``is_compatible`` takes per-element assignments that need not be
+homomorphisms (the paper's Z3 inversion example) and checks every point.
 """
 
 from __future__ import annotations
@@ -185,46 +197,68 @@ def _map_conjugator(K, points=slice(None)):
 def _defect_blocks(lab, B, conjugate):
     """Defect masks of the first defining equation for a stack of pairs.
 
-    ``lab[a, h]`` labels alpha_a(h), ``B[b, g1, h]`` is h^beta_b(g1) and
-    ``conjugate(lab[a], g1)[i, h]`` labels g1[i]hat^-1 alpha_a(h) g1[i]hat.
-    Yields (a, b, s, mask) for blocks of at most BLOCK_ENTRIES entries, or
-    one g1: ``mask[i, j, h]`` is True where alpha_a(h^beta_(b+i)(s+j)) and
-    its conjugate differ (at every point, for whole maps).
+    ``lab[h, a]`` labels alpha_a(h) and ``B[i, k, b]`` is h_k^beta_b(g1_i)
+    at the checked points g1_i and h_k.  ``conjugate(lab[:, a:c], i)`` has
+    at [j, k, 0, a'] the label of g1hat^-1 alpha_(a+a')(h_k) g1hat for
+    g1 = g1_(i[j]), with a unit axis for the stack of betas.  Yields (a, b, s, mask) for blocks of at most BLOCK_ENTRIES entries, or
+    one g1 and one alpha: ``mask[j, k, b', a']`` is True where
+    alpha_(a+a')(h_k^beta_(b+b')(g1_(s+j))) and its conjugate differ (at
+    every point, for whole maps).  The points lead, so a block reduces
+    over them by or-ing whole slabs.
     """
-    n1 = B.shape[1]
-    per_g1 = lab[0].size
-    g1_step = max(1, min(n1, BLOCK_ENTRIES // per_g1))
-    b_step = max(1, BLOCK_ENTRIES // (g1_step * per_g1))
-    for a in range(len(lab)):
+    n1, npts, nb = B.shape
+    per_g1 = npts * lab[0, 0].size
+    a_step = max(1, min(lab.shape[1], BLOCK_ENTRIES // per_g1))
+    g1_step = max(1, min(n1, BLOCK_ENTRIES // (a_step * per_g1)))
+    b_step = max(1, BLOCK_ENTRIES // (g1_step * a_step * per_g1))
+    for a in range(0, lab.shape[1], a_step):
+        lab_a = lab[:, a:a + a_step]
         for s in range(0, n1, g1_step):
-            want = conjugate(lab[a], np.arange(s, min(s + g1_step, n1)))
-            for b in range(0, len(B), b_step):
-                block = B[b:b + b_step, s:s + g1_step]
-                yield a, b, s, np.take(lab[a], block, axis=0) != want
+            want = conjugate(lab_a, np.arange(s, min(s + g1_step, n1)))
+            for b in range(0, nb, b_step):
+                block = B[s:s + g1_step, :, b:b + b_step]
+                yield a, b, s, lab_a[block] != want
 
 
-def _equation_fails(lab, B, conj):
-    """fails[a, b]: the pair (alpha_a, beta_b) breaks the first equation,
-    where ``lab[a, h]`` is a scalar label of alpha_a(h) and ``conj[g1, l]``
-    labels g1hat^-1 l g1hat."""
-    fails = np.zeros((len(lab), len(B)), dtype=bool)
+def _equation_fails(lab, acts, maps, conj, G, H):
+    """fails[a, b]: the homomorphisms (alpha_a, beta_b) break the first
+    equation, where ``lab[a, h]`` is a scalar label of alpha_a(h),
+    ``acts[maps[b, g1], h]`` is h^beta_b(g1) and ``conj[g1, l]`` labels
+    g1hat^-1 l g1hat.
+
+    The equation is checked at g1 in generating_set(G) and h in
+    generating_set(H) only, which is exact because alpha and beta are
+    homomorphisms: for fixed g1 both sides are homomorphisms in h, and
+    with right actions and left-factor-first composition the g1 at which
+    they agree for every h form a subgroup.
+    """
+    gens_g = np.array(generating_set(G) or [G.identity])
+    gens_h = np.array(generating_set(H) or [H.identity])
+    fails = np.zeros((len(maps), len(lab)), dtype=bool)     # [b, a]
     for a, b, _, mask in _defect_blocks(
-            lab, B, lambda lab_a, g1: conj[g1[:, None], lab_a]):
-        fails[a, b:b + len(mask)] |= mask.reshape(len(mask), -1).any(axis=1)
-    return fails
+            np.ascontiguousarray(lab.T),
+            acts[maps.T[gens_g, None], gens_h[:, None]],
+            lambda lab_a, i: conj[gens_g[i, None, None, None],
+                                  lab_a[gens_h, None]]):
+        nb, na = mask.shape[2:4]
+        fails[b:b + nb, a:a + na] |= mask.any(axis=(0, 1))
+    return fails.T
 
 
 def is_compatible(pair):
-    """Exhaustive check of both defining equations; deterministic first
-    witness (lexicographic triple order) on failure."""
+    """Exhaustive check of both defining equations at every point;
+    deterministic first witness (lexicographic triple order) on failure.
+    The assignments need not be homomorphisms."""
     sides = (("first", pair.G, pair.alpha_maps, pair.beta_maps, "g g1 h"),
              ("second", pair.H, pair.beta_maps, pair.alpha_maps, "h h1 g"))
     for equation, K, X, Y, names in sides:
         first = None
-        for _, _, s, mask in _defect_blocks(X[None], Y[None],
-                                            _map_conjugator(K)):
+        conjugate = _map_conjugator(K)
+        for _, _, s, mask in _defect_blocks(
+                X[:, None], Y[:, :, None],
+                lambda lab, g1: conjugate(lab[:, 0], g1)[:, :, None, None]):
             if mask.any():
-                x, j, y = np.argwhere(mask[0].transpose(2, 0, 1))[0]
+                x, j, y = np.argwhere(mask[:, :, 0, 0].transpose(2, 0, 1))[0]
                 first = min(first or (x, s + j, y), (x, s + j, y))
         if first is not None:
             x, x1, y = (int(v) for v in first)
@@ -370,7 +404,11 @@ class ActionGrid:
 
 
 def compatibility_grid(G, H, budget=None):
-    """Vectorized verdicts for the full (alpha, beta) grid."""
+    """Vectorized verdicts for the full (alpha, beta) grid.
+
+    Every alpha and beta comes from ``enumerate_homs`` into Aut, so each
+    pair is checked at generators of G and H only (module docstring).
+    """
     budget = default_budget() if budget is None else budget
     autG = automorphism_group(G)
     autH = automorphism_group(H)
@@ -384,8 +422,8 @@ def compatibility_grid(G, H, budget=None):
     amaps = np.stack([a.map for a in alphas])
     bmaps = np.stack([b.map for b in betas])
     # labels are indices in Aut; the actions at the element level
-    fails_g = _equation_fails(amaps, autH.elements[bmaps], conjA)
-    fails_h = _equation_fails(bmaps, autG.elements[amaps], conjB)
+    fails_g = _equation_fails(amaps, autH.elements, bmaps, conjA, G, H)
+    fails_h = _equation_fails(bmaps, autG.elements, amaps, conjB, H, G)
     return ActionGrid(G, H, alphas, betas, ~fails_g & ~fails_h.T,
                       normalizer_contains_inn(autG, amaps),
                       normalizer_contains_inn(autH, bmaps))
@@ -506,7 +544,9 @@ def hom_pair_compatibility_sweep(G, H, budget=None):
 
     The induced actions depend only on phi and psi modulo the centers, so
     compatibility is decided once per distinct action pair; the count
-    still covers every hom pair.
+    still covers every hom pair.  Conjugation through phi and psi makes
+    both assignments homomorphisms, so each action pair is checked at
+    generators of G and H only (module docstring).
     """
     phis = enumerate_homs(G, H, budget=budget)
     psis = enumerate_homs(H, G, budget=budget)
@@ -539,10 +579,10 @@ def hom_pair_compatibility_sweep(G, H, budget=None):
     phi_first, phi_sizes = hom_classes(P, lab_h)
     psi_first, psi_sizes = hom_classes(S, lab_g)
     conj_g, conj_h = conjugation_maps(G), conjugation_maps(H)
-    fails_g = _equation_fails(lab_g[S[psi_first]], conj_h[P[phi_first]],
-                              lab_g[conj_g[:, reps_g]])
-    fails_h = _equation_fails(lab_h[P[phi_first]], conj_g[S[psi_first]],
-                              lab_h[conj_h[:, reps_h]])
+    fails_g = _equation_fails(lab_g[S[psi_first]], conj_h, P[phi_first],
+                              lab_g[conj_g[:, reps_g]], G, H)
+    fails_h = _equation_fails(lab_h[P[phi_first]], conj_g, S[psi_first],
+                              lab_h[conj_h[:, reps_h]], H, G)
     ok = ~fails_g.T & ~fails_h                  # (phi class, psi class)
     compatible = int(phi_sizes @ ok @ psi_sizes)
     bad = np.argwhere(~ok)

@@ -18,11 +18,6 @@ from .groups import (BLOCK_ENTRIES, MAX_CATALOG_ORDER, FiniteGroup,
 from .homs import all_bijective_endomaps, generating_set
 
 
-def compose_maps(first, then):
-    """Product under the apply-left-factor-first convention."""
-    return np.asarray(then)[np.asarray(first)]
-
-
 class AutGroup:
     """Aut(G) with its elements stored as explicit index maps.
 

@@ -24,9 +24,8 @@ from .catalog import catalog_keys, make_catalog_group
 from .errors import IncompatibleActions, IoError, TensorforgeError
 from .homs import are_isomorphic
 from .serialize import (action_pair_from_dict, group_to_dict,
-                        map_file_indices, maps_from_indices, read_json,
-                        resolve_group, tensor_report_to_dict,
-                        witness_to_dict, write_json)
+                        map_file_maps, read_json, resolve_group,
+                        tensor_report_to_dict, witness_to_dict, write_json)
 from .tensor import compute_tensor, hom_pair_tensor_classes
 from .verify import run_verification
 
@@ -63,12 +62,9 @@ def _action_maps(spec, base, actor, side):
             raise IoError("conjugation action requires the two groups to "
                           "be the same")
         return conjugation_maps(base)
-    maps = maps_from_indices(automorphism_group(base),
-                             read_json(spec, f"{side} map file",
-                                       map_file_indices), side)
-    if len(maps) != actor.order:
-        raise IoError(f"{side} map must have {actor.order} entries")
-    return maps
+    aut = automorphism_group(base)
+    return read_json(spec, f"{side} map file", lambda data: map_file_maps(
+        data, aut, side, actor.order))
 
 
 def _build_pair(args):

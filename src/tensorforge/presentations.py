@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LimitExceeded, TableIncomplete
-from .groups import BLOCK_ENTRIES, FiniteGroup
+from .groups import BLOCK_ENTRIES, MAX_CATALOG_ORDER, FiniteGroup
 
 DEFAULT_MAX_COSETS = 200_000
 
@@ -716,10 +716,14 @@ def table_to_group(table):
 
     Element i is live coset i.  Column j of the multiplication table is
     the permutation of cosets by element j, one gather from the column of
-    j's parent in the spanning tree.
+    j's parent in the spanning tree.  Above MAX_CATALOG_ORDER cosets,
+    LimitExceeded is raised before anything is allocated.
     """
     rows = table.rows
     n = table.ncosets
+    if n > MAX_CATALOG_ORDER:
+        raise LimitExceeded(f"{n} cosets exceed the {MAX_CATALOG_ORDER}-"
+                            f"element cap for a group table")
     layers = spanning_tree(rows)
     if 1 + sum(len(cosets) for cosets, _, _ in layers) != n:
         raise TableIncomplete("table is not transitive on cosets")

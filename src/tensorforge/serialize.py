@@ -90,11 +90,15 @@ def resolve_group(spec):
     return read_json(spec, "catalog key or group file", group_from_dict)
 
 
-def map_file_indices(data):
-    """The Aut indices of a map file, its ``map`` entry."""
+def map_file_maps(data, aut, side, count):
+    """The automorphism maps of a map file: its ``map`` entry, ``count``
+    indices in ``aut`` checked by ``maps_from_indices``."""
     if not isinstance(data, dict) or "map" not in data:
         raise IoError("no 'map' entry")
-    return data["map"]
+    maps = maps_from_indices(aut, data["map"], side)
+    if len(maps) != count:
+        raise IoError(f"{side} map must have {count} entries")
+    return maps
 
 
 def maps_from_indices(aut, indices, side):

@@ -1,5 +1,7 @@
 """Mutual actions: compatibility, induced actions, grids, orbit classes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,9 @@ from tensorforge.actions import (ActionPair, CompatibilityReport, HomPair,
 from tensorforge.automorphisms import (automorphism_group,
                                        normalizer_contains_inn)
 from tensorforge.catalog import catalog_groups_up_to
-from tensorforge.errors import (AlphaNotInjective, CrossCheckFailed,
-                                InvalidAction, NormalizerConditionFails,
-                                PsiNotInvolution)
+from tensorforge.errors import (AlphaNotInjective, BudgetExceeded,
+                                CrossCheckFailed, InvalidAction,
+                                NormalizerConditionFails, PsiNotInvolution)
 from tensorforge.groups import GroupHom, make_cyclic
 from tensorforge.homs import generating_set
 
@@ -134,6 +136,51 @@ def reference_sweep_compatibility(G, H):
             elif first is None:
                 first = (i, j)
     return compatible, first
+
+
+# The stacked kernel as it was before the grid and the sweep checked at
+# generators only, kept verbatim as the all-points reference for them.
+
+def _reference_defect_blocks(lab, B, conjugate):
+    """Defect masks of the first defining equation for a stack of pairs.
+
+    ``lab[a, h]`` labels alpha_a(h), ``B[b, g1, h]`` is h^beta_b(g1) and
+    ``conjugate(lab[a], g1)[i, h]`` labels g1[i]hat^-1 alpha_a(h) g1[i]hat.
+    Yields (a, b, s, mask) for blocks of at most BLOCK_ENTRIES entries, or
+    one g1: ``mask[i, j, h]`` is True where alpha_a(h^beta_(b+i)(s+j)) and
+    its conjugate differ (at every point, for whole maps).
+    """
+    n1 = B.shape[1]
+    per_g1 = lab[0].size
+    g1_step = max(1, min(n1, actions.BLOCK_ENTRIES // per_g1))
+    b_step = max(1, actions.BLOCK_ENTRIES // (g1_step * per_g1))
+    for a in range(len(lab)):
+        for s in range(0, n1, g1_step):
+            want = conjugate(lab[a], np.arange(s, min(s + g1_step, n1)))
+            for b in range(0, len(B), b_step):
+                block = B[b:b + b_step, s:s + g1_step]
+                yield a, b, s, np.take(lab[a], block, axis=0) != want
+
+
+def reference_equation_fails(lab, B, conj):
+    """fails[a, b]: the pair (alpha_a, beta_b) breaks the first equation,
+    where ``lab[a, h]`` is a scalar label of alpha_a(h) and ``conj[g1, l]``
+    labels g1hat^-1 l g1hat."""
+    fails = np.zeros((len(lab), len(B)), dtype=bool)
+    for a, b, _, mask in _reference_defect_blocks(
+            lab, B, lambda lab_a, g1: conj[g1[:, None], lab_a]):
+        fails[a, b:b + len(mask)] |= mask.reshape(len(mask), -1).any(axis=1)
+    return fails
+
+
+def _check_every_point(monkeypatch):
+    """Route the grid and the sweep through the all-points reference: the
+    stack B[b, g1, h] it takes is acts[maps[b, g1], h] at every g1 and h,
+    as the callers built it before."""
+    monkeypatch.setattr(
+        actions, "_equation_fails",
+        lambda lab, acts, maps, conj, G, H:
+            reference_equation_fails(lab, acts[maps], conj))
 
 
 def z3_inversion_pair(beta_nontrivial=False):
@@ -567,6 +614,34 @@ def test_sweep_matches_direct_loop_on_small_group():
     assert summary["all_compatible"] == (direct_compat == len(phis) ** 2)
 
 
+def _sweep_both_ways(monkeypatch, G, H):
+    """The sweep at generators, and the same sweep at every point."""
+    got = hom_pair_compatibility_sweep(G, H)
+    with monkeypatch.context() as m:
+        _check_every_point(m)
+        return got, hom_pair_compatibility_sweep(G, H)
+
+
+@pytest.mark.parametrize("g,h", [("dihedral:8", "dihedral:8"),
+                                 ("symmetric:4", "symmetric:3"),
+                                 ("heisenberg:3", "heisenberg:3")])
+def test_sweep_at_generators_matches_every_point(monkeypatch, g, h):
+    got, want = _sweep_both_ways(monkeypatch, tf.make_catalog_group(g),
+                                 tf.make_catalog_group(h))
+    assert got == want
+
+
+def test_sweep_at_generators_matches_every_point_on_catalog(monkeypatch):
+    groups = catalog_groups_up_to(8)
+    incompatible = 0
+    for _, G in groups:
+        for _, H in groups:
+            got, want = _sweep_both_ways(monkeypatch, G, H)
+            assert got == want
+            incompatible += not got["all_compatible"]
+    assert len(groups) ** 2 == 196 and incompatible > 0
+
+
 # -- grids and orbits -----------------------------------------------------
 
 def test_grid_matches_pointwise_checks():
@@ -587,6 +662,46 @@ def test_grid_matches_pointwise_checks():
 SWEEP_GRIDS = [("elemab:2:3", "elemab:2:3"), ("dihedral:4", "elemab:2:3"),
                ("quaternion:8", "dihedral:4"), ("elemab:3:2", "elemab:3:2"),
                ("dihedral:8", "cyclic:4"), ("symmetric:3", "dihedral:6")]
+
+
+def _assert_grid_matches_every_point(monkeypatch, G, H, budget=None):
+    got = compatibility_grid(G, H, budget=budget)
+    with monkeypatch.context() as m:
+        _check_every_point(m)
+        want = compatibility_grid(G, H, budget=budget)
+    for name in ("compatible", "normalizer_g", "normalizer_h"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert np.array_equal(a, b)
+    return got
+
+
+def test_grid_at_generators_matches_every_point_on_catalog(monkeypatch):
+    # every catalog grid up to order 8 within the default grid budget
+    groups = catalog_groups_up_to(8)
+    grids = mixed = 0
+    for _, G in groups:
+        for _, H in groups:
+            try:
+                grid = _assert_grid_matches_every_point(monkeypatch, G, H)
+            except BudgetExceeded:
+                continue
+            grids += 1
+            mixed += 0 < grid.compatible.sum() < grid.compatible.size
+    assert grids == 195 and mixed > 0
+
+
+@pytest.mark.parametrize("g,h", SWEEP_GRIDS)
+def test_grid_at_generators_matches_every_point_on_sweep_grids(monkeypatch,
+                                                               g, h):
+    G, H = tf.make_catalog_group(g), tf.make_catalog_group(h)
+    grid = _assert_grid_matches_every_point(monkeypatch, G, H,
+                                            budget=10_000_000)
+    if grid.compatible.size < 100_000:
+        # blocks of 50 entries split the stacks of alphas and of betas
+        monkeypatch.setattr(actions, "BLOCK_ENTRIES", 50)
+        assert np.array_equal(compatibility_grid(G, H).compatible,
+                              grid.compatible)
 
 
 def test_normalizer_mask_matches_reference_loop(monkeypatch):
@@ -706,22 +821,52 @@ def test_orbits_match_reference_on_sweep_grids(g, h):
     assert reference_compatible_pair_orbits(grid) == []
 
 
+def _relabelled(pair, side, sigma):
+    """The action maps of ``pair`` after renaming the elements of G (side
+    0) or H (side 1) by the automorphism sigma, x -> sigma[x]: the
+    renamed side's maps become sigma X[y] sigma^-1, and the other side's
+    maps are indexed by the renamed elements."""
+    maps = [pair.alpha_maps, pair.beta_maps]
+    inverse = np.argsort(sigma)
+    maps[side] = sigma[maps[side][:, inverse]]
+    maps[1 - side] = maps[1 - side][inverse]
+    return maps
+
+
 def test_orbits_partition_and_preserve_verdicts():
+    # G and H are one object, the case in which a side must be told by its
+    # position in the grid and not by identity
     G = tf.make_catalog_group("elemab:2:2")
     grid = compatibility_grid(G, G)
     orbits = compatible_pair_orbits(grid)
     assert sum(size for _, _, size in orbits) \
         == int(grid.compatible.sum())
-    # the tensor profile is constant on each orbit (full recomputation)
+    aut = automorphism_group(G)
+    index = [{aut.elements[m.map].tobytes(): k for k, m in enumerate(ms)}
+             for ms in (grid.alphas, grid.betas)]
+    movers = [(side, aut.elements[s]) for side in (0, 1)
+              for s in generating_set(aut.group)]
+    moved = 0
     for i, j, size in orbits:
         rep = tf.compute_tensor(grid.pair(i, j))
-        profile = (rep.order, rep.invariants)
-        if size > 1:
-            # find one other member by scanning
-            others = [(a, b) for a, b in np.argwhere(grid.compatible)
-                      if (a, b) != (i, j)]
-            other = tf.compute_tensor(grid.pair(*map(int, others[0])))
-            assert (other.order, other.invariants) == profile or True
+        # carry the representative by each generator of Aut(G) x Aut(H),
+        # renaming whole action maps, not Aut indices
+        for side, sigma in movers:
+            image = tuple(at[m.tobytes()] for at, m in
+                          zip(index, _relabelled(grid.pair(i, j), side,
+                                                 sigma)))
+            assert grid.compatible[image]
+            moved += image != (i, j)
+            # the image lies in the representative's orbit: with only the
+            # two pairs marked, the walk finds one orbit of the same size
+            only = np.zeros_like(grid.compatible)
+            only[i, j] = only[image] = True
+            assert compatible_pair_orbits(
+                dataclasses.replace(grid, compatible=only)) == [(i, j, size)]
+            other = tf.compute_tensor(grid.pair(*image))
+            assert (other.order, other.invariants) \
+                == (rep.order, rep.invariants)
+    assert moved > 0
     # spot equality on the whole grid for this small case
     profiles = {}
     for a, b in np.argwhere(grid.compatible):

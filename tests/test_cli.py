@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tensorforge import presentations
 from tensorforge.cli import main
 
 
@@ -169,16 +170,18 @@ def test_compat_invalid_action_file_exits_two(capsys, tmp_path):
     ("01", "alpha map must be a list of integer indices"),
     ([0, 1.7], "alpha map must be a list of integer indices"),
     (5, "alpha map must be a list of integer indices"),
+    ([0], "alpha map must have 2 entries"),
 ])
 def test_map_file_bad_entries_exit_two(capsys, tmp_path, entries, message):
     # -1 must not wrap to the last automorphism of cyclic:3, and neither
-    # the string "01" nor 1.7 may pass as the indices [0, 1]
+    # the string "01" nor 1.7 may pass as the indices [0, 1]; every line
+    # names the map file
     path = tmp_path / "alpha.json"
     path.write_text(json.dumps({"map": entries}))
     code, out, err = run(capsys, "compat", "--g", "cyclic:3",
                          "--h", "cyclic:2", "--alpha", str(path))
     assert code == 2 and out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: alpha map file {str(path)!r}: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
@@ -259,6 +262,15 @@ def test_oversize_tensor_refused_before_compatibility(capsys):
                          "--h", "cyclic:1024", "--alpha", "conjugation",
                          "--beta", "conjugation")
     _one_error_line(code, out, err, "1048576 symbols exceed the 256-symbol")
+
+
+def test_oversize_tensor_table_refused(capsys, monkeypatch):
+    # Z4 (x) Z4 = Z4 under trivial actions: 4 cosets over a stated cap of 3
+    monkeypatch.setattr(presentations, "MAX_CATALOG_ORDER", 3)
+    code, out, err = run(capsys, "tensor", "--g", "cyclic:4",
+                         "--h", "cyclic:4", "--alpha", "trivial",
+                         "--beta", "trivial")
+    _one_error_line(code, out, err, "4 cosets exceed the 3-element cap")
 
 
 def test_oversize_group_file_refused_before_validation(capsys, tmp_path,

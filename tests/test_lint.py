@@ -10,10 +10,9 @@ import tensorforge
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "tensorforge").glob("*.py"))
-# Public names that nothing in the library or the benchmark calls yet
-# (ROADMAP item 5).  The list may only shrink: wire a name into a caller
-# or delete it, then drop it here.
-UNCALLED_BACKLOG = {"compose_maps"}
+# Public names that nothing in the library or the benchmark calls.  The
+# backlog is empty: a new public name needs a caller, or it is deleted.
+UNCALLED_BACKLOG = set()
 
 
 def _assertion_guards(tree):

@@ -94,6 +94,19 @@ def test_collapse_with_two_generators():
     assert G.order == 1 and gens == [0, 0]
 
 
+def test_table_to_group_refuses_above_the_cap(monkeypatch):
+    # a stated cap of 6 below the 7 cosets of cyclic:7; the refusal comes
+    # before the spanning tree or the n x n table is built
+    table = coset_enumerate(Presentation(1, ((1,) * 7,)))
+    monkeypatch.setattr(presentations, "MAX_CATALOG_ORDER", 6)
+    monkeypatch.setattr(presentations, "spanning_tree", None)
+    with pytest.raises(LimitExceeded, match="^7 cosets exceed the 6-element"):
+        table_to_group(table)
+    monkeypatch.undo()
+    monkeypatch.setattr(presentations, "MAX_CATALOG_ORDER", 7)
+    assert table_to_group(table)[0].order == 7
+
+
 def test_infinite_group_exceeds_limit():
     p = Presentation(1, ())     # the free group on one generator
     with pytest.raises(LimitExceeded):
