@@ -8,27 +8,32 @@ g.  The defining compatibility equations
     g^(h^g1) = ((g^(g1^-1))^h)^g1      and symmetrically for H
 
 are, between automorphisms, alpha(h^beta(g1)) = g1hat^-1 alpha(h) g1hat.
-One kernel, ``_defect_blocks``, checks this over a stack of pairs at once
-as lab[beta(g1)(h)] == conj_g1(lab[h]), where ``lab[h]`` labels alpha(h)
-and conj_g1 conjugates a label by g1hat; the second equation is the same
-call with G and H swapped.  The label forms: whole maps, compared point by
-point for the lexicographically first witness (``is_compatible``); indices
-in Aut(G) (``compatibility_grid``); cosets of psi(y) modulo Z(G), since
-conjugations by a and b agree iff a = b mod Z(G), and g1hat^-1 zhat g1hat
-= (z^g1)hat (``hom_pair_compatibility_sweep``).  Every block holds at most
-``BLOCK_ENTRIES`` entries, so memory stays O(|G||H|) for one pair.
 
-The grid and the sweep feed the kernel homomorphisms alpha and beta only,
-and check them at g1 in ``generating_set(G)`` and h in
-``generating_set(H)``.  That is exact under the conventions used here:
-actions are right actions, h^(g1 g2) = (h^g1)^g2, and automorphisms
-compose left factor first (see ``automorphisms``).  For fixed g1 both
-sides are homomorphisms in h, so agreeing on generators of H is agreeing
+``is_compatible`` checks them as written, at every g, g1 and h, because
+its assignments need not be homomorphisms (the paper's Z3 inversion
+example); on failure it names the lexicographically first (g, g1, h).
+
+Everything else decides conditions on homomorphisms at generators: a
+homomorphism is fixed by its images of a generating set.  The grid and
+the sweep feed one kernel, ``_equation_fails``, stacks of homomorphisms
+alpha and beta, and it checks lab[h^beta(g1)] == conj_g1(lab[h]) at g1
+in ``generating_set(G)`` and h in ``generating_set(H)`` only, where
+``lab[h]`` labels alpha(h) and conj_g1 conjugates a label by g1hat; the
+second equation is the same call with G and H swapped.  The labels are
+indices in Aut(G) (``compatibility_grid``) or cosets of psi(y) modulo
+Z(G), since conjugations by a and b agree iff a = b mod Z(G), and
+g1hat^-1 zhat g1hat = (z^g1)hat (``hom_pair_compatibility_sweep``).
+That is exact under the conventions used here: actions are right
+actions, h^(g1 g2) = (h^g1)^g2, and automorphisms compose left factor
+first (see ``automorphisms``).  For fixed g1 both sides are
+homomorphisms in h, so agreeing on generators of H is agreeing
 everywhere; and the g1 at which they agree form a subgroup, since
 alpha(h^beta(g1 g2)) = g2hat^-1 alpha(h^beta(g1)) g2hat
-= (g1 g2)hat^-1 alpha(h) (g1 g2)hat when g1 and g2 both agree.
-``is_compatible`` takes per-element assignments that need not be
-homomorphisms (the paper's Z3 inversion example) and checks every point.
+= (g1 g2)hat^-1 alpha(h) (g1 g2)hat when g1 and g2 both agree.  The
+hypercenter congruence and the test that an assignment is a
+homomorphism are decided at generators by the same argument.  Every
+block of a temporary holds at most ``BLOCK_ENTRIES`` entries, so memory
+stays O(|G||H|) for one pair.
 """
 
 from __future__ import annotations
@@ -101,13 +106,14 @@ def _validate_action(G, H, maps, what, require_hom=False):
 
 
 def _assignment_is_hom(H, maps):
-    """Is h -> maps[h] a homomorphism under left-factor-first composition?"""
-    for h1 in range(H.order):
-        lhs = maps[H.table[h1]]
-        rhs = maps[:, maps[h1]]  # compose(maps[h1], maps[h2]) for all h2
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
+    """Is h -> maps[h] a homomorphism under left-factor-first composition?
+
+    It is iff maps[h s] = compose(maps[h], maps[s]) for every h and every
+    generator s: the s for which that holds at every h are closed under
+    products, so they are all of H.
+    """
+    return all(np.array_equal(maps[H.table[:, s]], maps[s][maps])
+               for s in generating_set(H) or [H.identity])
 
 
 class ActionPair:
@@ -139,14 +145,6 @@ class ActionPair:
         return cls(autG.base, autH.base,
                    autG.elements[alpha.map], autH.elements[beta.map],
                    validate=False)
-
-    def act_g(self, g, h):
-        """g^h."""
-        return int(self.alpha_maps[h, g])
-
-    def act_h(self, h, g):
-        """h^g."""
-        return int(self.beta_maps[g, h])
 
     def assignments_are_homs(self):
         """Whether both assignments are genuine homomorphisms into the
@@ -185,41 +183,6 @@ class HomPair:
     psi: GroupHom
 
 
-def _map_conjugator(K, points=slice(None)):
-    """Conjugation of whole maps of K by the elements g1: row h of the
-    result at g1 is the map x -> alpha(h)(x^(g1^-1))^g1, at ``points``."""
-    conj = conjugation_maps(K)
-    at = conj[K.inverse][:, points]
-    return lambda maps, g1: conj[g1[:, None, None],
-                                 maps[:, at[g1]].transpose(1, 0, 2)]
-
-
-def _defect_blocks(lab, B, conjugate):
-    """Defect masks of the first defining equation for a stack of pairs.
-
-    ``lab[h, a]`` labels alpha_a(h) and ``B[i, k, b]`` is h_k^beta_b(g1_i)
-    at the checked points g1_i and h_k.  ``conjugate(lab[:, a:c], i)`` has
-    at [j, k, 0, a'] the label of g1hat^-1 alpha_(a+a')(h_k) g1hat for
-    g1 = g1_(i[j]), with a unit axis for the stack of betas.  Yields (a, b, s, mask) for blocks of at most BLOCK_ENTRIES entries, or
-    one g1 and one alpha: ``mask[j, k, b', a']`` is True where
-    alpha_(a+a')(h_k^beta_(b+b')(g1_(s+j))) and its conjugate differ (at
-    every point, for whole maps).  The points lead, so a block reduces
-    over them by or-ing whole slabs.
-    """
-    n1, npts, nb = B.shape
-    per_g1 = npts * lab[0, 0].size
-    a_step = max(1, min(lab.shape[1], BLOCK_ENTRIES // per_g1))
-    g1_step = max(1, min(n1, BLOCK_ENTRIES // (a_step * per_g1)))
-    b_step = max(1, BLOCK_ENTRIES // (g1_step * a_step * per_g1))
-    for a in range(0, lab.shape[1], a_step):
-        lab_a = lab[:, a:a + a_step]
-        for s in range(0, n1, g1_step):
-            want = conjugate(lab_a, np.arange(s, min(s + g1_step, n1)))
-            for b in range(0, nb, b_step):
-                block = B[s:s + g1_step, :, b:b + b_step]
-                yield a, b, s, lab_a[block] != want
-
-
 def _equation_fails(lab, acts, maps, conj, G, H):
     """fails[a, b]: the homomorphisms (alpha_a, beta_b) break the first
     equation, where ``lab[a, h]`` is a scalar label of alpha_a(h),
@@ -227,21 +190,20 @@ def _equation_fails(lab, acts, maps, conj, G, H):
     g1hat^-1 l g1hat.
 
     The equation is checked at g1 in generating_set(G) and h in
-    generating_set(H) only, which is exact because alpha and beta are
-    homomorphisms: for fixed g1 both sides are homomorphisms in h, and
-    with right actions and left-factor-first composition the g1 at which
-    they agree for every h form a subgroup.
+    generating_set(H) only (module docstring), in blocks of betas of at
+    most BLOCK_ENTRIES entries.
     """
-    gens_g = np.array(generating_set(G) or [G.identity])
-    gens_h = np.array(generating_set(H) or [H.identity])
+    gens_g = generating_set(G) or [G.identity]
+    gens_h = generating_set(H) or [H.identity]
+    lab_t = np.ascontiguousarray(lab.T)     # rows gather whole alpha stacks
     fails = np.zeros((len(maps), len(lab)), dtype=bool)     # [b, a]
-    for a, b, _, mask in _defect_blocks(
-            np.ascontiguousarray(lab.T),
-            acts[maps.T[gens_g, None], gens_h[:, None]],
-            lambda lab_a, i: conj[gens_g[i, None, None, None],
-                                  lab_a[gens_h, None]]):
-        nb, na = mask.shape[2:4]
-        fails[b:b + nb, a:a + na] |= mask.any(axis=(0, 1))
+    step = max(1, BLOCK_ENTRIES // len(lab))
+    for b in range(0, len(maps), step):
+        block = maps[b:b + step]
+        for g1 in gens_g:
+            for h in gens_h:
+                moved = lab_t[acts[block[:, g1], h]]
+                fails[b:b + step] |= moved != conj[g1, lab_t[h]]
     return fails.T
 
 
@@ -252,17 +214,20 @@ def is_compatible(pair):
     sides = (("first", pair.G, pair.alpha_maps, pair.beta_maps, "g g1 h"),
              ("second", pair.H, pair.beta_maps, pair.alpha_maps, "h h1 g"))
     for equation, K, X, Y, names in sides:
+        conj = conjugation_maps(K)
         first = None
-        conjugate = _map_conjugator(K)
-        for _, _, s, mask in _defect_blocks(
-                X[:, None], Y[:, :, None],
-                lambda lab, g1: conjugate(lab[:, 0], g1)[:, :, None, None]):
-            if mask.any():
-                x, j, y = np.argwhere(mask[:, :, 0, 0].transpose(2, 0, 1))[0]
+        step = max(1, BLOCK_ENTRIES // X.size)
+        for s in range(0, K.order, step):
+            g1 = np.arange(s, min(s + step, K.order))
+            # [j, y, x]: X[Y[g1_j, y], x] against the conjugate
+            # ((x^(g1_j^-1))^y)^g1_j
+            undone = X[:, conj[K.inverse[g1]]].transpose(1, 0, 2)
+            differ = X[Y[g1]] != conj[g1[:, None, None], undone]
+            if differ.any():
+                x, j, y = np.argwhere(differ.transpose(2, 0, 1))[0]
                 first = min(first or (x, s + j, y), (x, s + j, y))
         if first is not None:
             x, x1, y = (int(v) for v in first)
-            conj = conjugation_maps(K)
             return CompatibilityReport(False, Witness(
                 equation, lhs=int(X[Y[x1, y], x]),
                 rhs=int(conj[x1, X[y, conj[K.inverse[x1], x]]]),
@@ -279,12 +244,15 @@ def _conjugate_preimages(G, A):
     in blocks of at most BLOCK_ENTRIES entries, or one g.
     """
     gens = generating_set(G) or [G.identity]
-    conjugate = _map_conjugator(G, gens)
+    conj = conjugation_maps(G)
+    at = conj[G.inverse][:, gens]       # at[g, k] = gens[k]^(g^-1)
     pre = np.empty((G.order, len(A)), dtype=np.intp)
     step = max(1, BLOCK_ENTRIES // (len(A) * len(gens)))
     for s in range(0, G.order, step):
         g = np.arange(s, min(s + step, G.order))
-        images = conjugate(A, g).reshape(-1, len(gens))
+        # [i, h, k]: the image of gens[k] under g_i hat^-1 A[h] g_i hat
+        images = conj[g[:, None, None], A[:, at[g]].transpose(1, 0, 2)]
+        images = images.reshape(-1, len(gens))
         _, first, inverse = np.unique(np.concatenate([A[:, gens], images]),
                                       axis=0, return_index=True,
                                       return_inverse=True)
@@ -538,6 +506,35 @@ def hom_classes(maps, labels):
     return first[order], sizes[order]
 
 
+def _congruence(G, H, P, S):
+    """(count, first): how many of the pairs (phi_i, psi_j), with maps
+    P[i] and S[j], satisfy the hypercenter congruence psi(phi(x)) = x mod
+    Z2(G) for every x in G and phi(psi(y)) = y mod Z2(H) for every y in
+    H; and the first (i, j), i-major, that does not, or None.
+
+    pi psi phi and pi are homomorphisms G -> G/Z2(G), so they agree
+    everywhere iff they agree on generating_set(G), and dually for H.
+    The phis are taken in blocks of at most BLOCK_ENTRIES entries.
+    """
+    gens_g = np.array(generating_set(G) or [G.identity])
+    gens_h = np.array(generating_set(H) or [H.identity])
+    lab_g = coset_labels(G, second_hypercenter(G))[1]
+    lab_h = coset_labels(H, second_hypercenter(H))[1]
+    count, first = 0, None
+    step = max(1, BLOCK_ENTRIES // (len(S) * (len(gens_g) + len(gens_h))))
+    for s in range(0, len(P), step):
+        block = P[s:s + step]
+        # cosets of Z2 of psi_j(phi_i(x_k)) at [i, k, j] and of
+        # phi_i(psi_j(y_k)) at [i, j, k], for generators x_k and y_k
+        ok = (lab_g[S.T[block[:, gens_g]]] == lab_g[gens_g, None]).all(1)
+        ok &= (lab_h[block[:, S[:, gens_h]]] == lab_h[gens_h]).all(2)
+        count += int(ok.sum())
+        if first is None and not ok.all():
+            i, j = np.argwhere(~ok)[0]
+            first = (s + int(i), int(j))
+    return count, first
+
+
 def hom_pair_compatibility_sweep(G, H, budget=None):
     """For every (phi, psi) in Hom(G,H) x Hom(H,G): does the conjugation
     action pair satisfy the hypercenter congruence, and is it compatible?
@@ -550,27 +547,9 @@ def hom_pair_compatibility_sweep(G, H, budget=None):
     """
     phis = enumerate_homs(G, H, budget=budget)
     psis = enumerate_homs(H, G, budget=budget)
-    z2g = second_hypercenter(G).mask()
-    z2h = second_hypercenter(H).mask()
-
-    # congruence, vectorized one phi at a time
     P = np.stack([p.map for p in phis])
     S = np.stack([s.map for s in psis])
-    ar_g = np.arange(G.order)
-    ar_h = np.arange(H.order)
-    congruent = 0
-    first_incongruent = None
-    for i in range(len(P)):
-        comp = S[:, P[i]]                       # (npsi, |G|): psi(phi(x))
-        defect = G.table[G.inverse[ar_g][None, :], comp]
-        ok_g = z2g[defect].all(axis=1)
-        comp2 = P[i][S]                         # (npsi, |H|): phi(psi(y))
-        defect2 = H.table[H.inverse[ar_h][None, :], comp2]
-        ok_h = z2h[defect2].all(axis=1)
-        both = ok_g & ok_h
-        congruent += int(both.sum())
-        if first_incongruent is None and not both.all():
-            first_incongruent = (i, int(np.argmin(both)))
+    congruent, first_incongruent = _congruence(G, H, P, S)
 
     # compatibility, once per (phi mod Z(H), psi mod Z(G)) class; the
     # labels are cosets of the centers

@@ -23,34 +23,19 @@ class AutGroup:
 
     ``group`` is the Cayley table of composition and ``inner_of[g]`` the
     index of the inner automorphism induced by conjugation by g.
-    ``_keys`` are the increasing keys of the elements' generator images,
-    and a map's key is ``map @ _weights``.
     """
 
-    __slots__ = ("base", "elements", "group", "inner_of", "_keys",
-                 "_weights")
+    __slots__ = ("base", "elements", "group", "inner_of")
 
-    def __init__(self, base, elements, group, inner_of, keys, weights):
+    def __init__(self, base, elements, group, inner_of):
         self.base = base
         self.elements = elements
         self.group = group
         self.inner_of = inner_of
-        self._keys = keys
-        self._weights = weights
 
     @property
     def order(self):
         return len(self.elements)
-
-    def index_of(self, mapping):
-        """Index of an automorphism map, or None if not an automorphism."""
-        mapping = np.asarray(mapping, dtype=np.intp)
-        if mapping.shape != (self.base.order,):
-            return None
-        i = int(np.searchsorted(self._keys, mapping @ self._weights))
-        if i < self.order and np.array_equal(self.elements[i], mapping):
-            return i
-        return None
 
     def __repr__(self):
         return f"AutGroup(|G|={self.base.order}, order={self.order})"
@@ -83,8 +68,6 @@ def automorphism_group(G, budget=None):
     # generator-image rows as mixed-radix keys, increasing with the index
     radix = G.order ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
     keys = elements[:, gens] @ radix
-    weights = np.zeros(G.order, dtype=np.int64)
-    weights[list(gens)] = radix
     table = np.empty((n, n), dtype=np.intp)
     step = max(1, BLOCK_ENTRIES // (n * max(1, len(gens))))
     for i in range(0, n, step):
@@ -93,7 +76,7 @@ def automorphism_group(G, budget=None):
         table[i:i + step] = _key_index(keys, composed.T)
     group = FiniteGroup(table, validate=False)
     inner_of = _key_index(keys, conjugation_maps(G)[:, gens] @ radix)
-    aut = AutGroup(G, elements, group, inner_of, keys, weights)
+    aut = AutGroup(G, elements, group, inner_of)
     G._aut = aut
     return aut
 

@@ -140,6 +140,8 @@ def _capped_order(key):
         factors = [_capped_order(k) for k in _split_product_args(rest)]
     elif kind == "cyclic":
         factors = [int(rest)]
+    elif kind == "quaternion":
+        factors = [8]
     elif kind == "dihedral":
         factors = [2, int(rest)]
     elif kind == "symmetric":
@@ -150,7 +152,7 @@ def _capped_order(key):
         p, k = rest.split(":")
         factors = repeat(int(p), int(k))
     else:
-        factors = []                # quaternion:8, or not a catalog kind
+        factors = []                # not a catalog kind
     order = 1
     for f in factors:
         order *= f
@@ -214,7 +216,8 @@ def catalog_groups_up_to(max_order):
     order, one representative per isomorphism type.
 
     Used by the exhaustive verification sweeps; dihedral:3 (= symmetric:3)
-    and heisenberg:2 (= dihedral:4) are skipped as duplicates.
+    and heisenberg:2 (= dihedral:4) are skipped as duplicates.  Keys are
+    filtered by their order before any group is built.
     """
     entries = []
     for n in range(1, max_order + 1):
@@ -228,16 +231,6 @@ def catalog_groups_up_to(max_order):
                 "elemab:3:2", "elemab:3:3",
                 "product:cyclic:2,cyclic:4", "product:cyclic:2,cyclic:6",
                 "product:cyclic:2,cyclic:8", "product:cyclic:4,cyclic:4"]
-    out = []
-    seen = set()
-    for key in entries:
-        try:
-            g = make_catalog_group(key)
-        except UnknownCatalogKey:
-            continue
-        if g.order > max_order or key in seen:
-            continue
-        seen.add(key)
-        out.append((key, g))
-    out.sort(key=lambda kg: (kg[1].order, kg[0]))
-    return out
+    keys = sorted((_capped_order(k), k) for k in entries)
+    return [(k, make_catalog_group(k)) for order, k in keys
+            if order <= max_order]

@@ -109,9 +109,6 @@ class FiniteGroup:
         """x^y = y^-1 x y."""
         return int(self.table[self.table[self.inverse[y], x], y])
 
-    def commutator(self, x, y):
-        return self.mul(self.inv(x), self.conj(x, y))
-
     def power(self, x, k):
         if k < 0:
             x, k = self.inv(x), -k
@@ -144,9 +141,6 @@ class FiniteGroup:
         if self._abelian is None:
             self._abelian = bool(np.array_equal(self.table, self.table.T))
         return self._abelian
-
-    def elements(self):
-        return range(self.order)
 
     def name(self, i):
         if self.names is not None:
@@ -223,9 +217,6 @@ class GroupHom:
     def __call__(self, x):
         return int(self.map[x])
 
-    def image(self):
-        return Subgroup(self.target, np.unique(self.map))
-
     def kernel(self):
         return Subgroup(self.source,
                         np.flatnonzero(self.map == self.target.identity))
@@ -237,11 +228,6 @@ class GroupHom:
     @property
     def is_bijective(self):
         return self.is_injective and self.source.order == self.target.order
-
-    def then(self, other):
-        """Composition: first self, then other."""
-        return GroupHom(self.source, other.target, other.map[self.map],
-                        validate=False)
 
     def __repr__(self):
         return f"GroupHom({self.source.order} -> {self.target.order})"

@@ -15,6 +15,15 @@ prefix are forced at once, in blocks of at most ``BLOCK_ENTRIES``
 entries.  Nodes are counted one candidate at a time in depth-first order,
 and the node budget (default 10^6) turns runaway searches into
 BudgetExceeded rather than silent wrong answers.
+
+The search finds its maps in lexicographic order without sorting them.
+The greedy generator s_j is the first element outside the subgroup of
+s_0, ..., s_(j-1), so every element before it lies in that subgroup, and
+two homomorphisms whose generator images first differ at s_j agree on
+every element before s_j: maps compare as their tuples of generator
+images.  The depth-first search tries the candidate images of each
+generator in increasing order, so it meets those tuples in increasing
+order.
 """
 
 from __future__ import annotations
@@ -96,7 +105,8 @@ def _candidate_images(source_gen_order, target, exact_order):
 
 def _search(source, target, bijective, find_all, budget):
     """Shared backtracking core for enumerate_homs / are_isomorphic /
-    automorphism enumeration."""
+    automorphism enumeration; the maps come out in lexicographic order
+    (module docstring)."""
     gens = generating_set(source)
     k = len(gens)
     if k == 0:
@@ -154,11 +164,11 @@ def _search(source, target, bijective, find_all, budget):
 
 
 def enumerate_homs(source, target, budget=None):
-    """All homomorphisms source -> target, lexicographic in the full map."""
+    """All homomorphisms source -> target, lexicographic in the full map,
+    which is the order the search finds them in (module docstring)."""
     budget = DEFAULT_BUDGET if budget is None else budget
     maps = _search(source, target, bijective=False, find_all=True,
                    budget=budget)
-    maps.sort(key=lambda m: tuple(m))
     return [GroupHom(source, target, m, validate=False) for m in maps]
 
 
@@ -187,8 +197,7 @@ def are_isomorphic(G, H, budget=None):
 
 
 def all_bijective_endomaps(G, budget=None):
-    """All automorphism maps of G, sorted lexicographically."""
+    """All automorphism maps of G in lexicographic order, the order the
+    search finds them in (module docstring)."""
     budget = DEFAULT_BUDGET if budget is None else budget
-    maps = _search(G, G, bijective=True, find_all=True, budget=budget)
-    maps.sort(key=lambda m: tuple(m))
-    return maps
+    return _search(G, G, bijective=True, find_all=True, budget=budget)

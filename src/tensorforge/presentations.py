@@ -6,8 +6,8 @@ k, -k its inverse.  ``coset_enumerate`` works in three steps:
 1. ``_eliminate`` applies Tietze moves by the relators of length at most
    2.  A relator x kills x; a relator x^a y^b with x != y makes the larger
    index a power of the smaller.  The map is substituted into the other
-   relators, which are reduced freely and cyclically, until no relator is
-   that short.  No relator gets longer.
+   relators, which are reduced freely, until no relator is that short.
+   No relator gets longer.
 2. HLT (relator scanning with immediate filling) enumerates the cosets of
    the trivial subgroup over the presentation that is left.  Coset 0 is
    the subgroup coset, cosets are numbered in order of first definition
@@ -409,49 +409,19 @@ def _free_reduce(words):
     return out, top
 
 
-def _reduce_words(words):
-    """Freely and cyclically reduce words laid out as ``_free_reduce``
-    takes them."""
-    return _trim(*_free_reduce(words))
-
-
-def _trim(words, length):
-    """Cyclically reduce freely reduced words, laid out as
-    ``_free_reduce`` returns them, by trimming inverse letters off both
-    ends; returns them in the same layout and their new lengths."""
-    r = np.arange(words.shape[1])
-    trim = np.flatnonzero((length >= 2)
-                          & (words[0] == -words[length - 1, r]))
-    if not len(trim):
-        return words, length
-    lo = np.zeros_like(length)
-    hi = length.copy()
-    while len(trim):
-        lo[trim] += 1
-        hi[trim] -= 1
-        trim = trim[(hi[trim] - lo[trim] >= 2)
-                    & (words[lo[trim], trim] == -words[hi[trim] - 1, trim])]
-    moved = np.flatnonzero(lo)
-    pos = np.arange(len(words))[:, None] + lo[moved]
-    keep = pos < hi[moved]
-    words = words.copy()
-    words[:, moved] = np.where(keep, words[np.minimum(pos, len(words) - 1),
-                                           moved], 0)
-    return words, hi - lo
-
-
 def _eliminate(presentation):
     """Tietze moves by the relators of length at most 2; none lengthens a
     relator.
 
     Each round substitutes the current map, one gather per length, into
     the relators that hold a generator whose image has changed (at first
-    into all of them) and reduces them freely and cyclically.  A relator
-    left with one letter kills its generator; one left as x^a y^b with
-    x != y makes the larger of x, y a power of the smaller.  Rounds repeat
-    until no relator is left that short.  The map is a signed union-find
-    in which 0 stands for the identity and the smallest index of a class
-    survives.  The short relators are read deduplicated and sorted, so the
+    into all of them) and reduces them freely.  A relator left with one
+    letter kills its generator; one left as x^a y^b with x != y makes the
+    larger of x, y a power of the smaller.  Rounds repeat until no
+    relator is left that short.  Relators are not reduced cyclically, so
+    a short relator hidden in a conjugate, such as x y x^-1, eliminates
+    nothing.  The map is a signed union-find in which 0 stands for the
+    identity and the smallest index of a class survives.  The short relators are read deduplicated and sorted, so the
     map does not depend on the order of the relators.  A relator that the
     map turns into y^2 (from x = y and x = y^-1) stays as an ordinary one.
 
@@ -483,8 +453,7 @@ def _eliminate(presentation):
     # freely reduced already
     words, keys = [], []
     for idx, letters in presentation._by_length:
-        ws, length = _trim(letters.T.copy(),
-                           np.full(len(idx), letters.shape[1]))
+        ws, length = letters.T.copy(), np.full(len(idx), letters.shape[1])
         words.append((idx, ws, length))
         keys.append(short(ws, length))
     img = np.arange(n + 1)
@@ -517,7 +486,7 @@ def _eliminate(presentation):
         for _, ws, length in words:
             rs = np.flatnonzero(changed[np.abs(ws)].any(axis=0))
             if len(rs):
-                w, k = _reduce_words(subst[ws[:, rs] + n])
+                w, k = _free_reduce(subst[ws[:, rs] + n])
                 ws[:, rs], length[rs] = w, k
                 keys.append(short(w, k))
 

@@ -22,7 +22,8 @@ from tensorforge.catalog import catalog_groups_up_to
 from tensorforge.errors import (AlphaNotInjective, BudgetExceeded,
                                 CrossCheckFailed, InvalidAction,
                                 NormalizerConditionFails, PsiNotInvolution)
-from tensorforge.groups import GroupHom, make_cyclic
+from tensorforge.groups import (GroupHom, make_cyclic, second_hypercenter,
+                                subgroup_generated)
 from tensorforge.homs import generating_set
 
 
@@ -173,6 +174,44 @@ def reference_equation_fails(lab, B, conj):
     return fails
 
 
+# The hypercenter congruence and the homomorphism test as they were before
+# they were decided at generators, kept verbatim as the references for
+# actions._congruence and actions._assignment_is_hom.
+
+def reference_congruence(G, H, P, S):
+    """(n_congruent, first_incongruent) by a loop over every phi."""
+    z2g = second_hypercenter(G).mask()
+    z2h = second_hypercenter(H).mask()
+
+    # congruence, vectorized one phi at a time
+    ar_g = np.arange(G.order)
+    ar_h = np.arange(H.order)
+    congruent = 0
+    first_incongruent = None
+    for i in range(len(P)):
+        comp = S[:, P[i]]                       # (npsi, |G|): psi(phi(x))
+        defect = G.table[G.inverse[ar_g][None, :], comp]
+        ok_g = z2g[defect].all(axis=1)
+        comp2 = P[i][S]                         # (npsi, |H|): phi(psi(y))
+        defect2 = H.table[H.inverse[ar_h][None, :], comp2]
+        ok_h = z2h[defect2].all(axis=1)
+        both = ok_g & ok_h
+        congruent += int(both.sum())
+        if first_incongruent is None and not both.all():
+            first_incongruent = (i, int(np.argmin(both)))
+    return congruent, first_incongruent
+
+
+def reference_assignment_is_hom(H, maps):
+    """Is h -> maps[h] a homomorphism under left-factor-first composition?"""
+    for h1 in range(H.order):
+        lhs = maps[H.table[h1]]
+        rhs = maps[:, maps[h1]]  # compose(maps[h1], maps[h2]) for all h2
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True
+
+
 def _check_every_point(monkeypatch):
     """Route the grid and the sweep through the all-points reference: the
     stack B[b, g1, h] it takes is acts[maps[b, g1], h] at every g1 and h,
@@ -181,6 +220,11 @@ def _check_every_point(monkeypatch):
         actions, "_equation_fails",
         lambda lab, acts, maps, conj, G, H:
             reference_equation_fails(lab, acts[maps], conj))
+
+
+def _aut_index(aut, mapping):
+    """The index of an automorphism map in Aut(G)."""
+    return int(np.flatnonzero((aut.elements == mapping).all(axis=1))[0])
 
 
 def z3_inversion_pair(beta_nontrivial=False):
@@ -221,6 +265,36 @@ def test_rejects_non_automorphism_row():
         ActionPair(S3, Z2, bad, np.tile(np.arange(2), (6, 1)))
 
 
+def test_assignment_is_hom_matches_reference():
+    # the alphas of every catalog grid up to order 8 and the conjugation
+    # maps; each also with one row replaced by another automorphism, and
+    # with the rows off <s>, for s the first generator of H, composed with
+    # an automorphism c: h -> c alpha(h) off <s> stays multiplicative at
+    # s, because h and h s lie in the same coset h<s>
+    rng = np.random.default_rng(17)
+    groups = catalog_groups_up_to(8)
+    cases = [(G, G, conjugation_maps(G)) for _, G in groups]
+    for _, G in groups:
+        aut = automorphism_group(G)
+        for _, H in groups:
+            cases += [(G, H, aut.elements[alpha.map])
+                      for alpha in tf.enumerate_homs(H, aut.group)]
+    verdicts = set()
+    for G, H, maps in cases:
+        altered = maps.copy()
+        altered[rng.integers(H.order)] = maps[rng.integers(H.order)]
+        elements = automorphism_group(G).elements
+        c = elements[rng.integers(len(elements))]
+        off = ~subgroup_generated(H, generating_set(H)[:1]).mask()
+        coset = maps.copy()
+        coset[off] = maps[off][:, c]
+        for m in (maps, altered, coset):
+            want = reference_assignment_is_hom(H, m)
+            assert actions._assignment_is_hom(H, m) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_per_element_assignments_allowed_without_hom_property():
     pair = z3_inversion_pair()
     assert not pair.assignments_are_homs()
@@ -254,8 +328,8 @@ def test_incompatible_witness_is_lexicographically_first():
     assert (w.lhs, w.rhs) == (1, 2)
     # replay: lhs is g^(h^beta(g1)), rhs the conjugated version
     G = pair.G
-    lhs = pair.act_g(w.g, pair.act_h(w.h, w.g1))
-    inner = pair.act_g(G.conj(w.g, G.inv(w.g1)), w.h)
+    lhs = pair.alpha_maps[pair.beta_maps[w.g1, w.h], w.g]
+    inner = pair.alpha_maps[w.h, G.conj(w.g, G.inv(w.g1))]
     rhs = G.conj(inner, w.g1)
     assert (lhs, rhs) == (w.lhs, w.rhs)
 
@@ -359,7 +433,7 @@ def test_induced_beta_on_cyclic():
     Z4 = make_cyclic(4)
     Z2 = make_cyclic(2)
     aut = automorphism_group(Z4)
-    inv_idx = aut.index_of(Z4.inverse)
+    inv_idx = _aut_index(aut, Z4.inverse)
     alpha = GroupHom(Z2, aut.group, [aut.group.identity, inv_idx])
     pair = induced_beta(Z4, Z2, alpha)
     assert is_compatible(pair).compatible
@@ -415,7 +489,7 @@ def test_induced_beta_raises_typed_error_when_recheck_fails(monkeypatch):
     Z4 = make_cyclic(4)
     aut = automorphism_group(Z4)
     alpha = GroupHom(make_cyclic(2), aut.group,
-                     [aut.group.identity, aut.index_of(Z4.inverse)])
+                     [aut.group.identity, _aut_index(aut, Z4.inverse)])
     monkeypatch.setattr(actions, "is_compatible", lambda pair:
                         CompatibilityReport(False, Witness("first")))
     with pytest.raises(CrossCheckFailed, match="exhaustive check"):
@@ -440,7 +514,7 @@ def test_induced_beta_validates_the_induced_rows(monkeypatch):
     Z4 = make_cyclic(4)
     aut = automorphism_group(Z4)
     alpha = GroupHom(make_cyclic(2), aut.group,
-                     [aut.group.identity, aut.index_of(Z4.inverse)])
+                     [aut.group.identity, _aut_index(aut, Z4.inverse)])
     pre = np.tile(np.arange(2), (4, 1))
     pre[1] = [0, 0]                 # not an automorphism of Z2
     monkeypatch.setattr(actions, "_conjugate_preimages", lambda G, A: pre)
@@ -588,6 +662,48 @@ def test_zeta2_congruence_failure_case():
     summary = hom_pair_compatibility_sweep(S3, S3)
     assert summary["first_incongruent"] == (0, 0)
     assert not summary["all_congruent"]
+
+
+def _hom_stacks(G, H):
+    return (np.stack([phi.map for phi in tf.enumerate_homs(G, H)]),
+            np.stack([psi.map for psi in tf.enumerate_homs(H, G)]))
+
+
+def _identity_first(maps):
+    identity = (maps == np.arange(maps.shape[1])).all(axis=1)
+    return maps[np.argsort(~identity, kind="stable")]
+
+
+@pytest.mark.parametrize("block", [actions.BLOCK_ENTRIES, 50])
+def test_congruence_at_generators_matches_reference_loop(monkeypatch,
+                                                         block):
+    # every catalog pair up to order 8, the Heisenberg squares of verify
+    # check 09 and the two sweeps of the action-sweep benchmark workload;
+    # blocks of 50 entries take one phi at a time.  The trivial homs come
+    # first in each list and make (0, 0) the first incongruent pair, so
+    # the squares are also taken with the identity map first in each list.
+    groups = catalog_groups_up_to(8)
+    cases = [(G, H) for _, G in groups for _, H in groups]
+    cases += [(tf.make_catalog_group(g), tf.make_catalog_group(h))
+              for g, h in [("heisenberg:2", "heisenberg:2"),
+                           ("heisenberg:3", "heisenberg:3"),
+                           ("dihedral:8", "dihedral:8"),
+                           ("symmetric:4", "symmetric:3")]]
+    stacks = [_hom_stacks(G, H) for G, H in cases]
+    monkeypatch.setattr(actions, "BLOCK_ENTRIES", block)
+    counts, firsts = set(), set()
+    for (G, H), (P, S) in zip(cases, stacks):
+        orders = [(P, S)]
+        if G is H:
+            orders.append((_identity_first(P), _identity_first(S)))
+        for P, S in orders:
+            want = reference_congruence(G, H, P, S)
+            assert actions._congruence(G, H, P, S) == want
+            counts.add((want[0] > 0) + (want[0] == len(P) * len(S)))
+            firsts.add(want[1] not in (None, (0, 0)))
+    # none, some and all pairs congruent; a first incongruent pair other
+    # than the first pair
+    assert counts == {0, 1, 2} and True in firsts
 
 
 @pytest.mark.parametrize("g,h", [("symmetric:4", "symmetric:3"),

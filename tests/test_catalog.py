@@ -1,5 +1,7 @@
 """Catalog constructions and the key parser."""
 
+import functools
+
 import pytest
 
 import tensorforge as tf
@@ -107,6 +109,67 @@ def test_catalog_up_to_sorted_by_order_then_key():
     groups = tf.catalog_groups_up_to(16)
     marks = [(G.order, key) for key, G in groups]
     assert marks == sorted(marks)
+
+
+# catalog_groups_up_to as it was before it filtered keys by order, kept
+# verbatim as the reference for its key list; its groups are built once.
+make_catalog_group = functools.cache(tf.make_catalog_group)
+
+
+def reference_catalog_groups_up_to(max_order):
+    """Deterministic list of (key, group) covering the catalog up to a given
+    order, one representative per isomorphism type.
+
+    Used by the exhaustive verification sweeps; dihedral:3 (= symmetric:3)
+    and heisenberg:2 (= dihedral:4) are skipped as duplicates.
+    """
+    entries = []
+    for n in range(1, max_order + 1):
+        entries.append(f"cyclic:{n}")
+    # dihedral:2 (= elemab:2:2) and dihedral:3 (= symmetric:3) are duplicates
+    for n in range(4, max_order // 2 + 1):
+        entries.append(f"dihedral:{n}")
+    entries += ["symmetric:3", "symmetric:4", "quaternion:8",
+                "heisenberg:3", "heisenberg:5",
+                "elemab:2:2", "elemab:2:3", "elemab:2:4",
+                "elemab:3:2", "elemab:3:3",
+                "product:cyclic:2,cyclic:4", "product:cyclic:2,cyclic:6",
+                "product:cyclic:2,cyclic:8", "product:cyclic:4,cyclic:4"]
+    out = []
+    seen = set()
+    for key in entries:
+        try:
+            g = make_catalog_group(key)
+        except UnknownCatalogKey:
+            continue
+        if g.order > max_order or key in seen:
+            continue
+        seen.add(key)
+        out.append((key, g))
+    out.sort(key=lambda kg: (kg[1].order, kg[0]))
+    return out
+
+
+def test_catalog_up_to_matches_reference_keys(monkeypatch):
+    built = []
+    monkeypatch.setattr(catalog, "make_catalog_group",
+                        lambda key: built.append(key) or
+                        make_catalog_group(key))
+    for max_order in range(130):
+        built.clear()
+        got = [key for key, _ in catalog.catalog_groups_up_to(max_order)]
+        # no group above max_order is built, not even to be dropped
+        assert max(map(catalog._capped_order, built), default=0) \
+            <= max_order
+        assert got == [key for key, _ in
+                       reference_catalog_groups_up_to(max_order)]
+
+
+def test_capped_order_is_the_order():
+    keys = set(tf.catalog_keys())
+    keys |= {key for key, _ in reference_catalog_groups_up_to(129)}
+    for key in sorted(keys):
+        assert catalog._capped_order(key) == make_catalog_group(key).order
 
 
 def test_product_of_products():

@@ -97,7 +97,7 @@ def test_hom_from_images_requires_generators():
 def test_kernel_image_sizes_multiply():
     S3 = tf.make_catalog_group("symmetric:3")
     for h in enumerate_homs(S3, S3):
-        assert h.kernel().order * h.image().order == S3.order
+        assert h.kernel().order * len(np.unique(h.map)) == S3.order
 
 
 def test_hom_composition():
@@ -106,7 +106,8 @@ def test_hom_composition():
     Z3 = make_cyclic(3)
     f = hom_from_images(Z12, Z6, [1], [1])
     g = hom_from_images(Z6, Z3, [1], [1])
-    assert f.then(g).map.tolist() == [x % 3 for x in range(12)]
+    composed = GroupHom(Z12, Z3, g.map[f.map])      # checks a hom
+    assert composed.map.tolist() == [x % 3 for x in range(12)]
 
 
 # -- isomorphism ----------------------------------------------------------
@@ -369,13 +370,17 @@ def test_search_on_relabelled_source(key):
     assert R.identity != 0
     for T in (tf.make_catalog_group("symmetric:3"), G, R):
         homs = _same_search(R, T, False, True)
+        # the search finds the maps in lexicographic order: nothing sorts
+        assert homs == sorted(homs)
         # the homs out of R are those out of G, read through the relabelling
         back = sorted(np.asarray(m)[perm].tolist() for m in homs)
         want = sorted(h.map.tolist() for h in enumerate_homs(G, T))
         assert back == want
     # sigma in Aut(G) is x -> sigma(x) read in the new labels
     inverse = np.argsort(perm)
-    assert sorted(_same_search(R, R, True, True)) == sorted(
+    automorphisms = _same_search(R, R, True, True)
+    assert automorphisms == sorted(automorphisms)
+    assert automorphisms == sorted(
         perm[m[inverse]].tolist() for m in all_bijective_endomaps(G))
 
 

@@ -68,30 +68,52 @@ def test_import_lint_sees_functions_and_methods():
     assert sorted(set(_function_imports(ast.parse(source)))) == [3, 6]
 
 
+def _reads(node):
+    """Names read as a variable or an attribute anywhere in ``node``."""
+    return {inner.id if isinstance(inner, ast.Name) else inner.attr
+            for inner in ast.walk(node)
+            if isinstance(inner, (ast.Name, ast.Attribute))
+            and isinstance(inner.ctx, ast.Load)}
+
+
 def _referenced_names(tree):
     """Names read as a variable or an attribute anywhere in a module,
-    except inside the top-level function or class of that same name."""
+    except inside the top-level function or class of that same name, and
+    inside the method of that same name."""
     names = set()
     for stmt in tree.body:
-        read = {node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(stmt)
-                if isinstance(node, (ast.Name, ast.Attribute))
-                and isinstance(node.ctx, ast.Load)}
-        names |= read - {getattr(stmt, "name", None)}
+        parts = [stmt]
+        if isinstance(stmt, ast.ClassDef):
+            parts = stmt.bases + stmt.keywords + stmt.decorator_list \
+                + stmt.body
+        for part in parts:
+            names |= _reads(part) - {getattr(stmt, "name", None),
+                                     getattr(part, "name", None)}
     return names
 
 
 def _public_definitions(tree):
-    """Names of a module's public top-level functions and classes."""
-    return {stmt.name for stmt in tree.body
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            and not stmt.name.startswith("_")}
+    """Names of a module's public top-level functions and classes, and of
+    the public methods of its classes."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            names |= {part.name for part in stmt.body
+                      if isinstance(part, ast.FunctionDef)
+                      and not part.name.startswith("_")}
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
+                and not stmt.name.startswith("_"):
+            names.add(stmt.name)
+    return names
 
 
 def test_every_public_name_has_a_caller():
-    # a public name, exported or defined at the top of a library module,
-    # is called from the library or from perfbench, not only from its own
-    # body, from __init__.py or from the tests
+    # a public name, exported, defined at the top of a library module or
+    # a public method of one of its classes, is called or read from the
+    # library or from perfbench, not only from its own body, from
+    # __init__.py or from the tests.  A method is matched by its name
+    # alone, so a method named like another attribute that is read is not
+    # seen.
     callers = [p for p in SOURCES if p.name != "__init__.py"]
     callers += sorted((ROOT / "perfbench").glob("*.py"))
     used = set()
@@ -107,14 +129,18 @@ def test_every_public_name_has_a_caller():
 
 def test_public_definitions_skip_private_and_nested_names():
     source = ("def f():\n    def g():\n        pass\n"
-              "class K:\n    def m(self):\n        pass\n"
+              "class K:\n    def m(self):\n        def n():\n"
+              "            pass\n    def _p(self):\n        pass\n"
+              "    def __len__(self):\n        return 0\n"
               "def _h():\n    pass\nx = 1\n")
-    assert _public_definitions(ast.parse(source)) == {"f", "K"}
+    assert _public_definitions(ast.parse(source)) == {"f", "K", "m"}
 
 
 def test_caller_check_ignores_a_name_inside_its_own_body():
-    source = "def f(n):\n    return f(n - 1)\n\ndef g():\n    return h.f\n"
-    assert _referenced_names(ast.parse(source)) == {"n", "h", "f"}
+    source = ("def f(n):\n    return f(n - 1)\n\ndef g():\n    return h.f\n"
+              "class K(B):\n    def m(self):\n        return self.m() + K.p\n")
+    assert _referenced_names(ast.parse(source)) \
+        == {"n", "h", "f", "B", "self", "p"}
 
 
 def _open_calls(tree):

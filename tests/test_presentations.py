@@ -449,24 +449,17 @@ def test_scan_budget_sweep_matches_reference():
 
 # -- elimination and standardization ----------------------------------------
 
-def _cyclically_reduced(word):
-    w = reduce_word([x for x in word if x])
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 9).flatmap(lambda n: st.lists(
     st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=30)))
-def test_reduce_words_matches_word_by_word(words):
+def test_free_reduce_matches_word_by_word(words):
     if not words:
         return
     letters = np.array(words, dtype=np.int64)
-    got, lengths = presentations._reduce_words(letters.T.copy())
+    got, lengths = presentations._free_reduce(letters.T.copy())
     for word, length, column in zip(words, lengths.tolist(),
                                     got.T.tolist()):
-        want = _cyclically_reduced(word)
+        want = reduce_word([x for x in word if x])
         assert length == len(want)
         assert column == want + [0] * (len(word) - len(want))
 
@@ -478,6 +471,15 @@ def test_eliminate_kills_and_identifies():
     assert image.tolist() == [1, 0, -1, -1, 2] and ngens == 2
     assert _eliminated(p).relators == ((1, 1, 2, 2, 2), (2, 2, 2))
     assert [idx.tolist() for idx, _ in by_length] == [[3], [4]]
+
+
+def test_eliminate_leaves_a_conjugated_short_relator():
+    # relators are reduced freely, not cyclically: x1 x2 x1^-1 does not
+    # kill x2, and the enumeration still finds the group of order 2
+    p = Presentation(2, ((1, 2, -1), (1,) * 2))
+    image, ngens, _ = presentations._eliminate(p)
+    assert image.tolist() == [1, 2] and ngens == 2
+    assert coset_enumerate(p).ncosets == 2
 
 
 def test_eliminate_keeps_a_conflict_as_a_square():

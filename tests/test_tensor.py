@@ -174,7 +174,7 @@ def test_kappa_formula_on_symbols(pair):
     rep = compute_tensor(pair)
     G = pair.G
     for (g, h), t in rep.symbol_map.items():
-        assert rep.kappa(t) == G.mul(G.inv(g), pair.act_g(g, h))
+        assert rep.kappa(t) == G.mul(G.inv(g), pair.alpha_maps[h, g])
 
 
 @pytest.mark.parametrize("pair", REPORT_PAIRS)
@@ -187,14 +187,15 @@ def test_defining_relations_hold_in_cayley_table(pair):
         for g1 in range(G.order):
             for h in range(H.order):
                 lhs = s(G.mul(g, g1), h)
-                rhs = T.mul(s(G.conj(g, g1), pair.act_h(h, g1)), s(g1, h))
+                rhs = T.mul(s(G.conj(g, g1), pair.beta_maps[g1, h]),
+                            s(g1, h))
                 assert lhs == rhs
     for g in range(G.order):
         for h in range(H.order):
             for h1 in range(H.order):
                 lhs = s(g, H.mul(h, h1))
                 rhs = T.mul(s(g, h1),
-                            s(pair.act_g(g, h1), H.conj(h, h1)))
+                            s(pair.alpha_maps[h1, g], H.conj(h, h1)))
                 assert lhs == rhs
 
 
@@ -317,7 +318,7 @@ def test_kappa_by_spanning_tree_matches_hom_from_images():
         table = coset_enumerate(p)
         T, gen_images = table_to_group(table)
         G = pair.G
-        kappa_images = np.array([G.mul(G.inv(g), pair.act_g(g, h))
+        kappa_images = np.array([G.mul(G.inv(g), pair.alpha_maps[h, g])
                                  for g in range(G.order)
                                  for h in range(pair.H.order)])
         changed = kappa_images.copy()
