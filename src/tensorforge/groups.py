@@ -105,10 +105,6 @@ class FiniteGroup:
     def inv(self, i):
         return int(self.inverse[i])
 
-    def conj(self, x, y):
-        """x^y = y^-1 x y."""
-        return int(self.table[self.table[self.inverse[y], x], y])
-
     def power(self, x, k):
         if k < 0:
             x, k = self.inv(x), -k

@@ -11,7 +11,12 @@ k, -k its inverse.  ``coset_enumerate`` works in three steps:
 2. HLT (relator scanning with immediate filling) enumerates the cosets of
    the trivial subgroup over the presentation that is left.  Coset 0 is
    the subgroup coset, cosets are numbered in order of first definition
-   and dead cosets are compacted away with the order preserved.
+   and dead cosets are compacted away with the order preserved.  Every
+   length-2 relator left is a square y^2 or y^-2, so y is an involution:
+   y and y^-1 share one column, which is its own inverse, and every entry
+   is written in pairs through the inverse-column map.  The table then
+   enforces the squares, and they are not scanned.  Compaction copies
+   y's column into y^-1's, which stays a hole until then.
 3. The table is expanded back to one column pair per original generator
    and standardized: the cosets are renumbered in the breadth-first order
    of ``spanning_tree``.  The labels therefore depend only on the group
@@ -31,22 +36,29 @@ d*ncols of the coset d it reaches.  A hole holds -ncols, which indexes
 the trailing row of holes from the end, so a trace that meets a hole
 stays in that row.  The same buffer is read by numpy without a copy.
 
-In HLT a relator that traces from a live coset alpha back to alpha stays
-closed there: definitions only add entries and coincidences only
-re-point entries to representatives, so its scan from alpha is a no-op
-whenever it comes.  When the loop reaches alpha, one numpy pass traces
-every relator of each large length group from alpha and only the
-relators that do not end at alpha are scanned, in their original order.
-The table therefore evolves exactly as without the filter.  Skipped
-scans still count against the scan budget, so ``max_deductions`` is
-exhausted at the same scan and with the same message.  Both limits bound
-the enumeration of the reduced presentation.
+HLT scans, inline in the coset loop, one representative of each class
+of the other relators under rotation and inversion.  A relator that
+traces from a live coset alpha back to alpha stays closed there:
+definitions only add entries and coincidences only re-point entries to
+representatives, so its scan from alpha is a no-op whenever it comes.
+When the loop reaches alpha, one numpy pass traces every relator of each
+large length group from alpha and only the relators that do not end at
+alpha are scanned, in their original order.  The table therefore evolves
+exactly as without the filter.
+
+The scan budget ``max_deductions`` counts one scan per scanned relator
+at each coset the loop reaches, those the filter skips included, so it is
+exhausted at the same scan and with the same message as without the
+filter.  Both limits bound the enumeration of the reduced presentation,
+and their errors say how far it got.  ``coset_enumerate`` attaches the
+counts of its work to the table as ``EnumerationStats``.
 """
 
 from __future__ import annotations
 
 import numbers
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,12 +234,29 @@ def _col(letter):
     return 2 * k if letter > 0 else 2 * k + 1
 
 
+@dataclass(frozen=True)
+class EnumerationStats:
+    """The work of one ``coset_enumerate`` call.  Coset 0 is given, not
+    defined; a scan skipped by the closed-relator filter is not made."""
+
+    generators: int         # of the presentation given
+    survivors: int          # left by _eliminate
+    involutions: int        # survivors with one shared column
+    relators: int           # scanned at each coset
+    defined: int            # cosets defined
+    coincidences: int       # primary coincidences processed
+    scans: int              # relator scans made
+    skipped: int            # scans skipped by the closed-relator filter
+
+
 @dataclass
 class CosetTable:
-    """A complete coset table: rows[c][col] is the coset reached from c."""
+    """A complete coset table: rows[c][col] is the coset reached from c.
+    ``coset_enumerate`` attaches the ``stats`` of its run."""
 
     ngens: int
     rows: np.ndarray
+    stats: EnumerationStats | None = None
 
     @property
     def ncosets(self):
@@ -239,11 +268,22 @@ class CosetTable:
         return coset
 
 
+class _CosetLimit(Exception):
+    """``define`` found the table full; ``_enumerate_rows`` says after how
+    many scans."""
+
+
 class _Enumerator:
     """HLT state.  Cosets are named by their row offset in ``table``;
-    ``dead`` maps each dead coset to the coset it was merged into."""
+    ``dead`` maps each dead coset to the coset it was merged into.
 
-    def __init__(self, ngens, max_cosets):
+    ``inv[col]`` is the column of the inverse letter.  An involutory
+    generator y shares its column between y and y^-1, so that column is
+    its own inverse and y^-1's column, the mirror, stays a hole until
+    compaction fills it.  ``cols`` are the columns in use, and ``colmap``
+    sends every column to the one in use for its letter."""
+
+    def __init__(self, ngens, max_cosets, mirrors):
         n = self.ncols = 2 * ngens
         # the largest value ever computed from an entry is an offset into
         # max_cosets + 1 rows
@@ -252,7 +292,12 @@ class _Enumerator:
         self.table = self.hole_row * 2      # coset 0 and the hole row
         self.dead = {}
         self.max_cosets = max_cosets
-        self.defined = 1
+        self.defined = 1                # coset 0 included
+        self.coincidences = 0
+        self.colmap = np.arange(n)
+        self.colmap[mirrors] = mirrors - 1
+        self.inv = self.colmap[np.arange(n) ^ 1].tolist()
+        self.cols = np.flatnonzero(self.colmap == np.arange(n)).tolist()
 
     def rep(self, k):
         # union-find with path compression toward smaller offsets
@@ -266,18 +311,21 @@ class _Enumerator:
             k = nxt
         return r
 
+    def exhausted(self, max_steps):
+        return LimitExceeded(
+            f"scan budget {max_steps} exhausted after {self.defined - 1} "
+            f"cosets defined, {self.defined - len(self.dead)} live")
+
     def define(self, alpha, col):
         if self.defined >= self.max_cosets:
-            raise LimitExceeded(
-                f"coset limit {self.max_cosets} reached; group may be "
-                "infinite or the budget too small")
+            raise _CosetLimit
         t = self.table
         # the hole row becomes the new coset and a new hole row follows it
         beta = len(t) - self.ncols
         t.extend(self.hole_row)
         self.defined += 1
         t[alpha + col] = beta
-        t[beta + (col ^ 1)] = alpha
+        t[beta + self.inv[col]] = alpha
         return beta
 
     def _merge(self, a, b, queue):
@@ -290,14 +338,16 @@ class _Enumerator:
     def coincidence(self, a, b):
         t = self.table
         hole = -self.ncols
+        inv = self.inv
         queue = []
+        self.coincidences += 1
         self._merge(a, b, queue)
         for gamma in queue:             # the queue grows while it is read
-            for col in range(self.ncols):
+            for col in self.cols:
                 delta = t[gamma + col]
                 if delta < 0:
                     continue
-                icol = col ^ 1
+                icol = inv[col]
                 t[delta + icol] = hole
                 mu, nu = self.rep(gamma), self.rep(delta)
                 x = t[mu + col]
@@ -310,30 +360,6 @@ class _Enumerator:
                 else:
                     t[mu + col] = nu
                     t[nu + icol] = mu
-
-    def scan_and_fill(self, alpha, cols):
-        t = self.table
-        f, i = alpha, 0
-        b, j = alpha, len(cols) - 1
-        while True:
-            while i <= j and (g := t[f + cols[i]]) >= 0:
-                f = g
-                i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            while j >= i and (g := t[b + (cols[j] ^ 1)]) >= 0:
-                b = g
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return
-            if j == i:
-                t[f + cols[i]] = b
-                t[b + (cols[i] ^ 1)] = f
-                return
-            self.define(f, cols[i])
 
 
 def _columns(letters):
@@ -421,9 +447,10 @@ def _eliminate(presentation):
     relator is left that short.  Relators are not reduced cyclically, so
     a short relator hidden in a conjugate, such as x y x^-1, eliminates
     nothing.  The map is a signed union-find in which 0 stands for the
-    identity and the smallest index of a class survives.  The short relators are read deduplicated and sorted, so the
-    map does not depend on the order of the relators.  A relator that the
-    map turns into y^2 (from x = y and x = y^-1) stays as an ordinary one.
+    identity and the smallest index of a class survives.  The short
+    relators are read deduplicated and sorted, so the map does not depend
+    on the order of the relators.  A relator that the map turns into y^2
+    (from x = y and x = y^-1) stays, and makes y an involution in HLT.
 
     Returns ``image``, the signed reduced generator that each generator
     1..ngens equals (0 if it is killed), the number of reduced
@@ -525,24 +552,28 @@ def coset_enumerate(presentation, max_cosets=None, max_deductions=None):
     if max_cosets <= 0 or max_steps <= 0:
         raise ValueError("limits must be positive")
     image, ngens, by_length = _eliminate(presentation)
-    rows = _enumerate_rows(ngens, by_length, max_cosets, max_steps)
+    rows, counts = _enumerate_rows(ngens, by_length, max_cosets, max_steps)
     # the identity column for a killed generator, else the survivor's
     # column pair, swapped for an inverse
     forward = np.where(image == 0, 2 * ngens, _columns(image))
     inverse = np.where(image == 0, 2 * ngens, forward ^ 1)
     full = np.column_stack([rows, np.arange(len(rows))])[
         :, np.stack([forward, inverse], axis=1).ravel()]
-    table = CosetTable(presentation.ngens, _standardize(full))
+    table = CosetTable(presentation.ngens, _standardize(full),
+                       EnumerationStats(presentation.ngens, ngens, *counts))
     # completion is validated against the full relator list
     _validate_complete(table, presentation)
     return table
 
 
-def _scan_columns(ngens, by_length, dtype):
-    """The representatives' scan columns as tuples, in order, and for each
-    length with at least FILTER_MIN_RELATORS representatives their
-    positions and columns as a letters x relators matrix of ``dtype``."""
-    groups = _representatives(ngens, by_length)
+def _scan_columns(ngens, by_length, colmap, dtype):
+    """The scan list: the representatives longer than 2, in order, each as
+    its letters' columns and their inverse columns under ``colmap``, as
+    tuples; the squares are left to the table.  For each length with at
+    least FILTER_MIN_RELATORS of them, also their positions and columns
+    as a letters x relators matrix of ``dtype``."""
+    groups = [(idx, letters) for idx, letters in
+              _representatives(ngens, by_length) if letters.shape[1] > 2]
     if not groups:
         return [], []
     order = np.sort(np.concatenate([idx for idx, _ in groups]))
@@ -550,9 +581,11 @@ def _scan_columns(ngens, by_length, dtype):
     filtered = []
     for idx, letters in groups:
         pos = np.searchsorted(order, idx)
-        cols = _columns(letters)
-        for p, c in zip(pos.tolist(), zip(*cols.T.tolist())):
-            rels[p] = c
+        cols = colmap[_columns(letters)]
+        icols = colmap[_columns(-letters)]
+        for p, c, ic in zip(pos.tolist(), zip(*cols.T.tolist()),
+                            zip(*icols.T.tolist())):
+            rels[p] = (c, ic)
         if len(idx) >= FILTER_MIN_RELATORS:
             filtered.append((pos, cols.T.astype(dtype)))
     return rels, filtered
@@ -567,46 +600,83 @@ def _trace(table, start, cols):
 
 
 def _enumerate_rows(ngens, by_length, max_cosets, max_steps):
+    """HLT over the presentation ``_eliminate`` leaves: the compacted rows
+    and the counts of ``EnumerationStats`` from ``involutions`` on."""
     if not ngens:
-        return np.zeros((1, 0), dtype=np.intp)
-    enum = _Enumerator(ngens, max_cosets)
-    n, t, dead = enum.ncols, enum.table, enum.dead
+        return np.zeros((1, 0), dtype=np.intp), (0,) * 6
+    # every length-2 relator left is a square y^2 or y^-2: y is an
+    # involution and its inverse's column is a mirror
+    squares = [letters for _, letters in by_length if letters.shape[1] == 2]
+    mirrors = 2 * np.unique(np.abs(squares[0][:, 0])) - 1 if squares \
+        else np.zeros(0, dtype=np.intp)
+    enum = _Enumerator(ngens, max_cosets, mirrors)
+    n, t, dead, define, coincidence = (enum.ncols, enum.table, enum.dead,
+                                       enum.define, enum.coincidence)
     dtype = np.dtype(enum.typecode)
-    rels, filtered = _scan_columns(ngens, by_length, dtype)
+    rels, filtered = _scan_columns(ngens, by_length, enum.colmap, dtype)
     nrel = len(rels)
     closed = np.zeros(nrel, dtype=bool)
-    steps = 0
+    steps = scans = 0
     alpha = 0
-    while alpha < len(t) - n:
-        if alpha in dead:
-            alpha += n
-            continue
-        todo = range(nrel)
-        if filtered:
-            # a zero-copy view; it must be dropped before define() can
-            # grow the array
-            view = np.frombuffer(t, dtype)
-            for idx, cols in filtered:
-                closed[idx] = _trace(view, alpha, cols) == alpha
-            del view
-            todo = np.flatnonzero(~closed).tolist()
-        done = 0
-        for k in todo:
-            steps += k - done + 1       # skipped scans count as scans
-            if steps > max_steps:
-                raise LimitExceeded(f"scan budget {max_steps} exhausted")
-            enum.scan_and_fill(alpha, rels[k])
-            done = k + 1
+    try:
+        while alpha < len(t) - n:
             if alpha in dead:
-                break
-        else:
-            steps += nrel - done
-            if steps > max_steps:
-                raise LimitExceeded(f"scan budget {max_steps} exhausted")
-            for col in range(n):
-                if t[alpha + col] < 0:
-                    enum.define(alpha, col)
-        alpha += n
+                alpha += n
+                continue
+            todo = range(nrel)
+            if filtered:
+                # a zero-copy view; it must be dropped before define() can
+                # grow the array
+                view = np.frombuffer(t, dtype)
+                for idx, cols in filtered:
+                    closed[idx] = _trace(view, alpha, cols) == alpha
+                del view
+                todo = np.flatnonzero(~closed).tolist()
+            done = 0
+            for k in todo:
+                steps += k - done + 1   # skipped scans count as scans
+                if steps > max_steps:
+                    raise enum.exhausted(max_steps)
+                done = k + 1
+                # scan forward and back from alpha, defining cosets until
+                # the relator closes or one entry is left to deduce
+                cols, icols = rels[k]
+                f, i = alpha, 0
+                b, j = alpha, len(cols) - 1
+                while True:
+                    while i <= j and (g := t[f + cols[i]]) >= 0:
+                        f = g
+                        i += 1
+                    if i > j:
+                        if f != b:
+                            coincidence(f, b)
+                        break
+                    while j >= i and (g := t[b + icols[j]]) >= 0:
+                        b = g
+                        j -= 1
+                    if j < i:
+                        coincidence(f, b)
+                        break
+                    if j == i:
+                        t[f + cols[i]] = b
+                        t[b + icols[i]] = f
+                        break
+                    define(f, cols[i])
+                if alpha in dead:
+                    scans += bisect_right(todo, k)
+                    break
+            else:
+                scans += len(todo)
+                steps += nrel - done
+                if steps > max_steps:
+                    raise enum.exhausted(max_steps)
+                for col in enum.cols:
+                    if t[alpha + col] < 0:
+                        define(alpha, col)
+            alpha += n
+    except _CosetLimit:
+        raise LimitExceeded(f"coset limit {max_cosets} reached after "
+                            f"{steps} scans") from None
 
     # compact: live cosets in order, every entry sent to its representative
     table = np.frombuffer(t, dtype).reshape(-1, n)[:-1]
@@ -615,10 +685,13 @@ def _enumerate_rows(ngens, by_length, max_cosets, max_steps):
         rep[d // n] = enum.rep(d) // n
     live = rep == np.arange(len(table))
     entries = table[live]
+    entries[:, mirrors] = entries[:, mirrors - 1]   # y^-1 reads y's column
     if (entries < 0).any():
         raise LimitExceeded("enumeration halted with holes in table")
     renum = np.cumsum(live, dtype=np.intp) - 1
-    return renum[rep[entries // n]]
+    counts = (len(mirrors), nrel, enum.defined - 1, enum.coincidences, scans,
+              steps - scans)
+    return renum[rep[entries // n]], counts
 
 
 def _validate_complete(table, presentation):

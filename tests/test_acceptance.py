@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from tensorforge import tensor, verify
+from tensorforge.presentations import coset_enumerate
 from tensorforge.verify import CHECKS, run_verification
 
 # (criterion number, check name, runtime bound in seconds; None = only the
@@ -35,8 +37,26 @@ DOCUMENTED_DISAGREEMENTS = {2: {"order": (3, 1)}}
 
 
 @pytest.fixture(scope="module")
-def records():
-    return {r["name"]: r for r in run_verification()}
+def suite():
+    """The rows of one suite run by name, and the order and the stats of
+    every coset enumeration it made."""
+    enumerations = []
+
+    def counted(presentation, **limits):
+        table = coset_enumerate(presentation, **limits)
+        enumerations.append((table.ncosets, table.stats))
+        return table
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (tensor, verify):
+            mp.setattr(module, "coset_enumerate", counted)
+        rows = run_verification()
+    return {r["name"]: r for r in rows}, enumerations
+
+
+@pytest.fixture(scope="module")
+def records(suite):
+    return suite[0]
 
 
 def _announce(number, record, bound):
@@ -72,6 +92,18 @@ def test_acceptance_criterion(records, capfd, number, name, bound):
 def test_suite_names_cover_all_checks(records):
     assert len(CHECKS) == 13
     assert {name for _, name, _ in TOLERANCES} == set(records)
+
+
+def test_suite_enumeration_counts(suite):
+    # the enumerator's own counts over the suite; with the squares
+    # scanned, HLT defined 40,604 cosets and made 690,338 scans
+    enumerations = suite[1]
+    assert len(enumerations) == 975
+    assert sum(order for order, _ in enumerations) == 12_356
+    totals = {name: sum(getattr(stats, name) for _, stats in enumerations)
+              for name in ("defined", "coincidences", "scans")}
+    assert totals == {"defined": 28_210, "coincidences": 8_975,
+                      "scans": 492_216}
 
 
 def test_suite_total_runtime(records, capfd):

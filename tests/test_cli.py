@@ -343,6 +343,14 @@ def test_unwritable_export_path_is_an_io_error(capsys, tmp_path):
     _one_error_line(code, out, err, "cannot write group file", path)
 
 
+def test_coset_limit_says_how_far_it_got(capsys):
+    code, out, err = run(capsys, "tensor", "--g", "dihedral:4", "--h",
+                         "dihedral:4", "--alpha", "conjugation", "--beta",
+                         "conjugation", "--max-cosets", "20")
+    assert code == 2 and out == ""
+    assert err == "error: coset limit 20 reached after 25 scans\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_non_positive_max_cosets_exits_two(capsys, value):
     code, out, err = run(capsys, "tensor", "--g", "cyclic:2", "--h",

@@ -17,6 +17,7 @@ from tensorforge.presentations import (Presentation, coset_enumerate,
                                        invert_word, reduce_word,
                                        table_to_group)
 from tensorforge.tensor import tensor_presentation
+from test_groups import reference_conj
 
 
 # -- words ------------------------------------------------------------------
@@ -189,7 +190,9 @@ def test_limits_must_be_positive():
 # The scalar HLT enumerator over a list-of-lists table, without the
 # closed-relator filter and without elimination: coset_enumerate must give
 # its rows standardized, and under limits the LimitExceeded outcomes of the
-# reference run on the presentation that _eliminate leaves.
+# reference run on the presentation that _eliminate leaves.  A generator y
+# with a relator y^2 or y^-2 is an involution: y^-1 reads y's column, that
+# column is its own inverse, and the squares are not scanned.
 
 def _col(letter):
     # generator k -> column 2(k-1); inverse -> 2(k-1)+1
@@ -197,19 +200,23 @@ def _col(letter):
     return 2 * k if letter > 0 else 2 * k + 1
 
 
-def _invcol(col):
-    return col ^ 1
-
-
 class _Enumerator:
-    def __init__(self, ngens, max_cosets, max_steps):
+    def __init__(self, ngens, max_cosets, max_steps, involutions=()):
         self.ncols = 2 * ngens
+        # the column each letter's scan reads, and each column's inverse
+        self.column = {x: _col(x) for k in range(1, ngens + 1)
+                       for x in (k, -k)}
+        for y in involutions:
+            self.column[-y] = _col(y)
+        self.inv = {self.column[x]: self.column[-x] for x in self.column}
+        self.cols = sorted(self.inv)
         self.table = [[None] * self.ncols]
         self.p = [0]
         self.max_cosets = max_cosets
         self.max_steps = max_steps
         self.steps = 0
         self.defined = 1
+        self.coincidences = 0
 
     def rep(self, k):
         # union-find with path compression toward smaller indices
@@ -225,15 +232,14 @@ class _Enumerator:
 
     def define(self, alpha, col):
         if self.defined >= self.max_cosets:
-            raise LimitExceeded(
-                f"coset limit {self.max_cosets} reached; group may be "
-                "infinite or the budget too small")
+            raise LimitExceeded(f"coset limit {self.max_cosets} reached "
+                                f"after {self.steps} scans")
         beta = len(self.table)
         self.table.append([None] * self.ncols)
         self.p.append(beta)
         self.defined += 1
         self.table[alpha][col] = beta
-        self.table[beta][_invcol(col)] = alpha
+        self.table[beta][self.inv[col]] = alpha
         return beta
 
     def _merge(self, a, b, queue):
@@ -244,30 +250,36 @@ class _Enumerator:
             queue.append(b)
 
     def coincidence(self, a, b):
+        self.coincidences += 1
         queue = []
         self._merge(a, b, queue)
         qi = 0
         while qi < len(queue):
             gamma = queue[qi]
             qi += 1
-            for col in range(self.ncols):
+            for col in self.cols:
+                icol = self.inv[col]
                 delta = self.table[gamma][col]
                 if delta is None:
                     continue
-                self.table[delta][_invcol(col)] = None
+                self.table[delta][icol] = None
                 mu, nu = self.rep(gamma), self.rep(delta)
                 if self.table[mu][col] is not None:
                     self._merge(nu, self.table[mu][col], queue)
-                elif self.table[nu][_invcol(col)] is not None:
-                    self._merge(mu, self.table[nu][_invcol(col)], queue)
+                elif self.table[nu][icol] is not None:
+                    self._merge(mu, self.table[nu][icol], queue)
                 else:
                     self.table[mu][col] = nu
-                    self.table[nu][_invcol(col)] = mu
+                    self.table[nu][icol] = mu
 
-    def scan_and_fill(self, alpha, cols):
+    def scan_and_fill(self, alpha, word):
         self.steps += 1
         if self.steps > self.max_steps:
-            raise LimitExceeded(f"scan budget {self.max_steps} exhausted")
+            live = sum(map(self.alive, range(len(self.table))))
+            raise LimitExceeded(
+                f"scan budget {self.max_steps} exhausted after "
+                f"{self.defined - 1} cosets defined, {live} live")
+        cols = [self.column[x] for x in word]
         f, i = alpha, 0
         b, j = alpha, len(cols) - 1
         while True:
@@ -278,27 +290,32 @@ class _Enumerator:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and self.table[b][_invcol(cols[j])] is not None:
-                b = self.table[b][_invcol(cols[j])]
+            while j >= i and self.table[b][self.inv[cols[j]]] is not None:
+                b = self.table[b][self.inv[cols[j]]]
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return
             if j == i:
                 self.table[f][cols[i]] = b
-                self.table[b][_invcol(cols[i])] = f
+                self.table[b][self.inv[cols[i]]] = f
                 return
             self.define(f, cols[i])
 
 
-def reference_enumerate(presentation, max_cosets=None, max_deductions=None):
-    """The rows of the compacted table, as coset_enumerate returns them."""
+def reference_enumerate(presentation, max_cosets=None, max_deductions=None,
+                        counts=None):
+    """The rows of the compacted table, as coset_enumerate returns them.
+    A dict given as ``counts`` receives the cosets defined, the
+    coincidences and the scans of a completed run."""
     max_cosets = 200_000 if max_cosets is None else max_cosets
     max_steps = max_deductions if max_deductions is not None else 50_000_000
     if max_cosets <= 0 or max_steps <= 0:
         raise ValueError("limits must be positive")
+    involutions = {abs(r[0]) for r in presentation.relators
+                   if len(r) == 2 and r[0] == r[1]}
     seen = set()
-    rel_cols = []
+    words = []
     for r in presentation.relators:
         variants = {tuple(w[i:] + w[:i])
                     for w in (r, tuple(-x for x in reversed(r)))
@@ -306,19 +323,20 @@ def reference_enumerate(presentation, max_cosets=None, max_deductions=None):
         key = min(variants)
         if key not in seen:
             seen.add(key)
-            rel_cols.append(tuple(_col(letter) for letter in r))
-    enum = _Enumerator(presentation.ngens, max_cosets, max_steps)
+            if not (len(r) == 2 and r[0] == r[1]):
+                words.append(r)
+    enum = _Enumerator(presentation.ngens, max_cosets, max_steps, involutions)
     alpha = 0
     while alpha < len(enum.table):
         if not enum.alive(alpha):
             alpha += 1
             continue
-        for cols in rel_cols:
+        for word in words:
             if not enum.alive(alpha):
                 break
-            enum.scan_and_fill(alpha, cols)
+            enum.scan_and_fill(alpha, word)
         if enum.alive(alpha):
-            for col in range(enum.ncols):
+            for col in enum.cols:
                 if enum.table[alpha][col] is None:
                     enum.define(alpha, col)
         alpha += 1
@@ -327,11 +345,15 @@ def reference_enumerate(presentation, max_cosets=None, max_deductions=None):
     renum = {c: i for i, c in enumerate(live)}
     rows = np.empty((len(live), enum.ncols), dtype=np.intp)
     for i, c in enumerate(live):
-        for col in range(enum.ncols):
+        for x, col in enum.column.items():
+            # an involution's inverse reads the involution's column
             d = enum.table[c][col]
             if d is None:
                 raise LimitExceeded("enumeration halted with holes in table")
-            rows[i, col] = renum[enum.rep(d)]
+            rows[i, _col(x)] = renum[enum.rep(d)]
+    if counts is not None:
+        counts.update(defined=enum.defined - 1,
+                      coincidences=enum.coincidences, scans=enum.steps)
     return rows
 
 
@@ -349,6 +371,22 @@ def _eliminated(presentation):
     words = sorted((i, tuple(w)) for idx, letters in by_length
                    for i, w in zip(idx.tolist(), letters.tolist()))
     return Presentation(ngens, tuple(w for _, w in words))
+
+
+def _same_counts(presentation, **limits):
+    """When coset_enumerate completes, its stats give the cosets defined,
+    the coincidences and the scans, skipped ones included, of the
+    reference run on the eliminated presentation; returns the stats."""
+    try:
+        stats = coset_enumerate(presentation, **limits).stats
+    except LimitExceeded:
+        return None
+    counts = {}
+    reference_enumerate(_eliminated(presentation), counts=counts, **limits)
+    assert counts == {"defined": stats.defined,
+                      "coincidences": stats.coincidences,
+                      "scans": stats.scans + stats.skipped}, limits
+    return stats
 
 
 def _same_outcome(presentation, **limits):
@@ -416,8 +454,11 @@ def test_round_trip_rows_match_reference():
         _same_outcome(Presentation(G.order, rels))
 
 
-_words = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1,
-                  max_size=8)
+_letter = st.sampled_from([1, -1, 2, -2, 3, -3])
+# about half the words are squares, which make their generator an
+# involution unless elimination kills or identifies it
+_words = st.one_of(_letter.map(lambda x: [x, x]),
+                   st.lists(_letter, min_size=1, max_size=8))
 
 
 @pytest.mark.parametrize("filter_min", [presentations.FILTER_MIN_RELATORS, 1])
@@ -431,20 +472,79 @@ def test_random_presentations_match_reference(filter_min, ngens, words,
     # with filter_min 1 every relator goes through the numpy filter
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(presentations, "FILTER_MIN_RELATORS", filter_min)
-        _same_outcome(Presentation(ngens, rels), max_cosets=max_cosets,
+        p = Presentation(ngens, rels)
+        _same_outcome(p, max_cosets=max_cosets,
                       max_deductions=max_deductions)
+        _same_counts(p, max_cosets=max_cosets, max_deductions=max_deductions)
 
 
 def test_scan_budget_sweep_matches_reference():
-    # elimination leaves 17 generators and 512 relators, so the filter is
-    # active; the enumeration needs a budget of 4704 scans
+    # elimination leaves 17 generators and 512 relators, 11 of them
+    # squares; 136 classes of the others are scanned, so the filter is
+    # active, and the enumeration needs a budget of 32 x 136 = 4352 scans
     p = _square_presentation("dihedral:4")
     q = _eliminated(p)
     assert (q.ngens, len(q.relators)) == (17, 512)
+    stats = coset_enumerate(p).stats
+    assert (stats.involutions, stats.relators) == (11, 136)
     outcomes = {_same_outcome(p, max_deductions=k)[0]
-                for k in (1, 2, 512, 513, 514, 2000, 4703, 4704, 4705,
+                for k in (1, 2, 136, 137, 512, 513, 2000, 4351, 4352, 4353,
                           29_152)}
     assert outcomes == {"LimitExceeded", "rows"}
+    with pytest.raises(LimitExceeded, match="^scan budget 4351 exhausted "
+                       "after 57 cosets defined, 32 live$"):
+        coset_enumerate(p, max_deductions=4351)
+
+
+# (generators, relators, order, involutions HLT gives one column)
+INVOLUTION_CASES = [
+    # <a, b | a^2, b^2, (ab)^3>, the symmetric group S3
+    (2, ((1, 1), (2, 2), (1, 2) * 3), 6, 2),
+    # a y^-2 relator: the dihedral group of order 8
+    (2, ((1,) * 4, (-2, -2), (1, 2, 1, 2)), 8, 1),
+    # y^2 together with y^3 kills y
+    (1, ((1, 1), (1, 1, 1)), 1, 1),
+    # x1 = x2 and x1 = x2^-1 leave x1^2; x3 has order 3 and commutes
+    (3, ((1, -2), (1, 2), (3, 3, 3), (1, 3, 1, -3)), 6, 1),
+    # b = a^3 = a: the coincidences run through a's one column
+    (2, ((1, 1), (-2, 1, 1, 1)), 2, 1),
+]
+
+
+@pytest.mark.parametrize("ngens, relators, order, involutions",
+                         INVOLUTION_CASES)
+def test_involution_columns_match_reference(ngens, relators, order,
+                                            involutions):
+    p = Presentation(ngens, relators)
+    table = coset_enumerate(p)
+    assert table.ncosets == order
+    assert table.stats.involutions == involutions
+    _same_outcome(p)
+    _same_counts(p)
+    for k in (1, 2, 3, 5, 8, 13):
+        _same_outcome(p, max_cosets=k)
+        _same_outcome(p, max_deductions=k)
+
+
+@pytest.mark.parametrize("key", ["dihedral:4", "quaternion:8", "elemab:3:2"])
+def test_stats_repeat_and_match_reference(key):
+    p = _square_presentation(key)
+    stats = _same_counts(p)
+    assert coset_enumerate(p).stats == stats
+    assert (stats.generators, stats.survivors) \
+        == (p.ngens, _eliminated(p).ngens)
+
+
+@pytest.mark.parametrize("key, stats", [
+    # with the squares scanned: 50,622 scans and 784 cosets defined
+    ("elemab:2:3", presentations.EnumerationStats(
+        64, 49, 49, 588, 784, 239, 25_128, 275_928)),
+    # with the squares scanned: 67,963 scans and 2,244 cosets defined
+    ("product:cyclic:4,cyclic:4", presentations.EnumerationStats(
+        256, 81, 45, 1044, 1608, 615, 54_952, 212_312)),
+])
+def test_square_stats(key, stats):
+    assert coset_enumerate(_square_presentation(key)).stats == stats
 
 
 # -- elimination and standardization ----------------------------------------
@@ -582,7 +682,7 @@ def reference_tensor_relators(pair):
     for g in range(n):
         for g1 in range(n):
             gg1 = G.mul(g, g1)
-            gc = G.conj(g, g1)
+            gc = reference_conj(G, g, g1)
             for h in range(m):
                 hc = int(B[g1, h])
                 add((-sym(gg1, h), sym(gc, hc), sym(g1, h)))
@@ -591,7 +691,7 @@ def reference_tensor_relators(pair):
             for h1 in range(m):
                 hh1 = H.mul(h, h1)
                 ga = int(A[h1, g])
-                hc = H.conj(h, h1)
+                hc = reference_conj(H, h, h1)
                 add((-sym(g, hh1), sym(g, h1), sym(ga, hc)))
     return reference_reduce(n * m, tuple(relators))
 
@@ -662,13 +762,21 @@ def _check_relator_layers(p):
     assert [p.relators[i] for i in idx] == reps
     _same_arrays([(i, presentations._columns(w).T) for i, w in p._by_length],
                  reference_length_groups(p.relators))
+    # the generators with a square relator read one column each, and
+    # relators of length 2 are not scanned
+    involutions = {abs(r[0]) for r in reps if len(r) == 2 and r[0] == r[1]}
+    column = _Enumerator(p.ngens, 1, 1, involutions).column
+    colmap = np.arange(2 * p.ngens)
+    colmap[[2 * y - 1 for y in involutions]] -= 1
+    scanned = [r for r in reps if len(r) > 2]
     for dtype in (np.int32, np.int64):
-        rels, filtered = presentations._scan_columns(p.ngens, p._by_length,
-                                                     np.dtype(dtype))
-        assert rels == [tuple(_col(x) for x in r) for r in reps]
+        rels, filtered = presentations._scan_columns(
+            p.ngens, p._by_length, colmap, np.dtype(dtype))
+        assert rels == [(tuple(column[x] for x in r),
+                         tuple(column[-x] for x in r)) for r in scanned]
         _same_arrays(filtered, [
-            (i, c.astype(dtype)) for i, c in reference_length_groups(
-                reps, presentations.FILTER_MIN_RELATORS)])
+            (i, colmap[c].astype(dtype)) for i, c in reference_length_groups(
+                scanned, presentations.FILTER_MIN_RELATORS)])
 
 
 def _tensor_pairs():

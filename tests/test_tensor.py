@@ -15,6 +15,7 @@ from tensorforge.presentations import (Presentation, coset_enumerate,
 from tensorforge.tensor import (compute_tensor, derivative_subgroup,
                                 tensor_presentation)
 from test_abelian import reference_smith_diagonal
+from test_groups import reference_conj
 
 
 def tensor_square(G):
@@ -187,15 +188,15 @@ def test_defining_relations_hold_in_cayley_table(pair):
         for g1 in range(G.order):
             for h in range(H.order):
                 lhs = s(G.mul(g, g1), h)
-                rhs = T.mul(s(G.conj(g, g1), pair.beta_maps[g1, h]),
+                rhs = T.mul(s(reference_conj(G, g, g1), pair.beta_maps[g1, h]),
                             s(g1, h))
                 assert lhs == rhs
     for g in range(G.order):
         for h in range(H.order):
             for h1 in range(H.order):
                 lhs = s(g, H.mul(h, h1))
-                rhs = T.mul(s(g, h1),
-                            s(pair.alpha_maps[h1, g], H.conj(h, h1)))
+                rhs = T.mul(s(g, h1), s(pair.alpha_maps[h1, g],
+                                        reference_conj(H, h, h1)))
                 assert lhs == rhs
 
 
