@@ -83,7 +83,9 @@ def _validate_action(G, H, maps, what, require_hom=False):
 
     A bijection m is an automorphism iff m(x s) = m(x) m(s) for every x
     and every generator s (m(e) = e follows), so a row costs O(|G|) per
-    generator, not the O(|G|^2) of the whole table.
+    generator, not the O(|G|^2) of the whole table.  The rows are checked
+    in blocks of at most BLOCK_ENTRIES entries; the first failing row is
+    named, as not a bijection before as not an automorphism.
     """
     maps = np.ascontiguousarray(np.asarray(maps, dtype=np.intp))
     if maps.shape != (H.order, G.order):
@@ -93,12 +95,19 @@ def _validate_action(G, H, maps, what, require_hom=False):
         raise InvalidAction(f"{what}: identity must act trivially")
     gens = list(generating_set(G)) or [G.identity]
     products = G.table[:, gens]
-    for h in range(H.order):
-        m = maps[h]
-        if len(np.unique(m)) != G.order:
-            raise InvalidAction(f"{what}: row {h} is not a bijection")
-        if not np.array_equal(m[products], G.table[m[:, None], m[gens]]):
-            raise InvalidAction(f"{what}: row {h} is not an automorphism")
+    step = max(1, BLOCK_ENTRIES // (G.order * (len(gens) + 1)))
+    for start in range(0, H.order, step):
+        block = maps[start:start + step]
+        bijective = (np.sort(block, axis=1) == ar).all(axis=1)
+        # only bijections are indexed, so every entry lies in G
+        m = np.where(bijective[:, None], block, ar)
+        automorphic = (m[:, products] == G.table[
+            m[:, :, None], m[:, None, gens]]).all(axis=(1, 2))
+        bad = np.flatnonzero(~(bijective & automorphic))
+        if len(bad):
+            h = int(bad[0])
+            fault = "a bijection" if not bijective[h] else "an automorphism"
+            raise InvalidAction(f"{what}: row {start + h} is not {fault}")
     if require_hom and not _assignment_is_hom(H, maps):
         raise InvalidAction(f"{what}: assignment is not a homomorphism")
     maps.setflags(write=False)
@@ -406,11 +415,29 @@ def compatible_pair_orbits(grid):
     maps the tensor presentation onto itself by renaming symbols, so any
     presentation-level verdict (order, abelianness, invariants) is
     constant on each orbit.  Returns [(i, j, orbit size)] with the
-    lexicographically least member as representative.
+    lexicographically least compatible member as representative.
+
+    Each generator of Aut(G) and of Aut(H) moves the alpha and the beta
+    indices by one permutation each, found by looking each moved map up
+    by its images of a generating set in one sorted view of the maps per
+    side.  The compatible pairs are closed under the moves, and each pair
+    of the closure is labelled by min-label propagation with pointer
+    jumping: a round gives each pair the least label of the pairs its
+    moves reach, then replaces each label by the label of the pair it
+    names, until no label changes.  The labels are then the least pair of
+    each orbit, since the moves generate the action.  An orbit's
+    representative is its least compatible pair, and its size counts
+    every pair in it, compatible or not, so a grid whose compatible pairs
+    are not invariant gets the orbits of the pairs it marks.
     """
     maps = (np.stack([a.map for a in grid.alphas]),
             np.stack([b.map for b in grid.betas]))
-    index = [{row.tobytes(): k for k, row in enumerate(m)} for m in maps]
+    # a homomorphism is fixed by its images of a generating set: alphas
+    # by those of H, betas by those of G
+    gens = [list(generating_set(K) or [K.identity]) for K in (grid.H, grid.G)]
+    keys = [_row_keys(m[:, g]) for m, g in zip(maps, gens)]
+    order = [np.argsort(key) for key in keys]
+    keys = [key[o] for key, o in zip(keys, order)]
     # one (alpha, beta) index permutation per generator s of Aut(G) (side
     # 0) and of Aut(H) (side 1): s conjugates the Aut indices of its own
     # side's maps and relabels the points of the other side's maps
@@ -420,26 +447,61 @@ def compatible_pair_orbits(grid):
         t, inv = aut.group.table, aut.group.inverse
         for s in generating_set(aut.group):
             moved = [None, None]
-            moved[side] = t[t[inv[s]], s][maps[side]]
-            moved[1 - side] = maps[1 - side][:, aut.elements[inv[s]]]
-            moves.append([[at[row.tobytes()] for row in rows]
-                          for at, rows in zip(index, moved)])
-    seen = set()
-    orbits = []
-    for root in map(tuple, np.argwhere(grid.compatible).tolist()):
-        if root in seen:
-            continue
-        # the first unseen pair in lexicographic order is its orbit's least
-        seen.add(root)
-        orbit = [root]
-        for i, j in orbit:      # breadth first: reaches the pairs appended
-            for pa, pb in moves:
-                nxt = (pa[i], pb[j])
-                if nxt not in seen:
-                    seen.add(nxt)
-                    orbit.append(nxt)
-        orbits.append((*root, len(orbit)))
-    return orbits
+            moved[side] = t[t[inv[s]], s][maps[side][:, gens[side]]]
+            moved[1 - side] = maps[1 - side][
+                :, aut.elements[inv[s]][gens[1 - side]]]
+            moves.append([_row_index(key, o, _row_keys(m))
+                          for key, o, m in zip(keys, order, moved)])
+    n_beta = len(maps[1])
+    # close the compatible pairs under the moves, as increasing flat indices
+    closed = grid.compatible.copy()
+    while True:
+        pairs = np.flatnonzero(closed)
+        moved = [pa[pairs // n_beta] * n_beta + pb[pairs % n_beta]
+                 for pa, pb in moves]
+        if all(closed.flat[m].all() for m in moved):
+            break
+        for m in moved:
+            closed.flat[m] = True
+    del closed      # the labels below are the peak of the orbit walk
+    # each move permutes the closure, so its moved pairs, sorted, are
+    # ``pairs`` again: move k sends position v to position targets[k][v]
+    targets = []
+    while moved:
+        target = np.empty(len(pairs), dtype=np.intp)
+        target[np.argsort(moved.pop(0))] = np.arange(len(pairs))
+        targets.append(target)
+    label = np.arange(len(pairs))
+    while True:
+        least = label
+        for target in targets:
+            least = np.minimum(least, least[target])
+        least = least[least]
+        if np.array_equal(least, label):
+            break
+        label = least
+    marked = np.flatnonzero(grid.compatible.flat[pairs])
+    _, first = np.unique(label[marked], return_index=True)
+    reps = np.sort(marked[first])
+    sizes = np.bincount(label)[label[reps]]
+    return [(int(p) // n_beta, int(p) % n_beta, int(size))
+            for p, size in zip(pairs[reps], sizes)]
+
+
+def _row_keys(rows):
+    """The rows of an integer matrix as one comparable void scalar each."""
+    rows = np.ascontiguousarray(rows, dtype=np.intp)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+
+
+def _row_index(keys, order, wanted):
+    """The row numbers of the keys ``wanted``, looked up in the sorted
+    ``keys`` of rows ``order``; CrossCheckFailed when one is missing."""
+    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    if not np.array_equal(keys[pos], wanted):
+        raise CrossCheckFailed("a relabelled homomorphism is not among the "
+                               "enumerated homomorphisms")
+    return order[pos]
 
 
 def question2_scan(max_order, budget=None):

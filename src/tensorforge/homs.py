@@ -10,20 +10,34 @@ s: the forced map is a homomorphism exactly when every entry is equal.
 
 The search backtracks over images of a greedily-chosen minimal
 generating set.  Level j is the subgroup generated by the first j + 1
-generators, and all candidate images of generator j behind one fixed
-prefix are forced at once, in blocks of at most ``BLOCK_ENTRIES``
-entries.  Nodes are counted one candidate at a time in depth-first order,
-and the node budget (default 10^6) turns runaway searches into
-BudgetExceeded rather than silent wrong answers.
+generators, and a prefix is a row of images of the generators before
+s_j.  ``descend`` forces every candidate image of s_j behind every
+prefix of a block, in blocks of at most ``BLOCK_ENTRIES`` entries.  A
+search for every map (``enumerate_homs``, ``all_bijective_endomaps``)
+hands all the rows that pass at level j to level j + 1 at once, so it
+forces the search tree one level at a time; a search for one map
+(``are_isomorphic``) hands them on one row at a time, so it stops at its
+first map.
+
+A node is one candidate behind one expanded prefix, and the node budget
+(default 10^6) turns runaway searches into BudgetExceeded rather than
+silent wrong answers.  A complete search expands every prefix that
+passes, so it adds the count of a whole level before it forces that
+level; a search for one map counts one candidate at a time in
+depth-first order.  Both raise exactly when the depth-first count of the
+same search passes the budget.
 
 The search finds its maps in lexicographic order without sorting them.
 The greedy generator s_j is the first element outside the subgroup of
 s_0, ..., s_(j-1), so every element before it lies in that subgroup, and
 two homomorphisms whose generator images first differ at s_j agree on
 every element before s_j: maps compare as their tuples of generator
-images.  The depth-first search tries the candidate images of each
-generator in increasing order, so it meets those tuples in increasing
-order.
+images.  Each level keeps its prefixes in order and puts the candidates
+behind each prefix in increasing order, so if the prefixes of level j
+are in increasing order, so are its rows, and the rows of level j + 1
+are the passing ones in the same order.  By induction from the one empty
+prefix, every level, and so the list of leaves, is in lexicographic
+order; a search for one map meets the same rows in the same order.
 """
 
 from __future__ import annotations
@@ -120,46 +134,64 @@ def _search(source, target, bijective, find_all, budget):
     found = []
     nodes = 0
 
-    def descend(j, prefix):
-        """Try every candidate image of generator j behind ``prefix``;
-        True once a search that wants one map has found it."""
+    def count(more):
         nonlocal nodes
-        images = np.empty((len(cand[j]), j + 1), dtype=np.intp)
-        images[:, :j] = prefix
-        images[:, j] = cand[j]
+        nodes += more
+        if nodes > budget:
+            raise BudgetExceeded(f"hom search exceeded {budget} nodes")
+
+    def level_rows(j, prefixes, picks):
+        """Rows ``picks`` of level j behind ``prefixes``: row r is prefix
+        r // width, then candidate r % width, so rows ascend with r."""
+        width = len(cand[j])
+        images = np.empty((len(picks), j + 1), dtype=np.intp)
+        images[:, :j] = prefixes[picks // width]
+        images[:, j] = cand[j][picks % width]
+        return images
+
+    def descend(j, prefixes):
+        """Try every candidate image of generator j behind every row of
+        ``prefixes``; True once a search that wants one map has found it."""
+        total = len(prefixes) * len(cand[j])
+        if find_all:
+            # a complete search expands every prefix: count the level first
+            count(total)
         step = max(1, BLOCK_ENTRIES // (source.order * (j + 1)))
-        good = np.empty(len(images), dtype=bool)
-        leaves = []
-        for start in range(0, len(images), step):
+        # a level without candidate images passes no row
+        passing, leaves = [np.empty(0, dtype=np.intp)], []
+        for start in range(0, total, step):
+            picks = np.arange(start, min(start + step, total))
             maps, ok, _ = _force(rows[:, :j + 1], root, trees[j], target,
-                                 images[start:start + step])
+                                 level_rows(j, prefixes, picks))
             passed = ok.all(axis=(1, 2))
             if bijective:
                 # a homomorphism is injective iff its kernel is trivial
                 passed &= (maps == target.identity).sum(axis=1) == 1
-            good[start:start + step] = passed
+            passing.append(picks[passed])
             if j == k - 1:
                 leaves.extend(maps[passed])
-        # one node per candidate in depth-first order; the candidates that
-        # fail are counted in bulk up to the next one that passes
+        passing = np.concatenate(passing)
+        if find_all:
+            if j == k - 1:
+                found.extend(leaves)
+            elif len(passing):
+                descend(j + 1, level_rows(j, prefixes, passing))
+            return False
+        # one prefix: one node per candidate in depth-first order, and the
+        # candidates that fail are counted in bulk up to the next that passes
         counted = 0
-        for rank, i in enumerate(np.flatnonzero(good).tolist()):
-            nodes += i + 1 - counted
+        for rank, i in enumerate(passing.tolist()):
+            count(i + 1 - counted)
             counted = i + 1
-            if nodes > budget:
-                raise BudgetExceeded(f"hom search exceeded {budget} nodes")
             if j == k - 1:
                 found.append(leaves[rank])
-                if not find_all:
-                    return True
-            elif descend(j + 1, images[i]):
                 return True
-        nodes += len(images) - counted
-        if nodes > budget:
-            raise BudgetExceeded(f"hom search exceeded {budget} nodes")
+            if descend(j + 1, level_rows(j, prefixes, passing[rank:rank + 1])):
+                return True
+        count(total - counted)
         return False
 
-    descend(0, [])
+    descend(0, np.empty((1, 0), dtype=np.intp))
     return found
 
 

@@ -581,6 +581,24 @@ def test_validate_action_matches_full_table_reference():
     assert messages == {"valid", "trivially", "bijection", "automorphism"}
 
 
+@pytest.mark.parametrize("block", [1, 16, 16_384])
+def test_validate_action_names_the_first_failing_row(monkeypatch, block):
+    # rows are checked a block at a time: the smallest failing row is
+    # named, by the first of its checks that fails, whatever fails later
+    monkeypatch.setattr(actions, "BLOCK_ENTRIES", block)
+    G, H = tf.make_catalog_group("cyclic:4"), make_cyclic(4)
+    ar = np.arange(4)
+    swap = np.array([0, 2, 1, 3])       # a bijection, but not additive
+    repeated = np.array([0, 1, 1, 3])   # not a bijection
+    cases = [([ar, swap, repeated, ar], "1 is not an automorphism"),
+             ([ar, ar, repeated, swap], "2 is not a bijection"),
+             ([ar, repeated, swap, repeated], "1 is not a bijection")]
+    for rows, want in cases:
+        with pytest.raises(InvalidAction) as exc:
+            actions._validate_action(G, H, np.array(rows), "alpha")
+        assert str(exc.value) == f"alpha: row {want}"
+
+
 def test_induced_beta_rejects_non_injective():
     Z4 = make_cyclic(4)
     aut = automorphism_group(Z4)
@@ -936,6 +954,17 @@ def test_orbits_match_reference_on_sweep_grids(g, h):
     grid.compatible = np.zeros_like(grid.compatible)
     assert compatible_pair_orbits(grid) == []
     assert reference_compatible_pair_orbits(grid) == []
+
+
+def test_orbits_refuse_a_grid_missing_a_moved_hom():
+    # the last alpha is moved by Aut(G) onto another alpha; a grid that
+    # lacks the last one cannot label the image of the one it moves there
+    G = tf.make_catalog_group("elemab:2:2")
+    grid = compatibility_grid(G, G)
+    short = dataclasses.replace(grid, alphas=grid.alphas[:-1],
+                                compatible=grid.compatible[:-1])
+    with pytest.raises(CrossCheckFailed, match="relabelled homomorphism"):
+        compatible_pair_orbits(short)
 
 
 def _relabelled(pair, side, sigma):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,9 +274,11 @@ def _candidate_images(source_gen_order, target, exact_order):
     return [int(t) for t in np.flatnonzero(source_gen_order % orders == 0)]
 
 
-def reference_search(source, target, bijective, find_all, budget):
+def reference_search(source, target, bijective, find_all, budget,
+                     tally=None):
     """Shared backtracking core for enumerate_homs / are_isomorphic /
-    automorphism enumeration."""
+    automorphism enumeration.  A list ``tally`` receives the number of
+    nodes counted."""
     gens = generating_set(source)
     k = len(gens)
     if k == 0:
@@ -309,6 +312,8 @@ def reference_search(source, target, bijective, find_all, budget):
         return False
 
     descend(0, [])
+    if tally is not None:
+        tally.append(nodes)
     return found
 
 
@@ -338,6 +343,14 @@ def test_search_matches_reference_on_small_pairs(skey, S):
     for _, T in SMALL:
         _same_search(S, T, False, True)
         _same_search(S, tf.automorphism_group(T).group, False, True)
+
+
+def test_bijective_search_between_groups_matches_reference():
+    # between groups of one order a level can have no candidate image
+    for (_, S), (_, T) in itertools.product(SMALL, repeat=2):
+        if S.order == T.order:
+            _same_search(S, T, True, True)
+            _same_search(S, T, True, False)
 
 
 AUT_GROUPS = tf.catalog_groups_up_to(27)
@@ -385,16 +398,20 @@ def test_search_on_relabelled_source(key):
 
 
 def _node_count(source, target, bijective, find_all):
-    """The least budget under which the reference search finishes."""
-    lo, hi = 0, tf.homs.DEFAULT_BUDGET
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            reference_search(source, target, bijective, find_all, mid)
-            hi = mid
-        except BudgetExceeded:
-            lo = mid + 1
-    return lo
+    """The least budget under which the reference search finishes: the
+    count grows one node at a time, so it is the count of a finished
+    search."""
+    tally = []
+    reference_search(source, target, bijective, find_all,
+                     tf.homs.DEFAULT_BUDGET, tally)
+    return tally[0]
+
+
+def _group(key):
+    """A catalog group, or with the prefix "aut:" the group Aut(key)."""
+    if key.startswith("aut:"):
+        return tf.automorphism_group(tf.make_catalog_group(key[4:])).group
+    return tf.make_catalog_group(key)
 
 
 @pytest.mark.parametrize("skey,tkey,bijective,find_all", [
@@ -403,9 +420,13 @@ def _node_count(source, target, bijective, find_all):
     ("elemab:2:3", "elemab:2:3", True, True),
     ("quaternion:8", "quaternion:8", True, False),
     ("product:cyclic:2,cyclic:4", "product:cyclic:2,cyclic:4", True, False),
+    # three generators each: a complete search whose budget runs out at an
+    # inner level, with many prefixes in it
+    ("elemab:2:3", "aut:elemab:2:3", False, True),
+    ("heisenberg:3", "heisenberg:3", True, True),
 ])
 def test_budget_sweep_matches_reference(skey, tkey, bijective, find_all):
-    S, T = tf.make_catalog_group(skey), tf.make_catalog_group(tkey)
+    S, T = _group(skey), _group(tkey)
     nodes = _node_count(S, T, bijective, find_all)
     outcomes = set()
     for budget in {0, 1, nodes // 2, *range(max(0, nodes - 3), nodes + 3)}:
@@ -461,3 +482,17 @@ def test_small_blocks_change_nothing(monkeypatch, block):
         _same_search(G, G, True, True)
         _same_search(G, tf.automorphism_group(
             tf.make_catalog_group("elemab:2:2")).group, False, True)
+
+
+def test_complete_search_memory_is_bounded():
+    # a complete search keeps the passing rows of a level, and forces the
+    # candidates behind them in blocks: |Aut(elemab:2:4)| = 20160
+    G = tf.make_catalog_group("elemab:2:4")
+    tracemalloc.start()
+    try:
+        maps = all_bijective_endomaps(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(maps) == 20160
+    assert peak < 12_000_000

@@ -1,0 +1,87 @@
+"""The relabelling oracle: renaming the elements of G and H changes no
+count that the hom search, Aut(G), the compatibility grid and its orbits
+report.
+
+Conjugating the Cayley tables of G and H by permutations sigma and tau
+gives isomorphic groups, so Hom(G, H) is carried onto Hom(G', H') by
+m -> tau m sigma^-1, |Aut| is kept, and the grid of G' and H' is the grid
+of G and H with its alphas and betas renamed: its compatible and
+normalizer counts and its multiset of orbit sizes are the same.  Each
+square runs twice, with H the same object as G and with H an equal copy.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import tensorforge as tf
+from tensorforge.actions import compatibility_grid, compatible_pair_orbits
+from tensorforge.automorphisms import automorphism_group
+from tensorforge.homs import enumerate_homs
+
+SQUARES = ["cyclic:6", "symmetric:3", "elemab:2:2", "dihedral:4",
+           "quaternion:8", "product:cyclic:2,cyclic:4", "elemab:2:3"]
+PAIRS = [("dihedral:4", "elemab:2:2"), ("symmetric:3", "cyclic:6"),
+         ("quaternion:8", "dihedral:4"), ("cyclic:4", "elemab:2:3")]
+
+
+def _relabel(G, rng):
+    """G with its elements renamed by a random permutation, and that
+    permutation (old -> new)."""
+    perm = rng.permutation(G.order)
+    table = np.empty_like(G.table)
+    table[np.ix_(perm, perm)] = perm[G.table]
+    return tf.FiniteGroup(table), perm
+
+
+def _cases():
+    """(G, H, G', H', sigma, tau) with G', H' the relabelled G, H."""
+    cases = []
+    for seed, key in enumerate(SQUARES):
+        rng = np.random.default_rng(seed)
+        G = tf.make_catalog_group(key)
+        R, sigma = _relabel(G, rng)
+        cases.append(pytest.param(G, G, R, R, sigma, sigma,
+                                  id=f"{key}-same"))
+        H = tf.FiniteGroup(G.table)
+        S, tau = _relabel(H, rng)
+        cases.append(pytest.param(G, H, R, S, sigma, tau, id=f"{key}-copy"))
+    for seed, (gkey, hkey) in enumerate(PAIRS, start=len(SQUARES)):
+        rng = np.random.default_rng(seed)
+        G, H = tf.make_catalog_group(gkey), tf.make_catalog_group(hkey)
+        (R, sigma), (S, tau) = _relabel(G, rng), _relabel(H, rng)
+        cases.append(pytest.param(G, H, R, S, sigma, tau,
+                                  id=f"{gkey}-{hkey}"))
+    return cases
+
+
+def _renamed_homs(source, target, sigma, tau):
+    """The maps of Hom(source, target) carried to the relabelled groups:
+    x' = sigma(x) goes to tau(m(x))."""
+    out = []
+    for hom in enumerate_homs(source, target):
+        m = np.empty_like(hom.map)
+        m[sigma] = tau[hom.map]
+        out.append(m.tolist())
+    return sorted(out)
+
+
+def _grid_counts(G, H):
+    grid = compatibility_grid(G, H, budget=10 ** 6)
+    sizes = Counter(size for _, _, size in compatible_pair_orbits(grid))
+    return (len(grid.alphas), len(grid.betas), int(grid.compatible.sum()),
+            int(grid.normalizer_g.sum()), int(grid.normalizer_h.sum()),
+            sorted(sizes.items()))
+
+
+@pytest.mark.parametrize("G,H,R,S,sigma,tau", _cases())
+def test_relabelling_changes_no_count(G, H, R, S, sigma, tau):
+    for (src, dst), (src2, dst2), (p, q) in [
+            ((G, H), (R, S), (sigma, tau)), ((H, G), (S, R), (tau, sigma))]:
+        want = _renamed_homs(src, dst, p, q)
+        got = sorted(hom.map.tolist() for hom in enumerate_homs(src2, dst2))
+        assert got == want
+    assert automorphism_group(R).order == automorphism_group(G).order
+    assert automorphism_group(S).order == automorphism_group(H).order
+    assert _grid_counts(R, S) == _grid_counts(G, H)
