@@ -57,11 +57,11 @@ from .homs import enumerate_homs, generating_set
 from .presentations import invert_word, reduce_word
 
 
-def default_budget(fallback=200_000):
-    """The budget set by TENSORFORGE_BUDGET, else ``fallback``."""
+def default_budget():
+    """The budget set by TENSORFORGE_BUDGET, else 200,000."""
     env = os.environ.get("TENSORFORGE_BUDGET")
     if not env:
-        return fallback
+        return 200_000
     return positive_budget(env, "TENSORFORGE_BUDGET")
 
 
@@ -597,7 +597,7 @@ def _congruence(G, H, P, S):
     return count, first
 
 
-def hom_pair_compatibility_sweep(G, H, budget=None):
+def hom_pair_compatibility_sweep(G, H):
     """For every (phi, psi) in Hom(G,H) x Hom(H,G): does the conjugation
     action pair satisfy the hypercenter congruence, and is it compatible?
 
@@ -607,8 +607,8 @@ def hom_pair_compatibility_sweep(G, H, budget=None):
     both assignments homomorphisms, so each action pair is checked at
     generators of G and H only (module docstring).
     """
-    phis = enumerate_homs(G, H, budget=budget)
-    psis = enumerate_homs(H, G, budget=budget)
+    phis = enumerate_homs(G, H)
+    psis = enumerate_homs(H, G)
     P = np.stack([p.map for p in phis])
     S = np.stack([s.map for s in psis])
     congruent, first_incongruent = _congruence(G, H, P, S)

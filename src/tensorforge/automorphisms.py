@@ -41,7 +41,7 @@ class AutGroup:
         return f"AutGroup(|G|={self.base.order}, order={self.order})"
 
 
-def automorphism_group(G, budget=None):
+def automorphism_group(G):
     """Enumerate Aut(G) by backtracking on generator images.
 
     Elements come out in lexicographic map order; the result is cached on
@@ -54,7 +54,7 @@ def automorphism_group(G, budget=None):
     """
     if G._aut is not None:
         return G._aut
-    maps = all_bijective_endomaps(G, budget=budget)
+    maps = all_bijective_endomaps(G)
     n = len(maps)
     if n > MAX_CATALOG_ORDER:
         raise LimitExceeded(f"|Aut(G)| = {n} exceeds the "

@@ -204,14 +204,13 @@ def enumerate_homs(source, target, budget=None):
     return [GroupHom(source, target, m, validate=False) for m in maps]
 
 
-def are_isomorphic(G, H, budget=None):
+def are_isomorphic(G, H):
     """An isomorphism G -> H if one exists, else None.
 
     Cheap invariants are compared first; only then is the backtracking
     search run.  A blown budget raises -- it never reports 'not
     isomorphic' on timeout.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
     if G.order != H.order:
         return None
     if G.is_abelian != H.is_abelian:
@@ -222,14 +221,15 @@ def are_isomorphic(G, H, budget=None):
         return None
     if abelian_invariants(G) != abelian_invariants(H):
         return None
-    maps = _search(G, H, bijective=True, find_all=False, budget=budget)
+    maps = _search(G, H, bijective=True, find_all=False,
+                   budget=DEFAULT_BUDGET)
     if not maps:
         return None
     return GroupHom(G, H, maps[0], validate=False)
 
 
-def all_bijective_endomaps(G, budget=None):
+def all_bijective_endomaps(G):
     """All automorphism maps of G in lexicographic order, the order the
     search finds them in (module docstring)."""
-    budget = DEFAULT_BUDGET if budget is None else budget
-    return _search(G, G, bijective=True, find_all=True, budget=budget)
+    return _search(G, G, bijective=True, find_all=True,
+                   budget=DEFAULT_BUDGET)

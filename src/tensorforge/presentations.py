@@ -24,11 +24,13 @@ k, -k its inverse.  ``coset_enumerate`` works in three steps:
    input yields a bit-identical table.  The table is then validated
    against the full relator list of the original presentation.
 
-A ``Presentation`` keeps its relators once, in ``_by_length``: per
-length, their indices and one read-only int64 array of their letters,
+A ``Presentation`` keeps its relators once, in input order, in the
+layout of ``_free_reduce``: one read-only int64 letters x words array
+``_words`` with 0 below each word, and their ``_lengths``.  They are
 checked and freely reduced in one vectorised pass.  Every layer up to
-``table_to_group`` reads these arrays; the tuples of ``relators`` are
-built only when that is read.
+``table_to_group`` reads this store, and only ``_representatives`` and
+``_scan_columns`` group the relators by length; the tuples of
+``relators`` are built only when that is read.
 
 The working table is one flat ``array`` of row offsets: coset c owns the
 entries c*ncols .. c*ncols + ncols - 1, and an entry holds the offset
@@ -102,12 +104,12 @@ class Presentation:
     given as a sequence of words or as one 2-D integer array of them.
     ``relators`` is a tuple of int tuples, built on first use."""
 
-    __slots__ = ("ngens", "_by_length", "_count", "_relators")
+    __slots__ = ("ngens", "_words", "_lengths", "_relators")
 
     def __init__(self, ngens, relators=()):
-        by_length, count = _relator_arrays(ngens, relators)
+        words, lengths = _relator_arrays(ngens, relators)
         for name, value in zip(self.__slots__,
-                               (ngens, by_length, count, None)):
+                               (ngens, words, lengths, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -119,11 +121,9 @@ class Presentation:
     @property
     def relators(self):
         if self._relators is None:
-            words = [None] * self._count
-            for idx, letters in self._by_length:
-                for i, w in zip(idx.tolist(), zip(*letters.T.tolist())):
-                    words[i] = w
-            object.__setattr__(self, "_relators", tuple(words))
+            object.__setattr__(self, "_relators", tuple(
+                w[:k] for w, k in zip(zip(*self._words.tolist()),
+                                      self._lengths.tolist())))
         return self._relators
 
     def __eq__(self, other):
@@ -139,59 +139,43 @@ class Presentation:
 
 
 def _relator_arrays(ngens, words):
-    """The freely reduced non-empty words, per length in order of first
-    appearance as (ascending indices among them, words x length int64
-    letters), read-only; and their number.  The first faulty word in
-    input order raises what ``_letter_error`` gives for it."""
+    """The freely reduced non-empty words in input order, as
+    ``_free_reduce`` returns them: one read-only int64 letters x words
+    array with 0 below each word, and their lengths.  The first faulty
+    word in input order raises what ``_letter_error`` gives for it."""
     if isinstance(words, np.ndarray) and words.ndim == 2 \
             and words.dtype.kind in "iu":
-        groups = [(np.arange(len(words)), words, words)]
+        lengths = np.full(len(words), words.shape[1])
+        letters = words.ravel()
     else:
-        lengths = {}                    # length -> ([positions], [words])
-        for p, w in enumerate(map(tuple, words)):
-            pos, ws = lengths.setdefault(len(w), ([], []))
-            pos.append(p)
-            ws.append(w)
-        groups = [(np.array(pos), ws, _integer_rows(ws, length))
-                  for length, (pos, ws) in lengths.items()]
-    blocks, faults = [], []             # faults: (position, error)
-    for pos, originals, letters in groups:
-        bad = ((letters == 0) | (letters > MAX_LETTER)
-               | (letters < -MAX_LETTER)).any(axis=1)
-        ws = letters.T.astype(np.int64, order="C")
-        ws[:, bad] = 0                  # a faulty word reduces to nothing
-        ws, length = _free_reduce(ws)
-        bad |= (np.abs(ws) > ngens).any(axis=0)
-        if bad.any():
-            r = np.flatnonzero(bad)[0]
-            faults.append((pos[r], _letter_error(
-                originals[r], ws[:, r].tolist(), ngens)))
-        blocks.append((pos, ws, length))
-    if faults:
-        raise min(faults, key=lambda f: f[0])[1]
-    by_length = _regroup(blocks)
-    if not by_length:
-        return (), 0
-    # positions in the input -> indices among the non-empty reduced words
-    kept = np.sort(np.concatenate([idx for idx, _ in by_length]))
-    for idx, letters in by_length:
-        idx[:] = np.searchsorted(kept, idx)
-        idx.setflags(write=False)
-        letters.setflags(write=False)
-    return tuple(by_length), len(kept)
-
-
-def _integer_rows(ws, length):
-    """Words of one length as a words x length integer array, a word for
-    which ``_letter_error`` finds a fault as 0s."""
-    try:
-        letters = np.array(ws)
-        if letters.dtype.kind in "iu" and letters.shape == (len(ws), length):
-            return letters
-    except ValueError:                  # nested sequences of mixed shapes
-        pass
-    return np.array([(0,) * length if _letter_error(w) else w for w in ws],
-                    dtype=np.int64)
+        words = list(map(tuple, words))
+        lengths = np.array([len(w) for w in words], dtype=np.intp)
+        try:
+            letters = np.array([x for w in words for x in w])
+        except ValueError:              # letters that are sequences
+            letters = np.array(())
+        if letters.dtype.kind not in "iu" or letters.ndim != 1:
+            # a word for which _letter_error finds a fault as 0s
+            letters = np.array([x for w in words for x in (
+                (0,) * len(w) if _letter_error(w) else w)], dtype=np.int64)
+    inside = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    bad = np.zeros(inside.shape, dtype=bool)
+    bad[inside] = ((letters == 0) | (letters > MAX_LETTER)
+                   | (letters < -MAX_LETTER))
+    bad = bad.any(axis=1)
+    ws = np.zeros(inside.shape[::-1], dtype=np.int64)
+    ws.T[inside] = letters
+    ws[:, bad] = 0                      # a faulty word reduces to nothing
+    ws, lengths = _free_reduce(ws)
+    bad |= (np.abs(ws) > ngens).any(axis=0)
+    if bad.any():
+        r = np.flatnonzero(bad)[0]
+        raise _letter_error(words[r], ws[:, r].tolist(), ngens)
+    keep = lengths > 0
+    ws, lengths = ws[:lengths.max(initial=0), keep], lengths[keep]
+    ws.setflags(write=False)
+    lengths.setflags(write=False)
+    return ws, lengths
 
 
 def _letter_error(word, reduced=(), ngens=0):
@@ -206,32 +190,6 @@ def _letter_error(word, reduced=(), ngens=0):
     out = [x for x in word if abs(int(x)) > MAX_LETTER]
     out += [x for x in reduced if abs(x) > ngens]
     return ValueError(f"letter {out[0]} out of range") if out else None
-
-
-def _regroup(blocks):
-    """Words given per block as (indices, letters x words as
-    ``_free_reduce`` returns them, lengths), grouped by length: per
-    non-zero length, in order of the first index, (ascending indices,
-    words x length letters)."""
-    parts = {}
-    for idx, ws, length in blocks:
-        for k in (np.flatnonzero(np.bincount(length)[1:]) + 1).tolist():
-            keep = length == k
-            parts.setdefault(k, []).append((idx[keep], ws[:k, keep].T))
-    by_length = []
-    for group in parts.values():
-        idx = np.concatenate([i for i, _ in group])
-        order = np.argsort(idx, kind="stable")
-        by_length.append((idx[order],
-                          np.concatenate([w for _, w in group])[order]))
-    by_length.sort(key=lambda g: g[0][0])
-    return by_length
-
-
-def _col(letter):
-    # generator k -> column 2(k-1); inverse -> 2(k-1)+1
-    k = abs(letter) - 1
-    return 2 * k if letter > 0 else 2 * k + 1
 
 
 @dataclass(frozen=True)
@@ -261,11 +219,6 @@ class CosetTable:
     @property
     def ncosets(self):
         return len(self.rows)
-
-    def trace(self, coset, word):
-        for letter in word:
-            coset = int(self.rows[coset, _col(letter)])
-        return coset
 
 
 class _CosetLimit(Exception):
@@ -367,31 +320,32 @@ def _columns(letters):
     return 2 * np.abs(letters) - 2 + (letters < 0)
 
 
-def _representatives(ngens, by_length):
-    """One relator per class under rotation and inversion, in order of
-    first occurrence: a relator holds from every coset iff any rotation
-    or the inverse does.  ``by_length`` and the result hold (indices into
-    the relators, letters) per length, as ``Presentation._by_length``.
+def _representatives(ngens, words, lengths):
+    """The ascending indices of one relator per class under rotation and
+    inversion, the first of its class: a relator holds from every coset
+    iff any rotation or the inverse does.  ``words`` and ``lengths`` hold
+    the relators as ``Presentation._words`` and ``_lengths`` do.
 
-    A class is keyed by the least of its 2L rotations, each read as an
-    int64 in mixed radix 2*ngens + 1.  Lengths whose keys do not fit 64
-    bits key each class by its least rotation as a tuple.
+    Classes are found per length.  A class is keyed by the least of its
+    2L rotations, each read as an int64 in mixed radix 2*ngens + 1.
+    Lengths whose keys do not fit 64 bits key each class by its least
+    rotation as a tuple.
     """
     base = 2 * ngens + 1
-    out = []
-    for idx, letters in by_length:
-        length = letters.shape[1]
+    first = np.zeros(len(lengths), dtype=bool)
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        idx = np.flatnonzero(lengths == length)
+        letters = words[:length, idx].T
         if base ** length > 2 ** 63:
             seen = set()
-            first = []
-            for k, r in enumerate(zip(*letters.T.tolist())):
+            for k, r in zip(idx.tolist(), map(tuple, letters.tolist())):
                 variants = {tuple(w[i:] + w[:i])
                             for w in (r, tuple(-x for x in reversed(r)))
                             for i in range(len(w))}
                 key = min(variants)
                 if key not in seen:
                     seen.add(key)
-                    first.append(k)
+                    first[k] = True
         else:
             top = base ** (length - 1)
             radix = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
@@ -404,9 +358,8 @@ def _representatives(ngens, by_length):
                     # rotate the leading letter to the end
                     key = (key - d[:, j] * top) * base + d[:, j]
                     np.minimum(least, key, out=least)
-            first = np.sort(np.unique(least, return_index=True)[1])
-        out.append((idx[first], letters[first]))
-    return out
+            first[idx[np.unique(least, return_index=True)[1]]] = True
+    return np.flatnonzero(first)
 
 
 def _free_reduce(words):
@@ -439,11 +392,11 @@ def _eliminate(presentation):
     """Tietze moves by the relators of length at most 2; none lengthens a
     relator.
 
-    Each round substitutes the current map, one gather per length, into
-    the relators that hold a generator whose image has changed (at first
-    into all of them) and reduces them freely.  A relator left with one
-    letter kills its generator; one left as x^a y^b with x != y makes the
-    larger of x, y a power of the smaller.  Rounds repeat until no
+    Each round substitutes the current map, one gather, into the
+    relators that hold a generator whose image has changed (at first into
+    all of them) and reduces them freely in one sweep.  A relator left
+    with one letter kills its generator; one left as x^a y^b with x != y
+    makes the larger of x, y a power of the smaller.  Rounds repeat until no
     relator is left that short.  Relators are not reduced cyclically, so
     a short relator hidden in a conjugate, such as x y x^-1, eliminates
     nothing.  The map is a signed union-find in which 0 stands for the
@@ -454,9 +407,8 @@ def _eliminate(presentation):
 
     Returns ``image``, the signed reduced generator that each generator
     1..ngens equals (0 if it is killed), the number of reduced
-    generators, and the nonempty reduced relators per length, as
-    ``Presentation._by_length`` holds them, indexed by their position in
-    the presentation's relators.
+    generators, and the nonempty reduced relators in input order with
+    their lengths, as ``Presentation._words`` and ``_lengths`` hold them.
     """
     n = presentation.ngens
     base = 2 * n + 1
@@ -472,22 +424,18 @@ def _eliminate(presentation):
 
     def short(ws, length):
         # x as (x + n) * base + n, x y as (x + n) * base + y + n
-        b = ws[1] if len(ws) > 1 else 0
-        keep = (length == 1) | ((length == 2) & (ws[0] != b))
-        return ((ws[0] + n) * base + b + n)[keep]
+        keep = (length == 1) | ((length == 2) & (ws[0] != ws[1]))
+        return ((ws[0] + n) * base + ws[1] + n)[keep]
 
-    # letters x relators, and each relator's length; the relators are
-    # freely reduced already
-    words, keys = [], []
-    for idx, letters in presentation._by_length:
-        ws, length = letters.T.copy(), np.full(len(idx), letters.shape[1])
-        words.append((idx, ws, length))
-        keys.append(short(ws, length))
+    # the relators, freely reduced already, over at least two rows, so
+    # that every relator has a second letter: 0 below a relator of one
+    words = presentation._words
+    ws = np.zeros((max(len(words), 2), words.shape[1]), dtype=np.int64)
+    ws[:len(words)] = words
+    length = presentation._lengths.copy()
+    keys = short(ws, length)
     img = np.arange(n + 1)
-    while True:
-        keys = np.unique(np.concatenate(keys)) if keys else keys
-        if not len(keys):
-            break
+    while len(keys := np.unique(keys)):
         # a = b^-1, or a = 1 when b is the padding 0
         for a, b in zip((keys // base - n).tolist(),
                         (keys % base - n).tolist()):
@@ -509,21 +457,19 @@ def _eliminate(presentation):
         changed = roots != img
         img = roots
         subst = np.concatenate([-img[:0:-1], img])  # letter + n -> letter
-        keys = []
-        for _, ws, length in words:
-            rs = np.flatnonzero(changed[np.abs(ws)].any(axis=0))
-            if len(rs):
-                w, k = _free_reduce(subst[ws[:, rs] + n])
-                ws[:, rs], length[rs] = w, k
-                keys.append(short(w, k))
+        rs = np.flatnonzero(changed[np.abs(ws)].any(axis=0))
+        top = max(2, length[rs].max())  # only 0s below the longest in rs
+        w, k = _free_reduce(subst[ws[:top, rs] + n])
+        ws[:top, rs], length[rs] = w, k
+        keys = short(w, k)
 
     rank = np.zeros(n + 1, dtype=np.int64)
     survivors = np.flatnonzero(img == np.arange(n + 1))[1:]
     rank[survivors] = np.arange(1, len(survivors) + 1)
-    by_length = [(idx, np.sign(letters) * rank[np.abs(letters)])
-                 for idx, letters in _regroup(words)]
+    keep = length > 0
+    ws = ws[:length.max(initial=0), keep]
     return np.sign(img[1:]) * rank[np.abs(img[1:])], len(survivors), \
-        by_length
+        np.sign(ws) * rank[np.abs(ws)], length[keep]
 
 
 def _standardize(rows):
@@ -551,8 +497,9 @@ def coset_enumerate(presentation, max_cosets=None, max_deductions=None):
     max_steps = max_deductions if max_deductions is not None else 50_000_000
     if max_cosets <= 0 or max_steps <= 0:
         raise ValueError("limits must be positive")
-    image, ngens, by_length = _eliminate(presentation)
-    rows, counts = _enumerate_rows(ngens, by_length, max_cosets, max_steps)
+    image, ngens, words, lengths = _eliminate(presentation)
+    rows, counts = _enumerate_rows(ngens, words, lengths, max_cosets,
+                                   max_steps)
     # the identity column for a killed generator, else the survivor's
     # column pair, swapped for an inverse
     forward = np.where(image == 0, 2 * ngens, _columns(image))
@@ -566,28 +513,25 @@ def coset_enumerate(presentation, max_cosets=None, max_deductions=None):
     return table
 
 
-def _scan_columns(ngens, by_length, colmap, dtype):
-    """The scan list: the representatives longer than 2, in order, each as
-    its letters' columns and their inverse columns under ``colmap``, as
-    tuples; the squares are left to the table.  For each length with at
-    least FILTER_MIN_RELATORS of them, also their positions and columns
-    as a letters x relators matrix of ``dtype``."""
-    groups = [(idx, letters) for idx, letters in
-              _representatives(ngens, by_length) if letters.shape[1] > 2]
-    if not groups:
-        return [], []
-    order = np.sort(np.concatenate([idx for idx, _ in groups]))
-    rels = [None] * len(order)
+def _scan_columns(ngens, words, lengths, colmap, dtype):
+    """The scan list: the representatives longer than 2, in input order,
+    each as its letters' columns and their inverse columns under
+    ``colmap``, as tuples; the squares are left to the table.  For each
+    length with at least FILTER_MIN_RELATORS of them, also their
+    positions in the scan list and their columns as a letters x relators
+    matrix of ``dtype``."""
+    reps = _representatives(ngens, words, lengths)
+    reps = reps[lengths[reps] > 2]
+    words, lengths = words[:, reps], lengths[reps]
+    cols, icols = colmap[_columns(words)], colmap[_columns(-words)]
+    # each relator cut to its own length: the 0s below it are no letters
+    rels = [(c[:k], ic[:k]) for c, ic, k in
+            zip(zip(*cols.tolist()), zip(*icols.tolist()), lengths.tolist())]
     filtered = []
-    for idx, letters in groups:
-        pos = np.searchsorted(order, idx)
-        cols = colmap[_columns(letters)]
-        icols = colmap[_columns(-letters)]
-        for p, c, ic in zip(pos.tolist(), zip(*cols.T.tolist()),
-                            zip(*icols.T.tolist())):
-            rels[p] = (c, ic)
-        if len(idx) >= FILTER_MIN_RELATORS:
-            filtered.append((pos, cols.T.astype(dtype)))
+    counts = np.bincount(lengths)
+    for k in np.flatnonzero(counts >= FILTER_MIN_RELATORS).tolist():
+        pos = np.flatnonzero(lengths == k)
+        filtered.append((pos, cols[:k, pos].astype(dtype)))
     return rels, filtered
 
 
@@ -599,21 +543,20 @@ def _trace(table, start, cols):
     return start
 
 
-def _enumerate_rows(ngens, by_length, max_cosets, max_steps):
+def _enumerate_rows(ngens, words, lengths, max_cosets, max_steps):
     """HLT over the presentation ``_eliminate`` leaves: the compacted rows
     and the counts of ``EnumerationStats`` from ``involutions`` on."""
     if not ngens:
         return np.zeros((1, 0), dtype=np.intp), (0,) * 6
     # every length-2 relator left is a square y^2 or y^-2: y is an
     # involution and its inverse's column is a mirror
-    squares = [letters for _, letters in by_length if letters.shape[1] == 2]
-    mirrors = 2 * np.unique(np.abs(squares[0][:, 0])) - 1 if squares \
-        else np.zeros(0, dtype=np.intp)
+    mirrors = 2 * np.unique(np.abs(words[:1, lengths == 2])) - 1
     enum = _Enumerator(ngens, max_cosets, mirrors)
     n, t, dead, define, coincidence = (enum.ncols, enum.table, enum.dead,
                                        enum.define, enum.coincidence)
     dtype = np.dtype(enum.typecode)
-    rels, filtered = _scan_columns(ngens, by_length, enum.colmap, dtype)
+    rels, filtered = _scan_columns(ngens, words, lengths, enum.colmap,
+                                   dtype)
     nrel = len(rels)
     closed = np.zeros(nrel, dtype=bool)
     steps = scans = 0
@@ -696,7 +639,8 @@ def _enumerate_rows(ngens, by_length, max_cosets, max_steps):
 
 def _validate_complete(table, presentation):
     """Every generator column must be a permutation and every relator must
-    trace to the identity permutation -- no wrong-order completions."""
+    trace to the identity permutation -- no wrong-order completions.  The
+    first relator in input order that does not is named."""
     rows = table.rows
     n, ncols = rows.shape
     want = np.arange(n)
@@ -704,23 +648,28 @@ def _validate_complete(table, presentation):
     if len(bad):
         raise TableIncomplete(f"column {bad[0]} is not a permutation")
     # trace every relator from every coset over offsets into the flat rows
-    offsets = (rows * ncols).ravel()
+    # and one identity column, which the 0s below each word read
+    width = ncols + 1
+    offsets = np.empty((n, width), dtype=rows.dtype)
+    np.multiply(rows, width, out=offsets[:, :ncols])
+    offsets[:, ncols] = want * width
+    offsets = offsets.ravel()
+    words, lengths = presentation._words, presentation._lengths
+    cols = np.where(words == 0, ncols, _columns(words))
     cb = min(n, BLOCK_ENTRIES)
     rb = max(1, BLOCK_ENTRIES // cb)
-    first_bad, word = presentation._count, None
-    for idx, letters in presentation._by_length:
-        cols = _columns(letters).T
-        for r0 in range(0, len(idx), rb):
-            block = cols[:, r0:r0 + rb, None]
-            for c0 in range(0, n, cb):
-                start = want[None, c0:c0 + cb] * ncols
-                fails = np.flatnonzero(
-                    (_trace(offsets, start, block) != start).any(axis=1))
-                if len(fails) and idx[r0 + fails[0]] < first_bad:
-                    r = r0 + fails[0]
-                    first_bad, word = int(idx[r]), tuple(letters[r].tolist())
-    if word is not None:
-        raise TableIncomplete(f"relator {word} does not trace to identity")
+    for r0 in range(0, len(lengths), rb):
+        # only 0s below the longest relator of the block
+        block = cols[:lengths[r0:r0 + rb].max(), r0:r0 + rb, None]
+        fails = np.zeros(block.shape[1], dtype=bool)
+        for c0 in range(0, n, cb):
+            start = want[None, c0:c0 + cb] * width
+            fails |= (_trace(offsets, start, block) != start).any(axis=1)
+        if fails.any():
+            r = r0 + np.flatnonzero(fails)[0]
+            word = tuple(words[:lengths[r], r].tolist())
+            raise TableIncomplete(
+                f"relator {word} does not trace to identity")
 
 
 def spanning_tree(rows, root=0):

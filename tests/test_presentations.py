@@ -133,7 +133,10 @@ def test_relators_trace_to_identity_from_every_coset():
     assert table.ncosets == 8
     for r in p.relators:
         for c in range(table.ncosets):
-            assert table.trace(c, r) == c
+            d = c
+            for letter in r:
+                d = int(table.rows[d, _col(letter)])
+            assert d == c
 
 
 @pytest.mark.parametrize("block", [presentations.BLOCK_ENTRIES, 7])
@@ -365,12 +368,15 @@ def _outcome(enumerate_, presentation, **limits):
     return ("rows", rows.dtype.str, rows.shape, rows.tobytes())
 
 
+def _word_list(words, lengths):
+    """The words of a letters x words array, each cut to its length."""
+    return [tuple(w[:k]) for w, k in zip(words.T.tolist(), lengths.tolist())]
+
+
 def _eliminated(presentation):
     """The presentation that _eliminate leaves, relators in their order."""
-    _, ngens, by_length = presentations._eliminate(presentation)
-    words = sorted((i, tuple(w)) for idx, letters in by_length
-                   for i, w in zip(idx.tolist(), letters.tolist()))
-    return Presentation(ngens, tuple(w for _, w in words))
+    _, ngens, words, lengths = presentations._eliminate(presentation)
+    return Presentation(ngens, _word_list(words, lengths))
 
 
 def _same_counts(presentation, **limits):
@@ -567,17 +573,17 @@ def test_free_reduce_matches_word_by_word(words):
 def test_eliminate_kills_and_identifies():
     # x2 = 1, x3 = x1^-1, x4 = x3 = x1^-1; x5 appears only in x5^3
     p = Presentation(5, ((2,), (3, 1), (4, -3), (1, 2, 1, 5, 5, 5), (5,) * 3))
-    image, ngens, by_length = presentations._eliminate(p)
+    image, ngens, words, lengths = presentations._eliminate(p)
     assert image.tolist() == [1, 0, -1, -1, 2] and ngens == 2
-    assert _eliminated(p).relators == ((1, 1, 2, 2, 2), (2, 2, 2))
-    assert [idx.tolist() for idx, _ in by_length] == [[3], [4]]
+    assert words.T.tolist() == [[1, 1, 2, 2, 2], [2, 2, 2, 0, 0]]
+    assert lengths.tolist() == [5, 3]
 
 
 def test_eliminate_leaves_a_conjugated_short_relator():
     # relators are reduced freely, not cyclically: x1 x2 x1^-1 does not
     # kill x2, and the enumeration still finds the group of order 2
     p = Presentation(2, ((1, 2, -1), (1,) * 2))
-    image, ngens, _ = presentations._eliminate(p)
+    image, ngens, _, _ = presentations._eliminate(p)
     assert image.tolist() == [1, 2] and ngens == 2
     assert coset_enumerate(p).ncosets == 2
 
@@ -585,7 +591,7 @@ def test_eliminate_leaves_a_conjugated_short_relator():
 def test_eliminate_keeps_a_conflict_as_a_square():
     # x1 = x2 and x1 = x2^-1: x1 survives and x1^2 stays a relator
     p = Presentation(2, ((1, -2), (1, 2), (1, 1, 1)))
-    image, ngens, _ = presentations._eliminate(p)
+    image, ngens, _, _ = presentations._eliminate(p)
     assert image.tolist() == [1, 1] and ngens == 1
     assert _eliminated(p).relators == ((1, 1), (1, 1, 1))
     assert coset_enumerate(p).ncosets == 1
@@ -594,15 +600,18 @@ def test_eliminate_keeps_a_conflict_as_a_square():
 @pytest.mark.parametrize("key", ["quaternion:8", "dihedral:4", "elemab:2:3"])
 def test_eliminate_does_not_depend_on_relator_order(key):
     p = _square_presentation(key)
-    image, ngens, _ = presentations._eliminate(p)
+    image, ngens, _, _ = presentations._eliminate(p)
     perm = np.random.default_rng(0).permutation(len(p.relators))
     q = Presentation(p.ngens, [p.relators[i] for i in perm.tolist()])
-    got, got_ngens, by_length = presentations._eliminate(q)
+    got, got_ngens, words, lengths = presentations._eliminate(q)
     assert got.tolist() == image.tolist() and got_ngens == ngens
-    # no relator gets longer
-    for idx, letters in by_length:
-        assert all(len(q.relators[i]) >= letters.shape[1]
-                   for i in idx.tolist())
+    # each relator left is the free reduction of a relator's image, in
+    # input order, the empty ones dropped; no relator gets longer
+    images = [(r, reduce_word([y for y in (image[abs(x) - 1] * (x // abs(x))
+                                           for x in r) if y]))
+              for r in q.relators]
+    assert _word_list(words, lengths) == [tuple(w) for _, w in images if w]
+    assert all(len(w) <= len(r) for r, w in images)
 
 
 @pytest.mark.parametrize("key", ["quaternion:8", "dihedral:4", "symmetric:3",
@@ -616,7 +625,7 @@ def test_table_does_not_depend_on_the_strategy(key):
     assert coset_enumerate(shuffled).rows.tobytes() == rows.tobytes()
     # redundant length-2 relators that identify symbols the elimination
     # leaves apart, so a different presentation is enumerated
-    image, _, _ = presentations._eliminate(p)
+    image = presentations._eliminate(p)[0]
     first = {}
     extra = []
     for k in range(1, p.ngens + 1):
@@ -746,6 +755,23 @@ def reference_table_to_group(table, presentation):
     return group, gen_images
 
 
+def reference_store(relators):
+    """The relators as one int64 letters x words array with 0 below each
+    word, and their lengths."""
+    words = np.zeros((max(map(len, relators), default=0), len(relators)),
+                     dtype=np.int64)
+    for r, w in enumerate(relators):
+        words[:len(w), r] = w
+    return words, [len(w) for w in relators]
+
+
+def _same_store(got, want):
+    """Two stores of relators are equal: shape, dtype, letters, lengths."""
+    (gw, gl), (ww, wl) = got, want
+    assert gw.dtype == ww.dtype == np.int64 and gw.shape == ww.shape
+    assert gw.tobytes() == ww.tobytes() and list(gl) == list(wl)
+
+
 def _same_arrays(got, want):
     assert len(got) == len(want)
     for (gi, gc), (wi, wc) in zip(got, want):
@@ -754,14 +780,13 @@ def _same_arrays(got, want):
 
 
 def _check_relator_layers(p):
-    """The representatives, the length groups and the scan columns of a
-    presentation equal the reference's."""
+    """The store, the representatives and the scan columns of a
+    presentation equal the reference's, and the store is read-only."""
+    assert not p._words.flags.writeable and not p._lengths.flags.writeable
+    _same_store((p._words, p._lengths), reference_store(p.relators))
     reps = reference_representatives(p.relators)
-    idx = sorted(int(i) for i, _ in presentations._representatives(
-        p.ngens, p._by_length) for i in i)
-    assert [p.relators[i] for i in idx] == reps
-    _same_arrays([(i, presentations._columns(w).T) for i, w in p._by_length],
-                 reference_length_groups(p.relators))
+    idx = presentations._representatives(p.ngens, p._words, p._lengths)
+    assert [p.relators[i] for i in idx.tolist()] == reps
     # the generators with a square relator read one column each, and
     # relators of length 2 are not scanned
     involutions = {abs(r[0]) for r in reps if len(r) == 2 and r[0] == r[1]}
@@ -771,12 +796,14 @@ def _check_relator_layers(p):
     scanned = [r for r in reps if len(r) > 2]
     for dtype in (np.int32, np.int64):
         rels, filtered = presentations._scan_columns(
-            p.ngens, p._by_length, colmap, np.dtype(dtype))
+            p.ngens, p._words, p._lengths, colmap, np.dtype(dtype))
         assert rels == [(tuple(column[x] for x in r),
                          tuple(column[-x] for x in r)) for r in scanned]
-        _same_arrays(filtered, [
-            (i, colmap[c].astype(dtype)) for i, c in reference_length_groups(
-                scanned, presentations.FILTER_MIN_RELATORS)])
+        # the filter's length groups, shortest first
+        groups = reference_length_groups(scanned,
+                                         presentations.FILTER_MIN_RELATORS)
+        _same_arrays(filtered, [(i, colmap[c].astype(dtype)) for i, c in
+                                sorted(groups, key=lambda g: len(g[1]))])
 
 
 def _tensor_pairs():
@@ -904,14 +931,34 @@ def test_presentation_takes_any_integer_sequence():
 
 
 def test_presentation_arrays_are_read_only_and_not_compared():
-    # the reduced third word joins the array of length 2
+    # the reduced third word keeps its place, with a 0 below it
     p = Presentation(2, ((1, 2, 1), (2, 2), (1, -1, 2, 2)))
     q = Presentation(2, ((1, 2, 1), (2, 2), (2, 2)))
     assert p == q and hash(p) == hash(q)
-    assert "_by_length" not in repr(p)
-    for idx, letters in p._by_length:
-        assert not idx.flags.writeable and not letters.flags.writeable
-    assert [idx.tolist() for idx, _ in p._by_length] == [[0], [1, 2]]
+    assert "_words" not in repr(p) and "_lengths" not in repr(p)
+    assert not p._words.flags.writeable and not p._lengths.flags.writeable
+    assert p._words.T.tolist() == [[1, 2, 1], [2, 2, 0], [2, 2, 0]]
+    assert p._lengths.tolist() == [3, 2, 2]
+
+
+def test_store_keeps_input_order_and_zeros_only_below_each_word():
+    # (2, -2) reduces to nothing; x3 = 1 then empties (-2, 3, 3, 2)
+    p = Presentation(3, [(1, 1, 1), (2, -2), (3,), (1, 2, 1, 2, 3, -3),
+                         (-2, 3, 3, 2), (2, 2)])
+    assert p._words.T.tolist() == [[1, 1, 1, 0], [3, 0, 0, 0], [1, 2, 1, 2],
+                                   [-2, 3, 3, 2], [2, 2, 0, 0]]
+    assert p._lengths.tolist() == [3, 1, 4, 4, 2]
+    image, ngens, words, lengths = presentations._eliminate(p)
+    assert image.tolist() == [1, 2, 0] and ngens == 2
+    assert words.dtype == np.int64
+    assert words.T.tolist() == [[1, 1, 1, 0], [1, 2, 1, 2], [2, 2, 0, 0]]
+    assert lengths.tolist() == [3, 4, 2]
+    for ws, ks in ((p._words, p._lengths), (words, lengths)):
+        assert ((ws != 0) == (np.arange(len(ws))[:, None] < ks)).all()
+    # <a, b | a^3, (ab)^2, b^2> is the symmetric group S3
+    assert coset_enumerate(p).ncosets == 6
+    empty = Presentation(2, [(1, -1)])
+    assert empty._words.shape == (0, 0) and empty.relators == ()
 
 
 @pytest.mark.parametrize("word, message", [
@@ -958,8 +1005,7 @@ def test_word_arrays_of_any_integer_dtype_give_the_tuple_relators(dtype):
     want = Presentation(5, [tuple(int(x) for x in w) for w in words])
     got = Presentation(5, words)
     assert got.relators == want.relators
-    _same_arrays(got._by_length, want._by_length)
-    assert all(letters.dtype == np.int64 for _, letters in got._by_length)
+    _same_store((got._words, got._lengths), (want._words, want._lengths))
 
 
 def test_relators_view_is_built_once_and_read_only():
@@ -980,7 +1026,7 @@ def test_relators_view_is_built_once_and_read_only():
                        "relators=((1, 2, 1), (2, 2), (2, 2)))")
     for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert q == p and q.relators == view
-        _same_arrays(q._by_length, p._by_length)
+        _same_store((q._words, q._lengths), (p._words, p._lengths))
 
 
 @pytest.mark.parametrize("length", [6, 7])
@@ -992,6 +1038,13 @@ def test_representatives_at_the_64_bit_key_boundary(length):
     # rotations and inverses of earlier words fall into their classes
     words += [w[2:] + w[:2] for w in words[:20]]
     words += [tuple(-x for x in reversed(w)) for w in words[10:30]]
-    p = Presentation(256, words)
+    # shorter words among them: the filter takes the words of each length
+    # apart, and those of length 5 are too few for it
+    for k, count in ((4, 90), (5, 30)):
+        words += [tuple(int(x) for x in w) for w in rng.choice(
+            [1, 2, 3, 4, 5, 255, -256], size=(count, k))]
+    p = Presentation(256, [words[i] for i in rng.permutation(len(words))])
+    assert len([r for r in reference_representatives(p.relators)
+                if len(r) == 4]) >= presentations.FILTER_MIN_RELATORS
     assert (2 * 256 + 1) ** length > 2 ** 63 or length == 6
     _check_relator_layers(p)
