@@ -22,7 +22,8 @@ k, -k its inverse.  ``coset_enumerate`` works in three steps:
    of ``spanning_tree``.  The labels therefore depend only on the group
    and the images of the generators, not on the strategy, and identical
    input yields a bit-identical table.  The table is then validated
-   against the full relator list of the original presentation.
+   against the full relator list of the original presentation; relators
+   that read equal columns of the table share one trace.
 
 A ``Presentation`` keeps its relators once, in input order, in the
 layout of ``_free_reduce``: one read-only int64 letters x words array
@@ -36,7 +37,10 @@ The working table is one flat ``array`` of row offsets: coset c owns the
 entries c*ncols .. c*ncols + ncols - 1, and an entry holds the offset
 d*ncols of the coset d it reaches.  A hole holds -ncols, which indexes
 the trailing row of holes from the end, so a trace that meets a hole
-stays in that row.  The same buffer is read by numpy without a copy.
+stays in that row.  The same buffer is read by numpy without a copy.  A
+coincidence reads each dying row once through such a view and walks only
+the entries defined there: no coset is defined while it runs, and a dead
+row only loses entries.
 
 HLT scans, inline in the coset loop, one representative of each class
 of the other relators under rotation and inversion.  A relator that
@@ -290,13 +294,19 @@ class _Enumerator:
 
     def coincidence(self, a, b):
         t = self.table
-        hole = -self.ncols
+        n = self.ncols
+        hole = -n
         inv = self.inv
         queue = []
         self.coincidences += 1
         self._merge(a, b, queue)
+        # a zero-copy view: no define() runs here, so the buffer cannot grow
+        view = np.frombuffer(t, self.typecode)
         for gamma in queue:             # the queue grows while it is read
-            for col in self.cols:
+            # gamma is dead, so its row only loses entries from here on;
+            # each entry is read again, as a self-loop gamma.x = gamma
+            # clears gamma.x^-1
+            for col in (view[gamma:gamma + n] >= 0).nonzero()[0].tolist():
                 delta = t[gamma + col]
                 if delta < 0:
                     continue
@@ -313,6 +323,7 @@ class _Enumerator:
                 else:
                     t[mu + col] = nu
                     t[nu + icol] = mu
+        del view
 
 
 def _columns(letters):
@@ -490,8 +501,9 @@ def coset_enumerate(presentation, max_cosets=None, max_deductions=None):
 
     Completes iff the presented group is finite and fits in the limits;
     the number of live cosets is then the group order.  The limits bound
-    the enumeration of the reduced presentation.  The only failure mode
-    is LimitExceeded.
+    the enumeration of the reduced presentation: LimitExceeded when one is
+    met, ValueError when one is not positive.  TableIncomplete is raised
+    if the completed table fails validation against the full relators.
     """
     max_cosets = DEFAULT_MAX_COSETS if max_cosets is None else max_cosets
     max_steps = max_deductions if max_deductions is not None else 50_000_000
@@ -640,7 +652,14 @@ def _enumerate_rows(ngens, words, lengths, max_cosets, max_steps):
 def _validate_complete(table, presentation):
     """Every generator column must be a permutation and every relator must
     trace to the identity permutation -- no wrong-order completions.  The
-    first relator in input order that does not is named."""
+    first relator in input order that does not is named.
+
+    Relators that read equal columns share one trace.  Each column is
+    read as the first column with the same entry at coset 0 when one
+    full comparison finds the two equal, else as itself.  Each relator's
+    word in these columns is keyed as an int64 in mixed radix ncols + 1
+    (where the keys fit 64 bits; otherwise every relator is traced), and
+    each distinct word is traced once, in order of first occurrence."""
     rows = table.rows
     n, ncols = rows.shape
     want = np.arange(n)
@@ -654,19 +673,33 @@ def _validate_complete(table, presentation):
     np.multiply(rows, width, out=offsets[:, :ncols])
     offsets[:, ncols] = want * width
     offsets = offsets.ravel()
+    # each column's candidate: the first with the same entry at coset 0
+    first = np.full(n, ncols)
+    np.minimum.at(first, rows[0], np.arange(ncols))
+    candidate = first[rows[0]]
+    canon = np.append(np.where((rows[:, candidate] == rows).all(axis=0),
+                               candidate, np.arange(ncols)), ncols)
+    # each letter's column, 0 the identity column, read at letter + ngens
+    g = presentation.ngens
+    letters = np.arange(-g, g + 1)
     words, lengths = presentation._words, presentation._lengths
-    cols = np.where(words == 0, ncols, _columns(words))
+    cols = canon[np.where(letters == 0, ncols, _columns(letters))][words + g]
+    distinct = np.arange(len(lengths))
+    if width ** len(cols) <= 2 ** 63:
+        radix = width ** np.arange(len(cols) - 1, -1, -1, dtype=np.int64)
+        distinct = np.sort(np.unique(radix @ cols, return_index=True)[1])
     cb = min(n, BLOCK_ENTRIES)
     rb = max(1, BLOCK_ENTRIES // cb)
-    for r0 in range(0, len(lengths), rb):
+    for r0 in range(0, len(distinct), rb):
+        rs = distinct[r0:r0 + rb]
         # only 0s below the longest relator of the block
-        block = cols[:lengths[r0:r0 + rb].max(), r0:r0 + rb, None]
+        block = cols[:lengths[rs].max(), rs, None]
         fails = np.zeros(block.shape[1], dtype=bool)
         for c0 in range(0, n, cb):
             start = want[None, c0:c0 + cb] * width
             fails |= (_trace(offsets, start, block) != start).any(axis=1)
         if fails.any():
-            r = r0 + np.flatnonzero(fails)[0]
+            r = rs[np.flatnonzero(fails)[0]]
             word = tuple(words[:lengths[r], r].tolist())
             raise TableIncomplete(
                 f"relator {word} does not trace to identity")

@@ -156,6 +156,44 @@ def test_validation_names_first_failing_relator(monkeypatch, block):
         presentations._validate_complete(table, p)
 
 
+@pytest.mark.parametrize("block", [presentations.BLOCK_ENTRIES, 7])
+def test_validation_names_first_failing_relator_of_equal_columns(
+        monkeypatch, block):
+    # a = b = +1 on Z12: b's columns equal a's, so b^12 shares the trace
+    # of a^12, b^6 that of a^6 and a^-5 that of b^-5.  The first failing
+    # relator in input order is named with its own letters, although a
+    # later word has the smaller key
+    monkeypatch.setattr(presentations, "BLOCK_ENTRIES", block)
+    p = Presentation(2, ((1,) * 12, (2,) * 12, (1, -2), (-2,) * 5, (1,) * 6,
+                         (2,) * 6, (-1,) * 5))
+    c = np.arange(12)
+    rows = np.stack([(c + 1) % 12, (c - 1) % 12] * 2, axis=1)
+    table = presentations.CosetTable(2, rows)
+    with pytest.raises(presentations.TableIncomplete,
+                       match=r"relator \(-2, -2, -2, -2, -2\) does not"):
+        presentations._validate_complete(table, p)
+
+
+@pytest.mark.parametrize("block", [presentations.BLOCK_ENTRIES, 7])
+def test_validation_keeps_columns_apart_that_agree_only_at_coset_0(
+        monkeypatch, block):
+    # b agrees with a = +1 at coset 0 (and b^-1 with a^-1), but b swaps
+    # the images of cosets 5 and 6: an 11-cycle and a fixed point, so
+    # b^12 fails where a^12 holds
+    monkeypatch.setattr(presentations, "BLOCK_ENTRIES", block)
+    p = Presentation(2, ((1,) * 12, (2,) * 12))
+    c = np.arange(12)
+    b = (c + 1) % 12
+    b[[5, 6]] = b[[6, 5]]
+    b_inv = np.argsort(b)
+    rows = np.stack([(c + 1) % 12, (c - 1) % 12, b, b_inv], axis=1)
+    assert rows[0, 2] == rows[0, 0] and rows[0, 3] == rows[0, 1]
+    table = presentations.CosetTable(2, rows)
+    with pytest.raises(presentations.TableIncomplete,
+                       match=r"relator \(2(, 2){11}\) does not"):
+        presentations._validate_complete(table, p)
+
+
 def test_generator_columns_are_permutations():
     p = Presentation(2, ((1, 1), (2, 2), (1, 2, 1, 2, 1, 2)))
     table = coset_enumerate(p)
@@ -530,6 +568,17 @@ def test_involution_columns_match_reference(ngens, relators, order,
     for k in (1, 2, 3, 5, 8, 13):
         _same_outcome(p, max_cosets=k)
         _same_outcome(p, max_deductions=k)
+
+
+def test_coincidence_with_a_self_loop_in_a_dying_row():
+    # b a b^-1 kills a, which elimination does not see in a conjugate, so
+    # cosets hold self-loops c.a = c = c.a^-1 when they die; processing
+    # a's entry of such a row clears its a^-1 entry.  With a b^2 the group
+    # is Z2
+    p = Presentation(2, ((2, 1, -2), (1, 2, 2)))
+    assert coset_enumerate(p).ncosets == 2
+    _same_outcome(p)
+    _same_counts(p)
 
 
 @pytest.mark.parametrize("key", ["dihedral:4", "quaternion:8", "elemab:3:2"])

@@ -1,13 +1,16 @@
 """The relabelling oracle: renaming the elements of G and H changes no
 count that the hom search, Aut(G), the compatibility grid and its orbits
-report.
+report, nor the order, invariants, nilpotency class, derivative order and
+kernel order that ``compute_tensor`` reports.
 
 Conjugating the Cayley tables of G and H by permutations sigma and tau
 gives isomorphic groups, so Hom(G, H) is carried onto Hom(G', H') by
 m -> tau m sigma^-1, |Aut| is kept, and the grid of G' and H' is the grid
 of G and H with its alphas and betas renamed: its compatible and
-normalizer counts and its multiset of orbit sizes are the same.  Each
-square runs twice, with H the same object as G and with H an equal copy.
+normalizer counts and its multiset of orbit sizes are the same.  An
+action pair is carried over in the same way, so the tensor product of the
+renamed pair is isomorphic to that of the pair.  Each square runs twice,
+with H the same object as G and with H an equal copy.
 """
 
 from collections import Counter
@@ -16,7 +19,8 @@ import numpy as np
 import pytest
 
 import tensorforge as tf
-from tensorforge.actions import compatibility_grid, compatible_pair_orbits
+from tensorforge.actions import (ActionPair, compatibility_grid,
+                                 compatible_pair_orbits)
 from tensorforge.automorphisms import automorphism_group
 from tensorforge.homs import enumerate_homs
 
@@ -85,3 +89,32 @@ def test_relabelling_changes_no_count(G, H, R, S, sigma, tau):
     assert automorphism_group(R).order == automorphism_group(G).order
     assert automorphism_group(S).order == automorphism_group(H).order
     assert _grid_counts(R, S) == _grid_counts(G, H)
+
+
+def _renamed_action(maps, act, on):
+    """An action given as rows of images, maps[x][y] the image of y under
+    x, carried to the relabelled groups: act(x) sends on(y) to
+    on(maps[x][y])."""
+    out = np.empty_like(maps)
+    out[np.ix_(act, on)] = on[maps]
+    return out
+
+
+def _tensor_counts(pair):
+    rep = tf.compute_tensor(pair)
+    return (rep.order, rep.invariants, rep.nilpotency, rep.derivative.order,
+            rep.kernel.order)
+
+
+@pytest.mark.parametrize("G,H,R,S,sigma,tau", _cases())
+def test_relabelling_changes_no_tensor_count(G, H, R, S, sigma, tau):
+    # the first and the last orbit representative of the grid, renamed;
+    # ActionPair checks that the renamed maps are actions
+    grid = compatibility_grid(G, H, budget=10 ** 6)
+    orbits = compatible_pair_orbits(grid)
+    for i, j, _ in (orbits[0], orbits[-1]):
+        pair = grid.pair(i, j)
+        renamed = ActionPair(R, S,
+                             _renamed_action(pair.alpha_maps, tau, sigma),
+                             _renamed_action(pair.beta_maps, sigma, tau))
+        assert _tensor_counts(renamed) == _tensor_counts(pair)
