@@ -16,7 +16,7 @@ from .groups import (FiniteGroup, GroupHom, Subgroup, center,
                      second_hypercenter, subgroup_generated)
 from .homs import are_isomorphic, enumerate_homs, hom_from_images
 from .presentations import (CosetTable, Presentation, coset_enumerate,
-                            reduce_word, table_to_group)
+                            table_to_group)
 from .tensor import (TensorReport, compute_tensor, derivative_subgroup,
                      tensor_presentation)
 

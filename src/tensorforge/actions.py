@@ -39,7 +39,7 @@ stays O(|G||H|) for one pair.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,7 +54,7 @@ from .groups import (BLOCK_ENTRIES, FiniteGroup, GroupHom, center,
                      conjugation_maps, coset_labels, make_cyclic,
                      second_hypercenter)
 from .homs import enumerate_homs, generating_set
-from .presentations import invert_word, reduce_word
+from .presentations import Presentation
 
 
 def default_budget():
@@ -125,6 +125,41 @@ def _assignment_is_hom(H, maps):
                for s in generating_set(H) or [H.identity])
 
 
+ACTION_NAMES = ("trivial", "inversion", "conjugation")
+
+
+def named_action(name, G, H):
+    """The maps of H acting on G by one of ACTION_NAMES: "trivial";
+    "inversion", in which the odd powers of the first generator of cyclic
+    H invert abelian G and its even powers fix it (an action only for
+    even |H|; the paper's Z3 example for H = Z3); or "conjugation", of G
+    on itself.  InvalidAction names a group that does not fit."""
+    if name == "trivial":
+        return np.tile(np.arange(G.order), (H.order, 1))
+    if name == "inversion":
+        orders = H.element_orders()
+        gens = [h for h in range(H.order) if orders[h] == H.order]
+        if not gens:
+            raise InvalidAction("inversion action needs a cyclic acting "
+                                "group")
+        if not G.is_abelian:
+            raise InvalidAction("inversion is only an automorphism of an "
+                                "abelian group")
+        maps = np.empty((H.order, G.order), dtype=np.intp)
+        power = H.identity
+        for k in range(H.order):
+            maps[power] = G.inverse if k % 2 else np.arange(G.order)
+            power = H.mul(power, gens[0])
+        return maps
+    if name == "conjugation":
+        if G.order != H.order or not np.array_equal(G.table, H.table):
+            raise InvalidAction("conjugation action requires the two groups "
+                                "to be the same")
+        return conjugation_maps(G)
+    raise InvalidAction(f"unknown action {name!r}; expected one of "
+                        f"{', '.join(ACTION_NAMES)}")
+
+
 class ActionPair:
     """A pair of mutual actions (alpha: H -> Aut(G), beta: G -> Aut(H))."""
 
@@ -144,9 +179,8 @@ class ActionPair:
 
     @classmethod
     def trivial(cls, G, H):
-        a = np.tile(np.arange(G.order), (H.order, 1))
-        b = np.tile(np.arange(H.order), (G.order, 1))
-        return cls(G, H, a, b, validate=False)
+        return cls(G, H, named_action("trivial", G, H),
+                   named_action("trivial", H, G), validate=False)
 
     @classmethod
     def from_homs(cls, alpha, beta, autG, autH):
@@ -292,12 +326,8 @@ def induced_beta(G, H, alpha):
     Both hypotheses are checked eagerly; the resulting pair is re-verified
     with the exhaustive checker before being returned.
     """
-    if isinstance(alpha, GroupHom):
-        aut = automorphism_group(G)
-        A = aut.elements[alpha.map]
-    else:
-        A = np.asarray(alpha, dtype=np.intp)
-    A = _validate_action(G, H, A, "alpha", require_hom=True)
+    A = _validate_action(G, H, automorphism_group(G).elements[alpha.map],
+                         "alpha", require_hom=True)
     pre = _conjugate_preimages(G, A)  # identity row: first equal alpha
     repeats = np.flatnonzero(pre[G.identity] != np.arange(H.order))
     if len(repeats):
@@ -325,8 +355,6 @@ def z2_action_criterion(G, psi):
     """For an involutive automorphism psi, decide whether g -> g*c(g) with
     c(g) = g^-1 g^psi central and inverted by psi -- equivalently whether
     the pair (alpha: Z2 -> <psi>, trivial beta) is compatible."""
-    if isinstance(psi, GroupHom):
-        psi = psi.map
     psi = np.asarray(psi, dtype=np.intp)
     ar = np.arange(G.order)
     if not np.array_equal(psi[psi], ar):
@@ -346,14 +374,11 @@ def z2_action_criterion(G, psi):
 
 def involution_pair(G, psi):
     """The action pair (alpha: Z2 -> <psi>, beta trivial) for an involutive
-    automorphism psi of G."""
-    if isinstance(psi, GroupHom):
-        psi = psi.map
-    psi = np.asarray(psi, dtype=np.intp)
+    automorphism psi of G, given as its map."""
     H = make_cyclic(2)
     alpha_maps = np.stack([np.arange(G.order), psi])
-    beta_maps = np.tile(np.arange(2), (G.order, 1))
-    return ActionPair(G, H, alpha_maps, beta_maps, validate=False)
+    return ActionPair(G, H, alpha_maps, named_action("trivial", H, G),
+                      validate=False)
 
 
 # -- exhaustive enumeration ----------------------------------------------
@@ -531,7 +556,7 @@ def question2_scan(max_order, budget=None):
                     if not rec["compatible"]:
                         pair = grid.pair(i, j)
                         report = is_compatible(pair)
-                        rec["witness"] = report.witness.__dict__.copy()
+                        rec["witness"] = asdict(report.witness)
                         counterexamples.append(rec)
                     records.append(rec)
     return {"max_order": max_order,
@@ -546,9 +571,9 @@ def verify_free_counterexample():
     """Replay the free-group computation showing that the congruence
     hypothesis cannot be dropped: with phi(x1) = y1 and psi trivial,
     y2^x1 = y1^-1 y2 y1 is a reduced word different from y2."""
-    y1, y2 = [1], [2]
-    conj = reduce_word(invert_word(y1) + y2 + y1)
-    return conj == [-1, 2, 1] and conj != y2
+    y1, y2 = (1,), (2,)
+    conj = Presentation(2, [tuple(-x for x in y1[::-1]) + y2 + y1]).relators
+    return conj == ((-1, 2, 1),) and conj != (y2,)
 
 
 # -- fast sweep for hom-pair induced actions ------------------------------

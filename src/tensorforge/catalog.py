@@ -23,22 +23,13 @@ def make_dihedral(n):
     """Dihedral group of the n-gon, order 2n; element 2i is r^i, 2i+1 is r^i s."""
     if n < 2:
         raise UnknownCatalogKey(f"dihedral:{n}")
-    order = 2 * n
-
-    def mul(a, b):
-        i, u = divmod(a, 2)
-        j, v = divmod(b, 2)
-        # r^i s^u * r^j s^v ; s r^j = r^-j s
-        if u == 0:
-            return 2 * ((i + j) % n) + v
-        return 2 * ((i - j) % n) + ((u + v) % 2)
-
-    table = [[mul(a, b) for b in range(order)] for a in range(order)]
-    names = []
-    for i in range(n):
-        names.append(f"r^{i}")
-        names.append(f"r^{i}s")
-    return FiniteGroup(table, names=names, validate=True)
+    i, u = np.divmod(np.arange(2 * n), 2)
+    # r^i s^u * r^j s^v = r^(i + j) s^v if u = 0, else r^(i - j) s^(1 - v),
+    # since s r^j = r^-j s
+    table = 2 * ((i[:, None] + (1 - 2 * u[:, None]) * i) % n) \
+        + (u[:, None] ^ u)
+    names = [f"r^{k}{'s' * v}" for k in range(n) for v in (0, 1)]
+    return FiniteGroup(table, names=names, validate=False)
 
 
 def make_quaternion8():
@@ -70,7 +61,7 @@ def make_quaternion8():
         return 2 * u + neg
 
     table = [[mul(a, b) for b in range(8)] for a in range(8)]
-    return FiniteGroup(table, names=names, validate=True)
+    return FiniteGroup(table, names=names, validate=False)
 
 
 def make_symmetric(n):

@@ -14,11 +14,9 @@ import json
 import sys
 import time
 
-import numpy as np
-
-from .actions import (ActionPair, conjugation_maps, default_budget,
-                      is_compatible, normalizer_conditions, positive_budget,
-                      question2_scan)
+from .actions import (ACTION_NAMES, ActionPair, default_budget,
+                      is_compatible, named_action, normalizer_conditions,
+                      positive_budget, question2_scan)
 from .automorphisms import automorphism_group
 from .catalog import catalog_keys, make_catalog_group
 from .errors import IncompatibleActions, IoError, TensorforgeError
@@ -35,33 +33,10 @@ EXIT_ERROR = 2
 
 
 def _action_maps(spec, base, actor, side):
-    """One action side: 'trivial', 'inversion', 'conjugation', or a path
-    to a JSON file {'map': [Aut indices]}."""
-    if spec == "trivial":
-        return np.tile(np.arange(base.order), (actor.order, 1))
-    if spec == "inversion":
-        orders = actor.element_orders()
-        gens = [h for h in range(actor.order)
-                if orders[h] == actor.order]
-        if not gens:
-            raise IoError("inversion action needs a cyclic acting group")
-        if not base.is_abelian:
-            raise IoError("inversion is only an automorphism of an "
-                          "abelian group")
-        g = gens[0]
-        idm = np.arange(base.order)
-        maps = np.empty((actor.order, base.order), dtype=np.intp)
-        power = actor.identity
-        for k in range(actor.order):
-            maps[power] = base.inverse if k % 2 else idm
-            power = actor.mul(power, g)
-        return maps
-    if spec == "conjugation":
-        if base.order != actor.order or not np.array_equal(
-                base.table, actor.table):
-            raise IoError("conjugation action requires the two groups to "
-                          "be the same")
-        return conjugation_maps(base)
+    """One action side: one of ACTION_NAMES, or a path to a JSON file
+    {'map': [Aut indices]}."""
+    if spec in ACTION_NAMES:
+        return named_action(spec, base, actor)
     aut = automorphism_group(base)
     return read_json(spec, f"{side} map file", lambda data: map_file_maps(
         data, aut, side, actor.order))
@@ -70,6 +45,11 @@ def _action_maps(spec, base, actor, side):
 def _build_pair(args):
     if args.pair:
         return read_json(args.pair, "action pair file", action_pair_from_dict)
+    missing = [option for option, value in (("--g", args.g), ("--h", args.h))
+               if value is None]
+    if missing:
+        raise IoError(f"missing {' and '.join(missing)}: give --g and --h, "
+                      "or --pair")
     G = resolve_group(args.g)
     H = resolve_group(args.h)
     alpha = _action_maps(args.alpha, G, H, "alpha")

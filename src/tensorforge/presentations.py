@@ -1,7 +1,9 @@
 """Finitely presented groups and Todd-Coxeter coset enumeration.
 
 Words are sequences of signed 1-based generator indices: +k is generator
-k, -k its inverse.  ``coset_enumerate`` works in three steps:
+k, -k its inverse.  ``_free_reduce`` is the one free reduction: a word is
+reduced by reading it back as the relator of a ``Presentation``.
+``coset_enumerate`` works in three steps:
 
 1. ``_eliminate`` applies Tietze moves by the relators of length at most
    2.  A relator x kills x; a relator x^a y^b with x != y makes the larger
@@ -52,8 +54,8 @@ large length group from alpha and only the relators that do not end at
 alpha are scanned, in their original order.  The table therefore evolves
 exactly as without the filter.
 
-The scan budget ``max_deductions`` counts one scan per scanned relator
-at each coset the loop reaches, those the filter skips included, so it is
+The scan budget ``MAX_SCANS`` counts one scan per scanned relator at
+each coset the loop reaches, those the filter skips included, so it is
 exhausted at the same scan and with the same message as without the
 filter.  Both limits bound the enumeration of the reduced presentation,
 and their errors say how far it got.  ``coset_enumerate`` attaches the
@@ -74,6 +76,10 @@ from .groups import BLOCK_ENTRIES, MAX_CATALOG_ORDER, FiniteGroup
 
 DEFAULT_MAX_COSETS = 200_000
 
+# The scan budget of every enumeration: one scan per scanned relator at
+# each coset the HLT loop reaches.
+MAX_SCANS = 50_000_000
+
 # Relators of one length are traced by numpy only when there are at least
 # this many of them; for fewer, one gather per letter costs more than the
 # scalar scans it saves.  Measured on multiplication-table presentations,
@@ -84,23 +90,6 @@ FILTER_MIN_RELATORS = 64
 # Letters beyond this magnitude are refused before free reduction, whose
 # int64 sweep reads the int64 maximum as the top of an empty stack.
 MAX_LETTER = 2 ** 62
-
-
-def reduce_word(word):
-    """Freely reduce: iterated cancellation of adjacent inverse pairs."""
-    out = []
-    for letter in word:
-        if letter == 0:
-            raise ValueError("0 is not a valid letter")
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(int(letter))
-    return out
-
-
-def invert_word(word):
-    return [-letter for letter in reversed(word)]
 
 
 class Presentation:
@@ -216,7 +205,6 @@ class CosetTable:
     """A complete coset table: rows[c][col] is the coset reached from c.
     ``coset_enumerate`` attaches the ``stats`` of its run."""
 
-    ngens: int
     rows: np.ndarray
     stats: EnumerationStats | None = None
 
@@ -494,31 +482,31 @@ def _standardize(rows):
     return label[rows[order]]
 
 
-def coset_enumerate(presentation, max_cosets=None, max_deductions=None):
+def coset_enumerate(presentation, max_cosets=None):
     """Enumerate cosets of the trivial subgroup: HLT over the presentation
     that ``_eliminate`` leaves, expanded back to one column pair per
     generator and standardized.
 
     Completes iff the presented group is finite and fits in the limits;
-    the number of live cosets is then the group order.  The limits bound
-    the enumeration of the reduced presentation: LimitExceeded when one is
-    met, ValueError when one is not positive.  TableIncomplete is raised
-    if the completed table fails validation against the full relators.
+    the number of live cosets is then the group order.  The limits,
+    ``max_cosets`` and MAX_SCANS, bound the enumeration of the reduced
+    presentation: LimitExceeded when one is met, ValueError when
+    ``max_cosets`` is not positive.  TableIncomplete is raised if the
+    completed table fails validation against the full relators.
     """
     max_cosets = DEFAULT_MAX_COSETS if max_cosets is None else max_cosets
-    max_steps = max_deductions if max_deductions is not None else 50_000_000
-    if max_cosets <= 0 or max_steps <= 0:
-        raise ValueError("limits must be positive")
+    if max_cosets <= 0:
+        raise ValueError("max_cosets must be positive")
     image, ngens, words, lengths = _eliminate(presentation)
     rows, counts = _enumerate_rows(ngens, words, lengths, max_cosets,
-                                   max_steps)
+                                   MAX_SCANS)
     # the identity column for a killed generator, else the survivor's
     # column pair, swapped for an inverse
     forward = np.where(image == 0, 2 * ngens, _columns(image))
     inverse = np.where(image == 0, 2 * ngens, forward ^ 1)
     full = np.column_stack([rows, np.arange(len(rows))])[
         :, np.stack([forward, inverse], axis=1).ravel()]
-    table = CosetTable(presentation.ngens, _standardize(full),
+    table = CosetTable(_standardize(full),
                        EnumerationStats(presentation.ngens, ngens, *counts))
     # completion is validated against the full relator list
     _validate_complete(table, presentation)

@@ -4,37 +4,39 @@ One resolver handles every group-valued input: a string that parses as a
 catalog key yields the catalog group, anything else is treated as a path
 to a group file.  Files are never trusted; loaded tables go through full
 validation.  Every file is read by ``read_json`` and written by
-``write_json``, which raise one IoError naming the file for any OS, JSON
-or shape fault.
+``write_json``, whose errors name the file: one IoError for any OS, JSON
+or shape fault, and the NotAGroup or LimitExceeded of a table that is
+no group or too large.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 from .actions import ActionPair
 from .automorphisms import automorphism_group
 from .catalog import make_catalog_group
-from .errors import IoError, LimitExceeded, UnknownCatalogKey
-from .groups import MAX_CATALOG_ORDER, FiniteGroup, from_cayley_table
+from .errors import IoError, LimitExceeded, NotAGroup, UnknownCatalogKey
+from .groups import MAX_CATALOG_ORDER, from_cayley_table
 
 
-def read_json(path, what, parse=None):
-    """The JSON value in the file at ``path``, which holds ``what``, or
-    ``parse`` of that value; an IoError that ``parse`` raises for a fault
-    in the value's shape is re-raised naming the file."""
+def read_json(path, what, parse):
+    """``parse`` of the JSON value in the file at ``path``, which holds
+    ``what``.  The IoError, NotAGroup or LimitExceeded that ``parse``
+    raises for a fault in the value is re-raised naming the file: a
+    fault in a group file read through a pair file names both."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:    # ValueError: JSON or UTF-8
         reason = getattr(exc, "strerror", None) or exc
         raise IoError(f"cannot read {what} {path!r}: {reason}") from None
-    if parse is None:
-        return data
     try:
         return parse(data)
-    except IoError as exc:
-        raise IoError(f"{what} {path!r}: {exc}") from None
+    except (IoError, NotAGroup, LimitExceeded) as exc:
+        exc.args = (f"{what} {path!r}: {exc}",)
+        raise
 
 
 def write_json(path, data, what):
@@ -80,9 +82,7 @@ def group_from_dict(data):
 
 
 def resolve_group(spec):
-    """Catalog key, path to a group JSON file, or a FiniteGroup as-is."""
-    if isinstance(spec, FiniteGroup):
-        return spec
+    """The group of a catalog key, or of the group file at path ``spec``."""
     try:
         return make_catalog_group(spec)
     except UnknownCatalogKey:
@@ -151,8 +151,4 @@ def tensor_report_to_dict(report):
 
 
 def witness_to_dict(witness):
-    if witness is None:
-        return None
-    return {"equation": witness.equation, "g": witness.g, "g1": witness.g1,
-            "h": witness.h, "h1": witness.h1,
-            "lhs": witness.lhs, "rhs": witness.rhs}
+    return None if witness is None else asdict(witness)

@@ -15,12 +15,12 @@ import numpy as np
 from .abelian import abelian_invariants, abelian_tensor
 from .actions import (ActionPair, compatibility_grid, compatible_pair_orbits,
                       hom_pair_compatibility_sweep, induced_beta,
-                      involution_pair, is_compatible,
+                      involution_pair, is_compatible, named_action,
                       verify_free_counterexample, z2_action_criterion)
 from .automorphisms import automorphism_group, normalizer_contains_inn
 from .catalog import catalog_groups_up_to, make_catalog_group
 from .errors import CrossCheckFailed, NormalizerConditionFails
-from .groups import GroupHom, make_cyclic
+from .groups import make_cyclic
 from .homs import (all_bijective_endomaps, are_isomorphic, enumerate_homs,
                    hom_from_images)
 from .presentations import Presentation, coset_enumerate, table_to_group
@@ -38,13 +38,12 @@ def _record(name, expected, computed, started, detail=""):
             "detail": detail}
 
 
-def _z3_pair(alpha_inversion, beta_inversion):
+def _z3_pair(beta):
+    """Z3 on Z3: alpha by the paper's inversion assignment, beta by
+    ``beta``."""
     Z3 = make_cyclic(3)
-    idm = np.arange(3)
-    inv = Z3.inverse
-    alpha = np.stack([idm, inv if alpha_inversion else idm, idm])
-    beta = np.stack([idm, inv if beta_inversion else idm, idm])
-    return ActionPair(Z3, Z3, alpha, beta)
+    return ActionPair(Z3, Z3, named_action("inversion", Z3, Z3),
+                      named_action(beta, Z3, Z3))
 
 
 def check_case1_trivial():
@@ -60,7 +59,7 @@ def check_case1_trivial():
 
 def check_case2_inversion_alpha():
     t0 = time.perf_counter()
-    pair = _z3_pair(True, False)
+    pair = _z3_pair("trivial")
     rep = compute_tensor(pair)
     T, s = rep.tensor, rep.symbol
     ab = s(1, 1)
@@ -88,7 +87,7 @@ def check_case2_inversion_alpha():
 
 def check_case3_incompatible():
     t0 = time.perf_counter()
-    pair = _z3_pair(True, True)
+    pair = _z3_pair("inversion")
     report = is_compatible(pair)
     w = report.witness
     computed = {"compatible": report.compatible,

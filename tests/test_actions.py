@@ -12,7 +12,7 @@ from tensorforge.actions import (ActionPair, CompatibilityReport, HomPair,
                                  compatibility_grid, compatible_pair_orbits,
                                  conjugation_maps,
                                  hom_pair_compatibility_sweep, induced_beta,
-                                 involution_pair, is_compatible,
+                                 involution_pair, is_compatible, named_action,
                                  normalizer_conditions, question2_scan,
                                  verify_free_counterexample,
                                  z2_action_criterion)
@@ -234,6 +234,50 @@ def z3_inversion_pair(beta_nontrivial=False):
     alpha = np.stack([idm, Z3.inverse, idm])
     beta = alpha.copy() if beta_nontrivial else np.tile(idm, (3, 1))
     return ActionPair(Z3, Z3, alpha, beta)
+
+
+# -- named actions --------------------------------------------------------
+
+def test_named_inversion_is_the_papers_z3_assignment():
+    Z3 = make_cyclic(3)
+    pair = z3_inversion_pair(beta_nontrivial=True)
+    assert np.array_equal(named_action("inversion", Z3, Z3), pair.alpha_maps)
+    assert np.array_equal(named_action("trivial", Z3, Z3),
+                          z3_inversion_pair().beta_maps)
+    # an even cyclic actor gives an action: the generator inverts
+    Z4, Z6 = make_cyclic(4), make_cyclic(6)
+    maps = named_action("inversion", Z6, Z4)
+    assert [np.array_equal(row, Z6.inverse) for row in maps] \
+        == [False, True, False, True]
+    ActionPair(Z6, Z4, maps, named_action("trivial", Z4, Z6))
+
+
+def test_named_actions_match_their_constructions():
+    G = tf.make_catalog_group("dihedral:4")
+    H = make_cyclic(3)
+    assert np.array_equal(named_action("conjugation", G, G),
+                          conjugation_maps(G))
+    assert np.array_equal(named_action("trivial", G, H),
+                          np.tile(np.arange(8), (3, 1)))
+    pair = ActionPair.trivial(G, H)
+    assert np.array_equal(pair.alpha_maps, named_action("trivial", G, H))
+    assert np.array_equal(pair.beta_maps, named_action("trivial", H, G))
+
+
+@pytest.mark.parametrize("name, G, H, message", [
+    ("inversion", "cyclic:3", "elemab:2:2",
+     "inversion action needs a cyclic acting group"),
+    ("inversion", "dihedral:4", "cyclic:2",
+     "inversion is only an automorphism of an abelian group"),
+    ("conjugation", "dihedral:4", "quaternion:8",
+     "conjugation action requires the two groups to be the same"),
+    ("inverse", "cyclic:2", "cyclic:2", "unknown action 'inverse'; "
+     "expected one of trivial, inversion, conjugation"),
+])
+def test_named_action_refuses_groups_that_do_not_fit(name, G, H, message):
+    with pytest.raises(InvalidAction) as exc:
+        named_action(name, tf.make_catalog_group(G), tf.make_catalog_group(H))
+    assert str(exc.value) == message
 
 
 # -- validation -----------------------------------------------------------

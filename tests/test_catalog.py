@@ -1,13 +1,16 @@
 """Catalog constructions and the key parser."""
 
 import functools
+import time
 
+import numpy as np
 import pytest
 
 import tensorforge as tf
 from tensorforge import catalog
 from tensorforge.errors import LimitExceeded, UnknownCatalogKey
-from tensorforge.groups import center, derived_subgroup, nilpotency_class
+from tensorforge.groups import (center, derived_subgroup, from_cayley_table,
+                               nilpotency_class)
 
 
 @pytest.mark.parametrize("key,order,abelian", [
@@ -38,6 +41,53 @@ def test_dihedral_structure():
     assert orders.count(2) == 5               # five reflections
     assert orders.count(5) == 4
     assert center(D).order == 1
+
+
+def reference_dihedral_table(n):
+    """The dihedral table element by element, as make_dihedral built it
+    before its array arithmetic."""
+    def mul(a, b):
+        i, u = divmod(a, 2)
+        j, v = divmod(b, 2)
+        # r^i s^u * r^j s^v ; s r^j = r^-j s
+        if u == 0:
+            return 2 * ((i + j) % n) + v
+        return 2 * ((i - j) % n) + ((u + v) % 2)
+
+    return [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_dihedral_table_matches_reference(n):
+    D = catalog.make_dihedral(n)
+    assert D.table.tolist() == reference_dihedral_table(n)
+    assert D.names[2 * n - 2:] == [f"r^{n - 1}", f"r^{n - 1}s"]
+    assert len(D.names) == 2 * n
+
+
+def test_catalog_groups_pass_full_validation():
+    # the constructors trust their own tables; every catalog group up to
+    # order 64 passes all four group axioms when its table is validated
+    keys = {key for key, _ in catalog.catalog_groups_up_to(64)}
+    keys |= {key for key in catalog.catalog_keys()
+             if catalog._capped_order(key) <= 64}
+    keys |= {"dihedral:2", "dihedral:3", "heisenberg:2",
+             "product:symmetric:3,cyclic:2"}
+    assert len(keys) > 60
+    for key in sorted(keys):
+        G = tf.make_catalog_group(key)
+        checked = from_cayley_table(G.table, names=G.names)
+        assert np.array_equal(checked.table, G.table), key
+        assert checked.identity == G.identity, key
+
+
+def test_make_dihedral_512_is_fast():
+    # the constructor trusts its table: the cubic validation of this
+    # order-1024 table alone takes seconds
+    start = time.perf_counter()
+    D = catalog.make_dihedral(512)
+    assert time.perf_counter() - start < 1.0
+    assert D.order == 1024 and D.mul(1, 1) == 0
 
 
 def test_quaternion_has_unique_involution():

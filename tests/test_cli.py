@@ -219,6 +219,11 @@ def _group_file(tmp_path, data):
     ({"order": 2, "table": 5}, "table size"),
     ({"order": "2", "table": [[0, 1], [1, 0]]}, "not an integer"),
     ([1, 2], "missing"),
+    # faults found after the shape checks name the file too
+    ({"order": 2, "table": [[0, 1], [1, 1]]},
+     "not a group: not-latin-square (witness=('row', 1))"),
+    ({"order": 5000, "table": [[0]]},
+     "group file of order 5000 exceeds the 4096-element cap"),
 ])
 def test_malformed_group_file_exits_two(capsys, tmp_path, data, needle):
     path = _group_file(tmp_path, data)
@@ -246,13 +251,20 @@ def test_malformed_pair_file_names_the_file(capsys, tmp_path, data, needle):
 
 
 def test_pair_file_names_its_malformed_group_file(capsys, tmp_path):
-    group = _group_file(tmp_path, {"order": "2", "table": [[0, 1], [1, 0]]})
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps({"g": group, "h": "cyclic:2",
-                                "alpha": {"map": [0, 0]},
-                                "beta": {"map": [0, 0]}}))
-    code, out, err = run(capsys, "compat", "--pair", str(path))
-    _one_error_line(code, out, err, str(path), group, "not an integer")
+    # a shape fault, a table that is no group and an order over the cap
+    for data, needle in [
+            ({"order": "2", "table": [[0, 1], [1, 0]]}, "not an integer"),
+            ({"order": 2, "table": [[0, 1], [1, 1]]}, "not-latin-square"),
+            ({"order": 5000, "table": [[0]]}, "order 5000 exceeds the 4096")]:
+        group = _group_file(tmp_path, data)
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"g": group, "h": "cyclic:2",
+                                    "alpha": {"map": [0, 0]},
+                                    "beta": {"map": [0, 0]}}))
+        code, out, err = run(capsys, "compat", "--pair", str(path))
+        _one_error_line(code, out, err, needle,
+                        f"action pair file {str(path)!r}: "
+                        f"catalog key or group file {group!r}: ")
 
 
 def test_oversize_tensor_refused_before_compatibility(capsys):
@@ -284,7 +296,20 @@ def test_oversize_group_file_refused_before_validation(capsys, tmp_path,
     path = _group_file(tmp_path, {"order": 4097, "table": []})
     code, out, err = run(capsys, "compat", "--g", path, "--h", "cyclic:2")
     assert code == 2 and out == "" and not validated
-    assert err.count("\n") == 1 and "4097" in err and "4096" in err
+    assert err == (f"error: catalog key or group file {path!r}: group file "
+                   "of order 4097 exceeds the 4096-element cap\n")
+
+
+@pytest.mark.parametrize("command", ["compat", "tensor"])
+@pytest.mark.parametrize("argv, missing", [
+    ((), "--g and --h"),
+    (("--g", "cyclic:2"), "--h"),
+    (("--h", "cyclic:2"), "--g"),
+])
+def test_missing_group_options_are_named(capsys, command, argv, missing):
+    code, out, err = run(capsys, command, *argv)
+    _one_error_line(code, out, err)
+    assert err == f"error: missing {missing}: give --g and --h, or --pair\n"
 
 
 def test_unexpected_exception_exits_two_with_one_line(capsys, monkeypatch):

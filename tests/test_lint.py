@@ -13,6 +13,10 @@ SOURCES = sorted((ROOT / "src" / "tensorforge").glob("*.py"))
 # Public names that nothing in the library or the benchmark calls.  The
 # backlog is empty: a new public name needs a caller, or it is deleted.
 UNCALLED_BACKLOG = set()
+# Parameters with a default that no call in the library or the benchmark
+# passes.  The backlog is empty: a new option needs a caller, or it is
+# deleted.
+UNPASSED_BACKLOG = set()
 
 
 def _assertion_guards(tree):
@@ -141,6 +145,97 @@ def test_caller_check_ignores_a_name_inside_its_own_body():
               "class K(B):\n    def m(self):\n        return self.m() + K.p\n")
     assert _referenced_names(ast.parse(source)) \
         == {"n", "h", "f", "B", "self", "p"}
+
+
+def _defaulted_parameters(tree):
+    """(callee, parameter, position) for each parameter with a default of
+    a module's public top-level functions, and of the public methods and
+    ``__init__`` of its public classes.  A constructor's callee is its
+    class; a method's position counts from the argument after self or
+    cls; a keyword-only parameter has position None."""
+    functions = [(stmt.name, stmt, 0) for stmt in tree.body
+                 if isinstance(stmt, ast.FunctionDef)]
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+            for part in stmt.body:
+                if isinstance(part, ast.FunctionDef) and (
+                        part.name == "__init__"
+                        or not part.name.startswith("_")):
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in part.decorator_list)
+                    name = stmt.name if part.name == "__init__" \
+                        else part.name
+                    functions.append((name, part, 0 if static else 1))
+    for name, func, skip in functions:
+        if name.startswith("_"):
+            continue
+        args = func.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for pos in range(first, len(positional)):
+            yield name, positional[pos].arg, pos - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _calls(tree):
+    """(callee, positional count, keywords) for each call in a module, the
+    callee named by its last name; a starred argument passes every
+    position and a ``**`` argument every keyword, as None."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        positions = len(node.args)
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            positions = float("inf")
+        yield name, positions, {k.arg for k in node.keywords}
+
+
+def _uncalled_parameters(defined, callers):
+    """The 'callee(parameter)' of each defaulted parameter in the trees
+    ``defined`` that no call in the trees ``callers`` passes, by keyword
+    or at its position.  Callees are matched by name alone."""
+    calls = {}
+    for tree in callers:
+        for name, positions, keywords in _calls(tree):
+            calls.setdefault(name, []).append((positions, keywords))
+    return {f"{name}({param})"
+            for tree in defined
+            for name, param, pos in _defaulted_parameters(tree)
+            if not any(param in keywords or None in keywords
+                       or (pos is not None and positions > pos)
+                       for positions, keywords in calls.get(name, ()))}
+
+
+def test_every_defaulted_parameter_is_passed():
+    # an option that only the tests pass doubles what the tests must
+    # cover: every parameter with a default of a public function, method
+    # or constructor is passed by some call in the library or perfbench
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES]
+    callers = trees + [ast.parse(p.read_text(encoding="utf-8")) for p in
+                       sorted((ROOT / "perfbench").glob("*.py"))]
+    assert _uncalled_parameters(trees, callers) == UNPASSED_BACKLOG
+
+
+def test_parameter_lint_sees_positions_keywords_and_constructors():
+    source = ("def f(a, b=1, *, c=2, d=3):\n    pass\n"
+              "def _g(x=1):\n    pass\n"
+              "class K:\n    def __init__(self, v=0, w=0):\n        pass\n"
+              "    def m(self, y=0, z=0):\n        pass\n"
+              "    @staticmethod\n    def s(u=0):\n        pass\n"
+              "    def _p(self, q=0):\n        pass\n"
+              "class _L:\n    def __init__(self, r=0):\n        pass\n"
+              "f(0, 1)\nf(0, c=1)\nK(1)\nk.m(1)\nK.s(**options)\n"
+              "k.m(*args)\n")
+    tree = ast.parse(source)
+    assert _uncalled_parameters([tree], [tree]) == {"f(d)", "K(w)"}
+    assert _uncalled_parameters([tree], []) == {
+        "f(b)", "f(c)", "f(d)", "K(v)", "K(w)", "m(y)", "m(z)", "s(u)"}
 
 
 def _open_calls(tree):

@@ -14,7 +14,6 @@ from tensorforge.actions import ActionPair, conjugation_maps
 from tensorforge.catalog import catalog_groups_up_to
 from tensorforge.errors import LimitExceeded
 from tensorforge.presentations import (Presentation, coset_enumerate,
-                                       invert_word, reduce_word,
                                        table_to_group)
 from tensorforge.tensor import tensor_presentation
 from test_groups import reference_conj
@@ -22,28 +21,49 @@ from test_groups import reference_conj
 
 # -- words ------------------------------------------------------------------
 
+def reduce_word(word):
+    """Freely reduce: iterated cancellation of adjacent inverse pairs.  The
+    word-by-word reference for the library's one free reduction,
+    ``_free_reduce``."""
+    out = []
+    for letter in word:
+        if letter == 0:
+            raise ValueError("0 is not a valid letter")
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(int(letter))
+    return out
+
+
+def _reduced(word):
+    """A word over three generators, freely reduced by the library: read
+    back as the relator of a presentation, as a list."""
+    relators = Presentation(3, [word]).relators
+    return list(relators[0]) if relators else []
+
+
 def test_reduce_word_cancellation():
-    assert reduce_word([1, -1]) == []
-    assert reduce_word([1, 2, -2, -1]) == []
-    assert reduce_word([1, 2, -2, 3]) == [1, 3]
-    assert reduce_word([-1, 2, 1]) == [-1, 2, 1]
+    assert _reduced([1, -1]) == []
+    assert _reduced([1, 2, -2, -1]) == []
+    assert _reduced([1, 2, -2, 3]) == [1, 3]
+    assert _reduced([-1, 2, 1]) == [-1, 2, 1]
 
 
 def test_reduce_word_rejects_zero():
     with pytest.raises(ValueError):
+        _reduced([1, 0])
+    with pytest.raises(ValueError):
         reduce_word([1, 0])
-
-
-def test_invert_word():
-    assert invert_word([1, -2, 3]) == [-3, 2, -1]
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=20))
 def test_reduce_is_idempotent_and_inverse_cancels(word):
-    r = reduce_word(word)
-    assert reduce_word(r) == r
-    assert reduce_word(r + invert_word(r)) == []
+    r = _reduced(word)
+    assert r == reduce_word(word)
+    assert _reduced(r) == r
+    assert _reduced(r + [-x for x in reversed(r)]) == []
 
 
 def test_presentation_reduces_relators_and_validates():
@@ -114,10 +134,11 @@ def test_infinite_group_exceeds_limit():
         coset_enumerate(p, max_cosets=50)
 
 
-def test_scan_budget_exceeded():
+def test_scan_budget_exceeded(monkeypatch):
     p = Presentation(2, ((1, 1), (2, 2), (1, 2, 1, 2, 1, 2)))
+    monkeypatch.setattr(presentations, "MAX_SCANS", 3)
     with pytest.raises(LimitExceeded):
-        coset_enumerate(p, max_deductions=3)
+        coset_enumerate(p)
 
 
 def test_enumeration_is_deterministic():
@@ -150,7 +171,7 @@ def test_validation_names_first_failing_relator(monkeypatch, block):
     c = np.arange(12)
     rows = np.stack([(c + 1) % 12, (c - 1) % 12, (c + 4) % 12, (c - 4) % 12],
                     axis=1)
-    table = presentations.CosetTable(2, rows)
+    table = presentations.CosetTable(rows)
     with pytest.raises(presentations.TableIncomplete,
                        match=r"relator \(1, 1, 1, 1, 1, 1\) does not"):
         presentations._validate_complete(table, p)
@@ -168,7 +189,7 @@ def test_validation_names_first_failing_relator_of_equal_columns(
                          (2,) * 6, (-1,) * 5))
     c = np.arange(12)
     rows = np.stack([(c + 1) % 12, (c - 1) % 12] * 2, axis=1)
-    table = presentations.CosetTable(2, rows)
+    table = presentations.CosetTable(rows)
     with pytest.raises(presentations.TableIncomplete,
                        match=r"relator \(-2, -2, -2, -2, -2\) does not"):
         presentations._validate_complete(table, p)
@@ -188,7 +209,7 @@ def test_validation_keeps_columns_apart_that_agree_only_at_coset_0(
     b_inv = np.argsort(b)
     rows = np.stack([(c + 1) % 12, (c - 1) % 12, b, b_inv], axis=1)
     assert rows[0, 2] == rows[0, 0] and rows[0, 3] == rows[0, 1]
-    table = presentations.CosetTable(2, rows)
+    table = presentations.CosetTable(rows)
     with pytest.raises(presentations.TableIncomplete,
                        match=r"relator \(2(, 2){11}\) does not"):
         presentations._validate_complete(table, p)
@@ -417,12 +438,21 @@ def _eliminated(presentation):
     return Presentation(ngens, _word_list(words, lengths))
 
 
+def _enumerate(presentation, max_cosets=None, max_deductions=None):
+    """coset_enumerate with the reference's limits: ``max_deductions``,
+    when given, patched in as the scan budget MAX_SCANS."""
+    with pytest.MonkeyPatch.context() as mp:
+        if max_deductions is not None:
+            mp.setattr(presentations, "MAX_SCANS", max_deductions)
+        return coset_enumerate(presentation, max_cosets=max_cosets)
+
+
 def _same_counts(presentation, **limits):
     """When coset_enumerate completes, its stats give the cosets defined,
     the coincidences and the scans, skipped ones included, of the
     reference run on the eliminated presentation; returns the stats."""
     try:
-        stats = coset_enumerate(presentation, **limits).stats
+        stats = _enumerate(presentation, **limits).stats
     except LimitExceeded:
         return None
     counts = {}
@@ -440,7 +470,7 @@ def _same_outcome(presentation, **limits):
     completes, it has the reference's cosets on the eliminated
     presentation and, if the reference completes on the full one too, its
     rows standardized."""
-    got = _outcome(lambda p, **kw: coset_enumerate(p, **kw).rows,
+    got = _outcome(lambda p, **kw: _enumerate(p, **kw).rows,
                    presentation, **limits)
     want = _outcome(
         lambda p, **kw: presentations._standardize(reference_enumerate(
@@ -522,7 +552,7 @@ def test_random_presentations_match_reference(filter_min, ngens, words,
         _same_counts(p, max_cosets=max_cosets, max_deductions=max_deductions)
 
 
-def test_scan_budget_sweep_matches_reference():
+def test_scan_budget_sweep_matches_reference(monkeypatch):
     # elimination leaves 17 generators and 512 relators, 11 of them
     # squares; 136 classes of the others are scanned, so the filter is
     # active, and the enumeration needs a budget of 32 x 136 = 4352 scans
@@ -535,9 +565,10 @@ def test_scan_budget_sweep_matches_reference():
                 for k in (1, 2, 136, 137, 512, 513, 2000, 4351, 4352, 4353,
                           29_152)}
     assert outcomes == {"LimitExceeded", "rows"}
+    monkeypatch.setattr(presentations, "MAX_SCANS", 4351)
     with pytest.raises(LimitExceeded, match="^scan budget 4351 exhausted "
                        "after 57 cosets defined, 32 live$"):
-        coset_enumerate(p, max_deductions=4351)
+        coset_enumerate(p)
 
 
 # (generators, relators, order, involutions HLT gives one column)
@@ -921,7 +952,7 @@ def test_trivial_pair_and_round_trip_groups_match_reference():
 def test_table_to_group_refuses_intransitive_table():
     rows = np.array([[0, 0], [1, 1]])
     p = Presentation(1, ())
-    table = presentations.CosetTable(1, rows)
+    table = presentations.CosetTable(rows)
     for convert in (table_to_group,
                     lambda table: reference_table_to_group(table, p)):
         with pytest.raises(presentations.TableIncomplete,

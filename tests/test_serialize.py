@@ -7,8 +7,8 @@ import pytest
 
 import tensorforge as tf
 from tensorforge import serialize as sz
-from tensorforge.actions import ActionPair, involution_pair
-from tensorforge.errors import IoError, NotAGroup
+from tensorforge.actions import ActionPair, involution_pair, is_compatible
+from tensorforge.errors import IoError, LimitExceeded, NotAGroup
 from tensorforge.groups import make_cyclic
 
 
@@ -50,6 +50,38 @@ def test_resolver_rejects_bad_json(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(IoError):
         sz.resolve_group(str(path))
+
+
+@pytest.mark.parametrize("data, error, message", [
+    ({"order": 2, "table": [[0, 1], [1, 1]]}, NotAGroup,
+     "not a group: not-latin-square (witness=('row', 1))"),
+    ({"order": 4097, "table": []}, LimitExceeded,
+     "group file of order 4097 exceeds the 4096-element cap"),
+])
+def test_group_file_faults_keep_their_type_and_name_the_file(
+        tmp_path, data, error, message):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(error) as exc:
+        sz.resolve_group(str(path))
+    assert str(exc.value) \
+        == f"catalog key or group file {str(path)!r}: {message}"
+    with pytest.raises(error) as exc:
+        sz.group_from_dict(data)
+    assert str(exc.value) == message
+
+
+def test_witness_dict_lists_the_fields_in_order():
+    report = is_compatible(ActionPair(
+        make_cyclic(3), make_cyclic(3),
+        np.stack([np.arange(3), make_cyclic(3).inverse, np.arange(3)]),
+        np.stack([np.arange(3), make_cyclic(3).inverse, np.arange(3)])))
+    assert sz.witness_to_dict(report.witness) == {
+        "equation": "first", "g": 1, "g1": 1, "h": 1, "h1": None,
+        "lhs": 1, "rhs": 2}
+    assert list(sz.witness_to_dict(report.witness)) \
+        == ["equation", "g", "g1", "h", "h1", "lhs", "rhs"]
+    assert sz.witness_to_dict(None) is None
 
 
 def test_action_pair_round_trip():
