@@ -6,6 +6,14 @@ automorphisms): the product f*g applies the LEFT factor first,
 Under this convention the conjugation identity
 ``a(h)^-1 * ghat * a(h) = hat(g^a(h))`` holds literally, which is what the
 compatibility machinery relies on.
+
+The Cayley table of Aut(G) is built the way ``table_to_group`` builds a
+group from a coset table.  A greedy generating set of Aut(G) is found
+by looking up the products x*s with each new generator s for every x,
+|Aut| binary searches over generator-image keys per generator, and the
+rest of the table is gathered along the generators' spanning tree: the
+column of p*s is the column of p read through the column of s.  That is
+|Aut| x (number of generators) key searches, not |Aut|^2.
 """
 
 from __future__ import annotations
@@ -14,7 +22,8 @@ import numpy as np
 
 from .errors import CrossCheckFailed, LimitExceeded
 from .groups import (BLOCK_ENTRIES, MAX_CATALOG_ORDER, FiniteGroup,
-                     conjugation_maps)
+                     cayley_table, conjugation_maps, greedy_generators,
+                     spanning_tree)
 from .homs import all_bijective_endomaps, generating_set
 
 
@@ -42,15 +51,27 @@ class AutGroup:
 
 
 def automorphism_group(G):
-    """Enumerate Aut(G) by backtracking on generator images.
+    """Enumerate Aut(G) and build its Cayley table from its generators.
 
-    Elements come out in lexicographic map order; the result is cached on
-    the group object (construction is pure, so sharing is safe).  That is
-    also the order of the images of ``generating_set(G)``, which fix an
-    automorphism (each element before the j-th generator lies in the
-    subgroup of the earlier ones), so products are looked up by those.
-    Above MAX_CATALOG_ORDER automorphisms, LimitExceeded is raised before
-    the |Aut| x |Aut| table is allocated.
+    The automorphisms are enumerated by backtracking on generator images
+    and come out in lexicographic map order, so the identity map is
+    element 0; the result is cached on the group object (construction is
+    pure, so sharing is safe).  That is also the order of the images of
+    ``generating_set(G)``, which fix an automorphism (each element before
+    the j-th generator lies in the subgroup of the earlier ones), so an
+    automorphism is found by those images, as a key, with one binary
+    search.
+
+    Only the products x*s with s in a greedy generating set of Aut(G) are
+    looked up, |Aut| keys per generator (``groups.greedy_generators``);
+    the rest of the table is gathered along their spanning tree
+    (``groups.cayley_table``), and the generators are kept as
+    ``generating_set(aut.group)``.  CrossCheckFailed is raised when such
+    a product is not enumerated: every enumerated map is reached from the
+    identity by the generators, so the maps are closed under products
+    exactly when they are closed under right multiplication by the
+    generators.  Above MAX_CATALOG_ORDER automorphisms, LimitExceeded is
+    raised before the table is allocated.
     """
     if G._aut is not None:
         return G._aut
@@ -68,13 +89,13 @@ def automorphism_group(G):
     # generator-image rows as mixed-radix keys, increasing with the index
     radix = G.order ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
     keys = elements[:, gens] @ radix
-    table = np.empty((n, n), dtype=np.intp)
-    step = max(1, BLOCK_ENTRIES // (n * max(1, len(gens))))
-    for i in range(0, n, step):
-        # [j, i']: the key of f_i' * f_j, whose images are f_j(f_i'(s))
-        composed = elements[:, elements[i:i + step, gens]] @ radix
-        table[i:i + step] = _key_index(keys, composed.T)
-    group = FiniteGroup(table, validate=False)
+    # x*s applies x first, so its image of a generator g is s(x(g))
+    aut_gens, rows = greedy_generators(
+        n, 0, lambda s: _key_index(keys, elements[s][elements[:, gens]]
+                                   @ radix))
+    group = FiniteGroup(cayley_table(rows, spanning_tree(rows)),
+                        validate=False)
+    group._gens = tuple(aut_gens)
     inner_of = _key_index(keys, conjugation_maps(G)[:, gens] @ radix)
     aut = AutGroup(G, elements, group, inner_of)
     G._aut = aut

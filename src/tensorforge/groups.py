@@ -20,14 +20,17 @@ MAX_CATALOG_ORDER = 4096
 
 
 def _check_latin(table):
-    n = len(table)
-    want = np.arange(n)
-    for i in range(n):
-        if not np.array_equal(np.sort(table[i]), want):
-            return ("row", i)
-        if not np.array_equal(np.sort(table[:, i]), want):
-            return ("col", i)
-    return None
+    """Return ("row", i) or ("col", i) for the first i whose row or column
+    is not a permutation, the row first, or None.  The table is sorted
+    once along each axis."""
+    want = np.arange(len(table))
+    rows = (np.sort(table, axis=1) != want).any(axis=1)
+    cols = (np.sort(table, axis=0) != want[:, None]).any(axis=0)
+    bad = np.flatnonzero(rows | cols)
+    if not len(bad):
+        return None
+    i = int(bad[0])
+    return ("row", i) if rows[i] else ("col", i)
 
 
 def _find_identity(table):
@@ -39,11 +42,20 @@ def _find_identity(table):
     return None
 
 
-def _check_associative(table):
-    """Return a witness triple (i, j, k) or None.  Vectorized row by row to
-    keep memory at O(n^2) even for order-512 tables."""
-    n = len(table)
-    for i in range(n):
+def _check_associative(table, e):
+    """Return a witness triple (i, j, k) or None.
+
+    Light's test: the elements a with (x a) y = x (a y) for all x and y
+    are closed under products, so checking every a of a greedy generating
+    set, closed breadth-first from the identity ``e``, decides the whole
+    table with one n x n comparison per generator.  Only a table that
+    fails is swept row by row, keeping memory at O(n^2), for the first
+    witness."""
+    gens, _ = greedy_generators(len(table), e, lambda s: table[:, s])
+    if all(np.array_equal(table[table[:, a]], table[:, table[a]])
+           for a in gens):
+        return None
+    for i in range(len(table)):
         left = table[table[i], :]      # (i*j)*k
         right = table[i, table]        # i*(j*k)
         if not np.array_equal(left, right):
@@ -81,7 +93,7 @@ class FiniteGroup:
             if not np.all(table[inv, np.arange(n)] == e):
                 i = int(np.argmax(table[inv, np.arange(n)] != e))
                 raise NotAGroup("missing-inverse", (i,))
-            wit = _check_associative(table)
+            wit = _check_associative(table, e)
             if wit is not None:
                 raise NotAGroup("not-associative", wit)
         self.table = table
@@ -274,6 +286,87 @@ def conjugation_maps(G):
     return G._conj
 
 
+# -- generators and spanning trees ----------------------------------------
+
+def spanning_tree(rows, root=0):
+    """The breadth-first spanning tree of a coset table from ``root``, one
+    layer at a time: a list of (cosets, parents, columns) in which each
+    coset is first reached as rows[parent, column], scanning the previous
+    layer's cosets in order and each coset's columns in order.  Any table
+    of right multiplications works as ``rows``, such as the columns of a
+    Cayley table at a tuple of generators, rooted at the identity."""
+    n, ncols = rows.shape
+    seen = np.zeros(n, dtype=bool)
+    seen[root] = True
+    frontier = np.full(1, root, dtype=np.intp)
+    layers = []
+    while True:
+        reached = rows[frontier].ravel()
+        first = np.flatnonzero(~seen[reached])
+        if not len(first):
+            return layers
+        if len(first) > 1:
+            # the first occurrence of each coset, in scan order
+            first = first[np.sort(np.unique(reached[first],
+                                            return_index=True)[1])]
+        cosets = reached[first]
+        seen[cosets] = True
+        parents, cols = np.divmod(first, ncols)
+        layers.append((cosets, frontier[parents], cols))
+        frontier = cosets
+
+
+def greedy_generators(n, root, column):
+    """A greedy generating set of a group, or of a loop, on n elements,
+    given by its right multiplications: ``column(s)[x]`` is x*s.
+
+    Each generator is the first element that right multiplication by the
+    earlier ones does not reach from ``root``, the identity; what they
+    reach is closed breadth-first, in Python, which beats a numpy pass
+    per tree layer on these lists.  In a group that is the subgroup they
+    generate.  ``homs.generating_set``, Aut(G)'s generators and Light's
+    associativity test use it.  Returns the generators and their
+    columns, ``rows[x, j] = x*gens[j]``.
+    """
+    gens, cols = [], []
+    seen = [False] * n
+    seen[root] = True
+    members = [root]
+    first = 0
+    while len(members) < n:
+        while seen[first]:
+            first += 1
+        gens.append(first)
+        cols.append(column(first).tolist())
+        # members[:known] are closed under the earlier generators
+        known, i = len(members), 0
+        while i < len(members):
+            x = members[i]
+            for c in (cols[-1:] if i < known else cols):
+                if not seen[c[x]]:
+                    seen[c[x]] = True
+                    members.append(c[x])
+            i += 1
+    return gens, np.array(cols, dtype=np.intp).T.reshape(n, len(gens))
+
+
+def cayley_table(rows, layers):
+    """The Cayley table of a group from its right multiplications by
+    generators, ``rows[x, c] = x * s_c``, with element 0 the identity and
+    ``layers = spanning_tree(rows)``.
+
+    Column p*s of the table is x -> (x p) s, the gather rows[column p, s]:
+    one per tree layer, in row blocks of at most BLOCK_ENTRIES entries."""
+    n = len(rows)
+    table = np.empty((n, n), dtype=np.intp)
+    table[:, 0] = np.arange(n)
+    for cosets, parents, cols in layers:
+        step = max(1, BLOCK_ENTRIES // len(cosets))
+        for r in range(0, n, step):
+            table[r:r + step, cosets] = rows[table[r:r + step, parents], cols]
+    return table
+
+
 # -- subgroup machinery ---------------------------------------------------
 
 def subgroup_generated(G, gens):
@@ -348,8 +441,9 @@ def second_hypercenter(G):
 
 
 # Entries per block of the large temporaries built in blocks: commutators,
-# the compatibility equations, the composition table of Aut(G) and the
-# relator traces that validate a finished coset table.
+# the compatibility equations, the gathers that fill a Cayley table from
+# its generators' columns and the relator traces that validate a finished
+# coset table.
 BLOCK_ENTRIES = 16_384
 
 

@@ -46,25 +46,19 @@ import numpy as np
 
 from .abelian import abelian_invariants
 from .errors import BudgetExceeded, GensDoNotGenerate, NotAHomomorphism
-from .groups import BLOCK_ENTRIES, GroupHom, center, subgroup_generated
-from .presentations import spanning_tree
+from .groups import (BLOCK_ENTRIES, GroupHom, center, greedy_generators,
+                     spanning_tree)
 
 DEFAULT_BUDGET = 10 ** 6
 
 
 def generating_set(G):
     """Greedy minimal generating set: repeatedly add the first element that
-    enlarges the generated subgroup.  A tuple, computed once and cached on
-    the group."""
+    enlarges the generated subgroup (``groups.greedy_generators``).  A
+    tuple, computed once and cached on the group."""
     if G._gens is None:
-        gens = []
-        cur = subgroup_generated(G, gens)
-        while cur.order < G.order:
-            for x in range(G.order):
-                if x not in cur:
-                    gens.append(x)
-                    cur = subgroup_generated(G, gens)
-                    break
+        gens, _ = greedy_generators(G.order, G.identity,
+                                    lambda s: G.table[:, s])
         G._gens = tuple(gens)
     return G._gens
 

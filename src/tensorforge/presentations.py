@@ -72,7 +72,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LimitExceeded, TableIncomplete
-from .groups import BLOCK_ENTRIES, MAX_CATALOG_ORDER, FiniteGroup
+from .groups import (BLOCK_ENTRIES, MAX_CATALOG_ORDER, FiniteGroup,
+                     cayley_table, spanning_tree)
 
 DEFAULT_MAX_COSETS = 200_000
 
@@ -693,43 +694,17 @@ def _validate_complete(table, presentation):
                 f"relator {word} does not trace to identity")
 
 
-def spanning_tree(rows, root=0):
-    """The breadth-first spanning tree of a coset table from ``root``, one
-    layer at a time: a list of (cosets, parents, columns) in which each
-    coset is first reached as rows[parent, column], scanning the previous
-    layer's cosets in order and each coset's columns in order.  Any table
-    of right multiplications works as ``rows``, such as the columns of a
-    Cayley table at a tuple of generators, rooted at the identity."""
-    n, ncols = rows.shape
-    seen = np.zeros(n, dtype=bool)
-    seen[root] = True
-    frontier = np.full(1, root, dtype=np.intp)
-    layers = []
-    while True:
-        reached = rows[frontier].ravel()
-        first = np.flatnonzero(~seen[reached])
-        if not len(first):
-            return layers
-        if len(first) > 1:
-            # the first occurrence of each coset, in scan order
-            first = first[np.sort(np.unique(reached[first],
-                                            return_index=True)[1])]
-        cosets = reached[first]
-        seen[cosets] = True
-        parents, cols = np.divmod(first, ncols)
-        layers.append((cosets, frontier[parents], cols))
-        frontier = cosets
-
-
 def table_to_group(table):
     """Turn a complete coset table over the trivial subgroup into a
     FiniteGroup; returns the group and the image element of each abstract
     generator.
 
     Element i is live coset i.  Column j of the multiplication table is
-    the permutation of cosets by element j, one gather from the column of
-    j's parent in the spanning tree.  Above MAX_CATALOG_ORDER cosets,
-    LimitExceeded is raised before anything is allocated.
+    the permutation of cosets by element j, gathered from the column of
+    j's parent in the spanning tree by ``groups.cayley_table``, which
+    ``automorphisms.automorphism_group`` fills Aut(G)'s table with too.
+    Above MAX_CATALOG_ORDER cosets, LimitExceeded is raised before
+    anything is allocated.
     """
     rows = table.rows
     n = table.ncosets
@@ -739,9 +714,5 @@ def table_to_group(table):
     layers = spanning_tree(rows)
     if 1 + sum(len(cosets) for cosets, _, _ in layers) != n:
         raise TableIncomplete("table is not transitive on cosets")
-    group_table = np.empty((n, n), dtype=np.intp)
-    group_table[:, 0] = np.arange(n)
-    for cosets, parents, cols in layers:
-        group_table[:, cosets] = rows[group_table[:, parents], cols]
-    group = FiniteGroup(group_table, validate=False)
+    group = FiniteGroup(cayley_table(rows, layers), validate=False)
     return group, rows[0, 0::2].tolist()

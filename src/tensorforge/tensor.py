@@ -23,10 +23,9 @@ from .actions import (HomPair, action_from_hom_pair, hom_classes,
                       is_compatible)
 from .errors import CrossCheckFailed, IncompatibleActions, LimitExceeded
 from .groups import FiniteGroup, GroupHom, Subgroup, center, coset_labels, \
-    nilpotency_class, subgroup_generated
+    nilpotency_class, spanning_tree, subgroup_generated
 from .homs import _force, are_isomorphic, enumerate_homs
-from .presentations import (Presentation, coset_enumerate, spanning_tree,
-                            table_to_group)
+from .presentations import Presentation, coset_enumerate, table_to_group
 
 MAX_SYMBOLS = 256
 

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import tensorforge as tf
-from tensorforge import automorphisms
+from tensorforge import automorphisms, groups
 from tensorforge.automorphisms import (automorphism_group,
                                        normalizer_contains_inn)
 from tensorforge.catalog import catalog_groups_up_to
-from tensorforge.errors import LimitExceeded
-from tensorforge.groups import center, conjugation_maps, make_cyclic
-from tensorforge.homs import all_bijective_endomaps
+from tensorforge.errors import CrossCheckFailed, LimitExceeded
+from tensorforge.groups import (FiniteGroup, center, conjugation_maps,
+                                make_cyclic)
+from tensorforge.homs import all_bijective_endomaps, generating_set
 from test_groups import reference_conj
 
 
@@ -149,6 +150,78 @@ def test_aut_tables_match_reference(key):
     assert aut.inner_of.tobytes() == inner_of.tobytes()
     for m, i in index.items():
         assert aut.elements[i].tolist() == list(m)
+
+
+@pytest.mark.parametrize("key", [k for k, _ in catalog_groups_up_to(27)
+                                 if k not in HUGE_AUT])
+def test_aut_table_composes_by_definition(key):
+    # every element is an automorphism, and the table composes by the
+    # definition: (f_i * f_j)(x) = f_j(f_i(x))
+    G = tf.make_catalog_group(key)
+    aut = automorphism_group(G)
+    m = aut.elements
+    assert np.array_equal(m[:, G.table],
+                          G.table[m[:, :, None], m[:, None, :]])
+    for i in range(aut.order):
+        assert np.array_equal(m[aut.group.table[i]], m[:, m[i]])
+    # the generators the table was built from are those generating_set
+    # finds afresh on the same table
+    fresh = FiniteGroup(aut.group.table, validate=False)
+    assert generating_set(aut.group) == generating_set(fresh)
+    assert aut.group.identity == 0
+
+
+def test_aut_looks_up_only_products_with_generators(monkeypatch):
+    # one |Aut|-key lookup per generator of Aut(G) and |G| for inner_of:
+    # 432 * 6 + 27 on heisenberg:3, 168 * 5 + 8 on elemab:2:3
+    queries = []
+    lookup = automorphisms._key_index
+
+    def counted(keys, wanted):
+        queries.append(np.size(wanted))
+        return lookup(keys, wanted)
+    monkeypatch.setattr(automorphisms, "_key_index", counted)
+    for key, want in [("heisenberg:3", 2592 + 27), ("elemab:2:3", 840 + 8)]:
+        queries.clear()
+        aut = automorphism_group(tf.make_catalog_group(key))
+        assert sum(queries) == want
+        assert len(queries) == len(generating_set(aut.group)) + 1
+
+
+@pytest.mark.parametrize("key,drop", [("symmetric:3", d) for d in range(1, 6)]
+                         + [("heisenberg:3", d) for d in (1, 216, 431)])
+def test_aut_refuses_maps_not_closed_under_products(monkeypatch, key, drop):
+    # without one non-identity automorphism the maps are no group, which
+    # a product with a generator of the rest finds
+    G = tf.make_catalog_group(key)
+    maps = all_bijective_endomaps(G)
+    monkeypatch.setattr(automorphisms, "all_bijective_endomaps",
+                        lambda G: maps[:drop] + maps[drop + 1:])
+    with pytest.raises(CrossCheckFailed, match="not among the enumerated"):
+        automorphism_group(G)
+    assert G._aut is None
+
+
+@pytest.mark.parametrize("block", [groups.BLOCK_ENTRIES, 5])
+def test_aut_table_in_blocks_matches_reference(monkeypatch, block):
+    G = tf.make_catalog_group("dihedral:4")
+    table, _, _ = reference_aut_tables(G)
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+    assert np.array_equal(automorphism_group(G).group.table, table)
+
+
+def test_aut_table_peak_memory():
+    # the 432 x 432 table takes 1.4 MiB; the gathers that fill it stay
+    # in blocks
+    G = FiniteGroup(tf.make_catalog_group("heisenberg:3").table,
+                    validate=False)
+    tracemalloc.start()
+    try:
+        automorphism_group(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2 ** 20
 
 
 @pytest.mark.parametrize("key", sorted(HUGE_AUT))

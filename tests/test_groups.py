@@ -1,5 +1,7 @@
 """Core group machinery: validation, subgroups, quotients, series."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,16 +46,124 @@ def test_rejects_missing_identity():
     assert exc.value.reason == "no-identity"
 
 
+# the smallest loops that are not groups have order 5
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
 def test_rejects_non_associative():
-    # the smallest loops that are not groups have order 5
-    table = [[0, 1, 2, 3, 4],
-             [1, 0, 3, 4, 2],
-             [2, 4, 0, 1, 3],
-             [3, 2, 4, 0, 1],
-             [4, 3, 1, 2, 0]]
     with pytest.raises(NotAGroup) as exc:
-        from_cayley_table(table)
+        from_cayley_table(LOOP5)
     assert exc.value.reason in ("not-associative", "missing-inverse")
+
+
+def reference_latin_witness(table):
+    """The first row or column, the row first, that is not a
+    permutation, checked one at a time."""
+    n = len(table)
+    for i in range(n):
+        if sorted(table[i].tolist()) != list(range(n)):
+            return ("row", i)
+        if sorted(table[:, i].tolist()) != list(range(n)):
+            return ("col", i)
+    return None
+
+
+def reference_associativity_witness(table):
+    """The first (i, j, k) with (i j) k != i (j k), row by row."""
+    for i in range(len(table)):
+        left = table[table[i], :]
+        right = table[i, table]
+        if not np.array_equal(left, right):
+            j, k = np.argwhere(left != right)[0]
+            return (i, int(j), int(k))
+    return None
+
+
+def _relabel(table, rng):
+    perm = rng.permutation(len(table))
+    out = np.empty_like(table)
+    out[np.ix_(perm, perm)] = perm[table]
+    return out
+
+
+def test_latin_witness_matches_reference_loop():
+    rng = np.random.default_rng(23)
+    for key in ["cyclic:5", "symmetric:3", "dihedral:4", "elemab:2:3"]:
+        base = np.array(tf.make_catalog_group(key).table)
+        assert groups._check_latin(base) is None
+        for _ in range(10):
+            table = _relabel(base, rng)
+            # one entry rewritten breaks its row and its column
+            i, j = rng.integers(0, len(table), 2)
+            table[i, j] = (table[i, j] + 1 + rng.integers(
+                0, len(table) - 1)) % len(table)
+            want = reference_latin_witness(table)
+            assert want is not None
+            assert groups._check_latin(table) == want
+            # a copy of a row breaks only columns
+            table = _relabel(base, rng)
+            table[i] = table[j]
+            assert groups._check_latin(table) \
+                == reference_latin_witness(table)
+
+
+def _non_associative_loops(rng, count):
+    """Loops with two-sided inverses made from group tables by swapping
+    the two symbols of an intercalate, a 2 x 2 Latin subsquare, that
+    avoids the identity's row, column and symbol; relabelled at random,
+    and kept when they are not associative."""
+    bases = [np.array(tf.make_catalog_group(k).table)
+             for k in ["elemab:2:3", "elemab:2:4", "product:cyclic:2,cyclic:4",
+                       "dihedral:4", "quaternion:8", "cyclic:8"]]
+    loops = []
+    while len(loops) < count:
+        table = bases[rng.integers(len(bases))].copy()
+        n = len(table)
+        a, b, c = rng.integers(1, n, 3)
+        x = table[a, b]
+        d = int(np.flatnonzero(table[c] == x)[0])
+        y = table[a, d]
+        if a == c or d == 0 or x == 0 or y == 0 or table[c, b] != y:
+            continue
+        table[a, b] = table[c, d] = y
+        table[a, d] = table[c, b] = x
+        table = _relabel(table, rng)
+        if reference_associativity_witness(table) is not None:
+            loops.append(table)
+    return loops
+
+
+def test_associativity_witness_matches_row_sweep():
+    # Light's test decides, and the row sweep names the same first triple
+    rng = np.random.default_rng(2023)
+    for table in [np.array(LOOP5)] + _non_associative_loops(rng, 24):
+        e = int(np.flatnonzero((table == np.arange(len(table))).all(1))[0])
+        want = reference_associativity_witness(table)
+        assert groups._check_associative(table, e) == want
+        with pytest.raises(NotAGroup) as exc:
+            from_cayley_table(table)
+        assert (exc.value.reason, exc.value.witness) \
+            == ("not-associative", want)
+
+
+@pytest.mark.parametrize("key", [k for k, _ in catalog_groups_up_to(32)])
+def test_light_test_accepts_catalog_groups(key):
+    G = tf.make_catalog_group(key)
+    assert groups._check_associative(G.table, G.identity) is None
+
+
+def test_validates_order_1024_table_in_a_second():
+    # the row sweep alone took about 6 s on the dihedral group of order
+    # 1024; Light's test needs one n x n comparison per generator
+    table = np.array(tf.catalog.make_dihedral(512).table)
+    start = time.perf_counter()
+    G = from_cayley_table(table)
+    assert time.perf_counter() - start < 1.0
+    assert G.order == 1024
 
 
 def test_accepts_klein_four():

@@ -169,7 +169,7 @@ def test_generating_set_is_cached_and_immutable(monkeypatch):
     gens = generating_set(G)
     assert isinstance(gens, tuple)
     calls = []
-    monkeypatch.setattr(tf.homs, "subgroup_generated",
+    monkeypatch.setattr(tf.homs, "greedy_generators",
                         lambda *a: calls.append(a))
     assert generating_set(G) is gens and not calls
     # a new group object with the same table computes its own
