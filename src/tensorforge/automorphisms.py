@@ -53,8 +53,10 @@ class AutGroup:
 def automorphism_group(G):
     """Enumerate Aut(G) and build its Cayley table from its generators.
 
-    The automorphisms are enumerated by backtracking on generator images
-    and come out in lexicographic map order, so the identity map is
+    The automorphisms are enumerated by backtracking on the images of
+    ``homs.search_set(G)``, the greedy generators less those the others
+    generate, and come out in lexicographic map order (sorted by their
+    greedy images when that set is shorter), so the identity map is
     element 0; the result is cached on the group object (construction is
     pure, so sharing is safe).  That is also the order of the images of
     ``generating_set(G)``, which fix an automorphism (each element before

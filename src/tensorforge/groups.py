@@ -68,7 +68,8 @@ class FiniteGroup:
     """A finite group as an order x order Cayley table over element indices."""
 
     __slots__ = ("table", "order", "identity", "inverse", "names",
-                 "_abelian", "_orders", "_aut", "_conj", "_gens")
+                 "_abelian", "_orders", "_aut", "_conj", "_gens",
+                 "_search_gens")
 
     def __init__(self, table, names=None, validate=True):
         table = np.ascontiguousarray(np.asarray(table, dtype=np.intp))
@@ -108,6 +109,7 @@ class FiniteGroup:
         self._aut = None
         self._conj = None
         self._gens = None
+        self._search_gens = None
 
     # -- basic arithmetic -------------------------------------------------
 

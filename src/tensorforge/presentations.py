@@ -558,12 +558,15 @@ def _enumerate_rows(ngens, words, lengths, max_cosets, max_steps):
     dtype = np.dtype(enum.typecode)
     rels, filtered = _scan_columns(ngens, words, lengths, enum.colmap,
                                    dtype)
+    # the index of each scan's last letter
+    last = [len(cols) - 1 for cols, _ in rels]
     nrel = len(rels)
     closed = np.zeros(nrel, dtype=bool)
     steps = scans = 0
     alpha = 0
     try:
-        while alpha < len(t) - n:
+        # the table holds enum.defined cosets and one hole row
+        while alpha < enum.defined * n:
             if alpha in dead:
                 alpha += n
                 continue
@@ -586,7 +589,7 @@ def _enumerate_rows(ngens, words, lengths, max_cosets, max_steps):
                 # the relator closes or one entry is left to deduce
                 cols, icols = rels[k]
                 f, i = alpha, 0
-                b, j = alpha, len(cols) - 1
+                b, j = alpha, last[k]
                 while True:
                     while i <= j and (g := t[f + cols[i]]) >= 0:
                         f = g

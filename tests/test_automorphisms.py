@@ -237,6 +237,15 @@ def test_aut_over_the_cap_is_refused_before_its_table(key):
     assert peak < 64 * 2 ** 20 and G._aut is None
 
 
+def test_aut_of_heisenberg_5_is_refused_after_its_search():
+    # |Aut(heisenberg:5)| = 12000: the complete search runs over two
+    # generators, 15,500 nodes, and the cap refuses the maps it finds
+    G = tf.make_catalog_group("heisenberg:5")
+    with pytest.raises(LimitExceeded, match="= 12000 exceeds the 4096"):
+        automorphism_group(G)
+    assert G._aut is None
+
+
 def test_aut_refuses_image_keys_wider_than_64_bits(monkeypatch):
     # 27 generator images of an order-27 group need 27^27 > 2^63 keys
     monkeypatch.setattr(automorphisms, "generating_set",

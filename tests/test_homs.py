@@ -13,7 +13,7 @@ from tensorforge.errors import (BudgetExceeded, GensDoNotGenerate,
 from tensorforge.groups import GroupHom, make_cyclic
 from tensorforge.homs import (all_bijective_endomaps, are_isomorphic,
                               enumerate_homs, generating_set,
-                              hom_from_images)
+                              hom_from_images, search_set)
 
 
 def brute_force_homs(S, T):
@@ -178,6 +178,50 @@ def test_generating_set_is_cached_and_immutable(monkeypatch):
     assert generating_set(K) == gens and generating_set(K) is not gens
 
 
+def test_search_set_is_an_irredundant_subset_of_the_greedy_set():
+    for key, G in tf.catalog_groups_up_to(32):
+        gens = search_set(G)
+        greedy = generating_set(G)
+        assert set(gens) <= set(greedy) and list(gens) == sorted(
+            gens, key=greedy.index), key
+        assert tf.subgroup_generated(G, gens).order == G.order, key
+        for s in gens:
+            others = [g for g in gens if g != s]
+            assert s not in tf.subgroup_generated(G, others), key
+
+
+@pytest.mark.parametrize("key", ["quaternion:8", "heisenberg:3",
+                                 "heisenberg:5"])
+def test_search_set_drops_redundant_greedy_generators(key):
+    # the greedy sets have three elements; these groups are 2-generated
+    G = tf.make_catalog_group(key)
+    assert len(generating_set(G)) == 3
+    assert len(search_set(G)) == 2
+    assert search_set(G) is search_set(G)
+
+
+@pytest.mark.parametrize("key,bijective,nodes,count", [
+    ("heisenberg:3", True, 702, 432),         # 5,694 over the greedy set
+    ("heisenberg:3", False, 756, 729),        # 8,775 over the greedy set
+    ("heisenberg:5", True, 15_500, 12_000),   # 372,620 over the greedy set
+])
+def test_complete_search_node_count(key, bijective, nodes, count):
+    G = tf.make_catalog_group(key)
+    assert len(tf.homs._search(G, G, bijective, True, nodes)) == count
+    with pytest.raises(BudgetExceeded):
+        tf.homs._search(G, G, bijective, True, nodes - 1)
+
+
+@pytest.mark.parametrize("key,nodes", [("heisenberg:3", 13),
+                                       ("heisenberg:5", 31)])
+def test_search_for_one_map_node_count(key, nodes):
+    # a search for one map keeps the greedy set
+    G = tf.make_catalog_group(key)
+    assert len(tf.homs._search(G, G, True, False, nodes)) == 1
+    with pytest.raises(BudgetExceeded):
+        tf.homs._search(G, G, True, False, nodes - 1)
+
+
 def test_budget_exhaustion_raises():
     G = tf.make_catalog_group("elemab:2:4")
     with pytest.raises(BudgetExceeded):
@@ -278,8 +322,9 @@ def reference_search(source, target, bijective, find_all, budget,
                      tally=None):
     """Shared backtracking core for enumerate_homs / are_isomorphic /
     automorphism enumeration.  A list ``tally`` receives the number of
-    nodes counted."""
-    gens = generating_set(source)
+    nodes counted.  A complete search runs over the generators of
+    ``search_set`` and sorts its maps."""
+    gens = search_set(source) if find_all else generating_set(source)
     k = len(gens)
     if k == 0:
         m = np.full(source.order, target.identity, dtype=np.intp)
@@ -314,6 +359,8 @@ def reference_search(source, target, bijective, find_all, budget,
     descend(0, [])
     if tally is not None:
         tally.append(nodes)
+    if find_all:
+        found.sort(key=lambda m: m.tolist())
     return found
 
 
@@ -376,14 +423,15 @@ def _relabel(G, seed):
 
 
 @pytest.mark.parametrize("key", ["cyclic:6", "symmetric:3", "dihedral:4",
-                                 "quaternion:8", "elemab:2:3"])
+                                 "quaternion:8", "elemab:2:3",
+                                 "heisenberg:3"])
 def test_search_on_relabelled_source(key):
     G = tf.make_catalog_group(key)
     R, perm = _relabel(G, 11)
     assert R.identity != 0
     for T in (tf.make_catalog_group("symmetric:3"), G, R):
         homs = _same_search(R, T, False, True)
-        # the search finds the maps in lexicographic order: nothing sorts
+        # the maps come out in lexicographic order
         assert homs == sorted(homs)
         # the homs out of R are those out of G, read through the relabelling
         back = sorted(np.asarray(m)[perm].tolist() for m in homs)
