@@ -51,8 +51,8 @@ from .errors import (AlphaNotInjective, BudgetExceeded, CrossCheckFailed,
                      InvalidAction, InvalidBudget, NormalizerConditionFails,
                      PsiNotInvolution)
 from .groups import (BLOCK_ENTRIES, FiniteGroup, GroupHom, center,
-                     conjugation_maps, coset_labels, make_cyclic,
-                     second_hypercenter)
+                     conjugation_maps, coset_labels, key_index,
+                     make_cyclic, row_keys, second_hypercenter)
 from .homs import enumerate_homs, generating_set
 from .presentations import Presentation
 
@@ -283,24 +283,24 @@ def _conjugate_preimages(G, A):
     -1 where that conjugate is outside the image of alpha.
 
     The rows of A are automorphisms, so each is known by its images of a
-    generating set; the conjugates are labelled against A by those images,
-    in blocks of at most BLOCK_ENTRIES entries, or one g.
+    generating set, as a key (``groups.row_keys``).  The rows of A are
+    sorted once, stably, so that the first of equal rows comes first, and
+    the conjugates are looked up in them (``groups.key_index``), in blocks
+    of at most BLOCK_ENTRIES entries, or one g.
     """
     gens = generating_set(G) or [G.identity]
     conj = conjugation_maps(G)
     at = conj[G.inverse][:, gens]       # at[g, k] = gens[k]^(g^-1)
+    order = np.lexsort(A[:, gens].T[::-1])
+    keys = row_keys(A[order][:, gens])
     pre = np.empty((G.order, len(A)), dtype=np.intp)
     step = max(1, BLOCK_ENTRIES // (len(A) * len(gens)))
     for s in range(0, G.order, step):
         g = np.arange(s, min(s + step, G.order))
         # [i, h, k]: the image of gens[k] under g_i hat^-1 A[h] g_i hat
         images = conj[g[:, None, None], A[:, at[g]].transpose(1, 0, 2)]
-        images = images.reshape(-1, len(gens))
-        _, first, inverse = np.unique(np.concatenate([A[:, gens], images]),
-                                      axis=0, return_index=True,
-                                      return_inverse=True)
-        found = first[inverse.reshape(-1)[len(A):]]
-        pre[g] = np.where(found < len(A), found, -1).reshape(len(g), -1)
+        pos = key_index(keys, row_keys(images.reshape(-1, len(gens))))
+        pre[g] = np.where(pos < 0, -1, order[pos]).reshape(len(g), -1)
     return pre
 
 
@@ -444,25 +444,26 @@ def compatible_pair_orbits(grid):
 
     Each generator of Aut(G) and of Aut(H) moves the alpha and the beta
     indices by one permutation each, found by looking each moved map up
-    by its images of a generating set in one sorted view of the maps per
-    side.  The compatible pairs are closed under the moves, and each pair
-    of the closure is labelled by min-label propagation with pointer
-    jumping: a round gives each pair the least label of the pairs its
-    moves reach, then replaces each label by the label of the pair it
-    names, until no label changes.  The labels are then the least pair of
-    each orbit, since the moves generate the action.  An orbit's
-    representative is its least compatible pair, and its size counts
-    every pair in it, compatible or not, so a grid whose compatible pairs
-    are not invariant gets the orbits of the pairs it marks.
+    by its images of a generating set (``groups.row_keys``).  Those are
+    the greedy generators of the source, so the keys of an
+    ``enumerate_homs`` list are already increasing (``homs`` module
+    docstring) and are searched as they are.  The compatible pairs are
+    closed under the moves, and each pair of the closure is labelled by
+    min-label propagation with pointer jumping: a round gives each pair
+    the least label of the pairs its moves reach, then replaces each label
+    by the label of the pair it names, until no label changes.  The labels
+    are then the least pair of each orbit, since the moves generate the
+    action.  An orbit's representative is its least compatible pair, and
+    its size counts every pair in it, compatible or not, so a grid whose
+    compatible pairs are not invariant gets the orbits of the pairs it
+    marks.
     """
     maps = (np.stack([a.map for a in grid.alphas]),
             np.stack([b.map for b in grid.betas]))
     # a homomorphism is fixed by its images of a generating set: alphas
     # by those of H, betas by those of G
     gens = [list(generating_set(K) or [K.identity]) for K in (grid.H, grid.G)]
-    keys = [_row_keys(m[:, g]) for m, g in zip(maps, gens)]
-    order = [np.argsort(key) for key in keys]
-    keys = [key[o] for key, o in zip(keys, order)]
+    keys = [row_keys(m[:, g]) for m, g in zip(maps, gens)]
     # one (alpha, beta) index permutation per generator s of Aut(G) (side
     # 0) and of Aut(H) (side 1): s conjugates the Aut indices of its own
     # side's maps and relabels the points of the other side's maps
@@ -475,8 +476,8 @@ def compatible_pair_orbits(grid):
             moved[side] = t[t[inv[s]], s][maps[side][:, gens[side]]]
             moved[1 - side] = maps[1 - side][
                 :, aut.elements[inv[s]][gens[1 - side]]]
-            moves.append([_row_index(key, o, _row_keys(m))
-                          for key, o, m in zip(keys, order, moved)])
+            moves.append([_row_index(key, row_keys(m))
+                          for key, m in zip(keys, moved)])
     n_beta = len(maps[1])
     # close the compatible pairs under the moves, as increasing flat indices
     closed = grid.compatible.copy()
@@ -513,20 +514,13 @@ def compatible_pair_orbits(grid):
             for p, size in zip(pairs[reps], sizes)]
 
 
-def _row_keys(rows):
-    """The rows of an integer matrix as one comparable void scalar each."""
-    rows = np.ascontiguousarray(rows, dtype=np.intp)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-
-
-def _row_index(keys, order, wanted):
-    """The row numbers of the keys ``wanted``, looked up in the sorted
-    ``keys`` of rows ``order``; CrossCheckFailed when one is missing."""
-    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    if not np.array_equal(keys[pos], wanted):
+def _row_index(keys, wanted):
+    """``groups.key_index``; CrossCheckFailed when a key is missing."""
+    pos = key_index(keys, wanted)
+    if (pos < 0).any():
         raise CrossCheckFailed("a relabelled homomorphism is not among the "
                                "enumerated homomorphisms")
-    return order[pos]
+    return pos
 
 
 def question2_scan(max_order, budget=None):
@@ -587,7 +581,7 @@ def hom_classes(maps, labels):
     with the classes in order of their first member: ``first[c]`` is the
     index of that member and ``sizes[c]`` the number of members.
     """
-    _, first, sizes = np.unique(labels[maps], axis=0, return_index=True,
+    _, first, sizes = np.unique(row_keys(labels[maps]), return_index=True,
                                 return_counts=True)
     order = np.argsort(first)
     return first[order], sizes[order]

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CrossCheckFailed, LimitExceeded
 from .groups import (BLOCK_ENTRIES, MAX_CATALOG_ORDER, FiniteGroup,
                      cayley_table, conjugation_maps, greedy_generators,
-                     spanning_tree)
+                     key_index, spanning_tree)
 from .homs import all_bijective_endomaps, generating_set
 
 
@@ -92,9 +92,9 @@ def automorphism_group(G):
     radix = G.order ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
     keys = elements[:, gens] @ radix
     # x*s applies x first, so its image of a generator g is s(x(g))
-    aut_gens, rows = greedy_generators(
+    aut_gens, rows, _ = greedy_generators(
         n, 0, lambda s: _key_index(keys, elements[s][elements[:, gens]]
-                                   @ radix))
+                                   @ radix), range(n))
     group = FiniteGroup(cayley_table(rows, spanning_tree(rows)),
                         validate=False)
     group._gens = tuple(aut_gens)
@@ -135,9 +135,9 @@ def normalizer_contains_inn(aut, maps):
 
 
 def _key_index(keys, wanted):
-    """Positions of ``wanted`` in the increasing array ``keys``."""
-    pos = np.searchsorted(keys, wanted)
-    if not np.array_equal(keys[np.minimum(pos, len(keys) - 1)], wanted):
+    """``groups.key_index``; CrossCheckFailed when a key is missing."""
+    pos = key_index(keys, wanted)
+    if (pos < 0).any():
         raise CrossCheckFailed("a composite of automorphisms is not among "
                                "the enumerated automorphisms")
     return pos

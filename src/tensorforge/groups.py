@@ -51,11 +51,12 @@ def _check_associative(table, e):
     table with one n x n comparison per generator.  Only a table that
     fails is swept row by row, keeping memory at O(n^2), for the first
     witness."""
-    gens, _ = greedy_generators(len(table), e, lambda s: table[:, s])
+    n = len(table)
+    gens, _, _ = greedy_generators(n, e, lambda s: table[:, s], range(n))
     if all(np.array_equal(table[table[:, a]], table[:, table[a]])
            for a in gens):
         return None
-    for i in range(len(table)):
+    for i in range(n):
         left = table[table[i], :]      # (i*j)*k
         right = table[i, table]        # i*(j*k)
         if not np.array_equal(left, right):
@@ -318,28 +319,31 @@ def spanning_tree(rows, root=0):
         frontier = cosets
 
 
-def greedy_generators(n, root, column):
-    """A greedy generating set of a group, or of a loop, on n elements,
-    given by its right multiplications: ``column(s)[x]`` is x*s.
+def greedy_generators(n, root, column, candidates):
+    """Greedy generators, from ``candidates``, of a group or a loop on n
+    elements given by its right multiplications: ``column(s)[x]`` is x*s.
 
-    Each generator is the first element that right multiplication by the
-    earlier ones does not reach from ``root``, the identity; what they
-    reach is closed breadth-first, in Python, which beats a numpy pass
-    per tree layer on these lists.  In a group that is the subgroup they
-    generate.  ``homs.generating_set``, Aut(G)'s generators and Light's
-    associativity test use it.  Returns the generators and their
-    columns, ``rows[x, j] = x*gens[j]``.
+    Each generator is the first candidate that right multiplication by
+    the earlier ones does not reach from ``root``, the identity; what
+    they reach is closed breadth-first, in Python, which beats a numpy
+    pass per tree layer on these lists.  In a group that is the subgroup
+    the candidates generate.  It is the library's one closure:
+    ``homs.generating_set``, Aut(G)'s generators and Light's test pass
+    every element in order, ``homs.search_set`` the generators it keeps
+    and ``subgroup_generated`` its own.  Returns the generators, their
+    columns ``rows[x, j] = x*gens[j]`` and the elements reached, in order.
     """
     gens, cols = [], []
     seen = [False] * n
     seen[root] = True
     members = [root]
-    first = 0
-    while len(members) < n:
-        while seen[first]:
-            first += 1
-        gens.append(first)
-        cols.append(column(first).tolist())
+    for s in candidates:
+        if len(members) == n:
+            break
+        if seen[s]:
+            continue
+        gens.append(int(s))
+        cols.append(column(s).tolist())
         # members[:known] are closed under the earlier generators
         known, i = len(members), 0
         while i < len(members):
@@ -349,7 +353,7 @@ def greedy_generators(n, root, column):
                     seen[c[x]] = True
                     members.append(c[x])
             i += 1
-    return gens, np.array(cols, dtype=np.intp).T.reshape(n, len(gens))
+    return gens, np.array(cols, dtype=np.intp).T.reshape(n, len(gens)), members
 
 
 def cayley_table(rows, layers):
@@ -369,21 +373,28 @@ def cayley_table(rows, layers):
     return table
 
 
+def row_keys(rows):
+    """The rows of a matrix of non-negative integers as one void scalar
+    each, the entries in big-endian bytes: the keys sort as the rows sort
+    lexicographically, at any width."""
+    rows = np.ascontiguousarray(rows, dtype=">u8")
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1])))[:, 0]
+
+
+def key_index(keys, wanted):
+    """The position of each of ``wanted`` in the increasing array
+    ``keys``, or -1 where it is missing."""
+    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return np.where(keys[pos] == wanted, pos, -1)
+
+
 # -- subgroup machinery ---------------------------------------------------
 
 def subgroup_generated(G, gens):
-    """Smallest subgroup containing ``gens``, via closure orbit."""
-    members = {G.identity}
-    frontier = [G.identity]
-    gens = [int(g) for g in gens]
-    while frontier:
-        x = frontier.pop()
-        for s in gens:
-            y = G.mul(x, s)
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return Subgroup(G, members)
+    """Smallest subgroup containing ``gens``: what they reach from the
+    identity by right multiplication (``greedy_generators``)."""
+    return Subgroup(G, greedy_generators(G.order, G.identity,
+                                         lambda s: G.table[:, s], gens)[2])
 
 
 def center(G):
@@ -463,8 +474,7 @@ def _commutators(G, xs):
 
 
 def derived_subgroup(G):
-    comms = _commutators(G, range(G.order))
-    return Subgroup(G, subgroup_generated(G, comms).members)
+    return subgroup_generated(G, _commutators(G, range(G.order)))
 
 
 def lower_central_series(G):

@@ -67,9 +67,8 @@ def generating_set(G):
     enlarges the generated subgroup (``groups.greedy_generators``).  A
     tuple, computed once and cached on the group."""
     if G._gens is None:
-        gens, _ = greedy_generators(G.order, G.identity,
-                                    lambda s: G.table[:, s])
-        G._gens = tuple(gens)
+        G._gens = tuple(greedy_generators(
+            G.order, G.identity, lambda s: G.table[:, s], range(G.order))[0])
     return G._gens
 
 
@@ -77,33 +76,19 @@ def search_set(G):
     """The greedy generating set with each generator dropped, front to
     back, that the kept others generate: the generators of a complete
     search.  The last greedy generator is never dropped, as the earlier
-    ones generate a proper subgroup, so this takes k - 1 closures, each
-    breadth-first in Python, which beats numpy spanning trees on fresh
-    small groups.  A tuple, computed once and cached on the group."""
+    ones generate a proper subgroup, so this takes k - 1 closures of the
+    kept others by ``groups.greedy_generators``.  A tuple, computed once
+    and cached on the group."""
     if G._search_gens is None:
         gens = list(generating_set(G))
-        cols = {s: G.table[:, s].tolist() for s in gens}
         for s in gens[:-1]:
-            if _closes(G.order, G.identity,
-                       [cols[g] for g in gens if g != s]):
+            others = [g for g in gens if g != s]
+            reached = greedy_generators(G.order, G.identity,
+                                        lambda g: G.table[:, g], others)[2]
+            if len(reached) == G.order:
                 gens.remove(s)
         G._search_gens = tuple(gens)
     return G._search_gens
-
-
-def _closes(n, root, cols):
-    """Whether right multiplication by the columns ``cols`` reaches all n
-    elements from ``root``."""
-    seen = [False] * n
-    seen[root] = True
-    members = [root]
-    for x in members:                   # the list grows while it is read
-        for c in cols:
-            y = c[x]
-            if not seen[y]:
-                seen[y] = True
-                members.append(y)
-    return len(members) == n
 
 
 def _force(rows, root, tree, target, images):

@@ -21,8 +21,7 @@ from .automorphisms import automorphism_group, normalizer_contains_inn
 from .catalog import catalog_groups_up_to, make_catalog_group
 from .errors import CrossCheckFailed, NormalizerConditionFails
 from .groups import make_cyclic
-from .homs import (all_bijective_endomaps, are_isomorphic, enumerate_homs,
-                   hom_from_images)
+from .homs import all_bijective_endomaps, enumerate_homs, hom_from_images
 from .presentations import Presentation, coset_enumerate, table_to_group
 from .tensor import compute_tensor, derivative_subgroup
 
@@ -272,8 +271,12 @@ def check_enumerator_round_trip():
         presentation = Presentation(G.order, np.stack(np.broadcast_arrays(
             g[:, None], g, -(G.table + 1)), axis=-1).reshape(-1, 3))
         table = coset_enumerate(presentation)
-        K, _ = table_to_group(table)
-        if table.ncosets != G.order or are_isomorphic(G, K) is None:
+        K, images = table_to_group(table)
+        # element i is generator i + 1; i -> its image must be G = K
+        m = np.asarray(images, dtype=np.intp)
+        if (table.ncosets != G.order
+                or not np.array_equal(np.sort(m), np.arange(G.order))
+                or not np.array_equal(m[G.table], K.table[m[:, None], m])):
             failures.append(key)
         n += 1
     return _record("enumerator-round-trip", [], failures, t0,

@@ -3,9 +3,11 @@ tolerances.  One PASS/FAIL line is printed per criterion."""
 
 import sys
 
+import numpy as np
 import pytest
 
 from tensorforge import tensor, verify
+from tensorforge.catalog import catalog_groups_up_to
 from tensorforge.presentations import coset_enumerate
 from tensorforge.verify import CHECKS, run_verification
 
@@ -118,3 +120,26 @@ def test_suite_total_runtime(records, capfd):
         print(f"verification suite total {total:8.3f} s",
               file=sys.__stdout__, flush=True)
     assert total < 300.0
+
+
+def test_round_trip_check_compares_the_enumerators_own_map(monkeypatch):
+    # check 13 reads the image of each generator back from the table; with
+    # the images of elements 1 and 2 swapped, exactly the groups in which
+    # that swap is no automorphism fail
+    read_back = verify.table_to_group
+
+    def swapped(table):
+        K, images = read_back(table)
+        images[1:3] = images[2:0:-1]
+        return K, images
+    monkeypatch.setattr(verify, "table_to_group", swapped)
+    record = verify.check_enumerator_round_trip()
+    want = []
+    for key, G in catalog_groups_up_to(27):
+        swap = np.arange(G.order)
+        swap[1:3] = swap[2:0:-1]
+        if not np.array_equal(swap[G.table], G.table[swap[:, None], swap]):
+            want.append(key)
+    assert record["computed"] == want
+    assert "cyclic:3" not in want and "dihedral:4" in want
+    assert record["detail"] == "50 catalog groups up to order 27"

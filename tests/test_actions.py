@@ -22,7 +22,8 @@ from tensorforge.catalog import catalog_groups_up_to
 from tensorforge.errors import (AlphaNotInjective, BudgetExceeded,
                                 CrossCheckFailed, InvalidAction,
                                 NormalizerConditionFails, PsiNotInvolution)
-from tensorforge.groups import (GroupHom, make_cyclic, second_hypercenter,
+from tensorforge.groups import (GroupHom, center, coset_labels, make_cyclic,
+                                row_keys, second_hypercenter,
                                 subgroup_generated)
 from tensorforge.homs import generating_set
 from test_groups import reference_conj
@@ -998,6 +999,76 @@ def test_orbits_match_reference_on_sweep_grids(g, h):
     grid.compatible = np.zeros_like(grid.compatible)
     assert compatible_pair_orbits(grid) == []
     assert reference_compatible_pair_orbits(grid) == []
+
+
+# The np.unique(axis=0) forms of the two row matchings, kept verbatim as
+# the references for groups.row_keys and groups.key_index.
+
+def reference_conjugate_preimages(G, A):
+    gens = generating_set(G) or [G.identity]
+    conj = conjugation_maps(G)
+    at = conj[G.inverse][:, gens]       # at[g, k] = gens[k]^(g^-1)
+    pre = np.empty((G.order, len(A)), dtype=np.intp)
+    step = max(1, actions.BLOCK_ENTRIES // (len(A) * len(gens)))
+    for s in range(0, G.order, step):
+        g = np.arange(s, min(s + step, G.order))
+        # [i, h, k]: the image of gens[k] under g_i hat^-1 A[h] g_i hat
+        images = conj[g[:, None, None], A[:, at[g]].transpose(1, 0, 2)]
+        images = images.reshape(-1, len(gens))
+        _, first, inverse = np.unique(np.concatenate([A[:, gens], images]),
+                                      axis=0, return_index=True,
+                                      return_inverse=True)
+        found = first[inverse.reshape(-1)[len(A):]]
+        pre[g] = np.where(found < len(A), found, -1).reshape(len(g), -1)
+    return pre
+
+
+def reference_hom_classes(maps, labels):
+    _, first, sizes = np.unique(labels[maps], axis=0, return_index=True,
+                                return_counts=True)
+    order = np.argsort(first)
+    return first[order], sizes[order]
+
+
+def _assert_row_keys_match_references(K, L, maps, stacks, labels):
+    """``maps`` is an enumerate_homs list K -> L, ``stacks`` automorphism
+    stacks of some group, and ``labels`` labels L by the cosets of a
+    normal subgroup."""
+    # the orbit lookup searches the greedy-image keys as they come
+    keys = row_keys(maps[:, list(generating_set(K) or [K.identity])])
+    assert np.array_equal(np.sort(keys), keys)
+    assert len(np.unique(keys)) == len(keys)
+    for X, A in stacks:
+        assert np.array_equal(actions._conjugate_preimages(X, A),
+                              reference_conjugate_preimages(X, A))
+    got = actions.hom_classes(maps, labels)
+    want = reference_hom_classes(maps, labels)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("g,h", SWEEP_GRIDS)
+def test_row_keys_match_unique_references_on_sweep_grids(g, h):
+    G, H = tf.make_catalog_group(g), tf.make_catalog_group(h)
+    grid = compatibility_grid(G, H, budget=10_000_000)
+    # the alphas are Hom(H, Aut G), the betas Hom(G, Aut H)
+    for K, X, homs in ((H, G, grid.alphas), (G, H, grid.betas)):
+        aut = automorphism_group(X)
+        maps = np.stack([a.map for a in homs])
+        _assert_row_keys_match_references(
+            K, aut.group, maps, [(X, aut.elements[m]) for m in maps],
+            coset_labels(aut.group, center(aut.group))[1])
+
+
+@pytest.mark.parametrize("g,h", [("dihedral:8", "dihedral:8"),
+                                 ("symmetric:4", "symmetric:3")])
+def test_row_keys_match_unique_references_on_sweeps(g, h):
+    # the sweep's phis and psis, and the alpha stacks of their actions
+    G, H = tf.make_catalog_group(g), tf.make_catalog_group(h)
+    for K, L in ((G, H), (H, G)):
+        maps = np.stack([p.map for p in tf.enumerate_homs(K, L)])
+        _assert_row_keys_match_references(
+            K, L, maps, [(L, conjugation_maps(L)[m]) for m in maps],
+            coset_labels(L, center(L))[1])
 
 
 def test_orbits_refuse_a_grid_missing_a_moved_hom():

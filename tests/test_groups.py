@@ -241,6 +241,70 @@ def test_subgroup_generated_closure():
     assert subgroup_generated(S3, range(S3.order)).order == 6
 
 
+def reference_subgroup_generated(G, gens):
+    """Smallest subgroup containing ``gens``, via closure orbit: the
+    library's depth-first loop before it shared the greedy closure, kept
+    verbatim."""
+    members = {G.identity}
+    frontier = [G.identity]
+    gens = [int(g) for g in gens]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = G.mul(x, s)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return Subgroup(G, members)
+
+
+def test_subgroup_generated_matches_reference_closure():
+    rng = np.random.default_rng(2501)
+    for key, G in catalog_groups_up_to(32):
+        lists = [[], [G.identity], [G.identity] * 3, range(G.order)]
+        for size in (1, 2, 3):
+            gens = rng.integers(0, G.order, size)     # numpy integers
+            lists += [gens, list(gens), np.concatenate([gens, gens[::-1]])]
+        for gens in lists:
+            got = subgroup_generated(G, gens)
+            assert got == reference_subgroup_generated(G, gens), (key, gens)
+
+
+def test_greedy_generators_takes_the_first_candidate_not_reached():
+    G = tf.make_catalog_group("symmetric:3")
+    for candidates in ([], [G.identity], range(G.order), [5, 4, 5, 3, 1]):
+        gens, rows, reached = groups.greedy_generators(
+            G.order, G.identity, lambda s: G.table[:, s], candidates)
+        want, seen = [], reference_subgroup_generated(G, [])
+        for c in candidates:
+            if c not in seen:
+                want.append(c)
+                seen = reference_subgroup_generated(G, want)
+        assert gens == want and set(reached) == set(seen.members)
+        assert len(reached) == len(set(reached)) and reached[0] == G.identity
+        assert np.array_equal(rows, G.table[:, gens])
+
+
+def test_row_keys_sort_as_lexsort():
+    rng = np.random.default_rng(2502)
+    for width in range(1, 7):
+        for high in (2, 17, 4097):
+            rows = rng.integers(0, high, size=(300, width))
+            keys = groups.row_keys(rows)
+            assert np.array_equal(np.argsort(keys, kind="stable"),
+                                  np.lexsort(rows.T[::-1]))
+            assert np.array_equal(keys == keys[0], (rows == rows[0]).all(1))
+
+
+def test_key_index_finds_positions_and_marks_missing_keys():
+    rows = np.array([[0, 5], [1, 0], [1, 4096], [7, 7]])
+    keys = groups.row_keys(rows)
+    wanted = groups.row_keys([[1, 4096], [0, 0], [7, 7], [9, 9], [0, 5]])
+    assert groups.key_index(keys, wanted).tolist() == [2, -1, 3, -1, 0]
+    assert groups.key_index(np.array([3, 5, 9]),
+                            np.array([9, 4, 3, 10])).tolist() == [2, -1, 0, -1]
+
+
 # -- center, derived, series ----------------------------------------------
 
 def test_center_values():
@@ -372,7 +436,7 @@ def reference_lower_central_series(G):
         cur = series[-1]
         comms = {G.mul(G.inv(x), reference_conj(G, x, y))
                  for x in cur.members for y in range(G.order)}
-        nxt = subgroup_generated(G, comms)
+        nxt = reference_subgroup_generated(G, comms)
         if nxt.members == cur.members:
             break
         series.append(nxt)
@@ -394,8 +458,8 @@ def test_lower_central_series_matches_loop_on_catalog(monkeypatch, block):
         assert _members(lower_central_series(G)) == _members(want)
         comms = {G.mul(G.inv(x), reference_conj(G, x, y))
                  for x in range(G.order) for y in range(G.order)}
-        assert derived_subgroup(G).members \
-            == subgroup_generated(G, comms).members
+        assert derived_subgroup(G) \
+            == reference_subgroup_generated(G, comms)
 
 
 def test_lower_central_series_matches_loop_on_large_groups():

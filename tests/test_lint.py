@@ -13,6 +13,10 @@ SOURCES = sorted((ROOT / "src" / "tensorforge").glob("*.py"))
 # Public names that nothing in the library or the benchmark calls.  The
 # backlog is empty: a new public name needs a caller, or it is deleted.
 UNCALLED_BACKLOG = set()
+# Private functions, classes and methods that nothing in the library reads
+# outside their own body.  The backlog is empty: a helper that a change
+# leaves without a caller is deleted with it.
+UNCALLED_PRIVATE_BACKLOG = set()
 # Parameters with a default that no call in the library or the benchmark
 # passes.  The backlog is empty: a new option needs a caller, or it is
 # deleted.
@@ -96,19 +100,32 @@ def _referenced_names(tree):
     return names
 
 
-def _public_definitions(tree):
-    """Names of a module's public top-level functions and classes, and of
-    the public methods of its classes."""
+def _definitions(tree, wanted):
+    """Names of a module's top-level functions and classes, and of the
+    methods of its classes, for which ``wanted(name)`` holds."""
     names = set()
     for stmt in tree.body:
         if isinstance(stmt, ast.ClassDef):
             names |= {part.name for part in stmt.body
                       if isinstance(part, ast.FunctionDef)
-                      and not part.name.startswith("_")}
+                      and wanted(part.name)}
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
-                and not stmt.name.startswith("_"):
+                and wanted(stmt.name):
             names.add(stmt.name)
     return names
+
+
+def _public_definitions(tree):
+    """Names of a module's public top-level functions and classes, and of
+    the public methods of its classes."""
+    return _definitions(tree, lambda name: not name.startswith("_"))
+
+
+def _private_definitions(tree):
+    """Names of a module's private top-level functions and classes, and of
+    the private methods of its classes; a dunder name is not private."""
+    return _definitions(tree, lambda name: name.startswith("_")
+                        and not name.endswith("__"))
 
 
 def test_every_public_name_has_a_caller():
@@ -145,6 +162,34 @@ def test_caller_check_ignores_a_name_inside_its_own_body():
               "class K(B):\n    def m(self):\n        return self.m() + K.p\n")
     assert _referenced_names(ast.parse(source)) \
         == {"n", "h", "f", "B", "self", "p"}
+
+
+def test_every_private_name_has_a_caller():
+    # a private top-level function or class of a library module, or a
+    # private method of one of its classes, is read somewhere in the
+    # library outside its own body, so a helper that a change leaves
+    # without a caller is caught.  As above, names are matched alone.
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES]
+    used = set().union(*map(_referenced_names, trees))
+    private = set().union(*map(_private_definitions, trees))
+    assert private - used == UNCALLED_PRIVATE_BACKLOG
+
+
+def test_private_definitions_skip_public_dunder_and_nested_names():
+    source = ("def f():\n    def _g():\n        pass\n"
+              "class _K:\n    def m(self):\n        pass\n"
+              "    def _p(self):\n        def _n():\n            pass\n"
+              "    def __len__(self):\n        return 0\n"
+              "def _h():\n    pass\n_x = 1\n")
+    assert _private_definitions(ast.parse(source)) == {"_K", "_p", "_h"}
+
+
+def test_private_caller_check_sees_a_helper_left_behind():
+    source = ("def _used():\n    return _used()\n"
+              "def _left():\n    return 0\n"
+              "def f():\n    return _used()\n")
+    tree = ast.parse(source)
+    assert _private_definitions(tree) - _referenced_names(tree) == {"_left"}
 
 
 def _defaulted_parameters(tree):
