@@ -46,7 +46,7 @@ import numpy as np
 
 from .automorphisms import (_aut_conj_table, automorphism_group,
                             normalizer_contains_inn)
-from .catalog import catalog_groups_up_to
+from .catalog import catalog_keys_up_to, make_catalog_group
 from .errors import (AlphaNotInjective, BudgetExceeded, CrossCheckFailed,
                      InvalidAction, InvalidBudget, NormalizerConditionFails,
                      PsiNotInvolution)
@@ -74,12 +74,13 @@ def positive_budget(value, source):
     return int(value)
 
 
-def _validate_action(G, H, maps, what, require_hom=False):
+def _validate_action(G, H, maps, what):
     """Each row must be an automorphism of G and the identity must act
-    trivially.  The assignment h -> maps[h] being a homomorphism is only
-    enforced on request: the worked Z3-on-Z3 example assigns the inversion
-    automorphism to a generator of Z3, which is a perfectly good family of
-    automorphisms but not a homomorphism into Aut(Z3).
+    trivially.  The assignment h -> maps[h] need not be a homomorphism
+    (``_assignment_is_hom`` decides that): the worked Z3-on-Z3 example
+    assigns the inversion automorphism to a generator of Z3, which is a
+    perfectly good family of automorphisms but not a homomorphism into
+    Aut(Z3).
 
     A bijection m is an automorphism iff m(x s) = m(x) m(s) for every x
     and every generator s (m(e) = e follows), so a row costs O(|G|) per
@@ -108,8 +109,6 @@ def _validate_action(G, H, maps, what, require_hom=False):
             h = int(bad[0])
             fault = "a bijection" if not bijective[h] else "an automorphism"
             raise InvalidAction(f"{what}: row {start + h} is not {fault}")
-    if require_hom and not _assignment_is_hom(H, maps):
-        raise InvalidAction(f"{what}: assignment is not a homomorphism")
     maps.setflags(write=False)
     return maps
 
@@ -327,7 +326,9 @@ def induced_beta(G, H, alpha):
     with the exhaustive checker before being returned.
     """
     A = _validate_action(G, H, automorphism_group(G).elements[alpha.map],
-                         "alpha", require_hom=True)
+                         "alpha")
+    if not _assignment_is_hom(H, A):
+        raise InvalidAction("alpha: assignment is not a homomorphism")
     pre = _conjugate_preimages(G, A)  # identity row: first equal alpha
     repeats = np.flatnonzero(pre[G.identity] != np.arange(H.order))
     if len(repeats):
@@ -533,8 +534,11 @@ def question2_scan(max_order, budget=None):
     records = []
     counterexamples = []
     pairs_scanned = 0
-    for gk, G in catalog_groups_up_to(max_order):
-        for hk, H in catalog_groups_up_to(max_order):
+    keys = catalog_keys_up_to(max_order)
+    for gk in keys:
+        G = make_catalog_group(gk)
+        for hk in keys:
+            H = make_catalog_group(hk)
             grid = compatibility_grid(G, H, budget=budget)
             pairs_scanned += len(grid.alphas) * len(grid.betas)
             for i in range(len(grid.alphas)):
@@ -576,10 +580,12 @@ def hom_classes(maps, labels):
     """Classes of homomorphisms that agree modulo a normal subgroup N of
     their common target.
 
-    ``maps`` stacks the homomorphisms' maps and ``labels`` labels the target
-    by the cosets of N (``groups.coset_labels``).  Returns (first, sizes)
-    with the classes in order of their first member: ``first[c]`` is the
-    index of that member and ``sizes[c]`` the number of members.
+    ``maps`` stacks the homomorphisms' images of a generating set of their
+    common source, which decide the class, as pi phi is a homomorphism to
+    the quotient by N; ``labels`` labels the target by the cosets of N
+    (``groups.coset_labels``).  Returns (first, sizes) with the classes in
+    order of their first member: ``first[c]`` is the index of that member
+    and ``sizes[c]`` the number of members.
     """
     _, first, sizes = np.unique(row_keys(labels[maps]), return_index=True,
                                 return_counts=True)
@@ -636,8 +642,10 @@ def hom_pair_compatibility_sweep(G, H):
     # labels are cosets of the centers
     reps_g, lab_g = coset_labels(G, center(G))
     reps_h, lab_h = coset_labels(H, center(H))
-    phi_first, phi_sizes = hom_classes(P, lab_h)
-    psi_first, psi_sizes = hom_classes(S, lab_g)
+    phi_first, phi_sizes = hom_classes(
+        P[:, list(generating_set(G) or [G.identity])], lab_h)
+    psi_first, psi_sizes = hom_classes(
+        S[:, list(generating_set(H) or [H.identity])], lab_g)
     conj_g, conj_h = conjugation_maps(G), conjugation_maps(H)
     fails_g = _equation_fails(lab_g[S[psi_first]], conj_h, P[phi_first],
                               lab_g[conj_g[:, reps_g]], G, H)

@@ -2,13 +2,13 @@
 
 Keys are exact strings: ``cyclic:3``, ``dihedral:4``, ``quaternion:8``,
 ``symmetric:3``, ``heisenberg:3``, ``elemab:2:2`` and
-``product:<key>,<key>`` for direct products (nested products are allowed
-but the two factor keys themselves must not contain a comma at top level).
+``product:<key>,<key>`` for the direct product of two keys; a product key
+holds exactly one comma, so a factor cannot itself be a product.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, repeat
+from itertools import permutations, product, repeat
 
 import numpy as np
 
@@ -33,75 +33,42 @@ def make_dihedral(n):
 
 
 def make_quaternion8():
-    """Q8 = {1, -1, i, -i, j, -j, k, -k}."""
+    """Q8 = {1, -1, i, -i, j, -j, k, -k}; element 2u + s is (-1)^s times
+    unit u of 1, i, j, k."""
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    # encode as (sign, unit): index 2u + s with s=0 positive
-    units = "1ijk"
-
-    def umul(x, y):
-        # quaternion unit multiplication: returns (sign, unit)
-        if x == 0:
-            return 1, y
-        if y == 0:
-            return 1, x
-        if x == y:
-            return -1, 0
-        cyc = {(1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
-               (2, 1): (-1, 3), (3, 2): (-1, 1), (1, 3): (-1, 2)}
-        s, u = cyc[(x, y)]
-        return s, u
-
-    def mul(a, b):
-        ua, sa = divmod(a, 2)
-        ub, sb = divmod(b, 2)
-        s, u = umul(ua, ub)
-        neg = (sa + sb) % 2
-        if s < 0:
-            neg = 1 - neg
-        return 2 * u + neg
-
-    table = [[mul(a, b) for b in range(8)] for a in range(8)]
+    u, s = np.divmod(np.arange(8), 2)
+    # up to sign, the product of units u and v is unit u xor v (i j = k,
+    # j k = i, k i = j, x x = 1); sign[u, v] is 1 where it is negated
+    sign = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    table = 2 * (u[:, None] ^ u) + (s[:, None] ^ s ^ sign[u[:, None], u])
     return FiniteGroup(table, names=names, validate=False)
 
 
 def make_symmetric(n):
+    """Permutations of range(n) in lexicographic order; x * y applies x
+    first, then y."""
     if not 1 <= n <= 4:
         raise UnknownCatalogKey(f"symmetric:{n}")
-    perms = sorted(permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    k = len(perms)
-    table = np.empty((k, k), dtype=np.intp)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            # apply p first, then q
-            table[i, j] = index[tuple(q[p[x]] for x in range(n))]
-    names = ["".join(str(x) for x in p) for p in perms]
+    perms = list(permutations(range(n)))
+    names = ["".join(map(str, q)) for q in perms]
+    perms = np.array(perms)
+    # perms[:, perms][j, i] applies perms[i], then perms[j]; it is ranked
+    # by its base-n code, as the codes of the sorted perms ascend
+    weights = n ** np.arange(n - 1, -1, -1)
+    table = np.searchsorted(perms @ weights, perms[:, perms] @ weights).T
     return FiniteGroup(table, names=names, validate=False)
 
 
 def make_heisenberg(p):
-    """Upper unitriangular 3x3 matrices over Z_p: order p^3, class 2."""
+    """Upper unitriangular 3x3 matrices over Z_p: order p^3, class 2;
+    element (a p + b) p + c is [[1, a, c], [0, 1, b], [0, 0, 1]]."""
     if p not in _PRIMES:
         raise UnknownCatalogKey(f"heisenberg:{p}")
-    k = p ** 3
-
-    def enc(a, b, c):
-        return (a * p + b) * p + c
-
-    table = np.empty((k, k), dtype=np.intp)
-    names = [None] * k
-    for a1 in range(p):
-        for b1 in range(p):
-            for c1 in range(p):
-                i = enc(a1, b1, c1)
-                names[i] = f"[{a1},{b1},{c1}]"
-                for a2 in range(p):
-                    for b2 in range(p):
-                        for c2 in range(p):
-                            # (a,b,c) ~ [[1,a,c],[0,1,b],[0,0,1]]
-                            table[i, enc(a2, b2, c2)] = enc(
-                                (a1 + a2) % p, (b1 + b2) % p,
-                                (c1 + c2 + a1 * b2) % p)
+    shape = (p, p, p)
+    a, b, c = (x[:, None] for x in np.unravel_index(np.arange(p ** 3), shape))
+    table = np.ravel_multi_index(((a + a.T) % p, (b + b.T) % p,
+                                  (c + c.T + a * b.T) % p), shape)
+    names = [f"[{x},{y},{z}]" for x, y, z in product(range(p), repeat=3)]
     return FiniteGroup(table, names=names, validate=False)
 
 
@@ -114,36 +81,45 @@ def make_elementary_abelian(p, k):
     return g
 
 
-def _split_product_args(body):
-    """Split 'a,b' at the single top-level comma (no nesting support needed
-    beyond product-of-products via recursion on ':'-free commas)."""
-    depth_keys = body.split(",")
-    if len(depth_keys) != 2:
-        raise UnknownCatalogKey(f"product:{body}")
-    return depth_keys
+def _parse(key):
+    """Read a catalog key: (factors, build).  The product of ``factors``
+    is the order of the group the key names, worked out from the key
+    alone; ``build()`` builds the group, or is None when the key names
+    none.  A malformed number raises ValueError, and a product key without
+    exactly one comma UnknownCatalogKey.
 
-
-def _capped_order(key):
-    """The order of the group a key names, worked out from the key alone,
-    or MAX_CATALOG_ORDER + 1 for any larger order."""
+    ``build`` looks each constructor up when it is called, and a product
+    builds its factors through make_catalog_group, so each factor's key
+    is checked against the cap and named in its own errors.
+    """
     kind, _, rest = key.partition(":")
     if kind == "product":
-        factors = [_capped_order(k) for k in _split_product_args(rest)]
-    elif kind == "cyclic":
-        factors = [int(rest)]
-    elif kind == "quaternion":
-        factors = [8]
-    elif kind == "dihedral":
-        factors = [2, int(rest)]
-    elif kind == "symmetric":
-        factors = range(2, int(rest) + 1)
-    elif kind == "heisenberg":
-        factors = [int(rest)] * 3
-    elif kind == "elemab":
-        p, k = rest.split(":")
-        factors = repeat(int(p), int(k))
-    else:
-        factors = []                # not a catalog kind
+        if rest.count(",") != 1:
+            raise UnknownCatalogKey(key)
+        ka, kb = rest.split(",")
+        return [_capped_order(_parse(k)[0]) for k in (ka, kb)], \
+            lambda: direct_product(make_catalog_group(ka),
+                                   make_catalog_group(kb))
+    if kind == "quaternion":
+        return [8], (lambda: make_quaternion8()) if rest == "8" else None
+    if kind == "elemab":
+        p, k = map(int, rest.split(":"))
+        return repeat(p, k), lambda: make_elementary_abelian(p, k)
+    if kind not in ("cyclic", "dihedral", "symmetric", "heisenberg"):
+        return [], None
+    n = int(rest)
+    if kind == "cyclic":
+        return [n], (lambda: make_cyclic(n)) if n >= 1 else None
+    if kind == "dihedral":
+        return [2, n], lambda: make_dihedral(n)
+    if kind == "symmetric":
+        return range(2, n + 1), lambda: make_symmetric(n)
+    return [n] * 3, lambda: make_heisenberg(n)
+
+
+def _capped_order(factors):
+    """The product of ``factors``, or MAX_CATALOG_ORDER + 1 once a partial
+    product exceeds MAX_CATALOG_ORDER."""
     order = 1
     for f in factors:
         order *= f
@@ -159,36 +135,15 @@ def make_catalog_group(key):
     more than MAX_CATALOG_ORDER elements.
     """
     try:
-        if _capped_order(key) > MAX_CATALOG_ORDER:
+        factors, build = _parse(key)
+        if _capped_order(factors) > MAX_CATALOG_ORDER:
             raise LimitExceeded(f"catalog group {key!r} has more than "
                                 f"{MAX_CATALOG_ORDER} elements")
-        kind, _, rest = key.partition(":")
-        if kind == "cyclic":
-            n = int(rest)
-            if n < 1:
-                raise UnknownCatalogKey(key)
-            return make_cyclic(n)
-        if kind == "dihedral":
-            return make_dihedral(int(rest))
-        if kind == "quaternion":
-            if rest != "8":
-                raise UnknownCatalogKey(key)
-            return make_quaternion8()
-        if kind == "symmetric":
-            return make_symmetric(int(rest))
-        if kind == "heisenberg":
-            return make_heisenberg(int(rest))
-        if kind == "elemab":
-            p, k = rest.split(":")
-            return make_elementary_abelian(int(p), int(k))
-        if kind == "product":
-            ka, kb = _split_product_args(rest)
-            return direct_product(make_catalog_group(ka), make_catalog_group(kb))
-    except UnknownCatalogKey:
-        raise
-    except (ValueError, KeyError):
+    except ValueError:
         raise UnknownCatalogKey(key) from None
-    raise UnknownCatalogKey(key)
+    if build is None:
+        raise UnknownCatalogKey(key)
+    return build()
 
 
 def catalog_keys():
@@ -202,26 +157,29 @@ def catalog_keys():
     return keys
 
 
-def catalog_groups_up_to(max_order):
-    """Deterministic list of (key, group) covering the catalog up to a given
-    order, one representative per isomorphism type.
+def catalog_keys_up_to(max_order):
+    """The keys of the catalog groups of order at most max_order, one per
+    isomorphism type, sorted by order, then key; no group is built.
 
-    Used by the exhaustive verification sweeps; dihedral:3 (= symmetric:3)
-    and heisenberg:2 (= dihedral:4) are skipped as duplicates.  Keys are
-    filtered by their order before any group is built.
+    dihedral:2 (= elemab:2:2), dihedral:3 (= symmetric:3) and heisenberg:2
+    (= dihedral:4) are skipped as duplicates.  No catalog group has more
+    than MAX_CATALOG_ORDER elements, so the cyclic and dihedral keys stop
+    there, whatever max_order.
     """
-    entries = []
-    for n in range(1, max_order + 1):
-        entries.append(f"cyclic:{n}")
-    # dihedral:2 (= elemab:2:2) and dihedral:3 (= symmetric:3) are duplicates
-    for n in range(4, max_order // 2 + 1):
-        entries.append(f"dihedral:{n}")
+    top = min(max_order, MAX_CATALOG_ORDER)
+    entries = [f"cyclic:{n}" for n in range(1, top + 1)]
+    entries += [f"dihedral:{n}" for n in range(4, top // 2 + 1)]
     entries += ["symmetric:3", "symmetric:4", "quaternion:8",
                 "heisenberg:3", "heisenberg:5",
                 "elemab:2:2", "elemab:2:3", "elemab:2:4",
                 "elemab:3:2", "elemab:3:3",
                 "product:cyclic:2,cyclic:4", "product:cyclic:2,cyclic:6",
                 "product:cyclic:2,cyclic:8", "product:cyclic:4,cyclic:4"]
-    keys = sorted((_capped_order(k), k) for k in entries)
-    return [(k, make_catalog_group(k)) for order, k in keys
-            if order <= max_order]
+    keys = sorted((_capped_order(_parse(k)[0]), k) for k in entries)
+    return [k for order, k in keys if order <= max_order]
+
+
+def catalog_groups_up_to(max_order):
+    """Deterministic list of (key, group) for catalog_keys_up_to(max_order),
+    used by the exhaustive verification sweeps."""
+    return [(k, make_catalog_group(k)) for k in catalog_keys_up_to(max_order)]

@@ -24,7 +24,7 @@ from .actions import (HomPair, action_from_hom_pair, hom_classes,
 from .errors import CrossCheckFailed, IncompatibleActions, LimitExceeded
 from .groups import FiniteGroup, GroupHom, Subgroup, center, coset_labels, \
     nilpotency_class, spanning_tree, subgroup_generated
-from .homs import _force, are_isomorphic, enumerate_homs
+from .homs import _force, are_isomorphic, enumerate_homs, generating_set
 from .presentations import Presentation, coset_enumerate, table_to_group
 
 MAX_SYMBOLS = 256
@@ -167,7 +167,8 @@ def hom_pair_tensor_classes(G, budget=None):
     number of hom pairs giving it.
     """
     homs = enumerate_homs(G, G, budget=budget)
-    first, sizes = hom_classes(np.stack([h.map for h in homs]),
+    gens = list(generating_set(G) or [G.identity])
+    first, sizes = hom_classes(np.stack([h.map[gens] for h in homs]),
                                coset_labels(G, center(G))[1])
     rows = []
     for a, i in enumerate(first.tolist()):

@@ -542,6 +542,20 @@ def test_induced_beta_raises_typed_error_when_recheck_fails(monkeypatch):
         induced_beta(Z4, make_cyclic(2), alpha)
 
 
+def test_induced_beta_refuses_an_alpha_that_is_no_homomorphism():
+    # the paper's Z3 example: element 1 acts by inversion, element 2
+    # trivially; every row is an automorphism, but h -> alpha(h) is no
+    # homomorphism
+    Z3 = make_cyclic(3)
+    aut = automorphism_group(Z3)
+    e = aut.group.identity
+    alpha = GroupHom(Z3, aut.group, [e, _aut_index(aut, Z3.inverse), e],
+                     validate=False)
+    with pytest.raises(InvalidAction) as exc:
+        induced_beta(Z3, Z3, alpha)
+    assert str(exc.value) == "alpha: assignment is not a homomorphism"
+
+
 def test_induced_beta_check_records_a_failed_recheck(monkeypatch):
     # verify check 08 leaves the exhaustive re-check to induced_beta and
     # turns its CrossCheckFailed into a failing row, not an abort
@@ -1069,6 +1083,22 @@ def test_row_keys_match_unique_references_on_sweeps(g, h):
         _assert_row_keys_match_references(
             K, L, maps, [(L, conjugation_maps(L)[m]) for m in maps],
             coset_labels(L, center(L))[1])
+
+
+@pytest.mark.parametrize("g,h", [("dihedral:8", "dihedral:8"),
+                                 ("symmetric:4", "symmetric:3"),
+                                 ("symmetric:3", "symmetric:4"),
+                                 ("heisenberg:2", "heisenberg:2"),
+                                 ("heisenberg:3", "heisenberg:3")])
+def test_hom_classes_by_generator_images_match_whole_maps(g, h):
+    # Hom(G, H) modulo Z(H), as the sweep and the tensor classes key it:
+    # by the images of generating_set(G), which fix each hom
+    G, H = tf.make_catalog_group(g), tf.make_catalog_group(h)
+    maps = np.stack([p.map for p in tf.enumerate_homs(G, H)])
+    labels = coset_labels(H, center(H))[1]
+    got = actions.hom_classes(maps[:, list(generating_set(G))], labels)
+    want = reference_hom_classes(maps, labels)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_orbits_refuse_a_grid_missing_a_moved_hom():

@@ -2,6 +2,7 @@
 
 import functools
 import time
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -65,15 +66,103 @@ def test_dihedral_table_matches_reference(n):
     assert len(D.names) == 2 * n
 
 
+# make_quaternion8, make_symmetric and make_heisenberg as they were
+# before their array arithmetic, kept verbatim as references.
+def reference_quaternion8():
+    """Q8 = {1, -1, i, -i, j, -j, k, -k}."""
+    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    # encode as (sign, unit): index 2u + s with s=0 positive
+    units = "1ijk"
+
+    def umul(x, y):
+        # quaternion unit multiplication: returns (sign, unit)
+        if x == 0:
+            return 1, y
+        if y == 0:
+            return 1, x
+        if x == y:
+            return -1, 0
+        cyc = {(1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
+               (2, 1): (-1, 3), (3, 2): (-1, 1), (1, 3): (-1, 2)}
+        s, u = cyc[(x, y)]
+        return s, u
+
+    def mul(a, b):
+        ua, sa = divmod(a, 2)
+        ub, sb = divmod(b, 2)
+        s, u = umul(ua, ub)
+        neg = (sa + sb) % 2
+        if s < 0:
+            neg = 1 - neg
+        return 2 * u + neg
+
+    table = [[mul(a, b) for b in range(8)] for a in range(8)]
+    return table, names
+
+
+def reference_symmetric(n):
+    perms = sorted(permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    k = len(perms)
+    table = np.empty((k, k), dtype=np.intp)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            # apply p first, then q
+            table[i, j] = index[tuple(q[p[x]] for x in range(n))]
+    names = ["".join(str(x) for x in p) for p in perms]
+    return table, names
+
+
+def reference_heisenberg(p):
+    """Upper unitriangular 3x3 matrices over Z_p: order p^3, class 2."""
+    k = p ** 3
+
+    def enc(a, b, c):
+        return (a * p + b) * p + c
+
+    table = np.empty((k, k), dtype=np.intp)
+    names = [None] * k
+    for a1 in range(p):
+        for b1 in range(p):
+            for c1 in range(p):
+                i = enc(a1, b1, c1)
+                names[i] = f"[{a1},{b1},{c1}]"
+                for a2 in range(p):
+                    for b2 in range(p):
+                        for c2 in range(p):
+                            # (a,b,c) ~ [[1,a,c],[0,1,b],[0,0,1]]
+                            table[i, enc(a2, b2, c2)] = enc(
+                                (a1 + a2) % p, (b1 + b2) % p,
+                                (c1 + c2 + a1 * b2) % p)
+    return table, names
+
+
+@pytest.mark.parametrize("build,reference", [
+    (catalog.make_quaternion8, reference_quaternion8),
+    *[(functools.partial(catalog.make_symmetric, n),
+       functools.partial(reference_symmetric, n)) for n in range(1, 5)],
+    *[(functools.partial(catalog.make_heisenberg, p),
+       functools.partial(reference_heisenberg, p)) for p in (2, 3, 5)],
+])
+def test_table_matches_reference(build, reference):
+    G = build()
+    table, names = reference()
+    assert G.table.tolist() == np.asarray(table).tolist()
+    assert G.names == names
+
+
+def capped_order(key):
+    return catalog._capped_order(catalog._parse(key)[0])
+
+
 def test_catalog_groups_pass_full_validation():
-    # the constructors trust their own tables; every catalog group up to
-    # order 64 passes all four group axioms when its table is validated
-    keys = {key for key, _ in catalog.catalog_groups_up_to(64)}
-    keys |= {key for key in catalog.catalog_keys()
-             if catalog._capped_order(key) <= 64}
+    # the constructors trust their own tables; every listed catalog group
+    # and every group of catalog_groups_up_to(128) passes all four group
+    # axioms when its table is validated
+    keys = set(catalog.catalog_keys()) | set(catalog.catalog_keys_up_to(128))
     keys |= {"dihedral:2", "dihedral:3", "heisenberg:2",
              "product:symmetric:3,cyclic:2"}
-    assert len(keys) > 60
+    assert len(keys) > 200
     for key in sorted(keys):
         G = tf.make_catalog_group(key)
         checked = from_cayley_table(G.table, names=G.names)
@@ -138,6 +227,50 @@ def test_elementary_abelian():
 def test_bad_keys_rejected(key):
     with pytest.raises(UnknownCatalogKey):
         tf.make_catalog_group(key)
+
+
+@pytest.mark.parametrize("key,error,named", [
+    ("bogus:9", UnknownCatalogKey, None),
+    ("cyclic", UnknownCatalogKey, None),
+    ("cyclic:", UnknownCatalogKey, None),
+    ("cyclic:0", UnknownCatalogKey, None),
+    ("cyclic:-3", UnknownCatalogKey, None),
+    ("dihedral:1", UnknownCatalogKey, None),
+    ("symmetric:5", UnknownCatalogKey, None),
+    ("quaternion:16", UnknownCatalogKey, None),
+    ("heisenberg:4", UnknownCatalogKey, None),
+    ("elemab:4:2", UnknownCatalogKey, None),
+    ("elemab:2", UnknownCatalogKey, None),
+    ("product:cyclic:2", UnknownCatalogKey, None),
+    ("", UnknownCatalogKey, None),
+    ("cyclic:two", UnknownCatalogKey, None),
+    ("cyclic:4097", LimitExceeded, None),
+    ("dihedral:2049", LimitExceeded, None),
+    ("symmetric:8", LimitExceeded, None),
+    ("heisenberg:17", LimitExceeded, None),
+    ("elemab:2:13", LimitExceeded, None),
+    ("elemab:2:10000000000", LimitExceeded, None),
+    ("product:cyclic:64,cyclic:65", LimitExceeded, None),
+    ("product:cyclic:2,cyclic:2049", LimitExceeded, None),
+    ("heisenberg:7", UnknownCatalogKey, None),
+    ("cyclic:x", UnknownCatalogKey, None),
+    ("bogus:3", UnknownCatalogKey, None),
+    ("product:bogus,cyclic:5000", LimitExceeded, None),
+    ("product:product:cyclic:2,cyclic:2,cyclic:2", UnknownCatalogKey, None),
+    ("product:product:cyclic:2,cyclic:3", UnknownCatalogKey,
+     "product:cyclic:2"),
+    ("product:cyclic:0,cyclic:2", UnknownCatalogKey, "cyclic:0"),
+])
+def test_edge_key_errors_are_pinned(key, error, named):
+    # named is the key the message names, when it is not the key itself:
+    # a product names the factor key that fails
+    named = key if named is None else named
+    message = {UnknownCatalogKey: f"unknown catalog key: {named!r}",
+               LimitExceeded: f"catalog group {named!r} has more than "
+                              "4096 elements"}[error]
+    with pytest.raises(error) as info:
+        tf.make_catalog_group(key)
+    assert str(info.value) == message
 
 
 def test_catalog_keys_listing():
@@ -209,8 +342,7 @@ def test_catalog_up_to_matches_reference_keys(monkeypatch):
         built.clear()
         got = [key for key, _ in catalog.catalog_groups_up_to(max_order)]
         # no group above max_order is built, not even to be dropped
-        assert max(map(catalog._capped_order, built), default=0) \
-            <= max_order
+        assert max(map(capped_order, built), default=0) <= max_order
         assert got == [key for key, _ in
                        reference_catalog_groups_up_to(max_order)]
 
@@ -219,7 +351,7 @@ def test_capped_order_is_the_order():
     keys = set(tf.catalog_keys())
     keys |= {key for key, _ in reference_catalog_groups_up_to(129)}
     for key in sorted(keys):
-        assert catalog._capped_order(key) == make_catalog_group(key).order
+        assert capped_order(key) == make_catalog_group(key).order
 
 
 def test_product_of_products():

@@ -1,9 +1,15 @@
 """CLI behaviour: exit codes, JSON mode, file outputs."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tensorforge
 from tensorforge import presentations
 from tensorforge.cli import main
 
@@ -390,6 +396,26 @@ def test_non_positive_max_order_exits_two(capsys, value):
                          value)
     _one_error_line(code, out, err,
                     f"--max-order must be a positive integer, not {value}")
+
+
+def test_question2_huge_max_order_exits_two_in_bounded_memory():
+    # keys are listed only up to the 4096-element cap and each group is
+    # built when the scan reaches it, so the scan fails at Aut(elemab:2:4)
+    # within 1 GiB of address space; the cyclic tables up to the cap alone
+    # would take about 180 GB
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    src = str(Path(tensorforge.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep
+               .join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tensorforge.cli", "explore", "question2",
+         "--max-order", "1000000000000"], capture_output=True, text=True,
+        env=env, preexec_fn=limit, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: |Aut(G)| = 20160 exceeds the 4096-"
+                           "element cap for its table\n")
 
 
 def test_map_file_over_a_huge_aut_exits_two(capsys, tmp_path):
