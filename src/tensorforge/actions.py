@@ -31,9 +31,9 @@ everywhere; and the g1 at which they agree form a subgroup, since
 alpha(h^beta(g1 g2)) = g2hat^-1 alpha(h^beta(g1)) g2hat
 = (g1 g2)hat^-1 alpha(h) (g1 g2)hat when g1 and g2 both agree.  The
 hypercenter congruence and the test that an assignment is a
-homomorphism are decided at generators by the same argument.  Every
-block of a temporary holds at most ``BLOCK_ENTRIES`` entries, so memory
-stays O(|G||H|) for one pair.
+homomorphism are decided at generators by the same argument.  The
+kernel packs its verdicts to bits and every other block holds at most
+``BLOCK_ENTRIES`` entries, so memory stays O(|G||H|) for one pair.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .errors import (AlphaNotInjective, BudgetExceeded, CrossCheckFailed,
 from .groups import (BLOCK_ENTRIES, FiniteGroup, GroupHom, center,
                      conjugation_maps, coset_labels, key_index,
                      make_cyclic, row_keys, second_hypercenter)
-from .homs import enumerate_homs, generating_set
+from .homs import enumerate_homs, generating_set, search_set
 from .presentations import Presentation
 
 
@@ -232,21 +232,17 @@ def _equation_fails(lab, acts, maps, conj, G, H):
     g1hat^-1 l g1hat.
 
     The equation is checked at g1 in generating_set(G) and h in
-    generating_set(H) only (module docstring), in blocks of betas of at
-    most BLOCK_ENTRIES entries.
+    generating_set(H) only (module docstring).  At fixed g1 and h the left
+    side depends on beta_b only through x = h^beta_b(g1), so one mask over
+    (x, a), packed to bits over the alphas, is ORed in at each beta's x.
     """
-    gens_g = generating_set(G) or [G.identity]
-    gens_h = generating_set(H) or [H.identity]
-    lab_t = np.ascontiguousarray(lab.T)     # rows gather whole alpha stacks
-    fails = np.zeros((len(maps), len(lab)), dtype=bool)     # [b, a]
-    step = max(1, BLOCK_ENTRIES // len(lab))
-    for b in range(0, len(maps), step):
-        block = maps[b:b + step]
-        for g1 in gens_g:
-            for h in gens_h:
-                moved = lab_t[acts[block[:, g1], h]]
-                fails[b:b + step] |= moved != conj[g1, lab_t[h]]
-    return fails.T
+    lab_t = np.ascontiguousarray(lab.T)     # [x, a]
+    fails = np.zeros((len(maps), (len(lab) + 7) // 8), dtype=np.uint8)
+    for g1 in generating_set(G) or [G.identity]:
+        for h in generating_set(H) or [H.identity]:
+            mask = np.packbits(lab_t != conj[g1, lab_t[h]], axis=1)
+            fails |= mask[acts[maps[:, g1], h]]
+    return np.unpackbits(fails, axis=1, count=len(lab)).T.view(bool)
 
 
 def is_compatible(pair):
@@ -443,12 +439,12 @@ def compatible_pair_orbits(grid):
     constant on each orbit.  Returns [(i, j, orbit size)] with the
     lexicographically least compatible member as representative.
 
-    Each generator of Aut(G) and of Aut(H) moves the alpha and the beta
-    indices by one permutation each, found by looking each moved map up
-    by its images of a generating set (``groups.row_keys``).  Those are
-    the greedy generators of the source, so the keys of an
-    ``enumerate_homs`` list are already increasing (``homs`` module
-    docstring) and are searched as they are.  The compatible pairs are
+    Each generator in ``search_set`` of Aut(G) and of Aut(H) moves the
+    alpha and the beta indices by one permutation each, found by looking
+    each moved map up by its images of a generating set
+    (``groups.row_keys``).  Those are the greedy generators of the source,
+    so the keys of an ``enumerate_homs`` list are already increasing
+    (``homs`` module docstring).  The compatible pairs are
     closed under the moves, and each pair of the closure is labelled by
     min-label propagation with pointer jumping: a round gives each pair
     the least label of the pairs its moves reach, then replaces each label
@@ -472,7 +468,7 @@ def compatible_pair_orbits(grid):
     for side, K in enumerate((grid.G, grid.H)):
         aut = automorphism_group(K)
         t, inv = aut.group.table, aut.group.inverse
-        for s in generating_set(aut.group):
+        for s in search_set(aut.group):
             moved = [None, None]
             moved[side] = t[t[inv[s]], s][maps[side][:, gens[side]]]
             moved[1 - side] = maps[1 - side][

@@ -8,6 +8,7 @@ holds exactly one comma, so a factor cannot itself be a product.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import permutations, product, repeat
 
 import numpy as np
@@ -75,18 +76,15 @@ def make_heisenberg(p):
 def make_elementary_abelian(p, k):
     if k < 1 or p < 2 or any(p % d == 0 for d in range(2, p)):
         raise UnknownCatalogKey(f"elemab:{p}:{k}")
-    g = make_cyclic(p)
-    for _ in range(k - 1):
-        g = direct_product(g, make_cyclic(p))
-    return g
+    return reduce(direct_product, (make_cyclic(p) for _ in range(k)))
 
 
 def _parse(key):
     """Read a catalog key: (factors, build).  The product of ``factors``
     is the order of the group the key names, worked out from the key
     alone; ``build()`` builds the group, or is None when the key names
-    none.  A malformed number raises ValueError, and a product key without
-    exactly one comma UnknownCatalogKey.
+    none.  A non-canonical number (``03``, ``+3``) raises ValueError, and
+    a product key without exactly one comma UnknownCatalogKey.
 
     ``build`` looks each constructor up when it is called, and a product
     builds its factors through make_catalog_group, so each factor's key
@@ -102,12 +100,18 @@ def _parse(key):
                                    make_catalog_group(kb))
     if kind == "quaternion":
         return [8], (lambda: make_quaternion8()) if rest == "8" else None
-    if kind == "elemab":
-        p, k = map(int, rest.split(":"))
-        return repeat(p, k), lambda: make_elementary_abelian(p, k)
-    if kind not in ("cyclic", "dihedral", "symmetric", "heisenberg"):
+    if kind not in ("elemab", "cyclic", "dihedral", "symmetric",
+                    "heisenberg"):
         return [], None
-    n = int(rest)
+    numbers = [int(t) for t in rest.split(":")]
+    if ":".join(map(str, numbers)) != rest:
+        raise ValueError(key)
+    if kind == "elemab":
+        p, k = numbers
+        # k factors 0 or ±1 never pass the cap, and build no group
+        return repeat(p, k) if abs(p) > 1 else [], \
+            lambda: make_elementary_abelian(p, k)
+    n, = numbers
     if kind == "cyclic":
         return [n], (lambda: make_cyclic(n)) if n >= 1 else None
     if kind == "dihedral":

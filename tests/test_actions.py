@@ -176,6 +176,19 @@ def reference_equation_fails(lab, B, conj):
     return fails
 
 
+def loop_equation_fails(lab, acts, maps, conj, G, H):
+    """fails[a, b] of actions._equation_fails, one pair and one point at
+    a time over the generators of G and of H."""
+    fails = np.zeros((len(lab), len(maps)), dtype=bool)
+    for a in range(len(lab)):
+        for b in range(len(maps)):
+            for g1 in generating_set(G) or [G.identity]:
+                for h in generating_set(H) or [H.identity]:
+                    if lab[a, acts[maps[b, g1], h]] != conj[g1, lab[a, h]]:
+                        fails[a, b] = True
+    return fails
+
+
 # The hypercenter congruence and the homomorphism test as they were before
 # they were decided at generators, kept verbatim as the references for
 # actions._congruence and actions._assignment_is_hom.
@@ -426,7 +439,9 @@ def test_is_compatible_matches_reference_on_benchmark_pairs(key, alpha,
 
 
 def test_small_blocks_keep_verdicts_and_witnesses(monkeypatch):
-    # blocks of 50 entries split every pair and grid of order 4 or more
+    # blocks of 50 entries split every pair of order 4 or more in
+    # is_compatible and _conjugate_preimages; the grid's equation kernel
+    # reads no BLOCK_ENTRIES, so its verdicts are compared all the same
     groups = catalog_groups_up_to(6)
     wide = {(gk, hk): compatibility_grid(G, H)
             for gk, G in groups for hk, H in groups}
@@ -448,6 +463,25 @@ def test_small_blocks_keep_verdicts_and_witnesses(monkeypatch):
     result = hom_pair_compatibility_sweep(G, H)
     assert (result["n_compatible"], result["first_incompatible"]) \
         == reference_sweep_compatibility(G, H)
+
+
+def test_grid_and_orbit_memory_stay_bounded():
+    # elemab:2:3 squared: 736 x 736 pairs, whose boolean verdicts alone
+    # take 542 KB
+    G = tf.make_catalog_group("elemab:2:3")
+    H = tf.make_catalog_group("elemab:2:3")
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        grid = compatibility_grid(G, H, budget=10_000_000)
+        grid_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        compatible_pair_orbits(grid)
+        orbit_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid_peak < 4_000_000 and orbit_peak < 4_000_000, \
+        (grid_peak, orbit_peak)
 
 
 def test_compatibility_memory_stays_flat_on_large_pair():
@@ -814,6 +848,26 @@ def _sweep_both_ways(monkeypatch, G, H):
     with monkeypatch.context() as m:
         _check_every_point(m)
         return got, hom_pair_compatibility_sweep(G, H)
+
+
+@pytest.mark.parametrize("n_alpha", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("g,h", [("dihedral:4", "symmetric:3"),
+                                 ("cyclic:1", "quaternion:8"),
+                                 ("elemab:2:3", "cyclic:2")])
+def test_equation_kernel_matches_loop_on_random_stacks(g, h, n_alpha):
+    # n_alpha not a multiple of 8 leaves padding bits in the last byte;
+    # two labels make both verdicts common
+    G, H = tf.make_catalog_group(g), tf.make_catalog_group(h)
+    rng = np.random.default_rng(n_alpha)
+    lab = rng.integers(0, 2, (n_alpha, H.order))
+    acts = rng.integers(0, H.order, (5, H.order))
+    maps = rng.integers(0, len(acts), (11, G.order))
+    conj = rng.integers(0, 2, (G.order, 2))
+    got = actions._equation_fails(lab, acts, maps, conj, G, H)
+    want = loop_equation_fails(lab, acts, maps, conj, G, H)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.array_equal(got, want)
+    assert 0 < want.sum() < want.size or n_alpha == 1
 
 
 @pytest.mark.parametrize("g,h", [("dihedral:8", "dihedral:8"),

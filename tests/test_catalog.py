@@ -260,6 +260,19 @@ def test_bad_keys_rejected(key):
     ("product:product:cyclic:2,cyclic:3", UnknownCatalogKey,
      "product:cyclic:2"),
     ("product:cyclic:0,cyclic:2", UnknownCatalogKey, "cyclic:0"),
+    # a number must be written exactly as str writes it
+    ("cyclic: 3", UnknownCatalogKey, None),
+    ("cyclic:+3", UnknownCatalogKey, None),
+    ("cyclic:03", UnknownCatalogKey, None),
+    ("cyclic:3 ", UnknownCatalogKey, None),
+    ("heisenberg:\u0663", UnknownCatalogKey, None),
+    ("dihedral:-02", UnknownCatalogKey, None),
+    ("elemab:02:2", UnknownCatalogKey, None),
+    ("elemab:2:+2", UnknownCatalogKey, None),
+    # refused at once, not after counting up to k
+    ("elemab:1:10000000000", UnknownCatalogKey, None),
+    ("elemab:0:10000000000", UnknownCatalogKey, None),
+    ("elemab:-1:10000000000", UnknownCatalogKey, None),
 ])
 def test_edge_key_errors_are_pinned(key, error, named):
     # named is the key the message names, when it is not the key itself:
