@@ -83,8 +83,9 @@ def _parse(key):
     """Read a catalog key: (factors, build).  The product of ``factors``
     is the order of the group the key names, worked out from the key
     alone; ``build()`` builds the group, or is None when the key names
-    none.  A non-canonical number (``03``, ``+3``) raises ValueError, and
-    a product key without exactly one comma UnknownCatalogKey.
+    none.  A key with a missing, extra or non-canonical number (``03``,
+    ``+3``) raises UnknownCatalogKey naming that key, a product's factor
+    key included, as does a product key without exactly one comma.
 
     ``build`` looks each constructor up when it is called, and a product
     builds its factors through make_catalog_group, so each factor's key
@@ -103,9 +104,13 @@ def _parse(key):
     if kind not in ("elemab", "cyclic", "dihedral", "symmetric",
                     "heisenberg"):
         return [], None
-    numbers = [int(t) for t in rest.split(":")]
-    if ":".join(map(str, numbers)) != rest:
-        raise ValueError(key)
+    try:
+        numbers = [int(t) for t in rest.split(":")]
+    except ValueError:              # not a number, or too long for int()
+        numbers = ()
+    if ":".join(map(str, numbers)) != rest \
+            or len(numbers) != 1 + (kind == "elemab"):
+        raise UnknownCatalogKey(key)
     if kind == "elemab":
         p, k = numbers
         # k factors 0 or ±1 never pass the cap, and build no group
@@ -138,13 +143,10 @@ def make_catalog_group(key):
     Raises LimitExceeded, before any table is built, when the group has
     more than MAX_CATALOG_ORDER elements.
     """
-    try:
-        factors, build = _parse(key)
-        if _capped_order(factors) > MAX_CATALOG_ORDER:
-            raise LimitExceeded(f"catalog group {key!r} has more than "
-                                f"{MAX_CATALOG_ORDER} elements")
-    except ValueError:
-        raise UnknownCatalogKey(key) from None
+    factors, build = _parse(key)
+    if _capped_order(factors) > MAX_CATALOG_ORDER:
+        raise LimitExceeded(f"catalog group {key!r} has more than "
+                            f"{MAX_CATALOG_ORDER} elements")
     if build is None:
         raise UnknownCatalogKey(key)
     return build()

@@ -25,7 +25,7 @@ reduced by reading it back as the relator of a ``Presentation``.
    and the images of the generators, not on the strategy, and identical
    input yields a bit-identical table.  The table is then validated
    against the full relator list of the original presentation; relators
-   that read equal columns of the table share one trace.
+   whose column words are rotations of each other share one trace.
 
 A ``Presentation`` keeps its relators once, in input order, in the
 layout of ``_free_reduce``: one read-only int64 letters x words array
@@ -49,15 +49,17 @@ of the other relators under rotation and inversion.  A relator that
 traces from a live coset alpha back to alpha stays closed there:
 definitions only add entries and coincidences only re-point entries to
 representatives, so its scan from alpha is a no-op whenever it comes.
-When the loop reaches alpha, one numpy pass traces every relator of each
-large length group from alpha and only the relators that do not end at
-alpha are scanned, in their original order.  The table therefore evolves
-exactly as without the filter.
+A twin, whose columns or whose inverse's columns equal an earlier
+relator's (an involution's two letters read one column), closes with
+it, and is never scanned.  When the loop reaches alpha, one numpy pass
+traces the other relators of each large length group from alpha and
+only those that do not end at alpha are scanned, in their original
+order.  The table therefore evolves exactly as if all were scanned.
 
 The scan budget ``MAX_SCANS`` counts one scan per scanned relator at
-each coset the loop reaches, those the filter skips included, so it is
-exhausted at the same scan and with the same message as without the
-filter.  Both limits bound the enumeration of the reduced presentation,
+each coset the loop reaches, twins and filtered ones included, so it is
+exhausted at the same scan and with the same message as if all were
+scanned.  Both limits bound the enumeration of the reduced presentation,
 and their errors say how far it got.  ``coset_enumerate`` attaches the
 counts of its work to the table as ``EnumerationStats``.
 """
@@ -189,7 +191,7 @@ def _letter_error(word, reduced=(), ngens=0):
 @dataclass(frozen=True)
 class EnumerationStats:
     """The work of one ``coset_enumerate`` call.  Coset 0 is given, not
-    defined; a scan skipped by the closed-relator filter is not made."""
+    defined; a skipped scan, of a twin or a closed relator, is not made."""
 
     generators: int         # of the presentation given
     survivors: int          # left by _eliminate
@@ -198,7 +200,7 @@ class EnumerationStats:
     defined: int            # cosets defined
     coincidences: int       # primary coincidences processed
     scans: int              # relator scans made
-    skipped: int            # scans skipped by the closed-relator filter
+    skipped: int            # scans of twins and closed relators skipped
 
 
 @dataclass
@@ -335,10 +337,10 @@ def _representatives(ngens, words, lengths):
     first = np.zeros(len(lengths), dtype=bool)
     for length in np.flatnonzero(np.bincount(lengths)).tolist():
         idx = np.flatnonzero(lengths == length)
-        letters = words[:length, idx].T
         if base ** length > 2 ** 63:
             seen = set()
-            for k, r in zip(idx.tolist(), map(tuple, letters.tolist())):
+            for k, r in zip(idx.tolist(),
+                            map(tuple, words[:length, idx].T.tolist())):
                 variants = {tuple(w[i:] + w[:i])
                             for w in (r, tuple(-x for x in reversed(r)))
                             for i in range(len(w))}
@@ -347,19 +349,26 @@ def _representatives(ngens, words, lengths):
                     seen.add(key)
                     first[k] = True
         else:
-            top = base ** (length - 1)
-            radix = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
-            digits = letters + ngens
-            least = None
-            for d in (digits, 2 * ngens - digits[:, ::-1]):
-                key = d @ radix
-                least = key if least is None else np.minimum(least, key)
-                for j in range(length - 1):
-                    # rotate the leading letter to the end
-                    key = (key - d[:, j] * top) * base + d[:, j]
-                    np.minimum(least, key, out=least)
+            digits = words[:length, idx] + ngens
+            least = np.minimum(_least_rotations(digits, base),
+                               _least_rotations(2 * ngens - digits[::-1],
+                                                base))
             first[idx[np.unique(least, return_index=True)[1]]] = True
     return np.flatnonzero(first)
+
+
+def _least_rotations(digits, base):
+    """For each word of a letters x words array of digits below ``base``,
+    the least of its rotations, each read as an int64 in mixed radix
+    ``base``; base ** len(digits) must not exceed 2 ** 63."""
+    top = base ** (len(digits) - 1)
+    radix = base ** np.arange(len(digits) - 1, -1, -1, dtype=np.int64)
+    key = least = radix @ digits
+    for d in digits[:-1]:
+        # rotate the leading letter to the end
+        key = (key - d * top) * base + d
+        np.minimum(least, key, out=least)
+    return least
 
 
 def _free_reduce(words):
@@ -517,10 +526,13 @@ def coset_enumerate(presentation, max_cosets=None):
 def _scan_columns(ngens, words, lengths, colmap, dtype):
     """The scan list: the representatives longer than 2, in input order,
     each as its letters' columns and their inverse columns under
-    ``colmap``, as tuples; the squares are left to the table.  For each
-    length with at least FILTER_MIN_RELATORS of them, also their
-    positions in the scan list and their columns as a letters x relators
-    matrix of ``dtype``."""
+    ``colmap``, as tuples; the squares are left to the table.  Also the
+    mask of twins, whose columns, or inverse columns read right to left,
+    equal an earlier relator's; a length too long for int64 keys in
+    radix 2*ngens has none.  For each length with at least
+    FILTER_MIN_RELATORS relators that are not twins, also their positions
+    in the scan list and their columns as a letters x relators matrix of
+    ``dtype``."""
     reps = _representatives(ngens, words, lengths)
     reps = reps[lengths[reps] > 2]
     words, lengths = words[:, reps], lengths[reps]
@@ -528,12 +540,22 @@ def _scan_columns(ngens, words, lengths, colmap, dtype):
     # each relator cut to its own length: the 0s below it are no letters
     rels = [(c[:k], ic[:k]) for c, ic, k in
             zip(zip(*cols.tolist()), zip(*icols.tolist()), lengths.tolist())]
+    twins = np.zeros(len(reps), dtype=bool)
     filtered = []
-    counts = np.bincount(lengths)
-    for k in np.flatnonzero(counts >= FILTER_MIN_RELATORS).tolist():
+    for k in np.flatnonzero(np.bincount(lengths)).tolist():
         pos = np.flatnonzero(lengths == k)
-        filtered.append((pos, cols[:k, pos].astype(dtype)))
-    return rels, filtered
+        if (2 * ngens) ** k <= 2 ** 63:
+            radix = (2 * ngens) ** np.arange(k - 1, -1, -1, dtype=np.int64)
+            both = np.stack([radix @ cols[:k, pos],
+                             radix @ icols[k - 1::-1, pos]])
+            keys, first = np.unique(both[0], return_index=True)
+            at = np.searchsorted(keys, both).clip(max=len(keys) - 1)
+            twins[pos] = ((keys[at] == both)
+                          & (first[at] < np.arange(len(pos)))).any(axis=0)
+            pos = pos[~twins[pos]]
+        if len(pos) >= FILTER_MIN_RELATORS:
+            filtered.append((pos, cols[:k, pos].astype(dtype)))
+    return rels, filtered, twins
 
 
 def _trace(table, start, cols):
@@ -556,12 +578,13 @@ def _enumerate_rows(ngens, words, lengths, max_cosets, max_steps):
     n, t, dead, define, coincidence = (enum.ncols, enum.table, enum.dead,
                                        enum.define, enum.coincidence)
     dtype = np.dtype(enum.typecode)
-    rels, filtered = _scan_columns(ngens, words, lengths, enum.colmap,
-                                   dtype)
+    # twins are never scanned, and the filter leaves them closed
+    rels, filtered, closed = _scan_columns(ngens, words, lengths,
+                                           enum.colmap, dtype)
     # the index of each scan's last letter
     last = [len(cols) - 1 for cols, _ in rels]
     nrel = len(rels)
-    closed = np.zeros(nrel, dtype=bool)
+    todo = np.flatnonzero(~closed).tolist()
     steps = scans = 0
     alpha = 0
     try:
@@ -570,7 +593,6 @@ def _enumerate_rows(ngens, words, lengths, max_cosets, max_steps):
             if alpha in dead:
                 alpha += n
                 continue
-            todo = range(nrel)
             if filtered:
                 # a zero-copy view; it must be dropped before define() can
                 # grow the array
@@ -646,12 +668,15 @@ def _validate_complete(table, presentation):
     trace to the identity permutation -- no wrong-order completions.  The
     first relator in input order that does not is named.
 
-    Relators that read equal columns share one trace.  Each column is
-    read as the first column with the same entry at coset 0 when one
-    full comparison finds the two equal, else as itself.  Each relator's
-    word in these columns is keyed as an int64 in mixed radix ncols + 1
-    (where the keys fit 64 bits; otherwise every relator is traced), and
-    each distinct word is traced once, in order of first occurrence."""
+    Relators whose words in equal columns are rotations of each other
+    share one trace, as a rotation's product is a conjugate of the
+    word's.  Each column is read as the first column with the same entry
+    at coset 0 when one full comparison finds the two equal, else as
+    itself.  Each relator's word in these columns, padded with the
+    identity column, is keyed by its least rotation read as an int64 in
+    mixed radix ncols + 1 (where the keys fit 64 bits; otherwise every
+    relator is traced), and the first word of each key is traced, in
+    input order, so the first failing relator is named."""
     rows = table.rows
     n, ncols = rows.shape
     want = np.arange(n)
@@ -678,8 +703,8 @@ def _validate_complete(table, presentation):
     cols = canon[np.where(letters == 0, ncols, _columns(letters))][words + g]
     distinct = np.arange(len(lengths))
     if width ** len(cols) <= 2 ** 63:
-        radix = width ** np.arange(len(cols) - 1, -1, -1, dtype=np.int64)
-        distinct = np.sort(np.unique(radix @ cols, return_index=True)[1])
+        distinct = np.sort(np.unique(_least_rotations(cols, width),
+                                     return_index=True)[1])
     cb = min(n, BLOCK_ENTRIES)
     rb = max(1, BLOCK_ENTRIES // cb)
     for r0 in range(0, len(distinct), rb):

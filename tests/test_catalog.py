@@ -260,6 +260,8 @@ def test_bad_keys_rejected(key):
     ("product:product:cyclic:2,cyclic:3", UnknownCatalogKey,
      "product:cyclic:2"),
     ("product:cyclic:0,cyclic:2", UnknownCatalogKey, "cyclic:0"),
+    ("product:cyclic:2,cyclic:+3", UnknownCatalogKey, "cyclic:+3"),
+    ("product:cyclic:x,cyclic:2", UnknownCatalogKey, "cyclic:x"),
     # a number must be written exactly as str writes it
     ("cyclic: 3", UnknownCatalogKey, None),
     ("cyclic:+3", UnknownCatalogKey, None),

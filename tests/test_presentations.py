@@ -215,6 +215,41 @@ def test_validation_keeps_columns_apart_that_agree_only_at_coset_0(
         presentations._validate_complete(table, p)
 
 
+@pytest.mark.parametrize("block", [presentations.BLOCK_ENTRIES, 7])
+def test_validation_names_first_failing_relator_of_a_rotation_class(
+        monkeypatch, block):
+    # a = +1 on Z12 and b the same with the images of cosets 5 and 6
+    # swapped: a^12 and b^11 hold, the commutator b a b^-1 a^-1 and a^6
+    # do not.  The commutator's later rotation a b^-1 a^-1 b shares its
+    # trace and is its class's least rotation, and a^6 has a smaller key;
+    # the first failing relator in input order is named with its letters
+    monkeypatch.setattr(presentations, "BLOCK_ENTRIES", block)
+    p = Presentation(2, ((1,) * 12, (2,) * 11, (2, 1, -2, -1), (1,) * 6,
+                         (1, -2, -1, 2)))
+    c = np.arange(12)
+    b = (c + 1) % 12
+    b[[5, 6]] = b[[6, 5]]
+    rows = np.stack([(c + 1) % 12, (c - 1) % 12, b, np.argsort(b)], axis=1)
+    table = presentations.CosetTable(rows)
+    with pytest.raises(presentations.TableIncomplete,
+                       match=r"relator \(2, 1, -2, -1\) does not"):
+        presentations._validate_complete(table, p)
+
+
+@pytest.mark.parametrize("block", [presentations.BLOCK_ENTRIES, 7])
+def test_validation_keeps_rotation_classes_of_equal_letters_apart(
+        monkeypatch, block):
+    # a and b are transpositions of S3: a^2 b^2 holds and (a b)^2, with
+    # the same letters in an order that is no rotation of a a b b, does not
+    monkeypatch.setattr(presentations, "BLOCK_ENTRIES", block)
+    p = Presentation(2, ((1, 1, 2, 2), (1, 2, 1, 2)))
+    rows = tf.make_catalog_group("symmetric:3").table[:, [1, 1, 2, 2]]
+    table = presentations.CosetTable(rows)
+    with pytest.raises(presentations.TableIncomplete,
+                       match=r"relator \(1, 2, 1, 2\) does not"):
+        presentations._validate_complete(table, p)
+
+
 def test_generator_columns_are_permutations():
     p = Presentation(2, ((1, 1), (2, 2), (1, 2, 1, 2, 1, 2)))
     table = coset_enumerate(p)
@@ -624,13 +659,16 @@ def test_stats_repeat_and_match_reference(key):
 @pytest.mark.parametrize("key, stats", [
     # with the squares scanned: 50,622 scans and 784 cosets defined
     ("elemab:2:3", presentations.EnumerationStats(
-        64, 49, 49, 588, 784, 239, 25_128, 275_928)),
+        64, 49, 49, 588, 784, 239, 12_564, 288_492)),
     # with the squares scanned: 67,963 scans and 2,244 cosets defined
     ("product:cyclic:4,cyclic:4", presentations.EnumerationStats(
-        256, 81, 45, 1044, 1608, 615, 54_952, 212_312)),
+        256, 81, 45, 1044, 1608, 615, 38_502, 228_762)),
 ])
 def test_square_stats(key, stats):
     assert coset_enumerate(_square_presentation(key)).stats == stats
+    # a skipped twin moves a scan to skipped: their sum is unchanged
+    assert stats.scans + stats.skipped == {
+        "elemab:2:3": 301_056, "product:cyclic:4,cyclic:4": 267_264}[key]
 
 
 # -- elimination and standardization ----------------------------------------
@@ -799,10 +837,26 @@ def reference_representatives(relators):
     return reps
 
 
-def reference_length_groups(words, min_size=1):
+def reference_twins(ngens, words, column):
+    """Whether each word is a twin: its columns, or its inverse's columns,
+    equal the columns of an earlier word, so that it closes wherever that
+    word does.  A word too long for an int64 key of its columns is none."""
+    seen = set()
+    twins = []
+    for w in words:
+        cols = tuple(column[x] for x in w)
+        inverse = tuple(column[-x] for x in reversed(w))
+        twins.append((2 * ngens) ** len(w) <= 2 ** 63
+                     and (cols in seen or inverse in seen))
+        seen.add(cols)
+    return twins
+
+
+def reference_length_groups(words, min_size, twins):
     by_length = {}
     for i, w in enumerate(words):
-        by_length.setdefault(len(w), []).append(i)
+        if i not in twins:
+            by_length.setdefault(len(w), []).append(i)
     return [(np.array(idx), np.array([[_col(x) for x in words[i]]
                                       for i in idx]).T)
             for idx in by_length.values() if len(idx) >= min_size]
@@ -875,13 +929,16 @@ def _check_relator_layers(p):
     colmap[[2 * y - 1 for y in involutions]] -= 1
     scanned = [r for r in reps if len(r) > 2]
     for dtype in (np.int32, np.int64):
-        rels, filtered = presentations._scan_columns(
+        rels, filtered, twins = presentations._scan_columns(
             p.ngens, p._words, p._lengths, colmap, np.dtype(dtype))
         assert rels == [(tuple(column[x] for x in r),
                          tuple(column[-x] for x in r)) for r in scanned]
-        # the filter's length groups, shortest first
-        groups = reference_length_groups(scanned,
-                                         presentations.FILTER_MIN_RELATORS)
+        want = reference_twins(p.ngens, scanned, column)
+        assert twins.tolist() == want
+        # the filter's length groups, shortest first, without the twins
+        groups = reference_length_groups(
+            scanned, presentations.FILTER_MIN_RELATORS,
+            {i for i, twin in enumerate(want) if twin})
         _same_arrays(filtered, [(i, colmap[c].astype(dtype)) for i, c in
                                 sorted(groups, key=lambda g: len(g[1]))])
 
@@ -909,6 +966,8 @@ def test_tensor_relators_match_reference():
         p = tensor_presentation(pair)[0]
         assert p.relators == reference_tensor_relators(pair), name
         _check_relator_layers(p)
+        # after elimination involutions share columns, and twins appear
+        _check_relator_layers(_eliminated(p))
         n += 1
     assert n == 31 + 14 * 14 + 5
 

@@ -14,7 +14,9 @@ first when k is odd; ``--pairs`` untraced pairs come first, then
 The file keeps the schema of ``BENCH_24.json``: per workload and mode,
 each metric's median and quartiles on both sides, the change's wins over
 the pairs and the verdict of ``perfbench/compare.py``, and for the
-untraced runs the medians as measured and each side's speed scale.  It
+untraced runs the medians as measured and each side's speed scale.  A
+metric counted in unit ``count`` also gets the exact verdict ``equal``,
+when every seed gave both sides the same value, or ``changed``.  It
 also keeps every run's values by seed (``runs``, and ``measured_runs``
 for times), the failed and attempted ops of each run and the order of
 each pair, so that the runs can be judged again.
@@ -75,7 +77,7 @@ def judge(runs, rules, untraced):
                 r["metrics"].get(name, {}).get("value") is None
                 for side in SIDES for r in runs[side].values()):
             continue
-        better, bound = rules[name]
+        better, bound, unit = rules[name]
         sign = 1 if better == "lower" else -1
         by_seed = {side: {seed: r["metrics"][name]["value"]
                           for seed, r in runs[side].items()}
@@ -91,6 +93,9 @@ def judge(runs, rules, untraced):
                                             by_seed["change"], better,
                                             bound),
                  "runs": by_seed}
+        if unit == "count":
+            entry["exact"] = "equal" if by_seed["parent"] \
+                == by_seed["change"] else "changed"
         if untraced and name in (first.get("measured") or {}):
             measured = {side: {seed: r["measured"][name]
                                for seed, r in runs[side].items()}
@@ -143,7 +148,7 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    rules = {m["name"]: (m["better"], m.get("bound"))
+    rules = {m["name"]: (m["better"], m.get("bound"), m["unit"])
              for m in spec["end_to_end"] + spec["per_layer"]}
     claim_workload, _, claim_metric = args.claim.partition(":")
     trees = {"parent": args.parent.resolve(),
