@@ -407,25 +407,27 @@ def compatibility_grid(G, H, budget=None):
 
     Every alpha and beta comes from ``enumerate_homs`` into Aut, so each
     pair is checked at generators of G and H only (module docstring).
+    With ``H is G`` both sides, and so both equations, are one.
     """
     budget = default_budget() if budget is None else budget
     autG = automorphism_group(G)
     autH = automorphism_group(H)
     alphas = enumerate_homs(H, autG.group)
-    betas = enumerate_homs(G, autH.group)
+    betas = alphas if H is G else enumerate_homs(G, autH.group)
     if len(alphas) * len(betas) > budget:
         raise BudgetExceeded(
             f"{len(alphas)}x{len(betas)} action pairs exceed budget {budget}")
-    conjA = _aut_conj_table(autG)
-    conjB = _aut_conj_table(autH)
     amaps = np.stack([a.map for a in alphas])
-    bmaps = np.stack([b.map for b in betas])
+    bmaps = amaps if H is G else np.stack([b.map for b in betas])
     # labels are indices in Aut; the actions at the element level
-    fails_g = _equation_fails(amaps, autH.elements, bmaps, conjA, G, H)
-    fails_h = _equation_fails(bmaps, autG.elements, amaps, conjB, H, G)
-    return ActionGrid(G, H, alphas, betas, ~fails_g & ~fails_h.T,
-                      normalizer_contains_inn(autG, amaps),
-                      normalizer_contains_inn(autH, bmaps))
+    fails_g = _equation_fails(amaps, autH.elements, bmaps,
+                              _aut_conj_table(autG), G, H)
+    fails_h = fails_g if H is G else _equation_fails(
+        bmaps, autG.elements, amaps, _aut_conj_table(autH), H, G)
+    norm_g = normalizer_contains_inn(autG, amaps)
+    norm_h = norm_g if H is G else normalizer_contains_inn(autH, bmaps)
+    return ActionGrid(G, H, alphas, betas, ~fails_g & ~fails_h.T, norm_g,
+                      norm_h)
 
 
 def compatible_pair_orbits(grid):

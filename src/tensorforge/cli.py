@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every command builds one RunReport dict; ``--json`` prints it verbatim,
-the default output is a plain-text rendering of the same dict.  Exit
+the default output is a plain-text rendering of the same dict.  One
+parser per process parses every ``main`` call.  Exit
 codes: 0 success / compatible / all-pass, 1 definite negative result,
 2 error or exhausted budget.  Any other exception a command raises is
 reported as one ``error:`` line on stderr with exit code 2.
@@ -10,6 +11,7 @@ reported as one ``error:`` line on stderr with exit code 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -188,7 +190,10 @@ def _render(report, out):
         print(json.dumps(results, indent=2), file=out)
 
 
+@functools.cache
 def build_parser():
+    """The process's one parser: parsing leaves no state on it, and each
+    command runs the ``cmd_*`` function the module holds at that time."""
     parser = argparse.ArgumentParser(
         prog="tensorforge",
         description="compatible actions and non-abelian tensor products "
@@ -203,7 +208,7 @@ def build_parser():
     exp = cat_sub.add_parser("export")
     exp.add_argument("key")
     exp.add_argument("--out", default=None)
-    cat.set_defaults(func=cmd_catalog)
+    cat.set_defaults(func=lambda args: cmd_catalog(args))
 
     def pair_args(p):
         p.add_argument("--g", help="catalog key or group file")
@@ -217,7 +222,7 @@ def build_parser():
 
     comp = sub.add_parser("compat", help="decide compatibility")
     pair_args(comp)
-    comp.set_defaults(func=cmd_compat)
+    comp.set_defaults(func=lambda args: cmd_compat(args))
 
     ten = sub.add_parser("tensor", help="compute the tensor product")
     pair_args(ten)
@@ -225,11 +230,11 @@ def build_parser():
                      help="compute the presented group even if the pair "
                           "is incompatible")
     ten.add_argument("--max-cosets", type=int, default=None)
-    ten.set_defaults(func=cmd_tensor)
+    ten.set_defaults(func=lambda args: cmd_tensor(args))
 
     ver = sub.add_parser("verify", help="run the verification suite")
     ver.add_argument("what", choices=["paper"])
-    ver.set_defaults(func=cmd_verify)
+    ver.set_defaults(func=lambda args: cmd_verify(args))
 
     explore = sub.add_parser("explore", help="open-question evidence")
     explore_sub = explore.add_subparsers(dest="question", required=True)
@@ -239,7 +244,7 @@ def build_parser():
     ch = explore_sub.add_parser("classify-heisenberg")
     ch.add_argument("p", type=int)
     ch.add_argument("--budget", type=int, default=None)
-    explore.set_defaults(func=cmd_explore)
+    explore.set_defaults(func=lambda args: cmd_explore(args))
     return parser
 
 

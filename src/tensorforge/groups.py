@@ -37,7 +37,7 @@ def _find_identity(table):
     n = len(table)
     want = np.arange(n)
     for e in range(n):
-        if np.array_equal(table[e], want) and np.array_equal(table[:, e], want):
+        if (table[e] == want).all() and (table[:, e] == want).all():
             return e
     return None
 
@@ -150,7 +150,7 @@ class FiniteGroup:
     @property
     def is_abelian(self):
         if self._abelian is None:
-            self._abelian = bool(np.array_equal(self.table, self.table.T))
+            self._abelian = bool((self.table == self.table.T).all())
         return self._abelian
 
     def name(self, i):
@@ -172,7 +172,7 @@ class Subgroup:
 
     def __init__(self, parent, members):
         self.parent = parent
-        self.members = tuple(sorted(set(int(m) for m in members)))
+        self.members = tuple(sorted(set(map(int, members))))
         mask = np.zeros(parent.order, dtype=bool)
         mask[list(self.members)] = True
         mask.setflags(write=False)
@@ -230,7 +230,7 @@ class GroupHom:
 
     def kernel(self):
         return Subgroup(self.source,
-                        np.flatnonzero(self.map == self.target.identity))
+                        (self.map == self.target.identity).nonzero()[0])
 
     @property
     def is_injective(self):
@@ -305,18 +305,26 @@ def spanning_tree(rows, root=0):
     layers = []
     while True:
         reached = rows[frontier].ravel()
-        first = np.flatnonzero(~seen[reached])
+        first = (~seen[reached]).nonzero()[0]
         if not len(first):
             return layers
         if len(first) > 1:
             # the first occurrence of each coset, in scan order
-            first = first[np.sort(np.unique(reached[first],
-                                            return_index=True)[1])]
+            first = first[first_occurrences(reached[first])]
         cosets = reached[first]
         seen[cosets] = True
         parents, cols = np.divmod(first, ncols)
         layers.append((cosets, frontier[parents], cols))
         frontier = cosets
+
+
+def first_occurrences(keys):
+    """Sorted positions of each value's first occurrence in 1-D ``keys``."""
+    order = keys.argsort(kind="stable")
+    ordered, new = keys[order], np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    return np.sort(order[new])
 
 
 def greedy_generators(n, root, column, candidates):
@@ -493,6 +501,8 @@ def lower_central_series(G):
 
 def nilpotency_class(G):
     """Smallest c with gamma_{c+1} trivial, or None when not nilpotent."""
+    if G.is_abelian:
+        return int(G.order > 1)
     series = lower_central_series(G)
     if series[-1].order != 1:
         return None

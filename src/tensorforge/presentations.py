@@ -23,9 +23,10 @@ reduced by reading it back as the relator of a ``Presentation``.
    and standardized: the cosets are renumbered in the breadth-first order
    of ``spanning_tree``.  The labels therefore depend only on the group
    and the images of the generators, not on the strategy, and identical
-   input yields a bit-identical table.  The table is then validated
-   against the full relator list of the original presentation; relators
-   whose column words are rotations of each other share one trace.
+   input yields a bit-identical table, which keeps that tree, relabelled.
+   The table is then validated against the full relator list of the
+   original presentation; relators whose column words are rotations of
+   each other share one trace.
 
 A ``Presentation`` keeps its relators once, in input order, in the
 layout of ``_free_reduce``: one read-only int64 letters x words array
@@ -69,13 +70,13 @@ from __future__ import annotations
 import numbers
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import LimitExceeded, TableIncomplete
 from .groups import (BLOCK_ENTRIES, MAX_CATALOG_ORDER, FiniteGroup,
-                     cayley_table, spanning_tree)
+                     cayley_table, first_occurrences, spanning_tree)
 
 DEFAULT_MAX_COSETS = 200_000
 
@@ -91,7 +92,7 @@ MAX_SCANS = 50_000_000
 FILTER_MIN_RELATORS = 64
 
 # Letters beyond this magnitude are refused before free reduction, whose
-# int64 sweep reads the int64 maximum as the top of an empty stack.
+# int64 sweep reads MAX_LETTER + 1 as the top of an empty stack.
 MAX_LETTER = 2 ** 62
 
 
@@ -142,7 +143,9 @@ def _relator_arrays(ngens, words):
     if isinstance(words, np.ndarray) and words.ndim == 2 \
             and words.dtype.kind in "iu":
         lengths = np.full(len(words), words.shape[1])
-        letters = words.ravel()
+        bad = ((words == 0) | (words > MAX_LETTER)
+               | (words < -MAX_LETTER)).any(axis=1)
+        ws = words.T.astype(np.int64)
     else:
         words = list(map(tuple, words))
         lengths = np.array([len(w) for w in words], dtype=np.intp)
@@ -154,13 +157,13 @@ def _relator_arrays(ngens, words):
             # a word for which _letter_error finds a fault as 0s
             letters = np.array([x for w in words for x in (
                 (0,) * len(w) if _letter_error(w) else w)], dtype=np.int64)
-    inside = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    bad = np.zeros(inside.shape, dtype=bool)
-    bad[inside] = ((letters == 0) | (letters > MAX_LETTER)
-                   | (letters < -MAX_LETTER))
-    bad = bad.any(axis=1)
-    ws = np.zeros(inside.shape[::-1], dtype=np.int64)
-    ws.T[inside] = letters
+        inside = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        bad = np.zeros(inside.shape, dtype=bool)
+        bad[inside] = ((letters == 0) | (letters > MAX_LETTER)
+                       | (letters < -MAX_LETTER))
+        bad = bad.any(axis=1)
+        ws = np.zeros(inside.shape[::-1], dtype=np.int64)
+        ws.T[inside] = letters
     ws[:, bad] = 0                      # a faulty word reduces to nothing
     ws, lengths = _free_reduce(ws)
     bad |= (np.abs(ws) > ngens).any(axis=0)
@@ -206,10 +209,16 @@ class EnumerationStats:
 @dataclass
 class CosetTable:
     """A complete coset table: rows[c][col] is the coset reached from c.
-    ``coset_enumerate`` attaches the ``stats`` of its run."""
+    ``coset_enumerate`` attaches the ``stats`` of its run and the
+    ``spanning_tree`` of the rows that it built, else it is built here."""
 
     rows: np.ndarray
     stats: EnumerationStats | None = None
+    tree: list | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.tree is None:
+            self.tree = spanning_tree(self.rows)
 
     @property
     def ncosets(self):
@@ -245,7 +254,7 @@ class _Enumerator:
         self.colmap = np.arange(n)
         self.colmap[mirrors] = mirrors - 1
         self.inv = self.colmap[np.arange(n) ^ 1].tolist()
-        self.cols = np.flatnonzero(self.colmap == np.arange(n)).tolist()
+        self.cols = (self.colmap == np.arange(n)).nonzero()[0].tolist()
 
     def rep(self, k):
         # union-find with path compression toward smaller offsets
@@ -335,8 +344,8 @@ def _representatives(ngens, words, lengths):
     """
     base = 2 * ngens + 1
     first = np.zeros(len(lengths), dtype=bool)
-    for length in np.flatnonzero(np.bincount(lengths)).tolist():
-        idx = np.flatnonzero(lengths == length)
+    for length in np.bincount(lengths).nonzero()[0].tolist():
+        idx = (lengths == length).nonzero()[0]
         if base ** length > 2 ** 63:
             seen = set()
             for k, r in zip(idx.tolist(),
@@ -350,11 +359,11 @@ def _representatives(ngens, words, lengths):
                     first[k] = True
         else:
             digits = words[:length, idx] + ngens
-            least = np.minimum(_least_rotations(digits, base),
-                               _least_rotations(2 * ngens - digits[::-1],
-                                                base))
-            first[idx[np.unique(least, return_index=True)[1]]] = True
-    return np.flatnonzero(first)
+            least = _least_rotations(np.concatenate(
+                [digits, 2 * ngens - digits[::-1]], axis=1), base)
+            least = np.minimum(least[:len(idx)], least[len(idx):])
+            first[idx[first_occurrences(least)]] = True
+    return first.nonzero()[0]
 
 
 def _least_rotations(digits, base):
@@ -383,12 +392,12 @@ def _free_reduce(words):
     # flat stacks: letter i of word r at (i + 1) * count + r, over a row
     # that no inverse letter equals, read as the top of an empty stack
     out = np.empty((length + 1) * count, dtype=words.dtype)
-    out[:count] = np.iinfo(words.dtype).max
+    out[:count] = MAX_LETTER + 1
     top = np.arange(count)              # each stack's top entry
     steps = count * (words != 0)
     for x, minus, step in zip(words, -words, steps):
         pop = out[top] == minus
-        out[top + count] = x
+        out[count:][top] = x
         top += np.where(pop, -count, step)
     out = out.reshape(length + 1, count)[1:]
     top //= count
@@ -409,7 +418,8 @@ def _eliminate(presentation):
     relator is left that short.  Relators are not reduced cyclically, so
     a short relator hidden in a conjugate, such as x y x^-1, eliminates
     nothing.  The map is a signed union-find in which 0 stands for the
-    identity and the smallest index of a class survives.  The short
+    identity and the smallest index of a class survives; a round links
+    roots, then maps every letter through its root in one gather.  The short
     relators are read deduplicated and sorted, so the map does not depend
     on the order of the relators.  A relator that the map turns into y^2
     (from x = y and x = y^-1) stays, and makes y an involution in HLT.
@@ -420,21 +430,11 @@ def _eliminate(presentation):
     their lengths, as ``Presentation._words`` and ``_lengths`` hold them.
     """
     n = presentation.ngens
-    base = 2 * n + 1
-    parent = list(range(n + 1))         # x = parent[x] ** sign[x]
-    sign = [1] * (n + 1)
-
-    def find(x):
-        s = 1
-        while parent[x] != x:
-            s *= sign[x]
-            x = parent[x]
-        return x, s
 
     def short(ws, length):
-        # x as (x + n) * base + n, x y as (x + n) * base + y + n
-        keep = (length == 1) | ((length == 2) & (ws[0] != ws[1]))
-        return ((ws[0] + n) * base + ws[1] + n)[keep]
+        # x as (x, 0), x y as (x, y); not the empty relator or a square
+        s = ((length <= 2) & (ws[0] != ws[1])).nonzero()[0]
+        return set(zip(*ws[:2, s].tolist()))
 
     # the relators, freely reduced already, over at least two rows, so
     # that every relator has a second letter: 0 below a relator of one
@@ -443,53 +443,60 @@ def _eliminate(presentation):
     ws[:len(words)] = words
     length = presentation._lengths.copy()
     keys = short(ws, length)
-    img = np.arange(n + 1)
-    while len(keys := np.unique(keys)):
-        # a = b^-1, or a = 1 when b is the padding 0
-        for a, b in zip((keys // base - n).tolist(),
-                        (keys % base - n).tolist()):
+    # the image of each letter, read at letter + n
+    img = np.arange(-n, n + 1)
+    while keys := sorted(keys):
+        # a round's union-find over the roots of the classes so far: a
+        # root y linked this round is x ** s for link[y] = (x, s), x < y
+        cur = img[n:].tolist()
+        link = {}
+
+        def find(x):
+            x, s = abs(cur[x]), -1 if cur[x] < 0 else 1
+            while x in link:
+                x, t = link[x]
+                s *= t
+            return x, s
+        for a, b in keys:
+            # a = b^-1, or a = 1 when b is the padding 0
             x, sx = find(abs(a))
             y, sy = find(abs(b))
             if x != y:
                 if x > y:
                     x, y = y, x
-                parent[y] = x
-                sign[y] = -sx * sy if a * b > 0 else sx * sy
-        # each generator's root follows its parent's, a smaller index;
-        # every generator is then pointed at its root
-        roots = img.tolist()
-        for x in range(1, n + 1):
-            if parent[x] != x:
-                v = roots[x] = sign[x] * roots[parent[x]]
-                parent[x], sign[x] = abs(v), -1 if v < 0 else 1
-        roots = np.array(roots)
-        changed = roots != img
-        img = roots
-        subst = np.concatenate([-img[:0:-1], img])  # letter + n -> letter
-        rs = np.flatnonzero(changed[np.abs(ws)].any(axis=0))
+                link[y] = (x, -sx * sy if a * b > 0 else sx * sy)
+        # each linked root's new root, then every generator's through it
+        root = np.arange(n + 1)
+        linked = list(link)
+        root[linked] = [x * s for x, s in map(find, linked)]
+        old, img = img, np.sign(img) * root[np.abs(img)]
+        rs = (img != old)[ws + n].any(axis=0).nonzero()[0]
         top = max(2, length[rs].max())  # only 0s below the longest in rs
-        w, k = _free_reduce(subst[ws[:top, rs] + n])
+        w, k = _free_reduce(img[ws[:top, rs] + n])
         ws[:top, rs], length[rs] = w, k
         keys = short(w, k)
 
     rank = np.zeros(n + 1, dtype=np.int64)
-    survivors = np.flatnonzero(img == np.arange(n + 1))[1:]
+    survivors = (img[n:] == np.arange(n + 1)).nonzero()[0][1:]
     rank[survivors] = np.arange(1, len(survivors) + 1)
     keep = length > 0
-    ws = ws[:length.max(initial=0), keep]
-    return np.sign(img[1:]) * rank[np.abs(img[1:])], len(survivors), \
+    ws, img = ws[:length.max(initial=0), keep], img[n + 1:]
+    return np.sign(img) * rank[np.abs(img)], len(survivors), \
         np.sign(ws) * rank[np.abs(ws)], length[keep]
 
 
 def _standardize(rows):
     """The table with its cosets renumbered in the breadth-first order of
     ``spanning_tree``, which is SymPy's ``CosetTable.standardize`` order:
-    the labels depend only on the group and the generators' images."""
+    the labels depend only on the group and the generators' images.  Also
+    that tree in the new labels, which is the new table's own tree."""
+    tree = spanning_tree(rows)
     order = np.concatenate([np.zeros(1, dtype=np.intp)]
-                           + [c for c, _, _ in spanning_tree(rows)])
+                           + [c for c, _, _ in tree])
     label = np.empty(len(rows), dtype=np.intp)
     label[order] = np.arange(len(order))
-    return label[rows[order]]
+    return label[rows[order]], [(label[c], label[p], cols)
+                                for c, p, cols in tree]
 
 
 def coset_enumerate(presentation, max_cosets=None):
@@ -510,14 +517,14 @@ def coset_enumerate(presentation, max_cosets=None):
     image, ngens, words, lengths = _eliminate(presentation)
     rows, counts = _enumerate_rows(ngens, words, lengths, max_cosets,
                                    MAX_SCANS)
-    # the identity column for a killed generator, else the survivor's
-    # column pair, swapped for an inverse
-    forward = np.where(image == 0, 2 * ngens, _columns(image))
-    inverse = np.where(image == 0, 2 * ngens, forward ^ 1)
+    # each generator's and its inverse's column: the survivor's column
+    # for its image, or the identity column for a killed generator
+    letters = np.multiply.outer(image, (1, -1)).ravel()
     full = np.column_stack([rows, np.arange(len(rows))])[
-        :, np.stack([forward, inverse], axis=1).ravel()]
-    table = CosetTable(_standardize(full),
-                       EnumerationStats(presentation.ngens, ngens, *counts))
+        :, np.where(letters == 0, 2 * ngens, _columns(letters))]
+    rows, tree = _standardize(full)
+    table = CosetTable(rows, EnumerationStats(presentation.ngens, ngens,
+                                              *counts), tree)
     # completion is validated against the full relator list
     _validate_complete(table, presentation)
     return table
@@ -533,26 +540,27 @@ def _scan_columns(ngens, words, lengths, colmap, dtype):
     FILTER_MIN_RELATORS relators that are not twins, also their positions
     in the scan list and their columns as a letters x relators matrix of
     ``dtype``."""
-    reps = _representatives(ngens, words, lengths)
-    reps = reps[lengths[reps] > 2]
+    # a class holds relators of one length: only the longer are classed
+    long = (lengths > 2).nonzero()[0]
+    reps = long[_representatives(ngens, words[:, long], lengths[long])]
     words, lengths = words[:, reps], lengths[reps]
-    cols, icols = colmap[_columns(words)], colmap[_columns(-words)]
+    cols = _columns(words)
+    cols, icols = colmap[cols], colmap[cols ^ 1]
     # each relator cut to its own length: the 0s below it are no letters
     rels = [(c[:k], ic[:k]) for c, ic, k in
             zip(zip(*cols.tolist()), zip(*icols.tolist()), lengths.tolist())]
     twins = np.zeros(len(reps), dtype=bool)
     filtered = []
-    for k in np.flatnonzero(np.bincount(lengths)).tolist():
-        pos = np.flatnonzero(lengths == k)
+    for k in np.bincount(lengths).nonzero()[0].tolist():
+        pos = (lengths == k).nonzero()[0]
         if (2 * ngens) ** k <= 2 ** 63:
+            # a twin repeats the least key of a relator and its inverse
             radix = (2 * ngens) ** np.arange(k - 1, -1, -1, dtype=np.int64)
-            both = np.stack([radix @ cols[:k, pos],
-                             radix @ icols[k - 1::-1, pos]])
-            keys, first = np.unique(both[0], return_index=True)
-            at = np.searchsorted(keys, both).clip(max=len(keys) - 1)
-            twins[pos] = ((keys[at] == both)
-                          & (first[at] < np.arange(len(pos)))).any(axis=0)
-            pos = pos[~twins[pos]]
+            keys = np.minimum(radix @ cols[:k, pos],
+                              radix @ icols[k - 1::-1, pos])
+            twins[pos] = True
+            pos = pos[first_occurrences(keys)]
+            twins[pos] = False
         if len(pos) >= FILTER_MIN_RELATORS:
             filtered.append((pos, cols[:k, pos].astype(dtype)))
     return rels, filtered, twins
@@ -573,7 +581,8 @@ def _enumerate_rows(ngens, words, lengths, max_cosets, max_steps):
         return np.zeros((1, 0), dtype=np.intp), (0,) * 6
     # every length-2 relator left is a square y^2 or y^-2: y is an
     # involution and its inverse's column is a mirror
-    mirrors = 2 * np.unique(np.abs(words[:1, lengths == 2])) - 1
+    squares = np.abs(words[:1, lengths == 2]).ravel()
+    mirrors = 2 * np.bincount(squares).nonzero()[0] - 1
     enum = _Enumerator(ngens, max_cosets, mirrors)
     n, t, dead, define, coincidence = (enum.ncols, enum.table, enum.dead,
                                        enum.define, enum.coincidence)
@@ -657,7 +666,7 @@ def _enumerate_rows(ngens, words, lengths, max_cosets, max_steps):
     entries[:, mirrors] = entries[:, mirrors - 1]   # y^-1 reads y's column
     if (entries < 0).any():
         raise LimitExceeded("enumeration halted with holes in table")
-    renum = np.cumsum(live, dtype=np.intp) - 1
+    renum = live.cumsum(dtype=np.intp) - 1
     counts = (len(mirrors), nrel, enum.defined - 1, enum.coincidences, scans,
               steps - scans)
     return renum[rep[entries // n]], counts
@@ -680,7 +689,7 @@ def _validate_complete(table, presentation):
     rows = table.rows
     n, ncols = rows.shape
     want = np.arange(n)
-    bad = np.flatnonzero((np.sort(rows, axis=0) != want[:, None]).any(axis=0))
+    bad = (np.sort(rows, axis=0) != want[:, None]).any(axis=0).nonzero()[0]
     if len(bad):
         raise TableIncomplete(f"column {bad[0]} is not a permutation")
     # trace every relator from every coset over offsets into the flat rows
@@ -694,17 +703,16 @@ def _validate_complete(table, presentation):
     first = np.full(n, ncols)
     np.minimum.at(first, rows[0], np.arange(ncols))
     candidate = first[rows[0]]
-    canon = np.append(np.where((rows[:, candidate] == rows).all(axis=0),
-                               candidate, np.arange(ncols)), ncols)
-    # each letter's column, 0 the identity column, read at letter + ngens
-    g = presentation.ngens
-    letters = np.arange(-g, g + 1)
+    canon = np.arange(ncols + 1)
+    canon[:ncols] = np.where((rows[:, candidate] == rows).all(axis=0),
+                             candidate, canon[:ncols])
+    # each letter's column, the identity column below each word
     words, lengths = presentation._words, presentation._lengths
-    cols = canon[np.where(letters == 0, ncols, _columns(letters))][words + g]
-    distinct = np.arange(len(lengths))
+    cols = canon[np.where(words == 0, ncols, _columns(words))]
     if width ** len(cols) <= 2 ** 63:
-        distinct = np.sort(np.unique(_least_rotations(cols, width),
-                                     return_index=True)[1])
+        distinct = first_occurrences(_least_rotations(cols, width))
+    else:
+        distinct = np.arange(len(lengths))
     cb = min(n, BLOCK_ENTRIES)
     rb = max(1, BLOCK_ENTRIES // cb)
     for r0 in range(0, len(distinct), rb):
@@ -729,9 +737,9 @@ def table_to_group(table):
 
     Element i is live coset i.  Column j of the multiplication table is
     the permutation of cosets by element j, gathered from the column of
-    j's parent in the spanning tree by ``groups.cayley_table``, which
-    ``automorphisms.automorphism_group`` fills Aut(G)'s table with too.
-    Above MAX_CATALOG_ORDER cosets, LimitExceeded is raised before
+    j's parent in the table's spanning tree by ``groups.cayley_table``,
+    which ``automorphisms.automorphism_group`` fills Aut(G)'s table with
+    too.  Above MAX_CATALOG_ORDER cosets, LimitExceeded is raised before
     anything is allocated.
     """
     rows = table.rows
@@ -739,8 +747,7 @@ def table_to_group(table):
     if n > MAX_CATALOG_ORDER:
         raise LimitExceeded(f"{n} cosets exceed the {MAX_CATALOG_ORDER}-"
                             f"element cap for a group table")
-    layers = spanning_tree(rows)
-    if 1 + sum(len(cosets) for cosets, _, _ in layers) != n:
+    if 1 + sum(len(cosets) for cosets, _, _ in table.tree) != n:
         raise TableIncomplete("table is not transitive on cosets")
-    group = FiniteGroup(cayley_table(rows, layers), validate=False)
+    group = FiniteGroup(cayley_table(rows, table.tree), validate=False)
     return group, rows[0, 0::2].tolist()

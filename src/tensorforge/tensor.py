@@ -7,8 +7,8 @@ required (the construction is only meaningful for one), enumeration turns
 the presentation into a concrete group, and the attached structures --
 the derivative subgroup [G, H] and the homomorphism kappa with its
 central kernel -- are computed and cross-checked.  Kappa is forced by the
-hom-search kernel ``homs._force`` along the spanning tree of the coset
-table's forward columns, and checked on every coset and generator at once.
+hom-search kernel ``homs._force`` along the coset table's spanning tree,
+the product's one tree, and checked on every coset and column at once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .actions import (HomPair, action_from_hom_pair, hom_classes,
                       is_compatible)
 from .errors import CrossCheckFailed, IncompatibleActions, LimitExceeded
 from .groups import FiniteGroup, GroupHom, Subgroup, center, coset_labels, \
-    nilpotency_class, spanning_tree, subgroup_generated
+    first_occurrences, nilpotency_class, subgroup_generated
 from .homs import _force, are_isomorphic, enumerate_homs, generating_set
 from .presentations import Presentation, coset_enumerate, table_to_group
 
@@ -80,21 +80,23 @@ def _biderivation_words(pair):
     n, m = G.order, H.order
     t, u = G.table, H.table
     A, B = pair.alpha_maps, pair.beta_maps
-    # index grids over (g, g1, h), then over (g, h, h1)
+    # symbols (g, h) as g*m + h over grids (g, g1, h), then (g, h, h1)
     g, g1, h = (np.arange(n)[:, None, None], np.arange(n)[:, None],
                 np.arange(m))
     gc = t[t[G.inverse[g1], g], g1]                     # g^g1
-    first = (-(t[g, g1] * m + h + 1), gc * m + B[g1, h] + 1, g1 * m + h + 1)
+    first = (t[g, g1] * m + h, gc * m + B[g1, h], g1 * m + h)
     h, h1 = np.arange(m)[:, None], np.arange(m)
     hc = u[u[H.inverse[h1], h], h1]                     # h^h1
-    second = (-(g * m + u[h, h1] + 1), g * m + h1 + 1, A[h1, g] * m + hc + 1)
-    words = np.concatenate(
-        [np.stack(np.broadcast_arrays(*family), axis=-1).reshape(-1, 3)
-         for family in (first, second)])
-    # the first letter is negative, the other two positive
-    base = 2 * n * m + 1
-    keys = ((words[:, 0] + n * m) * base + words[:, 1]) * base + words[:, 2]
-    return words[np.sort(np.unique(keys, return_index=True)[1])]
+    second = (g * m + u[h, h1], g * m + h1, A[h1, g] * m + hc)
+    words = np.empty((n * n * m + n * m * m, 3), dtype=np.intp)
+    for block, family, shape in ((words[:n * n * m], first, (n, n, m)),
+                                 (words[n * n * m:], second, (n, m, m))):
+        for k, symbols in enumerate(family):
+            block.reshape(*shape, 3)[..., k] = symbols
+    keys = (words[:, 0] * (n * m) + words[:, 1]) * (n * m) + words[:, 2]
+    words = words[first_occurrences(keys)] + 1
+    words[:, 0] *= -1                   # the first letter is inverted
+    return words
 
 
 def compute_tensor(pair, force=False, max_cosets=None):
@@ -108,10 +110,10 @@ def compute_tensor(pair, force=False, max_cosets=None):
                   for g in range(G.order) for h in range(m)}
     derivative = derivative_subgroup(pair)
     # kappa(g (x) h) = g^-1 g^h, forced over the whole tensor group from
-    # coset 0 along the forward columns, one per symbol
-    rows = table.rows[:, 0::2]
-    maps, ok, _ = _force(rows, 0, spanning_tree(rows), G,
-                         _kappa_images(pair)[None])
+    # coset 0 along the table's tree; an inverse column reads the inverse
+    images = _kappa_images(pair)
+    maps, ok, _ = _force(table.rows, 0, table.tree, G, np.column_stack(
+        [images, G.inverse[images]]).reshape(1, -1))
     if not ok.all():
         # kappa always extends when both assignments are genuine actions;
         # a failure certifies the pair only satisfies the equations
@@ -123,11 +125,12 @@ def compute_tensor(pair, force=False, max_cosets=None):
         kappa, kernel = None, None
     else:
         kappa = GroupHom(tensor, G, maps[0], validate=False)
-        if set(int(v) for v in np.unique(kappa.map)) \
-                != set(derivative.members):
+        if tuple(np.bincount(kappa.map).nonzero()[0].tolist()) \
+                != derivative.members:
             raise CrossCheckFailed("the image of kappa is not [G, H]")
         kernel = kappa.kernel()
-        _assert_central(tensor, kernel)
+        if not tensor.is_abelian:       # else it is its own centre
+            _assert_central(tensor, kernel)
         if tensor.order != kernel.order * derivative.order:
             raise CrossCheckFailed(
                 f"|G (x) H| = {tensor.order} is not |ker kappa| * |[G, H]| "
@@ -153,7 +156,8 @@ def _kappa_images(pair):
 
 def derivative_subgroup(pair):
     """D_H(G) = [G, H], generated by all g^-1 g^h."""
-    return subgroup_generated(pair.G, np.unique(_kappa_images(pair)))
+    return subgroup_generated(pair.G,
+                              np.bincount(_kappa_images(pair)).nonzero()[0])
 
 
 def hom_pair_tensor_classes(G, budget=None):

@@ -906,6 +906,27 @@ def test_grid_matches_pointwise_checks():
             assert bool(grid.normalizer_h[j]) == norm_h
 
 
+def test_grid_of_a_group_with_itself_matches_a_copy():
+    # compatibility_grid(G, G) reuses the alpha side as the beta side; a
+    # copy of G, a distinct object, takes the two-sided route, which must
+    # give the same homs, verdicts and normalizer masks
+    keys = [k for k, G in catalog_groups_up_to(8)] + ["elemab:3:2",
+                                                      "elemab:2:3"]
+    for key in keys:
+        G = tf.make_catalog_group(key)
+        twin = tf.FiniteGroup(G.table.copy(), validate=False)
+        got = compatibility_grid(G, G, budget=verify.GRID_BUDGET)
+        want = compatibility_grid(G, twin, budget=verify.GRID_BUDGET)
+        assert got.betas is got.alphas
+        for side in ("alphas", "betas"):
+            assert [h.map.tolist() for h in getattr(got, side)] \
+                == [h.map.tolist() for h in getattr(want, side)], key
+        for name in ("compatible", "normalizer_g", "normalizer_h"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), key
+            assert np.array_equal(a, b), key
+
+
 # the six grids of the action-sweep benchmark workload
 SWEEP_GRIDS = [("elemab:2:3", "elemab:2:3"), ("dihedral:4", "elemab:2:3"),
                ("quaternion:8", "dihedral:4"), ("elemab:3:2", "elemab:3:2"),

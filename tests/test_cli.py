@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -110,6 +111,41 @@ def test_tensor_force_computes_presented_group(capsys):
                        "--force")
     assert code == 0
     assert json.loads(out)["results"]["order"] == 1
+
+
+def test_reused_parser_gives_each_call_its_own_output(capsys):
+    # main parses every call with one parser built once per process; each
+    # of these back-to-back calls must print, and exit with, exactly what
+    # it does as the only call of a fresh process
+    incompatible = ("tensor", "--g", "cyclic:3", "--h", "cyclic:3",
+                    "--alpha", "inversion", "--beta", "inversion")
+    square = ("tensor", "--g", "dihedral:4", "--h", "dihedral:4",
+              "--alpha", "conjugation", "--beta", "conjugation")
+    src = str(Path(tensorforge.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+
+    def alone(argv):
+        proc = subprocess.run([sys.executable, "-m", "tensorforge.cli",
+                               *argv], capture_output=True, text=True,
+                              env=env, timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    for first, second, codes in [
+            (incompatible + ("--force",), incompatible, (0, 2)),
+            (("--json",) + square, square, (0, 0)),
+            (square + ("--max-cosets", "5"), square, (2, 0))]:
+        got = [run(capsys, *first), run(capsys, *second)]
+        assert tuple(code for code, _, _ in got) == codes
+        for argv, result in zip((first, second), got):
+            assert _untimed(result) == _untimed(alone(argv)), argv
+
+
+def _untimed(result):
+    """An exit code and output with the wall-clock timings blanked."""
+    code, out, err = result
+    out = re.sub(r'"timing_ms": [0-9.]+', '"timing_ms": 0', out)
+    return code, re.sub(r", [0-9.]+ ms\]", ", 0 ms]", out), err
 
 
 def test_tensor_from_pair_file(capsys, tmp_path):

@@ -462,6 +462,19 @@ def test_lower_central_series_matches_loop_on_catalog(monkeypatch, block):
             == reference_subgroup_generated(G, comms)
 
 
+def test_nilpotency_class_is_the_length_of_the_series():
+    # abelian groups take a shortcut past the series; every group must
+    # still get the class that the loop series gives, None when the
+    # series stops above the trivial group
+    classes = set()
+    for key, G in catalog_groups_up_to(27):
+        series = reference_lower_central_series(G)
+        want = len(series) - 1 if series[-1].order == 1 else None
+        assert nilpotency_class(G) == want, key
+        classes.add((G.is_abelian, want))
+    assert {(True, 0), (True, 1), (False, 2), (False, None)} <= classes
+
+
 def test_lower_central_series_matches_loop_on_large_groups():
     # orders 512 and 432 take several row blocks of the commutator table;
     # the tensor square is abelian, the product has class 3

@@ -302,11 +302,42 @@ def _extend_to_hom(rows, target, images):
     return pm
 
 
+def test_one_product_builds_one_spanning_tree(monkeypatch):
+    # standardizing the table builds its tree; read-back and kappa share
+    # it.  Every module's reference to spanning_tree is counted.
+    calls = []
+    real = tf.groups.spanning_tree
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    modules = [m for m in vars(tf).values() if isinstance(m, type(tf))
+               and getattr(m, "spanning_tree", None) is real]
+    assert {m.__name__ for m in modules} >= {
+        "tensorforge.groups", "tensorforge.presentations"}
+    for module in modules:
+        monkeypatch.setattr(module, "spanning_tree", counted)
+    pairs = REPORT_PAIRS + [z3_case(True, False)]
+    for key in ["symmetric:3", "quaternion:8", "dihedral:8"]:
+        G = tf.make_catalog_group(key)
+        conj = conjugation_maps(G)
+        pairs.append(ActionPair(G, G, conj, conj, validate=False))
+    for pair in pairs:
+        calls.clear()
+        rep = compute_tensor(pair, force=True)
+        # the tree spans the unstandardized table, one column per letter
+        assert len(calls) == 1 and calls[0][1] == 2 * pair.G.order \
+            * pair.H.order, calls
+        assert rep.kappa is not None or not pair.assignments_are_homs()
+
+
 def test_kappa_by_spanning_tree_matches_hom_from_images():
-    # the forcing compute_tensor does, along the forward columns from coset
-    # 0, must agree with the general closure of hom_from_images and with
-    # forcing along the tree of all columns (the reference above), on
-    # kappa's images and on images that define no homomorphism
+    # forcing along the forward columns from coset 0 must agree with the
+    # general closure of hom_from_images, with forcing along the tree of
+    # all columns (the reference above) and with the forcing compute_tensor
+    # does along the table's own tree, on kappa's images and on images
+    # that define no homomorphism
     pairs = REPORT_PAIRS + [z3_case(True, False), z3_case(False, True)]
     for key in ["symmetric:3", "dihedral:4", "quaternion:8", "elemab:2:2"]:
         G = tf.make_catalog_group(key)
@@ -336,5 +367,11 @@ def test_kappa_by_spanning_tree_matches_hom_from_images():
             assert got == _closure_hom(T, G, gen_images, images.tolist())
             want = _extend_to_hom(table.rows, G, images)
             assert got == (None if want is None else want.tolist())
+            # as compute_tensor forces: along the tree the table carries,
+            # over every column, an inverse column sent to the inverse
+            maps, ok, _ = tf.homs._force(
+                table.rows, 0, table.tree, G,
+                np.column_stack([images, G.inverse[images]]).reshape(1, -1))
+            assert (maps[0].tolist() if ok.all() else None) == got
             outcomes.add(got is None)
     assert outcomes == {True, False}

@@ -1,0 +1,137 @@
+"""Time two trees' library calls side by side in one process.
+
+    python3 tools/ab_calls.py PARENT CHANGE --rounds 15
+
+PARENT and CHANGE are two checkouts.  Each one's ``src/tensorforge`` is
+imported under its own package name (the package uses relative imports
+only), so both run in the same process on the same machine state.  Every
+round times each workload once on each side, the parent first in even
+rounds and the change first in odd ones.  Printed are the best and the
+median per side, their ratios change over parent, and the median of the
+rounds' own ratios ("paired").  The workloads:
+
+- ``trivial-6``: 200 ``compute_tensor`` calls on the 6-symbol pair
+  cyclic:2 x cyclic:3 with trivial actions, per call;
+- ``check06``: ``compute_tensor`` on the 722 orbit representatives that
+  verify check 06 computes (compatible pairs of abelian catalog groups up
+  to order 8), per pass;
+- ``collapse``: one pass of the ``tensor-collapse`` benchmark ops, nine
+  in-process ``tensorforge --json tensor`` calls, each result checked.
+
+Separate processes of one tree can drift apart by far more than the
+differences measured here; alternating inside one process does not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+SIDES = ("parent", "change")
+
+
+def load(tree, name):
+    """The tree's ``src/tensorforge`` imported as package ``name``."""
+    init = Path(tree).resolve() / "src" / "tensorforge" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for module in ("cli", "verify"):
+        importlib.import_module(f"{name}.{module}")
+    return package
+
+
+def check06_pairs(tf):
+    """The 722 pairs whose products check 06 computes, in its order."""
+    groups = [G for _, G in tf.catalog.catalog_groups_up_to(8)
+              if G.is_abelian]
+    return [grid.pair(i, j) for G in groups for H in groups
+            for grid in [tf.actions.compatibility_grid(
+                G, H, budget=tf.verify.GRID_BUDGET)]
+            for i, j, _ in tf.actions.compatible_pair_orbits(grid)]
+
+
+def trivial6(tf):
+    small = tf.ActionPair.trivial(tf.make_catalog_group("cyclic:2"),
+                                  tf.make_catalog_group("cyclic:3"))
+
+    def run():
+        for _ in range(200):
+            tf.compute_tensor(small)
+    return run, 200
+
+
+def check06(tf):
+    pairs = check06_pairs(tf)
+
+    def run():
+        for pair in pairs:
+            tf.compute_tensor(pair)
+    return run, 1
+
+
+def collapse(tf):
+    ops, _ = workloads.tensor_collapse(tf)
+
+    def run():
+        for op in ops:
+            failure = op.check(op.call())
+            if failure is not None:
+                raise RuntimeError(f"{op.name}: {failure}")
+    return run, 1
+
+
+# workload -> builder of (callable, calls it makes) for one side
+WORKLOADS = {"trivial-6": trivial6, "check06": check06, "collapse": collapse}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="time only this workload (repeatable)")
+    args = parser.parse_args(argv)
+    chosen = args.workload or list(WORKLOADS)
+    sides = {}
+    for side, tree in zip(SIDES, (args.parent, args.change)):
+        tf = load(tree, f"tensorforge_{side}")
+        sides[side] = {w: WORKLOADS[w](tf) for w in chosen}
+    times = {w: {side: [] for side in SIDES} for w in chosen}
+    for side in SIDES:                  # warm every cache once
+        for w in times:
+            sides[side][w][0]()
+    for k in range(args.rounds):
+        for w in times:
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                fn, calls = sides[side][w]
+                t0 = perf_counter()
+                fn()
+                times[w][side].append((perf_counter() - t0) / calls)
+    print(f"{'workload':10s} {'side':7s} {'best ms':>10s} {'median ms':>10s}")
+    for w, by_side in times.items():
+        for side in SIDES:
+            print(f"{w:10s} {side:7s} {min(by_side[side]) * 1e3:10.3f} "
+                  f"{statistics.median(by_side[side]) * 1e3:10.3f}")
+        ratio = [min(by_side["change"]) / min(by_side["parent"]),
+                 statistics.median(by_side["change"])
+                 / statistics.median(by_side["parent"])]
+        paired = statistics.median(c / p for p, c in zip(*by_side.values()))
+        print(f"{w:10s} {'ratio':7s} {ratio[0]:10.3f} {ratio[1]:10.3f}"
+              f"  paired {paired:.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,6 +15,10 @@ The file keeps the schema of ``BENCH_24.json``: per workload and mode,
 each metric's median and quartiles on both sides, the change's wins over
 the pairs and the verdict of ``perfbench/compare.py``, and for the
 untraced runs the medians as measured and each side's speed scale.  A
+time of an untraced run also gets ``measured_verdict``, the verdict of
+``compare.py`` on its values as measured, and ``verdict_both``: the
+verdict both give, "worse" when either is, and "unresolved" for any
+other split, so "improved" only when both verdicts are.  A
 metric counted in unit ``count`` also gets the exact verdict ``equal``,
 when every seed gave both sides the same value, or ``changed``.  It
 also keeps every run's values by seed (``runs``, and ``measured_runs``
@@ -68,6 +72,15 @@ def summary(values):
             "q3": round(q3, 6)}
 
 
+def both(scaled, measured):
+    """One verdict from a time's scaled and measured verdicts: the verdict
+    they share, "worse" when either is, else "unresolved"; so "improved"
+    only when both are."""
+    if "worse" in (scaled, measured):
+        return "worse"
+    return scaled if scaled == measured else "unresolved"
+
+
 def judge(runs, rules, untraced):
     """The metrics entry of one workload and mode."""
     metrics = {}
@@ -104,6 +117,10 @@ def judge(runs, rules, untraced):
                 side: round(statistics.median(measured[side].values()), 6)
                 for side in SIDES}
             entry["measured_runs"] = measured
+            entry["measured_verdict"] = compare.verdict(
+                measured["parent"], measured["change"], better, bound)
+            entry["verdict_both"] = both(entry["verdict"],
+                                         entry["measured_verdict"])
         metrics[name] = entry
     return metrics
 
