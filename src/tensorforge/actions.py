@@ -446,14 +446,10 @@ def compatible_pair_orbits(grid):
     each moved map up by its images of a generating set
     (``groups.row_keys``).  Those are the greedy generators of the source,
     so the keys of an ``enumerate_homs`` list are already increasing
-    (``homs`` module docstring).  The compatible pairs are
-    closed under the moves, and each pair of the closure is labelled by
-    min-label propagation with pointer jumping: a round gives each pair
-    the least label of the pairs its moves reach, then replaces each label
-    by the label of the pair it names, until no label changes.  The labels
-    are then the least pair of each orbit, since the moves generate the
-    action.  An orbit's representative is its least compatible pair, and
-    its size counts every pair in it, compatible or not, so a grid whose
+    (``homs`` module docstring).  ``pair_orbits`` closes the compatible
+    pairs under the moves and labels each orbit by its least pair.  An
+    orbit's representative is its least compatible pair, and its size
+    counts every pair in it, compatible or not, so a grid whose
     compatible pairs are not invariant gets the orbits of the pairs it
     marks.
     """
@@ -477,13 +473,35 @@ def compatible_pair_orbits(grid):
                 :, aut.elements[inv[s]][gens[1 - side]]]
             moves.append([_row_index(key, row_keys(m))
                           for key, m in zip(keys, moved)])
+    pairs, label = pair_orbits(grid.compatible, moves)
     n_beta = len(maps[1])
-    # close the compatible pairs under the moves, as increasing flat indices
-    closed = grid.compatible.copy()
+    marked = np.flatnonzero(grid.compatible.flat[pairs])
+    _, first = np.unique(label[marked], return_index=True)
+    reps = np.sort(marked[first])
+    sizes = np.bincount(label)[label[reps]]
+    return [(int(p) // n_beta, int(p) % n_beta, int(size))
+            for p, size in zip(pairs[reps], sizes)]
+
+
+def pair_orbits(marked, moves):
+    """Orbits of the pairs of a product set A x B under moves.
+
+    ``marked`` is an |A| x |B| boolean mask, and each move is a pair
+    (pa, pb) of index permutations of A and of B that sends (a, b) to
+    (pa[a], pb[b]).  The marked pairs are closed under the moves, and
+    each pair of the closure is labelled by min-label propagation with
+    pointer jumping: a round gives each pair the least label of the pairs
+    its moves reach, then replaces each label by the label of the pair it
+    names, until no label changes.  The labels are then the least pair of
+    each orbit, since the moves generate the action.  Returns (pairs,
+    label): the closure as increasing flat indices a |B| + b, and for
+    each of them the position in ``pairs`` of its orbit's least pair.
+    """
+    n_b = marked.shape[1]
+    closed = marked.copy()
     while True:
         pairs = np.flatnonzero(closed)
-        moved = [pa[pairs // n_beta] * n_beta + pb[pairs % n_beta]
-                 for pa, pb in moves]
+        moved = [pa[pairs // n_b] * n_b + pb[pairs % n_b] for pa, pb in moves]
         if all(closed.flat[m].all() for m in moved):
             break
         for m in moved:
@@ -503,14 +521,8 @@ def compatible_pair_orbits(grid):
             least = np.minimum(least, least[target])
         least = least[least]
         if np.array_equal(least, label):
-            break
+            return pairs, label
         label = least
-    marked = np.flatnonzero(grid.compatible.flat[pairs])
-    _, first = np.unique(label[marked], return_index=True)
-    reps = np.sort(marked[first])
-    sizes = np.bincount(label)[label[reps]]
-    return [(int(p) // n_beta, int(p) % n_beta, int(size))
-            for p, size in zip(pairs[reps], sizes)]
 
 
 def _row_index(keys, wanted):
@@ -581,14 +593,18 @@ def hom_classes(maps, labels):
     ``maps`` stacks the homomorphisms' images of a generating set of their
     common source, which decide the class, as pi phi is a homomorphism to
     the quotient by N; ``labels`` labels the target by the cosets of N
-    (``groups.coset_labels``).  Returns (first, sizes) with the classes in
-    order of their first member: ``first[c]`` is the index of that member
-    and ``sizes[c]`` the number of members.
+    (``groups.coset_labels``).  Returns (first, sizes, index) with the
+    classes in order of their first member: ``first[c]`` is the index of
+    that member, ``sizes[c]`` the number of members and ``index[k]`` the
+    class of member k.
     """
-    _, first, sizes = np.unique(row_keys(labels[maps]), return_index=True,
-                                return_counts=True)
+    _, first, index, sizes = np.unique(
+        row_keys(labels[maps]), return_index=True, return_inverse=True,
+        return_counts=True)
     order = np.argsort(first)
-    return first[order], sizes[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], sizes[order], rank[index]
 
 
 def _congruence(G, H, P, S):
@@ -599,25 +615,48 @@ def _congruence(G, H, P, S):
 
     pi psi phi and pi are homomorphisms G -> G/Z2(G), so they agree
     everywhere iff they agree on generating_set(G), and dually for H.
-    The phis are taken in blocks of at most BLOCK_ENTRIES entries.
+    The first equation depends on psi only through pi psi, its class
+    modulo Z2(G) (``hom_classes``), and the second on phi only through
+    its class modulo Z2(H).  So the first is decided once per (phi_i,
+    class b of psi), as ok1[i, b], and the second once per (class a of
+    phi, psi_j), as ok2[a, j].  The pairs that satisfy both number
+    sum over (a, b) of E1[a, b] E2[a, b], where E1[a, b] counts the phi
+    of class a with ok1 and E2[a, b] the psi of class b with ok2; the
+    first failing pair lies in the first row i that fails either.
     """
-    gens_g = np.array(generating_set(G) or [G.identity])
-    gens_h = np.array(generating_set(H) or [H.identity])
+    gens_g = list(generating_set(G) or [G.identity])
+    gens_h = list(generating_set(H) or [H.identity])
     lab_g = coset_labels(G, second_hypercenter(G))[1]
     lab_h = coset_labels(H, second_hypercenter(H))[1]
-    count, first = 0, None
-    step = max(1, BLOCK_ENTRIES // (len(S) * (len(gens_g) + len(gens_h))))
-    for s in range(0, len(P), step):
-        block = P[s:s + step]
-        # cosets of Z2 of psi_j(phi_i(x_k)) at [i, k, j] and of
-        # phi_i(psi_j(y_k)) at [i, j, k], for generators x_k and y_k
-        ok = (lab_g[S.T[block[:, gens_g]]] == lab_g[gens_g, None]).all(1)
-        ok &= (lab_h[block[:, S[:, gens_h]]] == lab_h[gens_h]).all(2)
-        count += int(ok.sum())
-        if first is None and not ok.all():
-            i, j = np.argwhere(~ok)[0]
-            first = (s + int(i), int(j))
-    return count, first
+    psi_first, _, psi_of = hom_classes(S[:, gens_h], lab_g)
+    phi_first, _, phi_of = hom_classes(P[:, gens_g], lab_h)
+    ok1 = _congruent_at(lab_g[S[psi_first]], P, lab_g, gens_g).T
+    ok2 = _congruent_at(lab_h[P[phi_first]], S, lab_h, gens_h)
+    rows = ok1.all(axis=1) & ok2.all(axis=1)[phi_of]
+    if rows.all():
+        return len(P) * len(S), None
+    # E1 and E2, flat over (a, b), count the true entries at each
+    n_a, n_b = len(phi_first), len(psi_first)
+    e1 = np.bincount((phi_of[:, None] * n_b + np.arange(n_b))[ok1],
+                     minlength=n_a * n_b)
+    e2 = np.bincount((np.arange(n_a)[:, None] * n_b + psi_of)[ok2],
+                     minlength=n_a * n_b)
+    i = int(np.argmin(rows))
+    j = int(np.argmin(ok1[i, psi_of] & ok2[phi_of[i]]))
+    return int(e1 @ e2), (i, j)
+
+
+def _congruent_at(pi, maps, lab, gens):
+    """ok[c, k]: pi[c][maps[k][x]] == lab[x] at every x in ``gens``, where
+    pi[c] is a map followed by the coset labels ``lab`` of a normal
+    subgroup; the maps are taken in blocks of at most BLOCK_ENTRIES
+    entries."""
+    ok = np.empty((len(pi), len(maps)), dtype=bool)
+    step = max(1, BLOCK_ENTRIES // (len(pi) * len(gens)))
+    for s in range(0, len(maps), step):
+        ok[:, s:s + step] = (pi[:, maps[s:s + step, gens]]
+                             == lab[gens]).all(axis=2)
+    return ok
 
 
 def hom_pair_compatibility_sweep(G, H):
@@ -628,7 +667,10 @@ def hom_pair_compatibility_sweep(G, H):
     compatibility is decided once per distinct action pair; the count
     still covers every hom pair.  Conjugation through phi and psi makes
     both assignments homomorphisms, so each action pair is checked at
-    generators of G and H only (module docstring).
+    generators of G and H only (module docstring).  Each equation of the
+    congruence depends on one hom only modulo the second hypercenter, so
+    ``_congruence`` decides it once per class of that hom (``hom_classes``
+    again, modulo Z2).
     """
     phis = enumerate_homs(G, H)
     psis = enumerate_homs(H, G)
@@ -640,9 +682,9 @@ def hom_pair_compatibility_sweep(G, H):
     # labels are cosets of the centers
     reps_g, lab_g = coset_labels(G, center(G))
     reps_h, lab_h = coset_labels(H, center(H))
-    phi_first, phi_sizes = hom_classes(
+    phi_first, phi_sizes, _ = hom_classes(
         P[:, list(generating_set(G) or [G.identity])], lab_h)
-    psi_first, psi_sizes = hom_classes(
+    psi_first, psi_sizes, _ = hom_classes(
         S[:, list(generating_set(H) or [H.identity])], lab_g)
     conj_g, conj_h = conjugation_maps(G), conjugation_maps(H)
     fails_g = _equation_fails(lab_g[S[psi_first]], conj_h, P[phi_first],

@@ -452,13 +452,16 @@ def coset_labels(G, N):
 
 
 def second_hypercenter(G):
-    """Preimage in G of the center of G/Z(G)."""
+    """Preimage in G of the center of G/Z(G), read off the table of the
+    quotient over the least coset representatives, with no quotient group
+    built."""
     z1 = center(G)
     if z1.is_whole_group():
         return z1
-    Q, proj = quotient(G, z1)
-    zq = center(Q)
-    return Subgroup(G, np.flatnonzero(zq.mask()[proj.map]))
+    reps, labels = coset_labels(G, z1)
+    cosets = labels[G.table[np.ix_(reps, reps)]]
+    central = (cosets == cosets.T).all(axis=1)
+    return Subgroup(G, np.flatnonzero(central[labels]))
 
 
 # Entries per block of the large temporaries built in blocks: commutators,

@@ -19,12 +19,14 @@ from typing import Optional
 import numpy as np
 
 from .abelian import abelian_invariants
-from .actions import (HomPair, action_from_hom_pair, hom_classes,
-                      is_compatible)
+from .actions import (HomPair, _row_index, action_from_hom_pair,
+                      hom_classes, is_compatible, pair_orbits)
+from .automorphisms import automorphism_group
 from .errors import CrossCheckFailed, IncompatibleActions, LimitExceeded
 from .groups import FiniteGroup, GroupHom, Subgroup, center, coset_labels, \
-    first_occurrences, nilpotency_class, subgroup_generated
-from .homs import _force, are_isomorphic, enumerate_homs, generating_set
+    first_occurrences, nilpotency_class, row_keys, subgroup_generated
+from .homs import _force, are_isomorphic, enumerate_homs, generating_set, \
+    search_set
 from .presentations import Presentation, coset_enumerate, table_to_group
 
 MAX_SYMBOLS = 256
@@ -57,16 +59,19 @@ def tensor_presentation(pair, force=False):
     Relator families (deterministic order, first family before second):
       gg1 (x) h  = (g^g1 (x) h^g1)(g1 (x) h)        lex in (g, g1, h)
       g (x) hh1  = (g (x) h1)(g^h1 (x) h^h1)        lex in (g, h, h1)
-    Duplicate relators are dropped, keeping first occurrence.
+    Duplicate relators are dropped, keeping first occurrence.  The
+    symbol cap is checked first; an incompatible pair is refused unless
+    ``force``, which skips the compatibility check.
     """
     G, H = pair.G, pair.H
     n, m = G.order, H.order
     if n * m > MAX_SYMBOLS:
         raise LimitExceeded(
             f"{n * m} symbols exceed the {MAX_SYMBOLS}-symbol cap")
-    report = is_compatible(pair)
-    if not report.compatible and not force:
-        raise IncompatibleActions(report.witness)
+    if not force:
+        report = is_compatible(pair)
+        if not report.compatible:
+            raise IncompatibleActions(report.witness)
 
     symbols = {(g, h): g * m + h + 1 for g in range(n) for h in range(m)}
     return Presentation(n * m, _biderivation_words(pair)), symbols
@@ -108,10 +113,11 @@ def compute_tensor(pair, force=False, max_cosets=None):
     m = H.order
     symbol_map = {(g, h): gen_images[g * m + h]
                   for g in range(G.order) for h in range(m)}
-    derivative = derivative_subgroup(pair)
     # kappa(g (x) h) = g^-1 g^h, forced over the whole tensor group from
-    # coset 0 along the table's tree; an inverse column reads the inverse
+    # coset 0 along the table's tree; an inverse column reads the inverse;
+    # its images on the symbols generate the derivative
     images = _kappa_images(pair)
+    derivative = subgroup_generated(G, np.bincount(images).nonzero()[0])
     maps, ok, _ = _force(table.rows, 0, table.tree, G, np.column_stack(
         [images, G.inverse[images]]).reshape(1, -1))
     if not ok.all():
@@ -164,37 +170,63 @@ def hom_pair_tensor_classes(G, budget=None):
     """The tensor squares of G under the conjugation actions induced by
     every hom pair (phi, psi) in End(G) x End(G), up to isomorphism.
 
-    The actions, and so the tensor products, depend only on phi and psi
-    modulo Z(G), so one product is computed per pair of classes.  Returns
-    the number of homs, of hom pairs, and one row per isomorphism class of
-    products, ordered by (order, invariants), with an example pair and the
-    number of hom pairs giving it.
+    The actions depend only on phi and psi modulo Z(G), so the products
+    depend only on their pair of classes.  Renaming the first copy of G by
+    an automorphism sigma sends (phi, psi) to (phi sigma^-1, sigma psi),
+    and renaming the second copy to (sigma phi, psi sigma^-1); renamed
+    pairs have isomorphic products, and automorphisms fix Z(G), so the
+    moves act on class pairs.  One product is computed per orbit of
+    Aut(G) x Aut(G) on class pairs (``actions.pair_orbits``, moved by
+    each sigma in ``search_set`` of Aut(G) on either side), in increasing
+    order of the orbit's least class pair, and weighted by the hom pairs
+    of all its class pairs.  An isomorphism class of products is thus met
+    first at its least class pair, as in a loop over every class pair.
+    Returns the number of homs, of hom pairs, and one row per isomorphism
+    class of products, ordered by (order, invariants), with an example
+    pair and the number of hom pairs giving it.
     """
     homs = enumerate_homs(G, G, budget=budget)
     gens = list(generating_set(G) or [G.identity])
-    first, sizes = hom_classes(np.stack([h.map[gens] for h in homs]),
-                               coset_labels(G, center(G))[1])
+    maps = np.stack([h.map for h in homs])
+    first, sizes, class_of = hom_classes(maps[:, gens],
+                                         coset_labels(G, center(G))[1])
+    # the class of sigma after each class's first member, and of that
+    # member after sigma^-1, found by the member's generator images
+    keys, reps = row_keys(maps[:, gens]), maps[first]
+    aut = automorphism_group(G)
+    moves = []
+    for s in search_set(aut.group):
+        sigma, undo = aut.elements[s], aut.elements[aut.group.inverse[s]]
+        after = class_of[_row_index(keys, row_keys(sigma[reps[:, gens]]))]
+        before = class_of[_row_index(keys, row_keys(reps[:, undo[gens]]))]
+        # (sigma, 1) and (1, sigma) on (class of phi, class of psi)
+        moves += [(before, after), (after, before)]
+    n = len(first)
+    _, label = pair_orbits(np.ones((n, n), dtype=bool), moves)
+    weights = np.zeros(n * n, dtype=np.int64)
+    np.add.at(weights, label, np.outer(sizes, sizes).ravel())
     rows = []
-    for a, i in enumerate(first.tolist()):
-        for b, j in enumerate(first.tolist()):
-            count = int(sizes[a] * sizes[b])
-            rep = compute_tensor(action_from_hom_pair(
-                G, G, HomPair(homs[i], homs[j])))
-            for row in rows:
-                if row["order"] == rep.order and \
-                        row["abelian"] == rep.tensor.is_abelian and \
-                        row["invariants"] == rep.invariants and \
-                        are_isomorphic(row["_witness"], rep.tensor):
-                    row["n_hom_pairs"] += count
-                    break
-            else:
-                rows.append({"order": rep.order,
-                             "abelian": bool(rep.tensor.is_abelian),
-                             "invariants": rep.invariants,
-                             "nilpotency": rep.nilpotency,
-                             "example_phi": i, "example_psi": j,
-                             "n_hom_pairs": count,
-                             "_witness": rep.tensor})
+    for least in np.unique(label).tolist():
+        a, b = divmod(least, n)
+        i, j = int(first[a]), int(first[b])
+        count = int(weights[least])
+        rep = compute_tensor(action_from_hom_pair(
+            G, G, HomPair(homs[i], homs[j])))
+        for row in rows:
+            if row["order"] == rep.order and \
+                    row["abelian"] == rep.tensor.is_abelian and \
+                    row["invariants"] == rep.invariants and \
+                    are_isomorphic(row["_witness"], rep.tensor):
+                row["n_hom_pairs"] += count
+                break
+        else:
+            rows.append({"order": rep.order,
+                         "abelian": bool(rep.tensor.is_abelian),
+                         "invariants": rep.invariants,
+                         "nilpotency": rep.nilpotency,
+                         "example_phi": i, "example_psi": j,
+                         "n_hom_pairs": count,
+                         "_witness": rep.tensor})
     for row in rows:
         del row["_witness"]
     rows.sort(key=lambda r: (r["order"], str(r["invariants"])))

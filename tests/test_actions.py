@@ -791,9 +791,11 @@ def test_congruence_at_generators_matches_reference_loop(monkeypatch,
                                                          block):
     # every catalog pair up to order 8, the Heisenberg squares of verify
     # check 09 and the two sweeps of the action-sweep benchmark workload;
-    # blocks of 50 entries take one phi at a time.  The trivial homs come
-    # first in each list and make (0, 0) the first incongruent pair, so
-    # the squares are also taken with the identity map first in each list.
+    # blocks of 50 entries take one phi, or one psi, at a time.  The
+    # trivial homs come first in each list and make (0, 0) the first
+    # incongruent pair, so the squares are also taken with the identity
+    # map first in each list.  The reference decides every pair at every
+    # point; the classes modulo Z2 decide each equation once per class.
     groups = catalog_groups_up_to(8)
     cases = [(G, H) for _, G in groups for _, H in groups]
     cases += [(tf.make_catalog_group(g), tf.make_catalog_group(h))
@@ -1116,7 +1118,11 @@ def reference_hom_classes(maps, labels):
     _, first, sizes = np.unique(labels[maps], axis=0, return_index=True,
                                 return_counts=True)
     order = np.argsort(first)
-    return first[order], sizes[order]
+    # each member's class, by the first member that it agrees with
+    keys = labels[maps]
+    classes = {keys[f].tobytes(): c for c, f in enumerate(first[order])}
+    index = np.array([classes[k.tobytes()] for k in keys])
+    return first[order], sizes[order], index
 
 
 def _assert_row_keys_match_references(K, L, maps, stacks, labels):
@@ -1132,6 +1138,7 @@ def _assert_row_keys_match_references(K, L, maps, stacks, labels):
                               reference_conjugate_preimages(X, A))
     got = actions.hom_classes(maps, labels)
     want = reference_hom_classes(maps, labels)
+    assert len(got) == len(want) == 3
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -1173,6 +1180,7 @@ def test_hom_classes_by_generator_images_match_whole_maps(g, h):
     labels = coset_labels(H, center(H))[1]
     got = actions.hom_classes(maps[:, list(generating_set(G))], labels)
     want = reference_hom_classes(maps, labels)
+    assert len(got) == len(want) == 3
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 

@@ -176,10 +176,20 @@ def test_explore_classify_heisenberg_2(capsys):
     code, out, _ = run(capsys, "--json", "explore",
                        "classify-heisenberg", "2")
     report = json.loads(out)
-    classes = report["results"]["classes"]
-    assert report["results"]["n_hom_pairs"] == 1296
-    assert sum(c["n_hom_pairs"] for c in classes) == 1296
-    assert [c["order"] for c in classes] == [16, 32, 32]
+    assert code == 0 and report["status"] == "pass"
+    del report["timing_ms"]
+
+    def row(order, invariants, phi, psi, count):
+        return {"order": order, "abelian": True, "invariants": invariants,
+                "nilpotency": 1, "example_phi": phi, "example_psi": psi,
+                "n_hom_pairs": count}
+    assert report == {
+        "command": "explore classify-heisenberg", "inputs": {"p": 2},
+        "results": {"p": 2, "n_homs": 36, "n_hom_pairs": 1296,
+                    "classes": [row(16, [2, 2, 2, 2], 0, 0, 1136),
+                                row(32, [2, 2, 2, 2, 2], 2, 20, 64),
+                                row(32, [2, 2, 2, 4], 14, 14, 96)]},
+        "status": "pass"}
 
 
 def test_explore_classify_heisenberg_3_exceeds_cap(capsys):

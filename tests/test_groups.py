@@ -423,6 +423,29 @@ def test_second_hypercenter():
     assert second_hypercenter(S3).order == 1
 
 
+def reference_second_hypercenter(G):
+    """The preimage of the center of the quotient group G/Z(G), as it was
+    built before the quotient's table was read without a group."""
+    z1 = center(G)
+    if z1.is_whole_group():
+        return z1
+    Q, proj = quotient(G, z1)
+    return Subgroup(G, np.flatnonzero(center(Q).mask()[proj.map]))
+
+
+def test_second_hypercenter_matches_the_quotient_route():
+    # groups of class 3 and more have 1 < Z(G) < Z2(G) < G
+    groups = [G for _, G in catalog_groups_up_to(16)]
+    groups += [tf.make_catalog_group(k) for k in ("symmetric:4",
+                                                  "dihedral:16")]
+    strict = 0
+    for G in groups:
+        got = second_hypercenter(G)
+        assert got == reference_second_hypercenter(G)
+        strict += center(G).order < got.order < G.order
+    assert strict >= 2
+
+
 def test_lower_central_series_heisenberg():
     G = tf.make_catalog_group("heisenberg:3")
     series = lower_central_series(G)

@@ -9,7 +9,8 @@ from tensorforge.actions import ActionPair, conjugation_maps, involution_pair
 from tensorforge import tensor
 from tensorforge.errors import (CrossCheckFailed, IncompatibleActions,
                                 LimitExceeded, NotAHomomorphism)
-from tensorforge.groups import make_cyclic
+from tensorforge.catalog import catalog_groups_up_to
+from tensorforge.groups import center, coset_labels, make_cyclic
 from tensorforge.presentations import (Presentation, coset_enumerate,
                                        spanning_tree, table_to_group)
 from tensorforge.tensor import (compute_tensor, derivative_subgroup,
@@ -57,6 +58,16 @@ def test_presentation_refuses_incompatible_without_force():
     with pytest.raises(IncompatibleActions):
         tensor_presentation(pair)
     pres, _ = tensor_presentation(pair, force=True)
+    assert pres.ngens == 9
+
+
+def test_forced_presentation_skips_the_compatibility_check(monkeypatch):
+    # nothing reads the verdict of a forced presentation
+    def refuse(pair):
+        raise AssertionError("is_compatible called on a forced pair")
+
+    monkeypatch.setattr(tensor, "is_compatible", refuse)
+    pres, _ = tensor_presentation(z3_case(True, True), force=True)
     assert pres.ngens == 9
 
 
@@ -266,8 +277,8 @@ def test_wrong_derivative_raises_typed_error(monkeypatch):
     # the image of kappa must be [G, H]; a wrong derivative breaks the
     # cross-check with an error that survives python -O
     S3 = tf.make_catalog_group("symmetric:3")
-    monkeypatch.setattr(tensor, "derivative_subgroup",
-                        lambda pair: tf.Subgroup(pair.G, [pair.G.identity]))
+    monkeypatch.setattr(tensor, "subgroup_generated",
+                        lambda G, gens: tf.Subgroup(G, [G.identity]))
     with pytest.raises(CrossCheckFailed, match="image of kappa"):
         tensor_square(S3)
 
@@ -375,3 +386,81 @@ def test_kappa_by_spanning_tree_matches_hom_from_images():
             assert (maps[0].tolist() if ok.all() else None) == got
             outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+# -- hom-pair tensor classes ----------------------------------------------
+
+# The loop over every pair of hom classes, as it was before one product
+# was computed per orbit of Aut(G) x Aut(G), kept verbatim as the
+# reference for tensor.hom_pair_tensor_classes.
+
+def reference_hom_pair_tensor_classes(G, budget=None):
+    homs = tf.enumerate_homs(G, G, budget=budget)
+    gens = list(tf.homs.generating_set(G) or [G.identity])
+    first, sizes, _ = tf.actions.hom_classes(
+        np.stack([h.map[gens] for h in homs]), coset_labels(G, center(G))[1])
+    rows = []
+    for a, i in enumerate(first.tolist()):
+        for b, j in enumerate(first.tolist()):
+            count = int(sizes[a] * sizes[b])
+            rep = compute_tensor(tf.actions.action_from_hom_pair(
+                G, G, tf.actions.HomPair(homs[i], homs[j])))
+            for row in rows:
+                if row["order"] == rep.order and \
+                        row["abelian"] == rep.tensor.is_abelian and \
+                        row["invariants"] == rep.invariants and \
+                        tf.homs.are_isomorphic(row["_witness"], rep.tensor):
+                    row["n_hom_pairs"] += count
+                    break
+            else:
+                rows.append({"order": rep.order,
+                             "abelian": bool(rep.tensor.is_abelian),
+                             "invariants": rep.invariants,
+                             "nilpotency": rep.nilpotency,
+                             "example_phi": i, "example_psi": j,
+                             "n_hom_pairs": count,
+                             "_witness": rep.tensor})
+    for row in rows:
+        del row["_witness"]
+    rows.sort(key=lambda r: (r["order"], str(r["invariants"])))
+    return {"n_homs": len(homs), "n_hom_pairs": len(homs) ** 2,
+            "classes": rows}
+
+
+def _classes_or_refusal(classify, G):
+    try:
+        return classify(G)
+    except IncompatibleActions as exc:
+        return str(exc)
+
+
+def test_hom_pair_tensor_classes_match_reference_loop():
+    # a hom pair of symmetric:3 induces incompatible actions; the least
+    # incompatible class pair is the least of its orbit, so both refuse
+    # with the same witness
+    refused = 0
+    for key, G in catalog_groups_up_to(8):
+        got = _classes_or_refusal(tensor.hom_pair_tensor_classes, G)
+        assert got == _classes_or_refusal(
+            reference_hom_pair_tensor_classes, G), key
+        refused += isinstance(got, str)
+    assert refused == 1
+
+
+@pytest.mark.parametrize("key,classes,orbits", [("heisenberg:2", 9, 24),
+                                                ("quaternion:8", 7, 6)])
+def test_hom_pair_tensor_classes_compute_one_square_per_orbit(
+        monkeypatch, key, classes, orbits):
+    G = tf.make_catalog_group(key)
+    homs = tf.enumerate_homs(G, G)
+    first, _, _ = tf.actions.hom_classes(
+        np.stack([h.map for h in homs]), coset_labels(G, center(G))[1])
+    assert len(first) == classes
+    calls = []
+
+    def counted(pair):
+        calls.append(pair)
+        return compute_tensor(pair)
+    monkeypatch.setattr(tensor, "compute_tensor", counted)
+    tensor.hom_pair_tensor_classes(G)
+    assert len(calls) == orbits

@@ -16,7 +16,11 @@ rounds' own ratios ("paired").  The workloads:
   verify check 06 computes (compatible pairs of abelian catalog groups up
   to order 8), per pass;
 - ``collapse``: one pass of the ``tensor-collapse`` benchmark ops, nine
-  in-process ``tensorforge --json tensor`` calls, each result checked.
+  in-process ``tensorforge --json tensor`` calls, each result checked;
+- ``check09``: verify check 09, the hom-pair sweeps of heisenberg:2 and
+  heisenberg:3 with themselves, per pass;
+- ``classify-2``: ``hom_pair_tensor_classes`` of heisenberg:2, the
+  library call behind ``explore classify-heisenberg 2``, per pass.
 
 Separate processes of one tree can drift apart by far more than the
 differences measured here; alternating inside one process does not.
@@ -91,8 +95,24 @@ def collapse(tf):
     return run, 1
 
 
+def check09(tf):
+    def run():
+        if not tf.verify.check_hypercenter_congruence()["passed"]:
+            raise RuntimeError("check 09 failed")
+    return run, 1
+
+
+def classify2(tf):
+    G = tf.make_catalog_group("heisenberg:2")
+
+    def run():
+        tf.tensor.hom_pair_tensor_classes(G)
+    return run, 1
+
+
 # workload -> builder of (callable, calls it makes) for one side
-WORKLOADS = {"trivial-6": trivial6, "check06": check06, "collapse": collapse}
+WORKLOADS = {"trivial-6": trivial6, "check06": check06, "collapse": collapse,
+             "check09": check09, "classify-2": classify2}
 
 
 def main(argv=None):

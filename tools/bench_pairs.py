@@ -18,7 +18,9 @@ untraced runs the medians as measured and each side's speed scale.  A
 time of an untraced run also gets ``measured_verdict``, the verdict of
 ``compare.py`` on its values as measured, and ``verdict_both``: the
 verdict both give, "worse" when either is, and "unresolved" for any
-other split, so "improved" only when both verdicts are.  A
+other split, so "improved" only when both verdicts are; and
+``paired_ratio``, the median over seeds of change over parent as
+measured, which shows a gain too small for either verdict.  A
 metric counted in unit ``count`` also gets the exact verdict ``equal``,
 when every seed gave both sides the same value, or ``changed``.  It
 also keeps every run's values by seed (``runs``, and ``measured_runs``
@@ -121,6 +123,9 @@ def judge(runs, rules, untraced):
                 measured["parent"], measured["change"], better, bound)
             entry["verdict_both"] = both(entry["verdict"],
                                          entry["measured_verdict"])
+            entry["paired_ratio"] = round(statistics.median(
+                measured["change"][s] / measured["parent"][s]
+                for s in measured["parent"]), 4)
         metrics[name] = entry
     return metrics
 
