@@ -430,9 +430,10 @@ def compatibility_grid(G, H, budget=None):
                       norm_h)
 
 
-def compatible_pair_orbits(grid):
+def compatible_pair_orbits(grid, swap=False):
     """Orbits of the compatible (alpha, beta) pairs under the relabeling
-    action of Aut(G) x Aut(H).
+    action of Aut(G) x Aut(H), and with ``swap`` also under the swap of
+    the two sides.
 
     Relabeling g -> sigma(g), h -> tau(h) carries the pair (A, B) to
     A'[tau h] = sigma A[h] sigma^-1, B'[sigma g] = tau B[g] tau^-1 and
@@ -452,7 +453,17 @@ def compatible_pair_orbits(grid):
     counts every pair in it, compatible or not, so a grid whose
     compatible pairs are not invariant gets the orbits of the pairs it
     marks.
+
+    The swap needs ``grid.H is grid.G``, else ValueError; then the alphas
+    are the betas, and (i, j) -> (j, i) takes ``grid.pair(i, j)`` to its
+    ``swapped()`` pair.  Renaming each symbol (g, h) to the inverse of
+    (h, g) carries every relator of the one's tensor presentation to a
+    rotation of a relator of the other's or of its inverse, the first
+    family onto the second (Brown and Loday), so the two products are
+    isomorphic and the orbit verdicts still hold.
     """
+    if swap and grid.H is not grid.G:
+        raise ValueError("the swap of the two sides needs grid.H is grid.G")
     maps = (np.stack([a.map for a in grid.alphas]),
             np.stack([b.map for b in grid.betas]))
     # a homomorphism is fixed by its images of a generating set: alphas
@@ -473,7 +484,7 @@ def compatible_pair_orbits(grid):
                 :, aut.elements[inv[s]][gens[1 - side]]]
             moves.append([_row_index(key, row_keys(m))
                           for key, m in zip(keys, moved)])
-    pairs, label = pair_orbits(grid.compatible, moves)
+    pairs, label = pair_orbits(grid.compatible, moves, swap)
     n_beta = len(maps[1])
     marked = np.flatnonzero(grid.compatible.flat[pairs])
     _, first = np.unique(label[marked], return_index=True)
@@ -483,25 +494,29 @@ def compatible_pair_orbits(grid):
             for p, size in zip(pairs[reps], sizes)]
 
 
-def pair_orbits(marked, moves):
+def pair_orbits(marked, moves, swap=False):
     """Orbits of the pairs of a product set A x B under moves.
 
     ``marked`` is an |A| x |B| boolean mask, and each move is a pair
     (pa, pb) of index permutations of A and of B that sends (a, b) to
-    (pa[a], pb[b]).  The marked pairs are closed under the moves, and
-    each pair of the closure is labelled by min-label propagation with
-    pointer jumping: a round gives each pair the least label of the pairs
-    its moves reach, then replaces each label by the label of the pair it
-    names, until no label changes.  The labels are then the least pair of
-    each orbit, since the moves generate the action.  Returns (pairs,
-    label): the closure as increasing flat indices a |B| + b, and for
-    each of them the position in ``pairs`` of its orbit's least pair.
+    (pa[a], pb[b]).  With ``swap``, A x B is a square A x A and the
+    transpose (a, b) -> (b, a) is one more move.  The marked pairs are
+    closed under the moves, and each pair of the closure is labelled by
+    min-label propagation with pointer jumping: a round gives each pair
+    the least label of the pairs its moves reach, then replaces each label
+    by the label of the pair it names, until no label changes.  The labels
+    are then the least pair of each orbit, since the moves generate the
+    action.  Returns (pairs, label): the closure as increasing flat
+    indices a |B| + b, and for each of them the position in ``pairs`` of
+    its orbit's least pair.
     """
     n_b = marked.shape[1]
     closed = marked.copy()
     while True:
         pairs = np.flatnonzero(closed)
         moved = [pa[pairs // n_b] * n_b + pb[pairs % n_b] for pa, pb in moves]
+        if swap:
+            moved.append(pairs % n_b * n_b + pairs // n_b)
         if all(closed.flat[m].all() for m in moved):
             break
         for m in moved:
@@ -670,12 +685,13 @@ def hom_pair_compatibility_sweep(G, H):
     generators of G and H only (module docstring).  Each equation of the
     congruence depends on one hom only modulo the second hypercenter, so
     ``_congruence`` decides it once per class of that hom (``hom_classes``
-    again, modulo Z2).
+    again, modulo Z2).  With ``H is G`` the two hom sets are one, and so
+    are the two equations of compatibility.
     """
     phis = enumerate_homs(G, H)
-    psis = enumerate_homs(H, G)
+    psis = phis if H is G else enumerate_homs(H, G)
     P = np.stack([p.map for p in phis])
-    S = np.stack([s.map for s in psis])
+    S = P if H is G else np.stack([s.map for s in psis])
     congruent, first_incongruent = _congruence(G, H, P, S)
 
     # compatibility, once per (phi mod Z(H), psi mod Z(G)) class; the
@@ -689,8 +705,9 @@ def hom_pair_compatibility_sweep(G, H):
     conj_g, conj_h = conjugation_maps(G), conjugation_maps(H)
     fails_g = _equation_fails(lab_g[S[psi_first]], conj_h, P[phi_first],
                               lab_g[conj_g[:, reps_g]], G, H)
-    fails_h = _equation_fails(lab_h[P[phi_first]], conj_g, S[psi_first],
-                              lab_h[conj_h[:, reps_h]], H, G)
+    fails_h = fails_g if H is G else _equation_fails(
+        lab_h[P[phi_first]], conj_g, S[psi_first], lab_h[conj_h[:, reps_h]],
+        H, G)
     ok = ~fails_g.T & ~fails_h                  # (phi class, psi class)
     compatible = int(phi_sizes @ ok @ psi_sizes)
     bad = np.argwhere(~ok)

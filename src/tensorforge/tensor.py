@@ -175,15 +175,24 @@ def hom_pair_tensor_classes(G, budget=None):
     an automorphism sigma sends (phi, psi) to (phi sigma^-1, sigma psi),
     and renaming the second copy to (sigma phi, psi sigma^-1); renamed
     pairs have isomorphic products, and automorphisms fix Z(G), so the
-    moves act on class pairs.  One product is computed per orbit of
-    Aut(G) x Aut(G) on class pairs (``actions.pair_orbits``, moved by
-    each sigma in ``search_set`` of Aut(G) on either side), in increasing
-    order of the orbit's least class pair, and weighted by the hom pairs
-    of all its class pairs.  An isomorphism class of products is thus met
-    first at its least class pair, as in a loop over every class pair.
+    moves act on class pairs.  Swapping (phi, psi) to (psi, phi) gives
+    the swapped action pair, whose product is isomorphic by g (x) h ->
+    (h (x) g)^-1 (``actions.compatible_pair_orbits``).  One product is
+    computed per orbit of Aut(G) x Aut(G) and the swap on class pairs
+    (``actions.pair_orbits``, moved by each sigma in ``search_set`` of
+    Aut(G) on either side and by the transpose), in increasing order of
+    the orbit's least class pair, and weighted by the hom pairs of all
+    its class pairs.  An isomorphism class of products is thus met first
+    at its least class pair, as in a loop over every class pair.
     Returns the number of homs, of hom pairs, and one row per isomorphism
     class of products, ordered by (order, invariants), with an example
     pair and the number of hom pairs giving it.
+
+    Only a group all of whose hom pairs induce compatible actions is
+    classified.  Otherwise IncompatibleActions names the witness of the
+    least incompatible class pair: compatibility is constant on each
+    orbit, so that pair is the least of the first incompatible orbit.
+    symmetric:3 is refused so.
     """
     homs = enumerate_homs(G, G, budget=budget)
     gens = list(generating_set(G) or [G.identity])
@@ -202,7 +211,7 @@ def hom_pair_tensor_classes(G, budget=None):
         # (sigma, 1) and (1, sigma) on (class of phi, class of psi)
         moves += [(before, after), (after, before)]
     n = len(first)
-    _, label = pair_orbits(np.ones((n, n), dtype=bool), moves)
+    _, label = pair_orbits(np.ones((n, n), dtype=bool), moves, swap=True)
     weights = np.zeros(n * n, dtype=np.int64)
     np.add.at(weights, label, np.outer(sizes, sizes).ravel())
     rows = []

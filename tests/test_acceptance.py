@@ -97,24 +97,25 @@ def test_suite_names_cover_all_checks(records):
 
 
 def test_suite_enumeration_counts(suite):
-    # the enumerator's own counts over the suite; with the squares
-    # scanned, HLT defined 40,604 cosets and made 690,338 scans.  The
-    # representatives and the filter's length groups feed relators and
-    # skipped, which a change that leaves the tables alone can still move;
-    # skipping a twin moves one scan to skipped, so their sum stays
-    # 1,791,649.
+    # the enumerator's own counts over the suite.  The representatives
+    # and the filter's length groups feed relators and skipped, which a
+    # change that leaves the tables alone can still move; skipping a twin
+    # moves one scan to skipped, so their sum stays 1,279,759.  Checks 05
+    # and 06 compute each unordered pair of groups once: these are 539 of
+    # the 975 enumerations of their ordered loops, each with the same
+    # stats.
     enumerations = suite[1]
-    assert len(enumerations) == 975
-    assert sum(order for order, _ in enumerations) == 12_356
+    assert len(enumerations) == 539
+    assert sum(order for order, _ in enumerations) == 7_396
     names = ("survivors", "involutions", "relators", "defined",
              "coincidences", "scans", "skipped")
     totals = {name: sum(getattr(stats, name) for _, stats in enumerations)
               for name in names}
-    assert totals == {"survivors": 9_771, "involutions": 6_977,
-                      "relators": 60_646, "defined": 28_210,
-                      "coincidences": 8_975, "scans": 370_150,
-                      "skipped": 1_421_499}
-    assert totals["scans"] + totals["skipped"] == 1_791_649
+    assert totals == {"survivors": 5_424, "involutions": 3_803,
+                      "relators": 34_590, "defined": 16_229,
+                      "coincidences": 5_307, "scans": 229_733,
+                      "skipped": 1_050_026}
+    assert totals["scans"] + totals["skipped"] == 1_279_759
 
 
 def test_suite_total_runtime(records, capfd):

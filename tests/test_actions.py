@@ -844,6 +844,17 @@ def test_sweep_matches_direct_loop_on_small_group():
     assert summary["all_compatible"] == (direct_compat == len(phis) ** 2)
 
 
+def test_sweep_of_a_group_with_itself_matches_a_copy():
+    # hom_pair_compatibility_sweep(G, G) enumerates End(G) once and decides
+    # one equation; a copy of G takes the two-sided route
+    for key in ["symmetric:3", "dihedral:4", "quaternion:8", "heisenberg:2",
+                "elemab:2:3"]:
+        G = tf.make_catalog_group(key)
+        twin = tf.FiniteGroup(G.table.copy(), validate=False)
+        assert hom_pair_compatibility_sweep(G, G) \
+            == hom_pair_compatibility_sweep(G, twin), key
+
+
 def _sweep_both_ways(monkeypatch, G, H):
     """The sweep at generators, and the same sweep at every point."""
     got = hom_pair_compatibility_sweep(G, H)

@@ -447,8 +447,17 @@ def test_hom_pair_tensor_classes_match_reference_loop():
     assert refused == 1
 
 
-@pytest.mark.parametrize("key,classes,orbits", [("heisenberg:2", 9, 24),
-                                                ("quaternion:8", 7, 6)])
+def test_hom_pair_tensor_classes_refuse_symmetric3_at_its_least_witness():
+    # a hom pair of End(S3) induces incompatible actions; neither the
+    # orbits nor the swap move the least incompatible class pair
+    with pytest.raises(IncompatibleActions) as refusal:
+        tensor.hom_pair_tensor_classes(tf.make_catalog_group("symmetric:3"))
+    w = refusal.value.witness
+    assert (w.equation, w.g, w.g1, w.h) == ("first", 1, 2, 1)
+
+
+@pytest.mark.parametrize("key,classes,orbits", [("heisenberg:2", 9, 15),
+                                                ("quaternion:8", 7, 5)])
 def test_hom_pair_tensor_classes_compute_one_square_per_orbit(
         monkeypatch, key, classes, orbits):
     G = tf.make_catalog_group(key)

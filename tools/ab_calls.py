@@ -12,15 +12,19 @@ rounds' own ratios ("paired").  The workloads:
 
 - ``trivial-6``: 200 ``compute_tensor`` calls on the 6-symbol pair
   cyclic:2 x cyclic:3 with trivial actions, per call;
-- ``check06``: ``compute_tensor`` on the 722 orbit representatives that
-  verify check 06 computes (compatible pairs of abelian catalog groups up
-  to order 8), per pass;
+- ``check06``: ``compute_tensor`` on the 722 Aut x Aut orbit
+  representatives of the compatible pairs of every ordered pair of
+  abelian catalog groups up to order 8, per pass: a fixed enumeration
+  workload, more than check 06 computes since it takes each unordered
+  pair once;
 - ``collapse``: one pass of the ``tensor-collapse`` benchmark ops, nine
   in-process ``tensorforge --json tensor`` calls, each result checked;
 - ``check09``: verify check 09, the hom-pair sweeps of heisenberg:2 and
   heisenberg:3 with themselves, per pass;
 - ``classify-2``: ``hom_pair_tensor_classes`` of heisenberg:2, the
-  library call behind ``explore classify-heisenberg 2``, per pass.
+  library call behind ``explore classify-heisenberg 2``, per pass;
+- ``verify``: one ``run_verification()`` pass, the thirteen checks of
+  ``tensorforge verify paper``, per pass.
 
 Separate processes of one tree can drift apart by far more than the
 differences measured here; alternating inside one process does not.
@@ -56,7 +60,8 @@ def load(tree, name):
 
 
 def check06_pairs(tf):
-    """The 722 pairs whose products check 06 computes, in its order."""
+    """The 722 orbit representatives of the ordered pairs of abelian
+    catalog groups up to order 8, in the order of that loop."""
     groups = [G for _, G in tf.catalog.catalog_groups_up_to(8)
               if G.is_abelian]
     return [grid.pair(i, j) for G in groups for H in groups
@@ -110,9 +115,15 @@ def classify2(tf):
     return run, 1
 
 
+def verify(tf):
+    def run():
+        tf.verify.run_verification()
+    return run, 1
+
+
 # workload -> builder of (callable, calls it makes) for one side
 WORKLOADS = {"trivial-6": trivial6, "check06": check06, "collapse": collapse,
-             "check09": check09, "classify-2": classify2}
+             "check09": check09, "classify-2": classify2, "verify": verify}
 
 
 def main(argv=None):
