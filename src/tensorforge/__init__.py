@@ -12,8 +12,8 @@ from .automorphisms import (AutGroup, automorphism_group,
 from .catalog import catalog_groups_up_to, catalog_keys, make_catalog_group
 from .groups import (FiniteGroup, GroupHom, Subgroup, center,
                      derived_subgroup, direct_product, from_cayley_table,
-                     make_cyclic, nilpotency_class, quotient,
-                     second_hypercenter, subgroup_generated)
+                     make_cyclic, nilpotency_class, second_hypercenter,
+                     subgroup_generated)
 from .homs import are_isomorphic, enumerate_homs, hom_from_images
 from .presentations import (CosetTable, Presentation, coset_enumerate,
                             table_to_group)

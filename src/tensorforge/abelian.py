@@ -4,7 +4,8 @@ The invariant-factor form d1 | d2 | ... | dk (each >= 2) is the canonical
 description of a finite abelian group; the trivial group is the empty list.
 A finite abelian group is fixed by the counts N_k = #{x : x^(p^k) = 1} for
 each prime p and k >= 1: N_k / N_(k-1) = p^r_k, where N_0 = 1 and r_k is
-the number of its cyclic p-parts of order at least p^k.
+the number of its cyclic p-parts of order at least p^k.  For G^ab = G/G',
+N_k is read off G itself: #{x in G : x^(p^k) in G'} / |G'|.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import gcd, prod
 import numpy as np
 
 from .errors import CrossCheckFailed
-from .groups import derived_subgroup, quotient
+from .groups import derived_subgroup
 
 
 def _prime_powers(n):
@@ -47,24 +48,33 @@ def abelian_invariants(G):
     """Invariant factors of G/G'.
 
     For each prime p dividing |G/G'|, x -> x^p is applied to every element
-    at once (p - 1 gathers of the table) until the count of x with
-    x^(p^k) = 1 stops growing; the exact integer log_p of each ratio of
-    counts is the number of cyclic p-parts of order at least p^k.
+    of G at once (p - 1 gathers of its table) until the count of x with
+    x^(p^k) in G' stops growing; each count is |G'| times the count in
+    G/G', and the exact integer log_p of each ratio of those is the number
+    of cyclic p-parts of order at least p^k.  G' is the identity alone
+    when G is abelian.
     """
     if G.is_abelian:
-        A = G
+        inside = np.zeros(G.order, dtype=bool)
+        inside[G.identity] = True
     else:
-        A, _ = quotient(G, derived_subgroup(G))
+        inside = derived_subgroup(G).mask()
+    size = int(np.count_nonzero(inside))
+    order = G.order // size
     exponents = {}
-    for p in _prime_powers(A.order):
+    for p in _prime_powers(order):
         ranks = []
-        powers = np.arange(A.order)     # x^(p^k) for every x
+        powers = np.arange(G.order)     # x^(p^k) for every x
         count = 1
         while True:
             base = powers
             for _ in range(p - 1):
-                powers = A.table[powers, base]
-            grown = int(np.count_nonzero(powers == A.identity))
+                powers = G.table[powers, base]
+            grown, rest = divmod(int(np.count_nonzero(inside[powers])), size)
+            if rest:
+                raise CrossCheckFailed(f"the count of x with x^({p}^"
+                                       f"{len(ranks) + 1}) in G' is not a "
+                                       f"multiple of |G'| = {size}")
             rank = 0
             while count * p ** (rank + 1) <= grown:
                 rank += 1
@@ -80,9 +90,9 @@ def abelian_invariants(G):
                         for i in range(max(ranks, default=0))]
     factors = _invariant_factors(exponents)
     total = prod(factors)
-    if total != A.order:
+    if total != order:
         raise CrossCheckFailed(f"invariant factors {factors} multiply to "
-                               f"{total}, not |G^ab| = {A.order}")
+                               f"{total}, not |G^ab| = {order}")
     return factors
 
 

@@ -38,7 +38,6 @@ kernel packs its verdicts to bits and every other block holds at most
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -48,30 +47,17 @@ from .automorphisms import (_aut_conj_table, automorphism_group,
                             normalizer_contains_inn)
 from .catalog import catalog_keys_up_to, make_catalog_group
 from .errors import (AlphaNotInjective, BudgetExceeded, CrossCheckFailed,
-                     InvalidAction, InvalidBudget, NormalizerConditionFails,
+                     InvalidAction, NormalizerConditionFails,
                      PsiNotInvolution)
 from .groups import (BLOCK_ENTRIES, FiniteGroup, GroupHom, center,
-                     conjugation_maps, coset_labels, key_index,
-                     make_cyclic, row_keys, second_hypercenter)
+                     conjugation_maps, coset_labels, enumerated_index,
+                     key_index, make_cyclic, row_keys, second_hypercenter)
 from .homs import enumerate_homs, generating_set, search_set
 from .presentations import Presentation
 
 
-def default_budget():
-    """The budget set by TENSORFORGE_BUDGET, else 200,000."""
-    env = os.environ.get("TENSORFORGE_BUDGET")
-    if not env:
-        return 200_000
-    return positive_budget(env, "TENSORFORGE_BUDGET")
-
-
-def positive_budget(value, source):
-    """``value``, a budget given from outside, as a positive integer;
-    InvalidBudget names ``source`` when it is not one."""
-    if not str(value).isdecimal() or int(value) < 1:
-        raise InvalidBudget(
-            f"{source} must be a positive integer, not {value!r}")
-    return int(value)
+# The action pairs a compatibility grid may hold when no budget is given.
+DEFAULT_GRID_BUDGET = 200_000
 
 
 def _validate_action(G, H, maps, what):
@@ -409,7 +395,7 @@ def compatibility_grid(G, H, budget=None):
     pair is checked at generators of G and H only (module docstring).
     With ``H is G`` both sides, and so both equations, are one.
     """
-    budget = default_budget() if budget is None else budget
+    budget = DEFAULT_GRID_BUDGET if budget is None else budget
     autG = automorphism_group(G)
     autH = automorphism_group(H)
     alphas = enumerate_homs(H, autG.group)
@@ -482,7 +468,8 @@ def compatible_pair_orbits(grid, swap=False):
             moved[side] = t[t[inv[s]], s][maps[side][:, gens[side]]]
             moved[1 - side] = maps[1 - side][
                 :, aut.elements[inv[s]][gens[1 - side]]]
-            moves.append([_row_index(key, row_keys(m))
+            moves.append([enumerated_index(key, row_keys(m),
+                                           "a relabelled homomorphism")
                           for key, m in zip(keys, moved)])
     pairs, label = pair_orbits(grid.compatible, moves, swap)
     n_beta = len(maps[1])
@@ -538,15 +525,6 @@ def pair_orbits(marked, moves, swap=False):
         if np.array_equal(least, label):
             return pairs, label
         label = least
-
-
-def _row_index(keys, wanted):
-    """``groups.key_index``; CrossCheckFailed when a key is missing."""
-    pos = key_index(keys, wanted)
-    if (pos < 0).any():
-        raise CrossCheckFailed("a relabelled homomorphism is not among the "
-                               "enumerated homomorphisms")
-    return pos
 
 
 def question2_scan(max_order, budget=None):

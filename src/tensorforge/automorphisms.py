@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CrossCheckFailed, LimitExceeded
+from .errors import LimitExceeded
 from .groups import (BLOCK_ENTRIES, MAX_CATALOG_ORDER, FiniteGroup,
-                     cayley_table, conjugation_maps, greedy_generators,
-                     key_index, spanning_tree)
+                     cayley_table, conjugation_maps, enumerated_index,
+                     greedy_generators, spanning_tree)
 from .homs import all_bijective_endomaps, generating_set
 
 
@@ -93,12 +93,14 @@ def automorphism_group(G):
     keys = elements[:, gens] @ radix
     # x*s applies x first, so its image of a generator g is s(x(g))
     aut_gens, rows, _ = greedy_generators(
-        n, 0, lambda s: _key_index(keys, elements[s][elements[:, gens]]
-                                   @ radix), range(n))
+        n, 0, lambda s: enumerated_index(
+            keys, elements[s][elements[:, gens]] @ radix,
+            "a composite of automorphisms"), range(n))
     group = FiniteGroup(cayley_table(rows, spanning_tree(rows)),
                         validate=False)
     group._gens = tuple(aut_gens)
-    inner_of = _key_index(keys, conjugation_maps(G)[:, gens] @ radix)
+    inner_of = enumerated_index(keys, conjugation_maps(G)[:, gens] @ radix,
+                                "an inner automorphism")
     aut = AutGroup(G, elements, group, inner_of)
     G._aut = aut
     return aut
@@ -132,12 +134,3 @@ def normalizer_contains_inn(aut, maps):
         inside = member[rows[:, None, None], conj.T[block]]
         normal[s:s + step] = inside.all(axis=(1, 2))
     return normal
-
-
-def _key_index(keys, wanted):
-    """``groups.key_index``; CrossCheckFailed when a key is missing."""
-    pos = key_index(keys, wanted)
-    if (pos < 0).any():
-        raise CrossCheckFailed("a composite of automorphisms is not among "
-                               "the enumerated automorphisms")
-    return pos

@@ -13,15 +13,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
-from .actions import (ACTION_NAMES, ActionPair, default_budget,
+from .actions import (ACTION_NAMES, DEFAULT_GRID_BUDGET, ActionPair,
                       is_compatible, named_action, normalizer_conditions,
-                      positive_budget, question2_scan)
+                      question2_scan)
 from .automorphisms import automorphism_group
 from .catalog import catalog_keys, make_catalog_group
-from .errors import IncompatibleActions, IoError, TensorforgeError
+from .errors import (IncompatibleActions, InvalidBudget, IoError,
+                     TensorforgeError)
 from .homs import are_isomorphic
 from .serialize import (action_pair_from_dict, group_to_dict,
                         map_file_maps, read_json, resolve_group,
@@ -32,6 +34,23 @@ from .verify import run_verification
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
+
+
+def default_budget():
+    """The budget set by TENSORFORGE_BUDGET, else the grid's default."""
+    env = os.environ.get("TENSORFORGE_BUDGET")
+    if not env:
+        return DEFAULT_GRID_BUDGET
+    return positive_budget(env, "TENSORFORGE_BUDGET")
+
+
+def positive_budget(value, source):
+    """``value``, a budget given from outside, as a positive integer;
+    InvalidBudget names ``source`` when it is not one."""
+    if not str(value).isdecimal() or int(value) < 1:
+        raise InvalidBudget(
+            f"{source} must be a positive integer, not {value!r}")
+    return int(value)
 
 
 def _action_maps(spec, base, actor, side):

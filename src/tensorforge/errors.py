@@ -25,14 +25,6 @@ class UnknownCatalogKey(TensorforgeError):
         super().__init__(f"unknown catalog key: {key!r}")
 
 
-class NotNormal(TensorforgeError):
-    """Subgroup is not normal; witness is a pair (g, n) with n^g outside."""
-
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"subgroup is not normal (witness={witness})")
-
-
 class NotAHomomorphism(TensorforgeError):
     """Generator images do not extend to a homomorphism.
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LimitExceeded, NotAGroup, NotAHomomorphism, NotNormal
+from .errors import (CrossCheckFailed, LimitExceeded, NotAGroup,
+                     NotAHomomorphism)
 
 # The largest order of a group built from a catalog key, a group file or a
 # direct product; the dense intp multiplication table of a group of this
@@ -396,6 +397,16 @@ def key_index(keys, wanted):
     return np.where(keys[pos] == wanted, pos, -1)
 
 
+def enumerated_index(keys, wanted, what):
+    """``key_index`` of the keys of composed or relabelled maps, which
+    must all be among the enumerated maps' ``keys``; when one is missing,
+    CrossCheckFailed says that ``what`` is not among them."""
+    pos = key_index(keys, wanted)
+    if (pos < 0).any():
+        raise CrossCheckFailed(f"{what} is not among the enumerated maps")
+    return pos
+
+
 # -- subgroup machinery ---------------------------------------------------
 
 def subgroup_generated(G, gens):
@@ -408,35 +419,6 @@ def subgroup_generated(G, gens):
 def center(G):
     commutes = G.table == G.table.T
     return Subgroup(G, np.flatnonzero(commutes.all(axis=1)))
-
-
-def quotient(G, N):
-    """Quotient by a normal subgroup, with the projection homomorphism.
-
-    Cosets are labelled by their minimal-index representative and ordered
-    by that representative, so the output is deterministic.
-    """
-    _check_normal(G, N)
-    reps, labels = coset_labels(G, N)
-    names = [f"[{G.name(r)}]" for r in reps]
-    Q = FiniteGroup(labels[G.table[np.ix_(reps, reps)]], names=names,
-                    validate=False)
-    return Q, GroupHom(G, Q, labels, validate=False)
-
-
-def _check_normal(G, N):
-    """Raise NotNormal((g, n)) for the first g, and then the first n of
-    N, with n^g outside N; the conjugates are computed in blocks of at
-    most BLOCK_ENTRIES entries."""
-    t, inv = G.table, G.inverse
-    members = np.array(N.members, dtype=np.intp)
-    step = max(1, BLOCK_ENTRIES // len(members))
-    for start in range(0, G.order, step):
-        g = np.arange(start, min(start + step, G.order))[:, None]
-        outside = ~N._mask[t[t[inv[g], members], g]]
-        if outside.any():
-            i, j = np.argwhere(outside)[0]
-            raise NotNormal((start + int(i), int(members[j])))
 
 
 def coset_labels(G, N):

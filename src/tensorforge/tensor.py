@@ -19,12 +19,13 @@ from typing import Optional
 import numpy as np
 
 from .abelian import abelian_invariants
-from .actions import (HomPair, _row_index, action_from_hom_pair,
-                      hom_classes, is_compatible, pair_orbits)
+from .actions import (HomPair, action_from_hom_pair, hom_classes,
+                      is_compatible, pair_orbits)
 from .automorphisms import automorphism_group
 from .errors import CrossCheckFailed, IncompatibleActions, LimitExceeded
 from .groups import FiniteGroup, GroupHom, Subgroup, center, coset_labels, \
-    first_occurrences, nilpotency_class, row_keys, subgroup_generated
+    enumerated_index, first_occurrences, nilpotency_class, row_keys, \
+    subgroup_generated
 from .homs import _force, are_isomorphic, enumerate_homs, generating_set, \
     search_set
 from .presentations import Presentation, coset_enumerate, table_to_group
@@ -206,8 +207,10 @@ def hom_pair_tensor_classes(G, budget=None):
     moves = []
     for s in search_set(aut.group):
         sigma, undo = aut.elements[s], aut.elements[aut.group.inverse[s]]
-        after = class_of[_row_index(keys, row_keys(sigma[reps[:, gens]]))]
-        before = class_of[_row_index(keys, row_keys(reps[:, undo[gens]]))]
+        after, before = (
+            class_of[enumerated_index(keys, row_keys(moved),
+                                      "a relabelled homomorphism")]
+            for moved in (sigma[reps[:, gens]], reps[:, undo[gens]]))
         # (sigma, 1) and (1, sigma) on (class of phi, class of psi)
         moves += [(before, after), (after, before)]
     n = len(first)

@@ -2,6 +2,7 @@
 form reference."""
 
 import math
+import tracemalloc
 from collections import defaultdict
 from math import gcd
 
@@ -13,9 +14,11 @@ import tensorforge as tf
 from tensorforge import abelian
 from tensorforge.abelian import abelian_invariants, abelian_tensor
 from tensorforge.errors import CrossCheckFailed
-from tensorforge.groups import derived_subgroup, make_cyclic, quotient
+from tensorforge.groups import Subgroup, derived_subgroup, make_cyclic
 from tensorforge.homs import generating_set
 from tensorforge.presentations import spanning_tree
+
+from test_groups import reference_quotient
 
 
 # -- reference: Smith normal form of the Schreier relations ---------------
@@ -104,7 +107,7 @@ def reference_abelian_invariants(G):
     if G.is_abelian:
         A = G
     else:
-        A, _ = quotient(G, derived_subgroup(G))
+        A, _ = reference_quotient(G, derived_subgroup(G))
     if A.order == 1:
         return []
     gens = generating_set(A)
@@ -269,6 +272,35 @@ def test_count_ratio_not_a_power_of_p_raises_typed_error():
     broken = tf.FiniteGroup(table, validate=False)
     with pytest.raises(CrossCheckFailed, match="3/1 .* not a power of 2"):
         abelian_invariants(broken)
+
+
+def test_count_not_a_multiple_of_the_derived_order_raises_typed_error(
+        monkeypatch):
+    # with two of the three elements of A3 = S3' in its place, three x in
+    # S3 have x^3 in it: no multiple of 2
+    S3 = tf.make_catalog_group("symmetric:3")
+    c = next(x for x in range(6) if S3.element_order(x) == 3)
+    monkeypatch.setattr(abelian, "derived_subgroup",
+                        lambda G: Subgroup(G, [G.identity, c]))
+    with pytest.raises(CrossCheckFailed,
+                       match=r"x\^\(3\^1\) .* not a multiple of \|G'\| = 2"):
+        abelian_invariants(S3)
+
+
+def test_invariants_of_a_large_group_build_no_quotient_table():
+    # |G| = 4096 and |G'| = 2: the counts are read off G's own table, so
+    # nothing near the 2048 x 2048 table of G/G' is allocated.  The group
+    # caches is_abelian, a 16 MiB comparison of its own here, which is
+    # read before the trace.
+    G = tf.make_catalog_group("product:quaternion:8,elemab:2:9")
+    assert not G.is_abelian
+    tracemalloc.start()
+    try:
+        assert abelian_invariants(G) == [2] * 11
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_invariants_match_reference_on_catalog():

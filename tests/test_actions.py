@@ -919,6 +919,16 @@ def test_grid_matches_pointwise_checks():
             assert bool(grid.normalizer_h[j]) == norm_h
 
 
+def test_grid_ignores_the_budget_environment(monkeypatch):
+    # the library reads no environment variable: without a budget the
+    # grid falls back to its own 200,000 pairs, and only the CLI reads
+    # TENSORFORGE_BUDGET
+    monkeypatch.setenv("TENSORFORGE_BUDGET", "1")
+    S3 = tf.make_catalog_group("symmetric:3")
+    grid = compatibility_grid(S3, S3)
+    assert len(grid.alphas) * len(grid.betas) > 1
+
+
 def test_grid_of_a_group_with_itself_matches_a_copy():
     # compatibility_grid(G, G) reuses the alpha side as the beta side; a
     # copy of G, a distinct object, takes the two-sided route, which must

@@ -175,12 +175,12 @@ def test_aut_looks_up_only_products_with_generators(monkeypatch):
     # one |Aut|-key lookup per generator of Aut(G) and |G| for inner_of:
     # 432 * 6 + 27 on heisenberg:3, 168 * 5 + 8 on elemab:2:3
     queries = []
-    lookup = automorphisms._key_index
+    lookup = automorphisms.enumerated_index
 
-    def counted(keys, wanted):
+    def counted(keys, wanted, what):
         queries.append(np.size(wanted))
-        return lookup(keys, wanted)
-    monkeypatch.setattr(automorphisms, "_key_index", counted)
+        return lookup(keys, wanted, what)
+    monkeypatch.setattr(automorphisms, "enumerated_index", counted)
     for key, want in [("heisenberg:3", 2592 + 27), ("elemab:2:3", 840 + 8)]:
         queries.clear()
         aut = automorphism_group(tf.make_catalog_group(key))

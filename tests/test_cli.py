@@ -244,6 +244,14 @@ def test_bad_budget_environment_exits_two(capsys, monkeypatch, value):
     assert err.count("\n") == 1 and "TENSORFORGE_BUDGET" in err
 
 
+def test_budget_environment_bounds_the_grids(capsys, monkeypatch):
+    # cyclic:3 with cyclic:2 has a grid of 2 x 1 action pairs
+    monkeypatch.setenv("TENSORFORGE_BUDGET", "1")
+    code, out, err = run(capsys, "explore", "question2", "--max-order", "3")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "exceed budget 1" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("question2", "--max-order", "2", "--budget", "0"),
     ("question2", "--max-order", "2", "--budget", "-3"),

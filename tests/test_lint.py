@@ -303,3 +303,29 @@ def test_open_lint_sees_calls():
     source = ("with open(p) as fh:\n    pass\n"
               "x = open(q, 'w')\nio.open(r)\nf.opener(s)\n")
     assert sorted(_open_calls(ast.parse(source))) == [1, 3]
+
+
+def _environment_reads(tree):
+    """Line numbers of reads of ``os.environ`` or ``os.getenv``, by
+    attribute or by a name imported from ``os``."""
+    names = {"environ", "getenv"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in names \
+                or isinstance(node, ast.Name) and node.id in names \
+                or isinstance(node, ast.ImportFrom) and node.module == "os" \
+                and any(alias.name in names for alias in node.names):
+            yield node.lineno
+
+
+def test_only_the_cli_reads_the_environment():
+    # a library call answers from its arguments alone; an environment
+    # variable is an option of the command line, read and checked there
+    readers = {p.name for p in SOURCES if list(_environment_reads(
+        ast.parse(p.read_text(encoding="utf-8"))))}
+    assert readers == {"cli.py"}
+
+
+def test_environment_lint_sees_attributes_names_and_imports():
+    source = ("os.environ.get('A')\nx = os.getenv('B')\n"
+              "from os import environ\nenviron['C']\nos.path.join(d)\n")
+    assert sorted(_environment_reads(ast.parse(source))) == [1, 2, 3, 4]

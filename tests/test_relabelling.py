@@ -1,7 +1,8 @@
 """The relabelling oracle: renaming the elements of G and H changes no
 count that the hom search, Aut(G), the compatibility grid and its orbits
-report, nor the order, invariants, nilpotency class, derivative order and
-kernel order that ``compute_tensor`` reports.
+report, nor the abelian invariants of G and H, nor the order, invariants,
+nilpotency class, derivative order and kernel order that
+``compute_tensor`` reports.
 
 Conjugating the Cayley tables of G and H by permutations sigma and tau
 gives isomorphic groups, so Hom(G, H) is carried onto Hom(G', H') by
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import tensorforge as tf
+from tensorforge.abelian import abelian_invariants
 from tensorforge.actions import (ActionPair, compatibility_grid,
                                  compatible_pair_orbits)
 from tensorforge.automorphisms import automorphism_group
@@ -88,6 +90,8 @@ def test_relabelling_changes_no_count(G, H, R, S, sigma, tau):
         assert got == want
     assert automorphism_group(R).order == automorphism_group(G).order
     assert automorphism_group(S).order == automorphism_group(H).order
+    assert abelian_invariants(R) == abelian_invariants(G)
+    assert abelian_invariants(S) == abelian_invariants(H)
     assert _grid_counts(R, S) == _grid_counts(G, H)
 
 

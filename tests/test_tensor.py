@@ -1,5 +1,8 @@
 """Non-abelian tensor products: presentations, reports, cross-checks."""
 
+import math
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,11 @@ from tensorforge.presentations import (Presentation, coset_enumerate,
                                        spanning_tree, table_to_group)
 from tensorforge.tensor import (compute_tensor, derivative_subgroup,
                                 tensor_presentation)
-from test_abelian import reference_smith_diagonal
+from test_abelian import (reference_abelian_invariants,
+                          reference_abelian_tensor,
+                          reference_invariants_to_primary,
+                          reference_primary_to_invariants,
+                          reference_smith_diagonal)
 from test_groups import reference_conj
 
 
@@ -271,6 +278,46 @@ def test_tensor_square_abelian_is_plain_tensor():
     Z6 = make_cyclic(6)
     rep = tensor_square(Z6)
     assert rep.invariants == abelian_tensor([6], [6])
+
+
+def reference_merged_invariants(*parts):
+    """Invariant factors of the direct product of abelian groups, each
+    given by its invariant factors."""
+    primary = defaultdict(list)
+    for factors in parts:
+        for p, comps in reference_invariants_to_primary(factors).items():
+            primary[p] += comps
+    return reference_primary_to_invariants(
+        {p: sorted(comps, reverse=True) for p, comps in primary.items()})
+
+
+# every product catalog key up to order 16 below the 256-symbol cap
+PRODUCT_SQUARES = ["product:symmetric:3,cyclic:2",
+                   "product:dihedral:4,cyclic:2",
+                   "product:quaternion:8,cyclic:2",
+                   "product:cyclic:2,cyclic:4", "product:cyclic:2,cyclic:6",
+                   "product:cyclic:2,cyclic:8", "product:cyclic:4,cyclic:4"]
+
+
+@pytest.mark.parametrize("key", PRODUCT_SQUARES)
+def test_product_square_matches_its_decomposition(key):
+    # (A x B) (x) (A x B) = (A (x) A) x (B (x) B) x (A^ab (x) B^ab)^2 with
+    # both actions by conjugation (Brown, Johnson and Robertson 1987)
+    A, B = map(tf.make_catalog_group, key.split(":", 1)[1].split(","))
+    rep, squares = tensor_square(tf.make_catalog_group(key)), [
+        tensor_square(A), tensor_square(B)]
+    mixed = reference_abelian_tensor(reference_abelian_invariants(A),
+                                     reference_abelian_invariants(B))
+    assert rep.order == math.prod(s.order for s in squares) \
+        * math.prod(mixed) ** 2
+    assert rep.tensor.is_abelian == all(s.tensor.is_abelian for s in squares)
+    if rep.tensor.is_abelian:
+        assert rep.invariants == reference_merged_invariants(
+            *(s.invariants for s in squares), mixed, mixed)
+    assert rep.derivative.order \
+        == tf.derived_subgroup(A).order * tf.derived_subgroup(B).order
+    classes = [s.nilpotency for s in squares] + [int(bool(mixed))] * 2
+    assert rep.nilpotency == (None if None in classes else max(classes))
 
 
 def test_wrong_derivative_raises_typed_error(monkeypatch):
