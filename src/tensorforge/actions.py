@@ -49,7 +49,7 @@ from .catalog import catalog_keys_up_to, make_catalog_group
 from .errors import (AlphaNotInjective, BudgetExceeded, CrossCheckFailed,
                      InvalidAction, NormalizerConditionFails,
                      PsiNotInvolution)
-from .groups import (BLOCK_ENTRIES, FiniteGroup, GroupHom, center,
+from .groups import (BLOCK_ENTRIES, FiniteGroup, center,
                      conjugation_maps, coset_labels, enumerated_index,
                      key_index, make_cyclic, row_keys, second_hypercenter)
 from .homs import enumerate_homs, generating_set, search_set
@@ -169,10 +169,10 @@ class ActionPair:
 
     @classmethod
     def from_homs(cls, alpha, beta, autG, autH):
-        """From homomorphisms into concrete automorphism groups."""
-        return cls(autG.base, autH.base,
-                   autG.elements[alpha.map], autH.elements[beta.map],
-                   validate=False)
+        """From the maps of homomorphisms into concrete automorphism
+        groups, ``enumerate_homs`` rows."""
+        return cls(autG.base, autH.base, autG.elements[alpha],
+                   autH.elements[beta], validate=False)
 
     def assignments_are_homs(self):
         """Whether both assignments are genuine homomorphisms into the
@@ -205,10 +205,11 @@ class CompatibilityReport:
     witness: Optional[Witness] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomPair:
-    phi: GroupHom
-    psi: GroupHom
+    """The maps of phi: G -> H and psi: H -> G, ``enumerate_homs`` rows."""
+    phi: np.ndarray
+    psi: np.ndarray
 
 
 def _equation_fails(lab, acts, maps, conj, G, H):
@@ -300,14 +301,15 @@ def normalizer_conditions(pair):
 
 
 def induced_beta(G, H, alpha):
-    """Given an embedding alpha: H -> Aut(G) whose image is normalized by
-    Inn(G), build beta(g): h -> alpha^-1(ghat^-1 alpha(h) ghat) and return
-    the (compatible) action pair.
+    """Given an embedding alpha: H -> Aut(G), as its map into
+    ``automorphism_group(G).group``, whose image is normalized by Inn(G),
+    build beta(g): h -> alpha^-1(ghat^-1 alpha(h) ghat) and return the
+    (compatible) action pair.
 
     Both hypotheses are checked eagerly; the resulting pair is re-verified
     with the exhaustive checker before being returned.
     """
-    A = _validate_action(G, H, automorphism_group(G).elements[alpha.map],
+    A = _validate_action(G, H, automorphism_group(G).elements[alpha],
                          "alpha")
     if not _assignment_is_hom(H, A):
         raise InvalidAction("alpha: assignment is not a homomorphism")
@@ -330,8 +332,8 @@ def induced_beta(G, H, alpha):
 
 def action_from_hom_pair(G, H, pair):
     """Actions x^y = psi(y)^-1 x psi(y), y^x = phi(x)^-1 y phi(x)."""
-    return ActionPair(G, H, conjugation_maps(G)[pair.psi.map],
-                      conjugation_maps(H)[pair.phi.map], validate=False)
+    return ActionPair(G, H, conjugation_maps(G)[pair.psi],
+                      conjugation_maps(H)[pair.phi], validate=False)
 
 
 def z2_action_criterion(G, psi):
@@ -370,14 +372,15 @@ def involution_pair(G, psi):
 class ActionGrid:
     """Every (alpha, beta) in Hom(H, Aut G) x Hom(G, Aut H) with verdicts.
 
+    ``alphas`` and ``betas`` are ``enumerate_homs`` map matrices, and
     ``compatible[i, j]`` refers to alphas[i], betas[j]; ``normalizer_g``
     and ``normalizer_h`` depend only on one side each.
     """
 
     G: FiniteGroup
     H: FiniteGroup
-    alphas: list
-    betas: list
+    alphas: np.ndarray
+    betas: np.ndarray
     compatible: np.ndarray
     normalizer_g: np.ndarray
     normalizer_h: np.ndarray
@@ -403,15 +406,13 @@ def compatibility_grid(G, H, budget=None):
     if len(alphas) * len(betas) > budget:
         raise BudgetExceeded(
             f"{len(alphas)}x{len(betas)} action pairs exceed budget {budget}")
-    amaps = np.stack([a.map for a in alphas])
-    bmaps = amaps if H is G else np.stack([b.map for b in betas])
     # labels are indices in Aut; the actions at the element level
-    fails_g = _equation_fails(amaps, autH.elements, bmaps,
+    fails_g = _equation_fails(alphas, autH.elements, betas,
                               _aut_conj_table(autG), G, H)
     fails_h = fails_g if H is G else _equation_fails(
-        bmaps, autG.elements, amaps, _aut_conj_table(autH), H, G)
-    norm_g = normalizer_contains_inn(autG, amaps)
-    norm_h = norm_g if H is G else normalizer_contains_inn(autH, bmaps)
+        betas, autG.elements, alphas, _aut_conj_table(autH), H, G)
+    norm_g = normalizer_contains_inn(autG, alphas)
+    norm_h = norm_g if H is G else normalizer_contains_inn(autH, betas)
     return ActionGrid(G, H, alphas, betas, ~fails_g & ~fails_h.T, norm_g,
                       norm_h)
 
@@ -432,7 +433,7 @@ def compatible_pair_orbits(grid, swap=False):
     alpha and the beta indices by one permutation each, found by looking
     each moved map up by its images of a generating set
     (``groups.row_keys``).  Those are the greedy generators of the source,
-    so the keys of an ``enumerate_homs`` list are already increasing
+    so the keys of an ``enumerate_homs`` matrix are already increasing
     (``homs`` module docstring).  ``pair_orbits`` closes the compatible
     pairs under the moves and labels each orbit by its least pair.  An
     orbit's representative is its least compatible pair, and its size
@@ -450,8 +451,7 @@ def compatible_pair_orbits(grid, swap=False):
     """
     if swap and grid.H is not grid.G:
         raise ValueError("the swap of the two sides needs grid.H is grid.G")
-    maps = (np.stack([a.map for a in grid.alphas]),
-            np.stack([b.map for b in grid.betas]))
+    maps = (grid.alphas, grid.betas)
     # a homomorphism is fixed by its images of a generating set: alphas
     # by those of H, betas by those of G
     gens = [list(generating_set(K) or [K.identity]) for K in (grid.H, grid.G)]
@@ -615,16 +615,20 @@ def _congruence(G, H, P, S):
     phi, psi_j), as ok2[a, j].  The pairs that satisfy both number
     sum over (a, b) of E1[a, b] E2[a, b], where E1[a, b] counts the phi
     of class a with ok1 and E2[a, b] the psi of class b with ok2; the
-    first failing pair lies in the first row i that fails either.
+    first failing pair lies in the first row i that fails either.  With
+    ``H is G`` the classes of phi are those of psi, and ok2 is ok1.T.
     """
     gens_g = list(generating_set(G) or [G.identity])
     gens_h = list(generating_set(H) or [H.identity])
     lab_g = coset_labels(G, second_hypercenter(G))[1]
-    lab_h = coset_labels(H, second_hypercenter(H))[1]
     psi_first, _, psi_of = hom_classes(S[:, gens_h], lab_g)
-    phi_first, _, phi_of = hom_classes(P[:, gens_g], lab_h)
     ok1 = _congruent_at(lab_g[S[psi_first]], P, lab_g, gens_g).T
-    ok2 = _congruent_at(lab_h[P[phi_first]], S, lab_h, gens_h)
+    if H is G:
+        phi_first, phi_of, ok2 = psi_first, psi_of, ok1.T
+    else:
+        lab_h = coset_labels(H, second_hypercenter(H))[1]
+        phi_first, _, phi_of = hom_classes(P[:, gens_g], lab_h)
+        ok2 = _congruent_at(lab_h[P[phi_first]], S, lab_h, gens_h)
     rows = ok1.all(axis=1) & ok2.all(axis=1)[phi_of]
     if rows.all():
         return len(P) * len(S), None
@@ -664,22 +668,20 @@ def hom_pair_compatibility_sweep(G, H):
     congruence depends on one hom only modulo the second hypercenter, so
     ``_congruence`` decides it once per class of that hom (``hom_classes``
     again, modulo Z2).  With ``H is G`` the two hom sets are one, and so
-    are the two equations of compatibility.
+    are their classes and the two equations of compatibility.
     """
-    phis = enumerate_homs(G, H)
-    psis = phis if H is G else enumerate_homs(H, G)
-    P = np.stack([p.map for p in phis])
-    S = P if H is G else np.stack([s.map for s in psis])
+    P = enumerate_homs(G, H)
+    S = P if H is G else enumerate_homs(H, G)
     congruent, first_incongruent = _congruence(G, H, P, S)
 
     # compatibility, once per (phi mod Z(H), psi mod Z(G)) class; the
     # labels are cosets of the centers
     reps_g, lab_g = coset_labels(G, center(G))
-    reps_h, lab_h = coset_labels(H, center(H))
-    phi_first, phi_sizes, _ = hom_classes(
-        P[:, list(generating_set(G) or [G.identity])], lab_h)
-    psi_first, psi_sizes, _ = hom_classes(
+    reps_h, lab_h = (reps_g, lab_g) if H is G else coset_labels(H, center(H))
+    psi_first, psi_sizes, _ = psi_classes = hom_classes(
         S[:, list(generating_set(H) or [H.identity])], lab_g)
+    phi_first, phi_sizes, _ = psi_classes if H is G else hom_classes(
+        P[:, list(generating_set(G) or [G.identity])], lab_h)
     conj_g, conj_h = conjugation_maps(G), conjugation_maps(H)
     fails_g = _equation_fails(lab_g[S[psi_first]], conj_h, P[phi_first],
                               lab_g[conj_g[:, reps_g]], G, H)
@@ -691,8 +693,8 @@ def hom_pair_compatibility_sweep(G, H):
     bad = np.argwhere(~ok)
     first_incompatible = (int(phi_first[bad[0, 0]]),
                           int(psi_first[bad[0, 1]])) if len(bad) else None
-    total = len(phis) * len(psis)
-    return {"n_phi": len(phis), "n_psi": len(psis), "n_pairs": total,
+    total = len(P) * len(S)
+    return {"n_phi": len(P), "n_psi": len(S), "n_pairs": total,
             "n_congruent": congruent, "n_compatible": compatible,
             "all_congruent": congruent == total,
             "all_compatible": compatible == total,

@@ -77,13 +77,11 @@ def automorphism_group(G):
     """
     if G._aut is not None:
         return G._aut
-    maps = all_bijective_endomaps(G)
-    n = len(maps)
+    elements = all_bijective_endomaps(G)
+    n = len(elements)
     if n > MAX_CATALOG_ORDER:
         raise LimitExceeded(f"|Aut(G)| = {n} exceeds the "
                             f"{MAX_CATALOG_ORDER}-element cap for its table")
-    elements = np.array(maps, dtype=np.intp).reshape(n, G.order)
-    elements.setflags(write=False)
     gens = generating_set(G)
     if G.order ** len(gens) > np.iinfo(np.int64).max:
         raise LimitExceeded(f"{len(gens)} generator images of an order-"

@@ -151,7 +151,9 @@ class FiniteGroup:
     @property
     def is_abelian(self):
         if self._abelian is None:
-            self._abelian = bool((self.table == self.table.T).all())
+            t, step = self.table, max(1, BLOCK_ENTRIES // self.order)
+            self._abelian = all((t[s:s + step] == t[:, s:s + step].T).all()
+                                for s in range(0, self.order, step))
         return self._abelian
 
     def name(self, i):
@@ -234,12 +236,9 @@ class GroupHom:
                         (self.map == self.target.identity).nonzero()[0])
 
     @property
-    def is_injective(self):
-        return len(np.unique(self.map)) == self.source.order
-
-    @property
     def is_bijective(self):
-        return self.is_injective and self.source.order == self.target.order
+        return (self.source.order == self.target.order
+                == len(np.unique(self.map)))
 
     def __repr__(self):
         return f"GroupHom({self.source.order} -> {self.target.order})"
@@ -417,8 +416,11 @@ def subgroup_generated(G, gens):
 
 
 def center(G):
-    commutes = G.table == G.table.T
-    return Subgroup(G, np.flatnonzero(commutes.all(axis=1)))
+    t, step = G.table, max(1, BLOCK_ENTRIES // G.order)
+    central = np.empty(G.order, dtype=bool)
+    for s in range(0, G.order, step):
+        central[s:s + step] = (t[s:s + step] == t[:, s:s + step].T).all(axis=1)
+    return Subgroup(G, np.flatnonzero(central))
 
 
 def coset_labels(G, N):
@@ -446,10 +448,11 @@ def second_hypercenter(G):
     return Subgroup(G, np.flatnonzero(central[labels]))
 
 
-# Entries per block of the large temporaries built in blocks: commutators,
-# the compatibility equations, the gathers that fill a Cayley table from
-# its generators' columns and the relator traces that validate a finished
-# coset table.
+# Entries per block of the large temporaries built in blocks: the table
+# against its transpose (``is_abelian``, which stops at the first block
+# that differs, and ``center``), commutators, the compatibility equations,
+# the gathers that fill a Cayley table from its generators' columns and
+# the relator traces that validate a finished coset table.
 BLOCK_ENTRIES = 16_384
 
 

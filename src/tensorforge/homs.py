@@ -18,6 +18,10 @@ pass at level j to level j + 1 at once, so it forces the search tree one
 level at a time; a search for one map (``are_isomorphic``) hands them on
 one row at a time, so it stops at its first map.
 
+A hom set is one read-only, C-contiguous intp map matrix, a row per
+homomorphism, joined from the last level's blocks; a caller that takes one
+hom reads its row, and ``GroupHom`` wraps single homs only.
+
 A node is one candidate behind one expanded prefix, and the node budget
 (default 10^6) turns runaway searches into BudgetExceeded rather than
 silent wrong answers.  A complete search expands every prefix that
@@ -150,18 +154,19 @@ def _search(source, target, bijective, find_all, budget):
     greedy set, so that the first map it meets is the least."""
     greedy = generating_set(source)
     gens = search_set(source) if find_all else greedy
-    # leaves found over a shorter set come out of map order
-    keys = [] if gens != greedy else None
     k = len(gens)
     if k == 0:
-        m = np.full(source.order, target.identity, dtype=np.intp)
-        return [m] if (not bijective or target.order == 1) else []
+        found = np.full((int(not bijective or target.order == 1),
+                         source.order), target.identity, dtype=np.intp)
+        found.setflags(write=False)
+        return found
     rows = source.table[:, gens]
     root = source.identity
     trees = [spanning_tree(rows[:, :j + 1], root) for j in range(k)]
     cand = [_candidate_images(source.element_order(s), target, bijective)
             for s in gens]
-    found = []
+    empty = np.empty((0, source.order), dtype=np.intp)
+    found = empty
     nodes = 0
 
     def count(more):
@@ -181,14 +186,16 @@ def _search(source, target, bijective, find_all, budget):
 
     def descend(j, prefixes):
         """Try every candidate image of generator j behind every row of
-        ``prefixes``; True once a search that wants one map has found it."""
+        ``prefixes``; True once a search that wants one map has found it.
+        The last level leaves its passing maps in ``found``."""
+        nonlocal found
         total = len(prefixes) * len(cand[j])
         if find_all:
             # a complete search expands every prefix: count the level first
             count(total)
         step = max(1, BLOCK_ENTRIES // (source.order * (j + 1)))
         # a level without candidate images passes no row
-        passing, leaves = [np.empty(0, dtype=np.intp)], []
+        passing, leaves = [np.empty(0, dtype=np.intp)], [empty]
         for start in range(0, total, step):
             picks = np.arange(start, min(start + step, total))
             maps, ok, _ = _force(rows[:, :j + 1], root, trees[j], target,
@@ -199,15 +206,12 @@ def _search(source, target, bijective, find_all, budget):
                 passed &= (maps == target.identity).sum(axis=1) == 1
             passing.append(picks[passed])
             if j == k - 1:
-                maps = maps[passed]
-                leaves.extend(maps)
-                if keys is not None:
-                    keys.append(maps[:, greedy])
+                leaves.append(maps[passed])
         passing = np.concatenate(passing)
+        if j == k - 1:
+            found = np.concatenate(leaves)
         if find_all:
-            if j == k - 1:
-                found.extend(leaves)
-            elif len(passing):
+            if j < k - 1 and len(passing):
                 descend(j + 1, level_rows(j, prefixes, passing))
             return False
         # one prefix: one node per candidate in depth-first order, and the
@@ -217,7 +221,7 @@ def _search(source, target, bijective, find_all, budget):
             count(i + 1 - counted)
             counted = i + 1
             if j == k - 1:
-                found.append(leaves[rank])
+                found = found[:1]
                 return True
             if descend(j + 1, level_rows(j, prefixes, passing[rank:rank + 1])):
                 return True
@@ -225,19 +229,19 @@ def _search(source, target, bijective, find_all, budget):
         return False
 
     descend(0, np.empty((1, 0), dtype=np.intp))
-    if keys:
-        keys = np.concatenate(keys)
-        found = [found[i] for i in np.lexsort(keys.T[::-1])]
+    if gens != greedy:
+        # leaves found over a shorter set come out of map order
+        found = found[np.lexsort(found[:, greedy].T[::-1])]
+    found.setflags(write=False)
     return found
 
 
 def enumerate_homs(source, target, budget=None):
-    """All homomorphisms source -> target, lexicographic in the full map
-    (module docstring)."""
+    """All homomorphisms source -> target as one map matrix, one row
+    each, lexicographic in the full map (module docstring)."""
     budget = DEFAULT_BUDGET if budget is None else budget
-    maps = _search(source, target, bijective=False, find_all=True,
+    return _search(source, target, bijective=False, find_all=True,
                    budget=budget)
-    return [GroupHom(source, target, m, validate=False) for m in maps]
 
 
 def are_isomorphic(G, H):
@@ -259,13 +263,13 @@ def are_isomorphic(G, H):
         return None
     maps = _search(G, H, bijective=True, find_all=False,
                    budget=DEFAULT_BUDGET)
-    if not maps:
+    if not len(maps):
         return None
     return GroupHom(G, H, maps[0], validate=False)
 
 
 def all_bijective_endomaps(G):
-    """All automorphism maps of G in lexicographic order (module
-    docstring)."""
+    """All automorphisms of G as one map matrix, one row each, in
+    lexicographic order (module docstring)."""
     return _search(G, G, bijective=True, find_all=True,
                    budget=DEFAULT_BUDGET)

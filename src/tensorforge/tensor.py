@@ -195,9 +195,8 @@ def hom_pair_tensor_classes(G, budget=None):
     orbit, so that pair is the least of the first incompatible orbit.
     symmetric:3 is refused so.
     """
-    homs = enumerate_homs(G, G, budget=budget)
+    maps = enumerate_homs(G, G, budget=budget)
     gens = list(generating_set(G) or [G.identity])
-    maps = np.stack([h.map for h in homs])
     first, sizes, class_of = hom_classes(maps[:, gens],
                                          coset_labels(G, center(G))[1])
     # the class of sigma after each class's first member, and of that
@@ -223,7 +222,7 @@ def hom_pair_tensor_classes(G, budget=None):
         i, j = int(first[a]), int(first[b])
         count = int(weights[least])
         rep = compute_tensor(action_from_hom_pair(
-            G, G, HomPair(homs[i], homs[j])))
+            G, G, HomPair(maps[i], maps[j])))
         for row in rows:
             if row["order"] == rep.order and \
                     row["abelian"] == rep.tensor.is_abelian and \
@@ -242,5 +241,5 @@ def hom_pair_tensor_classes(G, budget=None):
     for row in rows:
         del row["_witness"]
     rows.sort(key=lambda r: (r["order"], str(r["invariants"])))
-    return {"n_homs": len(homs), "n_hom_pairs": len(homs) ** 2,
+    return {"n_homs": len(maps), "n_hom_pairs": len(maps) ** 2,
             "classes": rows}

@@ -290,8 +290,7 @@ def test_count_not_a_multiple_of_the_derived_order_raises_typed_error(
 def test_invariants_of_a_large_group_build_no_quotient_table():
     # |G| = 4096 and |G'| = 2: the counts are read off G's own table, so
     # nothing near the 2048 x 2048 table of G/G' is allocated.  The group
-    # caches is_abelian, a 16 MiB comparison of its own here, which is
-    # read before the trace.
+    # caches is_abelian, which is read before the trace.
     G = tf.make_catalog_group("product:quaternion:8,elemab:2:9")
     assert not G.is_abelian
     tracemalloc.start()

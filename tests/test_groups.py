@@ -1,6 +1,7 @@
 """Core group machinery: validation, subgroups, cosets, series."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,33 @@ def test_center_values():
     assert center(tf.make_catalog_group("heisenberg:3")).order == 3
     Z6 = make_cyclic(6)
     assert center(Z6).order == 6
+
+
+@pytest.mark.parametrize("block", [groups.BLOCK_ENTRIES, 50])
+def test_abelian_and_center_in_blocks_match_whole_table(monkeypatch, block):
+    # a block of 50 entries splits every group of order 8 or more
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
+    for key, G in catalog_groups_up_to(64):
+        fresh = FiniteGroup(G.table, validate=False)
+        commutes = G.table == G.table.T
+        assert fresh.is_abelian == bool(commutes.all()), key
+        assert list(center(G).members) \
+            == np.flatnonzero(commutes.all(axis=1)).tolist(), key
+
+
+def test_abelian_and_center_peak_memory():
+    # the whole 4096 x 4096 comparison would take 16 MiB
+    G = tf.make_catalog_group("product:quaternion:8,elemab:2:9")
+    fresh = FiniteGroup(G.table, validate=False)
+    for call in (lambda: fresh.is_abelian, lambda: center(G)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+    assert not fresh.is_abelian and center(G).order == 1024
 
 
 def test_derived_subgroup_values():

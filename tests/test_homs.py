@@ -39,7 +39,7 @@ def brute_force_homs(S, T):
 def test_enumeration_matches_brute_force(skey, tkey):
     S = tf.make_catalog_group(skey)
     T = tf.make_catalog_group(tkey)
-    got = sorted(h.map.tolist() for h in enumerate_homs(S, T))
+    got = sorted(enumerate_homs(S, T).tolist())
     assert got == brute_force_homs(S, T)
 
 
@@ -59,9 +59,9 @@ def test_hom_count_heisenberg_3():
 def test_enumeration_is_deterministic_and_sorted():
     S3 = tf.make_catalog_group("symmetric:3")
     homs = enumerate_homs(S3, S3)
-    maps = [h.map.tolist() for h in homs]
+    maps = homs.tolist()
     assert maps == sorted(maps)
-    assert maps == [h.map.tolist() for h in enumerate_homs(S3, S3)]
+    assert maps == enumerate_homs(S3, S3).tolist()
 
 
 # -- hom_from_images ------------------------------------------------------
@@ -97,7 +97,8 @@ def test_hom_from_images_requires_generators():
 
 def test_kernel_image_sizes_multiply():
     S3 = tf.make_catalog_group("symmetric:3")
-    for h in enumerate_homs(S3, S3):
+    for m in enumerate_homs(S3, S3):
+        h = GroupHom(S3, S3, m)
         assert h.kernel().order * len(np.unique(h.map)) == S3.order
 
 
@@ -435,7 +436,7 @@ def test_search_on_relabelled_source(key):
         assert homs == sorted(homs)
         # the homs out of R are those out of G, read through the relabelling
         back = sorted(np.asarray(m)[perm].tolist() for m in homs)
-        want = sorted(h.map.tolist() for h in enumerate_homs(G, T))
+        want = sorted(enumerate_homs(G, T).tolist())
         assert back == want
     # sigma in Aut(G) is x -> sigma(x) read in the new labels
     inverse = np.argsort(perm)
@@ -482,6 +483,40 @@ def test_budget_sweep_matches_reference(skey, tkey, bijective, find_all):
     assert outcomes == {str, list}
 
 
+def _assert_map_matrix(got, want):
+    """``got`` is one read-only, C-contiguous intp matrix whose rows are
+    the maps of the list ``want``, in order."""
+    assert isinstance(got, np.ndarray) and got.dtype == np.intp
+    assert got.flags.c_contiguous and not got.flags.writeable
+    assert got.ndim == 2 and got.shape[0] == len(want)
+    assert got.tolist() == [m.tolist() for m in want]
+
+
+@pytest.mark.parametrize("gkey,hkey", [
+    ("symmetric:3", "cyclic:6"), ("quaternion:8", "dihedral:4"),
+    ("dihedral:4", "elemab:2:2"), ("cyclic:4", "elemab:2:3"),
+    ("heisenberg:2", "heisenberg:2")])
+def test_hom_sets_are_one_map_matrix(monkeypatch, gkey, hkey):
+    # Hom(G, H), Aut(G) and the two sides of the grid (G, H), whose
+    # alphas are Hom(H, Aut G) and betas Hom(G, Aut H)
+    G, H = _group(gkey), _group(hkey)
+    budget = tf.homs.DEFAULT_BUDGET
+    _assert_map_matrix(enumerate_homs(G, H),
+                       reference_search(G, H, False, True, budget))
+    _assert_map_matrix(all_bijective_endomaps(G),
+                       reference_search(G, G, True, True, budget))
+    grid = tf.compatibility_grid(G, H)
+    for got, (K, L) in ((grid.alphas, (H, G)), (grid.betas, (G, H))):
+        _assert_map_matrix(got, reference_search(
+            K, tf.automorphism_group(L).group, False, True, budget))
+    # Aut(G) keeps the matrix of its maps as it is
+    fresh = tf.FiniteGroup(G.table, validate=False)
+    maps = all_bijective_endomaps(fresh)
+    monkeypatch.setattr(tf.automorphisms, "all_bijective_endomaps",
+                        lambda K: maps)
+    assert tf.automorphism_group(fresh).elements is maps
+
+
 def test_isomorphism_matches_reference():
     pairs = [("product:cyclic:3,cyclic:4", "cyclic:12"),
              ("dihedral:6", "product:symmetric:3,cyclic:2"),
@@ -514,7 +549,7 @@ def test_hom_from_images_witness_matches_reference():
         if rng.random() < 0.3:
             # images of a genuine hom, so that some candidates extend
             homs = enumerate_homs(S, T)
-            images = homs[rng.integers(len(homs))].map[gens].tolist()
+            images = homs[rng.integers(len(homs))][gens].tolist()
         want = _witness(reference_hom_from_images, S, T, gens, images)
         assert _witness(hom_from_images, S, T, gens, images) == want
         outcomes.add(isinstance(want, list))

@@ -135,11 +135,11 @@ def _brute_orbits(grid, swap):
     search."""
     aut = tf.automorphism_group(grid.G)
     t, inv = aut.group.table, aut.group.inverse
-    index = {h.map.tobytes(): k for k, h in enumerate(grid.alphas)}
+    index = {h.tobytes(): k for k, h in enumerate(grid.alphas)}
     movers = [(t[t[inv[s]], s], aut.elements[s]) for s in range(aut.order)]
 
     def neighbours(i, j):
-        maps = (grid.alphas[i].map, grid.betas[j].map)
+        maps = (grid.alphas[i], grid.betas[j])
         for conj, perm in movers:
             for side in (0, 1):
                 moved = [None, None]
@@ -186,3 +186,52 @@ def test_swap_orbits_need_one_group_on_both_sides():
     for H in (twin, tf.make_catalog_group("cyclic:2")):
         with pytest.raises(ValueError, match="grid.H is grid.G"):
             compatible_pair_orbits(compatibility_grid(G, H), swap=True)
+
+
+def test_grid_of_the_swapped_groups_is_the_transpose():
+    # verify check 07 reads the grid (H, G) off the grid (G, H)
+    groups = catalog_groups_up_to(8)
+    for a, (gk, G) in enumerate(groups):
+        for hk, H in groups[a + 1:]:
+            grid = compatibility_grid(G, H, budget=verify.GRID_BUDGET)
+            swapped = compatibility_grid(H, G, budget=verify.GRID_BUDGET)
+            assert np.array_equal(swapped.alphas, grid.betas), (gk, hk)
+            assert np.array_equal(swapped.betas, grid.alphas), (gk, hk)
+            assert np.array_equal(swapped.compatible, grid.compatible.T)
+            assert np.array_equal(swapped.normalizer_g, grid.normalizer_h)
+            assert np.array_equal(swapped.normalizer_h, grid.normalizer_g)
+
+
+def reference_normalizer_necessity():
+    """Verify check 07's violations and detail by one grid per ordered
+    pair of groups, as the check once computed them."""
+    groups = catalog_groups_up_to(8)
+    violations = []
+    pairs = 0
+    for gk, G in groups:
+        for hk, H in groups:
+            grid = verify.compatibility_grid(G, H, budget=verify.GRID_BUDGET)
+            bad = grid.compatible & ~(grid.normalizer_g[:, None]
+                                      & grid.normalizer_h[None, :])
+            for i, j in np.argwhere(bad):
+                violations.append((gk, hk, int(i), int(j)))
+            pairs += grid.compatible.size
+    return violations, f"{pairs} action pairs scanned"
+
+
+def test_normalizer_necessity_lists_violations_in_ordered_pair_order(
+        monkeypatch):
+    # with both normalizer masks cleared every compatible pair is a
+    # violation, so the check lists each grid's pairs, of both orders
+    real = verify.compatibility_grid
+
+    def cleared(G, H, budget):
+        grid = real(G, H, budget=budget)
+        grid.normalizer_g = np.zeros_like(grid.normalizer_g)
+        grid.normalizer_h = np.zeros_like(grid.normalizer_h)
+        return grid
+    monkeypatch.setattr(verify, "compatibility_grid", cleared)
+    record = verify.check_normalizer_necessity()
+    violations, detail = reference_normalizer_necessity()
+    assert len(violations) > 1000
+    assert (record["computed"], record["detail"]) == (violations, detail)

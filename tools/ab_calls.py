@@ -19,6 +19,9 @@ rounds' own ratios ("paired").  The workloads:
   pair once;
 - ``collapse``: one pass of the ``tensor-collapse`` benchmark ops, nine
   in-process ``tensorforge --json tensor`` calls, each result checked;
+- ``action-sweep``: one pass of the ``action-sweep`` benchmark ops,
+  grids with their orbits, Aut(G), hom-pair sweeps and compatibility
+  checks on fresh group objects, each result checked;
 - ``check09``: verify check 09, the hom-pair sweeps of heisenberg:2 and
   heisenberg:3 with themselves, per pass;
 - ``classify-2``: ``hom_pair_tensor_classes`` of heisenberg:2, the
@@ -89,15 +92,22 @@ def check06(tf):
     return run, 1
 
 
-def collapse(tf):
-    ops, _ = workloads.tensor_collapse(tf)
-
+def benchmark_pass(ops):
+    """One pass over benchmark ops, each result checked by its oracle."""
     def run():
         for op in ops:
             failure = op.check(op.call())
             if failure is not None:
                 raise RuntimeError(f"{op.name}: {failure}")
     return run, 1
+
+
+def collapse(tf):
+    return benchmark_pass(workloads.tensor_collapse(tf)[0])
+
+
+def action_sweep(tf):
+    return benchmark_pass(workloads.action_sweep(tf)[0])
 
 
 def check09(tf):
@@ -123,7 +133,8 @@ def verify(tf):
 
 # workload -> builder of (callable, calls it makes) for one side
 WORKLOADS = {"trivial-6": trivial6, "check06": check06, "collapse": collapse,
-             "check09": check09, "classify-2": classify2, "verify": verify}
+             "action-sweep": action_sweep, "check09": check09,
+             "classify-2": classify2, "verify": verify}
 
 
 def main(argv=None):
@@ -150,16 +161,16 @@ def main(argv=None):
                 t0 = perf_counter()
                 fn()
                 times[w][side].append((perf_counter() - t0) / calls)
-    print(f"{'workload':10s} {'side':7s} {'best ms':>10s} {'median ms':>10s}")
+    print(f"{'workload':12s} {'side':7s} {'best ms':>10s} {'median ms':>10s}")
     for w, by_side in times.items():
         for side in SIDES:
-            print(f"{w:10s} {side:7s} {min(by_side[side]) * 1e3:10.3f} "
+            print(f"{w:12s} {side:7s} {min(by_side[side]) * 1e3:10.3f} "
                   f"{statistics.median(by_side[side]) * 1e3:10.3f}")
         ratio = [min(by_side["change"]) / min(by_side["parent"]),
                  statistics.median(by_side["change"])
                  / statistics.median(by_side["parent"])]
         paired = statistics.median(c / p for p, c in zip(*by_side.values()))
-        print(f"{w:10s} {'ratio':7s} {ratio[0]:10.3f} {ratio[1]:10.3f}"
+        print(f"{w:12s} {'ratio':7s} {ratio[0]:10.3f} {ratio[1]:10.3f}"
               f"  paired {paired:.3f}")
     return 0
 
