@@ -51,8 +51,9 @@ from .errors import (AlphaNotInjective, BudgetExceeded, CrossCheckFailed,
                      PsiNotInvolution)
 from .groups import (BLOCK_ENTRIES, FiniteGroup, center,
                      conjugation_maps, coset_labels, enumerated_index,
-                     key_index, make_cyclic, row_keys, second_hypercenter)
-from .homs import enumerate_homs, generating_set, search_set
+                     generating_set, key_index, make_cyclic, row_keys,
+                     second_hypercenter)
+from .homs import enumerate_homs, search_set
 from .presentations import Presentation
 
 

@@ -23,8 +23,8 @@ import numpy as np
 from .errors import LimitExceeded
 from .groups import (BLOCK_ENTRIES, MAX_CATALOG_ORDER, FiniteGroup,
                      cayley_table, conjugation_maps, enumerated_index,
-                     greedy_generators, spanning_tree)
-from .homs import all_bijective_endomaps, generating_set
+                     generating_set, greedy_generators, spanning_tree)
+from .homs import all_bijective_endomaps
 
 
 class AutGroup:

@@ -237,8 +237,10 @@ class GroupHom:
 
     @property
     def is_bijective(self):
-        return (self.source.order == self.target.order
-                == len(np.unique(self.map)))
+        """Equal orders and every element of the target an image, counted
+        by ``np.bincount``: a plain ``np.unique`` imports ``numpy.ma``."""
+        return bool(self.source.order == self.target.order and np.bincount(
+            self.map, minlength=self.target.order).all())
 
     def __repr__(self):
         return f"GroupHom({self.source.order} -> {self.target.order})"
@@ -336,7 +338,7 @@ def greedy_generators(n, root, column, candidates):
     they reach is closed breadth-first, in Python, which beats a numpy
     pass per tree layer on these lists.  In a group that is the subgroup
     the candidates generate.  It is the library's one closure:
-    ``homs.generating_set``, Aut(G)'s generators and Light's test pass
+    ``generating_set``, Aut(G)'s generators and Light's test pass
     every element in order, ``homs.search_set`` the generators it keeps
     and ``subgroup_generated`` its own.  Returns the generators, their
     columns ``rows[x, j] = x*gens[j]`` and the elements reached, in order.
@@ -408,6 +410,16 @@ def enumerated_index(keys, wanted, what):
 
 # -- subgroup machinery ---------------------------------------------------
 
+def generating_set(G):
+    """Greedy minimal generating set: repeatedly add the first element that
+    enlarges the generated subgroup (``greedy_generators``).  A tuple,
+    computed once and cached on the group."""
+    if G._gens is None:
+        G._gens = tuple(greedy_generators(
+            G.order, G.identity, lambda s: G.table[:, s], range(G.order))[0])
+    return G._gens
+
+
 def subgroup_generated(G, gens):
     """Smallest subgroup containing ``gens``: what they reach from the
     identity by right multiplication (``greedy_generators``)."""
@@ -470,7 +482,12 @@ def _commutators(G, xs):
 
 
 def derived_subgroup(G):
-    return subgroup_generated(G, _commutators(G, range(G.order)))
+    """G', generated by the commutators [x, g] of x in ``generating_set(G)``
+    and g in G.  For a generating set X these generate G': the subgroup N
+    they generate is normal, as [x, g]^y = [x, y]^-1 [x, gy], and so
+    [xy, g] = [x, g]^y [y, g] lies in N whenever [x, g] and [y, g] do."""
+    return subgroup_generated(
+        G, _commutators(G, generating_set(G) or [G.identity]))
 
 
 def lower_central_series(G):

@@ -31,7 +31,7 @@ depth-first order.  Both raise exactly when the depth-first count of the
 same search passes the budget.
 
 Maps come out in lexicographic order.  In a greedy minimal generating set
-(``generating_set``) s_j is the first element outside the subgroup of
+(``groups.generating_set``) s_j is the first element outside the subgroup of
 s_0, ..., s_(j-1), so every element before it lies in that subgroup, and
 two homomorphisms whose generator images first differ at s_j agree on
 every element before s_j: maps compare as their tuples of images of the
@@ -60,20 +60,10 @@ import numpy as np
 
 from .abelian import abelian_invariants
 from .errors import BudgetExceeded, GensDoNotGenerate, NotAHomomorphism
-from .groups import (BLOCK_ENTRIES, GroupHom, center, greedy_generators,
-                     spanning_tree)
+from .groups import (BLOCK_ENTRIES, GroupHom, center, generating_set,
+                     greedy_generators, spanning_tree)
 
 DEFAULT_BUDGET = 10 ** 6
-
-
-def generating_set(G):
-    """Greedy minimal generating set: repeatedly add the first element that
-    enlarges the generated subgroup (``groups.greedy_generators``).  A
-    tuple, computed once and cached on the group."""
-    if G._gens is None:
-        G._gens = tuple(greedy_generators(
-            G.order, G.identity, lambda s: G.table[:, s], range(G.order))[0])
-    return G._gens
 
 
 def search_set(G):

@@ -24,10 +24,9 @@ from .actions import (HomPair, action_from_hom_pair, hom_classes,
 from .automorphisms import automorphism_group
 from .errors import CrossCheckFailed, IncompatibleActions, LimitExceeded
 from .groups import FiniteGroup, GroupHom, Subgroup, center, coset_labels, \
-    enumerated_index, first_occurrences, nilpotency_class, row_keys, \
-    subgroup_generated
-from .homs import _force, are_isomorphic, enumerate_homs, generating_set, \
-    search_set
+    enumerated_index, first_occurrences, generating_set, nilpotency_class, \
+    row_keys, subgroup_generated
+from .homs import _force, are_isomorphic, enumerate_homs, search_set
 from .presentations import Presentation, coset_enumerate, table_to_group
 
 MAX_SYMBOLS = 256
@@ -217,7 +216,7 @@ def hom_pair_tensor_classes(G, budget=None):
     weights = np.zeros(n * n, dtype=np.int64)
     np.add.at(weights, label, np.outer(sizes, sizes).ravel())
     rows = []
-    for least in np.unique(label).tolist():
+    for least in np.flatnonzero(np.bincount(label)).tolist():
         a, b = divmod(least, n)
         i, j = int(first[a]), int(first[b])
         count = int(weights[least])

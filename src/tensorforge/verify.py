@@ -20,9 +20,8 @@ from .actions import (ActionPair, compatibility_grid, compatible_pair_orbits,
 from .automorphisms import automorphism_group, normalizer_contains_inn
 from .catalog import catalog_groups_up_to, make_catalog_group
 from .errors import CrossCheckFailed, NormalizerConditionFails
-from .groups import make_cyclic
-from .homs import (all_bijective_endomaps, enumerate_homs, generating_set,
-                   hom_from_images)
+from .groups import generating_set, make_cyclic
+from .homs import all_bijective_endomaps, enumerate_homs, hom_from_images
 from .presentations import Presentation, coset_enumerate, table_to_group
 from .tensor import compute_tensor, derivative_subgroup
 

@@ -14,8 +14,8 @@ import tensorforge as tf
 from tensorforge import abelian
 from tensorforge.abelian import abelian_invariants, abelian_tensor
 from tensorforge.errors import CrossCheckFailed
-from tensorforge.groups import Subgroup, derived_subgroup, make_cyclic
-from tensorforge.homs import generating_set
+from tensorforge.groups import (Subgroup, derived_subgroup, generating_set,
+                                make_cyclic)
 from tensorforge.presentations import spanning_tree
 
 from test_groups import reference_quotient

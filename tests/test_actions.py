@@ -22,10 +22,9 @@ from tensorforge.catalog import catalog_groups_up_to
 from tensorforge.errors import (AlphaNotInjective, BudgetExceeded,
                                 CrossCheckFailed, InvalidAction,
                                 NormalizerConditionFails, PsiNotInvolution)
-from tensorforge.groups import (GroupHom, center, coset_labels, make_cyclic,
-                                row_keys, second_hypercenter,
-                                subgroup_generated)
-from tensorforge.homs import generating_set
+from tensorforge.groups import (GroupHom, center, coset_labels,
+                                generating_set, make_cyclic, row_keys,
+                                second_hypercenter, subgroup_generated)
 from test_groups import reference_conj
 
 

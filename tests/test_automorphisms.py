@@ -12,8 +12,8 @@ from tensorforge.automorphisms import (automorphism_group,
 from tensorforge.catalog import catalog_groups_up_to
 from tensorforge.errors import CrossCheckFailed, LimitExceeded
 from tensorforge.groups import (FiniteGroup, center, conjugation_maps,
-                                make_cyclic)
-from tensorforge.homs import all_bijective_endomaps, generating_set
+                                generating_set, make_cyclic)
+from tensorforge.homs import all_bijective_endomaps
 from test_groups import reference_conj
 
 

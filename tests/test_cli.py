@@ -148,6 +148,35 @@ def _untimed(result):
     return code, re.sub(r", [0-9.]+ ms\]", ", 0 ms]", out), err
 
 
+def test_commands_never_import_numpy_ma():
+    # numpy's plain np.unique(x) imports numpy.ma on its first call, about
+    # 15 ms of a fresh process; the commands run in one fresh interpreter,
+    # as pytest, SymPy and Hypothesis have loaded numpy.ma in this one
+    script = """
+import contextlib, io, json, sys
+from tensorforge.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps([codes, "numpy.ma" in sys.modules]))
+"""
+    commands = [["verify", "paper"], ["explore", "classify-heisenberg", "2"],
+                ["tensor", "--g", "dihedral:4", "--h", "dihedral:4",
+                 "--alpha", "conjugation", "--beta", "conjugation"],
+                ["compat", "--g", "cyclic:3", "--h", "cyclic:3",
+                 "--alpha", "inversion"]]
+    src = str(Path(tensorforge.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script,
+                           json.dumps(commands)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [1, 0, 0, 0] and not loaded
+
+
 def test_tensor_from_pair_file(capsys, tmp_path):
     pair = {"g": "cyclic:4", "h": "cyclic:2",
             "alpha": {"map": [0, 1]}, "beta": {"map": [0, 0, 0, 0]}}

@@ -11,7 +11,7 @@ import tensorforge as tf
 from tensorforge import groups
 from tensorforge.catalog import catalog_groups_up_to
 from tensorforge.errors import LimitExceeded, NotAGroup, NotAHomomorphism
-from tensorforge.groups import (FiniteGroup, Subgroup, center,
+from tensorforge.groups import (FiniteGroup, Subgroup, _commutators, center,
                                 conjugation_maps, derived_subgroup,
                                 from_cayley_table,
                                 lower_central_series, make_cyclic,
@@ -233,6 +233,18 @@ def test_group_hom_rejects_non_hom():
         tf.GroupHom(make_cyclic(4), make_cyclic(4), [0, 1, 0, 1])
 
 
+def test_is_bijective_needs_equal_orders_and_every_image():
+    C4 = make_cyclic(4)
+    assert tf.GroupHom(C4, C4, [0, 3, 2, 1]).is_bijective is True
+    # x -> 2x on Z4 misses 1 and 3
+    assert tf.GroupHom(C4, C4, [0, 2, 0, 2]).is_bijective is False
+    # Z2 -> Z4 is injective, not onto
+    assert tf.GroupHom(make_cyclic(2), C4, [0, 2]).is_bijective is False
+    # Z4 -> Z2 is onto, not injective
+    assert tf.GroupHom(C4, make_cyclic(2), [0, 1, 0, 1]).is_bijective \
+        is False
+
+
 def test_subgroup_generated_closure():
     S3 = tf.make_catalog_group("symmetric:3")
     for g in range(S3.order):
@@ -341,6 +353,17 @@ def test_abelian_and_center_peak_memory():
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
     assert not fresh.is_abelian and center(G).order == 1024
+
+
+def test_derived_subgroup_from_generators_matches_all_commutators():
+    # G' from the commutators of generating_set(G) with G, against the
+    # subgroup that all |G|^2 commutators generate
+    keys = ["product:quaternion:8,elemab:2:9",
+            "product:symmetric:4,cyclic:4", "heisenberg:5"]
+    for key, G in catalog_groups_up_to(64) + [
+            (k, tf.make_catalog_group(k)) for k in keys]:
+        assert derived_subgroup(G) == subgroup_generated(
+            G, _commutators(G, range(G.order))), key
 
 
 def test_derived_subgroup_values():

@@ -329,3 +329,40 @@ def test_environment_lint_sees_attributes_names_and_imports():
     source = ("os.environ.get('A')\nx = os.getenv('B')\n"
               "from os import environ\nenviron['C']\nos.path.join(d)\n")
     assert sorted(_environment_reads(ast.parse(source))) == [1, 2, 3, 4]
+
+
+UNIQUE_FLAGS = {"return_index", "return_inverse", "return_counts"}
+
+
+def _plain_unique_calls(tree):
+    """Line numbers of ``unique`` calls that pass none of UNIQUE_FLAGS by
+    keyword, or pass each only as a literal False."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        if name == "unique" and not any(
+                k.arg in UNIQUE_FLAGS and not (
+                    isinstance(k.value, ast.Constant)
+                    and k.value.value is False)
+                for k in node.keywords):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_plain_unique_calls(path):
+    # numpy's np.unique(x) without a return_* flag calls np.ma.is_masked,
+    # so the first such call in a process imports numpy.ma (12-16 ms);
+    # count with np.bincount or sort instead
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert sorted(_plain_unique_calls(tree)) == []
+
+
+def test_unique_lint_sees_plain_calls():
+    source = ("np.unique(a)\nnp.unique(b, return_index=True)\n"
+              "numpy.unique(c, axis=0)\nunique(d)\n"
+              "np.unique(e, return_counts=False)\n"
+              "np.unique(f, return_inverse=flag)\nnp.union1d(g, h)\n")
+    assert sorted(_plain_unique_calls(ast.parse(source))) == [1, 3, 4, 5]

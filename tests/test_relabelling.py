@@ -2,7 +2,9 @@
 count that the hom search, Aut(G), the compatibility grid and its orbits
 report, nor the abelian invariants of G and H, nor the order, invariants,
 nilpotency class, derivative order and kernel order that
-``compute_tensor`` reports.
+``compute_tensor`` reports; it carries G' and H' to the derived subgroups
+of the renamed groups, and a square's (conjugation, trivial) pair to a
+pair with the same compatibility verdict, its witness to a witness.
 
 Conjugating the Cayley tables of G and H by permutations sigma and tau
 gives isomorphic groups, so Hom(G, H) is carried onto Hom(G', H') by
@@ -22,8 +24,11 @@ import pytest
 import tensorforge as tf
 from tensorforge.abelian import abelian_invariants
 from tensorforge.actions import (ActionPair, compatibility_grid,
-                                 compatible_pair_orbits)
+                                 compatible_pair_orbits, is_compatible,
+                                 named_action)
 from tensorforge.automorphisms import automorphism_group
+from tensorforge.groups import (conjugation_maps, derived_subgroup,
+                                nilpotency_class)
 from tensorforge.homs import enumerate_homs
 
 SQUARES = ["cyclic:6", "symmetric:3", "elemab:2:2", "dihedral:4",
@@ -122,3 +127,49 @@ def test_relabelling_changes_no_tensor_count(G, H, R, S, sigma, tau):
                              _renamed_action(pair.alpha_maps, tau, sigma),
                              _renamed_action(pair.beta_maps, sigma, tau))
         assert _tensor_counts(renamed) == _tensor_counts(pair)
+
+
+@pytest.mark.parametrize("G,H,R,S,sigma,tau", _cases())
+def test_relabelling_carries_the_derived_subgroup(G, H, R, S, sigma, tau):
+    # the renamed groups have other greedy generating sets, from which
+    # derived_subgroup forms its commutators
+    for K, renamed, perm in ((G, R, sigma), (H, S, tau)):
+        assert derived_subgroup(renamed).members == tuple(sorted(
+            perm[list(derived_subgroup(K).members)].tolist()))
+
+
+def _equation_sides(pair, equation, x, x1, y):
+    """Both sides of the pair's first equation at (g, g1, h) = (x, x1, y),
+    or of its second at (h, h1, g) = (x, x1, y), as ``is_compatible``
+    states them."""
+    K, X, Y = (pair.G, pair.alpha_maps, pair.beta_maps) \
+        if equation == "first" else (pair.H, pair.beta_maps, pair.alpha_maps)
+    conj = conjugation_maps(K)
+    return int(X[Y[x1, y], x]), int(conj[x1, X[y, conj[K.inverse[x1], x]]])
+
+
+@pytest.mark.parametrize("G,H,R,S,sigma,tau", [
+    case for case in _cases() if case.id.endswith(("-same", "-copy"))])
+def test_relabelling_keeps_the_compatibility_verdict(G, H, R, S, sigma,
+                                                     tau):
+    # H acting on G by conjugation and G on H trivially is compatible
+    # exactly when G has class at most 2; symmetric:3 gives a witness
+    pair = ActionPair(G, H, named_action("conjugation", G, H),
+                      named_action("trivial", H, G))
+    renamed = ActionPair(R, S, _renamed_action(pair.alpha_maps, tau, sigma),
+                         _renamed_action(pair.beta_maps, sigma, tau))
+    got, want = is_compatible(renamed), is_compatible(pair)
+    c = nilpotency_class(G)
+    assert got.compatible == want.compatible == (c is not None and c <= 2)
+    if got.compatible:
+        return
+    # the witness carried back through sigma^-1 and tau^-1 violates the
+    # same equation of the pair, at the values carried back
+    w = got.witness
+    undo_g, undo_h = np.argsort(sigma), np.argsort(tau)
+    if w.equation == "first":
+        at, perm = (undo_g[w.g], undo_g[w.g1], undo_h[w.h]), sigma
+    else:
+        at, perm = (undo_h[w.h], undo_h[w.h1], undo_g[w.g]), tau
+    lhs, rhs = _equation_sides(pair, w.equation, *at)
+    assert lhs != rhs and (perm[lhs], perm[rhs]) == (w.lhs, w.rhs)

@@ -31,6 +31,11 @@ rounds' own ratios ("paired").  The workloads:
 
 Separate processes of one tree can drift apart by far more than the
 differences measured here; alternating inside one process does not.
+A cost paid once per process, such as a lazy import (numpy imports
+``numpy.ma`` on the first plain ``np.unique(x)``), is paid once per
+interpreter by whichever tree reaches it first, so this A/B cannot
+compare such costs; ``tools/bench_pairs.py``, which runs each side in
+its own processes, can.
 """
 
 from __future__ import annotations
