@@ -81,7 +81,7 @@ def _validate_action(G, H, maps, what):
     ar = np.arange(G.order)
     if not np.array_equal(maps[H.identity], ar):
         raise InvalidAction(f"{what}: identity must act trivially")
-    gens = list(generating_set(G)) or [G.identity]
+    gens = generating_set(G)
     products = G.table[:, gens]
     step = max(1, BLOCK_ENTRIES // (G.order * (len(gens) + 1)))
     for start in range(0, H.order, step):
@@ -108,7 +108,7 @@ def _assignment_is_hom(H, maps):
     products, so they are all of H.
     """
     return all(np.array_equal(maps[H.table[:, s]], maps[s][maps])
-               for s in generating_set(H) or [H.identity])
+               for s in generating_set(H))
 
 
 ACTION_NAMES = ("trivial", "inversion", "conjugation")
@@ -226,8 +226,8 @@ def _equation_fails(lab, acts, maps, conj, G, H):
     """
     lab_t = np.ascontiguousarray(lab.T)     # [x, a]
     fails = np.zeros((len(maps), (len(lab) + 7) // 8), dtype=np.uint8)
-    for g1 in generating_set(G) or [G.identity]:
-        for h in generating_set(H) or [H.identity]:
+    for g1 in generating_set(G):
+        for h in generating_set(H):
             mask = np.packbits(lab_t != conj[g1, lab_t[h]], axis=1)
             fails |= mask[acts[maps[:, g1], h]]
     return np.unpackbits(fails, axis=1, count=len(lab)).T.view(bool)
@@ -271,7 +271,7 @@ def _conjugate_preimages(G, A):
     the conjugates are looked up in them (``groups.key_index``), in blocks
     of at most BLOCK_ENTRIES entries, or one g.
     """
-    gens = generating_set(G) or [G.identity]
+    gens = generating_set(G)
     conj = conjugation_maps(G)
     at = conj[G.inverse][:, gens]       # at[g, k] = gens[k]^(g^-1)
     order = np.lexsort(A[:, gens].T[::-1])
@@ -455,7 +455,7 @@ def compatible_pair_orbits(grid, swap=False):
     maps = (grid.alphas, grid.betas)
     # a homomorphism is fixed by its images of a generating set: alphas
     # by those of H, betas by those of G
-    gens = [list(generating_set(K) or [K.identity]) for K in (grid.H, grid.G)]
+    gens = [generating_set(K) for K in (grid.H, grid.G)]
     keys = [row_keys(m[:, g]) for m, g in zip(maps, gens)]
     # one (alpha, beta) index permutation per generator s of Aut(G) (side
     # 0) and of Aut(H) (side 1): s conjugates the Aut indices of its own
@@ -468,7 +468,7 @@ def compatible_pair_orbits(grid, swap=False):
             moved = [None, None]
             moved[side] = t[t[inv[s]], s][maps[side][:, gens[side]]]
             moved[1 - side] = maps[1 - side][
-                :, aut.elements[inv[s]][gens[1 - side]]]
+                :, aut.elements[inv[s], gens[1 - side]]]
             moves.append([enumerated_index(key, row_keys(m),
                                            "a relabelled homomorphism")
                           for key, m in zip(keys, moved)])
@@ -619,8 +619,8 @@ def _congruence(G, H, P, S):
     first failing pair lies in the first row i that fails either.  With
     ``H is G`` the classes of phi are those of psi, and ok2 is ok1.T.
     """
-    gens_g = list(generating_set(G) or [G.identity])
-    gens_h = list(generating_set(H) or [H.identity])
+    gens_g = list(generating_set(G))
+    gens_h = list(generating_set(H))
     lab_g = coset_labels(G, second_hypercenter(G))[1]
     psi_first, _, psi_of = hom_classes(S[:, gens_h], lab_g)
     ok1 = _congruent_at(lab_g[S[psi_first]], P, lab_g, gens_g).T
@@ -680,9 +680,9 @@ def hom_pair_compatibility_sweep(G, H):
     reps_g, lab_g = coset_labels(G, center(G))
     reps_h, lab_h = (reps_g, lab_g) if H is G else coset_labels(H, center(H))
     psi_first, psi_sizes, _ = psi_classes = hom_classes(
-        S[:, list(generating_set(H) or [H.identity])], lab_g)
+        S[:, generating_set(H)], lab_g)
     phi_first, phi_sizes, _ = psi_classes if H is G else hom_classes(
-        P[:, list(generating_set(G) or [G.identity])], lab_h)
+        P[:, generating_set(G)], lab_h)
     conj_g, conj_h = conjugation_maps(G), conjugation_maps(H)
     fails_g = _equation_fails(lab_g[S[psi_first]], conj_h, P[phi_first],
                               lab_g[conj_g[:, reps_g]], G, H)

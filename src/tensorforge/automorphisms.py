@@ -68,12 +68,13 @@ def automorphism_group(G):
     looked up, |Aut| keys per generator (``groups.greedy_generators``);
     the rest of the table is gathered along their spanning tree
     (``groups.cayley_table``), and the generators are kept as
-    ``generating_set(aut.group)``.  CrossCheckFailed is raised when such
-    a product is not enumerated: every enumerated map is reached from the
-    identity by the generators, so the maps are closed under products
-    exactly when they are closed under right multiplication by the
-    generators.  Above MAX_CATALOG_ORDER automorphisms, LimitExceeded is
-    raised before the table is allocated.
+    ``generating_set(aut.group)``, the identity map alone when Aut(G) is
+    trivial.  CrossCheckFailed is raised when such a product is not
+    enumerated: every enumerated map is reached from the identity by the
+    generators, so the maps are closed under products exactly when they
+    are closed under right multiplication by the generators.  Above
+    MAX_CATALOG_ORDER automorphisms, LimitExceeded is raised before the
+    table is allocated.
     """
     if G._aut is not None:
         return G._aut
@@ -96,7 +97,7 @@ def automorphism_group(G):
             "a composite of automorphisms"), range(n))
     group = FiniteGroup(cayley_table(rows, spanning_tree(rows)),
                         validate=False)
-    group._gens = tuple(aut_gens)
+    group._gens = tuple(aut_gens) or (0,)
     inner_of = enumerated_index(keys, conjugation_maps(G)[:, gens] @ radix,
                                 "an inner automorphism")
     aut = AutGroup(G, elements, group, inner_of)

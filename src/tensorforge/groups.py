@@ -339,9 +339,10 @@ def greedy_generators(n, root, column, candidates):
     pass per tree layer on these lists.  In a group that is the subgroup
     the candidates generate.  It is the library's one closure:
     ``generating_set``, Aut(G)'s generators and Light's test pass
-    every element in order, ``homs.search_set`` the generators it keeps
-    and ``subgroup_generated`` its own.  Returns the generators, their
-    columns ``rows[x, j] = x*gens[j]`` and the elements reached, in order.
+    every element in order, ``homs.search_set`` the generators it keeps,
+    ``_commutator_step`` its commutators and ``subgroup_generated`` its
+    own.  Returns the generators, their columns ``rows[x, j] =
+    x*gens[j]`` and the elements reached, in order.
     """
     gens, cols = [], []
     seen = [False] * n
@@ -413,10 +414,12 @@ def enumerated_index(keys, wanted, what):
 def generating_set(G):
     """Greedy minimal generating set: repeatedly add the first element that
     enlarges the generated subgroup (``greedy_generators``).  A tuple,
-    computed once and cached on the group."""
+    computed once and cached on the group; the trivial group's is its
+    identity, so a generating set is never empty."""
     if G._gens is None:
         G._gens = tuple(greedy_generators(
-            G.order, G.identity, lambda s: G.table[:, s], range(G.order))[0])
+            G.order, G.identity, lambda s: G.table[:, s],
+            range(G.order))[0]) or (G.identity,)
     return G._gens
 
 
@@ -481,26 +484,33 @@ def _commutators(G, xs):
     return np.flatnonzero(found).tolist()
 
 
+def _commutator_step(G, gens):
+    """[N, G] for the subgroup N generated by ``gens``: its greedy
+    generators, picked from the commutators [x, g] of x in ``gens`` and g
+    in G, and the subgroup.  These commutators generate [N, G]: the
+    subgroup M they generate is normal, as [x, g]^y = [x, y]^-1 [x, gy],
+    and so [xy, g] = [x, g]^y [y, g] lies in M whenever [x, g] and [y, g]
+    do."""
+    picked, _, members = greedy_generators(
+        G.order, G.identity, lambda s: G.table[:, s], _commutators(G, gens))
+    return picked, Subgroup(G, members)
+
+
 def derived_subgroup(G):
-    """G', generated by the commutators [x, g] of x in ``generating_set(G)``
-    and g in G.  For a generating set X these generate G': the subgroup N
-    they generate is normal, as [x, g]^y = [x, y]^-1 [x, gy], and so
-    [xy, g] = [x, g]^y [y, g] lies in N whenever [x, g] and [y, g] do."""
-    return subgroup_generated(
-        G, _commutators(G, generating_set(G) or [G.identity]))
+    """G' = [G, G], one ``_commutator_step`` from ``generating_set(G)``."""
+    return _commutator_step(G, generating_set(G))[1]
 
 
 def lower_central_series(G):
-    """gamma_1 = G, gamma_{k+1} = [gamma_k, G]; stops when stable."""
-    series = [Subgroup(G, range(G.order))]
-    while True:
-        cur = series[-1]
-        nxt = subgroup_generated(G, _commutators(G, cur.members))
-        if nxt.members == cur.members:
+    """gamma_1 = G, gamma_{k+1} = [gamma_k, G]; stops when stable.  Each
+    step is a ``_commutator_step`` from the generators it picked for
+    gamma_k, the first from ``generating_set(G)``."""
+    gens, series = generating_set(G), [Subgroup(G, range(G.order))]
+    while series[-1].order > 1:
+        gens, nxt = _commutator_step(G, gens)
+        if nxt == series[-1]:
             break
         series.append(nxt)
-        if nxt.order == 1:
-            break
     return series
 
 

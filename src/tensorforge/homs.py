@@ -141,15 +141,16 @@ def _search(source, target, bijective, find_all, budget):
     A complete search runs over ``search_set(source)`` and, when that
     differs from ``generating_set(source)``, sorts its leaves by their
     images of the greedy generators.  A search for one map runs over the
-    greedy set, so that the first map it meets is the least."""
+    greedy set, so that the first map it meets is the least.
+
+    A generating set is never empty: a trivial source's is its identity,
+    whose only candidate image is the target's identity, and the search
+    forces the one map.  Every bijective search has equal orders, since
+    ``all_bijective_endomaps`` maps G to G and ``are_isomorphic``
+    compares orders first."""
     greedy = generating_set(source)
     gens = search_set(source) if find_all else greedy
     k = len(gens)
-    if k == 0:
-        found = np.full((int(not bijective or target.order == 1),
-                         source.order), target.identity, dtype=np.intp)
-        found.setflags(write=False)
-        return found
     rows = source.table[:, gens]
     root = source.identity
     trees = [spanning_tree(rows[:, :j + 1], root) for j in range(k)]

@@ -195,7 +195,7 @@ def hom_pair_tensor_classes(G, budget=None):
     symmetric:3 is refused so.
     """
     maps = enumerate_homs(G, G, budget=budget)
-    gens = list(generating_set(G) or [G.identity])
+    gens = list(generating_set(G))
     first, sizes, class_of = hom_classes(maps[:, gens],
                                          coset_labels(G, center(G))[1])
     # the class of sigma after each class's first member, and of that

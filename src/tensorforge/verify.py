@@ -20,7 +20,7 @@ from .actions import (ActionPair, compatibility_grid, compatible_pair_orbits,
 from .automorphisms import automorphism_group, normalizer_contains_inn
 from .catalog import catalog_groups_up_to, make_catalog_group
 from .errors import CrossCheckFailed, NormalizerConditionFails
-from .groups import generating_set, make_cyclic
+from .groups import center, generating_set, make_cyclic
 from .homs import all_bijective_endomaps, enumerate_homs, hom_from_images
 from .presentations import Presentation, coset_enumerate, table_to_group
 from .tensor import compute_tensor, derivative_subgroup
@@ -239,7 +239,7 @@ def check_z2_criterion_equivalence():
     for key, G in catalog_groups_up_to(16):
         maps = all_bijective_endomaps(G)
         # an automorphism is an involution iff it is one on generators
-        gens = list(generating_set(G) or [G.identity])
+        gens = generating_set(G)
         twice = np.take_along_axis(maps, maps[:, gens], axis=1)
         for m in maps[(twice == gens).all(axis=1)]:
             crit, _ = z2_action_criterion(G, m)
@@ -264,9 +264,9 @@ def check_heisenberg_aut_derivative():
     beta = np.tile(np.arange(aut.order), (G.order, 1))
     pair = ActionPair(G, aut.group, aut.elements, beta, validate=False)
     # the elementary automorphism x2 -> x2 x1 with x1 fixed
-    zmask = G.table == G.table.T
-    x1 = next(g for g in range(G.order) if not zmask[g].all())
-    x2 = next(h for h in range(G.order) if not zmask[x1, h])
+    # x1 the first non-central element, x2 the first not commuting with it
+    x1 = int(np.argmin(center(G).mask()))
+    x2 = int(np.argmax(G.table[x1] != G.table[:, x1]))
     phi = hom_from_images(G, G, [x1, x2], [x1, G.mul(x2, x1)])
     certificate = G.mul(G.inv(x2), phi(x2))
     derivative = derivative_subgroup(pair)

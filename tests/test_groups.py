@@ -502,6 +502,26 @@ def test_lower_central_series_matches_loop_on_large_groups():
     assert [s.order for s in want] == [432, 12, 2, 1]
 
 
+@pytest.mark.parametrize("key", ["product:quaternion:8,elemab:2:9",
+                                 "dihedral:512"])
+def test_lower_central_series_steps_through_generators(monkeypatch, key):
+    # each step takes the commutators of generators of the previous term,
+    # the first of generating_set(G), never all of its members
+    G = tf.make_catalog_group(key)
+    passed = []
+
+    def spy(G, xs):
+        passed.append(list(xs))
+        return _commutators(G, xs)
+    monkeypatch.setattr(groups, "_commutators", spy)
+    series = lower_central_series(G)
+    assert passed[0] == list(groups.generating_set(G))
+    assert len(passed) == len(series) - 1 and series[-1].order == 1
+    for xs, term in zip(passed, series):
+        assert 2 ** len(xs) <= term.order
+        assert subgroup_generated(G, xs) == term
+
+
 def test_conjugation_map_is_inner_permutation():
     G = tf.make_catalog_group("dihedral:4")
     for g in range(G.order):

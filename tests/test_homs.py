@@ -185,9 +185,28 @@ def test_search_set_is_an_irredundant_subset_of_the_greedy_set():
         assert set(gens) <= set(greedy) and list(gens) == sorted(
             gens, key=greedy.index), key
         assert tf.subgroup_generated(G, gens).order == G.order, key
+        if G.order == 1:
+            # a generating set is never empty: the identity is kept
+            assert gens == (0,)
+            continue
         for s in gens:
             others = [g for g in gens if g != s]
             assert s not in tf.subgroup_generated(G, others), key
+
+
+def test_trivial_group_is_generated_by_its_identity():
+    # a generating set is never empty, and the search over the identity's
+    # one candidate image forces the one map
+    G = tf.make_catalog_group("cyclic:1")
+    assert generating_set(G) == (0,) and search_set(G) == (0,)
+    for X in (G, tf.make_catalog_group("quaternion:8"),
+              tf.make_catalog_group("symmetric:3")):
+        assert enumerate_homs(G, X).tolist() == [[X.identity]]
+    assert all_bijective_endomaps(G).tolist() == [[0]]
+    assert are_isomorphic(G, make_cyclic(1)).map.tolist() == [0]
+    # a trivial Aut(G) is generated by the identity map, element 0
+    assert generating_set(tf.automorphism_group(make_cyclic(2)).group) \
+        == (0,)
 
 
 @pytest.mark.parametrize("key", ["quaternion:8", "heisenberg:3",

@@ -366,3 +366,35 @@ def test_unique_lint_sees_plain_calls():
               "np.unique(e, return_counts=False)\n"
               "np.unique(f, return_inverse=flag)\nnp.union1d(g, h)\n")
     assert sorted(_plain_unique_calls(ast.parse(source))) == [1, 3, 4, 5]
+
+
+def _empty_set_fallbacks(tree):
+    """Line numbers of ``or`` expressions with a call to ``generating_set``
+    or ``search_set`` in an operand before the last."""
+    names = {"generating_set", "search_set"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or) \
+                and any(isinstance(inner, ast.Call) and (
+                    getattr(inner.func, "id", None) in names
+                    or getattr(inner.func, "attr", None) in names)
+                    for value in node.values[:-1]
+                    for inner in ast.walk(value)):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_empty_generating_set_fallbacks(path):
+    # a generating set is never empty, the trivial group's is its
+    # identity, so no caller patches an empty one
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert sorted(_empty_set_fallbacks(tree)) == []
+
+
+def test_fallback_lint_sees_calls_before_the_last_operand():
+    source = ("a = generating_set(G) or [G.identity]\n"
+              "b = list(homs.search_set(G)) or []\n"
+              "c = x or generating_set(G)\n"
+              "d = generating_set(G)\n"
+              "e = tuple(gens) or (0,)\n"
+              "f = y or groups.generating_set(H) or [0]\n")
+    assert sorted(_empty_set_fallbacks(ast.parse(source))) == [1, 2, 6]

@@ -27,7 +27,10 @@ rounds' own ratios ("paired").  The workloads:
 - ``classify-2``: ``hom_pair_tensor_classes`` of heisenberg:2, the
   library call behind ``explore classify-heisenberg 2``, per pass;
 - ``verify``: one ``run_verification()`` pass, the thirteen checks of
-  ``tensorforge verify paper``, per pass.
+  ``tensorforge verify paper``, per pass;
+- ``series``: ``nilpotency_class`` and the order of ``derived_subgroup``
+  of five groups of order 125 to 4,096, each on a fresh copy of its table
+  so that no generators are cached, each result checked, per pass.
 
 Separate processes of one tree can drift apart by far more than the
 differences measured here; alternating inside one process does not.
@@ -136,10 +139,30 @@ def verify(tf):
     return run, 1
 
 
+# group -> (nilpotency class, order of G'), pinned
+SERIES = {"product:quaternion:8,elemab:2:9": (2, 2),
+          "dihedral:512": (9, 256),
+          "product:dihedral:16,dihedral:16": (4, 64),
+          "product:symmetric:4,cyclic:4": (None, 12),
+          "heisenberg:5": (2, 5)}
+
+
+def series(tf):
+    tables = {key: tf.make_catalog_group(key).table for key in SERIES}
+
+    def run():
+        for key, want in SERIES.items():
+            G = tf.FiniteGroup(tables[key], validate=False)
+            got = (tf.nilpotency_class(G), tf.derived_subgroup(G).order)
+            if got != want:
+                raise RuntimeError(f"{key}: got {got}, want {want}")
+    return run, 1
+
+
 # workload -> builder of (callable, calls it makes) for one side
 WORKLOADS = {"trivial-6": trivial6, "check06": check06, "collapse": collapse,
              "action-sweep": action_sweep, "check09": check09,
-             "classify-2": classify2, "verify": verify}
+             "classify-2": classify2, "verify": verify, "series": series}
 
 
 def main(argv=None):
