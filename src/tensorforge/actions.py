@@ -619,8 +619,7 @@ def _congruence(G, H, P, S):
     first failing pair lies in the first row i that fails either.  With
     ``H is G`` the classes of phi are those of psi, and ok2 is ok1.T.
     """
-    gens_g = list(generating_set(G))
-    gens_h = list(generating_set(H))
+    gens_g, gens_h = generating_set(G), generating_set(H)
     lab_g = coset_labels(G, second_hypercenter(G))[1]
     psi_first, _, psi_of = hom_classes(S[:, gens_h], lab_g)
     ok1 = _congruent_at(lab_g[S[psi_first]], P, lab_g, gens_g).T

@@ -97,7 +97,8 @@ def automorphism_group(G):
             "a composite of automorphisms"), range(n))
     group = FiniteGroup(cayley_table(rows, spanning_tree(rows)),
                         validate=False)
-    group._gens = tuple(aut_gens) or (0,)
+    group._gens = np.array(aut_gens or [0], dtype=np.intp)
+    group._gens.setflags(write=False)
     inner_of = enumerated_index(keys, conjugation_maps(G)[:, gens] @ radix,
                                 "an inner automorphism")
     aut = AutGroup(G, elements, group, inner_of)

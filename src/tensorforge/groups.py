@@ -150,10 +150,10 @@ class FiniteGroup:
 
     @property
     def is_abelian(self):
+        """Whether the generators commute pairwise."""
         if self._abelian is None:
-            t, step = self.table, max(1, BLOCK_ENTRIES // self.order)
-            self._abelian = all((t[s:s + step] == t[:, s:s + step].T).all()
-                                for s in range(0, self.order, step))
+            gens = generating_set(self)
+            self._abelian = bool(commuting_with(self, gens)[gens].all())
         return self._abelian
 
     def name(self, i):
@@ -200,9 +200,6 @@ class Subgroup:
 
     def mask(self):
         return self._mask
-
-    def is_whole_group(self):
-        return len(self.members) == self.parent.order
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.order})"
@@ -336,8 +333,10 @@ def greedy_generators(n, root, column, candidates):
     Each generator is the first candidate that right multiplication by
     the earlier ones does not reach from ``root``, the identity; what
     they reach is closed breadth-first, in Python, which beats a numpy
-    pass per tree layer on these lists.  In a group that is the subgroup
-    the candidates generate.  It is the library's one closure:
+    pass per tree layer; its columns are memoryviews of intp arrays and
+    ``seen`` a bytearray, so it keeps no Python int per entry.  In a
+    group that is the subgroup the candidates generate.  It is the
+    library's one closure:
     ``generating_set``, Aut(G)'s generators and Light's test pass
     every element in order, ``homs.search_set`` the generators it keeps,
     ``_commutator_step`` its commutators and ``subgroup_generated`` its
@@ -345,7 +344,7 @@ def greedy_generators(n, root, column, candidates):
     x*gens[j]`` and the elements reached, in order.
     """
     gens, cols = [], []
-    seen = [False] * n
+    seen = bytearray(n)
     seen[root] = True
     members = [root]
     for s in candidates:
@@ -354,7 +353,8 @@ def greedy_generators(n, root, column, candidates):
         if seen[s]:
             continue
         gens.append(int(s))
-        cols.append(column(s).tolist())
+        cols.append(memoryview(np.ascontiguousarray(column(s),
+                                                    dtype=np.intp)))
         # members[:known] are closed under the earlier generators
         known, i = len(members), 0
         while i < len(members):
@@ -364,7 +364,10 @@ def greedy_generators(n, root, column, candidates):
                     seen[c[x]] = True
                     members.append(c[x])
             i += 1
-    return gens, np.array(cols, dtype=np.intp).T.reshape(n, len(gens)), members
+    rows = np.empty((n, len(cols)), dtype=np.intp)
+    for j, c in enumerate(cols):
+        rows[:, j] = c
+    return gens, rows, members
 
 
 def cayley_table(rows, layers):
@@ -413,13 +416,15 @@ def enumerated_index(keys, wanted, what):
 
 def generating_set(G):
     """Greedy minimal generating set: repeatedly add the first element that
-    enlarges the generated subgroup (``greedy_generators``).  A tuple,
-    computed once and cached on the group; the trivial group's is its
-    identity, so a generating set is never empty."""
+    enlarges the generated subgroup (``greedy_generators``).  A read-only
+    intp array, which indexes any axis as a row of elements, computed
+    once and cached on the group; the trivial group's is its identity, so
+    a generating set is never empty."""
     if G._gens is None:
-        G._gens = tuple(greedy_generators(
-            G.order, G.identity, lambda s: G.table[:, s],
-            range(G.order))[0]) or (G.identity,)
+        gens = greedy_generators(G.order, G.identity, lambda s: G.table[:, s],
+                                 range(G.order))[0]
+        G._gens = np.array(gens or [G.identity], dtype=np.intp)
+        G._gens.setflags(write=False)
     return G._gens
 
 
@@ -430,12 +435,17 @@ def subgroup_generated(G, gens):
                                          lambda s: G.table[:, s], gens)[2])
 
 
+def commuting_with(G, gens):
+    """Mask of the elements x of G with x s = s x for every s in
+    ``gens``: the centralizer of the subgroup they generate, read off
+    their columns and rows of the table alone."""
+    t = G.table
+    return (t[:, gens] == t[gens].T).all(axis=1)
+
+
 def center(G):
-    t, step = G.table, max(1, BLOCK_ENTRIES // G.order)
-    central = np.empty(G.order, dtype=bool)
-    for s in range(0, G.order, step):
-        central[s:s + step] = (t[s:s + step] == t[:, s:s + step].T).all(axis=1)
-    return Subgroup(G, np.flatnonzero(central))
+    """Z(G): the elements that commute with every generator."""
+    return Subgroup(G, np.flatnonzero(commuting_with(G, generating_set(G))))
 
 
 def coset_labels(G, N):
@@ -451,23 +461,20 @@ def coset_labels(G, N):
 
 
 def second_hypercenter(G):
-    """Preimage in G of the center of G/Z(G), read off the table of the
-    quotient over the least coset representatives, with no quotient group
-    built."""
-    z1 = center(G)
-    if z1.is_whole_group():
-        return z1
-    reps, labels = coset_labels(G, z1)
-    cosets = labels[G.table[np.ix_(reps, reps)]]
-    central = (cosets == cosets.T).all(axis=1)
-    return Subgroup(G, np.flatnonzero(central[labels]))
+    """Z2(G), the preimage of the center of G/Z(G): the x with [s, x] in
+    Z(G) for every generator s.  That suffices, as [gh, x] = [g, x]^h
+    [h, x] and Z(G) is normal, so the g with [g, x] central are a
+    subgroup."""
+    t, inv, gens = G.table, G.inverse, generating_set(G)
+    comms = t[t[inv[gens][:, None], inv], t[gens]]     # [s, x]
+    return Subgroup(G, np.flatnonzero(
+        center(G).mask()[comms].all(axis=0)))
 
 
-# Entries per block of the large temporaries built in blocks: the table
-# against its transpose (``is_abelian``, which stops at the first block
-# that differs, and ``center``), commutators, the compatibility equations,
-# the gathers that fill a Cayley table from its generators' columns and
-# the relator traces that validate a finished coset table.
+# Entries per block of the large temporaries built in blocks: commutators,
+# the compatibility equations, the gathers that fill a Cayley table from
+# its generators' columns and the relator traces that validate a finished
+# coset table.
 BLOCK_ENTRIES = 16_384
 
 
@@ -516,8 +523,6 @@ def lower_central_series(G):
 
 def nilpotency_class(G):
     """Smallest c with gamma_{c+1} trivial, or None when not nilpotent."""
-    if G.is_abelian:
-        return int(G.order > 1)
     series = lower_central_series(G)
     if series[-1].order != 1:
         return None

@@ -74,7 +74,7 @@ def search_set(G):
     kept others by ``groups.greedy_generators``.  A tuple, computed once
     and cached on the group."""
     if G._search_gens is None:
-        gens = list(generating_set(G))
+        gens = generating_set(G).tolist()
         for s in gens[:-1]:
             others = [g for g in gens if g != s]
             reached = greedy_generators(G.order, G.identity,
@@ -220,8 +220,8 @@ def _search(source, target, bijective, find_all, budget):
         return False
 
     descend(0, np.empty((1, 0), dtype=np.intp))
-    if gens != greedy:
-        # leaves found over a shorter set come out of map order
+    if len(gens) != len(greedy):
+        # leaves found over a shorter subsequence come out of map order
         found = found[np.lexsort(found[:, greedy].T[::-1])]
     found.setflags(write=False)
     return found

@@ -135,8 +135,7 @@ def compute_tensor(pair, force=False, max_cosets=None):
                 != derivative.members:
             raise CrossCheckFailed("the image of kappa is not [G, H]")
         kernel = kappa.kernel()
-        if not tensor.is_abelian:       # else it is its own centre
-            _assert_central(tensor, kernel)
+        _assert_central(tensor, kernel)
         if tensor.order != kernel.order * derivative.order:
             raise CrossCheckFailed(
                 f"|G (x) H| = {tensor.order} is not |ker kappa| * |[G, H]| "
@@ -195,7 +194,7 @@ def hom_pair_tensor_classes(G, budget=None):
     symmetric:3 is refused so.
     """
     maps = enumerate_homs(G, G, budget=budget)
-    gens = list(generating_set(G))
+    gens = generating_set(G)
     first, sizes, class_of = hom_classes(maps[:, gens],
                                          coset_labels(G, center(G))[1])
     # the class of sigma after each class's first member, and of that

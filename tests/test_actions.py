@@ -181,8 +181,8 @@ def loop_equation_fails(lab, acts, maps, conj, G, H):
     fails = np.zeros((len(lab), len(maps)), dtype=bool)
     for a in range(len(lab)):
         for b in range(len(maps)):
-            for g1 in generating_set(G) or [G.identity]:
-                for h in generating_set(H) or [H.identity]:
+            for g1 in generating_set(G):
+                for h in generating_set(H):
                     if lab[a, acts[maps[b, g1], h]] != conj[g1, lab[a, h]]:
                         fails[a, b] = True
     return fails
@@ -1114,7 +1114,7 @@ def test_orbits_match_reference_on_sweep_grids(g, h):
 # the references for groups.row_keys and groups.key_index.
 
 def reference_conjugate_preimages(G, A):
-    gens = generating_set(G) or [G.identity]
+    gens = generating_set(G)
     conj = conjugation_maps(G)
     at = conj[G.inverse][:, gens]       # at[g, k] = gens[k]^(g^-1)
     pre = np.empty((G.order, len(A)), dtype=np.intp)
@@ -1148,7 +1148,7 @@ def _assert_row_keys_match_references(K, L, maps, stacks, labels):
     stacks of some group, and ``labels`` labels L by the cosets of a
     normal subgroup."""
     # the orbit lookup searches the greedy-image keys as they come
-    keys = row_keys(maps[:, list(generating_set(K) or [K.identity])])
+    keys = row_keys(maps[:, generating_set(K)])
     assert np.array_equal(np.sort(keys), keys)
     assert len(np.unique(keys)) == len(keys)
     for X, A in stacks:

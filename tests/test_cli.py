@@ -1,5 +1,7 @@
 """CLI behaviour: exit codes, JSON mode, file outputs."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,12 +9,15 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tensorforge
 from tensorforge import presentations
 from tensorforge.cli import main
+from tensorforge.errors import TensorforgeError
 
 
 def run(capsys, *argv):
@@ -508,3 +513,140 @@ def test_map_file_over_a_huge_aut_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "compat", "--g", "elemab:2:4",
                          "--h", "cyclic:2", "--alpha", str(path))
     _one_error_line(code, out, err, "20160", "4096")
+
+
+# -- the 0/1/2 contract under fuzzed keys, options and environment ---------
+
+# ASCII digits, then Arabic-Indic, fullwidth and Devanagari ones, which
+# int() reads and a catalog key rejects
+DIGIT_SETS = ["0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666"
+              "\u0667\u0668\u0669", "\uff10\uff11\uff12\uff13\uff14\uff15"
+              "\uff16\uff17\uff18\uff19", "\u0966\u0967\u0968\u0969"
+              "\u096a\u096b\u096c\u096d\u096e\u096f"]
+
+
+def written(values):
+    """A number from ``values`` as a key or an option writes it: plain,
+    or with a sign, leading zeros, spaces or non-ASCII digits."""
+    plain = st.sampled_from(values).map(str)
+    mutated = st.builds(
+        lambda n, digits, prefix, pad: pad + prefix + n.translate(
+            str.maketrans("0123456789", digits)) + pad,
+        plain, st.sampled_from(DIGIT_SETS),
+        st.sampled_from(["", "+", "-", "0", "00"]),
+        st.sampled_from(["", " "]))
+    return st.one_of(plain, mutated)
+
+
+# keys of groups of order 8 at most, so that products stay at order 64
+KEYS = st.recursive(
+    st.one_of(
+        st.builds("{}:{}".format,
+                  st.sampled_from(["cyclic", "dihedral", "symmetric",
+                                   "heisenberg", "quaternion", "bogus"]),
+                  written([0, 1, 2])),
+        st.builds("elemab:{}:{}".format, written([0, 1, 2]),
+                  written([0, 1, 2])),
+        st.just("quaternion:8")),
+    lambda inner: st.builds("product:{}{}{}".format, inner,
+                            st.sampled_from([",", ",,", ", ", ""]), inner),
+    max_leaves=3)
+OPTION_VALUES = written([0, 1, 2, 20, 1000]) | st.sampled_from(
+    ["", "x", "1.5", "0x10"])
+
+
+def _key_faults(key):
+    """[] for a catalog key, else [names]: an error must name the key or,
+    in a product key, one of its factors."""
+    try:
+        tensorforge.make_catalog_group(key)
+    except TensorforgeError:
+        factors = key.removeprefix("product:").split(",") \
+            if key.startswith("product:") else []
+        return [(key, *(f for f in factors if ":" in f))]
+    return []
+
+
+def _is_positive_int(text):
+    """What argparse's int() and the positive check accept."""
+    try:
+        return int(text) >= 1
+    except ValueError:
+        return False
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, TENSORFORGE_BUDGET or None, culprits): a command line and
+    the names of each input of it that is at fault; an error must give
+    one name of one of them."""
+    command = draw(st.sampled_from(["export", "compat", "tensor",
+                                    "question2"]))
+    culprits = []
+    if command == "export":
+        key = draw(KEYS)
+        argv = ["catalog", "export", key]
+        culprits += _key_faults(key)
+    elif command in ("compat", "tensor"):
+        argv = [command]
+        keys = [draw(KEYS), "cyclic:2"]
+        for option, key in zip(("--g", "--h"), draw(st.permutations(keys))):
+            if draw(st.integers(0, 4)) == 0:
+                culprits.append((option,))          # left out
+            else:
+                argv.append(f"{option}={key}")
+                culprits += _key_faults(key)
+        if command == "tensor" and draw(st.booleans()):
+            value = draw(OPTION_VALUES)
+            argv.append(f"--max-cosets={value}")
+            culprits += [] if _is_positive_int(value) else [("--max-cosets",)]
+    else:
+        value = draw(written([0, 1, 2, 3]))
+        argv = ["explore", "question2", f"--max-order={value}"]
+        culprits += [] if _is_positive_int(value) else [("--max-order",)]
+    env = draw(st.none() | OPTION_VALUES)
+    if command == "question2" and draw(st.booleans()):
+        value = draw(OPTION_VALUES)
+        argv.append(f"--budget={value}")
+        culprits += [] if _is_positive_int(value) else [("--budget",)]
+    elif command == "question2" and env and not (
+            env.isdecimal() and int(env) >= 1):
+        # read only when --budget is not given; set empty, it is unset
+        culprits.append(("TENSORFORGE_BUDGET",))
+    return argv, env, culprits
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(cli_calls())
+def _check_cli_contract(call):
+    argv, env, culprits = call
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("TENSORFORGE_BUDGET", None)
+        if env is not None:
+            os.environ["TENSORFORGE_BUDGET"] = env
+        try:
+            code = main(argv)
+        except SystemExit as exc:               # argparse's own refusals
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert not re.search(r"^error: [A-Z]\w*: ", err, re.MULTILINE), err
+    if code != 2:
+        assert err == "" and not culprits
+        return
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert out == "" and len(lines) == 1, err
+    if culprits:
+        assert any(name in lines[0] for names in culprits for name in names),\
+            (lines[0], culprits)
+
+
+def test_cli_contract_under_fuzzed_keys_and_options(tmp_path, monkeypatch):
+    # the contract: exit code 0, 1 or 2; on 2, one error line that names
+    # the key or option at fault, never the last-resort form
+    # "error: <ExceptionType>: ..."; a key that is no catalog key is read
+    # as a file path, and the empty working directory holds none
+    monkeypatch.chdir(tmp_path)
+    _check_cli_contract()

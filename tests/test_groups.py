@@ -328,16 +328,26 @@ def test_center_values():
     assert center(Z6).order == 6
 
 
+# the five groups of the ``series`` workload of tools/ab_calls.py
+SERIES_KEYS = ["product:quaternion:8,elemab:2:9", "dihedral:512",
+               "product:dihedral:16,dihedral:16",
+               "product:symmetric:4,cyclic:4", "heisenberg:5"]
+
+
 @pytest.mark.parametrize("block", [groups.BLOCK_ENTRIES, 50])
 def test_abelian_and_center_in_blocks_match_whole_table(monkeypatch, block):
-    # a block of 50 entries splits every group of order 8 or more
+    # is_abelian, Z(G) and Z2(G) read generators, not blocks of the table,
+    # so a block of 50 entries must leave them as they are; the references
+    # read the whole table and the quotient group G/Z(G)
+    series = [(k, tf.make_catalog_group(k)) for k in SERIES_KEYS]
     monkeypatch.setattr(groups, "BLOCK_ENTRIES", block)
-    for key, G in catalog_groups_up_to(64):
+    for key, G in catalog_groups_up_to(64) + series:
         fresh = FiniteGroup(G.table, validate=False)
         commutes = G.table == G.table.T
         assert fresh.is_abelian == bool(commutes.all()), key
         assert list(center(G).members) \
             == np.flatnonzero(commutes.all(axis=1)).tolist(), key
+        assert second_hypercenter(G) == reference_second_hypercenter(G), key
 
 
 def test_abelian_and_center_peak_memory():
@@ -417,7 +427,7 @@ def reference_second_hypercenter(G):
     """The preimage of the center of the quotient group G/Z(G), built by
     ``reference_quotient``."""
     z1 = center(G)
-    if z1.is_whole_group():
+    if z1.order == G.order:
         return z1
     Q, proj = reference_quotient(G, z1)
     return Subgroup(G, np.flatnonzero(center(Q).mask()[proj]))
@@ -476,9 +486,8 @@ def test_lower_central_series_matches_loop_on_catalog(monkeypatch, block):
 
 
 def test_nilpotency_class_is_the_length_of_the_series():
-    # abelian groups take a shortcut past the series; every group must
-    # still get the class that the loop series gives, None when the
-    # series stops above the trivial group
+    # every group, abelian or not, gets the class that the loop series
+    # gives, None when the series stops above the trivial group
     classes = set()
     for key, G in catalog_groups_up_to(27):
         series = reference_lower_central_series(G)

@@ -167,7 +167,8 @@ def test_generating_set_generates():
 def test_generating_set_is_cached_and_immutable(monkeypatch):
     G = tf.make_catalog_group("dihedral:4")
     gens = generating_set(G)
-    assert isinstance(gens, tuple)
+    assert gens.dtype == np.intp and gens.ndim == 1
+    assert not gens.flags.writeable
     calls = []
     monkeypatch.setattr(tf.groups, "greedy_generators",
                         lambda *a: calls.append(a))
@@ -175,7 +176,8 @@ def test_generating_set_is_cached_and_immutable(monkeypatch):
     monkeypatch.undo()
     # a new group object with the same table computes its own
     K = tf.FiniteGroup(G.table)
-    assert generating_set(K) == gens and generating_set(K) is not gens
+    assert np.array_equal(generating_set(K), gens)
+    assert generating_set(K) is not gens
 
 
 def test_search_set_is_an_irredundant_subset_of_the_greedy_set():
@@ -183,7 +185,7 @@ def test_search_set_is_an_irredundant_subset_of_the_greedy_set():
         gens = search_set(G)
         greedy = generating_set(G)
         assert set(gens) <= set(greedy) and list(gens) == sorted(
-            gens, key=greedy.index), key
+            gens, key=greedy.tolist().index), key
         assert tf.subgroup_generated(G, gens).order == G.order, key
         if G.order == 1:
             # a generating set is never empty: the identity is kept
@@ -198,15 +200,23 @@ def test_trivial_group_is_generated_by_its_identity():
     # a generating set is never empty, and the search over the identity's
     # one candidate image forces the one map
     G = tf.make_catalog_group("cyclic:1")
-    assert generating_set(G) == (0,) and search_set(G) == (0,)
+    assert generating_set(G).tolist() == [0] and search_set(G) == (0,)
     for X in (G, tf.make_catalog_group("quaternion:8"),
               tf.make_catalog_group("symmetric:3")):
         assert enumerate_homs(G, X).tolist() == [[X.identity]]
     assert all_bijective_endomaps(G).tolist() == [[0]]
     assert are_isomorphic(G, make_cyclic(1)).map.tolist() == [0]
     # a trivial Aut(G) is generated by the identity map, element 0
-    assert generating_set(tf.automorphism_group(make_cyclic(2)).group) \
-        == (0,)
+    gens = generating_set(tf.automorphism_group(make_cyclic(2)).group)
+    assert gens.tolist() == [0] and not gens.flags.writeable
+
+
+def test_generating_set_indexes_as_a_row():
+    # a tuple of one generator would index a 1-D array as a scalar
+    gens = generating_set(make_cyclic(1))
+    assert np.arange(1)[gens].shape == (1,)
+    G = tf.make_catalog_group("dihedral:4")
+    assert G.inverse[generating_set(G)].shape == (len(generating_set(G)),)
 
 
 @pytest.mark.parametrize("key", ["quaternion:8", "heisenberg:3",

@@ -28,7 +28,8 @@ rounds' own ratios ("paired").  The workloads:
   library call behind ``explore classify-heisenberg 2``, per pass;
 - ``verify``: one ``run_verification()`` pass, the thirteen checks of
   ``tensorforge verify paper``, per pass;
-- ``series``: ``nilpotency_class`` and the order of ``derived_subgroup``
+- ``series``: ``nilpotency_class``, the order of ``derived_subgroup``,
+  ``is_abelian`` and the orders of ``center`` and ``second_hypercenter``
   of five groups of order 125 to 4,096, each on a fresh copy of its table
   so that no generators are cached, each result checked, per pass.
 
@@ -139,12 +140,12 @@ def verify(tf):
     return run, 1
 
 
-# group -> (nilpotency class, order of G'), pinned
-SERIES = {"product:quaternion:8,elemab:2:9": (2, 2),
-          "dihedral:512": (9, 256),
-          "product:dihedral:16,dihedral:16": (4, 64),
-          "product:symmetric:4,cyclic:4": (None, 12),
-          "heisenberg:5": (2, 5)}
+# group -> (nilpotency class, |G'|, is abelian, |Z(G)|, |Z2(G)|), pinned
+SERIES = {"product:quaternion:8,elemab:2:9": (2, 2, False, 1024, 4096),
+          "dihedral:512": (9, 256, False, 2, 4),
+          "product:dihedral:16,dihedral:16": (4, 64, False, 4, 16),
+          "product:symmetric:4,cyclic:4": (None, 12, False, 4, 4),
+          "heisenberg:5": (2, 5, False, 5, 125)}
 
 
 def series(tf):
@@ -153,7 +154,9 @@ def series(tf):
     def run():
         for key, want in SERIES.items():
             G = tf.FiniteGroup(tables[key], validate=False)
-            got = (tf.nilpotency_class(G), tf.derived_subgroup(G).order)
+            got = (tf.nilpotency_class(G), tf.derived_subgroup(G).order,
+                   G.is_abelian, tf.center(G).order,
+                   tf.second_hypercenter(G).order)
             if got != want:
                 raise RuntimeError(f"{key}: got {got}, want {want}")
     return run, 1
