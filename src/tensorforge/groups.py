@@ -508,22 +508,22 @@ def derived_subgroup(G):
     return _commutator_step(G, generating_set(G))[1]
 
 
-def lower_central_series(G):
-    """gamma_1 = G, gamma_{k+1} = [gamma_k, G]; stops when stable.  Each
-    step is a ``_commutator_step`` from the generators it picked for
-    gamma_k, the first from ``generating_set(G)``."""
-    gens, series = generating_set(G), [Subgroup(G, range(G.order))]
-    while series[-1].order > 1:
+def _central_steps(G):
+    """gamma_2, gamma_3, ... of the lower central series of G, each a
+    ``_commutator_step`` from the generators picked for the one before,
+    the first from ``generating_set(G)``, until a term is trivial or
+    equals the one before: gamma_{k+1} <= gamma_k, so equal orders mean
+    equal terms, and gamma_1 = G is never built."""
+    gens, order = generating_set(G), G.order
+    while order > 1:
         gens, nxt = _commutator_step(G, gens)
-        if nxt == series[-1]:
-            break
-        series.append(nxt)
-    return series
+        if nxt.order == order:
+            return
+        order = nxt.order
+        yield nxt
 
 
 def nilpotency_class(G):
     """Smallest c with gamma_{c+1} trivial, or None when not nilpotent."""
-    series = lower_central_series(G)
-    if series[-1].order != 1:
-        return None
-    return len(series) - 1
+    orders = [G.order] + [term.order for term in _central_steps(G)]
+    return len(orders) - 1 if orders[-1] == 1 else None

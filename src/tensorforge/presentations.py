@@ -19,14 +19,19 @@ reduced by reading it back as the relator of a ``Presentation``.
    is written in pairs through the inverse-column map.  The table then
    enforces the squares, and they are not scanned.  Compaction copies
    y's column into y^-1's, which stays a hole until then.
-3. The table is expanded back to one column pair per original generator
-   and standardized: the cosets are renumbered in the breadth-first order
-   of ``spanning_tree``.  The labels therefore depend only on the group
-   and the images of the generators, not on the strategy, and identical
-   input yields a bit-identical table, which keeps that tree, relabelled.
-   The table is then validated against the full relator list of the
-   original presentation; relators whose column words are rotations of
-   each other share one trace.
+3. The table stays over the survivors' columns, and each letter of the
+   original presentation is mapped to the column it reads, or to the
+   identity for a killed generator.  The table is standardized: the
+   cosets are renumbered in the breadth-first order of ``spanning_tree``
+   over the survivors' columns, which is the order over every letter's
+   column (``coset_enumerate`` says why).  The labels therefore depend
+   only on the group and the images of the generators, not on the
+   strategy, and identical input yields a bit-identical table, which
+   keeps that tree, relabelled.  The table is then validated against the
+   full relator list of the original presentation, each letter read
+   through the map; relators whose column words are rotations of each
+   other share one trace.  The expanded table, one column pair per
+   original generator, is built only when ``CosetTable.rows`` is read.
 
 A ``Presentation`` keeps its relators once, in input order, in the
 layout of ``_free_reduce``: one read-only int64 letters x words array
@@ -208,21 +213,41 @@ class EnumerationStats:
 
 @dataclass
 class CosetTable:
-    """A complete coset table: rows[c][col] is the coset reached from c.
+    """A complete coset table over the columns HLT enumerated:
+    ``reduced[c, k]`` is the coset reached from c by column k, and
+    ``letters[l]`` the column that letter column l of the presentation
+    reads (generator k at 2(k-1), its inverse at 2(k-1)+1), or
+    ``reduced.shape[1]`` for the identity, which a killed generator
+    reads.  Without ``letters`` each letter reads its own column.
     ``coset_enumerate`` attaches the ``stats`` of its run and the
-    ``spanning_tree`` of the rows that it built, else it is built here."""
+    ``spanning_tree`` of the reduced rows that it built, else it is built
+    here.  ``rows``, one column per letter, is built when first read."""
 
-    rows: np.ndarray
+    reduced: np.ndarray
+    letters: np.ndarray | None = None
     stats: EnumerationStats | None = None
     tree: list | None = field(default=None, repr=False, compare=False)
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
+        if self.letters is None:
+            self.letters = np.arange(self.reduced.shape[1])
         if self.tree is None:
-            self.tree = spanning_tree(self.rows)
+            self.tree = spanning_tree(self.reduced)
+
+    @property
+    def rows(self):
+        """rows[c][l], the coset reached from c by letter column l."""
+        if self._rows is None:
+            # the identity column, which a killed generator reads, last
+            self._rows = np.column_stack(
+                [self.reduced, np.arange(len(self.reduced))])[:, self.letters]
+        return self._rows
 
     @property
     def ncosets(self):
-        return len(self.rows)
+        return len(self.reduced)
 
 
 class _CosetLimit(Exception):
@@ -501,8 +526,17 @@ def _standardize(rows):
 
 def coset_enumerate(presentation, max_cosets=None):
     """Enumerate cosets of the trivial subgroup: HLT over the presentation
-    that ``_eliminate`` leaves, expanded back to one column pair per
-    generator and standardized.
+    that ``_eliminate`` leaves, standardized over the survivors' columns,
+    with each letter of the presentation mapped to the column it reads.
+
+    Standardizing the reduced rows numbers the cosets as standardizing
+    the expanded ``rows`` would.  A class's survivor is its least
+    generator, so in the expanded column order the survivors' columns
+    first occur in their own order, each at its survivor's column pair;
+    every other expanded column repeats an earlier one or is the
+    identity, and reaches from each coset nothing that an earlier column
+    did not.  Breadth-first order over the survivors' columns therefore
+    reaches every coset from the same parent at the same step.
 
     Completes iff the presented group is finite and fits in the limits;
     the number of live cosets is then the group order.  The limits,
@@ -520,11 +554,11 @@ def coset_enumerate(presentation, max_cosets=None):
     # each generator's and its inverse's column: the survivor's column
     # for its image, or the identity column for a killed generator
     letters = np.multiply.outer(image, (1, -1)).ravel()
-    full = np.column_stack([rows, np.arange(len(rows))])[
-        :, np.where(letters == 0, 2 * ngens, _columns(letters))]
-    rows, tree = _standardize(full)
-    table = CosetTable(rows, EnumerationStats(presentation.ngens, ngens,
-                                              *counts), tree)
+    rows, tree = _standardize(rows)
+    table = CosetTable(rows, np.where(letters == 0, 2 * ngens,
+                                      _columns(letters)),
+                       EnumerationStats(presentation.ngens, ngens, *counts),
+                       tree)
     # completion is validated against the full relator list
     _validate_complete(table, presentation)
     return table
@@ -673,9 +707,14 @@ def _enumerate_rows(ngens, words, lengths, max_cosets, max_steps):
 
 
 def _validate_complete(table, presentation):
-    """Every generator column must be a permutation and every relator must
+    """Every letter's column must be a permutation and every relator must
     trace to the identity permutation -- no wrong-order completions.  The
     first relator in input order that does not is named.
+
+    Each letter is read through ``table.letters`` as its column of the
+    reduced rows or the identity, which is the column of ``table.rows``
+    that it reads: this checks the statement on the expanded table,
+    while tracing only the reduced rows.
 
     Relators whose words in equal columns are rotations of each other
     share one trace, as a rotation's product is a conjugate of the
@@ -686,10 +725,11 @@ def _validate_complete(table, presentation):
     mixed radix ncols + 1 (where the keys fit 64 bits; otherwise every
     relator is traced), and the first word of each key is traced, in
     input order, so the first failing relator is named."""
-    rows = table.rows
+    rows, letters = table.reduced, table.letters
     n, ncols = rows.shape
     want = np.arange(n)
-    bad = (np.sort(rows, axis=0) != want[:, None]).any(axis=0).nonzero()[0]
+    bad = (np.sort(rows, axis=0) != want[:, None]).any(axis=0)
+    bad = np.flatnonzero(np.append(bad, False)[letters])
     if len(bad):
         raise TableIncomplete(f"column {bad[0]} is not a permutation")
     # trace every relator from every coset over offsets into the flat rows
@@ -706,9 +746,11 @@ def _validate_complete(table, presentation):
     canon = np.arange(ncols + 1)
     canon[:ncols] = np.where((rows[:, candidate] == rows).all(axis=0),
                              candidate, canon[:ncols])
-    # each letter's column, the identity column below each word
+    # each letter's column through the letter map, the identity column
+    # below each word
     words, lengths = presentation._words, presentation._lengths
-    cols = canon[np.where(words == 0, ncols, _columns(words))]
+    cols = canon[np.append(letters, ncols)[
+        np.where(words == 0, -1, _columns(words))]]
     if width ** len(cols) <= 2 ** 63:
         distinct = first_occurrences(_least_rotations(cols, width))
     else:
@@ -737,12 +779,14 @@ def table_to_group(table):
 
     Element i is live coset i.  Column j of the multiplication table is
     the permutation of cosets by element j, gathered from the column of
-    j's parent in the table's spanning tree by ``groups.cayley_table``,
-    which ``automorphisms.automorphism_group`` fills Aut(G)'s table with
-    too.  Above MAX_CATALOG_ORDER cosets, LimitExceeded is raised before
+    j's parent in the table's spanning tree of the reduced rows by
+    ``groups.cayley_table``, which ``automorphisms.automorphism_group``
+    fills Aut(G)'s table with too; the expanded ``rows`` are not read.  A
+    generator's image is coset 0 times the column its letter reads.
+    Above MAX_CATALOG_ORDER cosets, LimitExceeded is raised before
     anything is allocated.
     """
-    rows = table.rows
+    rows = table.reduced
     n = table.ncosets
     if n > MAX_CATALOG_ORDER:
         raise LimitExceeded(f"{n} cosets exceed the {MAX_CATALOG_ORDER}-"
@@ -750,4 +794,4 @@ def table_to_group(table):
     if 1 + sum(len(cosets) for cosets, _, _ in table.tree) != n:
         raise TableIncomplete("table is not transitive on cosets")
     group = FiniteGroup(cayley_table(rows, table.tree), validate=False)
-    return group, rows[0, 0::2].tolist()
+    return group, np.append(rows[0], 0)[table.letters[0::2]].tolist()

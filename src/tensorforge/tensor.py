@@ -7,8 +7,10 @@ required (the construction is only meaningful for one), enumeration turns
 the presentation into a concrete group, and the attached structures --
 the derivative subgroup [G, H] and the homomorphism kappa with its
 central kernel -- are computed and cross-checked.  Kappa is forced by the
-hom-search kernel ``homs._force`` along the coset table's spanning tree,
-the product's one tree, and checked on every coset and column at once.
+hom-search kernel ``homs._force`` over the survivors' columns of the coset
+table, along its spanning tree, the product's one tree, and checked on
+every coset and column at once; one lookup per letter then checks each
+symbol against its column (``_force_images``).
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from .actions import (HomPair, action_from_hom_pair, hom_classes,
                       is_compatible, pair_orbits)
 from .automorphisms import automorphism_group
 from .errors import CrossCheckFailed, IncompatibleActions, LimitExceeded
-from .groups import FiniteGroup, GroupHom, Subgroup, center, coset_labels, \
-    enumerated_index, first_occurrences, generating_set, nilpotency_class, \
-    row_keys, subgroup_generated
+from .groups import FiniteGroup, GroupHom, Subgroup, center, \
+    commuting_with, coset_labels, enumerated_index, first_occurrences, \
+    generating_set, nilpotency_class, row_keys, subgroup_generated
 from .homs import _force, are_isomorphic, enumerate_homs, search_set
 from .presentations import Presentation, coset_enumerate, table_to_group
 
@@ -114,13 +116,12 @@ def compute_tensor(pair, force=False, max_cosets=None):
     symbol_map = {(g, h): gen_images[g * m + h]
                   for g in range(G.order) for h in range(m)}
     # kappa(g (x) h) = g^-1 g^h, forced over the whole tensor group from
-    # coset 0 along the table's tree; an inverse column reads the inverse;
-    # its images on the symbols generate the derivative
+    # coset 0 along the table's tree of the survivors' columns; its images
+    # on the symbols generate the derivative
     images = _kappa_images(pair)
     derivative = subgroup_generated(G, np.bincount(images).nonzero()[0])
-    maps, ok, _ = _force(table.rows, 0, table.tree, G, np.column_stack(
-        [images, G.inverse[images]]).reshape(1, -1))
-    if not ok.all():
+    kappa_map = _force_images(table, G, images)
+    if kappa_map is None:
         # kappa always extends when both assignments are genuine actions;
         # a failure certifies the pair only satisfies the equations
         # pointwise
@@ -130,7 +131,7 @@ def compute_tensor(pair, force=False, max_cosets=None):
                 "actions")
         kappa, kernel = None, None
     else:
-        kappa = GroupHom(tensor, G, maps[0], validate=False)
+        kappa = GroupHom(tensor, G, kappa_map, validate=False)
         if tuple(np.bincount(kappa.map).nonzero()[0].tolist()) \
                 != derivative.members:
             raise CrossCheckFailed("the image of kappa is not [G, H]")
@@ -147,8 +148,35 @@ def compute_tensor(pair, force=False, max_cosets=None):
                         nilpotency=nilpotency_class(tensor))
 
 
+def _force_images(table, G, images):
+    """The map from the enumerated group to G that sends each symbol to
+    ``images``, or None when no homomorphism does.
+
+    It is forced over the survivors' columns of ``table.reduced`` along
+    the table's tree, each column sent to the image of a letter that
+    reads it, an inverse letter to the inverse image, and checked on
+    every coset and column.  One lookup per letter then checks that its
+    image equals its column's, and is the identity where it reads the
+    identity column.  Together these are the check over every letter's
+    column of ``table.rows``: x * l = x * c for the column c that l
+    reads, so map(x * l) = map(x) image(l) at every x iff image(l) =
+    image(c), or the identity for a killed symbol.  Both checks pass for
+    the same maps, and force them along the same tree."""
+    letters, ncols = table.letters, table.reduced.shape[1]
+    full = np.column_stack([images, G.inverse[images]]).ravel()
+    column_images = np.empty(ncols + 1, dtype=np.intp)
+    column_images[letters] = full
+    column_images[ncols] = G.identity
+    maps, ok, _ = _force(table.reduced, 0, table.tree, G,
+                         column_images[None, :ncols])
+    if ok.all() and (column_images[letters] == full).all():
+        return maps[0]
+    return None
+
+
 def _assert_central(tensor, kernel):
-    bad = np.flatnonzero(kernel.mask() & ~center(tensor).mask())
+    bad = np.flatnonzero(kernel.mask() & ~commuting_with(
+        tensor, generating_set(tensor)))
     if len(bad):
         raise CrossCheckFailed(f"kernel element {bad[0]} is not central")
 

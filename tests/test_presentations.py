@@ -770,6 +770,75 @@ def test_standardized_table_is_numbered_breadth_first():
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def reference_expanded_table(presentation):
+    """The table standardized as one column pair per letter, as
+    coset_enumerate built it before it kept the survivors' columns: HLT's
+    rows expanded so that each letter reads its survivor's column, or
+    the identity column when it is killed, then standardized.  Returns
+    the rows and their tree."""
+    image, ngens, words, lengths = presentations._eliminate(presentation)
+    rows, _ = presentations._enumerate_rows(
+        ngens, words, lengths, presentations.DEFAULT_MAX_COSETS,
+        presentations.MAX_SCANS)
+    letters = np.multiply.outer(image, (1, -1)).ravel()
+    full = np.column_stack([rows, np.arange(len(rows))])[
+        :, np.where(letters == 0, 2 * ngens, presentations._columns(letters))]
+    return presentations._standardize(full)
+
+
+def same_standardization(presentation, table):
+    """The table coset_enumerate gave for ``presentation``, standardized
+    over the survivors' columns, expands to the table standardized over
+    every letter's column, and its tree reaches each coset from the same
+    parent, by the column that the expanded tree's letter reads."""
+    rows, tree = reference_expanded_table(presentation)
+    got = table.rows
+    assert (got.dtype, got.shape, got.tobytes()) \
+        == (rows.dtype, rows.shape, rows.tobytes())
+    for (cosets, parents, cols), want in zip(table.tree, tree, strict=True):
+        assert np.array_equal(cosets, want[0])
+        assert np.array_equal(parents, want[1])
+        assert np.array_equal(cols, table.letters[want[2]])
+
+
+# finite groups on generators 1..k: Z5, S3, D4 and Q8
+_BASES = [(1, ((1,) * 5,)),
+          (2, ((1, 1, 1), (2, 2), (1, 2, 1, 2))),
+          (2, ((1, 1, 1, 1), (2, 2), (1, 2, 1, 2))),
+          (2, ((1, 1, 1, 1), (1, 1, -2, -2), (-2, 1, 2, 1)))]
+
+
+@st.composite
+def _presentations_with_short_relators(draw):
+    """A base group with up to four more generators, each killed, equal
+    to an earlier generator or to its inverse, or to both (which makes
+    that generator an involution), or an involution that commutes with
+    every earlier generator; the relators shuffled."""
+    k, relators = draw(st.sampled_from(_BASES))
+    relators = list(relators)
+    extra = draw(st.integers(0, 4))
+    for x in range(k + 1, k + extra + 1):
+        y = draw(st.integers(1, x - 1))
+        kind = draw(st.sampled_from(
+            ["killed", "equal", "inverse", "both", "involution"]))
+        if kind == "killed":
+            relators.append((x,))
+        if kind in ("equal", "both"):
+            relators.append((x, -y))
+        if kind in ("inverse", "both"):
+            relators.append((y, x))
+        if kind == "involution":
+            relators.append((x, x))
+            relators += [(x, a, -x, -a) for a in range(1, x)]
+    return Presentation(k + extra, draw(st.permutations(relators)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_presentations_with_short_relators())
+def test_reduced_standardization_matches_expanded(presentation):
+    same_standardization(presentation, coset_enumerate(presentation))
+
+
 def test_wide_table_uses_64_bit_entries():
     # (max_cosets + 1) * 2 * ngens does not fit int32
     p = Presentation(2, ((1, 1, 1, 1), (2, 2), (1, 2, 1, 2)))

@@ -1,6 +1,7 @@
 """Non-abelian tensor products: presentations, reports, cross-checks."""
 
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -13,7 +14,8 @@ from tensorforge import tensor
 from tensorforge.errors import (CrossCheckFailed, IncompatibleActions,
                                 LimitExceeded, NotAHomomorphism)
 from tensorforge.catalog import catalog_groups_up_to
-from tensorforge.groups import center, coset_labels, make_cyclic
+from tensorforge.groups import (FiniteGroup, center, coset_labels,
+                                make_cyclic)
 from tensorforge.presentations import (Presentation, coset_enumerate,
                                        spanning_tree, table_to_group)
 from tensorforge.tensor import (compute_tensor, derivative_subgroup,
@@ -382,19 +384,40 @@ def test_one_product_builds_one_spanning_tree(monkeypatch):
         conj = conjugation_maps(G)
         pairs.append(ActionPair(G, G, conj, conj, validate=False))
     for pair in pairs:
+        symbols = tensor_presentation(pair, force=True)[0]
+        survivors = tf.presentations._eliminate(symbols)[1]
         calls.clear()
         rep = compute_tensor(pair, force=True)
-        # the tree spans the unstandardized table, one column per letter
-        assert len(calls) == 1 and calls[0][1] == 2 * pair.G.order \
-            * pair.H.order, calls
+        # the tree spans the unstandardized table over the survivors'
+        # columns, fewer than the letters' columns
+        assert len(calls) == 1 and calls[0][1] == 2 * survivors \
+            < 2 * symbols.ngens, (calls, survivors)
         assert rep.kappa is not None or not pair.assignments_are_homs()
+
+
+def test_product_square_peak_memory():
+    # the table is standardized, validated and read back over the 2 x 81
+    # columns of the survivors, and kappa forced over them; one column
+    # pair per symbol, 2 x 256 columns, peaked at 4.68 MiB
+    G = tf.make_catalog_group("product:cyclic:4,cyclic:4")
+    conj = conjugation_maps(G)
+    fresh = FiniteGroup(G.table, validate=False)
+    pair = ActionPair(fresh, fresh, conj, conj, validate=False)
+    tracemalloc.start()
+    try:
+        rep = compute_tensor(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2 ** 20
+    assert rep.order == 256 and rep.invariants == [4, 4, 4, 4]
 
 
 def test_kappa_by_spanning_tree_matches_hom_from_images():
     # forcing along the forward columns from coset 0 must agree with the
     # general closure of hom_from_images, with forcing along the tree of
     # all columns (the reference above) and with the forcing compute_tensor
-    # does along the table's own tree, on kappa's images and on images
+    # does over the survivors' columns, on kappa's images and on images
     # that define no homomorphism
     pairs = REPORT_PAIRS + [z3_case(True, False), z3_case(False, True)]
     for key in ["symmetric:3", "dihedral:4", "quaternion:8", "elemab:2:2"]:
@@ -425,12 +448,10 @@ def test_kappa_by_spanning_tree_matches_hom_from_images():
             assert got == _closure_hom(T, G, gen_images, images.tolist())
             want = _extend_to_hom(table.rows, G, images)
             assert got == (None if want is None else want.tolist())
-            # as compute_tensor forces: along the tree the table carries,
-            # over every column, an inverse column sent to the inverse
-            maps, ok, _ = tf.homs._force(
-                table.rows, 0, table.tree, G,
-                np.column_stack([images, G.inverse[images]]).reshape(1, -1))
-            assert (maps[0].tolist() if ok.all() else None) == got
+            # as compute_tensor forces: over the survivors' columns along
+            # the tree the table carries, then one lookup per letter
+            forced = tensor._force_images(table, G, images)
+            assert (None if forced is None else forced.tolist()) == got
             outcomes.add(got is None)
     assert outcomes == {True, False}
 
