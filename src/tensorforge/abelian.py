@@ -16,7 +16,7 @@ from math import gcd, prod
 import numpy as np
 
 from .errors import CrossCheckFailed
-from .groups import derived_subgroup
+from .groups import derived_subgroup, power_map
 
 
 def _prime_powers(n):
@@ -47,11 +47,11 @@ def _invariant_factors(exponents):
 def abelian_invariants(G):
     """Invariant factors of G/G'.
 
-    For each prime p dividing |G/G'|, x -> x^p is applied to every element
-    of G at once (p - 1 gathers of its table) until the count of x with
-    x^(p^k) in G' stops growing; each count is |G'| times the count in
-    G/G', and the exact integer log_p of each ratio of those is the number
-    of cyclic p-parts of order at least p^k.  G' is the identity alone
+    For each prime p dividing |G/G'|, the power map x -> x^p
+    (``groups.power_map``) is applied to every element of G at once until
+    the count of x with x^(p^k) in G' stops growing; each count is |G'|
+    times the count in G/G', and the exact integer log_p of each ratio of
+    those is the number of cyclic p-parts of order at least p^k.  G' is the identity alone
     when G is abelian.
     """
     if G.is_abelian:
@@ -64,12 +64,11 @@ def abelian_invariants(G):
     exponents = {}
     for p in _prime_powers(order):
         ranks = []
+        power = power_map(G, p)
         powers = np.arange(G.order)     # x^(p^k) for every x
         count = 1
         while True:
-            base = powers
-            for _ in range(p - 1):
-                powers = G.table[powers, base]
+            powers = power[powers]
             grown, rest = divmod(int(np.count_nonzero(inside[powers])), size)
             if rest:
                 raise CrossCheckFailed(f"the count of x with x^({p}^"

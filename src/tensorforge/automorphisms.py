@@ -7,13 +7,18 @@ Under this convention the conjugation identity
 ``a(h)^-1 * ghat * a(h) = hat(g^a(h))`` holds literally, which is what the
 compatibility machinery relies on.
 
-The Cayley table of Aut(G) is built the way ``table_to_group`` builds a
-group from a coset table.  A greedy generating set of Aut(G) is found
+Aut(G) is built the way ``table_to_group`` builds a group from a coset
+table, from the right multiplications by its generators
+(``groups.from_columns``).  A greedy generating set of Aut(G) is found
 by looking up the products x*s with each new generator s for every x,
-|Aut| binary searches over generator-image keys per generator, and the
-rest of the table is gathered along the generators' spanning tree: the
-column of p*s is the column of p read through the column of s.  That is
-|Aut| x (number of generators) key searches, not |Aut|^2.
+|Aut| binary searches over generator-image keys per generator.  That is
+|Aut| x (number of generators) key searches, not |Aut|^2.  The Cayley
+table is gathered along the generators' spanning tree only when it is
+read: the column of p*s is the column of p read through the column of
+s.  A search for homs into Aut(G), as the compatibility grids make, reads
+it; ``tensor.hom_pair_tensor_classes`` and verify check 12 read Aut(G)
+only through its generators' columns, its inverses and ``search_set``,
+and never build it.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LimitExceeded
-from .groups import (BLOCK_ENTRIES, MAX_CATALOG_ORDER, FiniteGroup,
-                     cayley_table, conjugation_maps, enumerated_index,
-                     generating_set, greedy_generators, spanning_tree)
+from .groups import (BLOCK_ENTRIES, MAX_CATALOG_ORDER, conjugation_maps,
+                     enumerated_index, from_columns, generating_set,
+                     greedy_generators, spanning_tree)
 from .homs import all_bijective_endomaps
 
 
@@ -65,16 +70,16 @@ def automorphism_group(G):
     search.
 
     Only the products x*s with s in a greedy generating set of Aut(G) are
-    looked up, |Aut| keys per generator (``groups.greedy_generators``);
-    the rest of the table is gathered along their spanning tree
-    (``groups.cayley_table``), and the generators are kept as
-    ``generating_set(aut.group)``, the identity map alone when Aut(G) is
-    trivial.  CrossCheckFailed is raised when such a product is not
-    enumerated: every enumerated map is reached from the identity by the
-    generators, so the maps are closed under products exactly when they
-    are closed under right multiplication by the generators.  Above
-    MAX_CATALOG_ORDER automorphisms, LimitExceeded is raised before the
-    table is allocated.
+    looked up, |Aut| keys per generator (``groups.greedy_generators``),
+    and the group is built from those columns (``groups.from_columns``),
+    whose table is gathered along their spanning tree when it is read.
+    The generators are kept as ``generating_set(aut.group)``, the identity
+    map alone when Aut(G) is trivial.  CrossCheckFailed is raised when
+    such a product is not enumerated: every enumerated map is reached
+    from the identity by the generators, so the maps are closed under
+    products exactly when they are closed under right multiplication by
+    the generators.  Above MAX_CATALOG_ORDER automorphisms, LimitExceeded
+    is raised before the table is allocated.
     """
     if G._aut is not None:
         return G._aut
@@ -95,8 +100,7 @@ def automorphism_group(G):
         n, 0, lambda s: enumerated_index(
             keys, elements[s][elements[:, gens]] @ radix,
             "a composite of automorphisms"), range(n))
-    group = FiniteGroup(cayley_table(rows, spanning_tree(rows)),
-                        validate=False)
+    group = from_columns(rows, spanning_tree(rows))
     group._gens = np.array(aut_gens or [0], dtype=np.intp)
     group._gens.setflags(write=False)
     inner_of = enumerated_index(keys, conjugation_maps(G)[:, gens] @ radix,

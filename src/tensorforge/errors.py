@@ -6,11 +6,12 @@ class TensorforgeError(Exception):
 
 
 class NotAGroup(TensorforgeError):
-    """A Cayley table failed one of the group axioms.
+    """A Cayley table failed one of the group axioms, or the columns of
+    a group given by its generators are not a regular action.
 
     ``reason`` is one of ``not-latin-square``, ``no-identity``,
-    ``not-associative``, ``missing-inverse``; ``witness`` pins down the
-    offending row/column/triple.
+    ``not-associative``, ``missing-inverse``, ``not-regular``;
+    ``witness`` pins down the offending row/column/triple.
     """
 
     def __init__(self, reason, witness=None):

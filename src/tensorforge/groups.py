@@ -1,8 +1,13 @@
 """Exact arithmetic on finite groups given by dense Cayley tables.
 
 Elements are integer indices; ``table[i][j]`` is the index of the product
-of elements ``i`` and ``j``.  Conjugation is ``x^y = y^-1 x y``, the
-commutator is ``[x, y] = x^-1 y^-1 x y``.  Every object here is immutable
+of elements ``i`` and ``j``.  A group built by ``from_columns`` is given
+by the right multiplications by its generators instead, and gathers its
+table when it is first read; until then the functions that read products
+only through generators (``generating_set``, ``commuting_with``,
+``is_abelian``, ``center``, ``power_map`` of an abelian group and the
+commutator step) read them through those columns.  Conjugation is
+``x^y = y^-1 x y``, the commutator is ``[x, y] = x^-1 y^-1 x y``.  Every object here is immutable
 after construction and every operation is a pure function of its inputs,
 so everything is safe to use concurrently.
 """
@@ -67,10 +72,12 @@ def _check_associative(table, e):
 
 
 class FiniteGroup:
-    """A finite group as an order x order Cayley table over element indices."""
+    """A finite group as an order x order Cayley table over element
+    indices, or, built by ``from_columns``, as its generators' columns,
+    which gather the table when it is first read."""
 
-    __slots__ = ("table", "order", "identity", "inverse", "names",
-                 "_abelian", "_orders", "_aut", "_conj", "_gens",
+    __slots__ = ("_table", "_columns", "order", "identity", "_inverse",
+                 "names", "_abelian", "_orders", "_aut", "_conj", "_gens",
                  "_search_gens")
 
     def __init__(self, table, names=None, validate=True):
@@ -99,12 +106,16 @@ class FiniteGroup:
             wit = _check_associative(table, e)
             if wit is not None:
                 raise NotAGroup("not-associative", wit)
-        self.table = table
-        self.table.setflags(write=False)
-        self.order = n
-        self.identity = int(e)
-        self.inverse = inv
-        self.inverse.setflags(write=False)
+        table.setflags(write=False)
+        inv.setflags(write=False)
+        self._fill(table, None, n, int(e), inv, names)
+
+    def _fill(self, table, columns, order, identity, inverse, names):
+        self._table = table
+        self._columns = columns
+        self.order = order
+        self.identity = identity
+        self._inverse = inverse
         self.names = list(names) if names is not None else None
         self._abelian = None
         self._orders = None
@@ -112,6 +123,59 @@ class FiniteGroup:
         self._conj = None
         self._gens = None
         self._search_gens = None
+
+    @property
+    def table(self):
+        """The Cayley table, read-only.  A group built by ``from_columns``
+        gathers it (``cayley_rows``) when it is first read."""
+        if self._table is None:
+            rows, tree = self._columns[:2]
+            table = cayley_rows(rows, tree, np.arange(self.order))
+            table.setflags(write=False)
+            self._table = table
+        return self._table
+
+    @property
+    def inverse(self):
+        """The inverse of every element, read-only.  A group built by
+        ``from_columns`` finds it one tree layer at a time when it is first
+        read: the inverse of q s is s^-1 q^-1, read from the row of s^-1,
+        which is where s's column holds the identity, its least entry."""
+        if self._inverse is None:
+            rows, tree = self._columns[:2]
+            lefts = self.rows_at(np.argmin(rows, axis=0))
+            inv = np.zeros(self.order, dtype=np.intp)
+            for cosets, parents, cols in tree:
+                inv[cosets] = lefts[cols, inv[parents]]
+            inv.setflags(write=False)
+            self._inverse = inv
+        return self._inverse
+
+    def column(self, s):
+        """Right multiplication by s, x -> x*s: column s of the table, or,
+        while a group built by ``from_columns`` has none, the composite of
+        the generators' columns along s's word in their tree."""
+        if self._table is not None:
+            return self._table[:, s]
+        rows, _, parent, col = self._columns
+        word = []
+        while s:
+            word.append(col[s])
+            s = parent[s]
+        x = np.arange(self.order)
+        for c in reversed(word):
+            x = rows[x, c]
+        return x
+
+    def rows_at(self, xs):
+        """Left multiplication by each of ``xs``, ``rows_at(xs)[i, y] =
+        xs[i]*y``: rows xs of the table, or, while a group built by
+        ``from_columns`` has none, gathered one tree layer at a time
+        (``cayley_rows``)."""
+        if self._table is not None:
+            return self._table[xs]
+        rows, tree = self._columns[:2]
+        return cayley_rows(rows, tree, xs)
 
     # -- basic arithmetic -------------------------------------------------
 
@@ -130,9 +194,10 @@ class FiniteGroup:
         return acc
 
     def element_order(self, x):
+        t, e = self.table, self.identity
         acc, k = x, 1
-        while acc != self.identity:
-            acc = self.mul(acc, x)
+        while acc != e:
+            acc = int(t[acc, x])
             k += 1
         return k
 
@@ -150,10 +215,12 @@ class FiniteGroup:
 
     @property
     def is_abelian(self):
-        """Whether the generators commute pairwise."""
+        """Whether the generators commute pairwise: whether their products
+        s t, read off their rows (``rows_at``), are symmetric in s, t."""
         if self._abelian is None:
             gens = generating_set(self)
-            self._abelian = bool(commuting_with(self, gens)[gens].all())
+            products = self.rows_at(gens)[:, gens]
+            self._abelian = bool((products == products.T).all())
         return self._abelian
 
     def name(self, i):
@@ -249,6 +316,47 @@ def from_cayley_table(raw, names=None):
     """Validate an untrusted table and wrap it.  All four group axioms are
     checked exhaustively; failures raise NotAGroup with a witness."""
     return FiniteGroup(raw, names=names, validate=True)
+
+
+def from_columns(rows, tree):
+    """The group of a regular permutation action given by its right
+    multiplications by generators, ``rows[x, c] = x * s_c`` with element
+    0 the identity, and their ``spanning_tree``.  Its Cayley table is
+    gathered (``cayley_rows``) when first read; until then products are
+    read through the columns (``FiniteGroup.column`` and ``rows_at``).
+    ``check_regular`` checks that the action is regular."""
+    n = len(rows)
+    parent, col = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    for cosets, parents, cols in tree:
+        parent[cosets], col[cosets] = parents, cols
+    G = FiniteGroup.__new__(FiniteGroup)
+    G._fill(None, (rows, tree, parent.tolist(), col.tolist()), n, 0, None,
+            None)
+    return G
+
+
+def check_regular(G):
+    """Raise NotAGroup("not-regular") unless the action by right
+    multiplication of a group built by ``from_columns`` is regular, that
+    is, unless its elements are a group's.  It is when left multiplication
+    by each of ``generating_set``, gathered one tree layer at a time,
+    commutes with every column: their composites then send 0 to every
+    element, as the generators' columns do, and commute with the action,
+    so the stabilizer of 0 fixes every element and is trivial.  The
+    witness is a generator s, an element x and a column c with
+    (s x) s_c != s (x s_c).  The check runs in blocks of at most
+    BLOCK_ENTRIES entries."""
+    rows = G._columns[0]
+    gens = generating_set(G)
+    step = max(1, BLOCK_ENTRIES // max(1, rows.shape[1]))
+    for s, left in zip(gens.tolist(), G.rows_at(gens)):
+        for start in range(0, G.order, step):
+            # (s x) s_c against s (x s_c), for x in the block and every c
+            bad = rows[left[start:start + step]] != left[rows[start:start
+                                                              + step]]
+            if bad.any():
+                x, c = np.argwhere(bad)[0]
+                raise NotAGroup("not-regular", (s, start + int(x), int(c)))
 
 
 def make_cyclic(n):
@@ -370,21 +478,22 @@ def greedy_generators(n, root, column, candidates):
     return gens, rows, members
 
 
-def cayley_table(rows, layers):
-    """The Cayley table of a group from its right multiplications by
-    generators, ``rows[x, c] = x * s_c``, with element 0 the identity and
-    ``layers = spanning_tree(rows)``.
+def cayley_rows(rows, layers, xs):
+    """Rows ``xs`` of the Cayley table of a group from its right
+    multiplications by generators, ``rows[x, c] = x * s_c``, with element
+    0 the identity and ``layers = spanning_tree(rows)``: ``out[i, y] =
+    xs[i] * y``.
 
-    Column p*s of the table is x -> (x p) s, the gather rows[column p, s]:
-    one per tree layer, in row blocks of at most BLOCK_ENTRIES entries."""
-    n = len(rows)
-    table = np.empty((n, n), dtype=np.intp)
-    table[:, 0] = np.arange(n)
+    Column p*s is x -> (x p) s, the gather rows[column p, s]: one per tree
+    layer, in row blocks of at most BLOCK_ENTRIES entries."""
+    xs = np.asarray(xs, dtype=np.intp)
+    out = np.empty((len(xs), len(rows)), dtype=np.intp)
+    out[:, 0] = xs
     for cosets, parents, cols in layers:
         step = max(1, BLOCK_ENTRIES // len(cosets))
-        for r in range(0, n, step):
-            table[r:r + step, cosets] = rows[table[r:r + step, parents], cols]
-    return table
+        for r in range(0, len(xs), step):
+            out[r:r + step, cosets] = rows[out[r:r + step, parents], cols]
+    return out
 
 
 def row_keys(rows):
@@ -421,7 +530,7 @@ def generating_set(G):
     once and cached on the group; the trivial group's is its identity, so
     a generating set is never empty."""
     if G._gens is None:
-        gens = greedy_generators(G.order, G.identity, lambda s: G.table[:, s],
+        gens = greedy_generators(G.order, G.identity, G.column,
                                  range(G.order))[0]
         G._gens = np.array(gens or [G.identity], dtype=np.intp)
         G._gens.setflags(write=False)
@@ -431,16 +540,17 @@ def generating_set(G):
 def subgroup_generated(G, gens):
     """Smallest subgroup containing ``gens``: what they reach from the
     identity by right multiplication (``greedy_generators``)."""
-    return Subgroup(G, greedy_generators(G.order, G.identity,
-                                         lambda s: G.table[:, s], gens)[2])
+    return Subgroup(G, greedy_generators(G.order, G.identity, G.column,
+                                         gens)[2])
 
 
 def commuting_with(G, gens):
     """Mask of the elements x of G with x s = s x for every s in
     ``gens``: the centralizer of the subgroup they generate, read off
-    their columns and rows of the table alone."""
-    t = G.table
-    return (t[:, gens] == t[gens].T).all(axis=1)
+    their columns and rows of the table alone (``FiniteGroup.column``
+    and ``rows_at``)."""
+    right = np.column_stack([G.column(s) for s in gens])
+    return (right == G.rows_at(gens).T).all(axis=1)
 
 
 def center(G):
@@ -480,11 +590,32 @@ BLOCK_ENTRIES = 16_384
 
 def _commutators(G, xs):
     """The distinct commutators [x, y] = (x^-1 y^-1)(x y) for x in ``xs``
-    and y in G, computed in row blocks of at most BLOCK_ENTRIES entries."""
-    t, inv = G.table, G.inverse
+    and y in G, computed in row blocks of at most BLOCK_ENTRIES entries;
+    in an abelian group, the identity alone.
+
+    While a group built by ``from_columns`` has no table, [x, y] is
+    x^-1 x^y: the conjugates x^(q s) = s^-1 x^q s are gathered one tree
+    layer at a time through the rows of the generators' inverses (where
+    their columns hold the identity, 0, their least entry), and read
+    through the row of x^-1 (where the row of x holds 0)."""
+    if G.is_abelian:
+        return [G.identity]
     xs = np.asarray(xs, dtype=np.intp)
     step = max(1, BLOCK_ENTRIES // G.order)
     found = np.zeros(G.order, dtype=bool)
+    if G._table is None:
+        rows, tree = G._columns[:2]
+        lefts = G.rows_at(np.argmin(rows, axis=0))
+        for start in range(0, len(xs), step):
+            b = xs[start:start + step]
+            conj = np.empty((len(b), G.order), dtype=np.intp)
+            conj[:, 0] = b
+            for cosets, parents, cols in tree:
+                conj[:, cosets] = rows[lefts[cols, conj[:, parents]], cols]
+            undo = G.rows_at(np.argmin(G.rows_at(b), axis=1))
+            found[np.take_along_axis(undo, conj, axis=1)] = True
+        return np.flatnonzero(found).tolist()
+    t, inv = G.table, G.inverse
     for start in range(0, len(xs), step):
         b = xs[start:start + step]
         found[t[t[inv[b][:, None], inv[None, :]], t[b]]] = True
@@ -499,7 +630,7 @@ def _commutator_step(G, gens):
     and so [xy, g] = [x, g]^y [y, g] lies in M whenever [x, g] and [y, g]
     do."""
     picked, _, members = greedy_generators(
-        G.order, G.identity, lambda s: G.table[:, s], _commutators(G, gens))
+        G.order, G.identity, G.column, _commutators(G, gens))
     return picked, Subgroup(G, members)
 
 
@@ -521,6 +652,26 @@ def _central_steps(G):
             return
         order = nxt.order
         yield nxt
+
+
+def power_map(G, p):
+    """x -> x^p for every x of G.  While a group built by
+    ``from_columns`` has no table and is abelian, it is gathered one tree
+    layer at a time, as (q s)^p = q^p s^p: each q^p through the column of
+    s p times; otherwise by p - 1 gathers of the table."""
+    if G._table is None and G.is_abelian:
+        rows, tree = G._columns[:2]
+        powers = np.zeros(G.order, dtype=np.intp)
+        for cosets, parents, cols in tree:
+            x = powers[parents]
+            for _ in range(p):
+                x = rows[x, cols]
+            powers[cosets] = x
+    else:
+        powers = x = np.arange(G.order)
+        for _ in range(p - 1):
+            powers = G.table[powers, x]
+    return powers
 
 
 def nilpotency_class(G):

@@ -48,7 +48,9 @@ the trailing row of holes from the end, so a trace that meets a hole
 stays in that row.  The same buffer is read by numpy without a copy.  A
 coincidence reads each dying row once through such a view and walks only
 the entries defined there: no coset is defined while it runs, and a dead
-row only loses entries.
+row only loses entries.  It resolves the dying row's representative once,
+and again only after a merge, and looks no live coset up in the
+union-find.
 
 HLT scans, inline in the coset loop, one representative of each class
 of the other relators under rotation and inversion.  A relator that
@@ -80,8 +82,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LimitExceeded, TableIncomplete
-from .groups import (BLOCK_ENTRIES, MAX_CATALOG_ORDER, FiniteGroup,
-                     cayley_table, first_occurrences, spanning_tree)
+from .groups import (BLOCK_ENTRIES, MAX_CATALOG_ORDER, check_regular,
+                     first_occurrences, from_columns, spanning_tree)
 
 DEFAULT_MAX_COSETS = 200_000
 
@@ -310,24 +312,23 @@ class _Enumerator:
         t[beta + self.inv[col]] = alpha
         return beta
 
-    def _merge(self, a, b, queue):
-        a, b = self.rep(a), self.rep(b)
-        if a != b:
-            a, b = min(a, b), max(a, b)
-            self.dead[b] = a
-            queue.append(b)
-
     def coincidence(self, a, b):
         t = self.table
         n = self.ncols
         hole = -n
-        inv = self.inv
-        queue = []
+        inv, dead, rep = self.inv, self.dead, self.rep
         self.coincidences += 1
-        self._merge(a, b, queue)
+        a, b = rep(a), rep(b)
+        if a == b:
+            return
+        # the larger coset dies into the smaller
+        dead[max(a, b)] = min(a, b)
+        queue = [max(a, b)]
         # a zero-copy view: no define() runs here, so the buffer cannot grow
         view = np.frombuffer(t, self.typecode)
         for gamma in queue:             # the queue grows while it is read
+            # gamma's representative changes only when cosets merge
+            mu = rep(gamma)
             # gamma is dead, so its row only loses entries from here on;
             # each entry is read again, as a self-loop gamma.x = gamma
             # clears gamma.x^-1
@@ -337,17 +338,21 @@ class _Enumerator:
                     continue
                 icol = inv[col]
                 t[delta + icol] = hole
-                mu, nu = self.rep(gamma), self.rep(delta)
+                nu = rep(delta) if delta in dead else delta
                 x = t[mu + col]
                 if x >= 0:
-                    self._merge(nu, x, queue)
-                    continue
-                y = t[nu + icol]
-                if y >= 0:
-                    self._merge(mu, y, queue)
+                    a, b = nu, rep(x)
                 else:
-                    t[mu + col] = nu
-                    t[nu + icol] = mu
+                    y = t[nu + icol]
+                    if y < 0:
+                        t[mu + col] = nu
+                        t[nu + icol] = mu
+                        continue
+                    a, b = mu, rep(y)
+                if a != b:
+                    dead[max(a, b)] = min(a, b)
+                    queue.append(max(a, b))
+                    mu = rep(gamma)
         del view
 
 
@@ -703,7 +708,11 @@ def _enumerate_rows(ngens, words, lengths, max_cosets, max_steps):
     renum = live.cumsum(dtype=np.intp) - 1
     counts = (len(mirrors), nrel, enum.defined - 1, enum.coincidences, scans,
               steps - scans)
-    return renum[rep[entries // n]], counts
+    # each offset becomes its coset in place, read through one map from
+    # every coset to its representative's number: one |T| x columns
+    # temporary, not three
+    entries //= n
+    return renum[rep][entries], counts
 
 
 def _validate_complete(table, presentation):
@@ -777,14 +786,15 @@ def table_to_group(table):
     FiniteGroup; returns the group and the image element of each abstract
     generator.
 
-    Element i is live coset i.  Column j of the multiplication table is
-    the permutation of cosets by element j, gathered from the column of
-    j's parent in the table's spanning tree of the reduced rows by
-    ``groups.cayley_table``, which ``automorphisms.automorphism_group``
-    fills Aut(G)'s table with too; the expanded ``rows`` are not read.  A
-    generator's image is coset 0 times the column its letter reads.
-    Above MAX_CATALOG_ORDER cosets, LimitExceeded is raised before
-    anything is allocated.
+    Element i is live coset i.  The group is built from the reduced rows
+    and the table's spanning tree by ``groups.from_columns``, as
+    ``automorphisms.automorphism_group`` builds Aut(G), and gathers its
+    multiplication table only when it is read; the expanded ``rows`` are
+    not read.  ``groups.check_regular`` checks that the action on cosets
+    is regular, in place of trusting the enumeration.  A generator's
+    image is coset 0 times the column its letter reads.  Above
+    MAX_CATALOG_ORDER cosets, LimitExceeded is raised before anything is
+    allocated.
     """
     rows = table.reduced
     n = table.ncosets
@@ -793,5 +803,6 @@ def table_to_group(table):
                             f"element cap for a group table")
     if 1 + sum(len(cosets) for cosets, _, _ in table.tree) != n:
         raise TableIncomplete("table is not transitive on cosets")
-    group = FiniteGroup(cayley_table(rows, table.tree), validate=False)
+    group = from_columns(rows, table.tree)
+    check_regular(group)
     return group, np.append(rows[0], 0)[table.letters[0::2]].tolist()

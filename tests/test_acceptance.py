@@ -8,8 +8,9 @@ import pytest
 
 from tensorforge import tensor, verify
 from tensorforge.catalog import catalog_groups_up_to
-from tensorforge.presentations import coset_enumerate
+from tensorforge.presentations import coset_enumerate, table_to_group
 from tensorforge.verify import CHECKS, run_verification
+from test_groups import column_route, table_route
 from test_presentations import same_standardization
 
 # (criterion number, check name, runtime bound in seconds; None = only the
@@ -130,6 +131,15 @@ def test_suite_tables_match_expanded_standardization(suite):
     assert len(tables) < len(suite[1])
     for presentation, table in tables.items():
         same_standardization(presentation, table)
+
+
+def test_suite_groups_column_route_matches_table_route(suite):
+    # every distinct presentation of the suite: the functions that
+    # compute_tensor calls on the product read its coset table's columns
+    # and give what they give on its Cayley table
+    for table in suite[2].values():
+        T = table_to_group(table)[0]
+        assert column_route(T) == table_route(T)
 
 
 def test_suite_total_runtime(records, capfd):

@@ -12,10 +12,11 @@ from tensorforge import groups
 from tensorforge.catalog import catalog_groups_up_to
 from tensorforge.errors import LimitExceeded, NotAGroup, NotAHomomorphism
 from tensorforge.groups import (FiniteGroup, Subgroup, _commutators, center,
-                                conjugation_maps, derived_subgroup,
-                                from_cayley_table, make_cyclic,
+                                check_regular, conjugation_maps, derived_subgroup,
+                                from_cayley_table, from_columns,
+                                generating_set, make_cyclic,
                                 nilpotency_class, second_hypercenter,
-                                subgroup_generated)
+                                spanning_tree, subgroup_generated)
 
 SMALL_KEYS = ["cyclic:1", "cyclic:4", "cyclic:6", "elemab:2:2",
               "symmetric:3", "dihedral:4", "quaternion:8", "heisenberg:3"]
@@ -347,6 +348,49 @@ def test_abelian_and_center_in_blocks_match_whole_table(monkeypatch, block):
         assert list(center(G).members) \
             == np.flatnonzero(commutes.all(axis=1)).tolist(), key
         assert second_hypercenter(G) == reference_second_hypercenter(G), key
+
+
+def column_route(T):
+    """generating_set, is_abelian, |Z(T)|, nilpotency_class, the inverses
+    and abelian_invariants of a group built by ``from_columns``, read
+    through its columns: no table is built, except that the power maps
+    of a non-abelian group read one."""
+    assert T._table is None
+    got = (generating_set(T).tolist(), T.is_abelian, center(T).order,
+           nilpotency_class(T), T.inverse.tolist())
+    assert T._table is None
+    got += (tf.abelian_invariants(T),)
+    assert T._table is None or not T.is_abelian
+    return got
+
+
+def table_route(T):
+    """The same results on a group of T's Cayley table."""
+    E = FiniteGroup(T.table, validate=False)
+    return (generating_set(E).tolist(), E.is_abelian, center(E).order,
+            nilpotency_class(E), E.inverse.tolist(),
+            tf.abelian_invariants(E))
+
+
+@pytest.mark.parametrize("key", SERIES_KEYS)
+def test_column_route_matches_table_route(key):
+    # the group of the columns of a generating set, from the identity
+    G = tf.make_catalog_group(key)
+    assert G.identity == 0
+    rows = G.table[:, generating_set(G)]
+    T = from_columns(rows, spanning_tree(rows))
+    check_regular(T)
+    assert column_route(T) == table_route(T)
+    assert np.array_equal(T.table, G.table)
+
+
+def test_from_columns_refuses_an_action_that_is_not_regular():
+    # S3 on the three cosets of a subgroup of order 2: a 3-cycle and a
+    # transposition fixing 0, transitive, but (1 0) b = 2 != 1 = 1 (0 b)
+    rows = np.array([[1, 0], [2, 2], [0, 1]])
+    with pytest.raises(NotAGroup, match="not-regular") as caught:
+        check_regular(from_columns(rows, spanning_tree(rows)))
+    assert caught.value.witness == (1, 0, 1)
 
 
 def test_abelian_and_center_peak_memory():

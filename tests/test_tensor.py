@@ -413,6 +413,23 @@ def test_product_square_peak_memory():
     assert rep.order == 256 and rep.invariants == [4, 4, 4, 4]
 
 
+def test_trivial_square_reads_generator_columns_not_a_table():
+    # the order-512 product is kept as its coset table's columns: the
+    # report reads generators' columns and rows, and its 512 x 512
+    # Cayley table, 2 MiB, is not built (3.35 MiB peak when it was)
+    G = FiniteGroup(tf.make_catalog_group("elemab:2:3").table,
+                    validate=False)
+    tracemalloc.start()
+    try:
+        rep = compute_tensor(ActionPair.trivial(G, G))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * 2 ** 20
+    assert rep.order == 512 and rep.invariants == [2] * 9
+    assert rep.tensor._table is None
+
+
 def test_kappa_by_spanning_tree_matches_hom_from_images():
     # forcing along the forward columns from coset 0 must agree with the
     # general closure of hom_from_images, with forcing along the tree of

@@ -17,6 +17,8 @@ rounds' own ratios ("paired").  The workloads:
   abelian catalog groups up to order 8, per pass: a fixed enumeration
   workload, more than check 06 computes since it takes each unordered
   pair once;
+- ``large``: one pass of the ``tensor-large`` benchmark ops, eight
+  in-process ``tensorforge --json tensor`` calls, each result checked;
 - ``collapse``: one pass of the ``tensor-collapse`` benchmark ops, nine
   in-process ``tensorforge --json tensor`` calls, each result checked;
 - ``action-sweep``: one pass of the ``action-sweep`` benchmark ops,
@@ -111,6 +113,10 @@ def benchmark_pass(ops):
     return run, 1
 
 
+def large(tf):
+    return benchmark_pass(workloads.tensor_large(tf)[0])
+
+
 def collapse(tf):
     return benchmark_pass(workloads.tensor_collapse(tf)[0])
 
@@ -163,8 +169,8 @@ def series(tf):
 
 
 # workload -> builder of (callable, calls it makes) for one side
-WORKLOADS = {"trivial-6": trivial6, "check06": check06, "collapse": collapse,
-             "action-sweep": action_sweep, "check09": check09,
+WORKLOADS = {"trivial-6": trivial6, "check06": check06, "large": large,
+             "collapse": collapse, "action-sweep": action_sweep, "check09": check09,
              "classify-2": classify2, "verify": verify, "series": series}
 
 

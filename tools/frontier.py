@@ -3,14 +3,16 @@
     python3 tools/frontier.py TREE [--json OUT]
     python3 tools/frontier.py PARENT CHANGE --rounds 3
 
-Each op is one conjugation square ``compute_tensor`` that
-``tensor_presentation`` refuses at the library's ``MAX_SYMBOLS``.  It runs
-in its own subprocess, which imports the tree's ``src/tensorforge`` and
-raises ``tensor.MAX_SYMBOLS`` in that process only; no file is edited.
-The subprocess reports the op's wall time, its peak resident memory
-(``ru_maxrss``, read before the oracle runs), the ``EnumerationStats`` of
-its enumeration, and the product's order, invariants, kernel, derivative
-and class, and checks them against an oracle:
+Each op runs in its own subprocess, which imports the tree's
+``src/tensorforge`` and raises ``tensor.MAX_SYMBOLS`` in that process
+only; no file is edited.  Most ops are one conjugation square
+``compute_tensor`` that ``tensor_presentation`` refuses at the library's
+``MAX_SYMBOLS``.  The subprocess reports the op's wall time, its peak
+resident memory (``ru_maxrss``, read before the oracle runs), the time
+and ``ru_maxrss`` after each of its steps (enumeration, ``table_to_group``,
+kappa and the rest of the report), the ``EnumerationStats`` of its
+enumeration, and the product's order, invariants, kernel, derivative and
+class, and checks them against an oracle:
 
 - the dihedral squares against ``dihedral_square`` (Brown, Johnson and
   Robertson 1987) of ``perfbench/workloads.py``;
@@ -19,6 +21,15 @@ and class, and checks them against an oracle:
   the order, the invariants when the square is abelian, and the
   derivative A' x B';
 - symmetric:4 and heisenberg:3 against their pinned values.
+
+Two more ops follow the squares:
+
+- elemab:2:4, whose square, of order 65,536, the scan budget refuses:
+  the op passes when ``compute_tensor`` raises ``LimitExceeded``, and
+  reports its message, which says how far HLT got;
+- ``verify``, the thirteen checks of ``tensorforge verify paper`` in
+  order, with each check's time and the ``ru_maxrss`` after it: it passes
+  when exactly the documented row 02 fails.
 
 Given one tree, it runs each op ``--rounds`` times.  Given two, it
 alternates them per op, the parent first in even rounds and the change
@@ -55,8 +66,39 @@ SQUARES = ["symmetric:4", "dihedral:12", "heisenberg:3", "dihedral:16",
 PINNED = {"symmetric:4": (48, False, None, 4, 12),
           "heisenberg:3": (729, True, [3] * 6, 243, 3)}
 
+# the square that the scan budget refuses; by the decomposition its
+# order is 65,536, past table_to_group's 4,096-element cap
+REFUSED = "elemab:2:4"
+VERIFY = "verify"
+OPS = SQUARES + [REFUSED, VERIFY]
+
+# the checks of verify paper that disagree with the paper by definition
+DOCUMENTED_FAILS = ["Z3xZ3-case2-inversion-alpha"]
+
 # a cap above every square's symbols
 CAP = 1 << 20
+
+
+def rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def measure_verify():
+    """The checks of ``verify.CHECKS`` in order, each with its time and
+    the ``ru_maxrss`` after it."""
+    import tensorforge.verify
+    checks = []
+    start = perf_counter()
+    for check in tensorforge.verify.CHECKS:
+        t0 = perf_counter()
+        row = check()
+        checks.append({"name": row["name"], "seconds": perf_counter() - t0,
+                       "rss_mb": rss_mb(), "passed": row["passed"]})
+    failed = [c["name"] for c in checks if not c["passed"]]
+    return {"op": VERIFY, "seconds": perf_counter() - start,
+            "peak_rss_mb": rss_mb(), "checks": checks,
+            "oracle": "pass" if failed == DOCUMENTED_FAILS
+            else f"failed {failed}"}
 
 
 def measure(tree, key):
@@ -65,16 +107,29 @@ def measure(tree, key):
     import tensorforge as tf
     from tensorforge import tensor
     from tensorforge.actions import ActionPair, conjugation_maps
+    from tensorforge.errors import LimitExceeded
 
+    if key == VERIFY:
+        return measure_verify()
     tensor.MAX_SYMBOLS = CAP
-    stats = []
+    stats, steps = [], []
+
+    def step(name, call):
+        def run(*args, **kwargs):
+            out = call(*args, **kwargs)
+            steps.append([name, perf_counter() - start, rss_mb()])
+            return out
+        return run
+
     enumerate_ = tensor.coset_enumerate
 
     def counted(presentation, **limits):
         table = enumerate_(presentation, **limits)
         stats.append(asdict(table.stats))
         return table
-    tensor.coset_enumerate = counted
+    tensor.coset_enumerate = step("enumeration", counted)
+    tensor.table_to_group = step("table_to_group", tensor.table_to_group)
+    tensor._force_images = step("kappa", tensor._force_images)
 
     def square(G):
         conj = conjugation_maps(G)
@@ -82,16 +137,28 @@ def measure(tree, key):
 
     G = tf.make_catalog_group(key)
     start = perf_counter()
-    rep = square(G)
+    try:
+        rep = square(G)
+    except LimitExceeded as exc:
+        if key != REFUSED:
+            raise
+        return {"op": key, "seconds": perf_counter() - start,
+                "peak_rss_mb": rss_mb(), "refused": str(exc),
+                "oracle": "pass"}
     seconds = perf_counter() - start
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    peak = rss_mb()
+    # the oracle below appends the steps of its own products
+    trace = steps[:3] + [["report", seconds, peak]]
     got = (rep.order, bool(rep.tensor.is_abelian), rep.invariants,
            rep.kernel.order, rep.derivative.order)
     report = {"op": key, "seconds": seconds, "peak_rss_mb": peak,
-              "stats": stats[0], "order": got[0], "abelian": got[1],
+              "steps": trace, "stats": stats[0], "order": got[0],
+              "abelian": got[1],
               "invariants": got[2], "kernel": got[3], "derivative": got[4],
               "nilpotency": rep.nilpotency}
-    if key in PINNED:
+    if key == REFUSED:
+        want = "LimitExceeded"
+    elif key in PINNED:
         want = PINNED[key]
     elif key.startswith("dihedral:"):
         invariants, derivative = workloads.dihedral_square(
@@ -130,12 +197,21 @@ def run(tree, key, timeout):
 def line(report):
     if "error" in report:
         return f"{report['op']:34s} ERROR {report['error']}"
+    head = (f"{report['op']:34s} {report['seconds']:7.2f} s "
+            f"{report['peak_rss_mb']:7.1f} MB  ")
+    if "refused" in report:
+        return head + f"refused: {report['refused']}"
+    if "checks" in report:
+        return head + f"oracle {report['oracle']}" + "".join(
+            f"\n    {c['name']:34s} {c['seconds']:7.3f} s "
+            f"{c['rss_mb']:7.2f} MB" for c in report["checks"])
     s = report["stats"]
-    return (f"{report['op']:34s} {report['seconds']:7.2f} s "
-            f"{report['peak_rss_mb']:7.1f} MB  |T|={report['order']:<5d} "
+    return (head + f"|T|={report['order']:<5d} "
             f"{report['invariants'] or 'non-abelian'}  "
             f"symbols {s['generators']} -> {s['survivors']}, "
-            f"defined {s['defined']}  oracle {report['oracle']}")
+            f"defined {s['defined']}  oracle {report['oracle']}"
+            + "".join(f"\n    after {name:15s} {t:7.2f} s {mb:7.1f} MB"
+                      for name, t, mb in report["steps"]))
 
 
 def main(argv=None):
@@ -151,8 +227,8 @@ def main(argv=None):
         return 0
     if len(args.trees) > 2:
         parser.error("give one tree, or a parent and a change")
-    reports = {tree: {key: [] for key in SQUARES} for tree in args.trees}
-    for key in SQUARES:
+    reports = {tree: {key: [] for key in OPS} for tree in args.trees}
+    for key in OPS:
         for r in range(args.rounds):
             order = args.trees if r % 2 == 0 else args.trees[::-1]
             for tree in order:
