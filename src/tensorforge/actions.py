@@ -43,13 +43,12 @@ from typing import Optional
 
 import numpy as np
 
-from .automorphisms import (_aut_conj_table, automorphism_group,
-                            normalizer_contains_inn)
+from .automorphisms import automorphism_group, normalizer_contains_inn
 from .catalog import catalog_keys_up_to, make_catalog_group
 from .errors import (AlphaNotInjective, BudgetExceeded, CrossCheckFailed,
                      InvalidAction, NormalizerConditionFails,
                      PsiNotInvolution)
-from .groups import (BLOCK_ENTRIES, FiniteGroup, center,
+from .groups import (BLOCK_ENTRIES, FiniteGroup, center, conjugates,
                      conjugation_maps, coset_labels, enumerated_index,
                      generating_set, key_index, make_cyclic, row_keys,
                      second_hypercenter)
@@ -409,9 +408,10 @@ def compatibility_grid(G, H, budget=None):
             f"{len(alphas)}x{len(betas)} action pairs exceed budget {budget}")
     # labels are indices in Aut; the actions at the element level
     fails_g = _equation_fails(alphas, autH.elements, betas,
-                              _aut_conj_table(autG), G, H)
+                              conjugates(autG.group, autG.inner_of), G, H)
     fails_h = fails_g if H is G else _equation_fails(
-        betas, autG.elements, alphas, _aut_conj_table(autH), H, G)
+        betas, autG.elements, alphas,
+        conjugates(autH.group, autH.inner_of), H, G)
     norm_g = normalizer_contains_inn(autG, alphas)
     norm_h = norm_g if H is G else normalizer_contains_inn(autH, betas)
     return ActionGrid(G, H, alphas, betas, ~fails_g & ~fails_h.T, norm_g,
@@ -463,12 +463,12 @@ def compatible_pair_orbits(grid, swap=False):
     moves = []
     for side, K in enumerate((grid.G, grid.H)):
         aut = automorphism_group(K)
-        t, inv = aut.group.table, aut.group.inverse
         for s in search_set(aut.group):
             moved = [None, None]
-            moved[side] = t[t[inv[s]], s][maps[side][:, gens[side]]]
+            moved[side] = conjugates(aut.group, s)[
+                maps[side][:, gens[side]]]
             moved[1 - side] = maps[1 - side][
-                :, aut.elements[inv[s], gens[1 - side]]]
+                :, aut.elements[aut.group.inverse[s], gens[1 - side]]]
             moves.append([enumerated_index(key, row_keys(m),
                                            "a relabelled homomorphism")
                           for key, m in zip(keys, moved)])

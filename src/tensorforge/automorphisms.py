@@ -15,10 +15,11 @@ by looking up the products x*s with each new generator s for every x,
 |Aut| x (number of generators) key searches, not |Aut|^2.  The Cayley
 table is gathered along the generators' spanning tree only when it is
 read: the column of p*s is the column of p read through the column of
-s.  A search for homs into Aut(G), as the compatibility grids make, reads
-it; ``tensor.hom_pair_tensor_classes`` and verify check 12 read Aut(G)
-only through its generators' columns, its inverses and ``search_set``,
-and never build it.
+s.  A search for homs into Aut(G), as the grids make, reads it, and so
+does ``groups.conjugates`` in Aut(G), for the grids, their orbit moves
+and ``normalizer_contains_inn``; ``tensor.hom_pair_tensor_classes`` and
+verify check 12 read Aut(G) only through its generators' columns, its
+inverses and ``search_set``, and never build it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LimitExceeded
-from .groups import (BLOCK_ENTRIES, MAX_CATALOG_ORDER, conjugation_maps,
-                     enumerated_index, from_columns, generating_set,
-                     greedy_generators, spanning_tree)
+from .groups import (BLOCK_ENTRIES, MAX_CATALOG_ORDER, conjugates,
+                     conjugation_maps, enumerated_index, from_columns,
+                     generating_set, greedy_generators, spanning_tree)
 from .homs import all_bijective_endomaps
 
 
@@ -110,12 +111,6 @@ def automorphism_group(G):
     return aut
 
 
-def _aut_conj_table(aut):
-    """conj[g, a] = index of ghat^-1 * a * ghat in Aut(G)."""
-    t, ghat = aut.group.table, aut.inner_of
-    return t[t[aut.group.inverse[ghat]], ghat[:, None]]
-
-
 def normalizer_contains_inn(aut, maps):
     """Does Inn(G) normalize the image of each homomorphism into Aut(G)?
 
@@ -125,7 +120,7 @@ def normalizer_contains_inn(aut, maps):
     Rows are decided in blocks of at most BLOCK_ENTRIES entries.
     """
     maps = np.asarray(maps, dtype=np.intp)
-    conj = _aut_conj_table(aut)
+    conj = conjugates(aut.group, aut.inner_of)      # ghat^-1 a ghat
     normal = np.empty(len(maps), dtype=bool)
     step = max(1, BLOCK_ENTRIES // (conj.shape[0] * maps.shape[1]
                                     + aut.order))

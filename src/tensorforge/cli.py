@@ -60,7 +60,7 @@ def _action_maps(spec, base, actor, side):
         return named_action(spec, base, actor)
     aut = automorphism_group(base)
     return read_json(spec, f"{side} map file", lambda data: map_file_maps(
-        data, aut, side, actor.order))
+        data, aut, side, actor))
 
 
 def _build_pair(args):

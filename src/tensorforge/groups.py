@@ -6,10 +6,11 @@ by the right multiplications by its generators instead, and gathers its
 table when it is first read; until then the functions that read products
 only through generators (``generating_set``, ``commuting_with``,
 ``is_abelian``, ``center``, ``power_map`` of an abelian group and the
-commutator step) read them through those columns.  Conjugation is
-``x^y = y^-1 x y``, the commutator is ``[x, y] = x^-1 y^-1 x y``.  Every object here is immutable
-after construction and every operation is a pure function of its inputs,
-so everything is safe to use concurrently.
+commutators) read them through those columns.  Conjugation is x^y =
+y^-1 x y, gathered only by ``conjugates``, and the commutator [x, y] =
+x^-1 y^-1 x y only by ``_commutator_rows``.  Every object here is
+immutable after construction and every operation is a pure function of
+its inputs, so everything is safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -385,12 +386,18 @@ def direct_product(a, b):
     return FiniteGroup(t, names=names, validate=False)
 
 
+def conjugates(G, ys):
+    """Rows ``ys`` (an index or an array) of the conjugation table,
+    ``out[..., x] = y^-1 x y``: the library's one gather of x^y."""
+    t = G.table
+    return t[t[G.inverse[ys]], np.asarray(ys)[..., None]]
+
+
 def conjugation_maps(G):
     """Stack of all inner automorphisms, read-only: row g is the map
-    x -> g^-1 x g.  Built once per group and cached on it."""
+    x -> g^-1 x g (``conjugates``).  Built once per group and cached."""
     if G._conj is None:
-        t = G.table
-        conj = t[t[G.inverse], np.arange(G.order)[:, None]]
+        conj = conjugates(G, np.arange(G.order))
         conj.setflags(write=False)
         G._conj = conj
     return G._conj
@@ -575,8 +582,7 @@ def second_hypercenter(G):
     Z(G) for every generator s.  That suffices, as [gh, x] = [g, x]^h
     [h, x] and Z(G) is normal, so the g with [g, x] central are a
     subgroup."""
-    t, inv, gens = G.table, G.inverse, generating_set(G)
-    comms = t[t[inv[gens][:, None], inv], t[gens]]     # [s, x]
+    comms = _commutator_rows(G, generating_set(G))     # [s, x]
     return Subgroup(G, np.flatnonzero(
         center(G).mask()[comms].all(axis=0)))
 
@@ -588,37 +594,36 @@ def second_hypercenter(G):
 BLOCK_ENTRIES = 16_384
 
 
-def _commutators(G, xs):
-    """The distinct commutators [x, y] = (x^-1 y^-1)(x y) for x in ``xs``
-    and y in G, computed in row blocks of at most BLOCK_ENTRIES entries;
-    in an abelian group, the identity alone.
+def _commutator_rows(G, xs):
+    """Rows ``xs`` of the commutator table, ``out[i, y] = [xs[i], y]``:
+    the library's one gather of [x, y], two lookups in the table.  While
+    a group built by ``from_columns`` has none, [x, y] is x^-1 x^y: the
+    conjugates x^(q s) = s^-1 x^q s are gathered one tree layer at a time
+    through the rows of the generators' inverses (where their columns hold
+    0, their least entry), and read through the row of x^-1."""
+    xs = np.asarray(xs, dtype=np.intp)
+    if G._table is not None:
+        t, inv = G.table, G.inverse
+        return t[t[inv[xs][:, None], inv], t[xs]]
+    rows, tree = G._columns[:2]
+    lefts = G.rows_at(np.argmin(rows, axis=0))
+    conj = np.empty((len(xs), G.order), dtype=np.intp)
+    conj[:, 0] = xs
+    for cosets, parents, cols in tree:
+        conj[:, cosets] = rows[lefts[cols, conj[:, parents]], cols]
+    undo = G.rows_at(np.argmin(G.rows_at(xs), axis=1))
+    return np.take_along_axis(undo, conj, axis=1)
 
-    While a group built by ``from_columns`` has no table, [x, y] is
-    x^-1 x^y: the conjugates x^(q s) = s^-1 x^q s are gathered one tree
-    layer at a time through the rows of the generators' inverses (where
-    their columns hold the identity, 0, their least entry), and read
-    through the row of x^-1 (where the row of x holds 0)."""
+
+def _commutators(G, xs):
+    """The distinct [x, y] for x in ``xs`` and y in G, in row blocks of at
+    most BLOCK_ENTRIES entries; in an abelian group, the identity alone."""
     if G.is_abelian:
         return [G.identity]
-    xs = np.asarray(xs, dtype=np.intp)
     step = max(1, BLOCK_ENTRIES // G.order)
     found = np.zeros(G.order, dtype=bool)
-    if G._table is None:
-        rows, tree = G._columns[:2]
-        lefts = G.rows_at(np.argmin(rows, axis=0))
-        for start in range(0, len(xs), step):
-            b = xs[start:start + step]
-            conj = np.empty((len(b), G.order), dtype=np.intp)
-            conj[:, 0] = b
-            for cosets, parents, cols in tree:
-                conj[:, cosets] = rows[lefts[cols, conj[:, parents]], cols]
-            undo = G.rows_at(np.argmin(G.rows_at(b), axis=1))
-            found[np.take_along_axis(undo, conj, axis=1)] = True
-        return np.flatnonzero(found).tolist()
-    t, inv = G.table, G.inverse
     for start in range(0, len(xs), step):
-        b = xs[start:start + step]
-        found[t[t[inv[b][:, None], inv[None, :]], t[b]]] = True
+        found[_commutator_rows(G, xs[start:start + step])] = True
     return np.flatnonzero(found).tolist()
 
 

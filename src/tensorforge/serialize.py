@@ -5,8 +5,8 @@ catalog key yields the catalog group, anything else is treated as a path
 to a group file.  Files are never trusted; loaded tables go through full
 validation.  Every file is read by ``read_json`` and written by
 ``write_json``, whose errors name the file: one IoError for any OS, JSON
-or shape fault, and the NotAGroup or LimitExceeded of a table that is
-no group or too large.
+or shape fault, the NotAGroup or LimitExceeded of a table that is no
+group or too large, and the InvalidAction of maps that are no action.
 """
 
 from __future__ import annotations
@@ -14,18 +14,18 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 
-from .actions import ActionPair
+from .actions import ActionPair, _validate_action
 from .automorphisms import automorphism_group
 from .catalog import make_catalog_group
-from .errors import IoError, LimitExceeded, NotAGroup, UnknownCatalogKey
+from .errors import IoError, LimitExceeded, TensorforgeError, UnknownCatalogKey
 from .groups import MAX_CATALOG_ORDER, from_cayley_table
 
 
 def read_json(path, what, parse):
     """``parse`` of the JSON value in the file at ``path``, which holds
-    ``what``.  The IoError, NotAGroup or LimitExceeded that ``parse``
-    raises for a fault in the value is re-raised naming the file: a
-    fault in a group file read through a pair file names both."""
+    ``what``.  A library error that ``parse`` raises for a fault in the
+    value is re-raised naming the file: a fault in a group file read
+    through a pair file names both."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -34,7 +34,7 @@ def read_json(path, what, parse):
         raise IoError(f"cannot read {what} {path!r}: {reason}") from None
     try:
         return parse(data)
-    except (IoError, NotAGroup, LimitExceeded) as exc:
+    except TensorforgeError as exc:
         exc.args = (f"{what} {path!r}: {exc}",)
         raise
 
@@ -73,8 +73,8 @@ def group_from_dict(data):
                       f"{size}")
     if not all(isinstance(row, list) and len(row) == order for row in table):
         raise IoError(f"table is not {order} rows of {order} entries")
-    if not all(type(x) is int for row in table for x in row):
-        raise IoError("table entries must be integers")
+    if not all(type(x) is int and 0 <= x < order for r in table for x in r):
+        raise IoError(f"table entries must be integers from 0 to {order - 1}")
     if names is not None and not (isinstance(names, list)
                                   and len(names) == order):
         raise IoError(f"names must be a list of {order} names")
@@ -90,15 +90,16 @@ def resolve_group(spec):
     return read_json(spec, "catalog key or group file", group_from_dict)
 
 
-def map_file_maps(data, aut, side, count):
-    """The automorphism maps of a map file: its ``map`` entry, ``count``
-    indices in ``aut`` checked by ``maps_from_indices``."""
+def map_file_maps(data, aut, side, actor):
+    """The automorphism maps of a map file: its ``map`` entry, one index
+    in ``aut`` per element of ``actor``, checked by ``maps_from_indices``
+    and as an action of ``actor`` (the identity must act trivially)."""
     if not isinstance(data, dict) or "map" not in data:
         raise IoError("no 'map' entry")
     maps = maps_from_indices(aut, data["map"], side)
-    if len(maps) != count:
-        raise IoError(f"{side} map must have {count} entries")
-    return maps
+    if len(maps) != actor.order:
+        raise IoError(f"{side} map must have {actor.order} entries")
+    return _validate_action(aut.base, actor, maps, side)
 
 
 def maps_from_indices(aut, indices, side):

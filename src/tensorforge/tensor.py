@@ -25,8 +25,8 @@ from .actions import (HomPair, action_from_hom_pair, hom_classes,
                       is_compatible, pair_orbits)
 from .automorphisms import automorphism_group
 from .errors import CrossCheckFailed, IncompatibleActions, LimitExceeded
-from .groups import FiniteGroup, GroupHom, Subgroup, center, \
-    commuting_with, coset_labels, enumerated_index, first_occurrences, \
+from .groups import FiniteGroup, GroupHom, Subgroup, center, commuting_with, \
+    conjugation_maps, coset_labels, enumerated_index, first_occurrences, \
     generating_set, nilpotency_class, row_keys, subgroup_generated
 from .homs import _force, are_isomorphic, enumerate_homs, search_set
 from .presentations import Presentation, coset_enumerate, table_to_group
@@ -85,16 +85,15 @@ def _biderivation_words(pair):
     second, duplicates dropped by first occurrence."""
     G, H = pair.G, pair.H
     n, m = G.order, H.order
-    t, u = G.table, H.table
     A, B = pair.alpha_maps, pair.beta_maps
     # symbols (g, h) as g*m + h over grids (g, g1, h), then (g, h, h1)
     g, g1, h = (np.arange(n)[:, None, None], np.arange(n)[:, None],
                 np.arange(m))
-    gc = t[t[G.inverse[g1], g], g1]                     # g^g1
-    first = (t[g, g1] * m + h, gc * m + B[g1, h], g1 * m + h)
+    gc = conjugation_maps(G)[g1, g]                     # g^g1
+    first = (G.table[g, g1] * m + h, gc * m + B[g1, h], g1 * m + h)
     h, h1 = np.arange(m)[:, None], np.arange(m)
-    hc = u[u[H.inverse[h1], h], h1]                     # h^h1
-    second = (g * m + u[h, h1], g * m + h1, A[h1, g] * m + hc)
+    hc = conjugation_maps(H)[h1, h]                     # h^h1
+    second = (g * m + H.table[h, h1], g * m + h1, A[h1, g] * m + hc)
     words = np.empty((n * n * m + n * m * m, 3), dtype=np.intp)
     for block, family, shape in ((words[:n * n * m], first, (n, n, m)),
                                  (words[n * n * m:], second, (n, m, m))):

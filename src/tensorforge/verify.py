@@ -20,7 +20,7 @@ from .actions import (ActionPair, compatibility_grid, compatible_pair_orbits,
 from .automorphisms import automorphism_group, normalizer_contains_inn
 from .catalog import catalog_groups_up_to, make_catalog_group
 from .errors import CrossCheckFailed, NormalizerConditionFails
-from .groups import center, generating_set, make_cyclic
+from .groups import center, commuting_with, generating_set, make_cyclic
 from .homs import all_bijective_endomaps, enumerate_homs, hom_from_images
 from .presentations import Presentation, coset_enumerate, table_to_group
 from .tensor import compute_tensor, derivative_subgroup
@@ -266,7 +266,7 @@ def check_heisenberg_aut_derivative():
     # the elementary automorphism x2 -> x2 x1 with x1 fixed
     # x1 the first non-central element, x2 the first not commuting with it
     x1 = int(np.argmin(center(G).mask()))
-    x2 = int(np.argmax(G.table[x1] != G.table[:, x1]))
+    x2 = int(np.argmin(commuting_with(G, [x1])))
     phi = hom_from_images(G, G, [x1, x2], [x1, G.mul(x2, x1)])
     certificate = G.mul(G.inv(x2), phi(x2))
     derivative = derivative_subgroup(pair)

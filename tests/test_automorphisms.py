@@ -109,6 +109,21 @@ def test_inner_automorphism_values():
             assert m[x] == reference_conj(S3, x, g)
 
 
+@pytest.mark.parametrize("key", ["symmetric:3", "dihedral:4", "quaternion:8",
+                                 "symmetric:4", "heisenberg:3"])
+def test_conjugates_in_aut_match_the_inner_maps(key):
+    # ghat^-1 a ghat, read through conjugates inside Aut(G), applied as a
+    # map: x -> C[g](a(C[g^-1](x))) under left-factor-first composition,
+    # with C the inner maps of G itself
+    G = tf.make_catalog_group(key)
+    aut = automorphism_group(G)
+    C = conjugation_maps(G)
+    conj = groups.conjugates(aut.group, aut.inner_of)
+    for g in range(G.order):
+        want = C[g][aut.elements[:, C[G.inverse[g]]]]
+        assert np.array_equal(aut.elements[conj[g]], want), (key, g)
+
+
 def test_inn_is_normal_in_aut():
     for key in ["symmetric:3", "dihedral:4", "quaternion:8"]:
         G = tf.make_catalog_group(key)

@@ -247,7 +247,8 @@ def test_compat_invalid_action_file_exits_two(capsys, tmp_path):
     path.write_text(json.dumps(pair))
     code, out, err = run(capsys, "compat", "--pair", str(path))
     assert code == 2 and out == ""
-    assert err == "error: alpha: identity must act trivially\n"
+    assert err == (f"error: action pair file {str(path)!r}: alpha: identity "
+                   "must act trivially\n")
 
 
 @pytest.mark.parametrize("entries, message", [
@@ -650,3 +651,151 @@ def test_cli_contract_under_fuzzed_keys_and_options(tmp_path, monkeypatch):
     # as a file path, and the empty working directory holds none
     monkeypatch.chdir(tmp_path)
     _check_cli_contract()
+
+
+# -- the 0/1/2 contract under mutated group, pair and map files ------------
+
+# Aut(cyclic:3) is {identity, inversion}: cyclic:2 acts on cyclic:3 by
+# inversion, and cyclic:3 on cyclic:2 trivially
+BASE_MAP = {"map": [0, 1]}
+BASE_PAIR = {"g": "cyclic:3", "h": "cyclic:2", "alpha": {"map": [0, 1]},
+             "beta": {"map": [0, 0, 0]}}
+HUGE = [2 ** 63, 2 ** 64 + 1, -2 ** 70, 10 ** 30]
+WRONG_TYPES = ["0", 1.5, None, True, {}, {"map": 0}]
+
+
+def _paths(value, prefix=()):
+    """Every path into a JSON value, the value itself first."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from _paths(inner, prefix + (key,))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+@st.composite
+def mutated(draw, value):
+    """(``value`` with one entry mutated, fault): a JSON value with a key
+    or a list entry dropped, a wrong type, a list grown by one, an integer
+    in or out of range or huge, or an entry nested in a list; in a group
+    file, also a table that is no group or an order over the cap.
+    ``fault`` is True when the mutation makes any file a faulty one, and
+    None when that depends on the value: an integer still in range, the
+    optional "names" dropped or set to null, or a name changed."""
+    value = json.loads(json.dumps(value))
+    kinds = ["drop", "type", "grow", "int", "nest"]
+    if isinstance(value, dict) and "table" in value:
+        kinds += ["no group", "cap"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "no group":
+        n = len(value["table"])
+        value["table"] = [[(2 * i + j) % n for j in range(n)]
+                          for i in range(n)]
+        return value, True
+    if kind == "cap":
+        value["order"] = draw(st.sampled_from([4097, 5000, 10 ** 30]))
+        return value, True
+    paths = list(_paths(value))
+    if kind == "drop":          # an entry, not the whole value
+        paths = paths[1:]
+    if kind == "int":           # an integer entry, where there is one
+        paths = [path for path in paths
+                 if type(_at(value, path)) is int] or paths
+    path = draw(st.sampled_from(paths))
+    fault = None if path[:1] == ("names",) and len(path) > 1 else True
+    parent, old = _at(value, path[:-1]), _at(value, path)
+    if kind == "drop":
+        del parent[path[-1]]
+        return value, None if path == ("names",) else fault
+    if kind == "grow":
+        new = old + old[-1:] if isinstance(old, list) and old else [0]
+    elif kind == "type":
+        new = draw(st.sampled_from(WRONG_TYPES))
+        if new is None and path == ("names",):
+            fault = None
+    elif kind == "int":
+        new = draw(st.integers(-2, 6) | st.sampled_from(HUGE))
+        if 0 <= new < 2 ** 63 and type(old) is int:
+            fault = None
+    else:
+        new = [old]
+    if not path:
+        return new, fault
+    parent[path[-1]] = new
+    return value, fault
+
+
+@st.composite
+def file_calls(draw):
+    """(kind, command, key, side, data) of a command that reads a mutated
+    group file, map file or pair file, or a pair file naming a mutated
+    group file: ``data`` draws the mutation."""
+    kind = draw(st.sampled_from(["group", "map", "pair", "pair group"]))
+    command = draw(st.sampled_from(["compat", "tensor"]))
+    key = draw(st.sampled_from(["cyclic:3", "symmetric:3"]))
+    side = draw(st.sampled_from(["alpha", "beta"]))
+    return kind, command, key, side, draw(st.data())
+
+
+def test_cli_contract_under_mutated_files(tmp_path, monkeypatch):
+    # the contract for files: exit code 0, 1 or 2; on 2, one error line
+    # that names the file at fault, and a group file read through a pair
+    # file together with the pair file, never the last-resort form
+    # "error: <ExceptionType>: ..."; 0 and 1 leave stderr empty, and a
+    # faulty file exits 2.  A spec that is no catalog key is read as a
+    # file path, and the working directory holds only these files.
+    monkeypatch.chdir(tmp_path)
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("group", "map", "pair")}
+    groups = {}
+    for key in ("cyclic:3", "symmetric:3"):
+        assert main(["catalog", "export", key, "--out",
+                     str(paths["group"])]) == 0
+        groups[key] = json.loads(paths["group"].read_text())
+
+    @settings(max_examples=400, derandomize=True, deadline=None,
+              database=None)
+    @given(file_calls())
+    def check(call):
+        kind, command, key, side, data = call
+        if kind == "group":
+            files = {"group": data.draw(mutated(groups[key]))}
+            argv = [command, "--g", str(paths["group"]), "--h", "cyclic:2"]
+        elif kind == "map":
+            files = {"map": data.draw(mutated(BASE_MAP))}
+            g, h = ("cyclic:3", "cyclic:2") if side == "alpha" \
+                else ("cyclic:2", "cyclic:3")
+            argv = ["compat", "--g", g, "--h", h, f"--{side}",
+                    str(paths["map"])]
+        elif kind == "pair":
+            files = {"pair": data.draw(mutated(BASE_PAIR))}
+            argv = [command, "--pair", str(paths["pair"])]
+        else:
+            files = {"pair": (dict(BASE_PAIR, g=str(paths["group"])), None),
+                     "group": data.draw(mutated(groups["cyclic:3"]))}
+            argv = [command, "--pair", str(paths["pair"])]
+        for name, (value, _) in files.items():
+            paths[name].write_text(json.dumps(value))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), (argv, files)
+        assert not re.search(r"^error: [A-Z]\w*: ", err, re.MULTILINE), \
+            (err, files)
+        if code != 2:
+            assert err == "" and not any(
+                fault for _, fault in files.values()), (err, files)
+            return
+        lines = [line for line in err.splitlines() if "error:" in line]
+        assert out == "" and len(lines) == 1, (err, files)
+        assert all(str(paths[name]) in lines[0] for name in files), \
+            (lines[0], files)
+
+    check()

@@ -12,7 +12,8 @@ from tensorforge import groups
 from tensorforge.catalog import catalog_groups_up_to
 from tensorforge.errors import LimitExceeded, NotAGroup, NotAHomomorphism
 from tensorforge.groups import (FiniteGroup, Subgroup, _commutators, center,
-                                check_regular, conjugation_maps, derived_subgroup,
+                                check_regular, conjugates, conjugation_maps,
+                                derived_subgroup,
                                 from_cayley_table, from_columns,
                                 generating_set, make_cyclic,
                                 nilpotency_class, second_hypercenter,
@@ -351,13 +352,14 @@ def test_abelian_and_center_in_blocks_match_whole_table(monkeypatch, block):
 
 
 def column_route(T):
-    """generating_set, is_abelian, |Z(T)|, nilpotency_class, the inverses
-    and abelian_invariants of a group built by ``from_columns``, read
-    through its columns: no table is built, except that the power maps
-    of a non-abelian group read one."""
+    """generating_set, is_abelian, |Z(T)|, |Z2(T)|, nilpotency_class, the
+    inverses and abelian_invariants of a group built by ``from_columns``,
+    read through its columns: no table is built, except that the power
+    maps of a non-abelian group read one."""
     assert T._table is None
     got = (generating_set(T).tolist(), T.is_abelian, center(T).order,
-           nilpotency_class(T), T.inverse.tolist())
+           second_hypercenter(T).order, nilpotency_class(T),
+           T.inverse.tolist())
     assert T._table is None
     got += (tf.abelian_invariants(T),)
     assert T._table is None or not T.is_abelian
@@ -368,8 +370,8 @@ def table_route(T):
     """The same results on a group of T's Cayley table."""
     E = FiniteGroup(T.table, validate=False)
     return (generating_set(E).tolist(), E.is_abelian, center(E).order,
-            nilpotency_class(E), E.inverse.tolist(),
-            tf.abelian_invariants(E))
+            second_hypercenter(E).order, nilpotency_class(E),
+            E.inverse.tolist(), tf.abelian_invariants(E))
 
 
 @pytest.mark.parametrize("key", SERIES_KEYS)
@@ -586,6 +588,21 @@ def test_conjugation_map_is_inner_permutation():
         m = conjugation_maps(G)[g]
         assert sorted(m) == list(range(G.order))
         assert m[G.identity] == G.identity
+
+
+def test_conjugates_match_products_and_inverses():
+    # x^y = y^-1 x y from the group's own mul and inv, against
+    # conjugates at every row, at one row and at a 2-D array of rows
+    for key, G in catalog_groups_up_to(27):
+        n = G.order
+        want = np.array([[G.mul(G.mul(G.inv(y), x), y) for x in range(n)]
+                         for y in range(n)])
+        rows = np.arange(n)
+        assert np.array_equal(conjugates(G, rows), want), key
+        assert np.array_equal(conjugates(G, n - 1), want[n - 1]), key
+        assert np.array_equal(conjugates(G, rows[::-1].reshape(-1, 1)),
+                              want[::-1, None]), key
+        assert np.array_equal(conjugation_maps(G), want), key
 
 
 def test_conjugation_table_is_cached_and_read_only():

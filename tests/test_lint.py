@@ -398,3 +398,39 @@ def test_fallback_lint_sees_calls_before_the_last_operand():
               "e = tuple(gens) or (0,)\n"
               "f = y or groups.generating_set(H) or [0]\n")
     assert sorted(_empty_set_fallbacks(ast.parse(source))) == [1, 2, 6]
+
+
+def _self_indexed(tree):
+    """Line numbers of subscripts ``t[i, ...]`` one of whose indices is
+    itself a subscript of the same expression, as ``t[t[a, b], c]`` or
+    ``G.table[G.table[x]]``: a product of products read from one table."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            indices = node.slice.elts if isinstance(node.slice, ast.Tuple) \
+                else [node.slice]
+            if any(isinstance(index, ast.Subscript)
+                   and ast.dump(index.value) == ast.dump(node.value)
+                   for index in indices):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "groups.py"],
+                         ids=lambda p: p.name)
+def test_conjugates_and_commutators_come_from_groups(path):
+    # x^y = y^-1 x y and [x, y] are gathered from a table in one place
+    # each, groups.conjugates and groups._commutator_rows, so the
+    # convention is written once; other modules read those or
+    # conjugation_maps
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert sorted(set(_self_indexed(tree))) == []
+
+
+def test_self_index_lint_sees_nested_gathers():
+    source = ("c = t[t[inv[s]], s]\n"
+              "d = G.table[G.table[x], y]\n"
+              "e = t[u[x], y]\n"
+              "f = conj[x1, X[y, conj[g, x]]]\n"
+              "g = t[a, t[b]]\n"
+              "h = G.table[H.table[x]]\n")
+    assert sorted(_self_indexed(ast.parse(source))) == [1, 2, 5]
