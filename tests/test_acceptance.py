@@ -101,6 +101,19 @@ def test_suite_names_cover_all_checks(records):
     assert {name for _, name, _ in TOLERANCES} == set(records)
 
 
+# detail lines that count what a check went through, so that a change to
+# how a check finds its cases cannot drop some of them unseen
+DETAILS = [
+    ("theorem1-claim2-induced-beta", "749 induced pairs built and verified"),
+    ("prop5.2-z2-criterion", "506 involutive automorphisms"),
+]
+
+
+@pytest.mark.parametrize("name,detail", DETAILS, ids=[n for n, _ in DETAILS])
+def test_suite_detail_lines(records, name, detail):
+    assert records[name]["detail"] == detail
+
+
 def test_suite_enumeration_counts(suite):
     # the enumerator's own counts over the suite.  The representatives
     # and the filter's length groups feed relators and skipped, which a
