@@ -24,6 +24,15 @@ rows that pass, and forces their maps once more, in map order, straight
 into that matrix, which is allocated once; a caller that takes one hom
 reads its row, and ``GroupHom`` wraps single homs only.
 
+A search keeps only what its caller keeps.  An injective search
+(``injective_homs``, ``all_bijective_endomaps``, ``are_isomorphic``)
+takes candidate images of the generators' own orders and drops, at every
+level, a row whose forced map sends more than the root to the identity.
+An involutive search (``involutive_automorphisms``) also drops a row
+once map(map(s_i)) is forced for a search generator s_i and differs
+from s_i.  Both prunes drop only rows that no map kept by the caller
+extends, so the maps left come out in the order of the unpruned search.
+
 A node is one candidate behind one expanded prefix, and the node budget
 (default 10^6) turns runaway searches into BudgetExceeded rather than
 silent wrong answers.  A complete search expands every prefix that
@@ -146,28 +155,35 @@ def _candidate_images(source_gen_order, target, exact_order):
     return np.flatnonzero(source_gen_order % orders == 0)
 
 
-def _search(source, target, bijective, find_all, budget):
-    """Shared backtracking core for enumerate_homs / are_isomorphic /
-    automorphism enumeration; the maps come out in lexicographic order
-    (module docstring).
+def _search(source, target, injective, find_all, budget,
+            involutive=False):
+    """Shared backtracking core for enumerate_homs / injective_homs /
+    are_isomorphic / automorphism enumeration; the maps come out in
+    lexicographic order (module docstring).
 
     A complete search runs over ``search_set(source)`` and, when that
     differs from ``generating_set(source)``, sorts its leaves by their
     images of the greedy generators.  A search for one map runs over the
     greedy set, so that the first map it meets is the least.
 
+    The prunes (module docstring): an injective search drops a row whose
+    forced map has a nontrivial kernel, and an involutive one (source is
+    target) a row with a forced map(map(s_i)) other than s_i; entries
+    still -1 are off the level's tree and pass.  At the last level the
+    involution test is exact, as an endomorphism that fixes every
+    generator is the identity.
+
     A generating set is never empty: a trivial source's is its identity,
     whose only candidate image is the target's identity, and the search
-    forces the one map.  Every bijective search has equal orders, since
-    ``all_bijective_endomaps`` maps G to G and ``are_isomorphic``
-    compares orders first."""
+    forces the one map."""
     greedy = generating_set(source)
-    gens = search_set(source) if find_all else greedy
+    gens = np.asarray(search_set(source) if find_all else greedy,
+                      dtype=np.intp)
     k = len(gens)
     rows = source.table[:, gens]
     root = source.identity
     trees = [spanning_tree(rows[:, :j + 1], root) for j in range(k)]
-    cand = [_candidate_images(source.element_order(s), target, bijective)
+    cand = [_candidate_images(source.element_order(s), target, injective)
             for s in gens]
     # the generator images of the leaves and, to sort them into map order,
     # their images of the greedy generators
@@ -205,12 +221,16 @@ def _search(source, target, bijective, find_all, budget):
         passing = [np.empty(0, dtype=np.intp)]
         for start in range(0, total, step):
             picks = np.arange(start, min(start + step, total))
+            images = level_rows(j, prefixes, picks)
             maps, ok, _ = _force(rows[:, :j + 1], root, trees[j], target,
-                                 level_rows(j, prefixes, picks))
+                                 images)
             passed = ok.all(axis=(1, 2))
-            if bijective:
-                # a homomorphism is injective iff its kernel is trivial
+            if injective:
                 passed &= (maps == target.identity).sum(axis=1) == 1
+            if involutive:
+                twice = np.take_along_axis(maps, images, axis=1)
+                passed &= ((twice == -1)
+                           | (twice == gens[:j + 1])).all(axis=1)
             passing.append(picks[passed])
             if j == k - 1 and k != len(greedy):
                 order_keys.append(maps[passed][:, greedy])
@@ -253,8 +273,16 @@ def enumerate_homs(source, target, budget=None):
     """All homomorphisms source -> target as one map matrix, one row
     each, lexicographic in the full map (module docstring)."""
     budget = DEFAULT_BUDGET if budget is None else budget
-    return _search(source, target, bijective=False, find_all=True,
+    return _search(source, target, injective=False, find_all=True,
                    budget=budget)
+
+
+def injective_homs(source, target):
+    """The injective homomorphisms source -> target, the rows of
+    ``enumerate_homs(source, target)`` with a trivial kernel, in the same
+    order."""
+    return _search(source, target, injective=True, find_all=True,
+                   budget=DEFAULT_BUDGET)
 
 
 def are_isomorphic(G, H):
@@ -274,7 +302,7 @@ def are_isomorphic(G, H):
         return None
     if abelian_invariants(G) != abelian_invariants(H):
         return None
-    maps = _search(G, H, bijective=True, find_all=False,
+    maps = _search(G, H, injective=True, find_all=False,
                    budget=DEFAULT_BUDGET)
     if not len(maps):
         return None
@@ -284,5 +312,13 @@ def are_isomorphic(G, H):
 def all_bijective_endomaps(G):
     """All automorphisms of G as one map matrix, one row each, in
     lexicographic order (module docstring)."""
-    return _search(G, G, bijective=True, find_all=True,
+    return _search(G, G, injective=True, find_all=True,
                    budget=DEFAULT_BUDGET)
+
+
+def involutive_automorphisms(G):
+    """The automorphisms m of G with m(m(x)) = x, the rows of
+    ``all_bijective_endomaps(G)`` that are involutions or the identity, in
+    the same order."""
+    return _search(G, G, injective=True, find_all=True,
+                   budget=DEFAULT_BUDGET, involutive=True)

@@ -20,8 +20,8 @@ from .actions import (ActionPair, compatibility_grid, compatible_pair_orbits,
 from .automorphisms import automorphism_group, normalizer_contains_inn
 from .catalog import catalog_groups_up_to, make_catalog_group
 from .errors import CrossCheckFailed, NormalizerConditionFails
-from .groups import center, commuting_with, generating_set, make_cyclic
-from .homs import all_bijective_endomaps, enumerate_homs, hom_from_images
+from .groups import center, commuting_with, make_cyclic
+from .homs import hom_from_images, injective_homs, involutive_automorphisms
 from .presentations import Presentation, coset_enumerate, table_to_group
 from .tensor import compute_tensor, derivative_subgroup
 
@@ -196,12 +196,10 @@ def check_induced_beta_soundness():
     for gk, G in groups:
         autG = automorphism_group(G)
         for hk, H in groups:
-            alphas = enumerate_homs(H, autG.group)
-            # the injective alphas, those with a trivial kernel, whose
-            # image Inn(G) normalizes; the others are out of scope
-            injective = (alphas == autG.group.identity).sum(axis=1) == 1
-            for alpha in alphas[injective
-                                & normalizer_contains_inn(autG, alphas)]:
+            # the injective alphas whose image Inn(G) normalizes; the
+            # others are out of scope
+            alphas = injective_homs(H, autG.group)
+            for alpha in alphas[normalizer_contains_inn(autG, alphas)]:
                 # induced_beta re-checks its pair with is_compatible
                 try:
                     induced_beta(G, H, alpha)
@@ -237,11 +235,7 @@ def check_z2_criterion_equivalence():
     mismatches = []
     checked = 0
     for key, G in catalog_groups_up_to(16):
-        maps = all_bijective_endomaps(G)
-        # an automorphism is an involution iff it is one on generators
-        gens = generating_set(G)
-        twice = np.take_along_axis(maps, maps[:, gens], axis=1)
-        for m in maps[(twice == gens).all(axis=1)]:
+        for m in involutive_automorphisms(G):
             crit, _ = z2_action_criterion(G, m)
             comp = is_compatible(involution_pair(G, m)).compatible
             if crit != comp:

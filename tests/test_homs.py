@@ -13,7 +13,8 @@ from tensorforge.errors import (BudgetExceeded, GensDoNotGenerate,
 from tensorforge.groups import (FiniteGroup, GroupHom, generating_set,
                                 make_cyclic)
 from tensorforge.homs import (all_bijective_endomaps, are_isomorphic,
-                              enumerate_homs, hom_from_images, search_set)
+                              enumerate_homs, hom_from_images, injective_homs,
+                              involutive_automorphisms, search_set)
 
 
 def brute_force_homs(S, T):
@@ -591,7 +592,9 @@ def test_small_blocks_change_nothing(monkeypatch, block):
     for key in ["symmetric:3", "quaternion:8", "elemab:2:3", "dihedral:5"]:
         G = tf.make_catalog_group(key)
         _same_search(G, G, False, True)
-        _same_search(G, G, True, True)
+        automorphisms = _same_search(G, G, True, True)
+        assert involutive_automorphisms(G).tolist() == _involutions(
+            np.array(automorphisms)).tolist()
         _same_search(G, tf.automorphism_group(
             tf.make_catalog_group("elemab:2:2")).group, False, True)
 
@@ -624,3 +627,56 @@ def test_complete_search_writes_its_maps_once():
         tracemalloc.stop()
     assert maps.shape == (20160, 16) and maps.flags.c_contiguous
     assert peak <= 1.5 * maps.nbytes, peak / maps.nbytes
+
+
+# -- searches that keep only what their callers keep ----------------------
+
+def _involutions(maps):
+    """The rows m of a map matrix with m(m(x)) = x for every x."""
+    twice = np.take_along_axis(maps, maps, axis=1)
+    return maps[(twice == np.arange(maps.shape[1])).all(axis=1)]
+
+
+UP_TO_16 = tf.catalog_groups_up_to(16)
+
+
+def test_involutive_automorphisms_are_the_filtered_automorphisms():
+    # the involution prune drops exactly the automorphisms m with m∘m != id,
+    # and keeps the others in their order; verify check 10 reads them all
+    total = 0
+    for _, G in UP_TO_16:
+        want = _involutions(all_bijective_endomaps(G))
+        _assert_map_matrix(involutive_automorphisms(G), list(want))
+        total += len(want)
+    assert total == 506
+
+
+def test_injective_homs_are_the_filtered_homs():
+    # every (H, Aut(G)) pair of verify check 08: the injective search keeps
+    # the homs whose maps are one-to-one, in their order
+    groups = tf.catalog_groups_up_to(8)
+    total = 0
+    for _, G in groups:
+        A = tf.automorphism_group(G).group
+        for _, H in groups:
+            homs = enumerate_homs(H, A)
+            one_to_one = [len(np.unique(m)) == H.order for m in homs]
+            want = homs[np.array(one_to_one, dtype=bool)]
+            _assert_map_matrix(injective_homs(H, A), list(want))
+            total += len(want)
+    assert total == 792
+
+
+def test_involution_search_memory_is_bounded():
+    # the search of Aut(elemab:2:4) for its involutions keeps the prefixes
+    # the prune lets through and never holds the 20,160 automorphisms
+    G = FiniteGroup(tf.make_catalog_group("elemab:2:4").table,
+                    validate=False)
+    tracemalloc.start()
+    try:
+        maps = involutive_automorphisms(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(maps) == 316
+    assert peak < 2 ** 20, peak

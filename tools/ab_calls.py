@@ -24,8 +24,12 @@ rounds' own ratios ("paired").  The workloads:
 - ``action-sweep``: one pass of the ``action-sweep`` benchmark ops,
   grids with their orbits, Aut(G), hom-pair sweeps and compatibility
   checks on fresh group objects, each result checked;
+- ``check08``: verify check 08, the induced betas of the injective
+  alphas H -> Aut(G) over the catalog pairs up to order 8, per pass;
 - ``check09``: verify check 09, the hom-pair sweeps of heisenberg:2 and
   heisenberg:3 with themselves, per pass;
+- ``check10``: verify check 10, the Z2 criterion on the involutive
+  automorphisms of every catalog group up to order 16, per pass;
 - ``classify-2``: ``hom_pair_tensor_classes`` of heisenberg:2, the
   library call behind ``explore classify-heisenberg 2``, per pass;
 - ``verify``: one ``run_verification()`` pass, the thirteen checks of
@@ -125,11 +129,17 @@ def action_sweep(tf):
     return benchmark_pass(workloads.action_sweep(tf)[0])
 
 
-def check09(tf):
-    def run():
-        if not tf.verify.check_hypercenter_congruence()["passed"]:
-            raise RuntimeError("check 09 failed")
-    return run, 1
+def verify_check(name):
+    """The builder of a workload that runs the verify check ``name`` once
+    per pass, and fails when the check does."""
+    def build(tf):
+        check = getattr(tf.verify, name)
+
+        def run():
+            if not check()["passed"]:
+                raise RuntimeError(f"{name} failed")
+        return run, 1
+    return build
 
 
 def classify2(tf):
@@ -170,7 +180,10 @@ def series(tf):
 
 # workload -> builder of (callable, calls it makes) for one side
 WORKLOADS = {"trivial-6": trivial6, "check06": check06, "large": large,
-             "collapse": collapse, "action-sweep": action_sweep, "check09": check09,
+             "collapse": collapse, "action-sweep": action_sweep,
+             "check08": verify_check("check_induced_beta_soundness"),
+             "check09": verify_check("check_hypercenter_congruence"),
+             "check10": verify_check("check_z2_criterion_equivalence"),
              "classify-2": classify2, "verify": verify, "series": series}
 
 

@@ -22,19 +22,24 @@ class, and checks them against an oracle:
   derivative A' x B';
 - symmetric:4 and heisenberg:3 against their pinned values.
 
-Two more ops follow the squares:
+Three more ops follow the squares:
 
 - elemab:2:4, whose square, of order 65,536, the scan budget refuses:
   the op passes when ``compute_tensor`` raises ``LimitExceeded``, and
   reports its message, which says how far HLT got;
+- ``explore classify-heisenberg 3`` through ``cli.main`` with the cap
+  raised, whose squares the library's cap refuses: it passes when it
+  exits 0 with the three classes of orders 81, 243 and 729 over
+  333,153, 194,400 and 3,888 hom pairs;
 - ``verify``, the thirteen checks of ``tensorforge verify paper`` in
   order, with each check's time and the ``ru_maxrss`` after it: it passes
   when exactly the documented row 02 fails.
 
 Given one tree, it runs each op ``--rounds`` times.  Given two, it
 alternates them per op, the parent first in even rounds and the change
-first in odd ones, and prints each side's best and median with the
-ratio of the medians, change over parent; it writes no verdict.  Each
+first in odd ones, and prints each side's best, median and range
+(min-max) with the ratio of the medians, change over parent; it writes
+no verdict.  Each
 subprocess runs under ``--timeout`` seconds.  ``--json`` writes every
 run's report.
 """
@@ -42,6 +47,8 @@ run's report.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import resource
@@ -69,8 +76,12 @@ PINNED = {"symmetric:4": (48, False, None, 4, 12),
 # the square that the scan budget refuses; by the decomposition its
 # order is 65,536, past table_to_group's 4,096-element cap
 REFUSED = "elemab:2:4"
+CLASSIFY = "explore classify-heisenberg 3"
 VERIFY = "verify"
-OPS = SQUARES + [REFUSED, VERIFY]
+OPS = SQUARES + [REFUSED, CLASSIFY, VERIFY]
+
+# classify-heisenberg 3: (order, hom pairs) of each class of products
+CLASSES = [[81, 333_153], [243, 194_400], [729, 3_888]]
 
 # the checks of verify paper that disagree with the paper by definition
 DOCUMENTED_FAILS = ["Z3xZ3-case2-inversion-alpha"]
@@ -101,6 +112,26 @@ def measure_verify():
             else f"failed {failed}"}
 
 
+def measure_classify():
+    """``tensorforge --json explore classify-heisenberg 3`` in this
+    process, with its exit code and (order, hom pairs) of each class."""
+    from tensorforge import cli
+    out = io.StringIO()
+    start = perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["--json"] + CLASSIFY.split())
+    report = {"op": CLASSIFY, "seconds": perf_counter() - start,
+              "peak_rss_mb": rss_mb(), "exit": code}
+    if code:
+        report["oracle"] = f"exit {code}"
+        return report
+    report["classes"] = [[c["order"], c["n_hom_pairs"]] for c in
+                         json.loads(out.getvalue())["results"]["classes"]]
+    report["oracle"] = ("pass" if report["classes"] == CLASSES
+                        else f"want {CLASSES}")
+    return report
+
+
 def measure(tree, key):
     """One op in this process: the report as a JSON-ready dict."""
     sys.path.insert(0, str(Path(tree) / "src"))
@@ -112,6 +143,8 @@ def measure(tree, key):
     if key == VERIFY:
         return measure_verify()
     tensor.MAX_SYMBOLS = CAP
+    if key == CLASSIFY:
+        return measure_classify()
     stats, steps = [], []
 
     def step(name, call):
@@ -201,6 +234,9 @@ def line(report):
             f"{report['peak_rss_mb']:7.1f} MB  ")
     if "refused" in report:
         return head + f"refused: {report['refused']}"
+    if report["op"] == CLASSIFY:
+        return head + f"classes {report.get('classes')}  " \
+            f"oracle {report['oracle']}"
     if "checks" in report:
         return head + f"oracle {report['oracle']}" + "".join(
             f"\n    {c['name']:34s} {c['seconds']:7.3f} s "
@@ -246,8 +282,8 @@ def main(argv=None):
 
 
 def ratios(key, parent, change):
-    """Each side's best and median time and peak, and change over parent
-    of the medians."""
+    """Each side's best, median and range of time and peak, and change
+    over parent of the medians."""
     cells = []
     for metric, unit in (("seconds", "s"), ("peak_rss_mb", "MB")):
         sides = [[r[metric] for r in runs if metric in r]
@@ -256,8 +292,10 @@ def ratios(key, parent, change):
             return f"{key}: a side has no completed run"
         best = [min(v) for v in sides]
         median = [statistics.median(v) for v in sides]
+        spread = [f"{min(v):.2f}-{max(v):.2f}" for v in sides]
         cells.append(f"{metric} best {best[0]:.2f} / {best[1]:.2f} {unit}, "
                      f"median {median[0]:.2f} / {median[1]:.2f} {unit}, "
+                     f"range {spread[0]} / {spread[1]} {unit}, "
                      f"ratio {median[1] / median[0]:.3f}")
     return f"{key}: " + "; ".join(cells)
 
