@@ -177,8 +177,7 @@ def _search(source, target, injective, find_all, budget,
     whose only candidate image is the target's identity, and the search
     forces the one map."""
     greedy = generating_set(source)
-    gens = np.asarray(search_set(source) if find_all else greedy,
-                      dtype=np.intp)
+    gens = search_set(source) if find_all else greedy
     k = len(gens)
     rows = source.table[:, gens]
     root = source.identity

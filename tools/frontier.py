@@ -27,8 +27,8 @@ Three more ops follow the squares:
 - elemab:2:4, whose square, of order 65,536, the scan budget refuses:
   the op passes when ``compute_tensor`` raises ``LimitExceeded``, and
   reports its message, which says how far HLT got;
-- ``explore classify-heisenberg 3`` through ``cli.main`` with the cap
-  raised, whose squares the library's cap refuses: it passes when it
+- ``explore classify-heisenberg 3`` through ``cli.main``, whose squares
+  the library's cap refuses, with the cap raised: it passes when it
   exits 0 with the three classes of orders 81, 243 and 729 over
   333,153, 194,400 and 3,888 hom pairs;
 - ``verify``, the thirteen checks of ``tensorforge verify paper`` in
@@ -39,9 +39,8 @@ Given one tree, it runs each op ``--rounds`` times.  Given two, it
 alternates them per op, the parent first in even rounds and the change
 first in odd ones, and prints each side's best, median and range
 (min-max) with the ratio of the medians, change over parent; it writes
-no verdict.  Each
-subprocess runs under ``--timeout`` seconds.  ``--json`` writes every
-run's report.
+no verdict.  Each subprocess runs under ``--timeout`` seconds.
+``--json`` writes every run's report.
 """
 
 from __future__ import annotations
