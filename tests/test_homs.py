@@ -637,14 +637,11 @@ def _involutions(maps):
     return maps[(twice == np.arange(maps.shape[1])).all(axis=1)]
 
 
-UP_TO_16 = tf.catalog_groups_up_to(16)
-
-
 def test_involutive_automorphisms_are_the_filtered_automorphisms():
     # the involution prune drops exactly the automorphisms m with m∘m != id,
     # and keeps the others in their order; verify check 10 reads them all
     total = 0
-    for _, G in UP_TO_16:
+    for _, G in tf.catalog_groups_up_to(16):
         want = _involutions(all_bijective_endomaps(G))
         _assert_map_matrix(involutive_automorphisms(G), list(want))
         total += len(want)
