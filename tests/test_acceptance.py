@@ -163,6 +163,13 @@ def test_suite_total_runtime(records, capfd):
     assert total < 300.0
 
 
+def test_free_counterexample():
+    # with phi(x1) = y1 and psi trivial, y2^x1 = y1^-1 y2 y1 is a reduced
+    # word different from y2
+    record = verify.check_free_counterexample()
+    assert record["passed"] and record["computed"] is True
+
+
 def test_round_trip_check_compares_the_enumerators_own_map(monkeypatch):
     # check 13 reads the image of each generator back from the table; with
     # the images of elements 1 and 2 swapped, exactly the groups in which

@@ -7,14 +7,13 @@ import pytest
 
 import tensorforge as tf
 from tensorforge import actions, automorphisms, verify
-from tensorforge.actions import (ActionPair, CompatibilityReport, HomPair,
-                                 Witness, action_from_hom_pair,
+from tensorforge.actions import (ActionPair, CompatibilityReport, Witness,
+                                 action_from_hom_pair,
                                  compatibility_grid, compatible_pair_orbits,
                                  conjugation_maps,
                                  hom_pair_compatibility_sweep, induced_beta,
                                  involution_pair, is_compatible, named_action,
                                  normalizer_conditions, question2_scan,
-                                 verify_free_counterexample,
                                  z2_action_criterion)
 from tensorforge.automorphisms import (automorphism_group,
                                        normalizer_contains_inn)
@@ -131,7 +130,7 @@ def reference_sweep_compatibility(G, H):
     compatible, first = 0, None
     for i, phi in enumerate(phis):
         for j, psi in enumerate(psis):
-            pair = action_from_hom_pair(G, H, HomPair(phi, psi))
+            pair = action_from_hom_pair(G, H, phi, psi)
             A, B = pair.alpha_maps, pair.beta_maps
             if _equation_holds(G, A, B) and _equation_holds(H, B, A):
                 compatible += 1
@@ -834,7 +833,7 @@ def test_sweep_matches_direct_loop_on_small_group():
     direct_compat = 0
     for phi in phis:
         for psi in phis:
-            pair = action_from_hom_pair(D4, D4, HomPair(phi, psi))
+            pair = action_from_hom_pair(D4, D4, phi, psi)
             if is_compatible(pair).compatible:
                 direct_compat += 1
     assert summary["n_pairs"] == len(phis) ** 2
@@ -1224,14 +1223,25 @@ def _relabelled(pair, side, sigma):
     return maps
 
 
-def test_orbits_partition_and_preserve_verdicts():
+def test_orbits_partition_and_preserve_verdicts(monkeypatch):
     # G and H are one object, the case in which a side must be told by its
     # position in the grid and not by identity
     G = tf.make_catalog_group("elemab:2:2")
     grid = compatibility_grid(G, G)
+    walk, walks = actions.pair_orbits, []
+
+    def recorded(*args):
+        walks.append(walk(*args))
+        return walks[-1]
+    monkeypatch.setattr(actions, "pair_orbits", recorded)
     orbits = compatible_pair_orbits(grid)
     assert sum(size for _, _, size in orbits) \
         == int(grid.compatible.sum())
+    # the orbit walk's labels of the whole grid: each compatible pair, as
+    # its flat index, to the flat index of its orbit's least pair
+    pairs, label = walks[0]
+    least = dict(zip(pairs.tolist(), pairs[label].tolist()))
+    n = len(grid.betas)
     aut = automorphism_group(G)
     index = [{aut.elements[m].tobytes(): k for k, m in enumerate(ms)}
              for ms in (grid.alphas, grid.betas)]
@@ -1248,12 +1258,10 @@ def test_orbits_partition_and_preserve_verdicts():
                                                  sigma)))
             assert grid.compatible[image]
             moved += image != (i, j)
-            # the image lies in the representative's orbit: with only the
-            # two pairs marked, the walk finds one orbit of the same size
-            only = np.zeros_like(grid.compatible)
-            only[i, j] = only[image] = True
-            assert compatible_pair_orbits(
-                dataclasses.replace(grid, compatible=only)) == [(i, j, size)]
+            # the image lies in the representative's orbit, which holds
+            # ``size`` pairs of the grid
+            assert least[image[0] * n + image[1]] == i * n + j
+            assert list(least.values()).count(i * n + j) == size
             other = tf.compute_tensor(grid.pair(*image))
             assert (other.order, other.invariants) \
                 == (rep.order, rep.invariants)
@@ -1266,7 +1274,75 @@ def test_orbits_partition_and_preserve_verdicts():
     assert len(set(profiles.values())) <= len(orbits)
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_orbits_refuse_a_grid_that_is_not_relabelling_invariant(swap):
+    # one compatible pair that an automorphism moves, marked alone: its
+    # orbit holds pairs the grid does not mark
+    G = tf.make_catalog_group("elemab:2:2")
+    grid = compatibility_grid(G, G)
+    i, j, size = next(o for o in compatible_pair_orbits(grid) if o[2] > 1)
+    only = np.zeros_like(grid.compatible)
+    only[i, j] = True
+    with pytest.raises(CrossCheckFailed,
+                       match="not closed under relabelling"):
+        compatible_pair_orbits(dataclasses.replace(grid, compatible=only),
+                               swap=swap)
+
+
+def test_pair_orbits_refuses_an_unclosed_set():
+    # the swap of the two coordinates of {0, 1} x {0, 1} moves (0, 1) to
+    # (1, 0), which is not marked
+    marked = np.array([[True, True], [False, True]])
+    assert actions.pair_orbits(marked, [])[1].tolist() == [0, 1, 2]
+    with pytest.raises(CrossCheckFailed, match="not closed"):
+        actions.pair_orbits(marked, [], swap=True)
+    with pytest.raises(CrossCheckFailed, match="not closed"):
+        actions.pair_orbits(marked, [(np.array([1, 0]), np.array([0, 1]))])
+
+
 # -- explorations ---------------------------------------------------------
+
+def reference_question2_records(max_order):
+    """(records, pairs scanned) of question2_scan by the two nested loops
+    over the alphas and the betas that it walked before one mask."""
+    records, pairs_scanned = [], 0
+    keys = tf.catalog.catalog_keys_up_to(max_order)
+    for gk in keys:
+        for hk in keys:
+            grid = compatibility_grid(tf.make_catalog_group(gk),
+                                      tf.make_catalog_group(hk))
+            pairs_scanned += len(grid.alphas) * len(grid.betas)
+            for i in range(len(grid.alphas)):
+                if not grid.normalizer_g[i]:
+                    continue
+                for j in range(len(grid.betas)):
+                    if not grid.normalizer_h[j]:
+                        continue
+                    rec = {"g": gk, "h": hk,
+                           "alpha_index": i, "beta_index": j,
+                           "normalizer_g": True, "normalizer_h": True,
+                           "compatible": bool(grid.compatible[i, j])}
+                    if not rec["compatible"]:
+                        report = is_compatible(grid.pair(i, j))
+                        rec["witness"] = dataclasses.asdict(report.witness)
+                    records.append(rec)
+    return records, pairs_scanned
+
+
+@pytest.mark.parametrize("max_order,n_records,n_pairs",
+                         [(4, 191, 191), (6, 395, 656)])
+def test_question2_records_match_nested_loops(max_order, n_records,
+                                              n_pairs):
+    out = question2_scan(max_order)
+    assert (len(out["records"]), out["pairs_scanned"]) \
+        == (n_records, n_pairs)
+    assert (out["records"], out["pairs_scanned"]) \
+        == reference_question2_records(max_order)
+    assert out["counterexamples"] \
+        == [rec for rec in out["records"] if not rec["compatible"]]
+    assert all(type(rec[k]) is int for rec in out["records"]
+               for k in ("alpha_index", "beta_index"))
+
 
 def test_question2_trivial_scan():
     out = question2_scan(1)
@@ -1285,6 +1361,3 @@ def test_question2_counterexamples_replay():
         assert not rec["compatible"]
         assert rec["witness"]["lhs"] != rec["witness"]["rhs"]
 
-
-def test_free_counterexample():
-    assert verify_free_counterexample() is True

@@ -192,6 +192,24 @@ def test_tensor_from_pair_file(capsys, tmp_path):
     assert json.loads(out)["results"]["order"] == 4
 
 
+def test_tensor_notes_name_the_groups_of_a_pair_file(capsys, tmp_path):
+    # cyclic:2 acting on cyclic:4 by inversion, and cyclic:4 on cyclic:2
+    # trivially: the notes name the groups as the pair file names them,
+    # as they do the --g and --h of the same pair
+    pair = {"g": "cyclic:4", "h": "cyclic:2",
+            "alpha": {"map": [0, 1]}, "beta": {"map": [0, 0, 0, 0]}}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    code, out, _ = run(capsys, "--json", "tensor", "--pair", str(path))
+    assert code == 0
+    notes = json.loads(out)["results"]["notes"]
+    code, out, _ = run(capsys, "--json", "tensor", "--g", "cyclic:4",
+                       "--h", "cyclic:2", "--alpha", "inversion")
+    assert code == 0
+    assert notes == json.loads(out)["results"]["notes"] \
+        == ["isomorphic to cyclic:4"]
+
+
 def test_explore_question2_trivial(capsys):
     code, out, _ = run(capsys, "explore", "question2", "--max-order", "1")
     assert code == 0
@@ -285,6 +303,34 @@ def test_budget_environment_bounds_the_grids(capsys, monkeypatch):
     code, out, err = run(capsys, "explore", "question2", "--max-order", "3")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "exceed budget 1" in err
+
+
+@pytest.mark.parametrize("argv,budget", [
+    (("classify-heisenberg", "2"), None),
+    (("classify-heisenberg", "2", "--budget", "7"), 7),
+])
+def test_classify_passes_its_budget_through(capsys, monkeypatch, argv,
+                                            budget):
+    # without --budget or TENSORFORGE_BUDGET the hom search applies its
+    # own default, not the grid's
+    monkeypatch.delenv("TENSORFORGE_BUDGET", raising=False)
+    seen = []
+
+    def classes(G, budget):
+        seen.append(budget)
+        return {"n_homs": 0, "n_hom_pairs": 0, "classes": []}
+    monkeypatch.setattr(tensorforge.cli, "hom_pair_tensor_classes", classes)
+    code, _, _ = run(capsys, "explore", *argv)
+    assert code == 0 and seen == [budget]
+
+
+def test_question2_without_a_budget_stops_at_the_grid_default(capsys,
+                                                              monkeypatch):
+    # elemab:2:3 squared has 736 x 736 action pairs
+    monkeypatch.delenv("TENSORFORGE_BUDGET", raising=False)
+    code, out, err = run(capsys, "explore", "question2", "--max-order", "8")
+    assert code == 2 and out == ""
+    assert err == "error: 736x736 action pairs exceed budget 200000\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -386,6 +386,22 @@ def test_column_route_matches_table_route(key):
     assert np.array_equal(T.table, G.table)
 
 
+def test_power_map_routes_agree_and_refuse_exponents_below_one():
+    # cyclic:4 through its columns, with no table, and through its table
+    G = tf.make_catalog_group("cyclic:4")
+    rows = G.table[:, generating_set(G)]
+    T = from_columns(rows, spanning_tree(rows))
+    columns = [groups.power_map(T, p).tolist() for p in range(1, 6)]
+    assert T._table is None
+    E = FiniteGroup(T.table, validate=False)
+    assert columns == [groups.power_map(E, p).tolist() for p in range(1, 6)]
+    assert columns[:2] == [[0, 1, 2, 3], [0, 2, 0, 2]]
+    for K in (from_columns(rows, spanning_tree(rows)), E):
+        for p in (0, -1):
+            with pytest.raises(ValueError, match="p >= 1"):
+                groups.power_map(K, p)
+
+
 def test_from_columns_refuses_an_action_that_is_not_regular():
     # S3 on the three cosets of a subgroup of order 2: a 3-cycle and a
     # transposition fixing 0, transitive, but (1 0) b = 2 != 1 = 1 (0 b)

@@ -489,7 +489,7 @@ def reference_hom_pair_tensor_classes(G, budget=None):
         for b, j in enumerate(first.tolist()):
             count = int(sizes[a] * sizes[b])
             rep = compute_tensor(tf.actions.action_from_hom_pair(
-                G, G, tf.actions.HomPair(homs[i], homs[j])))
+                G, G, homs[i], homs[j]))
             for row in rows:
                 if row["order"] == rep.order and \
                         row["abelian"] == rep.tensor.is_abelian and \
