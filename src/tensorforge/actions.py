@@ -166,13 +166,6 @@ class ActionPair:
         return cls(G, H, named_action("trivial", G, H),
                    named_action("trivial", H, G), validate=False)
 
-    @classmethod
-    def from_homs(cls, alpha, beta, autG, autH):
-        """From the maps of homomorphisms into concrete automorphism
-        groups, ``enumerate_homs`` rows."""
-        return cls(autG.base, autH.base, autG.elements[alpha],
-                   autH.elements[beta], validate=False)
-
     def assignments_are_homs(self):
         """Whether both assignments are genuine homomorphisms into the
         automorphism groups (paper-style examples may assign per element)."""
@@ -379,9 +372,13 @@ class ActionGrid:
     normalizer_h: np.ndarray
 
     def pair(self, i, j):
-        autG = automorphism_group(self.G)
-        autH = automorphism_group(self.H)
-        return ActionPair.from_homs(self.alphas[i], self.betas[j], autG, autH)
+        """The action pair of alphas[i] and betas[j], each hom into Aut
+        read as the automorphisms it assigns."""
+        return ActionPair(
+            self.G, self.H,
+            automorphism_group(self.G).elements[self.alphas[i]],
+            automorphism_group(self.H).elements[self.betas[j]],
+            validate=False)
 
 
 def compatibility_grid(G, H, budget=None):
@@ -518,16 +515,24 @@ def question2_scan(max_order, budget=None):
     normalizer inclusions and record whether it is also compatible.
 
     No expected answer is hard-coded; counterexamples (inclusions hold,
-    compatibility fails) are emitted with a full replayed witness."""
+    compatibility fails) are emitted with a full replayed witness.  A grid
+    over the budget stops the scan, and BudgetExceeded names its groups
+    and what was scanned before it."""
     records = []
     counterexamples = []
-    pairs_scanned = 0
+    grids = pairs_scanned = 0
     keys = catalog_keys_up_to(max_order)
     for gk in keys:
         G = make_catalog_group(gk)
         for hk in keys:
             H = make_catalog_group(hk)
-            grid = compatibility_grid(G, H, budget=budget)
+            try:
+                grid = compatibility_grid(G, H, budget=budget)
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(
+                    f"grid {gk} with {hk}: {exc}, after {grids} grids and "
+                    f"{pairs_scanned} pairs scanned") from None
+            grids += 1
             pairs_scanned += len(grid.alphas) * len(grid.betas)
             both = grid.normalizer_g[:, None] & grid.normalizer_h[None, :]
             for i, j in np.argwhere(both).tolist():

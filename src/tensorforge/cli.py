@@ -42,13 +42,18 @@ def default_budget():
     return positive_budget(env, "TENSORFORGE_BUDGET") if env else None
 
 
-def positive_budget(value, source):
-    """``value``, a budget given from outside, as a positive integer;
+def positive_budget(text, source):
+    """``text``, a count given from outside, as a positive integer: what
+    ``int`` reads as at least 1, so "+5", " 5" and "1_000" pass.
     InvalidBudget names ``source`` when it is not one."""
-    if not str(value).isdecimal() or int(value) < 1:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
         raise InvalidBudget(
-            f"{source} must be a positive integer, not {value!r}")
-    return int(value)
+            f"{source} must be a positive integer, not {text!r}")
+    return value
 
 
 def _action_maps(spec, base, actor, side):
@@ -155,7 +160,7 @@ def cmd_explore(args):
         results = question2_scan(max_order, budget=budget)
         status = "pass" if not results["counterexamples"] else "partial"
         return _report("explore question2",
-                       {"max_order": args.max_order}, results, status,
+                       {"max_order": max_order}, results, status,
                        t0), EXIT_OK
     G = make_catalog_group(f"heisenberg:{args.p}")
     results = {"p": args.p, **hom_pair_tensor_classes(G, budget=budget)}
@@ -250,7 +255,7 @@ def build_parser():
     ten.add_argument("--force", action="store_true",
                      help="compute the presented group even if the pair "
                           "is incompatible")
-    ten.add_argument("--max-cosets", type=int, default=None)
+    ten.add_argument("--max-cosets", default=None)
     ten.set_defaults(func=lambda args: cmd_tensor(args))
 
     ver = sub.add_parser("verify", help="run the verification suite")
@@ -260,11 +265,11 @@ def build_parser():
     explore = sub.add_parser("explore", help="open-question evidence")
     explore_sub = explore.add_subparsers(dest="question", required=True)
     q2 = explore_sub.add_parser("question2")
-    q2.add_argument("--max-order", type=int, required=True)
-    q2.add_argument("--budget", type=int, default=None)
+    q2.add_argument("--max-order", required=True)
+    q2.add_argument("--budget", default=None)
     ch = explore_sub.add_parser("classify-heisenberg")
     ch.add_argument("p", type=int)
-    ch.add_argument("--budget", type=int, default=None)
+    ch.add_argument("--budget", default=None)
     explore.set_defaults(func=lambda args: cmd_explore(args))
     return parser
 

@@ -145,7 +145,7 @@ def hom_from_images(source, target, gens, images):
     if not ok.all():
         x, i = divmod(int(np.argmin(ok)), len(gens))
         raise NotAHomomorphism((int(reached[x]), int(gens[i])))
-    return GroupHom(source, target, maps[0], validate=False)
+    return GroupHom(source, target, maps[0])
 
 
 def _candidate_images(source_gen_order, target, exact_order):
@@ -305,7 +305,7 @@ def are_isomorphic(G, H):
                    budget=DEFAULT_BUDGET)
     if not len(maps):
         return None
-    return GroupHom(G, H, maps[0], validate=False)
+    return GroupHom(G, H, maps[0])
 
 
 def all_bijective_endomaps(G):

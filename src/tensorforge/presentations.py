@@ -30,8 +30,12 @@ reduced by reading it back as the relator of a ``Presentation``.
    keeps that tree, relabelled.  The table is then validated against the
    full relator list of the original presentation, each letter read
    through the map; relators whose column words are rotations of each
-   other share one trace.  The expanded table, one column pair per
-   original generator, is built only when ``CosetTable.rows`` is read.
+   other or of each other's inverses share one trace.  No expanded table,
+   one column pair per original generator, is built.
+
+A relator holds at every coset iff any rotation of it or of its inverse
+does.  ``_first_of_classes`` is the one routine that finds these classes,
+for HLT's scan list and for validation alike.
 
 A ``Presentation`` keeps its relators once, in input order, in the
 layout of ``_free_reduce``: one read-only int64 letters x words array
@@ -215,37 +219,19 @@ class EnumerationStats:
 
 @dataclass
 class CosetTable:
-    """A complete coset table over the columns HLT enumerated:
-    ``reduced[c, k]`` is the coset reached from c by column k, and
-    ``letters[l]`` the column that letter column l of the presentation
-    reads (generator k at 2(k-1), its inverse at 2(k-1)+1), or
-    ``reduced.shape[1]`` for the identity, which a killed generator
-    reads.  Without ``letters`` each letter reads its own column.
-    ``coset_enumerate`` attaches the ``stats`` of its run and the
-    ``spanning_tree`` of the reduced rows that it built, else it is built
-    here.  ``rows``, one column per letter, is built when first read."""
+    """A complete coset table over the columns HLT enumerated, as
+    ``coset_enumerate`` builds it: ``reduced[c, k]`` is the coset reached
+    from c by column k, and ``letters[l]`` the column that letter column l
+    of the presentation reads (generator k at 2(k-1), its inverse at
+    2(k-1)+1), or ``reduced.shape[1]`` for the identity, which a killed
+    generator reads.  Columns 2k and 2k+1 are mutually inverse.
+    ``stats`` are the counts of the run and ``tree`` the
+    ``spanning_tree`` of ``reduced``."""
 
     reduced: np.ndarray
-    letters: np.ndarray | None = None
-    stats: EnumerationStats | None = None
-    tree: list | None = field(default=None, repr=False, compare=False)
-    _rows: np.ndarray | None = field(default=None, init=False, repr=False,
-                                     compare=False)
-
-    def __post_init__(self):
-        if self.letters is None:
-            self.letters = np.arange(self.reduced.shape[1])
-        if self.tree is None:
-            self.tree = spanning_tree(self.reduced)
-
-    @property
-    def rows(self):
-        """rows[c][l], the coset reached from c by letter column l."""
-        if self._rows is None:
-            # the identity column, which a killed generator reads, last
-            self._rows = np.column_stack(
-                [self.reduced, np.arange(len(self.reduced))])[:, self.letters]
-        return self._rows
+    letters: np.ndarray
+    stats: EnumerationStats
+    tree: list = field(repr=False, compare=False)
 
     @property
     def ncosets(self):
@@ -365,49 +351,40 @@ def _representatives(ngens, words, lengths):
     """The ascending indices of one relator per class under rotation and
     inversion, the first of its class: a relator holds from every coset
     iff any rotation or the inverse does.  ``words`` and ``lengths`` hold
-    the relators as ``Presentation._words`` and ``_lengths`` do.
-
-    Classes are found per length.  A class is keyed by the least of its
-    2L rotations, each read as an int64 in mixed radix 2*ngens + 1.
-    Lengths whose keys do not fit 64 bits key each class by its least
-    rotation as a tuple.
-    """
+    the relators as ``Presentation._words`` and ``_lengths`` do.  Classes
+    are found per length by ``_first_of_classes``, with letter x read as
+    the digit x + ngens, so that its inverse reads 2*ngens - digit."""
     base = 2 * ngens + 1
+    flip = np.arange(base)[::-1]
     first = np.zeros(len(lengths), dtype=bool)
     for length in np.bincount(lengths).nonzero()[0].tolist():
         idx = (lengths == length).nonzero()[0]
-        if base ** length > 2 ** 63:
-            seen = set()
-            for k, r in zip(idx.tolist(),
-                            map(tuple, words[:length, idx].T.tolist())):
-                variants = {tuple(w[i:] + w[:i])
-                            for w in (r, tuple(-x for x in reversed(r)))
-                            for i in range(len(w))}
-                key = min(variants)
-                if key not in seen:
-                    seen.add(key)
-                    first[k] = True
-        else:
-            digits = words[:length, idx] + ngens
-            least = _least_rotations(np.concatenate(
-                [digits, 2 * ngens - digits[::-1]], axis=1), base)
-            least = np.minimum(least[:len(idx)], least[len(idx):])
-            first[idx[first_occurrences(least)]] = True
+        first[idx[_first_of_classes(words[:length, idx] + ngens, flip,
+                                    base)]] = True
     return first.nonzero()[0]
 
 
-def _least_rotations(digits, base):
-    """For each word of a letters x words array of digits below ``base``,
-    the least of its rotations, each read as an int64 in mixed radix
-    ``base``; base ** len(digits) must not exceed 2 ** 63."""
-    top = base ** (len(digits) - 1)
-    radix = base ** np.arange(len(digits) - 1, -1, -1, dtype=np.int64)
-    key = least = radix @ digits
-    for d in digits[:-1]:
+def _first_of_classes(digits, inverse, base):
+    """The ascending indices of the first word of each class under
+    rotation and inversion, for the words of a letters x words array of
+    digits below ``base``; ``inverse[d]`` is the digit of d's inverse,
+    so a word's inverse is ``inverse[word]`` read right to left.
+
+    A class is keyed by the least rotation of the word and of its
+    inverse, each read as an int64 in mixed radix ``base``.  When the
+    keys do not fit 64 bits, every word is its own class."""
+    length, count = digits.shape
+    if base ** length > 2 ** 63:
+        return np.arange(count)
+    both = np.concatenate([digits, inverse[digits[::-1]]], axis=1)
+    top = base ** (length - 1)
+    radix = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    key = least = radix @ both
+    for d in both[:-1]:
         # rotate the leading letter to the end
         key = (key - d * top) * base + d
         np.minimum(least, key, out=least)
-    return least
+    return first_occurrences(np.minimum(least[:count], least[count:]))
 
 
 def _free_reduce(words):
@@ -535,13 +512,14 @@ def coset_enumerate(presentation, max_cosets=None):
     with each letter of the presentation mapped to the column it reads.
 
     Standardizing the reduced rows numbers the cosets as standardizing
-    the expanded ``rows`` would.  A class's survivor is its least
-    generator, so in the expanded column order the survivors' columns
-    first occur in their own order, each at its survivor's column pair;
-    every other expanded column repeats an earlier one or is the
-    identity, and reaches from each coset nothing that an earlier column
-    did not.  Breadth-first order over the survivors' columns therefore
-    reaches every coset from the same parent at the same step.
+    the expanded table, one column per letter, would.  A class's survivor
+    is its least generator, so in the expanded column order the
+    survivors' columns first occur in their own order, each at its
+    survivor's column pair; every other expanded column repeats an
+    earlier one or is the identity, and reaches from each coset nothing
+    that an earlier column did not.  Breadth-first order over the
+    survivors' columns therefore reaches every coset from the same parent
+    at the same step.
 
     Completes iff the presented group is finite and fits in the limits;
     the number of live cosets is then the group order.  The limits,
@@ -716,24 +694,25 @@ def _enumerate_rows(ngens, words, lengths, max_cosets, max_steps):
 
 
 def _validate_complete(table, presentation):
-    """Every letter's column must be a permutation and every relator must
-    trace to the identity permutation -- no wrong-order completions.  The
-    first relator in input order that does not is named.
+    """Every letter's column must be a permutation, undone by the column
+    of the letter's inverse, and every relator must trace to the identity
+    permutation -- no wrong-order completions.  The first relator in input
+    order that does not is named.
 
     Each letter is read through ``table.letters`` as its column of the
-    reduced rows or the identity, which is the column of ``table.rows``
-    that it reads: this checks the statement on the expanded table,
-    while tracing only the reduced rows.
+    reduced rows or the identity: this checks the statement on the
+    expanded table, one column per letter, while tracing only the reduced
+    rows.
 
-    Relators whose words in equal columns are rotations of each other
-    share one trace, as a rotation's product is a conjugate of the
-    word's.  Each column is read as the first column with the same entry
-    at coset 0 when one full comparison finds the two equal, else as
-    itself.  Each relator's word in these columns, padded with the
-    identity column, is keyed by its least rotation read as an int64 in
-    mixed radix ncols + 1 (where the keys fit 64 bits; otherwise every
-    relator is traced), and the first word of each key is traced, in
-    input order, so the first failing relator is named."""
+    A relator traces to the identity iff every rotation of it and of its
+    inverse does, so each class of ``_first_of_classes`` shares one trace.
+    Each column is read as the first column with the same entry at coset
+    0 when one full comparison finds the two equal, else as itself; the
+    inverse of column c is column c ^ 1, read so, and the identity column
+    is its own.  Each relator's word in these columns is padded with the
+    identity column, and the first word of each class is traced, in input
+    order: a class fails as a whole, so the first failing relator is
+    named."""
     rows, letters = table.reduced, table.letters
     n, ncols = rows.shape
     want = np.arange(n)
@@ -741,6 +720,13 @@ def _validate_complete(table, presentation):
     bad = np.flatnonzero(np.append(bad, False)[letters])
     if len(bad):
         raise TableIncomplete(f"column {bad[0]} is not a permutation")
+    flip = np.arange(ncols) ^ 1
+    bad = (np.take_along_axis(rows[:, flip], rows, axis=0)
+           != want[:, None]).any(axis=0)
+    bad = np.flatnonzero(np.append(bad, False)[letters])
+    if len(bad):
+        raise TableIncomplete(f"column {bad[0]} is not undone by column "
+                              f"{bad[0] ^ 1}")
     # trace every relator from every coset over offsets into the flat rows
     # and one identity column, which the 0s below each word read
     width = ncols + 1
@@ -760,10 +746,7 @@ def _validate_complete(table, presentation):
     words, lengths = presentation._words, presentation._lengths
     cols = canon[np.append(letters, ncols)[
         np.where(words == 0, -1, _columns(words))]]
-    if width ** len(cols) <= 2 ** 63:
-        distinct = first_occurrences(_least_rotations(cols, width))
-    else:
-        distinct = np.arange(len(lengths))
+    distinct = _first_of_classes(cols, np.append(canon[flip], ncols), width)
     cb = min(n, BLOCK_ENTRIES)
     rb = max(1, BLOCK_ENTRIES // cb)
     for r0 in range(0, len(distinct), rb):
@@ -789,8 +772,8 @@ def table_to_group(table):
     Element i is live coset i.  The group is built from the reduced rows
     and the table's spanning tree by ``groups.from_columns``, as
     ``automorphisms.automorphism_group`` builds Aut(G), and gathers its
-    multiplication table only when it is read; the expanded ``rows`` are
-    not read.  ``groups.check_regular`` checks that the action on cosets
+    multiplication table only when it is read; no expanded table is
+    built.  ``groups.check_regular`` checks that the action on cosets
     is regular, in place of trusting the enumeration.  A generator's
     image is coset 0 times the column its letter reads.  Above
     MAX_CATALOG_ORDER cosets, LimitExceeded is raised before anything is

@@ -130,7 +130,7 @@ def compute_tensor(pair, force=False, max_cosets=None):
                 "actions")
         kappa, kernel = None, None
     else:
-        kappa = GroupHom(tensor, G, kappa_map, validate=False)
+        kappa = GroupHom(tensor, G, kappa_map)
         if tuple(np.bincount(kappa.map).nonzero()[0].tolist()) \
                 != derivative.members:
             raise CrossCheckFailed("the image of kappa is not [G, H]")
@@ -157,7 +157,7 @@ def _force_images(table, G, images):
     every coset and column.  One lookup per letter then checks that its
     image equals its column's, and is the identity where it reads the
     identity column.  Together these are the check over every letter's
-    column of ``table.rows``: x * l = x * c for the column c that l
+    column of the expanded table: x * l = x * c for the column c that l
     reads, so map(x * l) = map(x) image(l) at every x iff image(l) =
     image(c), or the identity for a killed symbol.  Both checks pass for
     the same maps, and force them along the same tree."""

@@ -24,7 +24,7 @@ from tensorforge.errors import (AlphaNotInjective, BudgetExceeded,
 from tensorforge.groups import (GroupHom, center, coset_labels,
                                 generating_set, make_cyclic, row_keys,
                                 second_hypercenter, subgroup_generated)
-from test_groups import reference_conj
+from test_groups import checked_hom, reference_conj
 
 
 # -- reference implementations --------------------------------------------
@@ -512,7 +512,7 @@ def test_induced_beta_on_cyclic():
     Z2 = make_cyclic(2)
     aut = automorphism_group(Z4)
     inv_idx = _aut_index(aut, Z4.inverse)
-    alpha = GroupHom(Z2, aut.group, [aut.group.identity, inv_idx])
+    alpha = checked_hom(Z2, aut.group, [aut.group.identity, inv_idx])
     pair = induced_beta(Z4, Z2, alpha.map)
     assert is_compatible(pair).compatible
     # abelian G: the induced beta is trivial
@@ -566,8 +566,8 @@ def test_induced_beta_matches_reference_construction():
 def test_induced_beta_raises_typed_error_when_recheck_fails(monkeypatch):
     Z4 = make_cyclic(4)
     aut = automorphism_group(Z4)
-    alpha = GroupHom(make_cyclic(2), aut.group,
-                     [aut.group.identity, _aut_index(aut, Z4.inverse)])
+    alpha = checked_hom(make_cyclic(2), aut.group,
+                        [aut.group.identity, _aut_index(aut, Z4.inverse)])
     monkeypatch.setattr(actions, "is_compatible", lambda pair:
                         CompatibilityReport(False, Witness("first")))
     with pytest.raises(CrossCheckFailed, match="exhaustive check"):
@@ -581,8 +581,7 @@ def test_induced_beta_refuses_an_alpha_that_is_no_homomorphism():
     Z3 = make_cyclic(3)
     aut = automorphism_group(Z3)
     e = aut.group.identity
-    alpha = GroupHom(Z3, aut.group, [e, _aut_index(aut, Z3.inverse), e],
-                     validate=False)
+    alpha = GroupHom(Z3, aut.group, [e, _aut_index(aut, Z3.inverse), e])
     with pytest.raises(InvalidAction) as exc:
         induced_beta(Z3, Z3, alpha.map)
     assert str(exc.value) == "alpha: assignment is not a homomorphism"
@@ -605,8 +604,8 @@ def test_induced_beta_validates_the_induced_rows(monkeypatch):
     # on their own before the pair is assembled
     Z4 = make_cyclic(4)
     aut = automorphism_group(Z4)
-    alpha = GroupHom(make_cyclic(2), aut.group,
-                     [aut.group.identity, _aut_index(aut, Z4.inverse)])
+    alpha = checked_hom(make_cyclic(2), aut.group,
+                        [aut.group.identity, _aut_index(aut, Z4.inverse)])
     pre = np.tile(np.arange(2), (4, 1))
     pre[1] = [0, 0]                 # not an automorphism of Z2
     monkeypatch.setattr(actions, "_conjugate_preimages", lambda G, A: pre)
@@ -693,8 +692,8 @@ def test_validate_action_names_the_first_failing_row(monkeypatch, block):
 def test_induced_beta_rejects_non_injective():
     Z4 = make_cyclic(4)
     aut = automorphism_group(Z4)
-    alpha = GroupHom(make_cyclic(2), aut.group,
-                     [aut.group.identity, aut.group.identity])
+    alpha = checked_hom(make_cyclic(2), aut.group,
+                        [aut.group.identity, aut.group.identity])
     with pytest.raises(AlphaNotInjective):
         induced_beta(Z4, make_cyclic(2), alpha.map)
 
@@ -704,8 +703,8 @@ def test_induced_beta_rejects_normalizer_failure():
     aut = automorphism_group(S3)
     transposition = next(g for g in range(6) if S3.element_order(g) == 2)
     member = int(aut.inner_of[transposition])
-    alpha = GroupHom(make_cyclic(2), aut.group,
-                     [aut.group.identity, member])
+    alpha = checked_hom(make_cyclic(2), aut.group,
+                        [aut.group.identity, member])
     with pytest.raises(NormalizerConditionFails):
         induced_beta(S3, make_cyclic(2), alpha.map)
 

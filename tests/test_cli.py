@@ -330,7 +330,9 @@ def test_question2_without_a_budget_stops_at_the_grid_default(capsys,
     monkeypatch.delenv("TENSORFORGE_BUDGET", raising=False)
     code, out, err = run(capsys, "explore", "question2", "--max-order", "8")
     assert code == 2 and out == ""
-    assert err == "error: 736x736 action pairs exceed budget 200000\n"
+    assert err == ("error: grid elemab:2:3 with elemab:2:3: 736x736 action "
+                   "pairs exceed budget 200000, after 165 grids and 111383 "
+                   "pairs scanned\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -343,6 +345,39 @@ def test_bad_budget_option_exits_two(capsys, argv):
     assert code == 2 and out == ""
     assert err.count("\n") == 1
     assert "--budget must be a positive integer" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("explore", "question2", "--max-order", "abc"), "--max-order"),
+    (("explore", "question2", "--max-order", "2", "--budget", "1.5"),
+     "--budget"),
+    (("tensor", "--g", "cyclic:2", "--h", "cyclic:2", "--max-cosets", "x"),
+     "--max-cosets"),
+])
+def test_a_count_that_is_no_integer_gives_one_error_line(capsys, argv,
+                                                         option):
+    # counts are parsed by one rule, not by argparse, whose refusal is a
+    # usage line and an error line
+    code, out, err = run(capsys, *argv)
+    _one_error_line(code, out, err,
+                    f"{option} must be a positive integer, not '{argv[-1]}'")
+
+
+@pytest.mark.parametrize("value", ["+1", "+5", "1_000", " 2 "])
+def test_budget_environment_reads_as_the_option(capsys, monkeypatch, value):
+    # the variable takes every spelling that --budget takes: both bound
+    # the grids alike (cyclic:2 with cyclic:3 has 1 x 2 action pairs)
+    monkeypatch.delenv("TENSORFORGE_BUDGET", raising=False)
+    argv = ("--json", "explore", "question2", "--max-order", "3")
+    code, out, err = run(capsys, *argv, "--budget", value)
+    monkeypatch.setenv("TENSORFORGE_BUDGET", value)
+    got = run(capsys, *argv)
+    assert (code, err) == got[:1] + got[2:]
+    if code == 0:
+        assert json.loads(out)["results"] == json.loads(got[1])["results"]
+    else:
+        assert code == 2 and err.endswith("exceed budget 1, after 5 grids "
+                                          "and 5 pairs scanned\n")
 
 
 def _group_file(tmp_path, data):
@@ -522,7 +557,7 @@ def test_non_positive_max_cosets_exits_two(capsys, value):
     code, out, err = run(capsys, "tensor", "--g", "cyclic:2", "--h",
                          "cyclic:2", "--max-cosets", value)
     _one_error_line(code, out, err,
-                    f"--max-cosets must be a positive integer, not {value}")
+                    f"--max-cosets must be a positive integer, not '{value}'")
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -530,7 +565,7 @@ def test_non_positive_max_order_exits_two(capsys, value):
     code, out, err = run(capsys, "explore", "question2", "--max-order",
                          value)
     _one_error_line(code, out, err,
-                    f"--max-order must be a positive integer, not {value}")
+                    f"--max-order must be a positive integer, not '{value}'")
 
 
 def test_question2_huge_max_order_exits_two_in_bounded_memory():
@@ -615,7 +650,8 @@ def _key_faults(key):
 
 
 def _is_positive_int(text):
-    """What argparse's int() and the positive check accept."""
+    """The one rule of every count given from outside: what int() reads
+    as at least 1."""
     try:
         return int(text) >= 1
     except ValueError:
@@ -656,8 +692,7 @@ def cli_calls(draw):
         value = draw(OPTION_VALUES)
         argv.append(f"--budget={value}")
         culprits += [] if _is_positive_int(value) else [("--budget",)]
-    elif command == "question2" and env and not (
-            env.isdecimal() and int(env) >= 1):
+    elif command == "question2" and env and not _is_positive_int(env):
         # read only when --budget is not given; set empty, it is unset
         culprits.append(("TENSORFORGE_BUDGET",))
     return argv, env, culprits

@@ -76,18 +76,18 @@ def test_import_lint_sees_functions_and_methods():
     assert sorted(set(_function_imports(ast.parse(source)))) == [3, 6]
 
 
-def _reads(node):
-    """Names read as a variable or an attribute anywhere in ``node``."""
+def _reads(node, kinds=(ast.Name, ast.Attribute)):
+    """Names read as a variable or an attribute anywhere in ``node``, of
+    the node ``kinds`` given."""
     return {inner.id if isinstance(inner, ast.Name) else inner.attr
             for inner in ast.walk(node)
-            if isinstance(inner, (ast.Name, ast.Attribute))
-            and isinstance(inner.ctx, ast.Load)}
+            if isinstance(inner, kinds) and isinstance(inner.ctx, ast.Load)}
 
 
-def _referenced_names(tree):
-    """Names read as a variable or an attribute anywhere in a module,
-    except inside the top-level function or class of that same name, and
-    inside the method of that same name."""
+def _referenced_names(tree, kinds=(ast.Name, ast.Attribute)):
+    """Names read as a variable or an attribute anywhere in a module, of
+    the node ``kinds`` given, except inside the top-level function or
+    class of that same name, and inside the method of that same name."""
     names = set()
     for stmt in tree.body:
         parts = [stmt]
@@ -95,30 +95,41 @@ def _referenced_names(tree):
             parts = stmt.bases + stmt.keywords + stmt.decorator_list \
                 + stmt.body
         for part in parts:
-            names |= _reads(part) - {getattr(stmt, "name", None),
-                                     getattr(part, "name", None)}
+            names |= _reads(part, kinds) - {getattr(stmt, "name", None),
+                                            getattr(part, "name", None)}
     return names
+
+
+def _methods(tree, wanted):
+    """Names of the methods and properties of a module's classes for
+    which ``wanted(name)`` holds."""
+    return {part.name for stmt in tree.body if isinstance(stmt, ast.ClassDef)
+            for part in stmt.body
+            if isinstance(part, ast.FunctionDef) and wanted(part.name)}
+
+
+def _top_level(tree, wanted):
+    """Names of a module's top-level functions and classes for which
+    ``wanted(name)`` holds."""
+    return {stmt.name for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and wanted(stmt.name)}
 
 
 def _definitions(tree, wanted):
     """Names of a module's top-level functions and classes, and of the
     methods of its classes, for which ``wanted(name)`` holds."""
-    names = set()
-    for stmt in tree.body:
-        if isinstance(stmt, ast.ClassDef):
-            names |= {part.name for part in stmt.body
-                      if isinstance(part, ast.FunctionDef)
-                      and wanted(part.name)}
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
-                and wanted(stmt.name):
-            names.add(stmt.name)
-    return names
+    return _top_level(tree, wanted) | _methods(tree, wanted)
+
+
+def _is_public(name):
+    return not name.startswith("_")
 
 
 def _public_definitions(tree):
     """Names of a module's public top-level functions and classes, and of
     the public methods of its classes."""
-    return _definitions(tree, lambda name: not name.startswith("_"))
+    return _definitions(tree, _is_public)
 
 
 def _private_definitions(tree):
@@ -128,24 +139,50 @@ def _private_definitions(tree):
                         and not name.endswith("__"))
 
 
+def _uncalled_public(defined, callers, exported=()):
+    """The public names of the trees ``defined``, and the ``exported``
+    names, that no tree of ``callers`` reads outside their own body.  A
+    function or class counts as read by any read of its name, a method
+    or property only by an attribute read, ``obj.name``; names are
+    matched alone."""
+    used = set().union(*map(_referenced_names, callers))
+    read = set().union(*(_referenced_names(tree, ast.Attribute)
+                         for tree in callers))
+    top = set(exported).union(*(_top_level(tree, _is_public)
+                                for tree in defined))
+    methods = set().union(*(_methods(tree, _is_public) for tree in defined))
+    return (top - used) | (methods - read)
+
+
 def test_every_public_name_has_a_caller():
     # a public name, exported, defined at the top of a library module or
-    # a public method of one of its classes, is called or read from the
+    # a public method or property of one of its classes, is read from the
     # library or from perfbench, not only from its own body, from
     # __init__.py or from the tests.  A method is matched by its name
     # alone, so a method named like another attribute that is read is not
     # seen.
     callers = [p for p in SOURCES if p.name != "__init__.py"]
     callers += sorted((ROOT / "perfbench").glob("*.py"))
-    used = set()
-    for path in callers:
-        used |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
-    public = {name for name in tensorforge.__all__
-              if not isinstance(getattr(tensorforge, name), types.ModuleType)}
-    for path in SOURCES:
-        public |= _public_definitions(
-            ast.parse(path.read_text(encoding="utf-8")))
-    assert public - used == UNCALLED_BACKLOG
+    exported = {name for name in tensorforge.__all__
+                if not isinstance(getattr(tensorforge, name),
+                                  types.ModuleType)}
+    assert _uncalled_public(
+        [ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES],
+        [ast.parse(p.read_text(encoding="utf-8")) for p in callers],
+        exported) == UNCALLED_BACKLOG
+
+
+def test_caller_check_reads_methods_only_as_attributes():
+    # a local variable named like a method or a property is no read of it
+    source = ("class K:\n    @property\n    def rows(self):\n"
+              "        return 0\n    def size(self):\n        return 0\n"
+              "    def used(self):\n        return 0\n"
+              "def f(k):\n    rows = size = k.used()\n"
+              "    return rows, size, g\n"
+              "def g():\n    return K, f\n")
+    tree = ast.parse(source)
+    assert _uncalled_public([tree], [tree]) == {"rows", "size"}
+    assert _uncalled_public([tree], [tree], ["h"]) == {"rows", "size", "h"}
 
 
 def test_public_definitions_skip_private_and_nested_names():
@@ -229,16 +266,21 @@ def _calls(tree):
     """(callee, positional count, keywords) for each call in a module, the
     callee named by its last name; a starred argument passes every
     position and a ``**`` argument every keyword, as None."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else \
-            func.attr if isinstance(func, ast.Attribute) else None
+    for name, node in _named_calls(tree):
         positions = len(node.args)
         if any(isinstance(a, ast.Starred) for a in node.args):
             positions = float("inf")
         yield name, positions, {k.arg for k in node.keywords}
+
+
+def _named_calls(tree):
+    """(callee, node) for each call in a module, the callee named by its
+    last name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None, node
 
 
 def _uncalled_parameters(defined, callers):
@@ -257,6 +299,41 @@ def _uncalled_parameters(defined, callers):
                        for positions, keywords in calls.get(name, ()))}
 
 
+def _passed(call, param, pos):
+    """The value node that ``call`` passes for ``param`` at position
+    ``pos``, None when it leaves the default, or the call itself when a
+    starred or ``**`` argument may pass it."""
+    for keyword in call.keywords:
+        if keyword.arg == param:
+            return keyword.value
+    if any(k.arg is None for k in call.keywords) or (
+            pos is not None and any(isinstance(a, ast.Starred)
+                                    for a in call.args[:pos + 1])):
+        return call
+    return call.args[pos] if pos is not None and len(call.args) > pos \
+        else None
+
+
+def _constant_parameters(defined, callers):
+    """The 'callee(parameter)' of each defaulted parameter in the trees
+    ``defined`` that every call in the trees ``callers``, one at least,
+    passes as one and the same constant literal: its default is never
+    used, and it is no option.  Callees are matched by name alone."""
+    calls = {}
+    for tree in callers:
+        for name, node in _named_calls(tree):
+            calls.setdefault(name, []).append(node)
+    constant = set()
+    for tree in defined:
+        for name, param, pos in _defaulted_parameters(tree):
+            values = [_passed(call, param, pos)
+                      for call in calls.get(name, ())]
+            if values and all(isinstance(v, ast.Constant) for v in values) \
+                    and len({repr(v.value) for v in values}) == 1:
+                constant.add(f"{name}({param})")
+    return constant
+
+
 def test_every_defaulted_parameter_is_passed():
     # an option that only the tests pass doubles what the tests must
     # cover: every parameter with a default of a public function, method
@@ -265,6 +342,27 @@ def test_every_defaulted_parameter_is_passed():
     callers = trees + [ast.parse(p.read_text(encoding="utf-8")) for p in
                        sorted((ROOT / "perfbench").glob("*.py"))]
     assert _uncalled_parameters(trees, callers) == UNPASSED_BACKLOG
+
+
+def test_no_defaulted_parameter_is_always_one_constant():
+    # a parameter that every call passes as the same literal is a switch
+    # with one setting: its other branch is reached only by the tests
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES]
+    callers = trees + [ast.parse(p.read_text(encoding="utf-8")) for p in
+                       sorted((ROOT / "perfbench").glob("*.py"))]
+    assert _constant_parameters(trees, callers) == set()
+
+
+def test_constant_parameter_lint_sees_every_call():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+              "class K:\n    def __init__(self, v=0, w=0):\n        pass\n"
+              "    def m(self, y=0, z=0):\n        pass\n"
+              "f(0, False, d=1, e=0)\nf(0, False, 5, d=1, e=False)\n"
+              "K(1, w=x)\nK(2)\nk.m(None, z=2)\nk.m(*args, z=2)\n"
+              "k.m(None, **options)\n")
+    tree = ast.parse(source)
+    assert _constant_parameters([tree], [tree]) == {"f(b)", "f(d)"}
+    assert _constant_parameters([tree], []) == set()
 
 
 def test_parameter_lint_sees_positions_keywords_and_constructors():

@@ -19,6 +19,18 @@ from tensorforge.tensor import tensor_presentation
 from test_groups import reference_conj
 
 
+def expanded_rows(table):
+    """rows[c][l], the coset reached from c by letter column l."""
+    return np.column_stack([table.reduced, np.arange(table.ncosets)])[
+        :, table.letters]
+
+
+def hand_table(rows):
+    """A hand-made complete table in which each letter reads its column."""
+    return presentations.CosetTable(rows, np.arange(rows.shape[1]), None,
+                                    presentations.spanning_tree(rows))
+
+
 # -- words ------------------------------------------------------------------
 
 def reduce_word(word):
@@ -145,18 +157,19 @@ def test_enumeration_is_deterministic():
     p = Presentation(2, ((1, 1), (2, 2, 2), (1, 2, 1, 2)))
     t1 = coset_enumerate(p)
     t2 = coset_enumerate(p)
-    assert np.array_equal(t1.rows, t2.rows)
+    assert np.array_equal(expanded_rows(t1), expanded_rows(t2))
 
 
 def test_relators_trace_to_identity_from_every_coset():
     p = Presentation(2, ((1, 1, 1, 1), (2, 2), (1, 2, 1, 2)))  # D4
     table = coset_enumerate(p)
     assert table.ncosets == 8
+    rows = expanded_rows(table)
     for r in p.relators:
         for c in range(table.ncosets):
             d = c
             for letter in r:
-                d = int(table.rows[d, _col(letter)])
+                d = int(rows[d, _col(letter)])
             assert d == c
 
 
@@ -171,7 +184,7 @@ def test_validation_names_first_failing_relator(monkeypatch, block):
     c = np.arange(12)
     rows = np.stack([(c + 1) % 12, (c - 1) % 12, (c + 4) % 12, (c - 4) % 12],
                     axis=1)
-    table = presentations.CosetTable(rows)
+    table = hand_table(rows)
     with pytest.raises(presentations.TableIncomplete,
                        match=r"relator \(1, 1, 1, 1, 1, 1\) does not"):
         presentations._validate_complete(table, p)
@@ -189,7 +202,7 @@ def test_validation_names_first_failing_relator_of_equal_columns(
                          (2,) * 6, (-1,) * 5))
     c = np.arange(12)
     rows = np.stack([(c + 1) % 12, (c - 1) % 12] * 2, axis=1)
-    table = presentations.CosetTable(rows)
+    table = hand_table(rows)
     with pytest.raises(presentations.TableIncomplete,
                        match=r"relator \(-2, -2, -2, -2, -2\) does not"):
         presentations._validate_complete(table, p)
@@ -209,7 +222,7 @@ def test_validation_keeps_columns_apart_that_agree_only_at_coset_0(
     b_inv = np.argsort(b)
     rows = np.stack([(c + 1) % 12, (c - 1) % 12, b, b_inv], axis=1)
     assert rows[0, 2] == rows[0, 0] and rows[0, 3] == rows[0, 1]
-    table = presentations.CosetTable(rows)
+    table = hand_table(rows)
     with pytest.raises(presentations.TableIncomplete,
                        match=r"relator \(2(, 2){11}\) does not"):
         presentations._validate_complete(table, p)
@@ -222,18 +235,53 @@ def test_validation_names_first_failing_relator_of_a_rotation_class(
     # swapped: a^12 and b^11 hold, the commutator b a b^-1 a^-1 and a^6
     # do not.  The commutator's later rotation a b^-1 a^-1 b shares its
     # trace and is its class's least rotation, and a^6 has a smaller key;
-    # the first failing relator in input order is named with its letters
+    # the first failing relator in input order is named with its letters.
+    # Given first as its inverse a b a^-1 b^-1, the inverse is named, and
+    # the commutator itself, later, shares its trace
     monkeypatch.setattr(presentations, "BLOCK_ENTRIES", block)
-    p = Presentation(2, ((1,) * 12, (2,) * 11, (2, 1, -2, -1), (1,) * 6,
-                         (1, -2, -1, 2)))
     c = np.arange(12)
     b = (c + 1) % 12
     b[[5, 6]] = b[[6, 5]]
     rows = np.stack([(c + 1) % 12, (c - 1) % 12, b, np.argsort(b)], axis=1)
-    table = presentations.CosetTable(rows)
+    table = hand_table(rows)
+    for first in ((2, 1, -2, -1), (1, 2, -1, -2)):
+        p = Presentation(2, ((1,) * 12, (2,) * 11, first, (1,) * 6,
+                             (2, 1, -2, -1), (1, -2, -1, 2)))
+        with pytest.raises(presentations.TableIncomplete,
+                           match=rf"relator {re.escape(str(first))} does"):
+            presentations._validate_complete(table, p)
+
+
+@pytest.mark.parametrize("block", [presentations.BLOCK_ENTRIES, 7])
+def test_validation_keeps_a_reversal_apart_from_the_inverse(monkeypatch,
+                                                            block):
+    # in S3, a a transposition, b a 3-cycle and c = (a b)^-1: a b c and
+    # its inverse c^-1 b^-1 a^-1 hold, the reversal c b a = [b, a] does
+    # not.  A word shares its trace with its inverse, not its reversal:
+    # read as its own inverse, b would put c b a in the class of a b c
+    monkeypatch.setattr(presentations, "BLOCK_ENTRIES", block)
+    G = tf.make_catalog_group("symmetric:3")
+    a = next(g for g in range(6) if G.element_order(g) == 2)
+    b = next(g for g in range(6) if G.element_order(g) == 3)
+    c = G.inv(G.mul(a, b))
+    gens = [a, G.inv(a), b, G.inv(b), c, G.inv(c)]
+    table = hand_table(G.table[:, gens])
+    presentations._validate_complete(
+        table, Presentation(3, ((1, 2, 3), (-3, -2, -1), (2, 3, 1))))
+    p = Presentation(3, ((1, 2, 3), (-3, -2, -1), (3, 2, 1)))
     with pytest.raises(presentations.TableIncomplete,
-                       match=r"relator \(2, 1, -2, -1\) does not"):
+                       match=r"relator \(3, 2, 1\) does not"):
         presentations._validate_complete(table, p)
+
+
+def test_validation_refuses_an_inverse_column_that_does_not_undo():
+    # both columns of a on Z12 are +1: each is a permutation and a^12
+    # holds, but a^-1 does not undo a, so words are no group elements
+    c = np.arange(12)
+    table = hand_table(np.stack([(c + 1) % 12] * 2, axis=1))
+    with pytest.raises(presentations.TableIncomplete,
+                       match="column 0 is not undone by column 1"):
+        presentations._validate_complete(table, Presentation(1, ((1,) * 12,)))
 
 
 @pytest.mark.parametrize("block", [presentations.BLOCK_ENTRIES, 7])
@@ -244,7 +292,7 @@ def test_validation_keeps_rotation_classes_of_equal_letters_apart(
     monkeypatch.setattr(presentations, "BLOCK_ENTRIES", block)
     p = Presentation(2, ((1, 1, 2, 2), (1, 2, 1, 2)))
     rows = tf.make_catalog_group("symmetric:3").table[:, [1, 1, 2, 2]]
-    table = presentations.CosetTable(rows)
+    table = hand_table(rows)
     with pytest.raises(presentations.TableIncomplete,
                        match=r"relator \(1, 2, 1, 2\) does not"):
         presentations._validate_complete(table, p)
@@ -255,7 +303,8 @@ def test_generator_columns_are_permutations():
     table = coset_enumerate(p)
     n = table.ncosets
     for col in range(2 * p.ngens):
-        assert sorted(table.rows[:, col].tolist()) == list(range(n))
+        assert sorted(expanded_rows(table)[:, col].tolist()) \
+            == list(range(n))
 
 
 @pytest.mark.parametrize("key", ["cyclic:6", "symmetric:3", "dihedral:4",
@@ -505,7 +554,7 @@ def _same_outcome(presentation, **limits):
     completes, it has the reference's cosets on the eliminated
     presentation and, if the reference completes on the full one too, its
     rows standardized."""
-    got = _outcome(lambda p, **kw: _enumerate(p, **kw).rows,
+    got = _outcome(lambda p, **kw: expanded_rows(_enumerate(p, **kw)),
                    presentation, **limits)
     want = _outcome(
         lambda p, **kw: presentations._standardize(reference_enumerate(
@@ -736,11 +785,12 @@ def test_eliminate_does_not_depend_on_relator_order(key):
                                  "cyclic:6"])
 def test_table_does_not_depend_on_the_strategy(key):
     p = _square_presentation(key)
-    rows = coset_enumerate(p).rows
+    rows = expanded_rows(coset_enumerate(p))
     # the relators permuted
     perm = np.random.default_rng(1).permutation(len(p.relators)).tolist()
     shuffled = Presentation(p.ngens, [p.relators[i] for i in perm])
-    assert coset_enumerate(shuffled).rows.tobytes() == rows.tobytes()
+    assert expanded_rows(coset_enumerate(shuffled)).tobytes() \
+        == rows.tobytes()
     # redundant length-2 relators that identify symbols the elimination
     # leaves apart, so a different presentation is enumerated
     image = presentations._eliminate(p)[0]
@@ -754,11 +804,13 @@ def test_table_does_not_depend_on_the_strategy(key):
     more = Presentation(p.ngens, p.relators + tuple(extra))
     assert presentations._eliminate(more)[1] \
         < presentations._eliminate(p)[1]
-    assert coset_enumerate(more).rows.tobytes() == rows.tobytes()
+    assert expanded_rows(coset_enumerate(more)).tobytes() \
+        == rows.tobytes()
 
 
 def test_standardized_table_is_numbered_breadth_first():
-    rows = coset_enumerate(_square_presentation("quaternion:8")).rows
+    rows = expanded_rows(coset_enumerate(
+        _square_presentation("quaternion:8")))
     order = np.concatenate([c for c, _, _ in
                             presentations.spanning_tree(rows)])
     assert order.tolist() == list(range(1, len(rows)))
@@ -792,7 +844,7 @@ def same_standardization(presentation, table):
     every letter's column, and its tree reaches each coset from the same
     parent, by the column that the expanded tree's letter reads."""
     rows, tree = reference_expanded_table(presentation)
-    got = table.rows
+    got = expanded_rows(table)
     assert (got.dtype, got.shape, got.tobytes()) \
         == (rows.dtype, rows.shape, rows.tobytes())
     for (cosets, parents, cols), want in zip(table.tree, tree, strict=True):
@@ -897,7 +949,10 @@ def reference_tensor_relators(pair):
     return reference_reduce(n * m, tuple(relators))
 
 
-def reference_representatives(relators):
+def reference_representatives(relators, ngens=None):
+    """The first relator of each class under rotation and inversion.  With
+    ``ngens``, a relator too long for an int64 key in radix 2*ngens + 1
+    is a class of its own."""
     seen = set()
     reps = []
     for r in relators:
@@ -905,7 +960,8 @@ def reference_representatives(relators):
                     for w in (r, tuple(-x for x in reversed(r)))
                     for i in range(len(w))}
         key = min(variants)
-        if key not in seen:
+        if key not in seen or ngens is not None \
+                and (2 * ngens + 1) ** len(r) > 2 ** 63:
             seen.add(key)
             reps.append(r)
     return reps
@@ -938,13 +994,14 @@ def reference_length_groups(words, min_size, twins):
 
 def reference_table_to_group(table, presentation):
     n = table.ncosets
+    rows = expanded_rows(table)
     words = {0: []}
     queue = [0]
     while queue:
         c = queue.pop(0)
         for k in range(1, presentation.ngens + 1):
             for letter in (k, -k):
-                d = int(table.rows[c, _col(letter)])
+                d = int(rows[c, _col(letter)])
                 if d not in words:
                     words[d] = words[c] + [letter]
                     queue.append(d)
@@ -955,10 +1012,10 @@ def reference_table_to_group(table, presentation):
     for j in range(n):
         cur = np.arange(n)
         for letter in words[j]:
-            cur = table.rows[cur, _col(letter)]
+            cur = rows[cur, _col(letter)]
         group_table[:, j] = cur
     group = tf.FiniteGroup(group_table, validate=False)
-    gen_images = [int(table.rows[0, _col(k)])
+    gen_images = [int(rows[0, _col(k)])
                   for k in range(1, presentation.ngens + 1)]
     return group, gen_images
 
@@ -992,7 +1049,7 @@ def _check_relator_layers(p):
     presentation equal the reference's, and the store is read-only."""
     assert not p._words.flags.writeable and not p._lengths.flags.writeable
     _same_store((p._words, p._lengths), reference_store(p.relators))
-    reps = reference_representatives(p.relators)
+    reps = reference_representatives(p.relators, p.ngens)
     idx = presentations._representatives(p.ngens, p._words, p._lengths)
     assert [p.relators[i] for i in idx.tolist()] == reps
     # the generators with a square relator read one column each, and
@@ -1085,7 +1142,7 @@ def test_trivial_pair_and_round_trip_groups_match_reference():
 def test_table_to_group_refuses_intransitive_table():
     rows = np.array([[0, 0], [1, 1]])
     p = Presentation(1, ())
-    table = presentations.CosetTable(rows)
+    table = hand_table(rows)
     for convert in (table_to_group,
                     lambda table: reference_table_to_group(table, p)):
         with pytest.raises(presentations.TableIncomplete,
@@ -1244,7 +1301,8 @@ def test_relators_view_is_built_once_and_read_only():
 
 @pytest.mark.parametrize("length", [6, 7])
 def test_representatives_at_the_64_bit_key_boundary(length):
-    # 513^6 < 2^63 < 513^7: length 7 over 256 generators keys by tuples
+    # 513^6 < 2^63 < 513^7: over 256 generators the words of length 7 have
+    # no int64 key, and each is a class of its own
     rng = np.random.default_rng(length)
     words = [tuple(int(x) for x in w) for w in
              rng.choice([-3, -2, -1, 1, 2, 3, 255, -256], size=(60, length))]
@@ -1259,5 +1317,16 @@ def test_representatives_at_the_64_bit_key_boundary(length):
     p = Presentation(256, [words[i] for i in rng.permutation(len(words))])
     assert len([r for r in reference_representatives(p.relators)
                 if len(r) == 4]) >= presentations.FILTER_MIN_RELATORS
-    assert (2 * 256 + 1) ** length > 2 ** 63 or length == 6
+    assert ((2 * 256 + 1) ** length > 2 ** 63) == (length == 7)
     _check_relator_layers(p)
+    idx = presentations._representatives(p.ngens, p._words, p._lengths)
+    kept = [p.relators[i] for i in idx.tolist()]
+    classed = reference_representatives(p.relators)
+    if length == 6:
+        assert kept == classed
+    else:
+        assert [r for r in kept if len(r) == 7] \
+            == [r for r in p.relators if len(r) == 7]
+        assert len(kept) > len(classed)
+        assert [r for r in kept if len(r) < 7] \
+            == [r for r in classed if len(r) < 7]

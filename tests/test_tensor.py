@@ -26,6 +26,7 @@ from test_abelian import (reference_abelian_invariants,
                           reference_primary_to_invariants,
                           reference_smith_diagonal)
 from test_groups import reference_conj
+from test_presentations import expanded_rows
 
 
 def tensor_square(G):
@@ -457,13 +458,14 @@ def test_kappa_by_spanning_tree_matches_hom_from_images():
                       np.full(p.ngens, G.identity, dtype=np.intp)]
         candidates += [rng.integers(0, G.order, size=p.ngens)
                        for _ in range(3)]
-        rows = table.rows[:, 0::2]
+        full = expanded_rows(table)
+        rows = full[:, 0::2]
         tree = spanning_tree(rows)
         for images in candidates:
             maps, ok, _ = tf.homs._force(rows, 0, tree, G, images[None])
             got = maps[0].tolist() if ok.all() else None
             assert got == _closure_hom(T, G, gen_images, images.tolist())
-            want = _extend_to_hom(table.rows, G, images)
+            want = _extend_to_hom(full, G, images)
             assert got == (None if want is None else want.tolist())
             # as compute_tensor forces: over the survivors' columns along
             # the tree the table carries, then one lookup per letter
