@@ -716,17 +716,14 @@ def _validate_complete(table, presentation):
     rows, letters = table.reduced, table.letters
     n, ncols = rows.shape
     want = np.arange(n)
-    bad = (np.sort(rows, axis=0) != want[:, None]).any(axis=0)
-    bad = np.flatnonzero(np.append(bad, False)[letters])
-    if len(bad):
-        raise TableIncomplete(f"column {bad[0]} is not a permutation")
+    # column c ^ 1 undoes column c iff both are permutations, each the
+    # other's inverse
     flip = np.arange(ncols) ^ 1
-    bad = (np.take_along_axis(rows[:, flip], rows, axis=0)
-           != want[:, None]).any(axis=0)
+    bad = (rows[rows, flip] != want[:, None]).any(axis=0)
     bad = np.flatnonzero(np.append(bad, False)[letters])
     if len(bad):
-        raise TableIncomplete(f"column {bad[0]} is not undone by column "
-                              f"{bad[0] ^ 1}")
+        raise TableIncomplete(f"column {bad[0]} is not a permutation undone "
+                              f"by column {bad[0] ^ 1}")
     # trace every relator from every coset over offsets into the flat rows
     # and one identity column, which the 0s below each word read
     width = ncols + 1

@@ -276,12 +276,21 @@ def test_validation_keeps_a_reversal_apart_from_the_inverse(monkeypatch,
 
 def test_validation_refuses_an_inverse_column_that_does_not_undo():
     # both columns of a on Z12 are +1: each is a permutation and a^12
-    # holds, but a^-1 does not undo a, so words are no group elements
+    # holds, but a^-1 does not undo a, so words are no group elements;
+    # nor does any column undo one that is no permutation
     c = np.arange(12)
+    p = Presentation(1, ((1,) * 12,))
     table = hand_table(np.stack([(c + 1) % 12] * 2, axis=1))
-    with pytest.raises(presentations.TableIncomplete,
-                       match="column 0 is not undone by column 1"):
-        presentations._validate_complete(table, Presentation(1, ((1,) * 12,)))
+    with pytest.raises(presentations.TableIncomplete, match="column 0 is "
+                       "not a permutation undone by column 1"):
+        presentations._validate_complete(table, p)
+    a = (c + 1) % 12
+    rows = np.stack([a, np.argsort(a)], axis=1)
+    presentations._validate_complete(hand_table(rows), p)
+    rows[4, 1] = rows[5, 1]
+    with pytest.raises(presentations.TableIncomplete, match="column 0 is "
+                       "not a permutation undone by column 1"):
+        presentations._validate_complete(hand_table(rows), p)
 
 
 @pytest.mark.parametrize("block", [presentations.BLOCK_ENTRIES, 7])
