@@ -255,9 +255,9 @@ def test_validation_names_first_failing_relator_of_a_rotation_class(
 @pytest.mark.parametrize("block", [presentations.BLOCK_ENTRIES, 7])
 def test_validation_keeps_a_reversal_apart_from_the_inverse(monkeypatch,
                                                             block):
-    # in S3, a a transposition, b a 3-cycle and c = (a b)^-1: a b c and
-    # its inverse c^-1 b^-1 a^-1 hold, the reversal c b a = [b, a] does
-    # not.  A word shares its trace with its inverse, not its reversal:
+    # in S3, with a transposition a, a 3-cycle b and c = (a b)^-1, a b c
+    # and its inverse c^-1 b^-1 a^-1 hold, the reversal c b a = [b, a]
+    # does not.  A word shares its trace with its inverse, not its reversal:
     # read as its own inverse, b would put c b a in the class of a b c
     monkeypatch.setattr(presentations, "BLOCK_ENTRIES", block)
     G = tf.make_catalog_group("symmetric:3")
