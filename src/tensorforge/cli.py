@@ -21,9 +21,9 @@ from .actions import (ACTION_NAMES, ActionPair, is_compatible, named_action,
                       normalizer_conditions, question2_scan)
 from .automorphisms import automorphism_group
 from .catalog import catalog_keys, make_catalog_group
-from .errors import (IncompatibleActions, InvalidBudget, IoError,
+from .errors import (IncompatibleActions, InvalidCount, IoError,
                      TensorforgeError)
-from .homs import are_isomorphic
+from .homs import isomorphic
 from .serialize import (action_pair_from_dict, group_to_dict,
                         map_file_maps, read_json, resolve_group,
                         tensor_report_to_dict, witness_to_dict, write_json)
@@ -39,19 +39,19 @@ def default_budget():
     """The budget set by TENSORFORGE_BUDGET, else None, so that each
     library call applies its own default."""
     env = os.environ.get("TENSORFORGE_BUDGET")
-    return positive_budget(env, "TENSORFORGE_BUDGET") if env else None
+    return positive_count(env, "TENSORFORGE_BUDGET") if env else None
 
 
-def positive_budget(text, source):
+def positive_count(text, source):
     """``text``, a count given from outside, as a positive integer: what
     ``int`` reads as at least 1, so "+5", " 5" and "1_000" pass.
-    InvalidBudget names ``source`` when it is not one."""
+    InvalidCount names ``source`` when it is not one."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
-        raise InvalidBudget(
+        raise InvalidCount(
             f"{source} must be a positive integer, not {text!r}")
     return value
 
@@ -127,12 +127,12 @@ def cmd_tensor(args):
     t0 = time.perf_counter()
     pair, names = _build_pair(args)
     max_cosets = (None if args.max_cosets is None
-                  else positive_budget(args.max_cosets, "--max-cosets"))
+                  else positive_count(args.max_cosets, "--max-cosets"))
     rep = compute_tensor(pair, force=args.force, max_cosets=max_cosets)
     results = tensor_report_to_dict(rep)
     iso_notes = []
     for name, K in zip(names, (pair.G, pair.H)):
-        if rep.tensor.order == K.order and are_isomorphic(rep.tensor, K):
+        if isomorphic(rep.tensor, K):
             iso_notes.append(f"isomorphic to {name}")
     results["notes"] = iso_notes
     inputs = {"g": args.g, "h": args.h,
@@ -154,9 +154,9 @@ def cmd_verify(args):
 def cmd_explore(args):
     t0 = time.perf_counter()
     budget = (default_budget() if args.budget is None
-              else positive_budget(args.budget, "--budget"))
+              else positive_count(args.budget, "--budget"))
     if args.question == "question2":
-        max_order = positive_budget(args.max_order, "--max-order")
+        max_order = positive_count(args.max_order, "--max-order")
         results = question2_scan(max_order, budget=budget)
         status = "pass" if not results["counterexamples"] else "partial"
         return _report("explore question2",

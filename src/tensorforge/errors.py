@@ -46,8 +46,9 @@ class BudgetExceeded(TensorforgeError):
     """A search exceeded its node budget; the question remains undecided."""
 
 
-class InvalidBudget(TensorforgeError, ValueError):
-    """A budget given from outside is not a positive integer."""
+class InvalidCount(TensorforgeError, ValueError):
+    """A count given from outside, such as a budget, an order bound or a
+    coset limit, is not a positive integer."""
 
 
 class InvalidAction(TensorforgeError, ValueError):

@@ -1,5 +1,7 @@
 """Homomorphism search: extension from generator images, exhaustive
-enumeration, and isomorphism testing.
+enumeration, and isomorphism testing.  ``isomorphic`` decides isomorphism
+of two abelian groups by their invariant factors and searches only for
+two non-abelian ones.
 
 One kernel, ``_force``, does the work of all three and of kappa in
 ``tensor``.  It takes the right-multiplication columns of a generator
@@ -306,6 +308,24 @@ def are_isomorphic(G, H):
     if not len(maps):
         return None
     return GroupHom(G, H, maps[0])
+
+
+def isomorphic(G, H):
+    """Whether G and H are isomorphic.
+
+    By the structure theorem two finite abelian groups are isomorphic
+    exactly when their invariant factors agree, and no abelian group is
+    isomorphic to a non-abelian one; only two non-abelian groups of one
+    order are searched, by ``are_isomorphic``.  Callers that want the map
+    call that.
+    """
+    if G.order != H.order:
+        return False
+    if G.is_abelian and H.is_abelian:
+        return abelian_invariants(G) == abelian_invariants(H)
+    if G.is_abelian or H.is_abelian:
+        return False
+    return are_isomorphic(G, H) is not None
 
 
 def all_bijective_endomaps(G):

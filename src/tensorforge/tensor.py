@@ -28,7 +28,7 @@ from .errors import CrossCheckFailed, IncompatibleActions, LimitExceeded
 from .groups import FiniteGroup, GroupHom, Subgroup, center, commuting_with, \
     conjugation_maps, coset_labels, enumerated_index, first_occurrences, \
     generating_set, nilpotency_class, row_keys, subgroup_generated
-from .homs import _force, are_isomorphic, enumerate_homs, search_set
+from .homs import _force, enumerate_homs, isomorphic, search_set
 from .presentations import Presentation, coset_enumerate, table_to_group
 
 MAX_SYMBOLS = 256
@@ -248,10 +248,11 @@ def hom_pair_tensor_classes(G, budget=None):
         count = int(weights[least])
         rep = compute_tensor(action_from_hom_pair(G, G, maps[i], maps[j]))
         for row in rows:
-            if row["order"] == rep.order and \
-                    row["abelian"] == rep.tensor.is_abelian and \
-                    row["invariants"] == rep.invariants and \
-                    are_isomorphic(row["_witness"], rep.tensor):
+            # products with unequal invariants (None when non-abelian)
+            # are not isomorphic; isomorphic decides the rest, searching
+            # only when both are non-abelian
+            if row["invariants"] == rep.invariants and \
+                    isomorphic(row["_witness"], rep.tensor):
                 row["n_hom_pairs"] += count
                 break
         else:

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import tensorforge
 from tensorforge import presentations
-from tensorforge.cli import main
-from tensorforge.errors import TensorforgeError
+from tensorforge.cli import build_parser, main
+from tensorforge.errors import InvalidCount, TensorforgeError
 
 
 def run(capsys, *argv):
@@ -566,6 +566,25 @@ def test_non_positive_max_order_exits_two(capsys, value):
                          value)
     _one_error_line(code, out, err,
                     f"--max-order must be a positive integer, not '{value}'")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("explore", "question2", "--max-order", "0"), "--max-order"),
+    (("explore", "question2", "--max-order", "2", "--budget", "0"),
+     "--budget"),
+    (("explore", "classify-heisenberg", "2", "--budget", "0"), "--budget"),
+    (("tensor", "--g", "cyclic:2", "--h", "cyclic:2", "--max-cosets", "0"),
+     "--max-cosets"),
+])
+def test_an_order_bound_and_a_budget_raise_the_one_count_error(argv,
+                                                               option):
+    # a bad order bound or coset limit is no budget error: every count
+    # from outside is refused by one error class, which names the option
+    args = build_parser().parse_args(list(argv))
+    with pytest.raises(InvalidCount) as caught:
+        args.func(args)
+    assert str(caught.value) == \
+        f"{option} must be a positive integer, not '0'"
 
 
 def test_question2_huge_max_order_exits_two_in_bounded_memory():

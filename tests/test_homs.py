@@ -14,7 +14,8 @@ from tensorforge.groups import (FiniteGroup, GroupHom, generating_set,
                                 make_cyclic)
 from tensorforge.homs import (all_bijective_endomaps, are_isomorphic,
                               enumerate_homs, hom_from_images, injective_homs,
-                              involutive_automorphisms, search_set)
+                              involutive_automorphisms, isomorphic,
+                              search_set)
 from test_groups import checked_hom
 
 
@@ -138,6 +139,36 @@ def test_isomorphic_negative_same_order():
 
 def test_isomorphic_different_orders():
     assert are_isomorphic(make_cyclic(4), make_cyclic(5)) is None
+    assert not isomorphic(make_cyclic(4), make_cyclic(5))
+
+
+def _isomorphism_pairs():
+    """Every pair of catalog groups up to order 16 of one order, each
+    group against a fresh copy of its table, and two pairs by hand:
+    quaternion:8 against dihedral:4, both non-abelian with abelianisation
+    [2, 2] and not isomorphic, and dihedral:4 against heisenberg:2, which
+    are isomorphic (the catalog keys skip heisenberg:2 as a duplicate)."""
+    groups = [G for _, G in tf.catalog_groups_up_to(16)]
+    pairs = [(G, H) for G, H in itertools.combinations(groups, 2)
+             if G.order == H.order]
+    pairs += [(G, FiniteGroup(G.table, validate=False)) for G in groups]
+    D4 = tf.make_catalog_group("dihedral:4")
+    pairs += [(tf.make_catalog_group("quaternion:8"), D4),
+              (D4, tf.make_catalog_group("heisenberg:2"))]
+    return pairs
+
+
+def test_isomorphic_agrees_with_the_search():
+    # the invariants decide two abelian groups, abelian-ness alone one
+    # abelian and one non-abelian group, and the search two non-abelian
+    # groups: every answer is the search's, both ways round
+    pairs = _isomorphism_pairs()
+    for G, H in pairs + [(H, G) for G, H in pairs]:
+        assert isomorphic(G, H) == (are_isomorphic(G, H) is not None)
+    Q8, D4 = map(tf.make_catalog_group, ("quaternion:8", "dihedral:4"))
+    assert tf.abelian_invariants(Q8) == tf.abelian_invariants(D4) == [2, 2]
+    assert not isomorphic(Q8, D4)
+    assert isomorphic(D4, tf.make_catalog_group("heisenberg:2"))
 
 
 # -- bijective endomaps ---------------------------------------------------

@@ -532,3 +532,30 @@ def test_self_index_lint_sees_nested_gathers():
               "g = t[a, t[b]]\n"
               "h = G.table[H.table[x]]\n")
     assert sorted(_self_indexed(ast.parse(source))) == [1, 2, 5]
+
+
+def _isomorphism_searches(tree):
+    """Line numbers of calls to ``are_isomorphic``, by name or attribute."""
+    for name, node in _named_calls(tree):
+        if name == "are_isomorphic":
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "homs.py"],
+                         ids=lambda p: p.name)
+def test_isomorphism_is_decided_in_homs(path):
+    # whether two groups are isomorphic is asked of homs.isomorphic, which
+    # decides abelian groups by their invariants and searches only for
+    # non-abelian ones; only homs calls the search itself
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert sorted(_isomorphism_searches(tree)) == []
+
+
+def test_isomorphism_lint_sees_names_and_attributes():
+    source = ("a = are_isomorphic(G, H)\n"
+              "b = homs.are_isomorphic(G, H) is not None\n"
+              "c = isomorphic(G, H)\n"
+              "d = tf.homs.are_isomorphic\n"
+              "if x and are_isomorphic(K, L):\n    pass\n")
+    assert sorted(_isomorphism_searches(ast.parse(source))) == [1, 2, 5]
