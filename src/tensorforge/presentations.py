@@ -66,14 +66,21 @@ relator's (an involution's two letters read one column), closes with
 it, and is never scanned.  When the loop reaches alpha, one numpy pass
 traces the other relators of each large length group from alpha and
 only those that do not end at alpha are scanned, in their original
-order.  The table therefore evolves exactly as if all were scanned.
+order.  A length-3 relator is traced once more in three table reads
+before its scan, which is left out when the trace ends at alpha: a hole
+leads into the hole row and never back, so the trace ends at alpha
+exactly when the scan would be a no-op.  That is every relator the
+library scans, since tensor and round-trip relators have length 3.  The
+table therefore evolves exactly as if all were scanned.
 
 The scan budget ``MAX_SCANS`` counts one scan per scanned relator at
-each coset the loop reaches, twins and filtered ones included, so it is
-exhausted at the same scan and with the same message as if all were
-scanned.  Both limits bound the enumeration of the reduced presentation,
-and their errors say how far it got.  ``coset_enumerate`` attaches the
-counts of its work to the table as ``EnumerationStats``.
+each coset the loop reaches, twins, filtered ones and those the
+three-read trace found closed included, so it is exhausted at the same
+scan and with the same message as if all were scanned; it is checked
+against one bound per coset on the index of the scan.  Both limits
+bound the enumeration of the reduced presentation, and their errors say
+how far it got, the scan in progress included.  ``coset_enumerate``
+attaches the counts of its work to the table as ``EnumerationStats``.
 """
 
 from __future__ import annotations
@@ -205,7 +212,10 @@ def _letter_error(word, reduced=(), ngens=0):
 @dataclass(frozen=True)
 class EnumerationStats:
     """The work of one ``coset_enumerate`` call.  Coset 0 is given, not
-    defined; a skipped scan, of a twin or a closed relator, is not made."""
+    defined; a skipped scan, of a twin or a relator the numpy filter found
+    closed, is not made.  A scan of a length-3 relator that traces back to
+    its coset in three table reads stops there: it counts in ``scans``,
+    and in ``closed``."""
 
     generators: int         # of the presentation given
     survivors: int          # left by _eliminate
@@ -215,6 +225,7 @@ class EnumerationStats:
     coincidences: int       # primary coincidences processed
     scans: int              # relator scans made
     skipped: int            # scans of twins and closed relators skipped
+    closed: int             # scans made that found a length-3 relator closed
 
 
 @dataclass
@@ -550,7 +561,8 @@ def coset_enumerate(presentation, max_cosets=None):
 def _scan_columns(ngens, words, lengths, colmap, dtype):
     """The scan list: the representatives longer than 2, in input order,
     each as its letters' columns and their inverse columns under
-    ``colmap``, as tuples; the squares are left to the table.  Also the
+    ``colmap``, as tuples, and the index of its last letter; the squares
+    are left to the table.  Also the
     mask of twins, whose columns, or inverse columns read right to left,
     equal an earlier relator's; a length too long for int64 keys in
     radix 2*ngens has none.  For each length with at least
@@ -564,7 +576,7 @@ def _scan_columns(ngens, words, lengths, colmap, dtype):
     cols = _columns(words)
     cols, icols = colmap[cols], colmap[cols ^ 1]
     # each relator cut to its own length: the 0s below it are no letters
-    rels = [(c[:k], ic[:k]) for c, ic, k in
+    rels = [(c[:k], ic[:k], k - 1) for c, ic, k in
             zip(zip(*cols.tolist()), zip(*icols.tolist()), lengths.tolist())]
     twins = np.zeros(len(reps), dtype=bool)
     filtered = []
@@ -595,7 +607,7 @@ def _enumerate_rows(ngens, words, lengths, max_cosets, max_steps):
     """HLT over the presentation ``_eliminate`` leaves: the compacted rows
     and the counts of ``EnumerationStats`` from ``involutions`` on."""
     if not ngens:
-        return np.zeros((1, 0), dtype=np.intp), (0,) * 6
+        return np.zeros((1, 0), dtype=np.intp), (0,) * 7
     # every length-2 relator left is a square y^2 or y^-2: y is an
     # involution and its inverse's column is a mirror
     squares = np.abs(words[:1, lengths == 2]).ravel()
@@ -604,14 +616,13 @@ def _enumerate_rows(ngens, words, lengths, max_cosets, max_steps):
     n, t, dead, define, coincidence = (enum.ncols, enum.table, enum.dead,
                                        enum.define, enum.coincidence)
     dtype = np.dtype(enum.typecode)
-    # twins are never scanned, and the filter leaves them closed
-    rels, filtered, closed = _scan_columns(ngens, words, lengths,
-                                           enum.colmap, dtype)
-    # the index of each scan's last letter
-    last = [len(cols) - 1 for cols, _ in rels]
+    # twins are never scanned, and the filter leaves them skipped
+    rels, filtered, skip = _scan_columns(ngens, words, lengths,
+                                         enum.colmap, dtype)
     nrel = len(rels)
-    todo = np.flatnonzero(~closed).tolist()
-    steps = scans = 0
+    todo = np.flatnonzero(~skip).tolist()
+    # steps counts the scans of the cosets done, skipped ones included
+    steps = scans = closed = 0
     alpha = 0
     try:
         # the table holds enum.defined cosets and one hole row
@@ -624,54 +635,63 @@ def _enumerate_rows(ngens, words, lengths, max_cosets, max_steps):
                 # grow the array
                 view = np.frombuffer(t, dtype)
                 for idx, cols in filtered:
-                    closed[idx] = _trace(view, alpha, cols) == alpha
+                    skip[idx] = _trace(view, alpha, cols) == alpha
                 del view
-                todo = np.flatnonzero(~closed).tolist()
-            done = 0
+                todo = np.flatnonzero(~skip).tolist()
+            # scan k at this coset is step steps + k + 1 of the budget
+            bound = max_steps - steps - 1
             for k in todo:
-                steps += k - done + 1   # skipped scans count as scans
-                if steps > max_steps:
+                if k > bound:
                     raise enum.exhausted(max_steps)
-                done = k + 1
+                cols, icols, j = rels[k]
+                # a length-3 relator closed at alpha: its scan is a no-op
+                if j == 2 and \
+                        t[t[t[alpha + cols[0]] + cols[1]] + cols[2]] == alpha:
+                    closed += 1
+                    continue
                 # scan forward and back from alpha, defining cosets until
                 # the relator closes or one entry is left to deduce
-                cols, icols = rels[k]
-                f, i = alpha, 0
-                b, j = alpha, last[k]
+                f = b = alpha
+                i = 0
                 while True:
                     while i <= j and (g := t[f + cols[i]]) >= 0:
                         f = g
                         i += 1
                     if i > j:
-                        if f != b:
-                            coincidence(f, b)
                         break
                     while j >= i and (g := t[b + icols[j]]) >= 0:
                         b = g
                         j -= 1
-                    if j < i:
-                        coincidence(f, b)
-                        break
-                    if j == i:
-                        t[f + cols[i]] = b
-                        t[b + icols[i]] = f
+                    if j <= i:
                         break
                     define(f, cols[i])
-                if alpha in dead:
-                    scans += bisect_right(todo, k)
-                    break
+                if i == j:
+                    t[f + cols[i]] = b
+                    t[b + icols[i]] = f
+                elif f != b:
+                    # f != b also when the backward trace closed: b's
+                    # entry for letter i is defined and f's is a hole
+                    coincidence(f, b)
+                    if alpha in dead:
+                        scans += bisect_right(todo, k)
+                        steps += k + 1
+                        break
             else:
                 scans += len(todo)
-                steps += nrel - done
-                if steps > max_steps:
+                # the budget and a coset limit met while alpha's row is
+                # filled count every scan of the coset
+                k = nrel - 1
+                if k > bound:
                     raise enum.exhausted(max_steps)
                 for col in enum.cols:
                     if t[alpha + col] < 0:
                         define(alpha, col)
+                steps += nrel
             alpha += n
     except _CosetLimit:
+        # k is the scan in progress, or nrel - 1 in the fill
         raise LimitExceeded(f"coset limit {max_cosets} reached after "
-                            f"{steps} scans") from None
+                            f"{steps + k + 1} scans") from None
 
     # compact: live cosets in order, every entry sent to its representative
     table = np.frombuffer(t, dtype).reshape(-1, n)[:-1]
@@ -685,7 +705,7 @@ def _enumerate_rows(ngens, words, lengths, max_cosets, max_steps):
         raise LimitExceeded("enumeration halted with holes in table")
     renum = live.cumsum(dtype=np.intp) - 1
     counts = (len(mirrors), nrel, enum.defined - 1, enum.coincidences, scans,
-              steps - scans)
+              steps - scans, closed)
     # each offset becomes its coset in place, read through one map from
     # every coset to its representative's number: one |T| x columns
     # temporary, not three

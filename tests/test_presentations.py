@@ -658,6 +658,10 @@ def test_scan_budget_sweep_matches_reference(monkeypatch):
                 for k in (1, 2, 136, 137, 512, 513, 2000, 4351, 4352, 4353,
                           29_152)}
     assert outcomes == {"LimitExceeded", "rows"}
+    # 57 cosets are defined, all inside scans, so each limit from 1 to 57
+    # is met mid-coset and its message counts the scan in progress
+    outcomes = [_same_outcome(p, max_cosets=k)[0] for k in range(1, 59)]
+    assert outcomes == ["LimitExceeded"] * 57 + ["rows"]
     monkeypatch.setattr(presentations, "MAX_SCANS", 4351)
     with pytest.raises(LimitExceeded, match="^scan budget 4351 exhausted "
                        "after 57 cosets defined, 32 live$"):
@@ -717,10 +721,10 @@ def test_stats_repeat_and_match_reference(key):
 @pytest.mark.parametrize("key, stats", [
     # with the squares scanned: 50,622 scans and 784 cosets defined
     ("elemab:2:3", presentations.EnumerationStats(
-        64, 49, 49, 588, 784, 239, 12_564, 288_492)),
+        64, 49, 49, 588, 784, 239, 12_564, 288_492, 531)),
     # with the squares scanned: 67,963 scans and 2,244 cosets defined
     ("product:cyclic:4,cyclic:4", presentations.EnumerationStats(
-        256, 81, 45, 1044, 1608, 615, 38_502, 228_762)),
+        256, 81, 45, 1044, 1608, 615, 38_502, 228_762, 21_382)),
 ])
 def test_square_stats(key, stats):
     assert coset_enumerate(_square_presentation(key)).stats == stats
@@ -1072,7 +1076,8 @@ def _check_relator_layers(p):
         rels, filtered, twins = presentations._scan_columns(
             p.ngens, p._words, p._lengths, colmap, np.dtype(dtype))
         assert rels == [(tuple(column[x] for x in r),
-                         tuple(column[-x] for x in r)) for r in scanned]
+                         tuple(column[-x] for x in r), len(r) - 1)
+                        for r in scanned]
         want = reference_twins(p.ngens, scanned, column)
         assert twins.tolist() == want
         # the filter's length groups, shortest first, without the twins

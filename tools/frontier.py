@@ -240,11 +240,13 @@ def line(report):
         return head + f"oracle {report['oracle']}" + "".join(
             f"\n    {c['name']:34s} {c['seconds']:7.3f} s "
             f"{c['rss_mb']:7.2f} MB" for c in report["checks"])
+    # the stats of a tree older than EnumerationStats.closed lack it
     s = report["stats"]
     return (head + f"|T|={report['order']:<5d} "
             f"{report['invariants'] or 'non-abelian'}  "
             f"symbols {s['generators']} -> {s['survivors']}, "
-            f"defined {s['defined']}  oracle {report['oracle']}"
+            f"defined {s['defined']}, scans {s['scans']}, "
+            f"closed {s.get('closed', '-')}  oracle {report['oracle']}"
             + "".join(f"\n    after {name:15s} {t:7.2f} s {mb:7.1f} MB"
                       for name, t, mb in report["steps"]))
 
