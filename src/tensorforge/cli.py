@@ -4,8 +4,9 @@ Every command builds one RunReport dict; ``--json`` prints it verbatim,
 the default output is a plain-text rendering of the same dict.  One
 parser per process parses every ``main`` call.  Exit
 codes: 0 success / compatible / all-pass, 1 definite negative result,
-2 error or exhausted budget.  Any other exception a command raises is
-reported as one ``error:`` line on stderr with exit code 2.
+2 error or exhausted budget.  Any other exception a command raises, and
+a failure to write stdout, is reported as one ``error:`` line on stderr
+with exit code 2.
 """
 
 from __future__ import annotations
@@ -162,9 +163,10 @@ def cmd_explore(args):
         return _report("explore question2",
                        {"max_order": max_order}, results, status,
                        t0), EXIT_OK
-    G = make_catalog_group(f"heisenberg:{args.p}")
-    results = {"p": args.p, **hom_pair_tensor_classes(G, budget=budget)}
-    return _report("explore classify-heisenberg", {"p": args.p},
+    p = positive_count(args.p, "p")
+    G = make_catalog_group(f"heisenberg:{p}")
+    results = {"p": p, **hom_pair_tensor_classes(G, budget=budget)}
+    return _report("explore classify-heisenberg", {"p": p},
                    results, "pass", t0), EXIT_OK
 
 
@@ -268,7 +270,7 @@ def build_parser():
     q2.add_argument("--max-order", required=True)
     q2.add_argument("--budget", default=None)
     ch = explore_sub.add_parser("classify-heisenberg")
-    ch.add_argument("p", type=int)
+    ch.add_argument("p")
     ch.add_argument("--budget", default=None)
     explore.set_defaults(func=lambda args: cmd_explore(args))
     return parser
@@ -290,10 +292,21 @@ def main(argv=None):
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_ERROR
-    if args.json:
-        print(json.dumps(report))
-    else:
-        _render(report, sys.stdout)
+    try:
+        if args.json:
+            print(json.dumps(report))
+        else:
+            _render(report, sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        # stdout is closed or full: what is left in its buffer goes to
+        # os.devnull, so that the flush at exit raises nothing more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to stdout: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_ERROR
     return code
 
 

@@ -249,110 +249,6 @@ class CosetTable:
         return len(self.reduced)
 
 
-class _CosetLimit(Exception):
-    """``define`` found the table full; ``_enumerate_rows`` says after how
-    many scans."""
-
-
-class _Enumerator:
-    """HLT state.  Cosets are named by their row offset in ``table``;
-    ``dead`` maps each dead coset to the coset it was merged into.
-
-    ``inv[col]`` is the column of the inverse letter.  An involutory
-    generator y shares its column between y and y^-1, so that column is
-    its own inverse and y^-1's column, the mirror, stays a hole until
-    compaction fills it.  ``cols`` are the columns in use, and ``colmap``
-    sends every column to the one in use for its letter."""
-
-    def __init__(self, ngens, max_cosets, mirrors):
-        n = self.ncols = 2 * ngens
-        # the largest value ever computed from an entry is an offset into
-        # max_cosets + 1 rows
-        self.typecode = "i" if (max_cosets + 1) * n < 2 ** 31 else "q"
-        self.hole_row = array(self.typecode, [-n]) * n
-        self.table = self.hole_row * 2      # coset 0 and the hole row
-        self.dead = {}
-        self.max_cosets = max_cosets
-        self.defined = 1                # coset 0 included
-        self.coincidences = 0
-        self.colmap = np.arange(n)
-        self.colmap[mirrors] = mirrors - 1
-        self.inv = self.colmap[np.arange(n) ^ 1].tolist()
-        self.cols = (self.colmap == np.arange(n)).nonzero()[0].tolist()
-
-    def rep(self, k):
-        # union-find with path compression toward smaller offsets
-        dead = self.dead
-        r = k
-        while r in dead:
-            r = dead[r]
-        while k != r:
-            nxt = dead[k]
-            dead[k] = r
-            k = nxt
-        return r
-
-    def exhausted(self, max_steps):
-        return LimitExceeded(
-            f"scan budget {max_steps} exhausted after {self.defined - 1} "
-            f"cosets defined, {self.defined - len(self.dead)} live")
-
-    def define(self, alpha, col):
-        if self.defined >= self.max_cosets:
-            raise _CosetLimit
-        t = self.table
-        # the hole row becomes the new coset and a new hole row follows it
-        beta = len(t) - self.ncols
-        t.extend(self.hole_row)
-        self.defined += 1
-        t[alpha + col] = beta
-        t[beta + self.inv[col]] = alpha
-        return beta
-
-    def coincidence(self, a, b):
-        t = self.table
-        n = self.ncols
-        hole = -n
-        inv, dead, rep = self.inv, self.dead, self.rep
-        self.coincidences += 1
-        a, b = rep(a), rep(b)
-        if a == b:
-            return
-        # the larger coset dies into the smaller
-        dead[max(a, b)] = min(a, b)
-        queue = [max(a, b)]
-        # a zero-copy view: no define() runs here, so the buffer cannot grow
-        view = np.frombuffer(t, self.typecode)
-        for gamma in queue:             # the queue grows while it is read
-            # gamma's representative changes only when cosets merge
-            mu = rep(gamma)
-            # gamma is dead, so its row only loses entries from here on;
-            # each entry is read again, as a self-loop gamma.x = gamma
-            # clears gamma.x^-1
-            for col in (view[gamma:gamma + n] >= 0).nonzero()[0].tolist():
-                delta = t[gamma + col]
-                if delta < 0:
-                    continue
-                icol = inv[col]
-                t[delta + icol] = hole
-                nu = rep(delta) if delta in dead else delta
-                x = t[mu + col]
-                if x >= 0:
-                    a, b = nu, rep(x)
-                else:
-                    y = t[nu + icol]
-                    if y < 0:
-                        t[mu + col] = nu
-                        t[nu + icol] = mu
-                        continue
-                    a, b = mu, rep(y)
-                if a != b:
-                    dead[max(a, b)] = min(a, b)
-                    queue.append(max(a, b))
-                    mu = rep(gamma)
-        del view
-
-
 def _columns(letters):
     # generator k -> column 2(k-1); inverse -> 2(k-1)+1
     return 2 * np.abs(letters) - 2 + (letters < 0)
@@ -605,112 +501,196 @@ def _trace(table, start, cols):
 
 def _enumerate_rows(ngens, words, lengths, max_cosets, max_steps):
     """HLT over the presentation ``_eliminate`` leaves: the compacted rows
-    and the counts of ``EnumerationStats`` from ``involutions`` on."""
+    and the counts of ``EnumerationStats`` from ``involutions`` on.
+
+    Cosets are named by their row offset in the table ``t``; ``dead`` maps
+    each dead coset to the coset it was merged into.  ``inv[col]`` is the
+    column of the inverse letter.  An involutory generator y shares its
+    column between y and y^-1, so that column is its own inverse and
+    y^-1's column, the mirror, stays a hole until compaction fills it.
+    ``used`` are the columns in use, and ``colmap`` sends every column to
+    the one in use for its letter."""
     if not ngens:
         return np.zeros((1, 0), dtype=np.intp), (0,) * 7
     # every length-2 relator left is a square y^2 or y^-2: y is an
     # involution and its inverse's column is a mirror
     squares = np.abs(words[:1, lengths == 2]).ravel()
     mirrors = 2 * np.bincount(squares).nonzero()[0] - 1
-    enum = _Enumerator(ngens, max_cosets, mirrors)
-    n, t, dead, define, coincidence = (enum.ncols, enum.table, enum.dead,
-                                       enum.define, enum.coincidence)
-    dtype = np.dtype(enum.typecode)
+    n = 2 * ngens
+    colmap = np.arange(n)
+    colmap[mirrors] = mirrors - 1
+    inv = colmap[np.arange(n) ^ 1].tolist()
+    used = (colmap == np.arange(n)).nonzero()[0].tolist()
+    # the largest value ever computed from an entry is an offset into
+    # max_cosets + 1 rows
+    dtype = np.dtype("i" if (max_cosets + 1) * n < 2 ** 31 else "q")
+    hole = -n
+    hole_row = array(dtype.char, [hole]) * n
+    t = hole_row * 2                    # coset 0 and the hole row
+    dead = {}
+    defined = 1                         # coset 0 included
+    coincidences = 0
+
+    def rep(c):
+        # union-find with path compression toward smaller offsets
+        r = c
+        while r in dead:
+            r = dead[r]
+        while c != r:
+            nxt = dead[c]
+            dead[c] = r
+            c = nxt
+        return r
+
+    def exhausted():
+        return LimitExceeded(
+            f"scan budget {max_steps} exhausted after {defined - 1} "
+            f"cosets defined, {defined - len(dead)} live")
+
+    def define(c, col):
+        nonlocal defined
+        if defined >= max_cosets:
+            # k is the scan in progress, or nrel - 1 in the fill
+            raise LimitExceeded(f"coset limit {max_cosets} reached after "
+                                f"{steps + k + 1} scans")
+        # the hole row becomes the new coset and a new hole row follows it
+        beta = len(t) - n
+        t.extend(hole_row)
+        defined += 1
+        t[c + col] = beta
+        t[beta + inv[col]] = c
+        return beta
+
+    def coincidence(a, b):
+        nonlocal coincidences
+        coincidences += 1
+        a, b = rep(a), rep(b)
+        if a == b:
+            return
+        # the larger coset dies into the smaller
+        dead[max(a, b)] = min(a, b)
+        queue = [max(a, b)]
+        # a zero-copy view: no define() runs here, so the buffer cannot grow
+        view = np.frombuffer(t, dtype)
+        for gamma in queue:             # the queue grows while it is read
+            # gamma's representative changes only when cosets merge
+            mu = rep(gamma)
+            # gamma is dead, so its row only loses entries from here on;
+            # each entry is read again, as a self-loop gamma.x = gamma
+            # clears gamma.x^-1
+            for col in (view[gamma:gamma + n] >= 0).nonzero()[0].tolist():
+                delta = t[gamma + col]
+                if delta < 0:
+                    continue
+                icol = inv[col]
+                t[delta + icol] = hole
+                nu = rep(delta) if delta in dead else delta
+                x = t[mu + col]
+                if x >= 0:
+                    a, b = nu, rep(x)
+                else:
+                    y = t[nu + icol]
+                    if y < 0:
+                        t[mu + col] = nu
+                        t[nu + icol] = mu
+                        continue
+                    a, b = mu, rep(y)
+                if a != b:
+                    dead[max(a, b)] = min(a, b)
+                    queue.append(max(a, b))
+                    mu = rep(gamma)
+        del view
+
     # twins are never scanned, and the filter leaves them skipped
-    rels, filtered, skip = _scan_columns(ngens, words, lengths,
-                                         enum.colmap, dtype)
+    rels, filtered, skip = _scan_columns(ngens, words, lengths, colmap,
+                                         dtype)
     nrel = len(rels)
     todo = np.flatnonzero(~skip).tolist()
     # steps counts the scans of the cosets done, skipped ones included
     steps = scans = closed = 0
     alpha = 0
-    try:
-        # the table holds enum.defined cosets and one hole row
-        while alpha < enum.defined * n:
-            if alpha in dead:
-                alpha += n
-                continue
-            if filtered:
-                # a zero-copy view; it must be dropped before define() can
-                # grow the array
-                view = np.frombuffer(t, dtype)
-                for idx, cols in filtered:
-                    skip[idx] = _trace(view, alpha, cols) == alpha
-                del view
-                todo = np.flatnonzero(~skip).tolist()
-            # scan k at this coset is step steps + k + 1 of the budget
-            bound = max_steps - steps - 1
-            for k in todo:
-                if k > bound:
-                    raise enum.exhausted(max_steps)
-                cols, icols, j = rels[k]
-                # a length-3 relator closed at alpha: its scan is a no-op
-                if j == 2 and \
-                        t[t[t[alpha + cols[0]] + cols[1]] + cols[2]] == alpha:
-                    closed += 1
-                    continue
-                # scan forward and back from alpha, defining cosets until
-                # the relator closes or one entry is left to deduce
-                f = b = alpha
-                i = 0
-                while True:
-                    while i <= j and (g := t[f + cols[i]]) >= 0:
-                        f = g
-                        i += 1
-                    if i > j:
-                        break
-                    while j >= i and (g := t[b + icols[j]]) >= 0:
-                        b = g
-                        j -= 1
-                    if j <= i:
-                        break
-                    define(f, cols[i])
-                if i == j:
-                    t[f + cols[i]] = b
-                    t[b + icols[i]] = f
-                elif f != b:
-                    # f != b also when the backward trace closed: b's
-                    # entry for letter i is defined and f's is a hole
-                    coincidence(f, b)
-                    if alpha in dead:
-                        scans += bisect_right(todo, k)
-                        steps += k + 1
-                        break
-            else:
-                scans += len(todo)
-                # the budget and a coset limit met while alpha's row is
-                # filled count every scan of the coset
-                k = nrel - 1
-                if k > bound:
-                    raise enum.exhausted(max_steps)
-                for col in enum.cols:
-                    if t[alpha + col] < 0:
-                        define(alpha, col)
-                steps += nrel
+    # the table holds the cosets defined and one hole row
+    while alpha < defined * n:
+        if alpha in dead:
             alpha += n
-    except _CosetLimit:
-        # k is the scan in progress, or nrel - 1 in the fill
-        raise LimitExceeded(f"coset limit {max_cosets} reached after "
-                            f"{steps + k + 1} scans") from None
+            continue
+        if filtered:
+            # a zero-copy view; it must be dropped before define() can
+            # grow the array
+            view = np.frombuffer(t, dtype)
+            for idx, cols in filtered:
+                skip[idx] = _trace(view, alpha, cols) == alpha
+            del view
+            todo = np.flatnonzero(~skip).tolist()
+        # scan k at this coset is step steps + k + 1 of the budget
+        bound = max_steps - steps - 1
+        for k in todo:
+            if k > bound:
+                raise exhausted()
+            cols, icols, j = rels[k]
+            # a length-3 relator closed at alpha: its scan is a no-op
+            if j == 2 and \
+                    t[t[t[alpha + cols[0]] + cols[1]] + cols[2]] == alpha:
+                closed += 1
+                continue
+            # scan forward and back from alpha, defining cosets until
+            # the relator closes or one entry is left to deduce
+            f = b = alpha
+            i = 0
+            while True:
+                while i <= j and (g := t[f + cols[i]]) >= 0:
+                    f = g
+                    i += 1
+                if i > j:
+                    break
+                while j >= i and (g := t[b + icols[j]]) >= 0:
+                    b = g
+                    j -= 1
+                if j <= i:
+                    break
+                define(f, cols[i])
+            if i == j:
+                t[f + cols[i]] = b
+                t[b + icols[i]] = f
+            elif f != b:
+                # f != b also when the backward trace closed: b's
+                # entry for letter i is defined and f's is a hole
+                coincidence(f, b)
+                if alpha in dead:
+                    scans += bisect_right(todo, k)
+                    steps += k + 1
+                    break
+        else:
+            scans += len(todo)
+            # the budget and a coset limit met while alpha's row is
+            # filled count every scan of the coset
+            k = nrel - 1
+            if k > bound:
+                raise exhausted()
+            for col in used:
+                if t[alpha + col] < 0:
+                    define(alpha, col)
+            steps += nrel
+        alpha += n
 
     # compact: live cosets in order, every entry sent to its representative
     table = np.frombuffer(t, dtype).reshape(-1, n)[:-1]
-    rep = np.arange(len(table))
+    root = np.arange(len(table))
     for d in dead:
-        rep[d // n] = enum.rep(d) // n
-    live = rep == np.arange(len(table))
+        root[d // n] = rep(d) // n
+    live = root == np.arange(len(table))
     entries = table[live]
     entries[:, mirrors] = entries[:, mirrors - 1]   # y^-1 reads y's column
     if (entries < 0).any():
         raise LimitExceeded("enumeration halted with holes in table")
     renum = live.cumsum(dtype=np.intp) - 1
-    counts = (len(mirrors), nrel, enum.defined - 1, enum.coincidences, scans,
+    counts = (len(mirrors), nrel, defined - 1, coincidences, scans,
               steps - scans, closed)
     # each offset becomes its coset in place, read through one map from
     # every coset to its representative's number: one |T| x columns
     # temporary, not three
     entries //= n
-    return renum[rep][entries], counts
+    return renum[root][entries], counts
 
 
 def _validate_complete(table, presentation):

@@ -899,3 +899,70 @@ def test_cli_contract_under_mutated_files(tmp_path, monkeypatch):
             (lines[0], files)
 
     check()
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "list"),
+    ("--json", "catalog", "export", "heisenberg:5"),
+])
+def test_closed_stdout_exits_two_with_one_line(capsys, monkeypatch, argv):
+    # stdout a pipe whose reader has gone: a short output fails at the
+    # flush, a long one (66 KB) at the write
+    r, w = os.pipe()
+    os.close(r)
+    out = open(w, "w")
+    monkeypatch.setattr(sys, "stdout", out)
+    code = main(list(argv))
+    monkeypatch.undo()
+    out.close()             # the flush at exit finds nothing to refuse
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: cannot write to stdout: "
+                                       "Broken pipe\n")
+
+
+@pytest.mark.parametrize("p", ["x", "0", "2.0"])
+def test_classify_heisenberg_reads_p_as_a_count(capsys, p):
+    code, out, err = run(capsys, "explore", "classify-heisenberg", p)
+    _one_error_line(code, out, err)
+    assert err == f"error: p must be a positive integer, not '{p}'\n"
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _readme_block(heading, fence):
+    """The first code block that ``fence`` opens after ``heading``."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(fence + "\n", text.index(heading)) + len(fence) + 1
+    return text[start:text.index("```", start)]
+
+
+def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
+    # every line exits 0; verify paper exits 1 for criterion 02's
+    # documented disagreement, which tests/test_golden.py pins
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pair.json").write_text(json.dumps(
+        {"g": "cyclic:4", "h": "cyclic:2",
+         "alpha": {"map": [0, 1]}, "beta": {"map": [0, 0, 0, 0]}}))
+    lines = _readme_block("## CLI", "```").splitlines()
+    assert "tensorforge verify paper" in lines
+    for line in lines:
+        prog, *argv = line.split()
+        assert prog == "tensorforge"
+        if argv != ["verify", "paper"]:
+            assert run(capsys, *argv)[0] == 0, line
+    assert (tmp_path / "q8.json").exists()
+
+
+def test_readme_minimal_session_values():
+    # each line whose comment starts with a number is an expression with
+    # that value; the other lines run as they are
+    namespace, values = {}, []
+    for line in _readme_block("A minimal session", "```python").splitlines():
+        code, _, comment = line.partition("#")
+        value = re.match(r"\s*(\d+)", comment)
+        if value:
+            values.append((eval(code, namespace), int(value.group(1))))
+        else:
+            exec(line, namespace)
+    assert values == [(6, 6), (3, 3), (6, 6)]

@@ -1,15 +1,19 @@
 """Guards on the library source that tests of behaviour cannot see."""
 
 import ast
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 import tensorforge
+from tensorforge import cli, verify  # noqa: F401  (cli imports every module)
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "tensorforge").glob("*.py"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+import tracing  # noqa: E402
 # Public names that nothing in the library or the benchmark calls.  The
 # backlog is empty: a new public name needs a caller, or it is deleted.
 UNCALLED_BACKLOG = set()
@@ -559,3 +563,16 @@ def test_isomorphism_lint_sees_names_and_attributes():
               "d = tf.homs.are_isomorphic\n"
               "if x and are_isomorphic(K, L):\n    pass\n")
     assert sorted(_isomorphism_searches(ast.parse(source))) == [1, 2, 5]
+
+
+def test_every_name_perfbench_traces_resolves():
+    # perfbench wraps library functions by name, and a name that no
+    # longer resolves reads as null in a traced run that still exits 0:
+    # a rename must update perfbench/tracing.py in the same change
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
+    assert len(verify.CHECKS) == tracing.N_CHECKS
